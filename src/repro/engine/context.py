@@ -8,7 +8,6 @@ can observe dynamic quantities (operator state, cardinalities, memory use).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.catalog.catalog import DataSourceCatalog
@@ -238,24 +237,6 @@ class ExecutionContext:
         worker.columnar = self.columnar
         worker.encoded_columns = self.encoded_columns
         return worker
-
-    @contextmanager
-    def row_backed_pulls(self):
-        """Temporarily force row-backed batches from leaves.
-
-        Operators that buffer their input as :class:`Row` objects anyway
-        (hash-join build sides, the double pipelined join's runs, the
-        nested-loops inner) wrap their child pulls in this so leaves skip the
-        columnar transpose that ``Batch.rows()`` would immediately undo.
-        Representation only — virtual-clock accounting is identical — and the
-        previous mode is always restored, even on error.
-        """
-        saved = self.columnar
-        self.columnar = False
-        try:
-            yield
-        finally:
-            self.columnar = saved
 
     # -- wrappers ------------------------------------------------------------------
 

@@ -432,11 +432,30 @@ class OverflowFile:
 
         Gathers preserve the source storage class, so dict-encoded columns
         spill as code gathers (sharing the source dictionary) and the chunk
-        is charged the encoded footprint.
+        is charged the encoded footprint.  In an encoded file, plain string
+        columns (a transposed row-backed batch carries them) encode through
+        the file-owned dictionaries first, exactly as the per-row writers
+        do, so the same tuples charge the same bytes whichever way they are
+        written; a misfit value sends the rows down the per-row path.
         """
         if not indices:
             return
         columns = [gather_column(column, indices) for column in source_columns]
+        if self.encoded and self.schema is not None:
+            if self._dictionaries is None:
+                self._dictionaries = make_dictionaries(self.schema)
+            for position, dictionary in enumerate(self._dictionaries):
+                if dictionary is not None and type(columns[position]) is list:
+                    encoded_column = DictColumn(dictionary)
+                    try:
+                        encoded_column.extend(columns[position])
+                    except _DEGRADE_ERRORS:
+                        for index in indices:
+                            self.write_position(
+                                source_columns, index, source_arrivals[index], marked
+                            )
+                        return
+                    columns[position] = encoded_column
         arrivals = gather_arrivals(source_arrivals, indices)
         self.write_columns(columns, arrivals, marked)
 

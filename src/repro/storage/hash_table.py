@@ -22,15 +22,21 @@ with the drive.
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
 from typing import Any, Iterator, Sequence
 from zlib import crc32
 
 from repro.errors import StorageError
 from repro.storage.batch import Batch
 from repro.storage.columns import (
+    DICT_SLOT_BYTES,
+    _DEGRADE_ERRORS,
     ColumnarPartition,
     DictColumn,
-    extend_column,
+    RunLengthArrivals,
+    append_value,
+    as_values,
     make_dictionaries,
 )
 from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk
@@ -51,6 +57,26 @@ def bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
     process boundaries must use :func:`stable_bucket_of` instead.
     """
     return hash(key) % bucket_count
+
+
+def _pick(values: Sequence[Any], rows: Sequence[int]):
+    """``values`` at ``rows``: a slice for a contiguous range, else a lazy gather."""
+    if type(rows) is range:
+        return values[rows.start : rows.stop]
+    return map(values.__getitem__, rows)
+
+
+def _adopted_codes(dictionary, source: Sequence[Any], rows: Sequence[int]):
+    """Codes under an adopted ``dictionary`` of ``source``'s values at ``rows``.
+
+    A column sharing the dictionary holds them already; any other source (a
+    transposed row-backed run, a tie-step row) looks its values up, ``None``
+    for a value the dictionary does not know — so every drive charges an
+    entry at the first insert that references it.
+    """
+    if type(source) is DictColumn and source.dictionary is dictionary:
+        return iter(_pick(source.codes, rows))
+    return map(dictionary.codes.get, _pick(as_values(source), rows))
 
 
 def _stable_key_bytes(key: tuple[Any, ...]) -> bytes:
@@ -172,8 +198,10 @@ class BucketedHashTable:
         self.dictionary_bytes = 0
         self._dictionaries = None
         #: ``[(slot, dictionary, seen_codes)]`` for slots whose dictionary
-        #: was adopted from the insert stream (see ``_fix_dictionaries``).
+        #: was adopted from the insert stream and ``[(slot, dictionary)]``
+        #: for the table-owned ones (see ``_fix_dictionaries``).
         self._adopted_slots: list | None = None
+        self._owned_slots: list | None = None
 
     def _fix_dictionaries(self, source_columns: Sequence | None) -> None:
         """Fix the table's per-slot dictionaries on first insert.
@@ -192,6 +220,7 @@ class BucketedHashTable:
         """
         dictionaries = make_dictionaries(self.schema)
         adopted: list = []
+        owned: list = []
         for j, dictionary in enumerate(dictionaries):
             if dictionary is None:
                 continue
@@ -201,8 +230,10 @@ class BucketedHashTable:
                 adopted.append((j, source.dictionary, set()))
             else:
                 dictionary.on_grow = self._record_dictionary_growth
+                owned.append((j, dictionary))
         self._dictionaries = dictionaries
         self._adopted_slots = adopted
+        self._owned_slots = owned
 
     def _record_dictionary_growth(self, nbytes: int) -> None:
         self.budget.force_reserve(nbytes)
@@ -211,12 +242,10 @@ class BucketedHashTable:
     def _charge_adopted(self, source_columns: Sequence, position: int) -> None:
         """Charge adopted-dictionary entries first referenced by this insert."""
         for j, dictionary, seen in self._adopted_slots:
-            source = source_columns[j]
-            if type(source) is DictColumn and source.dictionary is dictionary:
-                code = source.codes[position]
-                if code not in seen:
-                    seen.add(code)
-                    self._record_dictionary_growth(dictionary.entry_bytes(code))
+            code = next(_adopted_codes(dictionary, source_columns[j], (position,)))
+            if code is not None and code not in seen:
+                seen.add(code)
+                self._record_dictionary_growth(dictionary.entry_bytes(code))
 
     # -- schema / partition plumbing ----------------------------------------------
 
@@ -293,14 +322,7 @@ class BucketedHashTable:
             self._fix_dictionaries(source_columns)
         self._partition(bucket).append_position(key, source_columns, position, arrival)
         if self._adopted_slots:
-            # Inlined _charge_adopted: this sits on the per-tuple insert path.
-            for j, dictionary, seen in self._adopted_slots:
-                source = source_columns[j]
-                if type(source) is DictColumn and source.dictionary is dictionary:
-                    code = source.codes[position]
-                    if code not in seen:
-                        seen.add(code)
-                        self._record_dictionary_growth(dictionary.entry_bytes(code))
+            self._charge_adopted(source_columns, position)
         self.total_inserted += 1
         return True
 
@@ -310,68 +332,56 @@ class BucketedHashTable:
         marked: bool = False,
         keys: Sequence[tuple[Any, ...]] | None = None,
         start: int = 0,
+        stop: int | None = None,
+        positions: Sequence[int] | None = None,
     ) -> int:
-        """Bulk-insert ``batch`` rows from ``start``; returns the stop position.
+        """Bulk-insert ``batch`` rows ``[start, stop)``; returns the stop position.
 
-        A return equal to ``len(batch)`` means every row was handled.  Rows
-        whose bucket is already flushed are written straight to that bucket's
-        overflow file (they count as handled, exactly as in :meth:`insert`).
-        On the first memory refusal for a resident insert, the refused row's
-        position is returned so the caller can run its overflow strategy and
-        retry from there — the refusal lands on exactly the row where the
-        tuple-at-a-time path would have overflowed.
+        A return equal to ``stop`` (``len(batch)`` by default) means every
+        row was handled.  Rows whose bucket is already flushed are written
+        straight to that bucket's overflow file (they count as handled,
+        exactly as in :meth:`insert`).  On the first memory refusal for a
+        resident insert, the refused row's position is returned so the caller
+        can run its overflow strategy and retry from there.
 
-        When no bucket has flushed and the whole remainder fits the budget,
-        the rows move as per-bucket column gathers (the bulk fast path).
+        ``positions`` (ascending, inside ``[start, stop)``) names the rows to
+        insert when the caller has already routed the others elsewhere — the
+        double pipelined join spills the rows of flushed buckets itself; none
+        of the named rows may hash to a flushed bucket.
+
+        When the rows fit the budget they move in one column-major scatter
+        (the bulk fast path); otherwise they go row by row.  The bounded
+        forms (``stop`` / ``positions``) decide "fit" *including* the
+        dictionary entries the rows will add, so a refusal lands on exactly
+        the row where the tuple-at-a-time path refuses; the whole-remainder
+        form keeps the hybrid build's batch-granular check (growth inside
+        the batch is charged after the fact, identically in both batch
+        drives).
         """
         self._adopt_schema(batch.schema)
         if keys is None:
             keys = batch.key_tuples(self._binder.indices_in(batch.schema))
-        n = len(batch)
-        if start >= n:
+        exact = stop is not None or positions is not None
+        n = len(batch) if stop is None else stop
+        rows = range(start, n) if positions is None else positions
+        if not rows:
+            return n
+        columns = batch.columns
+        arrivals = batch.arrivals
+        if self.encoded and self._dictionaries is None:
+            self._fix_dictionaries(columns)
+        if (positions is not None or not self.flushed_count) and self._reserve_rows(
+            columns, rows, exact
+        ):
+            self._scatter_rows(columns, arrivals, keys, rows)
+            self.total_inserted += len(rows)
             return n
         count = self.bucket_count
         buckets = self.buckets
-        columns = batch.columns
-        arrivals = batch.arrivals
-        remaining = n - start
-        if self.encoded and self._dictionaries is None:
-            self._fix_dictionaries(columns)
-        if not self.flushed_count and not self.budget.would_overflow(
-            remaining * self.row_bytes
-        ):
-            self.budget.reserve(remaining * self.row_bytes)
-            grouped: dict[int, list[int]] = {}
-            for i in range(start, n):
-                index = hash(keys[i]) % count
-                found = grouped.get(index)
-                if found is None:
-                    grouped[index] = [i]
-                else:
-                    found.append(i)
-            for index, positions in grouped.items():
-                self._partition(buckets[index]).extend_gather(
-                    columns, arrivals, keys, positions
-                )
-            if self._adopted_slots:
-                # Bulk form of the per-insert adopted charge: every code in
-                # the inserted range not seen before is charged once.
-                for j, dictionary, seen in self._adopted_slots:
-                    source = columns[j]
-                    if type(source) is DictColumn and source.dictionary is dictionary:
-                        fresh = set(source.codes[start:n]) - seen
-                        if fresh:
-                            seen |= fresh
-                            entry_bytes = dictionary.entry_bytes
-                            self._record_dictionary_growth(
-                                sum(entry_bytes(code) for code in fresh)
-                            )
-            self.total_inserted += remaining
-            return n
         row_bytes = self.row_bytes
         budget = self.budget
         adopted = self._adopted_slots
-        for i in range(start, n):
+        for i in rows:
             key = keys[i]
             bucket = buckets[hash(key) % count]
             if bucket.flushed:
@@ -387,6 +397,120 @@ class BucketedHashTable:
             if adopted:
                 self._charge_adopted(columns, i)
         return n
+
+    def _reserve_rows(self, columns: Sequence, rows: Sequence[int], exact: bool) -> bool:
+        """Reserve ``rows`` in one step if the budget takes them all.
+
+        Adopted-dictionary entries first referenced by these rows are charged
+        here (the bulk form of the per-insert adopted charge); table-owned
+        dictionaries charge through their growth hook as the scatter encodes.
+        With ``exact`` the reservation is refused unless the rows *and* the
+        dictionary entries they add fit — which is when no row of a
+        tuple-at-a-time insert would have been refused either, because usage
+        only grows in between.
+        """
+        budget = self.budget
+        need = len(rows) * self.row_bytes
+        if budget.would_overflow(need):
+            return False
+        fresh_codes = []
+        growth = 0
+        try:
+            for j, dictionary, seen in self._adopted_slots or ():
+                fresh = set(_adopted_codes(dictionary, columns[j], rows)) - seen
+                fresh.discard(None)
+                if fresh:
+                    nbytes = sum(map(dictionary.entry_bytes, fresh))
+                    fresh_codes.append((seen, fresh, nbytes))
+                    growth += nbytes
+            if exact and budget.limit_bytes is not None:
+                for j, dictionary in self._owned_slots or ():
+                    fresh = set(_pick(as_values(columns[j]), rows)).difference(dictionary.codes)
+                    growth += sum(
+                        len(value) + DICT_SLOT_BYTES for value in fresh if type(value) is str
+                    )
+        except TypeError:
+            return False  # an unhashable misfit: the row-by-row path degrades it
+        if budget.would_overflow(need + growth):
+            return False
+        budget.reserve(need)
+        for seen, fresh, nbytes in fresh_codes:
+            seen |= fresh
+            self._record_dictionary_growth(nbytes)
+        return True
+
+    def _scatter_rows(
+        self,
+        columns: Sequence[Sequence[Any]],
+        arrivals: Sequence[float],
+        keys: Sequence[tuple[Any, ...]],
+        rows: Sequence[int],
+    ) -> None:
+        """Move already-reserved ``rows`` into their buckets' partitions.
+
+        Key-major first — one pass finds each row's partition, stamps its
+        arrival and maintains the key index — then column-major: one pass per
+        attribute appends each row's value (or dictionary code) to its
+        partition's column, with the source and the per-row target column
+        lists hoisted out of the loop.  At the default 64 buckets a 128- or
+        256-row input puts two to four rows in a bucket, too few to pay for
+        a gather, a typed buffer and an ``extend`` per (bucket, column).
+        """
+        count = self.bucket_count
+        buckets = self.buckets
+        if type(arrivals) is RunLengthArrivals:
+            arrivals = arrivals.to_list()
+        targets: list[list] = []
+        for i in rows:
+            key = keys[i]
+            bucket = buckets[hash(key) % count]
+            partition = bucket.partition
+            if partition is None:
+                partition = self._partition(bucket)
+            stamps = partition.arrivals
+            found = partition.positions.get(key)
+            if found is None:
+                partition.positions[key] = [len(stamps)]
+            else:
+                found.append(len(stamps))
+            stamps.append(arrivals[i])
+            targets.append(partition.columns)
+        contiguous = type(rows) is range
+        dictionaries = self._dictionaries
+        for j, source in enumerate(columns):
+            dictionary = dictionaries[j] if dictionaries is not None else None
+            coded = dictionary is not None
+            k = offset = 0
+            try:
+                if coded and not (type(source) is DictColumn and source.dictionary is dictionary):
+                    # Bulk-encode through the table dictionary: one C-level
+                    # map resolves every value already coded, new values
+                    # take ``encode`` (which charges the growth hook).
+                    picked = list(_pick(as_values(source), rows))
+                    values = list(map(dictionary.codes.get, picked))
+                    if None in values:
+                        encode = dictionary.encode
+                        for at, code in enumerate(values):
+                            if code is None:
+                                values[at] = encode(picked[at])
+                else:
+                    values = source.codes if coded else source
+                    if contiguous:
+                        k = offset = rows.start
+                    else:
+                        values = [values[i] for i in rows]
+                if coded:
+                    for k, target in enumerate(targets, offset):
+                        target[j].codes.append(values[k])
+                else:
+                    for k, target in enumerate(targets, offset):
+                        target[j].append(values[k])
+            except (AttributeError, *_DEGRADE_ERRORS):
+                # A misfit value, or a partition column already degraded to
+                # an object list: finish the attribute value by value, which
+                # encodes, charges and degrades as a tuple-at-a-time insert.
+                for at in range(k - offset, len(targets)):
+                    append_value(targets[at], j, source[rows[at]])
 
     def insert_resident(self, row: Row) -> None:
         """Insert assuming memory is available; raises if the budget refuses."""
@@ -425,6 +549,7 @@ class BucketedHashTable:
         self,
         keys: Sequence[tuple[Any, ...]],
         positions: Sequence[int] | None = None,
+        limit: int | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
         """Bulk probe: gathered match columns for the joins' output assembly.
 
@@ -434,86 +559,67 @@ class BucketedHashTable:
         and the matched build rows arrive as already-gathered column lists.
         ``aligned`` is true when every key matched exactly once (``take`` is
         the identity permutation).  ``None`` when nothing matched.
+
+        With ``limit`` the probe stops after the key whose matches bring the
+        total to ``limit`` or more (that key's matches are all included), so
+        ``take[-1]`` names the last key a tuple-at-a-time probe filling a
+        ``limit``-row batch would have consumed.
+
+        Key-major lookup, then column-major gathers: one pass over the keys
+        records, per match, the probed position, the partition holding it and
+        the row inside it; each output column is then one comprehension over
+        those records (dictionary columns move codes).
         """
         if self.schema is None:
             return None
-        width = len(self.schema)
         count = self.bucket_count
         buckets = self.buckets
+        probe = range(len(keys)) if positions is None else positions
         take: list[int] = []
-        match_columns: list[list[Any]] = [[] for _ in range(width)]
-        match_arrivals: list[float] = []
-        aligned = True
-        adopted = not self.encoded
-        probe_range = range(len(keys)) if positions is None else positions
-        probed = 0
-        for position in probe_range:
-            probed += 1
+        sources: list[list] = []
+        stamps: list[list[float]] = []
+        at: list[int] = []
+        once = True
+        for position in probe:
             key = keys[position]
-            bucket = buckets[hash(key) % count]
-            partition = bucket.partition
-            found = partition.positions.get(key) if partition is not None else None
+            partition = buckets[hash(key) % count].partition
+            if partition is None:
+                continue
+            found = partition.positions.get(key)
             if not found:
-                aligned = False
                 continue
             if len(found) == 1:
                 take.append(position)
+                sources.append(partition.columns)
+                stamps.append(partition.arrivals)
+                at.append(found[0])
             else:
-                aligned = False
-                take.extend([position] * len(found))
-            columns = partition.columns
-            arrivals = partition.arrivals
-            if not self.encoded:
-                # Unencoded tables keep the original branch-free gathers.
-                for j in range(width):
-                    source = columns[j]
-                    acc = match_columns[j]
-                    for p in found:
-                        acc.append(source[p])
-                for p in found:
-                    match_arrivals.append(arrivals[p])
-                continue
-            if not adopted:
-                # First match fixes the gathered columns' storage: dict
-                # sources get dict accumulators sharing their dictionaries
-                # (every partition of this table shares them), so matched
-                # string values below move as raw codes.
-                adopted = True
-                for j in range(width):
-                    source = columns[j]
-                    if type(source) is DictColumn:
-                        match_columns[j] = DictColumn(source.dictionary)
-            for j in range(width):
-                source = columns[j]
-                acc = match_columns[j]
-                if type(source) is DictColumn:
-                    dcodes = source.codes
-                    if type(acc) is DictColumn and acc.dictionary is source.dictionary:
-                        acc_codes = acc.codes
-                        for p in found:
-                            acc_codes.append(dcodes[p])
-                        continue
-                    # Hoisted decode: C-level subscripts only, values are the
-                    # dictionary's canonical strings (no construction).
-                    dvalues = source.dictionary.values
-                    for p in found:
-                        acc.append(dvalues[dcodes[p]])
-                else:
-                    if type(acc) is DictColumn:
-                        # A degraded partition column met a dict accumulator
-                        # from an earlier bucket: repair via the standard
-                        # degrade path.
-                        extend_column(
-                            match_columns, j, [source[p] for p in found], len(acc)
-                        )
-                        continue
-                    for p in found:
-                        acc.append(source[p])
-            for p in found:
-                match_arrivals.append(arrivals[p])
+                once = False
+                n = len(found)
+                take.extend(repeat(position, n))
+                sources.extend(repeat(partition.columns, n))
+                stamps.extend(repeat(partition.arrivals, n))
+                at.extend(found)
+            if limit is not None and len(take) >= limit:
+                break
         if not take:
             return None
-        aligned = aligned and probed == len(keys)
+        dictionaries = self._dictionaries
+        match_columns: list = []
+        for j in range(len(self.schema)):
+            if dictionaries is not None and dictionaries[j] is not None:
+                try:
+                    codes = [columns[j].codes[p] for columns, p in zip(sources, at)]
+                except AttributeError:
+                    # Some partition's column degraded to an object list:
+                    # gather values instead (dict columns decode on access).
+                    pass
+                else:
+                    match_columns.append(DictColumn(dictionaries[j], array("q", codes)))
+                    continue
+            match_columns.append([columns[j][p] for columns, p in zip(sources, at)])
+        match_arrivals = [arrivals[p] for arrivals, p in zip(stamps, at)]
+        aligned = once and len(take) == len(keys) == len(probe)
         return take, match_columns, match_arrivals, aligned
 
     def is_bucket_flushed_for(self, key: tuple[Any, ...]) -> bool:
@@ -541,6 +647,21 @@ class BucketedHashTable:
         self._ensure_overflow(bucket).write_position(
             source_columns, position, arrival, marked
         )
+
+    def spill_gather(
+        self,
+        bucket_index: int,
+        source_columns: Sequence[Sequence[Any]],
+        source_arrivals: Sequence[float],
+        indices: Sequence[int],
+        marked: bool,
+    ) -> None:
+        """Write the arriving rows at ``indices`` to a bucket's overflow file
+        as one chunk (the bulk form of :meth:`spill_position`)."""
+        if indices:
+            self._ensure_overflow(self.buckets[bucket_index]).write_gather(
+                source_columns, source_arrivals, indices, marked
+            )
 
     def flush_bucket(self, index: int, mark_rows: bool = False) -> int:
         """Write bucket ``index`` to disk, releasing its memory.

@@ -38,10 +38,12 @@ class Relation:
     def _materialize_pending(self) -> None:
         """Convert any buffered columnar batches into rows (order-preserving)."""
         if self._pending:
-            for batch in self._pending:
-                self._rows.extend(batch.rows())
-            self._pending = []
+            # Each batch is dropped as soon as it is boxed, so the peak holds
+            # one representation of the result plus one batch, not both.
+            pending, self._pending = self._pending[::-1], []
             self._pending_count = 0
+            while pending:
+                self._rows.extend(pending.pop().rows())
 
     # -- construction ----------------------------------------------------------
 

@@ -10,6 +10,10 @@ helpers in a uniquely named module makes the imports unambiguous.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from repro.engine.context import EngineConfig, ExecutionContext
+from repro.network.profiles import NetworkProfile
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -46,3 +50,55 @@ def multiset(relation_or_rows) -> dict:
     for row in relation_or_rows:
         counts[row.values] = counts.get(row.values, 0) + 1
     return counts
+
+
+@dataclass(frozen=True)
+class ScriptedProfile(NetworkProfile):
+    """A network profile whose tuples arrive at an explicit timetable.
+
+    ``timetable[i]`` is tuple ``i``'s arrival, relative to the moment the
+    connection opens (ascending).  It drives real sources, wrappers and scans,
+    so a test can place ties, slack-window overshoots and pauses exactly.
+    """
+
+    timetable: tuple[float, ...] = ()
+
+    def arrival_schedule(self, tuple_sizes, start_ms=0.0):
+        return [start_ms + offset for offset in self.timetable[: len(tuple_sizes)]]
+
+
+def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **config):
+    """Drain ``build(context)`` under one drive; returns ``(rows, context, join)``.
+
+    ``drive`` is ``"columnar"``, ``"rows"`` (the row-batch drive) or
+    ``"tuple"``.  Rows come back in production order.  The batch drives clear
+    ``batch_interrupt`` after every batch, as the executor does once it has
+    drained the event queue; ``between_batches(index, join)`` runs after each
+    batch (revocations, inspections).
+    """
+    context = ExecutionContext(
+        catalog, config=EngineConfig(columnar_batches=drive != "rows", **config)
+    )
+    join = build(context)
+    join.open()
+    if drive == "tuple":
+        rows = list(join.iterate())
+    else:
+        batches = []
+        while True:
+            batch = join.next_batch(batch_size)
+            if not batch:
+                break
+            batches.append(batch)
+            context.batch_interrupt = False
+            if between_batches is not None:
+                between_batches(len(batches), join)
+        rows = [row for batch in batches for row in batch]
+    join.close()
+    return rows, context, join
+
+
+def spill_marks(context) -> tuple[int, int]:
+    """``(marked, unmarked)`` spilled-row counts over every overflow file."""
+    marks = [marked for file in context.disk.files.values() for _, marked in file.peek()]
+    return sum(marks), len(marks) - sum(marks)

@@ -20,6 +20,8 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
+from helpers import ScriptedProfile, drive_join
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -202,6 +204,86 @@ class TestJoinProperties:
     def test_join_cardinality_formula(self, left, right):
         rows = run_join(DoublePipelinedJoin, left, right)
         assert len(rows) == expected_join_size(left, right)
+
+
+# The run-at-a-time columnar drive against its oracles: random two-sided
+# arrival timetables (ties, bursts, gaps wider than the 5 ms slack window),
+# duplicate-key rates, memory limits, both overflow methods and batch sizes.
+
+#: Inter-arrival gaps in ms: zero makes ties, the large ones exceed the slack window.
+gaps = st.sampled_from([0.0, 0.0, 0.01, 0.3, 2.0, 7.0])
+
+
+@st.composite
+def timed_sides(draw):
+    key_domain = draw(st.integers(min_value=1, max_value=12))
+    sides = []
+    for _ in range(2):
+        size = draw(st.integers(min_value=0, max_value=70))
+        side_keys = draw(
+            st.lists(st.integers(0, key_domain - 1), min_size=size, max_size=size)
+        )
+        side_gaps = draw(st.lists(gaps, min_size=size, max_size=size))
+        times, now = [], draw(st.sampled_from([0.5, 1.0, 4.0]))
+        for gap in side_gaps:
+            now += gap
+            times.append(now)
+        sides.append((side_keys, times))
+    return sides
+
+
+class TestRunAtATimeProperties:
+    @given(
+        sides=timed_sides(),
+        memory=st.sampled_from([None, 400, 900, 2500]),
+        method=st.sampled_from([OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]),
+        batch_size=st.sampled_from([1, 7, 64, 256]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_columnar_drive_equals_the_row_batch_drive(self, sides, memory, method, batch_size):
+        (left_keys, left_times), (right_keys, right_times) = sides
+        left = [(key, f"p{i % 5}") for i, key in enumerate(left_keys)]
+        right = [(key, f"q{i}") for i, key in enumerate(right_keys)]
+        catalog = DataSourceCatalog()
+        for name, payload, pairs, times in (
+            ("l", "p", left, left_times),
+            ("r", "q", right, right_times),
+        ):
+            schema = Schema.of("k:int", f"{payload}:str")
+            relation = Relation(name, schema, (Row(schema, pair) for pair in pairs))
+            profile = ScriptedProfile(name=name, timetable=tuple(times))
+            catalog.register_source(DataSource(name, relation, profile))
+
+        def build(context):
+            return DoublePipelinedJoin(
+                "join",
+                context,
+                WrapperScan("sl", context, "l"),
+                WrapperScan("sr", context, "r"),
+                ["l.k"],
+                ["r.k"],
+                memory_limit_bytes=memory,
+                bucket_count=4,
+                overflow_method=method,
+            )
+
+        observed = {}
+        for drive in ("columnar", "rows", "tuple"):
+            rows, context, join = drive_join(build, catalog, drive, batch_size=batch_size)
+            stats = context.disk.stats
+            observed[drive] = (
+                [(row.values, row.arrival) for row in rows],
+                join.overflow_count,
+                (stats.tuples_written, stats.bytes_written, stats.tuples_read, stats.total_pages),
+                context.clock.now,
+            )
+        assert observed["columnar"] == observed["rows"]
+        produced = {
+            drive: sorted(values for values, _ in observed[drive][0])
+            for drive in ("columnar", "tuple")
+        }
+        assert produced["columnar"] == produced["tuple"]
+        assert join_multiset(rows) == reference_pairs(left, right)
 
 
 # ---------------------------------------------------------------------------
