@@ -19,6 +19,7 @@ byte-for-byte the pre-server loop.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -116,7 +117,13 @@ class QueryExecutor:
     def __init__(self, context: ExecutionContext, batch_size: int | None = DEFAULT_BATCH_SIZE) -> None:
         self.context = context
         self.batch_size = batch_size
-        self.event_handler = EventHandler(context, self._apply_action)
+        # The handler calls back into this executor; through a weak method, so
+        # the pair forms no reference cycle and a finished executor (with the
+        # context and results it holds) is freed without a full collection.
+        apply_action = weakref.WeakMethod(self._apply_action)
+        self.event_handler = EventHandler(
+            context, lambda action, event: apply_action()(action, event)
+        )
         self._reoptimize_requested = False
         self._reschedule_requested = False
         self._error_message: str | None = None

@@ -10,6 +10,7 @@ for the original engine's per-child threads.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator
 
 from repro.engine.context import ExecutionContext
@@ -166,6 +167,11 @@ class Operator:
         self.context.emit_event(
             EventType.CLOSED, self.operator_id, value=self._stats.tuples_produced
         )
+        # A closed operator keeps its context for introspection only, and
+        # weakly: the context owns the operator registry and the query's
+        # results, and a strong back-reference would park every finished
+        # query in a reference cycle until the next full collection.
+        self.context = weakref.proxy(self.context)
 
     def deactivate(self) -> None:
         """Stop execution of this operator (the ``deactivate`` rule action)."""

@@ -109,7 +109,7 @@ class DependentJoin(Operator):
         for row in entry.rows:
             # Re-stamp to arrival 0 so join outputs carry the left
             # row's arrival, exactly as with source-side lookups.
-            local = make(row.schema, row.values, 0.0)
+            local = make(entry.schema, row.values, 0.0)
             index.setdefault(binder.key(local), []).append(local)
         self._index = index
         self._cached_extent = True

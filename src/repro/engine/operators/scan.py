@@ -1,5 +1,7 @@
 """Leaf operators: wrapper scans (remote sources) and table scans (local store)."""
 
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
+
 from __future__ import annotations
 
 from repro.engine.context import ExecutionContext
@@ -44,7 +46,6 @@ class WrapperScan(Operator):
         self.wrapper = context.create_wrapper(source_name, timeout_ms=timeout_ms)
         self._threshold_counter = 0
         self._cache_feed = None
-        self._rows_seen: list[Row] = []
         self._deferred_error: Exception | None = None
         self.served_from_cache = False
         #: Speculative streaming state: the partial extent this scan is
@@ -70,7 +71,9 @@ class WrapperScan(Operator):
             if entry is not None:
                 from repro.network.cache import CachingScanFeed
 
-                self._cache_feed = CachingScanFeed(entry, context.clock)
+                self._cache_feed = CachingScanFeed(
+                    entry, context.clock, encoded_columns=context.encoded_columns
+                )
                 self.served_from_cache = True
                 return
             if context.config.speculative_sources:
@@ -118,24 +121,17 @@ class WrapperScan(Operator):
                 )
             return
         if self.wrapper.exhausted and self.source_name not in cache:
+            # Streamed from row zero to the end: deposit "all of the source"
+            # as a view of its export — nothing was collected en route.
+            source = self.wrapper.source
             cache.fill(
                 self.source_name,
                 self.output_schema,
-                self._rows_seen,
+                source.relation.rows,
                 now_ms=self.context.clock.now,
                 session=self.context.session_id,
+                source=source,
             )
-
-    @property
-    def _collects_for_cache(self) -> bool:
-        """Whether fetched rows are buffered for a completion-time fill."""
-        return (
-            self._cache_feed is None
-            and self._follower is None
-            and self._extent is None
-            and not self._tail_only
-            and self.context.source_cache is not None
-        )
 
     def _begin_tail(self) -> None:
         """Open a real connection for the unread tail of a followed extent.
@@ -199,24 +195,24 @@ class WrapperScan(Operator):
             return self._follower.next_arrival()
         return self.wrapper.next_arrival()
 
+    def _emit_failure(self, exc: SourceUnavailableError) -> None:
+        """Surface a source failure as engine events (for source and operator)."""
+        kind = EventType.TIMEOUT if isinstance(exc, SourceTimeoutError) else EventType.ERROR
+        value = None if kind is EventType.TIMEOUT else str(exc)
+        self.context.emit_event(kind, self.source_name, value=value)
+        self.context.emit_event(kind, self.operator_id, value=value)
+
     def _next(self) -> Row | None:
         if self.context.is_deactivated(self.operator_id):
             return None
         try:
             row = self._pull_row()
-        except SourceTimeoutError:
-            self.context.emit_event(EventType.TIMEOUT, self.source_name)
-            self.context.emit_event(EventType.TIMEOUT, self.operator_id)
-            raise
         except SourceUnavailableError as exc:
-            self.context.emit_event(EventType.ERROR, self.source_name, value=str(exc))
-            self.context.emit_event(EventType.ERROR, self.operator_id, value=str(exc))
+            self._emit_failure(exc)
             raise
         if row is None:
             self._fill_cache_if_complete()
             return None
-        if self._collects_for_cache:
-            self._rows_seen.append(row)
         self._threshold_counter += 1
         self.context.emit_event(
             EventType.THRESHOLD, self.operator_id, value=self._threshold_counter
@@ -240,11 +236,11 @@ class WrapperScan(Operator):
         lost: the partial batch is delivered and the error re-raised on the
         next call, which is when a tuple-at-a-time consumer would have hit it.
 
-        In columnar mode the unwatched block path builds the batch's column
-        lists straight from the wrapper's fetched blocks (no per-row
-        :class:`Row` objects); the watched, cache-feed, and cache-collecting
-        paths stay row-based, since they need per-row events or row objects
-        anyway.
+        In columnar mode the unwatched block path — live, cache-collecting
+        or cache-served alike — builds the batch's column lists straight from
+        the fetched blocks (no per-row :class:`Row` objects); the watched,
+        follower and publishing paths stay row-based, since they need per-row
+        events or publish row objects anyway.
         """
         if self._deferred_error is not None:
             error, self._deferred_error = self._deferred_error, None
@@ -254,7 +250,6 @@ class WrapperScan(Operator):
             return Batch.empty(self.output_schema)
         batch: list[Row] = []
         cache_feed = self._cache_feed
-        collect_for_cache = self._collects_for_cache
         watched = context.event_watched(EventType.THRESHOLD, self.operator_id)
         if cache_feed is not None:
             fetch = cache_feed.fetch
@@ -262,16 +257,16 @@ class WrapperScan(Operator):
         else:
             fetch = self._pull_batched_row
             next_arrival = self._stream_next_arrival
-        use_block = cache_feed is None and self._follower is None and not watched
-        if use_block and not collect_for_cache and self._extent is None and context.columnar:
-            return self._batched_fetch_columnar(max_rows, arrival_bound)
+        use_block = self._follower is None and not watched
+        if use_block and context.columnar and self._extent is None:
+            if cache_feed is None or cache_feed.columnar:
+                return self._batched_fetch_columnar(max_rows, arrival_bound)
+        use_block = use_block and cache_feed is None
         while len(batch) < max_rows:
             if use_block:
                 rows = self.wrapper.fetch_batch(max_rows - len(batch), arrival_bound)
                 if rows:
                     self._threshold_counter += len(rows)
-                    if collect_for_cache:
-                        self._rows_seen.extend(rows)
                     if self._extent is not None:
                         self._extent.publish(rows, context.clock.now, context.session_id)
                     batch.extend(rows)
@@ -291,16 +286,8 @@ class WrapperScan(Operator):
                     if batch:
                         break
                     row = self._pull_row()
-            except SourceTimeoutError as exc:
-                context.emit_event(EventType.TIMEOUT, self.source_name)
-                context.emit_event(EventType.TIMEOUT, self.operator_id)
-                if batch:
-                    self._deferred_error = exc
-                    break
-                raise
             except SourceUnavailableError as exc:
-                context.emit_event(EventType.ERROR, self.source_name, value=str(exc))
-                context.emit_event(EventType.ERROR, self.operator_id, value=str(exc))
+                self._emit_failure(exc)
                 if batch:
                     self._deferred_error = exc
                     break
@@ -308,8 +295,6 @@ class WrapperScan(Operator):
             if row is None:
                 self._fill_cache_if_complete()
                 break
-            if collect_for_cache:
-                self._rows_seen.append(row)
             self._threshold_counter += 1
             batch.append(row)
             if watched:
@@ -321,13 +306,17 @@ class WrapperScan(Operator):
         return Batch.from_rows(self.output_schema, batch)
 
     def _batched_fetch_columnar(self, max_rows: int, arrival_bound: float | None) -> Batch:
-        """Columnar block fetch: identical block/fallback structure, no boxing."""
+        """Columnar block fetch: identical block/fallback structure, no boxing.
+
+        The feed is the live wrapper or, served from the cache, the cache
+        feed — the same ``fetch_columns``/``next_arrival``/``fetch`` shape.
+        """
         context = self.context
-        wrapper = self.wrapper
+        feed = self._cache_feed if self._cache_feed is not None else self.wrapper
         columns: list[list] | None = None
         arrivals: list[float] = []
         while len(arrivals) < max_rows:
-            block = wrapper.fetch_columns(max_rows - len(arrivals), arrival_bound)
+            block = feed.fetch_columns(max_rows - len(arrivals), arrival_bound)
             if block is not None:
                 block_columns, block_arrivals = block
                 self._threshold_counter += len(block_arrivals)
@@ -343,21 +332,13 @@ class WrapperScan(Operator):
             # would fail/time out — take one per-tuple step, which surfaces
             # each of those with exact semantics.
             if arrival_bound is not None:
-                arrival = wrapper.next_arrival()
+                arrival = feed.next_arrival()
                 if arrival is None or arrival >= arrival_bound:
                     break
             try:
-                row = wrapper.fetch()
-            except SourceTimeoutError as exc:
-                context.emit_event(EventType.TIMEOUT, self.source_name)
-                context.emit_event(EventType.TIMEOUT, self.operator_id)
-                if arrivals:
-                    self._deferred_error = exc
-                    break
-                raise
+                row = feed.fetch()
             except SourceUnavailableError as exc:
-                context.emit_event(EventType.ERROR, self.source_name, value=str(exc))
-                context.emit_event(EventType.ERROR, self.operator_id, value=str(exc))
+                self._emit_failure(exc)
                 if arrivals:
                     self._deferred_error = exc
                     break
@@ -461,3 +442,9 @@ class TableScan(Operator):
         if not block:
             return Batch.empty(schema)
         return Batch.from_rows(schema, [row.with_arrival(now) for row in block])
+
+    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
+        # Stored rows all arrive "now", and nothing here advances the clock.
+        if self.context.clock.now >= arrival_bound:
+            return Batch.empty(self.output_schema)
+        return self._next_batch(max_rows)

@@ -35,11 +35,14 @@ invalidation signal); entries carry the virtual time at which they were
 filled and can be expired by age or dropped explicitly.
 """
 
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
+
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+from repro.network.source import DataSource
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
@@ -52,13 +55,20 @@ CACHE_SERVE_CPU_MS = 0.001
 
 @dataclass
 class CacheEntry:
-    """A fully materialized copy of one source's exported stream."""
+    """One source's complete exported stream.
+
+    ``rows`` carry the values; every server binds them to ``schema`` and
+    re-stamps, so nothing reads a cached row's own schema or arrival.  A scan
+    that drained ``source`` deposits "all of source X": the entry aliases the
+    source's stored rows and serves columns from its static export.
+    """
 
     source_name: str
     schema: Schema
     rows: list[Row]
     filled_at_ms: float
     filled_by: str | None = None
+    source: DataSource | None = None
 
     @property
     def cardinality(self) -> int:
@@ -66,7 +76,8 @@ class CacheEntry:
 
     def as_relation(self) -> Relation:
         """The cached contents as a relation named after the source."""
-        return Relation(self.source_name, self.schema, self.rows)
+        values = [row.values for row in self.rows]
+        return Relation.from_values(self.source_name, self.schema, values)
 
 
 @dataclass
@@ -548,10 +559,15 @@ class SourceCache:
         rows: list[Row],
         now_ms: float,
         session: str | None = None,
+        source: DataSource | None = None,
     ) -> CacheEntry:
-        """Store a complete source extent (replacing any prior entry)."""
+        """Store a complete source extent (replacing any prior entry).
+
+        With ``source`` the entry is a view of that source's static export and
+        ``rows`` its stored rows, aliased; otherwise the list is copied.
+        """
         entry = CacheEntry(
-            source_name, schema, list(rows), filled_at_ms=now_ms, filled_by=session
+            source_name, schema, list(rows) if source is None else rows, now_ms, session, source
         )
         self._entries[source_name] = entry
         self.stats.fills += 1
@@ -589,11 +605,16 @@ class CachingScanFeed:
     """
 
     def __init__(
-        self, entry: CacheEntry, clock, per_tuple_cpu_ms: float = CACHE_SERVE_CPU_MS
+        self,
+        entry: CacheEntry,
+        clock,
+        per_tuple_cpu_ms: float = CACHE_SERVE_CPU_MS,
+        encoded_columns: bool = True,
     ) -> None:
         self._entry = entry
         self._clock = clock
         self._per_tuple_cpu_ms = per_tuple_cpu_ms
+        self._encoded_columns = encoded_columns
         self._cursor = 0
 
     @property
@@ -601,8 +622,13 @@ class CachingScanFeed:
         return self._entry.schema
 
     @property
+    def columnar(self) -> bool:
+        """Whether :meth:`fetch_columns` can serve (the entry views a source)."""
+        return self._entry.source is not None
+
+    @property
     def exhausted(self) -> bool:
-        return self._cursor >= len(self._entry.rows)
+        return self._cursor >= self._entry.cardinality
 
     def next_arrival(self) -> float | None:
         """Cached data is always ready 'now'."""
@@ -613,7 +639,27 @@ class CachingScanFeed:
     def fetch(self) -> Row | None:
         if self.exhausted:
             return None
-        row = self._entry.rows[self._cursor]
+        values = self._entry.rows[self._cursor].values
         self._cursor += 1
         self._clock.consume_cpu(self._per_tuple_cpu_ms)
-        return row.with_arrival(self._clock.now)
+        # repro: allow[hot-path-row] the per-tuple serve boxes its one tuple (a declared boundary)
+        return Row.make(self._entry.schema, values, self._clock.now)
+
+    def fetch_columns(
+        self, max_rows: int, arrival_bound: float | None = None
+    ) -> tuple[list, list[float]] | None:
+        """Columnar bulk serve: ``(columns, arrival_stamps)`` or ``None``.
+
+        The rows, stamps and clock charges of ``max_rows`` :meth:`fetch` calls,
+        each preceded by a ``next_arrival() < arrival_bound`` check — charged
+        in bulk and sliced from the source's export, so no row is boxed.
+        """
+        start = self._cursor
+        count = min(max_rows, self._entry.cardinality - start)
+        # consume_cpu_run accumulates by sequential binary addition, as the
+        # per-tuple consume_cpu calls do — never count * cpu, sum() or fsum.
+        stamps = self._clock.consume_cpu_run(self._per_tuple_cpu_ms, count, arrival_bound)
+        if not stamps:
+            return None
+        self._cursor = stop = start + len(stamps)
+        return self._entry.source.column_span(start, stop, self._encoded_columns), stamps

@@ -12,8 +12,11 @@ Canned profiles mirror the two environments used in the paper's evaluation:
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate, islice
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -64,25 +67,59 @@ class NetworkProfile:
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
 
-    def arrival_schedule(self, tuple_sizes: list[int], start_ms: float = 0.0) -> list[float]:
+    def stream_steps(
+        self, tuple_sizes: Sequence[int]
+    ) -> tuple[list[float], list[float] | None]:
+        """``(clock steps, jitter draws)`` of a stream — what no open can change.
+
+        One transfer time per tuple, the idle gap interleaved as its own step
+        after every full burst; then the seeded per-tuple jitter (``None``
+        without).  The bandwidth is validated here, once per stream.
+        """
+        if self.bandwidth_kbps <= 0:
+            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_kbps}")
+        rate = self.bandwidth_kbps * 1024.0 / 1000.0
+        steps = [size / rate for size in tuple_sizes]
+        count, burst = len(steps), self.burst_size
+        if burst > 0:
+            spaced = [self.burst_gap_ms] * (count + count // burst)
+            for offset in range(burst):
+                spaced[offset :: burst + 1] = steps[offset::burst]
+            steps = spaced
+        if self.jitter_ms <= 0:
+            return steps, None
+        rng = random.Random(self.seed)
+        return steps, [rng.uniform(0.0, self.jitter_ms) for _ in range(count)]
+
+    def lay_out(
+        self, steps: Sequence[float], jitter: Sequence[float] | None, count: int, start_ms: float
+    ) -> list[float]:
+        """Arrival stamps of a stream's first ``count`` tuples, opened at ``start_ms``.
+
+        The clock is a running ``itertools.accumulate`` over :meth:`stream_steps`
+        — sequential binary float additions, left to right, exactly a
+        per-tuple ``clock += step`` loop; ``sum()`` (compensated since 3.12),
+        ``math.fsum`` or ``n * step`` would round differently.
+        """
+        burst = self.burst_size
+        taken = count + count // burst if burst > 0 else count
+        clocks = list(
+            accumulate(islice(steps, taken), initial=start_ms + self.initial_latency_ms)
+        )
+        if burst > 0:
+            # A burst's last tuple arrives after its gap: drop the clock
+            # between the two steps (offset by one for the initial entry).
+            del clocks[burst :: burst + 1]
+        del clocks[0]
+        return clocks if jitter is None else list(map(operator.add, clocks, jitter))
+
+    def arrival_schedule(self, tuple_sizes: Sequence[int], start_ms: float = 0.0) -> list[float]:
         """Arrival timestamps for a sequence of tuples of the given sizes.
 
         The schedule is deterministic given the profile's seed.
         """
-        rng = random.Random(self.seed)
-        arrivals: list[float] = []
-        clock = start_ms + self.initial_latency_ms
-        in_burst = 0
-        for size in tuple_sizes:
-            clock += self.transfer_ms(size)
-            if self.burst_size > 0:
-                in_burst += 1
-                if in_burst >= self.burst_size:
-                    clock += self.burst_gap_ms
-                    in_burst = 0
-            jitter = rng.uniform(0.0, self.jitter_ms) if self.jitter_ms > 0 else 0.0
-            arrivals.append(clock + jitter)
-        return arrivals
+        steps, jitter = self.stream_steps(tuple_sizes)
+        return self.lay_out(steps, jitter, len(tuple_sizes), start_ms)
 
 
 def lan(**overrides) -> NetworkProfile:

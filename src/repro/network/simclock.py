@@ -17,7 +17,9 @@ is furthest behind.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 
 @dataclass
@@ -69,6 +71,30 @@ class SimClock:
         self._now += cpu_ms
         self.stats.cpu_ms += cpu_ms
         return self._now
+
+    def consume_cpu_run(
+        self, cpu_ms: float, count: int, bound: float | None = None
+    ) -> list[float]:
+        """Up to ``count`` back-to-back :meth:`consume_cpu` charges in bulk,
+        stopping before the first that would start at or past ``bound``.
+
+        Returns the clock after each charge.  Clock and ``cpu_ms`` total are
+        each a running ``itertools.accumulate`` — the per-call loop's own
+        sequential binary additions; ``count * cpu_ms``, ``sum()``
+        (compensated since 3.12) or ``math.fsum`` would round differently.
+        """
+        if cpu_ms < 0:
+            raise ValueError(f"cpu time must be non-negative, got {cpu_ms}")
+        # stamps[i] is when charge i starts; stamps[i + 1] is when it ends.
+        stamps = list(accumulate(repeat(cpu_ms, count), initial=self._now))
+        if bound is not None:
+            del stamps[bisect_left(stamps, bound, 0, count) + 1 :]
+        self._now = stamps[-1]
+        self.stats.cpu_ms = list(
+            accumulate(repeat(cpu_ms, len(stamps) - 1), initial=self.stats.cpu_ms)
+        )[-1]
+        del stamps[0]
+        return stamps
 
     def consume_io(self, io_ms: float) -> float:
         """Burn ``io_ms`` of disk I/O time."""

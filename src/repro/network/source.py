@@ -1,12 +1,18 @@
 """Simulated autonomous data sources.
 
 A :class:`DataSource` holds a base relation and a
-:class:`~repro.network.profiles.NetworkProfile`.  When a connection is opened
-it lays out the arrival timetable for every tuple; the wrapper then streams
-tuples in arrival order.  Sources can be unavailable (never respond), fail
-mid-transfer, or mirror another source's contents — everything the paper's
-collector and rescheduling experiments need.
+:class:`~repro.network.profiles.NetworkProfile`.  What it exports is static,
+so it is built once per source and shared by every connection: the qualified
+schema, the typed/encoded columns, and the stream's clock steps under the
+current profile.  Opening a connection does only what the open can change —
+it lays those steps out from its start time into an arrival timetable, with no
+per-tuple Python work and no tuple boxed; the wrapper then streams *spans* of
+the export.  Sources can be unavailable (never respond), fail mid-transfer,
+or mirror another source's contents — everything the paper's collector and
+rescheduling experiments need.
 """
+
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
 
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ import random
 from dataclasses import dataclass
 from repro.errors import SourceUnavailableError
 from repro.network.profiles import NetworkProfile
+from repro.storage.batch import typed_transpose
 from repro.storage.relation import Relation
 from repro.storage.tuples import Row
 
@@ -69,14 +76,18 @@ class DataSource:
         self.stats = SourceStats()
         #: Busy-until time per occupied connection slot (bounded sources only).
         self._slots: list[float] = []
-        self._encoded_columns: list | None = None
-        self._encoded_dictionaries: list | None = None
-        self._encoded_for_cardinality = -1
+        #: Schema visible to the integration system (qualified names): one
+        #: instance for connection, wrapper, cache entry and scan alike, so
+        #: per-schema-instance caches (``KeyBinder``) keep hitting.
+        self.exported_schema = relation.schema.qualified(relation.name)
+        self._export: tuple[int, dict] = (-1, {})
 
-    @property
-    def exported_schema(self):
-        """Schema visible to the integration system (qualified names)."""
-        return self.relation.schema.qualified(self.relation.name)
+    def _export_parts(self) -> dict:
+        """Memo of the static export, dropped whole when the cardinality changed."""
+        cardinality = self.relation.cardinality
+        if self._export[0] != cardinality:
+            self._export = (cardinality, {})
+        return self._export[1]
 
     def encoded_column_cache(self) -> tuple[list, list]:
         """The relation translated once into typed/encoded columns.
@@ -86,11 +97,11 @@ class DataSource:
         typed/dictionary-encoded column build) is done once per source and
         shared by every wrapper: connections deliver rows sequentially, so a
         block is a pair of C-level column slices over this cache.  Returns
-        ``(columns, dictionaries)``; rebuilt if the relation's cardinality
-        changed since the last build.
+        ``(columns, dictionaries)``; rebuilt, with the rest of the export,
+        if the relation's cardinality changed since the last build.
         """
-        cardinality = self.relation.cardinality
-        if self._encoded_columns is None or self._encoded_for_cardinality != cardinality:
+        parts = self._export_parts()
+        if "columns" not in parts:
             from repro.storage.columns import build_columns, make_dictionaries
 
             schema = self.exported_schema
@@ -109,10 +120,35 @@ class DataSource:
             for dictionary in dictionaries:
                 if dictionary is not None:
                     dictionary.freeze()
-            self._encoded_columns = columns
-            self._encoded_dictionaries = dictionaries
-            self._encoded_for_cardinality = cardinality
-        return self._encoded_columns, self._encoded_dictionaries
+            parts["columns"] = columns, dictionaries
+        return parts["columns"]
+
+    def column_span(self, start: int, stop: int, encoded: bool = True) -> list:
+        """Columns for export rows ``[start, stop)`` — no row is boxed.
+
+        Encoded: C-level slices over the one-time translation cache, sharing
+        the source dictionaries so downstream consumers move codes.  Plain:
+        packed numeric buffers straight off the stored relation
+        (qualification only renames, so its rows carry the values).
+        """
+        if encoded:
+            return [column[start:stop] for column in self.encoded_column_cache()[0]]
+        return typed_transpose(self.exported_schema, self.relation.rows[start:stop])
+
+    def timetable(self, start_ms: float, start_row: int = 0) -> list[float]:
+        """Arrival stamps (a fresh list) for rows ``[start_row, N)`` streamed from ``start_ms``.
+
+        The steps are memoised under the (frozen) profile's *value*: a swapped
+        profile rebuilds them for the next open and no other.  Every tuple has
+        the schema's one size, so a tail's steps are a prefix of the stream's.
+        """
+        parts = self._export_parts()
+        profile, count = self.profile, self.relation.cardinality
+        stream = parts.get("stream")
+        if stream is None or stream[0] != profile:
+            sizes = [self.exported_schema.tuple_size] * count
+            stream = parts["stream"] = (profile, *profile.stream_steps(sizes))
+        return profile.lay_out(stream[1], stream[2], max(0, count - start_row), start_ms)
 
     @property
     def cardinality(self) -> int:
@@ -208,10 +244,13 @@ class DataSource:
 class SourceConnection:
     """A single streaming connection to a :class:`DataSource`.
 
-    The connection pre-computes arrival timestamps for all tuples when it is
-    opened; :meth:`next_arrival` exposes the timestamp of the next undelivered
-    tuple so that data-driven operators (the double pipelined join, the
-    collector) can choose which input to service first.
+    A connection is a cursor and an arrival timetable over rows
+    ``[base_row, N)`` of the source's shared export; opening one boxes no
+    tuple and copies no data.  :meth:`next_arrival` exposes the timestamp of
+    the next undelivered tuple so that data-driven operators (the double
+    pipelined join, the collector) can choose which input to service first;
+    :meth:`fetch_span` delivers a block as export positions plus stamps, and
+    :meth:`fetch` boxes the one tuple it delivers.
     """
 
     def __init__(
@@ -232,16 +271,10 @@ class SourceConnection:
         self._slot = slot
         self._cursor = 0
         self._closed = False
-        relation = source.relation
-        if source.profile.unavailable:
-            self._arrivals: list[float] = []
-            self._rows: list[Row] = []
-        else:
-            qualified = relation.qualified()
-            rows = qualified.rows
-            self._rows = rows[start_row:] if start_row else rows
-            sizes = [row.size_bytes for row in self._rows]
-            self._arrivals = source.profile.arrival_schedule(sizes, start_ms=opened_at_ms)
+        #: Arrival stamp of every tuple this connection streams (its own list).
+        self._arrivals: list[float] = (
+            [] if source.profile.unavailable else source.timetable(opened_at_ms, start_row)
+        )
         limit = source.profile.drop_after_tuples
         if limit is not None:
             # The failure point is a property of the source's export, not of
@@ -256,15 +289,11 @@ class SourceConnection:
         """True once every available tuple has been delivered."""
         if self.source.profile.unavailable:
             return False  # a dead source never finishes, it times out
-        return self._cursor >= len(self._rows)
+        return self._cursor >= len(self._arrivals)
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def delivered(self) -> int:
-        return self._cursor
 
     def next_arrival(self) -> float | None:
         """Virtual arrival time of the next tuple, or ``None`` when exhausted.
@@ -300,35 +329,36 @@ class SourceConnection:
             )
         if self.exhausted:
             raise SourceUnavailableError(f"source {self.source.name!r} is exhausted")
-        row = self._rows[self._cursor]
+        source = self.source
+        values = source.relation.rows[self.base_row + self._cursor].values
         arrival = self._arrivals[self._cursor]
         self._cursor += 1
-        self.source.stats.tuples_sent += 1
-        return row.with_arrival(arrival), arrival
+        source.stats.tuples_sent += 1
+        # repro: allow[hot-path-row] the per-tuple fetch boxes its one tuple (a declared boundary)
+        return Row.make(source.exported_schema, values, arrival), arrival
 
-    def fetch_block(
+    def fetch_span(
         self, max_rows: int, arrival_bound: float | None = None, arrival_limit: float | None = None
-    ) -> tuple[list[Row], list[float]]:
-        """Deliver up to ``max_rows`` tuples in one call (batch scan support).
+    ) -> tuple[int, int, list[float]] | None:
+        """Deliver up to ``max_rows`` tuples as ``(start, stop, arrivals)``.
 
-        Stops *without raising* at the failure point, the timetable's end, or
-        the first tuple arriving at/after ``arrival_bound`` (exclusive) or
-        beyond ``arrival_limit`` (inclusive — the caller's timeout horizon);
-        the caller falls back to :meth:`fetch`, which surfaces failures and
-        timeouts with exact per-tuple semantics.  Rows are returned unstamped
-        alongside their arrival times.
+        ``[start, stop)`` are positions in the source's export; ``None`` is
+        the empty block.  Stops *without raising* at the failure point, the
+        timetable's end, or the first tuple arriving at/after
+        ``arrival_bound`` (exclusive) or beyond ``arrival_limit`` (inclusive —
+        the caller's timeout horizon); the caller falls back to :meth:`fetch`,
+        which surfaces failures and timeouts with exact per-tuple semantics.
         """
         if self._closed or self.source.profile.unavailable or max_rows <= 0:
-            return [], []
+            return None
         start = self._cursor
-        stop = len(self._rows)
+        stop = len(self._arrivals)
         if self._fail_at_index is not None:
             stop = min(stop, self._fail_at_index)
         stop = min(stop, start + max_rows)
         if arrival_bound is not None or arrival_limit is not None:
             arrivals = self._arrivals
-            # Walk rather than bisect: jittered schedules are only loosely
-            # sorted, and the block is materialized row by row anyway.
+            # Walk rather than bisect: jittered schedules are only loosely sorted.
             for index in range(start, stop):
                 arrival = arrivals[index]
                 if arrival_bound is not None and arrival >= arrival_bound:
@@ -338,12 +368,10 @@ class SourceConnection:
                     stop = index
                     break
         if stop <= start:
-            return [], []
-        rows = self._rows[start:stop]
-        arrivals_out = self._arrivals[start:stop]
+            return None
         self._cursor = stop
         self.source.stats.tuples_sent += stop - start
-        return rows, arrivals_out
+        return self.base_row + start, self.base_row + stop, self._arrivals[start:stop]
 
     @property
     def queued_ms(self) -> float:
@@ -365,7 +393,7 @@ class SourceConnection:
         """Tuples not yet delivered (0 for unavailable sources)."""
         if self.source.profile.unavailable:
             return 0
-        limit = len(self._rows)
+        limit = len(self._arrivals)
         if self._fail_at_index is not None:
             limit = min(limit, self._fail_at_index)
         return max(0, limit - self._cursor)

@@ -7,6 +7,8 @@ interface used by scan operators: ``open`` / ``next_arrival`` / ``fetch`` /
 ``close``, plus timeout detection relative to the query's virtual clock.
 """
 
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
+
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from repro.errors import SourceTimeoutError, SourceUnavailableError
 from repro.network.simclock import SimClock
 from repro.network.source import DataSource, SourceConnection
-from repro.storage.batch import typed_transpose
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
@@ -182,43 +183,54 @@ class Wrapper:
         self.stats.time_of_last_tuple = self.clock.now
         return row.with_arrival(self.clock.now)
 
-    def fetch_batch(self, max_rows: int, arrival_bound: float | None = None) -> list[Row]:
-        """Bulk fetch: up to ``max_rows`` tuples arriving before ``arrival_bound``.
+    def _fetch_stamped(
+        self, max_rows: int, arrival_bound: float | None
+    ) -> tuple[int, int, list[float]] | None:
+        """One block as ``(start, stop, stamps)`` over the source's export.
 
         Never raises: the block stops *before* any tuple that would time out,
-        fail, or land at/after the bound, and returns what it has (possibly
-        nothing).  The per-tuple :meth:`fetch` surfaces errors with their
-        exact semantics on the caller's next pull.  Clock accounting and the
-        rows' arrival stamps are identical to fetching the same tuples one at
-        a time.
+        fail, or land at/after the bound; ``None`` is the empty block, and the
+        per-tuple :meth:`fetch` surfaces errors with their exact semantics on
+        the caller's next pull.  Clock accounting and the arrival stamps are
+        identical to fetching the same tuples one at a time.
         """
-        if self._connection is None or self._connection.closed:
-            return []
+        connection = self._connection
+        if connection is None or connection.closed:
+            return None
         now = self.clock.now
         limit = now + self.timeout_ms if self.timeout_ms is not None else None
-        rows, arrivals = self._connection.fetch_block(
-            max_rows, arrival_bound=arrival_bound, arrival_limit=limit
-        )
-        if not rows:
-            return []
+        span = connection.fetch_span(max_rows, arrival_bound=arrival_bound, arrival_limit=limit)
+        if span is None:
+            return None
+        start, stop, arrivals = span
         cpu = self.per_tuple_cpu_ms
         wait_total = 0.0
-        make = Row.make
-        out: list[Row] = []
-        append = out.append
-        for row, arrival in zip(rows, arrivals):
+        stamped: list[float] = []
+        append = stamped.append
+        for arrival in arrivals:
             if arrival > now:
                 wait_total += arrival - now
                 now = arrival
             now += cpu
-            append(make(row.schema, row.values, now))
-        self.clock.charge(wait_total, cpu * len(out))
+            append(now)
+        self.clock.charge(wait_total, cpu * len(arrivals))
         stats = self.stats
-        stats.tuples_fetched += len(out)
+        stats.tuples_fetched += len(arrivals)
         if stats.time_of_first_tuple is None:
-            stats.time_of_first_tuple = out[0].arrival
+            stats.time_of_first_tuple = stamped[0]
         stats.time_of_last_tuple = now
-        return out
+        return start, stop, stamped
+
+    def fetch_batch(self, max_rows: int, arrival_bound: float | None = None) -> list[Row]:
+        """Bulk fetch as stamped rows (possibly none) — a declared tuple boundary."""
+        block = self._fetch_stamped(max_rows, arrival_bound)
+        if block is None:
+            return []
+        start, stop, stamped = block
+        schema = self.schema
+        make = Row.make  # repro: allow[hot-path-row] the row-batch fetch boxes by contract
+        stored = self.source.relation.rows[start:stop]
+        return [make(schema, row.values, stamp) for row, stamp in zip(stored, stamped)]
 
     def column_dictionaries(self):
         """The source's persistent per-column dictionaries (``None`` unencoded).
@@ -239,53 +251,17 @@ class Wrapper:
     ) -> tuple[list[list], list[float]] | None:
         """Columnar bulk fetch: ``(columns, arrival_stamps)`` or ``None``.
 
-        The block semantics, clock accounting, and arrival stamps are
-        identical to :meth:`fetch_batch`; the difference is pure
-        representation — values are transposed into one list per attribute
-        and no :class:`Row` objects are created.  ``None`` (the empty block)
-        means end of stream, bound reached, or a tuple that would fail or
-        time out; callers fall back to :meth:`fetch` for exact semantics.
+        The same block as :meth:`fetch_batch` in another representation — one
+        column slice per attribute over the source's export, no :class:`Row`
+        created.  ``None`` (the empty block) means end of stream, bound
+        reached, or a tuple that would fail or time out; callers fall back to
+        :meth:`fetch` for exact semantics.
         """
-        connection = self._connection
-        if connection is None or connection.closed:
+        block = self._fetch_stamped(max_rows, arrival_bound)
+        if block is None:
             return None
-        now = self.clock.now
-        limit = now + self.timeout_ms if self.timeout_ms is not None else None
-        start = connection.base_row + connection.delivered
-        rows, arrivals = connection.fetch_block(
-            max_rows, arrival_bound=arrival_bound, arrival_limit=limit
-        )
-        if not rows:
-            return None
-        cpu = self.per_tuple_cpu_ms
-        wait_total = 0.0
-        stamped: list[float] = []
-        append = stamped.append
-        for arrival in arrivals:
-            if arrival > now:
-                wait_total += arrival - now
-                now = arrival
-            now += cpu
-            append(now)
-        self.clock.charge(wait_total, cpu * len(rows))
-        if self.encoded_columns:
-            # The block is a pair of C-level slices over the source's
-            # one-time encoded translation cache (connections deliver rows
-            # sequentially); dict-encoded slices share the source
-            # dictionaries, so downstream consumers move codes.
-            cached, _ = self.source.encoded_column_cache()
-            stop = start + len(rows)
-            columns = [column[start:stop] for column in cached]
-        else:
-            # Typed struct-of-arrays build: numeric attributes land in packed
-            # array('q')/array('d') buffers straight off the fetched block.
-            columns = typed_transpose(self.schema, rows)
-        stats = self.stats
-        stats.tuples_fetched += len(rows)
-        if stats.time_of_first_tuple is None:
-            stats.time_of_first_tuple = stamped[0]
-        stats.time_of_last_tuple = now
-        return columns, stamped
+        start, stop, stamped = block
+        return self.source.column_span(start, stop, self.encoded_columns), stamped
 
     def fetch_available(self) -> Row | None:
         """Fetch the next tuple only if it has already arrived; else ``None``.

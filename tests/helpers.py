@@ -63,8 +63,8 @@ class ScriptedProfile(NetworkProfile):
 
     timetable: tuple[float, ...] = ()
 
-    def arrival_schedule(self, tuple_sizes, start_ms=0.0):
-        return [start_ms + offset for offset in self.timetable[: len(tuple_sizes)]]
+    def lay_out(self, steps, jitter, count, start_ms):
+        return [start_ms + offset for offset in self.timetable[:count]]
 
 
 def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **config):

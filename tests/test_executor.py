@@ -1,5 +1,8 @@
 """Unit tests for the query executor (fragments, events, rule actions)."""
 
+import gc
+import weakref
+
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.executor import ExecutionStatus, QueryExecutor
 from repro.network.profiles import dead, lan
@@ -43,6 +46,26 @@ def join_fragment(fragment_id="f1", result="res1", memory=None, estimate=None, r
 
 
 class TestBasicExecution:
+    def test_finished_query_is_freed_without_a_collection(self, joinable_catalog):
+        """Closed operators hold their context weakly and the event handler its
+        executor weakly, so dropping a finished query frees the context (and the
+        results it owns) by reference counting alone — an allocation-light
+        engine rarely triggers a full collection that would break the cycle."""
+        gc.collect()
+        gc.disable()
+        try:
+            context = ExecutionContext(joinable_catalog)
+            executor = QueryExecutor(context)
+            outcome = executor.execute(QueryPlan(query_name="q", fragments=[join_fragment()]))
+            assert outcome.status == ExecutionStatus.COMPLETED
+            operator = context.operator("f1_join")
+            assert operator.tuples_produced == 3  # introspection still works after close
+            alive = weakref.ref(context)
+            del context, executor, outcome, operator
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_single_fragment_completes_with_answer(self, joinable_catalog, context):
         plan = QueryPlan(query_name="q", fragments=[join_fragment()])
         outcome = QueryExecutor(context).execute(plan)

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.engine.context import ExecutionContext
+from repro.engine.context import EngineConfig, ExecutionContext
+from repro.engine.iterators import Operator
 from repro.engine.operators.materialize import Materialize
 from repro.engine.operators.project import Project
 from repro.engine.operators.scan import TableScan, WrapperScan
 from repro.engine.operators.select import Select
 from repro.engine.operators.union import Union
 from repro.errors import ExecutionError, SourceTimeoutError
-from repro.network.profiles import slow_start
+from repro.network.profiles import bursty, lan, slow_start, wide_area
+from repro.storage.tuples import counting_row_constructions
 from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
 
@@ -100,6 +102,175 @@ class TestTableScan:
         scan = TableScan("t", context, "ghost")
         with pytest.raises(Exception):
             scan.open()
+
+
+# -- the row-free source layer -----------------------------------------------------------------
+#
+# Under the columnar drive no scan boxes a tuple: a bare scan, a cache-collecting
+# first reader, a scan served from the cache it filled, and a bounded pull on a
+# table scan.  The row-batch drive (``columnar_batches=False``) still runs the
+# row paths these replaced, so it is the oracle: batches cut at the same rows,
+# the same arrival stamps and the same clock, *equal*, not close.
+
+SOURCE_PROFILES = [lan(), wide_area(), bursty(burst_size=7)]
+
+
+def caching_context(catalog, columnar, **config):
+    return ExecutionContext(
+        catalog,
+        config=EngineConfig(enable_source_caching=True, columnar_batches=columnar, **config),
+    )
+
+
+def drain_batches(scan, sizes=(1, 4, 64), bound_step=None):
+    """Open, drain and close ``scan``; one ``(values, stamps)`` pair per batch.
+
+    With ``bound_step`` every pull is bounded at ``clock.now + bound_step``
+    (a run-at-a-time consumer's pull); an empty bounded batch that is not end
+    of stream is recorded too, then the bound moves on with one tuple step.
+    """
+    scan.open()
+    batches = []
+    pull = 0
+    while True:
+        size = sizes[min(pull, len(sizes) - 1)]
+        pull += 1
+        if bound_step is None:
+            batch = scan.next_batch(size)
+        else:
+            batch = scan.next_batch_bounded(size, scan.context.clock.now + bound_step)
+            if not batch:
+                batches.append(([], []))
+                row = scan.next()
+                if row is None:
+                    break
+                batches.append(([row.values], [row.arrival]))
+                continue
+        if not batch:
+            break
+        batches.append(([row.values for row in batch.rows()], list(batch.arrivals)))
+    scan.close()
+    return batches
+
+
+def clock_state(context):
+    stats = context.clock.stats
+    return (context.clock.now, stats.wait_ms, stats.cpu_ms, stats.io_ms)
+
+
+class TestRowFreeScans:
+    @pytest.fixture(params=SOURCE_PROFILES, ids=lambda profile: profile.name)
+    def catalog(self, tpcd_catalog, request):
+        tpcd_catalog.source("partsupp").set_profile(request.param)
+        return tpcd_catalog
+
+    @staticmethod
+    def drain_counting(scan):
+        with counting_row_constructions() as counter:
+            scan.open()
+            rows = 0
+            while batch := scan.next_batch(64):
+                rows += len(batch)
+            scan.close()
+            return rows, counter.count
+
+    def test_bare_scan_boxes_nothing(self, catalog):
+        scan = WrapperScan("s", ExecutionContext(catalog), "partsupp")
+        rows, boxed = self.drain_counting(scan)
+        assert rows == catalog.source("partsupp").cardinality
+        assert boxed == 0
+
+    @pytest.mark.parametrize("encoded", [True, False], ids=["encoded", "plain"])
+    def test_collecting_and_cache_served_scans_box_nothing(self, catalog, encoded):
+        context = caching_context(catalog, columnar=True, encoded_columns=encoded)
+        source = catalog.source("partsupp")
+        first = WrapperScan("first", context, "partsupp")
+        rows, boxed = self.drain_counting(first)
+        assert (rows, boxed) == (source.cardinality, 0)
+        entry = context.source_cache.lookup("partsupp", context.clock.now)
+        assert entry is not None and entry.source is source
+        assert entry.cardinality == source.cardinality
+        served = WrapperScan("served", context, "partsupp")
+        rows, boxed = self.drain_counting(served)
+        assert served.served_from_cache
+        assert (rows, boxed) == (source.cardinality, 0)
+        assert source.stats.connections_opened == 1
+
+    def test_one_schema_instance_from_source_to_scan(self, catalog):
+        context = caching_context(catalog, columnar=True)
+        exported = catalog.source("partsupp").exported_schema
+        first = WrapperScan("first", context, "partsupp")
+        self.drain_counting(first)
+        served = WrapperScan("served", context, "partsupp")
+        served.open()
+        assert first.output_schema is exported and first.wrapper.schema is exported
+        assert served.output_schema is exported
+        assert context.source_cache.lookup("partsupp", context.clock.now).schema is exported
+        assert served.next_batch(8).schema is exported
+
+    @pytest.mark.parametrize("bound_step", [None, 0.05, 3.0], ids=["unbounded", "tight", "loose"])
+    def test_collecting_and_served_scans_equal_the_row_paths(self, catalog, bound_step):
+        outcomes = {}
+        for columnar in (True, False):
+            context = caching_context(catalog, columnar)
+            first = drain_batches(WrapperScan("first", context, "partsupp"), bound_step=bound_step)
+            after_first = clock_state(context)
+            served_scan = WrapperScan("served", context, "partsupp")
+            served = drain_batches(served_scan, bound_step=bound_step)
+            assert served_scan.served_from_cache
+            outcomes[columnar] = (first, after_first, served, clock_state(context))
+        assert outcomes[True] == outcomes[False]
+        first, _, served, _ = outcomes[True]
+        flat = [values for batch, _ in first for values in batch]
+        assert flat == [row.values for row in catalog.source("partsupp").relation.rows]
+        assert [values for batch, _ in served for values in batch] == flat
+
+    def test_tuple_drive_keeps_its_rows_and_fills_the_same_view(self, catalog):
+        """A tuple-drive first reader boxes one row per tuple it delivers — never
+        the export — and deposits the same view a columnar reader is served from."""
+        context = caching_context(catalog, columnar=True)
+        source = catalog.source("partsupp")
+        first = WrapperScan("first", context, "partsupp")
+        first.open()
+        rows = list(first.iterate())
+        first.close()
+        assert [row.values for row in rows] == [row.values for row in source.relation.rows]
+        assert all(row.schema is source.exported_schema for row in rows)
+        served = WrapperScan("served", context, "partsupp")
+        with counting_row_constructions() as counter:
+            batches = drain_batches(served, sizes=(64,))
+            assert counter.count == sum(len(batch) for batch, _ in batches)  # drain_batches' own
+        assert served.served_from_cache
+        assert [values for batch, _ in batches for values in batch] == [r.values for r in rows]
+        tuple_served = WrapperScan("tuple_served", context, "partsupp")
+        tuple_served.open()
+        assert [row.values for row in tuple_served.iterate()] == [r.values for r in rows]
+
+    def test_table_scan_bounded_pull_equals_the_generic_loop(self, tpcd_catalog):
+        relation = tpcd_catalog.source("part").relation
+        outcomes = []
+        for native in (True, False):
+            context = ExecutionContext(tpcd_catalog)
+            context.local_store.materialize(relation)
+            context.clock.consume_cpu(5.0)
+            scan = TableScan("t", context, "part")
+            scan.open()
+            if not native:
+                scan._next_batch_bounded = lambda n, bound, s=scan: Operator._next_batch_bounded(
+                    s, n, bound
+                )
+            pulls = []
+            with counting_row_constructions() as counter:
+                for bound in (5.0, 4.0, 5.0 + 1e-9, float("inf"), float("inf")):
+                    batch = scan.next_batch_bounded(16, bound)
+                    pulls.append((len(batch), list(batch.arrivals), clock_state(context)))
+                boxed = counter.count
+            pulls.append([row.values for row in scan.next_batch(10_000).rows()])
+            outcomes.append(pulls)
+            assert boxed == (0 if native else 48)
+        assert outcomes[0] == outcomes[1]
+        assert [count for count, _, _ in outcomes[0][:5]] == [0, 0, 16, 16, 16]
+        assert len(outcomes[0][5]) == relation.cardinality - 48
 
 
 class TestSelectProject:
