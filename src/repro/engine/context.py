@@ -62,7 +62,7 @@ class EngineConfig:
         When true (the default), the storage layer *encodes* columns:
         string attributes dictionary-encode (``array('q')`` codes plus a
         shared per-column dictionary) in scan batches, hash-table
-        partitions, and spill chunks; arrival stamps run-length encode
+        arenas, and spill chunks; arrival stamps run-length encode
         where blocks share one stamp; and memory budgets / spill files
         charge the encoded footprint (``Schema.encoded_row_size``).
         Orthogonal to the drive mode: the hash tables and overflow files

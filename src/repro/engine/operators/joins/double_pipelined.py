@@ -23,8 +23,8 @@ was flushed are written *marked* and are not probed live.  During the final
 overflow resolution, every pair is emitted except unmarked-with-unmarked —
 those pairs were already produced while both tuples were resident.
 
-Both hash tables store columnar partitions in every drive mode.  Under the
-columnar drive the join works a *run segment* at a time — the rows of one
+Both hash tables keep their rows in a column arena in every drive mode.  Under
+the columnar drive the join works a *run segment* at a time — the rows of one
 input's run that a tuple-at-a-time join would consume back to back probe,
 insert, spill and emit in bulk, column- or row-backed alike, with no
 :class:`Row` boxing — cut so that consumption and output order, batch cuts,
@@ -391,16 +391,16 @@ class DoublePipelinedJoin(JoinOperator):
             self._spill_arriving(side, index, row)
             return
         # Both tables share the bucket count, so ``index`` serves the probe.
-        partition = tables[other].buckets[index].partition
-        matches = partition.positions.get(key) if partition is not None else None
+        matches = tables[other].buckets[index].positions.get(key)
         if matches:
+            store = tables[other].arena
             self._emitted_output = True
             schema = self.output_schema
             pending = self._pending
             values = row.values
             arrival = row.arrival
-            arrivals = partition.arrivals
-            value_tuple = partition.value_tuple
+            arrivals = store.arrivals
+            value_tuple = store.value_tuple
             make = Row.make  # repro: allow[hot-path-row] the row pipeline's output is boxed by design
             for position in matches:
                 match_values = value_tuple(position)
@@ -716,17 +716,16 @@ class DoublePipelinedJoin(JoinOperator):
         remnants are unmarked and free.  Dictionary columns and run-length
         stamps decode as they are copied (canonical strings, no boxing).
         """
-        bucket = self._tables[side].buckets[index]
-        columns: list[list] = [[] for _ in range(len(self._tables[side].schema))]
+        table = self._tables[side]
+        bucket = table.buckets[index]
+        columns: list[list] = [[] for _ in range(len(table.schema))]
         arrivals: list[float] = []
         marked: list[bool] = []
         parts = []
         if bucket.overflow is not None:
             parts = [(c.columns, c.arrivals, c.marked) for c in bucket.overflow.read_chunks()]
-        partition = bucket.partition
-        if partition is not None:
-            resident = repeat(False, len(partition.arrivals))
-            parts.append((partition.columns, partition.arrivals, resident))
+        if bucket.resident_count:
+            parts.append((*table.bucket_rows(index), repeat(False, bucket.resident_count)))
         for part_columns, part_arrivals, part_marked in parts:
             for column, values in zip(columns, part_columns):
                 column.extend(values)
@@ -781,22 +780,17 @@ class DoublePipelinedJoin(JoinOperator):
         for index in range(self.bucket_count):
             if not self._has_spill(index):
                 continue
-            left_bucket = self._tables[LEFT].buckets[index]
-            right_bucket = self._tables[RIGHT].buckets[index]
-            left_entries: list[tuple[Row, bool]] = []
-            right_entries: list[tuple[Row, bool]] = []
-            if left_bucket.overflow is not None:
-                left_entries.extend(left_bucket.overflow.read())
-            if right_bucket.overflow is not None:
-                right_entries.extend(right_bucket.overflow.read())
+            entries: list[list[tuple[Row, bool]]] = []
+            for table in self._tables:
+                overflow = table.buckets[index].overflow
+                entries.append(list(overflow.read()) if overflow is not None else [])
             self._charge_disk_time()
             # Resident remnants participate as unmarked entries (no read cost).
-            # repro: allow[hot-path-row] the row-spill baseline re-boxes by design
-            left_rows = left_bucket.partition.rows() if left_bucket.partition else ()
-            # repro: allow[hot-path-row] the row-spill baseline re-boxes by design
-            right_rows = right_bucket.partition.rows() if right_bucket.partition else ()
-            left_entries.extend((row, False) for row in left_rows)
-            right_entries.extend((row, False) for row in right_rows)
+            for table, side_entries in zip(self._tables, entries):
+                remnant = Batch.from_columns(table.schema, *table.bucket_rows(index))
+                # repro: allow[hot-path-row] the row-spill baseline re-boxes by design
+                side_entries.extend((row, False) for row in remnant.rows())
+            left_entries, right_entries = entries
             right_by_key: dict[tuple[Any, ...], list[tuple[Row, bool]]] = {}
             for row, marked in right_entries:
                 right_by_key.setdefault(self.right_key(row), []).append((row, marked))

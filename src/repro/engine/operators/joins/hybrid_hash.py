@@ -6,7 +6,7 @@ allotment, buckets are lazily flushed to disk (hybrid hashing); probe tuples
 that hash to a flushed bucket are spilled to matching outer overflow files,
 and the overflow pairs are joined in a final pass.
 
-The hash table stores columnar partitions in every drive mode; what changes
+The hash table keeps its rows in a column arena in every drive mode; what changes
 with the drive is how data reaches and leaves it.  Under the columnar drive
 builds append column slices from batch columns, probes return gathered match
 columns, outer tuples of flushed buckets spill as column gathers, and the
@@ -201,15 +201,15 @@ class HybridHashJoin(JoinOperator):
         matched = self._inner_table.match_positions(key)
         if matched is None:
             return []
-        partition, positions = matched
+        store, positions = matched
         out: list[Row] = []
-        arrivals = partition.arrivals
+        arrivals = store.arrivals
         for position in positions:
             inner_arrival = arrivals[position]
             out.append(
                 make(
                     schema,
-                    values + partition.value_tuple(position),
+                    values + store.value_tuple(position),
                     arrival if arrival >= inner_arrival else inner_arrival,
                 )
             )

@@ -405,14 +405,13 @@ class TableScan(Operator):
         self._cursor = 0
 
     def _next(self) -> Row | None:
-        rows = self._relation.rows
-        if self._cursor >= len(rows):
-            return None
-        row = rows[self._cursor]
-        self._cursor += 1
-        # Local reads are CPU + buffer-pool work; charge a small per-tuple cost
-        # (the base class adds the generic per-tuple CPU charge on return).
-        return row.with_arrival(self.context.clock.now)
+        # Boxes only the row delivered (a relation materialized columnar
+        # stays columnar).  Local reads are CPU + buffer-pool work; the base
+        # class adds the generic per-tuple CPU charge on return.
+        row = self._relation.row_at(self._cursor, self.context.clock.now)
+        if row is not None:
+            self._cursor += 1
+        return row
 
     def _next_batch(self, max_rows: int) -> Batch:
         now = self.context.clock.now

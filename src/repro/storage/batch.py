@@ -312,7 +312,7 @@ def gather_join_columns(
     """Join-output batch from already-gathered *columnar* right-side matches.
 
     The columnar twin of :func:`gather_join`: the matched build/probe values
-    arrive as column lists (gathered straight out of hash-bucket partitions
+    arrive as column lists (gathered straight out of a hash table's arena
     or spill chunks) instead of as :class:`Row` objects, so assembling the
     output is pure per-column work — no row boxing anywhere.  ``take[i]``
     names the left row matched by right position ``i``; ``aligned=True``

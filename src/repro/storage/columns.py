@@ -32,11 +32,12 @@ blocks with one arrival, so the parallel arrival list collapses to
 the stream does not compress (network stamps are strictly increasing), so
 random access never pays more than one indirection.
 
-:class:`ColumnarPartition` is the shared "columnar bag of rows with a key
-index" used by hash-table buckets and the nested-loops inner: one typed or
-encoded column per attribute, a parallel arrival column, and a ``key -> row
-positions`` map, so join operators can insert from batch columns and
-assemble output with per-column gathers without ever materializing
+:class:`ColumnarPartition` is the shared append-only "columnar bag of rows"
+— the one column arena of a hash table (whose buckets index into it) and the
+nested-loops inner (which uses its own ``key -> row positions`` map): one
+typed or encoded column per attribute and a parallel arrival column, so join
+operators insert with one ``extend`` per column and assemble output with one
+C-level gather per column without ever materializing
 :class:`~repro.storage.tuples.Row` objects.
 """
 
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import islice
-from operator import ne
+from itertools import islice, repeat
+from operator import itemgetter, ne
 from typing import Any, Iterator, Sequence
 
 from repro.storage.schema import Schema
@@ -240,19 +241,13 @@ class DictColumn:
         """Extend with ``values``; same-dictionary extends move raw codes.
 
         A :class:`DictColumn` sharing this column's dictionary extends as a
-        single ``array.extend`` of codes (the code-vs-code fast path); a
-        foreign :class:`DictColumn` is merged by translating codes through
-        this dictionary; anything else is encoded value by value, raising
-        the degrade errors on a misfit (partial extends are repaired by
-        :func:`extend_column`).
+        single ``array.extend`` of codes (the code-vs-code fast path);
+        anything else (a foreign :class:`DictColumn` decodes first) is
+        encoded in bulk, raising the degrade errors on a misfit before any
+        code is appended.
         """
-        if isinstance(values, DictColumn):
-            if values.dictionary is self.dictionary:
-                self.codes.extend(values.codes)
-                return
-            encode = self.dictionary.encode
-            foreign = values.dictionary.values
-            self.codes.extend(encode(foreign[code]) for code in values.codes)
+        if isinstance(values, DictColumn) and values.dictionary is self.dictionary:
+            self.codes.extend(values.codes)
             return
         # Bulk encode: one C-level map over the codes table resolves every
         # already-seen value; only genuinely new (or misfit) values take the
@@ -270,8 +265,7 @@ class DictColumn:
 
     def gather(self, indices: Sequence[int]) -> "DictColumn":
         """Codes at ``indices`` as a new column sharing the dictionary."""
-        codes = self.codes
-        return DictColumn(self.dictionary, array("q", [codes[i] for i in indices]))
+        return gather(self, indices)
 
 
 class RunLengthArrivals:
@@ -562,13 +556,33 @@ def build_columns(
     ]
 
 
-def gather(column, indices: Sequence[int]):
-    """Values of ``column`` at ``indices``, preserving the storage class."""
-    if type(column) is array:
-        return array(column.typecode, [column[i] for i in indices])
+def picker(indices: Sequence[int]):
+    """One reusable C-level gather: ``picker(indices)(seq)`` is ``seq`` at ``indices``.
+
+    An ``itemgetter`` over the indices (its result is a tuple), or over one
+    slice for a unit-step range, a single index or none (its result is then
+    a slice of ``seq``); build it once and apply it to every column.
+    """
+    n = len(indices)
+    if n > 1 and not (type(indices) is range and indices.step == 1):
+        return itemgetter(*indices)
+    start = indices[0] if n else 0
+    return itemgetter(slice(start, start + n))
+
+
+def gather(column, indices: Sequence[int], pick=None):
+    """Values of ``column`` at ``indices``, preserving the storage class.
+
+    ``pick`` is ``picker(indices)`` when the caller gathers several columns.
+    """
+    if pick is None:
+        pick = picker(indices)
     if type(column) is DictColumn:
-        return column.gather(indices)
-    return [column[i] for i in indices]
+        return DictColumn(column.dictionary, gather(column.codes, indices, pick))
+    picked = pick(column)
+    if type(picked) is not tuple:
+        return picked
+    return array(column.typecode, picked) if type(column) is array else list(picked)
 
 
 def as_values(column) -> Sequence[Any]:
@@ -616,24 +630,25 @@ def append_value(columns: list, position: int, value) -> None:
 
 
 class ColumnarPartition:
-    """A columnar row store with a ``key -> row positions`` index.
+    """An append-only columnar row store with a ``key -> row positions`` index.
 
-    The unit of storage inside hash-table buckets (one partition per bucket)
-    and the nested-loops join's inner buffer.  Rows live as per-attribute
-    column entries plus an arrival stamp; the positions index maps each join
-    key to the row positions holding it, in insertion order, so probes return
-    gather indices instead of row objects.
+    A hash table's column arena (one per table; the table's buckets hold the
+    key index, so :attr:`positions` stays empty there) and the nested-loops
+    join's inner buffer.  Rows live as per-attribute column entries plus an
+    arrival stamp, in insertion order; probes resolve keys to row positions
+    and :meth:`gather_rows` turns positions into output columns, so no row
+    object exists on either path.
 
     In encoded mode string columns dictionary-encode (over the supplied
-    shared ``dictionaries``, so all partitions of one hash table produce
-    code-compatible spill chunks).  The arrival column stays a plain list —
+    ``dictionaries`` when given, so spill chunks gathered from one hash table
+    stay code-compatible).  The arrival column stays a plain list —
     resident stamps come from network scans, which stamp every tuple
     uniquely, so run-length compressing them in place never pays; runs are
     counted (and credited) at spill time, where block-stamped builds do
     collapse.
     """
 
-    __slots__ = ("schema", "columns", "arrivals", "positions", "encoded", "dictionaries")
+    __slots__ = ("schema", "columns", "arrivals", "positions")
 
     def __init__(
         self,
@@ -642,10 +657,8 @@ class ColumnarPartition:
         dictionaries: Sequence | None = None,
     ) -> None:
         self.schema = schema
-        self.encoded = encoded
         if encoded and dictionaries is None:
             dictionaries = make_dictionaries(schema)
-        self.dictionaries = dictionaries
         self.columns = empty_columns(schema, encoded, dictionaries)
         self.arrivals: list[float] = []
         self.positions: dict[tuple[Any, ...], list[int]] = {}
@@ -653,52 +666,26 @@ class ColumnarPartition:
     def __len__(self) -> int:
         return len(self.arrivals)
 
-    @property
-    def count(self) -> int:
-        return len(self.arrivals)
-
     # -- insertion ------------------------------------------------------------
 
-    def append_values(self, key: tuple[Any, ...], values: Sequence[Any], arrival: float) -> None:
-        """Insert one row given as a value vector (the tuple-at-a-time path)."""
+    def append_values(self, values: Sequence[Any], arrival: float) -> None:
+        """Append one row given as a value vector (the tuple-at-a-time path)."""
         columns = self.columns
         for j, value in enumerate(values):
             append_value(columns, j, value)
-        position = len(self.arrivals)
         self.arrivals.append(arrival)
-        found = self.positions.get(key)
-        if found is None:
-            self.positions[key] = [position]
-        else:
-            found.append(position)
 
     def append_position(
-        self,
-        key: tuple[Any, ...],
-        source_columns: Sequence[Sequence[Any]],
-        index: int,
-        arrival: float,
+        self, source_columns: Sequence[Sequence[Any]], index: int, arrival: float
     ) -> None:
-        """Insert one row by position from another column set — no row boxing.
+        """Append one row by position from another column set — no row boxing.
 
         Dict-encoded pairs take inlined paths: a source sharing the target's
         dictionary moves the raw code; a foreign dict source decodes and
         re-encodes with direct ``codes`` lookups (one C-level dict probe in
-        the common already-seen case, no per-value Python call).  Unencoded
-        partitions keep the original branch-free loop.
+        the common already-seen case, no per-value Python call).
         """
         columns = self.columns
-        if not self.encoded:
-            for j, source in enumerate(source_columns):
-                append_value(columns, j, source[index])
-            position = len(self.arrivals)
-            self.arrivals.append(arrival)
-            found = self.positions.get(key)
-            if found is None:
-                self.positions[key] = [position]
-            else:
-                found.append(position)
-            return
         for j, source in enumerate(source_columns):
             column = columns[j]
             if type(column) is DictColumn and type(source) is DictColumn:
@@ -717,13 +704,27 @@ class ColumnarPartition:
                 column.codes.append(code)
                 continue
             append_value(columns, j, source[index])
-        position = len(self.arrivals)
         self.arrivals.append(arrival)
-        found = self.positions.get(key)
-        if found is None:
-            self.positions[key] = [position]
-        else:
-            found.append(position)
+
+    def extend_rows(
+        self,
+        source_columns: Sequence[Sequence[Any]],
+        source_arrivals: Sequence[float],
+        rows: Sequence[int],
+    ) -> None:
+        """Bulk-append the rows of ``source_columns`` at ``rows``.
+
+        One ``extend`` per column: a slice of the source (or of its codes)
+        for a contiguous range, one gather otherwise; a dict column fed from
+        anything but its own dictionary bulk-encodes, and a misfit value
+        degrades the column (see :func:`extend_column`).
+        """
+        pick = picker(rows)
+        base = len(self.arrivals)
+        columns = self.columns
+        for j, source in enumerate(source_columns):
+            extend_column(columns, j, gather(source, rows, pick), base)
+        self.arrivals.extend(pick(as_values(source_arrivals)))
 
     def extend_gather(
         self,
@@ -732,34 +733,30 @@ class ColumnarPartition:
         keys: Sequence[tuple[Any, ...]],
         indices: Sequence[int],
     ) -> None:
-        """Bulk-insert the rows of ``source_columns`` at ``indices``.
-
-        Column payloads move as per-column gathers (one slice-style pass per
-        attribute; dict-encoded sources gather codes); only the key index is
-        maintained per row.
-        """
-        if type(source_arrivals) is RunLengthArrivals:
-            source_arrivals = source_arrivals.to_list()
-        base = len(self.arrivals)
-        columns = self.columns
-        for j in range(len(columns)):
-            extend_column(columns, j, gather(source_columns[j], indices), base)
-        arrivals = self.arrivals
+        """:meth:`extend_rows` plus this partition's own key index (one
+        entry per row; the column payloads move in bulk)."""
+        position = len(self.arrivals)
+        self.extend_rows(source_columns, source_arrivals, indices)
         positions = self.positions
-        for offset, i in enumerate(indices):
-            arrivals.append(source_arrivals[i])
+        for i in indices:
             key = keys[i]
             found = positions.get(key)
             if found is None:
-                positions[key] = [base + offset]
+                positions[key] = [position]
             else:
-                found.append(base + offset)
+                found.append(position)
+            position += 1
 
     # -- lookup ----------------------------------------------------------------
 
-    def match(self, key: tuple[Any, ...]) -> list[int] | None:
-        """Row positions holding ``key`` (insertion order), or ``None``."""
-        return self.positions.get(key)
+    def gather_rows(self, at: Sequence[int]) -> tuple[list, list[float]]:
+        """The rows at positions ``at`` as ``(columns, arrivals)``.
+
+        One shared C-level gather applied per column, storage classes kept
+        (dict columns move codes) — no per-cell Python bytecode.
+        """
+        pick = picker(at)
+        return [gather(column, at, pick) for column in self.columns], list(pick(self.arrivals))
 
     def gather_matches(
         self, keys: Sequence[tuple[Any, ...]]
@@ -772,44 +769,27 @@ class ColumnarPartition:
         ``take[i]`` is the probed position whose key produced match ``i``,
         matches arrive as already-gathered column lists, and ``aligned`` is
         true only when every key matched exactly once.  ``None`` when
-        nothing matched.
+        nothing matched.  A key pass resolves positions; the values then
+        move through :meth:`gather_rows`.
         """
-        width = len(self.columns)
-        columns = self.columns
-        arrivals = self.arrivals
         positions_by_key = self.positions
         take: list[int] = []
-        match_columns: list[list[Any]] = [[] for _ in range(width)]
-        match_arrivals: list[float] = []
-        aligned = True
+        at: list[int] = []
+        once = True
         for position, key in enumerate(keys):
             found = positions_by_key.get(key)
             if not found:
-                aligned = False
                 continue
             if len(found) == 1:
                 take.append(position)
+                at.append(found[0])
             else:
-                aligned = False
-                take.extend([position] * len(found))
-            for j in range(width):
-                source = columns[j]
-                acc = match_columns[j]
-                if type(source) is DictColumn:
-                    # Hoisted decode: two C-level subscripts per match, no
-                    # per-value Python call; values are canonical strings.
-                    dvalues = source.dictionary.values
-                    dcodes = source.codes
-                    for p in found:
-                        acc.append(dvalues[dcodes[p]])
-                else:
-                    for p in found:
-                        acc.append(source[p])
-            for p in found:
-                match_arrivals.append(arrivals[p])
+                once = False
+                take.extend(repeat(position, len(found)))
+                at.extend(found)
         if not take:
             return None
-        return take, match_columns, match_arrivals, aligned
+        return take, *self.gather_rows(at), once and len(take) == len(keys)
 
     def value_tuple(self, index: int) -> tuple[Any, ...]:
         """The value vector of one row (boxes a tuple, not a Row)."""
@@ -830,23 +810,3 @@ class ColumnarPartition:
             make(schema, values, arrival)
             for values, arrival in zip(zip(*self.columns), self.arrivals)
         ]
-
-    # -- teardown ----------------------------------------------------------------
-
-    def take_data(self) -> tuple[list, list[float]]:
-        """Remove and return ``(columns, arrivals)``, resetting the partition.
-
-        The counters, columns, and key index all reset in one step *before*
-        the data is handed to the caller, so an interrupted consumer (a spill
-        write that raises) can never observe — or double-release — a
-        half-drained partition.
-        """
-        columns, arrivals = self.columns, self.arrivals
-        self.columns = empty_columns(self.schema, self.encoded, self.dictionaries)
-        self.arrivals = []
-        self.positions = {}
-        return columns, arrivals
-
-    def clear(self) -> None:
-        """Drop all rows."""
-        self.take_data()

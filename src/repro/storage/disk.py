@@ -398,9 +398,10 @@ class OverflowFile:
         """Append a whole column set as one sealed chunk (one block charge).
 
         Ownership of ``columns``/``arrivals`` transfers to the file — this is
-        how bucket flushes move a partition to disk without copying.  The
-        chunk keeps its producer's encoding (dict-code columns stay codes;
-        the arrival column is run-length compressed when that pays off).
+        how a bucket flush hands the rows it gathered out of its table's
+        arena to disk without a second copy.  The chunk keeps its producer's
+        encoding (dict-code columns stay codes; the arrival column is
+        run-length compressed when that pays off).
         """
         self._check_open()
         count = len(arrivals)

@@ -1,14 +1,19 @@
-"""Bucketed, spillable hash tables over columnar partitions.
+"""Bucketed, spillable hash tables over one table-wide column arena.
 
 Both the hybrid hash join and the double pipelined join build their inputs
-into a :class:`BucketedHashTable`: a fixed number of buckets, each holding a
-columnar partition (:class:`~repro.storage.columns.ColumnarPartition` — one
-typed column per attribute, a parallel arrival list, and a ``key -> row
-positions`` index) in memory until its owner decides to flush it to a
-:class:`~repro.storage.disk.OverflowFile`.  Inserts append column values and
-probes return gather positions, so neither direction materializes
-:class:`~repro.storage.tuples.Row` objects; flushes move whole column sets to
-disk as one spill chunk.  The table charges every resident row's columnar
+into a :class:`BucketedHashTable`.  Its resident rows live in *one*
+append-only column arena (a :class:`~repro.storage.columns.ColumnarPartition`
+— one typed or dict-coded column per attribute plus the arrival list); a
+bucket is what the paper's overflow resolution needs per bucket: its ``key ->
+arena positions`` index, a resident row count, and the
+:class:`~repro.storage.disk.OverflowFile` it is flushed to when its owner
+decides.  An insert therefore costs what it changes — one key-index entry
+per row, then one ``extend`` per column — and a probe is a key pass
+producing positions followed by one C-level gather per column, so neither
+direction materializes :class:`~repro.storage.tuples.Row` objects or runs
+Python bytecode per cell.  A flush gathers the bucket's rows (ascending
+positions *are* its insertion order) into one spill chunk and reclaims their
+arena slots.  The table charges every resident row's columnar
 byte estimate — :meth:`Schema.encoded_row_size` by default (string columns
 dictionary-encode; dictionary entries charge once per table as they are
 first inserted), :meth:`Schema.columnar_row_size` with ``encoded=False`` —
@@ -22,8 +27,7 @@ with the drive.
 
 from __future__ import annotations
 
-from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Iterator, Sequence
 from zlib import crc32
 
@@ -31,13 +35,11 @@ from repro.errors import StorageError
 from repro.storage.batch import Batch
 from repro.storage.columns import (
     DICT_SLOT_BYTES,
-    _DEGRADE_ERRORS,
     ColumnarPartition,
     DictColumn,
-    RunLengthArrivals,
-    append_value,
     as_values,
     make_dictionaries,
+    picker,
 )
 from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk
 from repro.storage.memory import MemoryBudget
@@ -59,15 +61,8 @@ def bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
     return hash(key) % bucket_count
 
 
-def _pick(values: Sequence[Any], rows: Sequence[int]):
-    """``values`` at ``rows``: a slice for a contiguous range, else a lazy gather."""
-    if type(rows) is range:
-        return values[rows.start : rows.stop]
-    return map(values.__getitem__, rows)
-
-
-def _adopted_codes(dictionary, source: Sequence[Any], rows: Sequence[int]):
-    """Codes under an adopted ``dictionary`` of ``source``'s values at ``rows``.
+def _adopted_codes(dictionary, source: Sequence[Any], pick):
+    """Codes under an adopted ``dictionary`` of the values ``pick`` takes from ``source``.
 
     A column sharing the dictionary holds them already; any other source (a
     transposed row-backed run, a tie-step row) looks its values up, ``None``
@@ -75,8 +70,8 @@ def _adopted_codes(dictionary, source: Sequence[Any], rows: Sequence[int]):
     entry at the first insert that references it.
     """
     if type(source) is DictColumn and source.dictionary is dictionary:
-        return iter(_pick(source.codes, rows))
-    return map(dictionary.codes.get, _pick(as_values(source), rows))
+        return pick(source.codes)
+    return map(dictionary.codes.get, pick(as_values(source)))
 
 
 def _stable_key_bytes(key: tuple[Any, ...]) -> bytes:
@@ -119,25 +114,29 @@ def stable_bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
 
 
 class Bucket:
-    """One hash bucket: a resident columnar partition plus optional overflow."""
+    """One hash bucket: the key index of its resident rows plus optional overflow.
 
-    __slots__ = ("index", "partition", "overflow", "flushed")
+    ``positions`` maps each join key to the arena positions holding it, in
+    insertion order; ``resident_count`` is the number of positions indexed.
+    """
+
+    __slots__ = ("index", "positions", "resident_count", "overflow", "flushed")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.partition: ColumnarPartition | None = None
+        self.positions: dict[tuple[Any, ...], list[int]] = {}
+        self.resident_count = 0
         self.overflow: OverflowFile | None = None
         self.flushed = False
 
-    @property
-    def resident_count(self) -> int:
-        return len(self.partition.arrivals) if self.partition is not None else 0
-
-    def match(self, key: tuple[Any, ...]) -> list[int] | None:
-        """Resident row positions holding ``key`` (None for a miss)."""
-        if self.partition is None:
-            return None
-        return self.partition.positions.get(key)
+    def add(self, key: tuple[Any, ...], position: int) -> None:
+        """Index one more resident row (the row-at-a-time insert paths)."""
+        found = self.positions.get(key)
+        if found is None:
+            self.positions[key] = [position]
+        else:
+            found.append(position)
+        self.resident_count += 1
 
 
 class BucketedHashTable:
@@ -156,19 +155,24 @@ class BucketedHashTable:
     name:
         Used in overflow file names and error messages.
     schema:
-        Schema of the stored rows; fixes the partitions' typed column layout
+        Schema of the stored rows; fixes the arena's typed column layout
         and the per-row byte charge.  When omitted it is adopted from the
         first inserted row or batch.
     encoded:
         When true (the default, matching ``EngineConfig.encoded_columns``),
-        partitions dictionary-encode string columns over *table-owned*
-        dictionaries shared by every bucket — so flushed chunks stay
-        code-compatible and each distinct value is stored (and charged)
-        once per table — and resident rows charge
+        the arena dictionary-encodes string columns over *table-owned*
+        dictionaries — so flushed chunks stay code-compatible and each
+        distinct value is stored (and charged) once per table — and
+        resident rows charge
         :attr:`Schema.encoded_row_size`.  Dictionary growth is force-charged
         to the budget as it happens (it cannot be refused row by row) and
         counted in :attr:`resident_bytes`, so the budget invariant
         ``budget.used == sum(resident_bytes)`` holds in encoded bytes.
+
+    A value that does not fit its typed or dict-coded column degrades the
+    *table's* column to an object list (there is one column per attribute,
+    not one per bucket), and every chunk flushed afterwards carries — and is
+    charged for — the plain representation.
     """
 
     def __init__(
@@ -202,6 +206,11 @@ class BucketedHashTable:
         #: for the table-owned ones (see ``_fix_dictionaries``).
         self._adopted_slots: list | None = None
         self._owned_slots: list | None = None
+        #: The column arena every bucket indexes into (built on first
+        #: insert), and how many of its slots belong to flushed buckets and
+        #: await compaction.
+        self.arena: ColumnarPartition | None = None
+        self._dead = 0
 
     def _fix_dictionaries(self, source_columns: Sequence | None) -> None:
         """Fix the table's per-slot dictionaries on first insert.
@@ -242,29 +251,33 @@ class BucketedHashTable:
     def _charge_adopted(self, source_columns: Sequence, position: int) -> None:
         """Charge adopted-dictionary entries first referenced by this insert."""
         for j, dictionary, seen in self._adopted_slots:
-            code = next(_adopted_codes(dictionary, source_columns[j], (position,)))
+            source = source_columns[j]
+            if type(source) is DictColumn and source.dictionary is dictionary:
+                code = source.codes[position]
+            else:
+                code = dictionary.codes.get(source[position])
             if code is not None and code not in seen:
                 seen.add(code)
                 self._record_dictionary_growth(dictionary.entry_bytes(code))
 
-    # -- schema / partition plumbing ----------------------------------------------
+    # -- schema / arena plumbing --------------------------------------------------
 
     def _adopt_schema(self, schema: Schema) -> None:
         if self.schema is None:
             self.schema = schema
             self.row_bytes = schema.row_size_for(self.encoded)
 
-    def _partition(self, bucket: Bucket) -> ColumnarPartition:
-        partition = bucket.partition
-        if partition is None:
+    def _arena(self) -> ColumnarPartition:
+        store = self.arena
+        if store is None:
             if self.schema is None:
                 raise StorageError(f"{self.name}: schema unknown before first insert")
             if self.encoded and self._dictionaries is None:
                 self._fix_dictionaries(None)
-            partition = bucket.partition = ColumnarPartition(
+            store = self.arena = ColumnarPartition(
                 self.schema, self.encoded, self._dictionaries
             )
-        return partition
+        return store
 
     # -- basic operations --------------------------------------------------------
 
@@ -299,7 +312,9 @@ class BucketedHashTable:
         if not self.budget.try_reserve(self.row_bytes):
             self.total_inserted -= 1
             return False
-        self._partition(bucket).append_values(key, row.values, row.arrival)
+        store = self._arena()
+        store.append_values(row.values, row.arrival)
+        bucket.add(key, len(store.arrivals) - 1)
         return True
 
     def insert_position(
@@ -317,10 +332,11 @@ class BucketedHashTable:
         """
         if not self.budget.try_reserve(self.row_bytes):
             return False
-        bucket = self.buckets[bucket_index]
         if self.encoded and self._dictionaries is None:
             self._fix_dictionaries(source_columns)
-        self._partition(bucket).append_position(key, source_columns, position, arrival)
+        store = self._arena()
+        store.append_position(source_columns, position, arrival)
+        self.buckets[bucket_index].add(key, len(store.arrivals) - 1)
         if self._adopted_slots:
             self._charge_adopted(source_columns, position)
         self.total_inserted += 1
@@ -349,14 +365,14 @@ class BucketedHashTable:
         double pipelined join spills the rows of flushed buckets itself; none
         of the named rows may hash to a flushed bucket.
 
-        When the rows fit the budget they move in one column-major scatter
-        (the bulk fast path); otherwise they go row by row.  The bounded
-        forms (``stop`` / ``positions``) decide "fit" *including* the
-        dictionary entries the rows will add, so a refusal lands on exactly
-        the row where the tuple-at-a-time path refuses; the whole-remainder
-        form keeps the hybrid build's batch-granular check (growth inside
-        the batch is charged after the fact, identically in both batch
-        drives).
+        When the rows fit the budget they move in one key pass plus one
+        ``extend`` per column (the bulk fast path); otherwise they go row by
+        row.  The bounded forms (``stop`` / ``positions``) decide "fit"
+        *including* the dictionary entries the rows will add, so a refusal
+        lands on exactly the row where the tuple-at-a-time path refuses; the
+        whole-remainder form keeps the hybrid build's batch-granular check
+        (growth inside the batch is charged after the fact, identically in
+        both batch drives).
         """
         self._adopt_schema(batch.schema)
         if keys is None:
@@ -381,6 +397,7 @@ class BucketedHashTable:
         row_bytes = self.row_bytes
         budget = self.budget
         adopted = self._adopted_slots
+        store = self._arena()
         for i in rows:
             key = keys[i]
             bucket = buckets[hash(key) % count]
@@ -393,7 +410,8 @@ class BucketedHashTable:
             if not budget.try_reserve(row_bytes):
                 return i
             self.total_inserted += 1
-            self._partition(bucket).append_position(key, columns, i, arrivals[i])
+            store.append_position(columns, i, arrivals[i])
+            bucket.add(key, len(store.arrivals) - 1)
             if adopted:
                 self._charge_adopted(columns, i)
         return n
@@ -415,9 +433,10 @@ class BucketedHashTable:
             return False
         fresh_codes = []
         growth = 0
+        pick = picker(rows)
         try:
             for j, dictionary, seen in self._adopted_slots or ():
-                fresh = set(_adopted_codes(dictionary, columns[j], rows)) - seen
+                fresh = set(_adopted_codes(dictionary, columns[j], pick)) - seen
                 fresh.discard(None)
                 if fresh:
                     nbytes = sum(map(dictionary.entry_bytes, fresh))
@@ -425,7 +444,7 @@ class BucketedHashTable:
                     growth += nbytes
             if exact and budget.limit_bytes is not None:
                 for j, dictionary in self._owned_slots or ():
-                    fresh = set(_pick(as_values(columns[j]), rows)).difference(dictionary.codes)
+                    fresh = set(pick(as_values(columns[j]))).difference(dictionary.codes)
                     growth += sum(
                         len(value) + DICT_SLOT_BYTES for value in fresh if type(value) is str
                     )
@@ -446,71 +465,27 @@ class BucketedHashTable:
         keys: Sequence[tuple[Any, ...]],
         rows: Sequence[int],
     ) -> None:
-        """Move already-reserved ``rows`` into their buckets' partitions.
+        """Move already-reserved ``rows`` into the arena.
 
-        Key-major first — one pass finds each row's partition, stamps its
-        arrival and maintains the key index — then column-major: one pass per
-        attribute appends each row's value (or dictionary code) to its
-        partition's column, with the source and the per-row target column
-        lists hoisted out of the loop.  At the default 64 buckets a 128- or
-        256-row input puts two to four rows in a bucket, too few to pay for
-        a gather, a typed buffer and an ``extend`` per (bucket, column).
+        Key-major first — one pass numbers the rows ``base, base + 1, …`` and
+        enters each in its bucket's key index, the only per-row work — then
+        one ``extend`` per column (:meth:`ColumnarPartition.extend_rows`).
         """
-        count = self.bucket_count
+        bucket_count = self.bucket_count
         buckets = self.buckets
-        if type(arrivals) is RunLengthArrivals:
-            arrivals = arrivals.to_list()
-        targets: list[list] = []
+        store = self._arena()
+        position = len(store.arrivals)
         for i in rows:
             key = keys[i]
-            bucket = buckets[hash(key) % count]
-            partition = bucket.partition
-            if partition is None:
-                partition = self._partition(bucket)
-            stamps = partition.arrivals
-            found = partition.positions.get(key)
+            bucket = buckets[hash(key) % bucket_count]
+            found = bucket.positions.get(key)
             if found is None:
-                partition.positions[key] = [len(stamps)]
+                bucket.positions[key] = [position]
             else:
-                found.append(len(stamps))
-            stamps.append(arrivals[i])
-            targets.append(partition.columns)
-        contiguous = type(rows) is range
-        dictionaries = self._dictionaries
-        for j, source in enumerate(columns):
-            dictionary = dictionaries[j] if dictionaries is not None else None
-            coded = dictionary is not None
-            k = offset = 0
-            try:
-                if coded and not (type(source) is DictColumn and source.dictionary is dictionary):
-                    # Bulk-encode through the table dictionary: one C-level
-                    # map resolves every value already coded, new values
-                    # take ``encode`` (which charges the growth hook).
-                    picked = list(_pick(as_values(source), rows))
-                    values = list(map(dictionary.codes.get, picked))
-                    if None in values:
-                        encode = dictionary.encode
-                        for at, code in enumerate(values):
-                            if code is None:
-                                values[at] = encode(picked[at])
-                else:
-                    values = source.codes if coded else source
-                    if contiguous:
-                        k = offset = rows.start
-                    else:
-                        values = [values[i] for i in rows]
-                if coded:
-                    for k, target in enumerate(targets, offset):
-                        target[j].codes.append(values[k])
-                else:
-                    for k, target in enumerate(targets, offset):
-                        target[j].append(values[k])
-            except (AttributeError, *_DEGRADE_ERRORS):
-                # A misfit value, or a partition column already degraded to
-                # an object list: finish the attribute value by value, which
-                # encodes, charges and degrades as a tuple-at-a-time insert.
-                for at in range(k - offset, len(targets)):
-                    append_value(targets[at], j, source[rows[at]])
+                found.append(position)
+            bucket.resident_count += 1
+            position += 1
+        store.extend_rows(columns, arrivals, rows)
 
     def insert_resident(self, row: Row) -> None:
         """Insert assuming memory is available; raises if the budget refuses."""
@@ -524,12 +499,11 @@ class BucketedHashTable:
 
     def probe(self, key: tuple[Any, ...]) -> list[Row]:
         """Resident rows matching ``key``, boxed (the tuple-at-a-time view)."""
-        bucket = self.bucket_for_key(key)
-        positions = bucket.match(key)
-        if not positions:
+        matched = self.match_positions(key)
+        if matched is None:
             return []
-        partition = bucket.partition
-        return [partition.row_at(i) for i in positions]
+        store, positions = matched
+        return [store.row_at(i) for i in positions]
 
     def probe_row(self, row: Row, key_names: Sequence[str]) -> list[Row]:
         """Probe using ``row``'s values of ``key_names`` as the key."""
@@ -538,12 +512,11 @@ class BucketedHashTable:
     def match_positions(
         self, key: tuple[Any, ...]
     ) -> tuple[ColumnarPartition, list[int]] | None:
-        """Resident matches as ``(partition, positions)`` — no row boxing."""
-        bucket = self.buckets[hash(key) % self.bucket_count]
-        positions = bucket.match(key)
+        """Resident matches as ``(arena, positions)`` — no row boxing."""
+        positions = self.buckets[hash(key) % self.bucket_count].positions.get(key)
         if not positions:
             return None
-        return bucket.partition, positions
+        return self.arena, positions
 
     def gather_matches(
         self,
@@ -566,61 +539,34 @@ class BucketedHashTable:
         ``limit``-row batch would have consumed.
 
         Key-major lookup, then column-major gathers: one pass over the keys
-        records, per match, the probed position, the partition holding it and
-        the row inside it; each output column is then one comprehension over
-        those records (dictionary columns move codes).
+        records each match's probed position and arena position; the output
+        columns are then one shared C-level gather applied per column
+        (:meth:`ColumnarPartition.gather_rows`; dictionary columns move codes).
         """
-        if self.schema is None:
-            return None
-        count = self.bucket_count
+        bucket_count = self.bucket_count
         buckets = self.buckets
         probe = range(len(keys)) if positions is None else positions
         take: list[int] = []
-        sources: list[list] = []
-        stamps: list[list[float]] = []
         at: list[int] = []
         once = True
         for position in probe:
             key = keys[position]
-            partition = buckets[hash(key) % count].partition
-            if partition is None:
-                continue
-            found = partition.positions.get(key)
+            found = buckets[hash(key) % bucket_count].positions.get(key)
             if not found:
                 continue
             if len(found) == 1:
                 take.append(position)
-                sources.append(partition.columns)
-                stamps.append(partition.arrivals)
                 at.append(found[0])
             else:
                 once = False
-                n = len(found)
-                take.extend(repeat(position, n))
-                sources.extend(repeat(partition.columns, n))
-                stamps.extend(repeat(partition.arrivals, n))
+                take.extend(repeat(position, len(found)))
                 at.extend(found)
             if limit is not None and len(take) >= limit:
                 break
         if not take:
             return None
-        dictionaries = self._dictionaries
-        match_columns: list = []
-        for j in range(len(self.schema)):
-            if dictionaries is not None and dictionaries[j] is not None:
-                try:
-                    codes = [columns[j].codes[p] for columns, p in zip(sources, at)]
-                except AttributeError:
-                    # Some partition's column degraded to an object list:
-                    # gather values instead (dict columns decode on access).
-                    pass
-                else:
-                    match_columns.append(DictColumn(dictionaries[j], array("q", codes)))
-                    continue
-            match_columns.append([columns[j][p] for columns, p in zip(sources, at)])
-        match_arrivals = [arrivals[p] for arrivals, p in zip(stamps, at)]
         aligned = once and len(take) == len(keys) == len(probe)
-        return take, match_columns, match_arrivals, aligned
+        return take, *self.arena.gather_rows(at), aligned
 
     def is_bucket_flushed_for(self, key: tuple[Any, ...]) -> bool:
         return self.bucket_for_key(key).flushed
@@ -663,28 +609,77 @@ class BucketedHashTable:
                 source_columns, source_arrivals, indices, marked
             )
 
+    def _bucket_positions(self, bucket: Bucket) -> Sequence[int]:
+        """``bucket``'s arena positions, ascending — which is its insertion
+        order — as a range when they are contiguous."""
+        rows = sorted(chain.from_iterable(bucket.positions.values()))
+        if rows and rows[-1] - rows[0] + 1 == len(rows):
+            return range(rows[0], rows[-1] + 1)
+        return rows
+
+    def bucket_rows(self, index: int) -> tuple[list, list[float]]:
+        """Bucket ``index``'s resident rows as ``(columns, arrivals)``, in
+        insertion order, gathered out of the arena (storage classes kept)."""
+        if self.arena is None:
+            return [[] for _ in self.schema or ()], []
+        return self.arena.gather_rows(self._bucket_positions(self.buckets[index]))
+
     def flush_bucket(self, index: int, mark_rows: bool = False) -> int:
         """Write bucket ``index`` to disk, releasing its memory.
 
         Returns the number of rows flushed.  Subsequent inserts into this
-        bucket go directly to its overflow file.  The partition's counters
-        and the budget move in one atomic step — the columns are detached
-        (and the resident bytes released) *before* the spill write, so no
-        observer can see a half-drained bucket or double-release its bytes.
+        bucket go directly to its overflow file.  The bucket's counters and
+        the budget move in one atomic step — the key index is detached, the
+        arena slots reclaimed and the resident bytes released *before* the
+        spill write, so no observer can see a half-drained bucket or
+        double-release its bytes.
         """
         bucket = self.buckets[index]
         overflow = self._ensure_overflow(bucket)
-        flushed = 0
-        partition = bucket.partition
-        if partition is not None and partition.arrivals:
-            flushed = len(partition.arrivals)
-            columns, arrivals = partition.take_data()
+        flushed = bucket.resident_count
+        if flushed:
+            rows = self._bucket_positions(bucket)
+            columns, arrivals = self.arena.gather_rows(rows)
+            bucket.positions = {}
+            bucket.resident_count = 0
+            self._reclaim(rows)
             self.budget.release(flushed * self.row_bytes)
             overflow.write_columns(columns, arrivals, mark_rows)
         if not bucket.flushed:
             bucket.flushed = True
             self.flushed_count += 1
         return flushed
+
+    def _reclaim(self, rows: Sequence[int]) -> None:
+        """Give back the arena slots ``rows`` of a bucket just detached.
+
+        The arena's tail is truncated; slots in the middle stay behind as
+        dead rows until they outnumber the live ones, when the survivors are
+        compacted (one gather per column, one renumbering pass over the key
+        indexes).  A bucket flushes at most once per fill, so reclaiming is
+        amortised O(rows ever inserted).
+        """
+        store = self.arena
+        if type(rows) is range and rows.stop == len(store.arrivals):
+            for column in store.columns:
+                del column[rows.start :]
+            del store.arrivals[rows.start :]
+        else:
+            self._dead += len(rows)
+        dead = self._dead
+        if dead <= len(store.arrivals) - dead:
+            return
+        live = sorted(
+            chain.from_iterable(
+                chain.from_iterable(bucket.positions.values()) for bucket in self.buckets
+            )
+        )
+        store.columns, store.arrivals = store.gather_rows(live)
+        renumber = dict(zip(live, range(len(live)))).__getitem__
+        for bucket in self.buckets:
+            for found in bucket.positions.values():
+                found[:] = map(renumber, found)
+        self._dead = 0
 
     def flush_largest_bucket(self, mark_rows: bool = False) -> int | None:
         """Flush the resident bucket holding the most bytes; returns its index."""
@@ -739,9 +734,10 @@ class BucketedHashTable:
     def resident_items(self) -> Iterator[Row]:
         """All resident rows, bucket by bucket (boxed; tests and debugging)."""
         for bucket in self.buckets:
-            if bucket.partition is not None:
+            if bucket.resident_count:
+                batch = Batch.from_columns(self.schema, *self.bucket_rows(bucket.index))
                 # repro: allow[hot-path-row] boxed inspection view, tests/debugging only
-                yield from bucket.partition.rows()
+                yield from batch.rows()
 
     def overflow_chunks(self, index: int) -> Iterator[SpillChunk]:
         """Read back bucket ``index``'s overflow file as columnar chunks."""
@@ -772,16 +768,29 @@ class BucketedHashTable:
                 f"{self.name}: accounting drift — resident {resident}B exceeds "
                 f"budget reservation {self.budget.used_bytes}B"
             )
+        slots = len(self.arena) if self.arena is not None else 0
+        indexed = [p for b in self.buckets for found in b.positions.values() for p in found]
+        if (
+            len(indexed) != self.resident_rows
+            or self.resident_rows != slots - self._dead
+            or len(set(indexed)) != len(indexed)
+            or any(not 0 <= p < slots for p in indexed)
+        ):
+            raise StorageError(
+                f"{self.name}: arena drift — {self.resident_rows} resident rows, "
+                f"{len(indexed)} indexed, {slots} slots of which {self._dead} dead"
+            )
 
     def release_all(self) -> None:
         """Drop all resident rows and return their memory to the budget."""
+        resident = self.resident_rows
         for bucket in self.buckets:
-            partition = bucket.partition
-            if partition is not None:
-                count = len(partition.arrivals)
-                if count:
-                    partition.take_data()
-                    self.budget.release(count * self.row_bytes)
+            bucket.positions = {}
+            bucket.resident_count = 0
+        self.arena = None
+        self._dead = 0
+        if resident:
+            self.budget.release(resident * self.row_bytes)
         if self.dictionary_bytes:
             self.budget.release(self.dictionary_bytes)
             self.dictionary_bytes = 0

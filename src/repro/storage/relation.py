@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, StorageError
@@ -31,7 +32,9 @@ class Relation:
         self.schema = schema
         self._rows: list[Row] = []
         self._pending: list[Batch] = []
-        self._pending_count = 0
+        #: Cumulative row counts of ``_pending`` (``_pending_ends[i]`` rows
+        #: sit in batches ``0..i``), so one row is found by bisection.
+        self._pending_ends: list[int] = []
         if rows:
             self.extend(rows)
 
@@ -41,7 +44,7 @@ class Relation:
             # Each batch is dropped as soon as it is boxed, so the peak holds
             # one representation of the result plus one batch, not both.
             pending, self._pending = self._pending[::-1], []
-            self._pending_count = 0
+            self._pending_ends = []
             while pending:
                 self._rows.extend(pending.pop().rows())
 
@@ -105,7 +108,8 @@ class Relation:
             )
         if batch.is_columnar:
             self._pending.append(batch)
-            self._pending_count += len(batch)
+            ends = self._pending_ends
+            ends.append((ends[-1] if ends else 0) + len(batch))
         else:
             self._materialize_pending()
             self._rows.extend(batch.rows())
@@ -113,7 +117,7 @@ class Relation:
     # -- access -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows) + self._pending_count
+        return len(self._rows) + (self._pending_ends[-1] if self._pending_ends else 0)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -126,6 +130,26 @@ class Relation:
         """The row list (not a copy; treat as read-only)."""
         self._materialize_pending()
         return self._rows
+
+    def row_at(self, index: int, arrival: float) -> Row | None:
+        """Row ``index`` stamped ``arrival``; ``None`` past the end.
+
+        Boxes exactly the row asked for: one still held in a buffered
+        columnar batch is read out of that batch's columns in place, so the
+        batches stay columnar for later :meth:`column_block` reads.
+        """
+        rows = self._rows
+        if index < len(rows):
+            return rows[index].with_arrival(arrival)
+        index -= len(rows)
+        ends = self._pending_ends
+        at = bisect_right(ends, index)
+        if at == len(ends):
+            return None
+        batch = self._pending[at]
+        if at:
+            index -= ends[at - 1]
+        return Row.make(batch.schema, tuple(c[index] for c in batch.columns), arrival)
 
     @property
     def cardinality(self) -> int:

@@ -168,26 +168,27 @@ class TestFlushing:
 
 
 class TestColumnarBuckets:
-    """Buckets store columnar partitions: typed columns + key->positions map."""
+    """Rows live in one typed column arena; buckets hold key->positions maps."""
 
-    def test_partition_columns_are_typed(self):
+    def test_arena_columns_are_typed(self):
         from repro.storage.columns import DictColumn
 
         table = make_table()
         table.insert(make_row(1, "a"))
         table.insert(make_row(2, "b"))
-        bucket = table.bucket_for_key((1,))
-        assert isinstance(bucket.partition.columns[0], array)
-        assert bucket.partition.columns[0].typecode == "q"
+        store, positions = table.match_positions((1,))
+        assert positions == [0]
+        assert isinstance(store.columns[0], array)
+        assert store.columns[0].typecode == "q"
         # String columns dictionary-encode by default...
-        assert isinstance(bucket.partition.columns[1], DictColumn)
+        assert isinstance(store.columns[1], DictColumn)
         # ...and stay plain object lists with encoding off.
         plain = BucketedHashTable(
             ["k"], MemoryBudget(None), SimulatedDisk(), bucket_count=8,
             schema=SCHEMA, encoded=False,
         )
         plain.insert(make_row(1, "a"))
-        assert isinstance(plain.bucket_for_key((1,)).partition.columns[1], list)
+        assert isinstance(plain.match_positions((1,))[0].columns[1], list)
 
     def test_insert_batch_bulk_fast_path(self):
         table = make_table()
@@ -273,6 +274,151 @@ class TestColumnarBuckets:
             for chunk in table.overflow_chunks(0):
                 assert len(chunk) > 0
             assert counter.count == 0
+
+
+def keys_of_bucket(bucket: int, how_many: int, buckets: int = 4) -> list[int]:
+    """The first ``how_many`` int keys hashing to ``bucket``."""
+    found = []
+    key = 0
+    while len(found) < how_many:
+        if bucket_of((key,), buckets) == bucket:
+            found.append(key)
+        key += 1
+    return found
+
+
+def chunk_rows(table: BucketedHashTable, bucket: int) -> list[list[tuple]]:
+    """Bucket's spill file as ``[[(k, v, arrival, marked), ...] per chunk]``."""
+    return [
+        list(zip(*(list(c) for c in chunk.columns), list(chunk.arrivals), chunk.marked))
+        for chunk in table.overflow_chunks(bucket)
+    ]
+
+
+def probe_rows(table: BucketedHashTable, keys: list[int]) -> list[tuple]:
+    result = table.gather_matches([(key,) for key in keys])
+    if result is None:
+        return []
+    take, columns, arrivals, _ = result
+    return list(zip(take, *(list(c) for c in columns), arrivals))
+
+
+class TestColumnArena:
+    """One append-only column arena per table: flushes truncate its tail,
+    tombstone its middle, and compact it once dead rows outnumber live ones."""
+
+    def make_filled(self, layout: list[int]) -> BucketedHashTable:
+        """A 4-bucket table whose arena row ``i`` belongs to bucket
+        ``layout[i]`` (value ``v<i>``, arrival ``i``)."""
+        table = make_table(buckets=4)
+        pools = {b: iter(keys_of_bucket(b, len(layout))) for b in set(layout)}
+        keys = [next(pools[b]) for b in layout]
+        table.insert_batch(
+            Batch.from_columns(
+                SCHEMA,
+                [array("q", keys), [f"v{i}" for i in range(len(keys))]],
+                [float(i) for i in range(len(keys))],
+            )
+        )
+        self.keys = keys
+        return table
+
+    def expect_rows(self, table, layout, alive):
+        """Every surviving row probes back, in insertion order, exactly once."""
+        for bucket in alive:
+            wanted = [i for i, b in enumerate(layout) if b == bucket]
+            got = probe_rows(table, [self.keys[i] for i in wanted])
+            assert got == [(n, self.keys[i], f"v{i}", float(i)) for n, i in enumerate(wanted)]
+        table.check_accounting()
+        assert table.budget.used_bytes == table.resident_bytes
+
+    def test_flush_of_tail_truncates(self):
+        layout = [0, 1, 0, 1, 2, 2, 2]
+        table = self.make_filled(layout)
+        assert table.flush_bucket(2, mark_rows=True) == 3
+        assert len(table.arena) == 4 and table._dead == 0
+        assert chunk_rows(table, 2) == [
+            [(self.keys[i], f"v{i}", float(i), True) for i in (4, 5, 6)]
+        ]
+        self.expect_rows(table, layout, alive=[0, 1])
+        # The arena keeps appending where the truncation left it.
+        fresh = keys_of_bucket(3, 1)[0]
+        table.insert(make_row(fresh, "late"))
+        assert table.match_positions((fresh,))[1] == [4]
+
+    def test_flush_in_the_middle_tombstones(self):
+        layout = [0, 1, 0, 2, 0, 1, 0]
+        table = self.make_filled(layout)
+        assert table.flush_bucket(1) == 2
+        assert len(table.arena) == 7 and table._dead == 2
+        assert chunk_rows(table, 1) == [
+            [(self.keys[i], f"v{i}", float(i), False) for i in (1, 5)]
+        ]
+        assert table.resident_rows == 5
+        self.expect_rows(table, layout, alive=[0, 2])
+
+    def test_flush_that_compacts_then_probe_survivors(self):
+        layout = [0, 1, 2, 0, 1, 2, 0, 1]
+        table = self.make_filled(layout)
+        table.flush_bucket(0)
+        assert len(table.arena) == 8 and table._dead == 3  # 3 dead <= 5 live
+        table.flush_bucket(1)  # 6 dead > 2 live: compaction
+        assert len(table.arena) == 2 and table._dead == 0
+        assert table.match_positions((self.keys[2],))[1] == [0]
+        assert table.match_positions((self.keys[5],))[1] == [1]
+        self.expect_rows(table, layout, alive=[2])
+        assert chunk_rows(table, 1) == [
+            [(self.keys[i], f"v{i}", float(i), False) for i in (1, 4, 7)]
+        ]
+        # Inserts after a compaction extend the compacted arena.
+        again = keys_of_bucket(2, 9)[-1]
+        table.insert_position(2, (again,), [[again], ["new"]], 0, 9.0)
+        assert probe_rows(table, [again]) == [(0, again, "new", 9.0)]
+        assert table.flush_bucket(2) == 3
+        assert table.resident_rows == 0 and len(table.arena) == 0
+        table.check_accounting()
+
+    def test_flush_largest_reads_the_bucket_counters(self):
+        # Buckets 1 and 2 tie at three rows: the first strictly largest wins.
+        table = self.make_filled([1, 2, 1, 2, 0, 1, 2])
+        assert [b.resident_count for b in table.buckets] == [1, 3, 3, 0]
+        assert table.flush_largest_bucket() == 1
+        assert table.resident_rows == 4 and table.has_resident_data
+        assert table.flush_largest_bucket() == 2
+        assert table.flush_largest_bucket() == 0
+        assert table.flush_largest_bucket() is None
+        assert not table.has_resident_data
+
+    def test_one_column_set_per_table(self, monkeypatch):
+        from repro.storage import columns as columns_module
+
+        made = []
+        original = columns_module.empty_columns
+
+        def counting(schema, *args, **kwargs):
+            made.append(len(schema))
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(columns_module, "empty_columns", counting)
+        table = make_table(buckets=64)
+        for start in range(0, 2000, 250):
+            table.insert_batch(make_batch(list(range(start, start + 250))))
+        assert sum(1 for b in table.buckets if b.resident_count) == 64
+        assert made == [len(SCHEMA)]
+
+    def test_misfit_degrades_the_tables_column(self):
+        table = make_table(buckets=4)
+        table.insert_batch(make_batch([0, 1, 2, 3]))
+        odd = Batch.from_columns(SCHEMA, [array("q", [4, 5]), ["y", None]], [1.0, 1.0])
+        assert table.insert_batch(odd) == 2
+        store, _ = table.match_positions((5,))
+        assert type(store.columns[1]) is list  # the table's column, every bucket's rows
+        assert probe_rows(table, [0, 5]) == [(0, 0, "x", 0.0), (1, 5, None, 1.0)]
+        assert table.budget.used_bytes == table.resident_bytes
+        bucket = bucket_of((0,), 4)
+        flushed = table.flush_bucket(bucket)
+        assert sum(len(chunk) for chunk in chunk_rows(table, bucket)) == flushed
+        table.check_accounting()
 
 
 class TestAccountingInvariant:
@@ -399,10 +545,11 @@ class TestEncodedHotPaths:
         key_column = batch.columns[0]
         assert isinstance(key_column, DictColumn)
         assert table._dictionaries[0] is key_column.dictionary
-        # Resident partitions move codes, so their columns share it too.
+        # The arena moves codes, so its column (and every gather out of it)
+        # shares it too.
         for bucket in table.buckets:
-            if bucket.partition is not None and len(bucket.partition):
-                assert bucket.partition.columns[0].dictionary is key_column.dictionary
+            columns, _ = table.bucket_rows(bucket.index)
+            assert columns[0].dictionary is key_column.dictionary
 
     def test_dictionary_growth_is_charged_once_per_value(self):
         budget = MemoryBudget(None)

@@ -139,6 +139,289 @@ class TestHashTableProperties:
             assert budget.used_bytes <= limit + table.dictionary_bytes
 
 
+# The table-wide column arena against a naive model: random interleavings of
+# every insert, probe, flush, revocation and release entry point.
+
+ARENA_SCHEMA = Schema.of("t.k:int", "t.g:str", "t.v:str", "t.w:float")
+ARENA_BUCKETS = 6
+STRING_SLOTS = (1, 2)
+
+#: Inserts, probes and single-bucket flushes dominate; the table-wide resets are rare.
+ARENA_KINDS = (
+    ["batch"] * 10 + ["probe"] * 8 + ["position"] * 4 + ["flush"] * 3
+    + ["flush_largest"] * 2 + ["revoke", "flush_all", "release"]
+)
+percent = st.integers(0, 100)
+#: ``(kind, seed, low, high, flag)`` — an op's rows / probed keys / subsets are
+#: drawn from ``Random(seed)``, so examples stay small enough to run dozens of ops.
+arena_ops = st.tuples(
+    st.sampled_from(ARENA_KINDS), st.integers(0, 2**16), percent, percent, st.booleans()
+)
+
+
+def arena_rows(random) -> list[tuple]:
+    return [
+        (
+            random.randrange(12),
+            random.choice(["g0", "g1", "group-two"]),
+            "".join(random.choices("abc", k=random.randrange(4))),
+            random.choice([0.5, 1.5, -2.0]),
+        )
+        for _ in range(random.randint(1, 24))
+    ]
+
+
+class ArenaModel:
+    """``dict[key, list[row]]`` plus per-bucket spill chunk lists and the
+    documented byte rules — what :class:`BucketedHashTable` must equal."""
+
+    def __init__(self, row_bytes: int, charges_strings: bool, owns_dictionaries: bool, limit):
+        self.row_bytes = row_bytes
+        self.charges_strings = charges_strings
+        self.owns_dictionaries = owns_dictionaries
+        self.limit = limit
+        self.rows: dict[tuple, list[tuple]] = {}  # key -> [(sequence, values, arrival)]
+        self.sequence = 0
+        self.flushed: set[int] = set()
+        self.spill: list[list[list[tuple]]] = [[] for _ in range(ARENA_BUCKETS)]
+        self.tail_open = [False] * ARENA_BUCKETS
+        self.charged = {slot: set() for slot in STRING_SLOTS}
+        self.dictionary_bytes = 0
+
+    @staticmethod
+    def bucket(key: tuple) -> int:
+        return hash(key) % ARENA_BUCKETS
+
+    def resident(self, bucket: int) -> list[tuple]:
+        rows = [r for key, found in self.rows.items() if self.bucket(key) == bucket for r in found]
+        return sorted(rows)
+
+    @property
+    def resident_rows(self) -> int:
+        return sum(len(found) for found in self.rows.values())
+
+    @property
+    def used(self) -> int:
+        return self.resident_rows * self.row_bytes + self.dictionary_bytes
+
+    def fits(self, nbytes: int) -> bool:
+        return self.limit is None or self.used + nbytes <= self.limit
+
+    def _insert(self, values: tuple, arrival: float) -> None:
+        self.rows.setdefault(values[:1], []).append((self.sequence, values, arrival))
+        self.sequence += 1
+        if self.charges_strings:
+            for slot in STRING_SLOTS:
+                if values[slot] not in self.charged[slot]:
+                    self.charged[slot].add(values[slot])
+                    self.dictionary_bytes += len(values[slot]) + 8
+
+    def insert_position(self, values: tuple, arrival: float) -> bool:
+        if not self.fits(self.row_bytes):
+            return False
+        self._insert(values, arrival)
+        return True
+
+    def insert_batch(self, rows, arrivals, picked, stop, marked, exact) -> int:
+        # The whole-remainder form checks the row bytes once per batch, so
+        # table-owned dictionary growth inside it is charged after the fact.
+        whole = (
+            not exact
+            and self.owns_dictionaries
+            and not self.flushed
+            and self.fits(len(picked) * self.row_bytes)
+        )
+        for i in picked:
+            bucket = self.bucket(rows[i][:1])
+            if bucket in self.flushed:
+                if not self.tail_open[bucket]:
+                    self.spill[bucket].append([])
+                    self.tail_open[bucket] = True
+                self.spill[bucket][-1].append((rows[i], arrivals[i], marked))
+            elif whole:
+                self._insert(rows[i], arrivals[i])
+            elif not self.insert_position(rows[i], arrivals[i]):
+                return i
+        return stop
+
+    def gather_matches(self, keys, positions, limit):
+        probe = range(len(keys)) if positions is None else positions
+        take, matches, once = [], [], True
+        for position in probe:
+            found = self.rows.get(keys[position])
+            if not found:
+                continue
+            once = once and len(found) == 1
+            take += [position] * len(found)
+            matches += [(values, arrival) for _, values, arrival in found]
+            if limit is not None and len(take) >= limit:
+                break
+        if not take:
+            return None
+        return take, matches, once and len(take) == len(keys) == len(probe)
+
+    def flush_bucket(self, bucket: int, marked: bool) -> int:
+        rows = self.resident(bucket)
+        if rows:
+            self.spill[bucket].append([(values, arrival, marked) for _, values, arrival in rows])
+            self.tail_open[bucket] = False
+            for key in [key for key in self.rows if self.bucket(key) == bucket]:
+                del self.rows[key]
+        self.flushed.add(bucket)
+        return len(rows)
+
+    def flush_largest_bucket(self, marked: bool):
+        sizes = [
+            0 if bucket in self.flushed else len(self.resident(bucket))
+            for bucket in range(ARENA_BUCKETS)
+        ]
+        if not max(sizes):
+            return None
+        victim = sizes.index(max(sizes))  # the first bucket with the largest count
+        self.flush_bucket(victim, marked)
+        return victim
+
+    def flush_all(self, marked: bool) -> int:
+        return sum(self.flush_bucket(bucket, marked) for bucket in range(ARENA_BUCKETS))
+
+    def revoke_to(self, limit: int) -> None:
+        self.limit = limit
+        while self.used > self.limit and self.flush_largest_bucket(False) is not None:
+            pass
+
+    def release_all(self) -> None:
+        self.rows = {}
+        self.dictionary_bytes = 0
+
+
+def arena_batch(rows, arrivals, dictionaries, run_length):
+    from repro.storage.batch import Batch
+    from repro.storage.columns import RunLengthArrivals, build_columns
+
+    columns = build_columns(
+        ARENA_SCHEMA, [list(c) for c in zip(*rows)], dictionaries is not None, dictionaries
+    )
+    stamps = RunLengthArrivals(arrivals) if run_length else list(arrivals)
+    return Batch.from_columns(ARENA_SCHEMA, columns, stamps)
+
+
+def spilled(table, bucket):
+    return [
+        list(zip(zip(*(list(c) for c in chunk.columns)), list(chunk.arrivals), chunk.marked))
+        for chunk in table.overflow_chunks(bucket)
+    ]
+
+
+class TestColumnArenaProperties:
+    @given(
+        ops=st.lists(arena_ops, min_size=10, max_size=50),
+        encoded=st.booleans(),
+        coded_sources=st.booleans(),
+        limit=st.one_of(st.none(), st.integers(150, 2500)),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_interleavings_equal_the_naive_model(
+        self, ops, encoded, coded_sources, limit
+    ):
+        from random import Random
+
+        from repro.storage.columns import make_dictionaries
+
+        budget = MemoryBudget(limit)
+        table = BucketedHashTable(
+            ["t.k"], budget, SimulatedDisk(), bucket_count=ARENA_BUCKETS,
+            schema=ARENA_SCHEMA, encoded=encoded,
+        )
+
+        def on_revoke(shrunk):
+            while shrunk.used_bytes > shrunk.limit_bytes:
+                if table.flush_largest_bucket() is None:
+                    break
+
+        budget.on_revoke = on_revoke
+        # One scan's batches share their dictionaries (the table adopts them).
+        dictionaries = make_dictionaries(ARENA_SCHEMA) if coded_sources else None
+        model = ArenaModel(
+            ARENA_SCHEMA.row_size_for(encoded), encoded, encoded and not coded_sources, limit
+        )
+        for kind, seed, low, high, flag in ops:
+            random = Random(seed)
+            if kind in ("batch", "position"):
+                rows = arena_rows(random)
+                n = len(rows)
+                arrivals = [random.choice([0.0, 0.0, 1.0, 2.5]) for _ in rows]
+                batch = arena_batch(rows, arrivals, dictionaries, coded_sources)
+            if kind == "batch":
+                form = random.choice(["rest", "rest", "stop", "positions"])
+                start = min(low, high) * n // 100
+                stop = n if form == "rest" else max(low, high) * n // 100
+                picked = list(range(start, stop))
+                positions = None
+                if form == "positions":
+                    picked = positions = [
+                        i for i in picked
+                        if random.random() < 0.7 and model.bucket(rows[i][:1]) not in model.flushed
+                    ]
+                got = table.insert_batch(
+                    batch, flag, None, start, None if form == "rest" else stop, positions
+                )
+                assert got == model.insert_batch(
+                    rows, arrivals, picked, stop, flag, form != "rest"
+                )
+            elif kind == "position":
+                at = low * (n - 1) // 100
+                key = rows[at][:1]
+                if model.bucket(key) in model.flushed:
+                    continue
+                got = table.insert_position(
+                    model.bucket(key), key, batch.columns, at, arrivals[at]
+                )
+                assert got == model.insert_position(rows[at], arrivals[at])
+            elif kind == "probe":
+                keys = [(random.randrange(14),) for _ in range(random.randint(1, 20))]
+                positions = (
+                    [i for i in range(len(keys)) if random.random() < 0.6] if flag else None
+                )
+                cap = None if low < 60 else 1 + high // 10
+                got = table.gather_matches(keys, positions, cap)
+                expected = model.gather_matches(keys, positions, cap)
+                if expected is None:
+                    assert got is None
+                else:
+                    take, columns, stamps, aligned = got
+                    matches = list(zip(zip(*(list(c) for c in columns)), stamps))
+                    assert (take, matches, aligned) == expected
+            elif kind == "flush":
+                index = low % ARENA_BUCKETS
+                assert table.flush_bucket(index, flag) == model.flush_bucket(index, flag)
+            elif kind == "flush_largest":
+                assert table.flush_largest_bucket(flag) == model.flush_largest_bucket(flag)
+            elif kind == "flush_all":
+                assert table.flush_all(flag) == model.flush_all(flag)
+            elif kind == "revoke":
+                if budget.limit_bytes is None:
+                    continue
+                shrunk = model.used * (20 + low) // 100
+                budget.revoke_to(shrunk)
+                model.revoke_to(shrunk)
+            else:
+                table.release_all()
+                model.release_all()
+            assert budget.used_bytes == table.resident_bytes == model.used
+            assert table.resident_rows == model.resident_rows
+            table.check_accounting()
+            for index in range(ARENA_BUCKETS):
+                bucket = table.buckets[index]
+                assert bucket.flushed == (index in model.flushed)
+                assert bucket.resident_count == len(model.resident(index))
+                columns, stamps = table.bucket_rows(index)
+                assert list(zip(zip(*(list(c) for c in columns)), stamps)) == [
+                    (values, arrival) for _, values, arrival in model.resident(index)
+                ]
+        for index in range(ARENA_BUCKETS):
+            assert spilled(table, index) == model.spill[index]
+
+
 class TestTimelineProperties:
     @given(sizes=st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)

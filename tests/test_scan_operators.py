@@ -11,6 +11,9 @@ from repro.engine.operators.select import Select
 from repro.engine.operators.union import Union
 from repro.errors import ExecutionError, SourceTimeoutError
 from repro.network.profiles import bursty, lan, slow_start, wide_area
+from repro.storage.batch import Batch
+from repro.storage.relation import Relation
+from repro.storage.schema import Schema
 from repro.storage.tuples import counting_row_constructions
 from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
@@ -102,6 +105,37 @@ class TestTableScan:
         scan = TableScan("t", context, "ghost")
         with pytest.raises(Exception):
             scan.open()
+
+    def test_tie_steps_box_only_the_rows_delivered(self, context):
+        """``next()`` over a fragment result held as columnar batches (a
+        double pipelined join's tie step) reads the row in place: nothing
+        else is boxed and the relation keeps serving column slices."""
+        schema = Schema.of("x:int", "y:str")
+        relation = Relation("frag", schema)
+        for start, stop in ((0, 3), (3, 8), (8, 8), (8, 10)):  # one batch is empty
+            relation.extend_batch(
+                Batch.from_columns(
+                    schema,
+                    [list(range(start, stop)), [f"v{i}" for i in range(start, stop)]],
+                    [0.0] * (stop - start),
+                )
+            )
+        context.local_store.materialize(relation)
+        scan = TableScan("t", context, "frag")
+        scan.open()
+        context.clock.consume_cpu(2.0)
+        with counting_row_constructions() as counter:
+            first = [scan.next() for _ in range(4)]
+            assert counter.count == 4
+        assert [row.values for row in first] == [(i, f"v{i}") for i in range(4)]
+        assert all(row.schema is schema and row.arrival >= 2.0 for row in first)
+        with counting_row_constructions() as counter:
+            block = scan.next_batch(3)
+            assert relation.column_block(8, 5) == ([[8, 9], ["v8", "v9"]], 2)
+            assert counter.count == 0
+        assert block.columns == [[4, 5, 6], ["v4", "v5", "v6"]]
+        assert [row.values[0] for row in scan.iterate()] == [7, 8, 9]
+        assert scan.next() is None
 
 
 # -- the row-free source layer -----------------------------------------------------------------
