@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import or_
+from typing import Any
+
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
+from repro.storage.batch import Batch
+from repro.storage.columns import gather, picker
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder, Row
 
@@ -65,6 +71,48 @@ class JoinOperator(Operator):
 
     def right_key(self, row: Row):
         return self._right_binder.key(row)
+
+    def _join_spilled(self, left, right, index: int, unmarked_pairs: bool) -> Batch | None:
+        """Join bucket ``index`` of two overflow stores (as laid out by
+        :meth:`BucketedHashTable.overflow_store`); ``None`` when no pair.
+
+        The live join's kernel over spilled rows: a key pass pairs positions
+        (left-major, each side in read-back order — what a tuple-at-a-time
+        pass produces), the marked-bit rule is a mask over the pair lists,
+        and one shared gather per column assembles the output, dictionary
+        columns moving codes.  With ``unmarked_pairs`` false a pair of two
+        unmarked rows is dropped: both were resident when they met, so the
+        live join already produced it.
+        """
+        left_columns, left_arrivals, left_marked, left_rows, left_keys = left
+        right_columns, right_arrivals, right_marked, right_rows, right_keys = right
+        matches: dict[Any, list[int]] = {}
+        for position in right_rows.get(index, ()):
+            found = matches.get(right_keys[position])
+            if found is None:
+                matches[right_keys[position]] = [position]
+            else:
+                found.append(position)
+        lefts: list[int] = []
+        rights: list[int] = []
+        for position in left_rows.get(index, ()):
+            found = matches.get(left_keys[position])
+            if found:
+                lefts.extend(repeat(position, len(found)))
+                rights.extend(found)
+        if not unmarked_pairs:
+            keep = list(
+                map(or_, map(left_marked.__getitem__, lefts), map(right_marked.__getitem__, rights))
+            )
+            lefts = list(compress(lefts, keep))
+            rights = list(compress(rights, keep))
+        if not lefts:
+            return None
+        pick_left, pick_right = picker(lefts), picker(rights)
+        columns = [gather(column, lefts, pick_left) for column in left_columns]
+        columns += [gather(column, rights, pick_right) for column in right_columns]
+        arrivals = list(map(max, pick_left(left_arrivals), pick_right(right_arrivals)))
+        return Batch.from_columns(self.output_schema, columns, arrivals)
 
     def _charge_disk_time(self) -> None:
         """Convert disk page I/O performed since the last call into virtual time."""

@@ -39,7 +39,6 @@ baseline).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import repeat
 from typing import Any, Iterator
 
 from repro.engine.context import ExecutionContext
@@ -49,13 +48,7 @@ from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch
-from repro.storage.columns import (
-    DictColumn,
-    as_values,
-    empty_like,
-    extend_column,
-    gather,
-)
+from repro.storage.columns import as_values, empty_like, extend_moving, gather
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.tuples import Row
@@ -121,15 +114,7 @@ class _OutputColumns:
                     self.columns[j] = empty_like(source)
         base = len(self.arrivals)
         for j, column in enumerate(columns):
-            acc = self.columns[j]
-            if type(acc) is DictColumn and not (
-                type(column) is DictColumn and column.dictionary is acc.dictionary
-            ):
-                # Codes only ever *move* into an accumulator.  Encoding here
-                # would grow a dictionary the accumulator merely shares — a
-                # hash table's own, whose growth is charged to its budget.
-                self.columns[j] = list(acc)
-            extend_column(self.columns, j, column, base)
+            extend_moving(self.columns, j, column, base)
         self.arrivals.extend(arrivals)
 
     def take_batch(self, schema, max_rows: int) -> Batch:
@@ -364,7 +349,7 @@ class DoublePipelinedJoin(JoinOperator):
         return self._tables[LEFT].buckets[index].flushed or self._tables[RIGHT].buckets[index].flushed
 
     def _spill_arriving(self, side: int, index: int, row: Row, marked: bool = True) -> None:
-        """Send an arriving tuple straight to its side's overflow file.
+        """Send an arriving tuple straight to its side's spill log.
 
         ``marked=True`` records that the tuple never probed live (it arrived
         after its bucket spilled), so the final resolution joins it against
@@ -372,8 +357,7 @@ class DoublePipelinedJoin(JoinOperator):
         already-emitted pairs are not produced again.
         """
         table = self._tables[side]
-        bucket = table.buckets[index]
-        table._ensure_overflow(bucket).write(row, marked=marked)
+        table.spill_log.write(row, marked, table.buckets[index])
         self._charge_disk_time()
 
     def _process(self, side: int, row: Row, key: tuple[Any, ...] | None = None) -> None:
@@ -464,37 +448,6 @@ class DoublePipelinedJoin(JoinOperator):
             return n
         return next(i for i in range(start, n) if arrivals[i] >= bound)
 
-    def _route(
-        self, keys: list[tuple[Any, ...]], cursor: int, end: int, bounded: bool
-    ) -> tuple[list[int], dict[int, list[int]], int]:
-        """Split ``[cursor, end)`` into live rows and per-bucket spill groups.
-
-        A row whose bucket is flushed in *either* table never probes live; it
-        goes to its own side's overflow file marked.  Spill writes are the
-        only thing inside a segment that moves the clock, so under a bounded
-        pull (whose caller re-checks the clock before every tuple) the
-        segment ends right after the first spilled row.
-        """
-        left_buckets = self._tables[LEFT].buckets
-        right_buckets = self._tables[RIGHT].buckets
-        count = self.bucket_count
-        live: list[int] = []
-        spills: dict[int, list[int]] = {}
-        for position in range(cursor, end):
-            index = hash(keys[position]) % count
-            if left_buckets[index].flushed or right_buckets[index].flushed:
-                group = spills.get(index)
-                if group is None:
-                    spills[index] = [position]
-                else:
-                    group.append(position)
-                if bounded:
-                    end = position + 1
-                    break
-            else:
-                live.append(position)
-        return live, spills, end
-
     def _consume_segment(
         self, side: int, run: _Run, room: int, arrival_bound: float | None
     ) -> None:
@@ -518,9 +471,10 @@ class DoublePipelinedJoin(JoinOperator):
         * a memory refusal stops the insert at the refused row: matches
           probed past it are dropped, rows past it stay in the run, and the
           refused row takes the per-tuple resolve-and-retry step;
-        * rows of flushed buckets are split off first (:meth:`_route`) and
-          spilled marked, one gather per bucket, their pages charged one at
-          a time.
+        * rows whose bucket is flushed in *either* table never probe live:
+          they are split off first (``split_flushed``) and go to their own
+          side's spill log marked, in one write — one gather per column, however many
+          buckets they scatter over — their pages charged one at a time.
         """
         other = 1 - side
         tables = self._tables
@@ -536,7 +490,12 @@ class DoublePipelinedJoin(JoinOperator):
             end = self._segment_end(side, run)
         live = spills = None
         if tables[LEFT].flushed_count or tables[RIGHT].flushed_count:
-            live, spills, end = self._route(keys, cursor, end, bounded)
+            live, spills = table.split_flushed(keys, range(cursor, end), tables[other], bounded)
+            if bounded and spills:
+                # Spill writes are the only thing inside a segment that moves
+                # the clock, and a bounded pull's caller re-checks the clock
+                # before every tuple: the segment ends at the first spilled row.
+                end = cursor + len(live) + 1
         result = tables[other].gather_matches(
             keys, range(cursor, end) if live is None else live, room
         )
@@ -553,11 +512,7 @@ class DoublePipelinedJoin(JoinOperator):
             # Settle anything already pending in one charge (as the first
             # per-tuple spill would), then this segment's own pages singly.
             self._charge_disk_time()
-            columns = run.batch.columns
-            for index, group in spills.items():
-                if group[-1] >= stop:
-                    group = group[: bisect_left(group, stop)]
-                table.spill_gather(index, columns, run.arrivals, group, marked=True)
+            table.spill_segment(run.batch.columns, run.arrivals, spills, True, stop)
             self._charge_spill_pages()
         if result is not None:
             take, match_columns, match_arrivals, _ = result
@@ -701,72 +656,32 @@ class DoublePipelinedJoin(JoinOperator):
 
     # -- overflow resolution output (the final phase) ---------------------------------------------------------
 
-    def _has_spill(self, index: int) -> bool:
-        """True when either side of bucket ``index`` has rows on disk."""
-        return any(
-            table.buckets[index].overflow is not None and len(table.buckets[index].overflow) > 0
-            for table in self._tables
-        )
-
-    def _bucket_rows(self, side: int, index: int) -> tuple[list, list, list]:
-        """One bucket side's spilled then resident rows as ``(columns,
-        arrivals, marked)`` plain lists.
-
-        Disk chunks carry their marked column and charge read I/O; resident
-        remnants are unmarked and free.  Dictionary columns and run-length
-        stamps decode as they are copied (canonical strings, no boxing).
-        """
-        table = self._tables[side]
-        bucket = table.buckets[index]
-        columns: list[list] = [[] for _ in range(len(table.schema))]
-        arrivals: list[float] = []
-        marked: list[bool] = []
-        parts = []
-        if bucket.overflow is not None:
-            parts = [(c.columns, c.arrivals, c.marked) for c in bucket.overflow.read_chunks()]
-        if bucket.resident_count:
-            parts.append((*table.bucket_rows(index), repeat(False, bucket.resident_count)))
-        for part_columns, part_arrivals, part_marked in parts:
-            for column, values in zip(columns, part_columns):
-                column.extend(values)
-            arrivals.extend(part_arrivals)
-            marked.extend(part_marked)
-        return columns, arrivals, marked
+    def _spilled_buckets(self) -> Iterator[int]:
+        """Buckets with rows on disk on either side, ascending."""
+        left, right = (table.buckets for table in self._tables)
+        for index in range(self.bucket_count):
+            if left[index].spilled_count or right[index].spilled_count:
+                yield index
 
     def _cleanup_batches_iter(self) -> Iterator[Batch]:
         """Join the spilled buckets positionally, one output batch per bucket.
 
         Skips unmarked-with-unmarked pairs (already produced live).  Spilled
-        tuples are never boxed: keys come from the key columns, the matching
-        pairs are collected as positions, and output values move column to
-        column.
+        tuples are never boxed or decoded: both sides' overflow rows (spilled,
+        then resident remnants — unmarked, free to read) are laid out once as
+        positional stores and each bucket goes through :meth:`_join_spilled`,
+        its read-back charged when it is reached, left then right.
         """
-        left_key_at = self._left_binder.indices_in(self._tables[LEFT].schema)
-        right_key_at = self._right_binder.indices_in(self._tables[RIGHT].schema)
-        for index in range(self.bucket_count):
-            if not self._has_spill(index):
-                continue
-            left_columns, left_arrivals, left_marked = self._bucket_rows(LEFT, index)
-            right_columns, right_arrivals, right_marked = self._bucket_rows(RIGHT, index)
+        sides = None
+        for index in self._spilled_buckets():
+            for table in self._tables:
+                table.spill_log.charge_read(table.buckets[index])
             self._charge_disk_time()
-            right_at: dict[tuple, list[int]] = {}
-            for position, key in enumerate(zip(*(right_columns[i] for i in right_key_at))):
-                right_at.setdefault(key, []).append(position)
-            lefts: list[int] = []
-            rights: list[int] = []
-            for position, key in enumerate(zip(*(left_columns[i] for i in left_key_at))):
-                for match in right_at.get(key, ()):
-                    # Both resident when they met means already emitted.
-                    if left_marked[position] or right_marked[match]:
-                        lefts.append(position)
-                        rights.append(match)
-            if lefts:
-                columns = [gather(column, lefts) for column in left_columns]
-                columns += [gather(column, rights) for column in right_columns]
-                arrivals = list(
-                    map(max, gather(left_arrivals, lefts), gather(right_arrivals, rights))
-                )
-                yield Batch.from_columns(self.output_schema, columns, arrivals)
+            if sides is None:
+                sides = [table.overflow_store() for table in self._tables]
+            batch = self._join_spilled(*sides, index, False)
+            if batch is not None:
+                yield batch
 
     def _cleanup_pairs(self) -> Iterator[Row]:
         """Row-at-a-time overflow resolution (tuple and row-batch drives).
@@ -777,13 +692,8 @@ class DoublePipelinedJoin(JoinOperator):
         re-boxing cost that makes this the *row-spill baseline* the spill
         benchmark measures the columnar resolution against.
         """
-        for index in range(self.bucket_count):
-            if not self._has_spill(index):
-                continue
-            entries: list[list[tuple[Row, bool]]] = []
-            for table in self._tables:
-                overflow = table.buckets[index].overflow
-                entries.append(list(overflow.read()) if overflow is not None else [])
+        for index in self._spilled_buckets():
+            entries = [list(table.overflow_rows(index)) for table in self._tables]
             self._charge_disk_time()
             # Resident remnants participate as unmarked entries (no read cost).
             for table, side_entries in zip(self._tables, entries):

@@ -3,34 +3,36 @@
 The inner (right) relation is built into a hash table; the outer (left)
 relation then probes it.  When the build exceeds the operator's memory
 allotment, buckets are lazily flushed to disk (hybrid hashing); probe tuples
-that hash to a flushed bucket are spilled to matching outer overflow files,
-and the overflow pairs are joined in a final pass.
+that hash to a flushed bucket are spilled to the outer input's own table —
+one that never holds a resident row, only its spill log and per-bucket
+ledgers — and the overflow pairs are joined in a final pass.
 
 The hash table keeps its rows in a column arena in every drive mode; what changes
 with the drive is how data reaches and leaves it.  Under the columnar drive
 builds append column slices from batch columns, probes return gathered match
-columns, outer tuples of flushed buckets spill as column gathers, and the
-final overflow pass joins spill chunks positionally — no :class:`Row`
-objects anywhere on those paths.  Under the row-batch and tuple drives the
-same machinery is fed row by row (boxing at the boundary), which is the
-row-spill baseline the spill benchmark measures against.
+columns, the outer tuples of flushed buckets spill as one column gather per
+probe batch, and the final overflow pass joins the two spill logs positionally
+through the kernel it shares with the double pipelined join's cleanup — no
+:class:`Row` objects anywhere on those paths.  Under the row-batch and tuple
+drives the same machinery is fed row by row (boxing at the boundary), which
+is the row-spill baseline the spill benchmark measures against.
 
 Because the build phase must consume the *entire* inner input before the
 first output tuple, this operator exhibits exactly the delayed
 time-to-first-tuple the paper contrasts with the double pipelined join.
 """
 
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
+
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.engine.operators.joins.base import JoinOperator
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
-from repro.storage.columns import as_values
-from repro.storage.disk import OverflowFile
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.tuples import Row
@@ -58,7 +60,7 @@ class HybridHashJoin(JoinOperator):
         self.budget.on_revoke = self._on_lease_revoked
         self.bucket_count = bucket_count
         self._inner_table: BucketedHashTable | None = None
-        self._outer_overflow: dict[int, OverflowFile] = {}
+        self._outer_table: BucketedHashTable | None = None
         self._built = False
         self._probe_matches: list[Row] = []
         self._pending_out: BatchCursor | None = None
@@ -68,14 +70,20 @@ class HybridHashJoin(JoinOperator):
     # -- build phase --------------------------------------------------------------------
 
     def _do_open(self) -> None:
-        self._inner_table = BucketedHashTable(
-            self.right_keys,
-            self.budget,
-            self.context.disk,
-            bucket_count=self.bucket_count,
-            name=f"{self.operator_id}-inner",
-            schema=self.right.output_schema,
-            encoded=self.context.encoded_columns,
+        self._inner_table, self._outer_table = (
+            BucketedHashTable(
+                keys,
+                self.budget,
+                self.context.disk,
+                bucket_count=self.bucket_count,
+                name=f"{self.operator_id}-{label}",
+                schema=child.output_schema,
+                encoded=self.context.encoded_columns,
+            )
+            for keys, label, child in (
+                (self.right_keys, "inner", self.right),
+                (self.left_keys, "outer", self.left),
+            )
         )
 
     def _build_inner(self) -> None:
@@ -178,26 +186,19 @@ class HybridHashJoin(JoinOperator):
 
     # -- probe phase --------------------------------------------------------------------------
 
-    def _outer_overflow_file(self, bucket_index: int) -> OverflowFile:
-        if bucket_index not in self._outer_overflow:
-            self._outer_overflow[bucket_index] = self.context.disk.create_file(
-                f"{self.operator_id}-outer-b{bucket_index}",
-                schema=self.left.output_schema,
-            )
-        return self._outer_overflow[bucket_index]
-
     def _probe_one(self, outer_row: Row) -> list[Row]:
         assert self._inner_table is not None
         key = self.left_key(outer_row)
         if self._inner_table.is_bucket_flushed_for(key):
-            bucket_index = bucket_of(key, self._inner_table.bucket_count)
-            self._outer_overflow_file(bucket_index).write(outer_row)
+            outer = self._outer_table
+            bucket = outer.buckets[bucket_of(key, outer.bucket_count)]
+            outer.spill_log.write(outer_row, False, bucket)
             self._charge_disk_time()
             return []
         schema = self.output_schema
         values = outer_row.values
         arrival = outer_row.arrival
-        make = Row.make
+        make = Row.make  # repro: allow[hot-path-row] the tuple path's output is boxed by design
         matched = self._inner_table.match_positions(key)
         if matched is None:
             return []
@@ -222,78 +223,36 @@ class HybridHashJoin(JoinOperator):
         :meth:`_overflow_pair_batches` instead and never boxes spilled rows.
         """
         assert self._inner_table is not None
+        outer = self._outer_table
         for bucket_index in self._inner_table.flushed_buckets:
-            outer_file = self._outer_overflow.get(bucket_index)
-            if outer_file is None:
+            if not outer.buckets[bucket_index].spilled_count:
                 continue
             # Reload the inner bucket (charging read I/O) into a transient map.
             inner_by_key: dict[tuple, list[Row]] = {}
             for inner_row, _ in self._inner_table.overflow_rows(bucket_index):
                 inner_by_key.setdefault(self.right_key(inner_row), []).append(inner_row)
             self._charge_disk_time()
-            for outer_row, _ in outer_file.read():
+            for outer_row, _ in outer.overflow_rows(bucket_index):
                 for inner_row in inner_by_key.get(self.left_key(outer_row), ()):
                     yield self.join_rows(outer_row, inner_row)
             self._charge_disk_time()
 
     def _overflow_pair_batches(self) -> Iterator[Batch]:
-        """Columnar overflow pass: joins spill chunks positionally, no boxing."""
-        assert self._inner_table is not None
-        table = self._inner_table
-        inner_schema = table.schema
-        inner_key_at = self._right_binder.indices_in(inner_schema)
-        outer_schema = self.left.output_schema
-        outer_key_at = self._left_binder.indices_in(outer_schema)
-        schema = self.output_schema
-        outer_width = len(outer_schema)
-        inner_width = len(inner_schema)
-        for bucket_index in table.flushed_buckets:
-            outer_file = self._outer_overflow.get(bucket_index)
-            if outer_file is None:
+        """Columnar overflow pass: joins the two spill logs positionally, one
+        batch per bucket, each side's read-back charged as it is reached."""
+        tables = (self._outer_table, self._inner_table)
+        sides = None
+        for bucket_index in self._inner_table.flushed_buckets:
+            if not self._outer_table.buckets[bucket_index].spilled_count:
                 continue
-            # Reload the inner bucket into a positional map: key -> list of
-            # (chunk columns, chunk arrivals, position).
-            inner_by_key: dict[tuple, list] = {}
-            for chunk in table.overflow_chunks(bucket_index):
-                # Decode dict codes / RLE arrivals once per chunk; the
-                # positional map then indexes plain sequences.
-                columns = [as_values(c) for c in chunk.columns]
-                arrivals = as_values(chunk.arrivals)
-                key_columns = [columns[i] for i in inner_key_at]
-                for position in range(len(chunk)):
-                    key = tuple(column[position] for column in key_columns)
-                    inner_by_key.setdefault(key, []).append(
-                        (columns, arrivals, position)
-                    )
-            self._charge_disk_time()
-            out_columns: list[list[Any]] = [[] for _ in range(outer_width + inner_width)]
-            out_arrivals: list[float] = []
-            for chunk in outer_file.read_chunks():
-                columns = [as_values(c) for c in chunk.columns]
-                arrivals = as_values(chunk.arrivals)
-                key_columns = [columns[i] for i in outer_key_at]
-                for position in range(len(chunk)):
-                    key = tuple(column[position] for column in key_columns)
-                    matches = inner_by_key.get(key)
-                    if not matches:
-                        continue
-                    outer_arrival = arrivals[position]
-                    for inner_columns, inner_arrivals, inner_position in matches:
-                        for j in range(outer_width):
-                            out_columns[j].append(columns[j][position])
-                        for j in range(inner_width):
-                            out_columns[outer_width + j].append(
-                                inner_columns[j][inner_position]
-                            )
-                        inner_arrival = inner_arrivals[inner_position]
-                        out_arrivals.append(
-                            outer_arrival
-                            if outer_arrival >= inner_arrival
-                            else inner_arrival
-                        )
-            self._charge_disk_time()
-            if out_arrivals:
-                yield Batch.from_columns(schema, out_columns, out_arrivals)
+            for table in reversed(tables):
+                table.spill_log.charge_read(table.buckets[bucket_index])
+                self._charge_disk_time()
+            if sides is None:
+                sides = [table.overflow_store() for table in tables]
+            batch = self._join_spilled(*sides, bucket_index, True)
+            if batch is not None:
+                yield batch
 
     # -- iterator ----------------------------------------------------------------------------------
 
@@ -330,7 +289,7 @@ class HybridHashJoin(JoinOperator):
 
         On the columnar path the probe keys are extracted as column slices
         (one ``zip`` over the key columns), outer tuples of flushed buckets
-        are spilled as per-file column gathers, and the output batch is
+        are spilled as one column gather, and the output batch is
         assembled from gathered match columns — no per-row key tuples via
         attribute lookup, no :class:`Row` construction, and no per-tuple
         spill writes.  Row-backed outer batches take the per-row path.
@@ -339,6 +298,7 @@ class HybridHashJoin(JoinOperator):
         table = self._inner_table
         if not outer.is_columnar:
             matches: list[Row] = []
+            # repro: allow[hot-path-row] row-backed outer batch: the declared tuple-path branch
             for outer_row in outer.rows():
                 matches.extend(self._probe_one(outer_row))
             if not matches:
@@ -347,28 +307,9 @@ class HybridHashJoin(JoinOperator):
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
         positions: list[int] | None = None
         if table.flushed_count:
-            # Split probed positions into live probes and per-bucket spills.
-            buckets = table.buckets
-            count = table.bucket_count
-            positions = []
-            spills: dict[int, list[int]] = {}
-            for position, key in enumerate(keys):
-                index = hash(key) % count
-                if buckets[index].flushed:
-                    found = spills.get(index)
-                    if found is None:
-                        spills[index] = [position]
-                    else:
-                        found.append(position)
-                else:
-                    positions.append(position)
+            positions, spills = table.split_flushed(keys, range(len(keys)))
             if spills:
-                columns = outer.columns
-                arrivals = outer.arrivals
-                for index, spill_positions in spills.items():
-                    self._outer_overflow_file(index).write_gather(
-                        columns, arrivals, spill_positions
-                    )
+                self._outer_table.spill_segment(outer.columns, outer.arrivals, spills, False)
                 self._charge_disk_time()
         result = table.gather_matches(keys, positions)
         if result is None:

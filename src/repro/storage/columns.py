@@ -619,6 +619,22 @@ def extend_column(columns: list, position: int, values, base_length: int) -> Non
         columns[position] = column
 
 
+def extend_moving(columns: list, position: int, values, base_length: int) -> None:
+    """:func:`extend_column` for an accumulator that only ever *moves* codes.
+
+    A dict-encoded accumulator fed anything but codes of its own dictionary
+    degrades to a plain list first: encoding would grow a dictionary the
+    accumulator merely shares — a hash table's own, whose growth is charged
+    to its budget.
+    """
+    column = columns[position]
+    if type(column) is DictColumn and not (
+        type(values) is DictColumn and values.dictionary is column.dictionary
+    ):
+        columns[position] = list(column)
+    extend_column(columns, position, values, base_length)
+
+
 def append_value(columns: list, position: int, value) -> None:
     """Append one value to ``columns[position]``, degrading to a list on misfit."""
     try:

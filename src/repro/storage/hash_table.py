@@ -5,15 +5,19 @@ into a :class:`BucketedHashTable`.  Its resident rows live in *one*
 append-only column arena (a :class:`~repro.storage.columns.ColumnarPartition`
 — one typed or dict-coded column per attribute plus the arrival list); a
 bucket is what the paper's overflow resolution needs per bucket: its ``key ->
-arena positions`` index, a resident row count, and the
-:class:`~repro.storage.disk.OverflowFile` it is flushed to when its owner
-decides.  An insert therefore costs what it changes — one key-index entry
-per row, then one ``extend`` per column — and a probe is a key pass
-producing positions followed by one C-level gather per column, so neither
-direction materializes :class:`~repro.storage.tuples.Row` objects or runs
-Python bytecode per cell.  A flush gathers the bucket's rows (ascending
-positions *are* its insertion order) into one spill chunk and reclaims their
-arena slots.  The table charges every resident row's columnar
+arena positions`` index, a resident row count, ``flushed``, and the
+:class:`~repro.storage.disk.SpillLedger` of what it has on disk.  An insert
+costs what it changes — one key-index entry per row, then one ``extend`` per
+column — and a probe is a key pass producing positions followed by one
+C-level gather per column, so neither direction materializes
+:class:`~repro.storage.tuples.Row` objects or runs Python bytecode per cell.
+Spilled rows live the same way, in *one* append-only spill log per table (an
+:class:`~repro.storage.disk.OverflowFile` that tags each row with its
+bucket): a flush gathers its buckets' rows (ascending positions *are*
+insertion order) into one tagged chunk and reclaims their arena slots, and
+the rows a run segment sends to flushed buckets are one gather per column
+however many buckets they scatter over — every byte and page being what one
+file per bucket would charge.  The table charges every resident row's columnar
 byte estimate — :meth:`Schema.encoded_row_size` by default (string columns
 dictionary-encode; dictionary entries charge once per table as they are
 first inserted), :meth:`Schema.columnar_row_size` with ``encoded=False`` —
@@ -27,7 +31,9 @@ with the drive.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, repeat
+from operator import or_
 from typing import Any, Iterator, Sequence
 from zlib import crc32
 
@@ -38,10 +44,12 @@ from repro.storage.columns import (
     ColumnarPartition,
     DictColumn,
     as_values,
+    empty_like,
+    extend_moving,
     make_dictionaries,
     picker,
 )
-from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk
+from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk, SpillLedger
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder, Row
@@ -113,20 +121,20 @@ def stable_bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
     return crc32(_stable_key_bytes(key)) % bucket_count
 
 
-class Bucket:
-    """One hash bucket: the key index of its resident rows plus optional overflow.
+class Bucket(SpillLedger):
+    """One hash bucket: the key index of its resident rows plus the ledger of
+    its spilled ones.
 
     ``positions`` maps each join key to the arena positions holding it, in
     insertion order; ``resident_count`` is the number of positions indexed.
     """
 
-    __slots__ = ("index", "positions", "resident_count", "overflow", "flushed")
+    __slots__ = ("index", "positions", "resident_count", "flushed")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.positions: dict[tuple[Any, ...], list[int]] = {}
         self.resident_count = 0
-        self.overflow: OverflowFile | None = None
         self.flushed = False
 
     def add(self, key: tuple[Any, ...], position: int) -> None:
@@ -149,11 +157,11 @@ class BucketedHashTable:
     budget:
         Memory budget charged for resident rows (columnar byte estimates).
     disk:
-        Destination for flushed buckets.
+        Where the table's spill log is created.
     bucket_count:
         Number of hash buckets.
     name:
-        Used in overflow file names and error messages.
+        Used in the spill log's name and error messages.
     schema:
         Schema of the stored rows; fixes the arena's typed column layout
         and the per-row byte charge.  When omitted it is adopted from the
@@ -211,6 +219,8 @@ class BucketedHashTable:
         #: await compaction.
         self.arena: ColumnarPartition | None = None
         self._dead = 0
+        #: Every spilled row of every bucket, in write order.
+        self.spill_log: OverflowFile = disk.create_file(f"{name}-spill", schema=schema)
 
     def _fix_dictionaries(self, source_columns: Sequence | None) -> None:
         """Fix the table's per-slot dictionaries on first insert.
@@ -264,7 +274,7 @@ class BucketedHashTable:
 
     def _adopt_schema(self, schema: Schema) -> None:
         if self.schema is None:
-            self.schema = schema
+            self.schema = self.spill_log.schema = schema
             self.row_bytes = schema.row_size_for(self.encoded)
 
     def _arena(self) -> ColumnarPartition:
@@ -295,7 +305,7 @@ class BucketedHashTable:
         """Insert ``row``.
 
         Returns ``True`` when the row is resident in memory, ``False`` when it
-        went straight to the bucket's overflow file (because the bucket was
+        went straight to the spill log (because the bucket was
         already flushed) or when the memory budget refused the reservation.
         A ``False`` return with an un-flushed bucket signals the caller that
         its overflow strategy must run before retrying.  Callers that already
@@ -307,7 +317,7 @@ class BucketedHashTable:
         bucket = self.buckets[hash(key) % self.bucket_count]
         self.total_inserted += 1
         if bucket.flushed:
-            self._ensure_overflow(bucket).write(row, marked)
+            self.spill_log.write(row, marked, bucket)
             return False
         if not self.budget.try_reserve(self.row_bytes):
             self.total_inserted -= 1
@@ -354,11 +364,11 @@ class BucketedHashTable:
         """Bulk-insert ``batch`` rows ``[start, stop)``; returns the stop position.
 
         A return equal to ``stop`` (``len(batch)`` by default) means every
-        row was handled.  Rows whose bucket is already flushed are written
-        straight to that bucket's overflow file (they count as handled,
-        exactly as in :meth:`insert`).  On the first memory refusal for a
-        resident insert, the refused row's position is returned so the caller
-        can run its overflow strategy and retry from there.
+        row was handled.  Rows whose bucket is already flushed go straight to
+        the spill log (they count as handled, exactly as in :meth:`insert`).
+        On the first memory refusal for a resident insert, the refused row's
+        position is returned so the caller can run its overflow strategy and
+        retry from there.
 
         ``positions`` (ascending, inside ``[start, stop)``) names the rows to
         insert when the caller has already routed the others elsewhere — the
@@ -372,7 +382,9 @@ class BucketedHashTable:
         lands on exactly the row where the tuple-at-a-time path refuses; the
         whole-remainder form keeps the hybrid build's batch-granular check
         (growth inside the batch is charged after the fact, identically in
-        both batch drives).
+        both batch drives) until a bucket is flushed — from then on rows of
+        flushed buckets are split off and spilled in one segment write, and
+        the live ones are decided exactly as well.
         """
         self._adopt_schema(batch.schema)
         if keys is None:
@@ -386,35 +398,65 @@ class BucketedHashTable:
         arrivals = batch.arrivals
         if self.encoded and self._dictionaries is None:
             self._fix_dictionaries(columns)
-        if (positions is not None or not self.flushed_count) and self._reserve_rows(
-            columns, rows, exact
-        ):
+        spills = None
+        if positions is None and self.flushed_count:
+            rows, spills = self.split_flushed(keys, rows)
+            exact = True
+        if rows and self._reserve_rows(columns, rows, exact):
             self._scatter_rows(columns, arrivals, keys, rows)
             self.total_inserted += len(rows)
-            return n
-        count = self.bucket_count
-        buckets = self.buckets
-        row_bytes = self.row_bytes
-        budget = self.budget
-        adopted = self._adopted_slots
-        store = self._arena()
-        for i in rows:
-            key = keys[i]
-            bucket = buckets[hash(key) % count]
-            if bucket.flushed:
+        else:
+            count = self.bucket_count
+            buckets = self.buckets
+            row_bytes = self.row_bytes
+            budget = self.budget
+            adopted = self._adopted_slots
+            store = self._arena()
+            for i in rows:
+                if not budget.try_reserve(row_bytes):
+                    n = i
+                    break
                 self.total_inserted += 1
-                self._ensure_overflow(bucket).write_position(
-                    columns, i, arrivals[i], marked
-                )
-                continue
-            if not budget.try_reserve(row_bytes):
-                return i
-            self.total_inserted += 1
-            store.append_position(columns, i, arrivals[i])
-            bucket.add(key, len(store.arrivals) - 1)
-            if adopted:
-                self._charge_adopted(columns, i)
+                store.append_position(columns, i, arrivals[i])
+                key = keys[i]
+                buckets[hash(key) % count].add(key, len(store.arrivals) - 1)
+                if adopted:
+                    self._charge_adopted(columns, i)
+        if spills:
+            self.total_inserted += self.spill_segment(columns, arrivals, spills, marked, n)
         return n
+
+    def split_flushed(
+        self,
+        keys: Sequence[tuple[Any, ...]],
+        rows: Sequence[int],
+        twin: "BucketedHashTable | None" = None,
+        first_only: bool = False,
+    ) -> tuple[list[int], dict[int, list[int]]]:
+        """``rows`` split into those of resident buckets and, per flushed
+        bucket, the rows that must spill.  A bucket flushed in ``twin`` (the
+        double pipelined join's other table, same bucket count) counts as
+        flushed too; ``first_only`` ends the split after the first spilling row.
+        """
+        count = self.bucket_count
+        flushed = [bucket.flushed for bucket in self.buckets]
+        if twin is not None:
+            flushed = list(map(or_, flushed, [bucket.flushed for bucket in twin.buckets]))
+        live: list[int] = []
+        spills: dict[int, list[int]] = {}
+        for i in rows:
+            index = hash(keys[i]) % count
+            if flushed[index]:
+                found = spills.get(index)
+                if found is None:
+                    spills[index] = [i]
+                else:
+                    found.append(i)
+                if first_only:
+                    break
+            else:
+                live.append(i)
+        return live, spills
 
     def _reserve_rows(self, columns: Sequence, rows: Sequence[int], exact: bool) -> bool:
         """Reserve ``rows`` in one step if the budget takes them all.
@@ -573,13 +615,6 @@ class BucketedHashTable:
 
     # -- flushing ----------------------------------------------------------------
 
-    def _ensure_overflow(self, bucket: Bucket) -> OverflowFile:
-        if bucket.overflow is None:
-            bucket.overflow = self.disk.create_file(
-                f"{self.name}-b{bucket.index}", schema=self.schema
-            )
-        return bucket.overflow
-
     def spill_position(
         self,
         bucket_index: int,
@@ -588,26 +623,32 @@ class BucketedHashTable:
         arrival: float,
         marked: bool,
     ) -> None:
-        """Write one arriving row straight to a bucket's overflow file."""
-        bucket = self.buckets[bucket_index]
-        self._ensure_overflow(bucket).write_position(
-            source_columns, position, arrival, marked
+        """Write one arriving row straight to the spill log."""
+        self.spill_log.write_position(
+            source_columns, position, arrival, marked, self.buckets[bucket_index]
         )
 
-    def spill_gather(
+    def spill_segment(
         self,
-        bucket_index: int,
         source_columns: Sequence[Sequence[Any]],
         source_arrivals: Sequence[float],
-        indices: Sequence[int],
+        spills: dict[int, list[int]],
         marked: bool,
-    ) -> None:
-        """Write the arriving rows at ``indices`` to a bucket's overflow file
-        as one chunk (the bulk form of :meth:`spill_position`)."""
-        if indices:
-            self._ensure_overflow(self.buckets[bucket_index]).write_gather(
-                source_columns, source_arrivals, indices, marked
-            )
+        stop: int | None = None,
+    ) -> int:
+        """Write the arriving rows ``spills`` names per bucket (ascending
+        positions, those from ``stop`` on left out) to the spill log in one
+        write — one gather per column; returns how many were written."""
+        indices: list[int] = []
+        groups = []
+        for index, found in spills.items():
+            if stop is not None and found[-1] >= stop:
+                found = found[: bisect_left(found, stop)]
+            if found:
+                indices += found
+                groups.append((self.buckets[index], len(found)))
+        self.spill_log.write_gather(source_columns, source_arrivals, indices, marked, groups)
+        return len(indices)
 
     def _bucket_positions(self, bucket: Bucket) -> Sequence[int]:
         """``bucket``'s arena positions, ascending — which is its insertion
@@ -628,27 +669,36 @@ class BucketedHashTable:
         """Write bucket ``index`` to disk, releasing its memory.
 
         Returns the number of rows flushed.  Subsequent inserts into this
-        bucket go directly to its overflow file.  The bucket's counters and
-        the budget move in one atomic step — the key index is detached, the
-        arena slots reclaimed and the resident bytes released *before* the
-        spill write, so no observer can see a half-drained bucket or
+        bucket go directly to the spill log.
+        """
+        return self._flush((self.buckets[index],), mark_rows)
+
+    def _flush(self, victims: Sequence[Bucket], mark_rows: bool) -> int:
+        """Flush ``victims`` in one step: one arena gather ordered by bucket,
+        one tagged write.  Counters and budget move atomically — key indexes
+        detached, arena slots reclaimed and resident bytes released *before*
+        the spill write, so no observer can see a half-drained bucket or
         double-release its bytes.
         """
-        bucket = self.buckets[index]
-        overflow = self._ensure_overflow(bucket)
-        flushed = bucket.resident_count
-        if flushed:
-            rows = self._bucket_positions(bucket)
-            columns, arrivals = self.arena.gather_rows(rows)
-            bucket.positions = {}
-            bucket.resident_count = 0
-            self._reclaim(rows)
-            self.budget.release(flushed * self.row_bytes)
-            overflow.write_columns(columns, arrivals, mark_rows)
-        if not bucket.flushed:
-            bucket.flushed = True
-            self.flushed_count += 1
-        return flushed
+        parts = []
+        groups = []
+        for bucket in victims:
+            if bucket.resident_count:
+                parts.append(self._bucket_positions(bucket))
+                groups.append((bucket, bucket.resident_count))
+                bucket.positions = {}
+                bucket.resident_count = 0
+            if not bucket.flushed:
+                bucket.flushed = True
+                self.flushed_count += 1
+        if not parts:
+            return 0
+        rows = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+        columns, arrivals = self.arena.gather_rows(rows)
+        self._reclaim(rows)
+        self.budget.release(len(rows) * self.row_bytes)
+        self.spill_log.write_columns(columns, arrivals, mark_rows, groups)
+        return len(rows)
 
     def _reclaim(self, rows: Sequence[int]) -> None:
         """Give back the arena slots ``rows`` of a bucket just detached.
@@ -697,12 +747,8 @@ class BucketedHashTable:
         return victim.index
 
     def flush_all(self, mark_rows: bool = False) -> int:
-        """Flush every resident bucket; returns total rows flushed."""
-        total = 0
-        for bucket in self.buckets:
-            if bucket.resident_count > 0 or not bucket.flushed:
-                total += self.flush_bucket(bucket.index, mark_rows)
-        return total
+        """Flush every bucket (one gather, one write); returns rows flushed."""
+        return self._flush(self.buckets, mark_rows)
 
     # -- inspection ---------------------------------------------------------------
 
@@ -739,19 +785,43 @@ class BucketedHashTable:
                 # repro: allow[hot-path-row] boxed inspection view, tests/debugging only
                 yield from batch.rows()
 
+    def overflow_store(self) -> tuple[list, list[float], list[bool], dict[int, list[int]], Any]:
+        """Every row overflow resolution joins, as one positional store.
+
+        ``(columns, arrivals, marked, rows, keys)``: the merged spill log
+        followed by a copy of the arena (resident rows are unmarked), storage
+        classes kept; ``rows[i]`` is bucket ``i``'s positions — spilled rows
+        in write order, then resident ones in insertion order; ``keys`` each
+        row's join key (the key column itself when there is one: no tuples).
+        Free of charge: readers charge buckets via ``spill_log.charge_read``.
+        """
+        log = self.spill_log.read_log()
+        rows = dict(log.groups) if log is not None else {}
+        parts = [part for part in (log, self.arena) if part is not None and len(part)]
+        if not parts:
+            return [], [], [], rows, ()
+        columns = [empty_like(column) for column in parts[0].columns]
+        arrivals: list[float] = []
+        for part in parts:
+            for j, column in enumerate(part.columns):
+                extend_moving(columns, j, column, len(arrivals))
+            arrivals.extend(part.arrivals)
+        spilled = len(log) if log is not None else 0
+        marked = (log.marked if spilled else []) + [False] * (len(arrivals) - spilled)
+        for bucket in self.buckets:
+            if bucket.resident_count:
+                at = map(spilled.__add__, self._bucket_positions(bucket))
+                rows[bucket.index] = [*rows.get(bucket.index, ()), *at]
+        keys = [as_values(columns[j]) for j in self._binder.indices_in(self.schema)]
+        return columns, arrivals, marked, rows, keys[0] if len(keys) == 1 else list(zip(*keys))
+
     def overflow_chunks(self, index: int) -> Iterator[SpillChunk]:
-        """Read back bucket ``index``'s overflow file as columnar chunks."""
-        bucket = self.buckets[index]
-        if bucket.overflow is None:
-            return iter(())
-        return bucket.overflow.read_chunks()
+        """Read back bucket ``index``'s spilled rows as one columnar chunk."""
+        return self.spill_log.read_chunks(self.buckets[index])
 
     def overflow_rows(self, index: int) -> Iterator[tuple[Row, bool]]:
-        """Read back bucket ``index``'s overflow file (charging read I/O)."""
-        bucket = self.buckets[index]
-        if bucket.overflow is None:
-            return iter(())
-        return bucket.overflow.read()
+        """Read back bucket ``index``'s spilled rows (charging read I/O)."""
+        return self.spill_log.read(self.buckets[index])
 
     def check_accounting(self) -> None:
         """Raise unless the budget's usage covers this table's resident bytes.

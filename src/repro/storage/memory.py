@@ -301,6 +301,9 @@ class MemoryPool:
         """Return an operator's allotment to the pool (and its lease to the broker)."""
         budget = self._budgets.pop(operator_name, None)
         if budget is not None:
+            # A bound method of the budget's owner: dropped, owner <-> budget
+            # is no cycle keeping the owner's spill state alive.
+            budget.on_revoke = None
             if budget.limit_bytes is not None:
                 self._granted = max(0, self._granted - budget.limit_bytes)
             if self.broker is not None:

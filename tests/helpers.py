@@ -10,6 +10,7 @@ helpers in a uniquely named module makes the imports unambiguous.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.engine.context import EngineConfig, ExecutionContext
@@ -102,3 +103,22 @@ def spill_marks(context) -> tuple[int, int]:
     """``(marked, unmarked)`` spilled-row counts over every overflow file."""
     marks = [marked for file in context.disk.files.values() for _, marked in file.peek()]
     return sum(marks), len(marks) - sum(marks)
+
+
+@contextmanager
+def recording_calls(owner, name):
+    """Record ``(args, kwargs, result)`` of every ``owner.name`` call in a
+    scope (``args`` includes ``self``); yields the list being filled."""
+    original = getattr(owner, name)
+    calls: list[tuple] = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    setattr(owner, name, recorded)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, original)

@@ -172,7 +172,7 @@ def arena_rows(random) -> list[tuple]:
 
 
 class ArenaModel:
-    """``dict[key, list[row]]`` plus per-bucket spill chunk lists and the
+    """``dict[key, list[row]]`` plus per-bucket spill lists and the
     documented byte rules — what :class:`BucketedHashTable` must equal."""
 
     def __init__(self, row_bytes: int, charges_strings: bool, owns_dictionaries: bool, limit):
@@ -183,8 +183,7 @@ class ArenaModel:
         self.rows: dict[tuple, list[tuple]] = {}  # key -> [(sequence, values, arrival)]
         self.sequence = 0
         self.flushed: set[int] = set()
-        self.spill: list[list[list[tuple]]] = [[] for _ in range(ARENA_BUCKETS)]
-        self.tail_open = [False] * ARENA_BUCKETS
+        self.spill: list[list[tuple]] = [[] for _ in range(ARENA_BUCKETS)]
         self.charged = {slot: set() for slot in STRING_SLOTS}
         self.dictionary_bytes = 0
 
@@ -234,10 +233,7 @@ class ArenaModel:
         for i in picked:
             bucket = self.bucket(rows[i][:1])
             if bucket in self.flushed:
-                if not self.tail_open[bucket]:
-                    self.spill[bucket].append([])
-                    self.tail_open[bucket] = True
-                self.spill[bucket][-1].append((rows[i], arrivals[i], marked))
+                self.spill[bucket].append((rows[i], arrivals[i], marked))
             elif whole:
                 self._insert(rows[i], arrivals[i])
             elif not self.insert_position(rows[i], arrivals[i]):
@@ -263,8 +259,7 @@ class ArenaModel:
     def flush_bucket(self, bucket: int, marked: bool) -> int:
         rows = self.resident(bucket)
         if rows:
-            self.spill[bucket].append([(values, arrival, marked) for _, values, arrival in rows])
-            self.tail_open[bucket] = False
+            self.spill[bucket] += [(values, arrival, marked) for _, values, arrival in rows]
             for key in [key for key in self.rows if self.bucket(key) == bucket]:
                 del self.rows[key]
         self.flushed.add(bucket)
@@ -306,9 +301,11 @@ def arena_batch(rows, arrivals, dictionaries, run_length):
 
 
 def spilled(table, bucket):
+    """Bucket's spilled rows read back in order: ``[(values, arrival, marked), ...]``."""
     return [
-        list(zip(zip(*(list(c) for c in chunk.columns)), list(chunk.arrivals), chunk.marked))
+        row
         for chunk in table.overflow_chunks(bucket)
+        for row in zip(zip(*(list(c) for c in chunk.columns)), list(chunk.arrivals), chunk.marked)
     ]
 
 
@@ -420,6 +417,170 @@ class TestColumnArenaProperties:
                 ]
         for index in range(ARENA_BUCKETS):
             assert spilled(table, index) == model.spill[index]
+
+
+# The spill log against one overflow file per bucket: random interleavings of
+# every way a row reaches disk, from every source representation.
+
+SPILL_PAGE = 128  # a small page, so page counts move inside a small example
+
+spill_ops = st.tuples(
+    st.sampled_from(
+        ["batch"] * 4 + ["segment"] * 4 + ["position"] * 3 + ["row"] * 2 + ["flush"] * 4
+        + ["flush_all"]
+    ),
+    st.integers(0, 2**16), percent, st.booleans(),
+)
+
+
+class BucketFilesModel:
+    """One overflow file per bucket, every row charged on its own by the
+    documented rules — what the spill log's ledgers must add up to."""
+
+    def __init__(self, encoded: bool) -> None:
+        self.encoded = encoded
+        self.rows: list[list[tuple]] = [[] for _ in range(ARENA_BUCKETS)]
+        self.nbytes = [0] * ARENA_BUCKETS
+        self.seen: list[set] = [set() for _ in range(ARENA_BUCKETS)]
+        self.last: list = [None] * ARENA_BUCKETS
+
+    def write(self, bucket: int, values: tuple, arrival: float, marked: bool, coded=True) -> None:
+        """``coded`` false: the chunk carries its string columns as plain lists
+        (a flush out of an arena whose column a misfit degraded)."""
+        if not self.encoded:
+            nbytes = ARENA_SCHEMA.columnar_row_size + 1
+        else:
+            nbytes = 1 + (8 if arrival != self.last[bucket] else 0)
+            self.last[bucket] = arrival
+            for slot, (attribute, value) in enumerate(zip(ARENA_SCHEMA, values)):
+                if slot in STRING_SLOTS and type(value) is str and (coded is True or coded[slot]):
+                    nbytes += 8
+                    if value not in self.seen[bucket]:  # once per file, whatever the column
+                        self.seen[bucket].add(value)
+                        nbytes += len(value) + 8
+                else:
+                    nbytes += attribute.column_size
+        self.rows[bucket].append((values, arrival, marked))
+        self.nbytes[bucket] += nbytes
+
+
+def spill_rows(random) -> list[tuple]:
+    """Like :func:`arena_rows`, with the odd ``None`` in a string slot (a misfit)."""
+    return [
+        values if random.random() < 0.93 else (*values[:2], None, values[3])
+        for values in arena_rows(random)
+    ]
+
+
+class TestSpillLogProperties:
+    @given(ops=st.lists(spill_ops, min_size=5, max_size=40), encoded=st.booleans())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_byte_is_what_per_bucket_files_would_charge(self, ops, encoded):
+        from random import Random
+        from unittest import mock
+
+        from repro.storage import disk as disk_module
+        from repro.storage.columns import DictColumn, make_dictionaries
+
+        disk = SimulatedDisk(encoded=encoded)
+        table = BucketedHashTable(
+            ["t.k"], MemoryBudget(None), disk, bucket_count=ARENA_BUCKETS,
+            schema=ARENA_SCHEMA, encoded=encoded,
+        )
+        model = BucketFilesModel(encoded)
+        shared = make_dictionaries(ARENA_SCHEMA)
+        flushed: set[int] = set()
+        resident: list[list[tuple]] = [[] for _ in range(ARENA_BUCKETS)]
+        plain = {slot: False for slot in STRING_SLOTS}  # arena column degraded by a misfit
+
+        def keep(bucket, values, arrival):
+            resident[bucket].append((values, arrival))
+            for slot in STRING_SLOTS:
+                plain[slot] = plain[slot] or values[slot] is None
+
+        def flush(bucket, marked):
+            coded = {slot: not plain[slot] for slot in STRING_SLOTS}
+            for values, arrival in resident[bucket]:
+                model.write(bucket, values, arrival, marked, coded)
+            resident[bucket] = []
+            flushed.add(bucket)
+
+        with mock.patch.object(disk_module, "PAGE_SIZE_BYTES", SPILL_PAGE):
+            for kind, seed, low, flag in ops:
+                random = Random(seed)
+                if kind == "flush":
+                    bucket = low % ARENA_BUCKETS
+                    assert table.flush_bucket(bucket, flag) == len(resident[bucket])
+                    flush(bucket, flag)
+                elif kind == "flush_all":
+                    assert table.flush_all(flag) == sum(map(len, resident))
+                    for bucket in range(ARENA_BUCKETS):
+                        flush(bucket, flag)
+                else:
+                    rows = spill_rows(random)
+                    arrivals = [random.choice([0.0, 0.0, 1.0, 2.5]) for _ in rows]
+                    source = random.choice(["shared", "foreign", "absent"])
+                    dictionaries = {"shared": shared, "absent": None}.get(
+                        source, make_dictionaries(ARENA_SCHEMA)
+                    )
+                    batch = arena_batch(rows, arrivals, dictionaries, random.random() < 0.5)
+                    assert (source == "absent") <= all(
+                        type(c) is not DictColumn for c in batch.columns
+                    )
+                    buckets = [hash(values[:1]) % ARENA_BUCKETS for values in rows]
+                    at = low * (len(rows) - 1) // 100
+                if kind == "batch":
+                    assert table.insert_batch(batch, flag) == len(rows)
+                    for bucket, values, arrival in zip(buckets, rows, arrivals):
+                        if bucket in flushed:
+                            model.write(bucket, values, arrival, flag)
+                        else:
+                            keep(bucket, values, arrival)
+                elif kind == "segment":
+                    stop = None if flag else at
+                    spills: dict = {}
+                    for i, bucket in enumerate(buckets):
+                        spills.setdefault(bucket, []).append(i)
+                    written = table.spill_segment(batch.columns, arrivals, spills, flag, stop)
+                    taken = range(len(rows) if stop is None else stop)
+                    assert written == len(taken)
+                    for i in taken:
+                        model.write(buckets[i], rows[i], arrivals[i], flag)
+                elif kind == "position":
+                    table.spill_position(buckets[at], batch.columns, at, arrivals[at], flag)
+                    model.write(buckets[at], rows[at], arrivals[at], flag)
+                elif kind == "row":
+                    row = Row(ARENA_SCHEMA, rows[at], arrivals[at])
+                    assert table.insert(row, flag) == (buckets[at] not in flushed)
+                    if buckets[at] in flushed:
+                        model.write(buckets[at], rows[at], arrivals[at], flag)
+                    else:
+                        keep(buckets[at], rows[at], arrivals[at])
+                written = sum(model.nbytes)
+                assert disk.stats.bytes_written == written
+                assert disk.stats.pages_written == written // SPILL_PAGE
+                assert disk.stats.tuples_written == sum(map(len, model.rows))
+            read = 0
+            for index, bucket in enumerate(table.buckets):
+                assert (bucket.spilled_count, bucket.spilled_bytes) == (
+                    len(model.rows[index]), model.nbytes[index],
+                )
+                assert spilled(table, index) == model.rows[index]
+                read += model.nbytes[index]
+                assert disk.stats.bytes_read == read
+                assert disk.stats.pages_read == read // SPILL_PAGE
+            # The positional store of overflow resolution lists the same rows:
+            # a bucket's spilled ones in write order, then its resident ones.
+            columns, stamps, marked, rows, _ = table.overflow_store()
+            for index in range(ARENA_BUCKETS):
+                listed = [
+                    (tuple(column[i] for column in columns), stamps[i], marked[i])
+                    for i in rows.get(index, ())
+                ]
+                assert listed == model.rows[index] + [
+                    (values, arrival, False) for values, arrival in resident[index]
+                ]
+            assert disk.stats.bytes_read == read  # laying the store out is free
 
 
 class TestTimelineProperties:

@@ -1,0 +1,238 @@
+"""The spill log end to end: the shared spill-join against the row oracles,
+write proportionality, and spill-state lifetime."""
+
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from repro.engine.context import ExecutionContext
+from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
+from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
+from repro.engine.operators.scan import WrapperScan
+from repro.plan.physical import OverflowMethod
+from repro.storage.batch import Batch
+from repro.storage.disk import OverflowFile, SimulatedDisk
+from repro.storage.hash_table import BucketedHashTable, bucket_of
+from repro.storage.memory import MemoryBudget
+from repro.storage.schema import Schema
+from repro.storage.tuples import Row, counting_row_constructions
+
+from helpers import drive_join, multiset, recording_calls, reference_join, spill_marks
+
+METHODS = [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]
+BUCKETS = 2
+
+
+def open_join(join_cls, catalog, **kwargs):
+    context = ExecutionContext(catalog)
+    join = join_cls(
+        "join", context, WrapperScan("l", context, "ord"), WrapperScan("r", context, "item"),
+        ["ord.o_id"], ["item.i_order"], bucket_count=BUCKETS, **kwargs,
+    )
+    join.open()
+    return context, join
+
+
+def side_rows(table, keys, label, start):
+    """One row per key, stamped ``start, start + 1, ...`` and told apart by ``label``."""
+    width = len(table.schema)
+    return [
+        Row(table.schema, (key, f"{label}{i}", i)[:width], float(start + i))
+        for i, key in enumerate(keys)
+    ]
+
+
+def spill_late(table, rows, marked):
+    """Late arrivals: half through the segment writer, half row by row."""
+    batch = Batch.from_rows(table.schema, rows)
+    batch = Batch.from_columns(table.schema, batch.columns, batch.arrivals)
+    half = len(rows) // 2
+    spills: dict = {}
+    for i, row in enumerate(rows[:half]):
+        spills.setdefault(bucket_of(table.key_for(row), BUCKETS), []).append(i)
+    table.spill_segment(batch.columns, list(batch.arrivals), spills, marked)
+    for row in rows[half:]:
+        table.spill_log.write(row, marked, table.bucket_for_key(table.key_for(row)))
+
+
+def prepared_dpj(catalog, method):
+    """A double pipelined join stopped right before its cleanup phase, both
+    sides holding duplicate keys in every marked / unmarked state."""
+    context, join = open_join(DoublePipelinedJoin, catalog, overflow_method=method)
+    left, right = join._tables
+    keys = [1, 1, 2, 3, 3, 4]
+    for table, label in ((left, "L"), (right, "R")):
+        for row in side_rows(table, keys, label + "u", 0):
+            assert table.insert(row)
+    victim = bucket_of((1,), BUCKETS)
+    left.flush_bucket(victim)  # resident when flushed: unmarked, on disk
+    if method is OverflowMethod.SYMMETRIC_FLUSH:
+        right.flush_bucket(victim)
+    # Arrivals after the flush never probed (marked); one per side probed and
+    # then spilled with its own bucket (unmarked).
+    for table, label in ((left, "L"), (right, "R")):
+        spill_late(table, side_rows(table, keys * 2, label + "m", 10), True)
+        spill_late(table, side_rows(table, [1, 3], label + "p", 40), False)
+    return context, join, Counter(keys)
+
+
+def stamped(rows):
+    return [(row.values, row.arrival) for row in rows]
+
+
+class TestSpillJoinAgainstTheRowOracle:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dpj_cleanup_equals_the_row_pairs(self, joinable_catalog, method):
+        context, join, keys = prepared_dpj(joinable_catalog, method)
+        oracle_context, oracle, _ = prepared_dpj(joinable_catalog, method)
+        with counting_row_constructions() as counter:
+            batches = list(join._cleanup_batches_iter())
+            assert counter.count == 0
+        rows = [row for batch in batches for row in batch]
+        assert stamped(rows) == stamped(oracle._cleanup_pairs())
+        assert context.disk.stats == oracle_context.disk.stats
+        assert context.clock.now == oracle_context.clock.now
+        # Every pair of the spilled buckets but unmarked x unmarked: a side
+        # holds each key once resident-or-flushed, twice marked, and keys 1
+        # and 3 once more unmarked.
+        spilled = [
+            b for b in range(BUCKETS) if any(t.buckets[b].spilled_count for t in join._tables)
+        ]
+        expected = 0
+        for key, count in keys.items():
+            if bucket_of((key,), BUCKETS) in spilled:
+                unmarked = count + (key in (1, 3))
+                expected += (unmarked + 2 * count) ** 2 - unmarked ** 2
+        assert len(rows) == expected > 0
+        marks = {(lm, rm) for lm in (True, False) for rm in (True, False)}
+        assert marks - {(False, False)} == self.mark_pairs(rows)
+
+    @staticmethod
+    def mark_pairs(rows):
+        """Which (left marked, right marked) combinations the output holds —
+        the row labels carry the state (``m`` marked; ``u`` / ``p`` unmarked)."""
+        return {(row.values[1][1] == "m", row.values[3][1] == "m") for row in rows}
+
+    def test_hybrid_overflow_pass_equals_the_row_pairs(self, joinable_catalog):
+        def prepared():
+            context, join = open_join(HybridHashJoin, joinable_catalog)
+            inner, outer = join._inner_table, join._outer_table
+            keys = [1, 1, 2, 3, 3, 4]
+            for row in side_rows(inner, keys, "I", 0):
+                assert inner.insert(row)
+            for index in range(BUCKETS):
+                inner.flush_bucket(index)
+            for row in side_rows(inner, keys, "J", 10):  # the build goes on: straight to disk
+                assert not inner.insert(row)
+            spill_late(outer, side_rows(outer, keys * 2, "O", 20), False)
+            return context, join
+
+        context, join = prepared()
+        oracle_context, oracle = prepared()
+        with counting_row_constructions() as counter:
+            batches = list(join._overflow_pair_batches())
+            assert counter.count == 0
+        rows = [row for batch in batches for row in batch]
+        assert stamped(rows) == stamped(oracle._overflow_pairs())
+        # Every key is there twice over on both sides: 2c x 2c pairs for a key held c times.
+        assert len(rows) == sum(4 * c * c for c in (2, 1, 2, 1))
+        assert context.disk.stats == oracle_context.disk.stats
+        assert context.clock.now == oracle_context.clock.now
+
+
+class TestSpillWritesAreProportional:
+    """A bulk write per spilling segment and per bucket flush — not per
+    (segment, bucket), which is what one overflow file per bucket cost."""
+
+    def run(self, tpcd_catalog, tiny_tpcd, build):
+        with recording_calls(OverflowFile, "write_columns") as writes, recording_calls(
+            BucketedHashTable, "spill_segment"
+        ) as segments, recording_calls(BucketedHashTable, "flush_bucket") as flushes:
+            rows, context, _ = drive_join(build, tpcd_catalog, "columnar")
+        reference = reference_join(
+            tiny_tpcd["partsupp"], tiny_tpcd["part"], "ps_partkey", "p_partkey"
+        )
+        assert multiset(rows) == multiset(reference)
+        spilling = [result for _, _, result in segments if result]
+        flushed = [result for _, _, result in flushes if result]
+        groups = sum(
+            len([found for found in args[3].values() if found]) for args, _, _ in segments
+        )
+        assert len(writes) == len(spilling) + len(flushed)
+        assert context.disk.stats.chunks_written == len(writes)
+        assert len(spilling) * 2 < groups  # the segments really do scatter over buckets
+        return context
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dpj(self, tpcd_catalog, tiny_tpcd, method):
+        def build(context):
+            return DoublePipelinedJoin(
+                "dpj", context, WrapperScan("l", context, "partsupp"),
+                WrapperScan("r", context, "part"), ["partsupp.ps_partkey"], ["part.p_partkey"],
+                memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20, bucket_count=16,
+                overflow_method=method,
+            )
+
+        context = self.run(tpcd_catalog, tiny_tpcd, build)
+        marked, unmarked = spill_marks(context)
+        assert marked and unmarked
+
+    def test_hybrid(self, tpcd_catalog, tiny_tpcd):
+        def build(context):
+            return HybridHashJoin(
+                "hybrid", context, WrapperScan("l", context, "partsupp"),
+                WrapperScan("r", context, "part"), ["partsupp.ps_partkey"], ["part.p_partkey"],
+                memory_limit_bytes=len(tiny_tpcd["part"]) * 20, bucket_count=16,
+            )
+
+        self.run(tpcd_catalog, tiny_tpcd, build)
+
+
+class TestSpillStateLifetime:
+    def test_disk_and_files_are_freed_without_a_collection(self):
+        """Files record into the disk's stats and never hold the disk, so there
+        is no ``disk <-> file`` cycle for a collection to break."""
+        schema = Schema.of("k:int", "v:int")
+        gc.collect()
+        gc.disable()
+        try:
+            disk = SimulatedDisk()
+            table = BucketedHashTable(
+                ["k"], MemoryBudget(None), disk, bucket_count=2, schema=schema
+            )
+            for key in range(8):
+                table.insert(Row(schema, (key, key)))
+            table.flush_all()
+            plain = disk.create_file("plain")
+            plain.write(Row(Schema.of("s:str"), ("x",)))
+            assert disk.stats.tuples_written == 9
+            alive = [weakref.ref(disk), weakref.ref(table.spill_log), weakref.ref(plain)]
+            del disk, table, plain
+            assert [ref() for ref in alive] == [None, None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_spilling_join_frees_its_context_without_a_collection(self, tpcd_catalog, method):
+        gc.collect()
+        gc.disable()
+        try:
+            context = ExecutionContext(tpcd_catalog)
+            join = DoublePipelinedJoin(
+                "dpj", context, WrapperScan("l", context, "partsupp"),
+                WrapperScan("r", context, "part"), ["partsupp.ps_partkey"], ["part.p_partkey"],
+                memory_limit_bytes=4000, bucket_count=8, overflow_method=method,
+            )
+            join.open()
+            while join.next_batch(256):
+                pass
+            join.close()
+            assert context.disk.stats.tuples_written > 0
+            alive = [weakref.ref(context), weakref.ref(context.disk)]
+            alive += [weakref.ref(file) for file in context.disk.files.values()]
+            del context, join
+            assert not any(ref() for ref in alive)
+        finally:
+            gc.enable()
