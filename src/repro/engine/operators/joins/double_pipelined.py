@@ -374,10 +374,9 @@ class DoublePipelinedJoin(JoinOperator):
         if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
             self._spill_arriving(side, index, row)
             return
-        # Both tables share the bucket count, so ``index`` serves the probe.
-        matches = tables[other].buckets[index].positions.get(key)
+        store = tables[other].arena
+        matches = store.positions.get(key) if store is not None else None
         if matches:
-            store = tables[other].arena
             self._emitted_output = True
             schema = self.output_schema
             pending = self._pending
@@ -627,18 +626,18 @@ class DoublePipelinedJoin(JoinOperator):
     def _symmetric_flush(self) -> None:
         """Flush the bucket with the most combined resident bytes from both tables."""
         left_table, right_table = self._tables
-        best_index, best_bytes = None, -1
-        for index in range(self.bucket_count):
-            combined = (
-                left_table.buckets[index].resident_count * left_table.row_bytes
-                + right_table.buckets[index].resident_count * right_table.row_bytes
-            )
-            if combined > best_bytes and not self._bucket_spilled(index):
-                best_index, best_bytes = index, combined
-        if best_index is None or best_bytes <= 0:
+        sizes = zip(left_table.bucket_sizes(), right_table.bucket_sizes())
+        combined = [
+            0 if self._bucket_spilled(index)
+            else left * left_table.row_bytes + right * right_table.row_bytes
+            for index, (left, right) in enumerate(sizes)
+        ]
+        best_bytes = max(combined)
+        if best_bytes <= 0:
             raise MemoryOverflowError(
                 f"{self.operator_id}: no resident bucket left to flush symmetrically"
             )
+        best_index = combined.index(best_bytes)  # the first of the largest
         left_table.flush_bucket(best_index)
         right_table.flush_bucket(best_index)
 

@@ -92,10 +92,9 @@ class HybridHashJoin(JoinOperator):
             row = self.right.next()
             if row is None:
                 break
-            inserted = self._inner_table.insert(row)
-            if not inserted and not self._inner_table.is_bucket_flushed_for(
-                self._inner_table.key_for(row)
-            ):
+            key = self._inner_table.key_for(row)
+            inserted = self._inner_table.insert(row, key=key)
+            if not inserted and not self._inner_table.bucket_for_key(key).flushed:
                 # Memory pressure: lazily flush the largest bucket and retry;
                 # if the row's own bucket got flushed the retry spills it.
                 self._raise_out_of_memory()
@@ -108,11 +107,11 @@ class HybridHashJoin(JoinOperator):
         """Batch-at-a-time build: bulk columnar inserts with the tuple path's
         overflow recovery.
 
-        ``insert_batch`` moves whole per-bucket column gathers while memory
-        lasts and stops at exactly the row where the tuple-at-a-time build
-        would have overflowed; the refused suffix is retried after flushing
-        the largest bucket, so overflow events and bucket states match the
-        tuple drive one for one.
+        ``insert_batch`` moves whole batches (one key pass, one ``extend`` per
+        column) while memory lasts and stops at exactly the row where the
+        tuple-at-a-time build would have overflowed; the refused suffix is
+        retried after flushing the largest bucket, so overflow events and
+        bucket states match the tuple drive one for one.
         """
         assert self._inner_table is not None
         table = self._inner_table
@@ -189,10 +188,9 @@ class HybridHashJoin(JoinOperator):
     def _probe_one(self, outer_row: Row) -> list[Row]:
         assert self._inner_table is not None
         key = self.left_key(outer_row)
-        if self._inner_table.is_bucket_flushed_for(key):
+        if self._inner_table.bucket_for_key(key).flushed:
             outer = self._outer_table
-            bucket = outer.buckets[bucket_of(key, outer.bucket_count)]
-            outer.spill_log.write(outer_row, False, bucket)
+            outer.spill_log.write(outer_row, False, outer.bucket_for_key(key))
             self._charge_disk_time()
             return []
         schema = self.output_schema

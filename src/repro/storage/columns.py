@@ -33,11 +33,11 @@ the stream does not compress (network stamps are strictly increasing), so
 random access never pays more than one indirection.
 
 :class:`ColumnarPartition` is the shared append-only "columnar bag of rows"
-— the one column arena of a hash table (whose buckets index into it) and the
-nested-loops inner (which uses its own ``key -> row positions`` map): one
-typed or encoded column per attribute and a parallel arrival column, so join
-operators insert with one ``extend`` per column and assemble output with one
-C-level gather per column without ever materializing
+— the one column arena of a hash table and the nested-loops inner: one typed
+or encoded column per attribute, a parallel arrival column and one ``key ->
+row positions`` index, with the one insert loop and the one probe loop all
+three joins run, so they insert with one ``extend`` per column and assemble
+output with one C-level gather per column without ever materializing
 :class:`~repro.storage.tuples.Row` objects.
 """
 
@@ -648,12 +648,13 @@ def append_value(columns: list, position: int, value) -> None:
 class ColumnarPartition:
     """An append-only columnar row store with a ``key -> row positions`` index.
 
-    A hash table's column arena (one per table; the table's buckets hold the
-    key index, so :attr:`positions` stays empty there) and the nested-loops
-    join's inner buffer.  Rows live as per-attribute column entries plus an
-    arrival stamp, in insertion order; probes resolve keys to row positions
-    and :meth:`gather_rows` turns positions into output columns, so no row
-    object exists on either path.
+    A hash table's column arena (one per table) and the nested-loops join's
+    inner buffer.  Rows live as per-attribute column entries plus an arrival
+    stamp, in insertion order; :attr:`positions` maps each join key to the
+    positions holding it, ascending.  :meth:`extend_gather` indexes a batch
+    and :meth:`gather_matches` resolves probe keys in one key pass each — one
+    hash per dict operation is all a row costs — and :meth:`gather_rows` turns
+    positions into output columns, so no row object exists on either path.
 
     In encoded mode string columns dictionary-encode (over the supplied
     ``dictionaries`` when given, so spill chunks gathered from one hash table
@@ -722,26 +723,6 @@ class ColumnarPartition:
             append_value(columns, j, source[index])
         self.arrivals.append(arrival)
 
-    def extend_rows(
-        self,
-        source_columns: Sequence[Sequence[Any]],
-        source_arrivals: Sequence[float],
-        rows: Sequence[int],
-    ) -> None:
-        """Bulk-append the rows of ``source_columns`` at ``rows``.
-
-        One ``extend`` per column: a slice of the source (or of its codes)
-        for a contiguous range, one gather otherwise; a dict column fed from
-        anything but its own dictionary bulk-encodes, and a misfit value
-        degrades the column (see :func:`extend_column`).
-        """
-        pick = picker(rows)
-        base = len(self.arrivals)
-        columns = self.columns
-        for j, source in enumerate(source_columns):
-            extend_column(columns, j, gather(source, rows, pick), base)
-        self.arrivals.extend(pick(as_values(source_arrivals)))
-
     def extend_gather(
         self,
         source_columns: Sequence[Sequence[Any]],
@@ -749,10 +730,16 @@ class ColumnarPartition:
         keys: Sequence[tuple[Any, ...]],
         indices: Sequence[int],
     ) -> None:
-        """:meth:`extend_rows` plus this partition's own key index (one
-        entry per row; the column payloads move in bulk)."""
-        position = len(self.arrivals)
-        self.extend_rows(source_columns, source_arrivals, indices)
+        """Bulk-append the rows of ``source_columns`` at ``indices``.
+
+        One key pass enters each row under ``keys[i]`` — a lookup, and a
+        store when the key is new: the only per-row work of an insert.  The
+        payloads then move with one ``extend`` per column: a slice of the
+        source (or of its codes) for a contiguous range, one gather otherwise;
+        a dict column fed from anything but its own dictionary bulk-encodes,
+        and a misfit value degrades the column (see :func:`extend_column`).
+        """
+        base = position = len(self.arrivals)
         positions = self.positions
         for i in indices:
             key = keys[i]
@@ -762,6 +749,11 @@ class ColumnarPartition:
             else:
                 found.append(position)
             position += 1
+        pick = picker(indices)
+        columns = self.columns
+        for j, source in enumerate(source_columns):
+            extend_column(columns, j, gather(source, indices, pick), base)
+        self.arrivals.extend(pick(as_values(source_arrivals)))
 
     # -- lookup ----------------------------------------------------------------
 
@@ -775,25 +767,35 @@ class ColumnarPartition:
         return [gather(column, at, pick) for column in self.columns], list(pick(self.arrivals))
 
     def gather_matches(
-        self, keys: Sequence[tuple[Any, ...]]
+        self,
+        keys: Sequence[tuple[Any, ...]],
+        positions: Sequence[int] | None = None,
+        limit: int | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
-        """Bulk probe against this partition: gathered match columns.
+        """Bulk probe: gathered match columns for the joins' output assembly.
 
-        Returns ``(take, match_columns, match_arrivals, aligned)`` — the
-        contract shared with ``BucketedHashTable.gather_matches`` and
-        consumed by :func:`repro.storage.batch.gather_join_columns`:
+        Probes ``keys`` (restricted to the probed ``positions`` when given)
+        and returns ``(take, match_columns, match_arrivals, aligned)`` — the
+        contract consumed by :func:`repro.storage.batch.gather_join_columns`:
         ``take[i]`` is the probed position whose key produced match ``i``,
-        matches arrive as already-gathered column lists, and ``aligned`` is
-        true only when every key matched exactly once.  ``None`` when
-        nothing matched.  A key pass resolves positions; the values then
-        move through :meth:`gather_rows`.
+        and the matched rows arrive as already-gathered column lists.
+        ``aligned`` is true when every key matched exactly once (``take`` is
+        the identity permutation).  ``None`` when nothing matched.
+
+        With ``limit`` the probe stops after the key whose matches bring the
+        total to ``limit`` or more (that key's matches are all included), so
+        ``take[-1]`` names the last key a tuple-at-a-time probe filling a
+        ``limit``-row batch would have consumed.  One index lookup per key
+        resolves positions; the values then move through :meth:`gather_rows`.
         """
-        positions_by_key = self.positions
+        index = self.positions
+        probe = range(len(keys)) if positions is None else positions
         take: list[int] = []
         at: list[int] = []
         once = True
-        for position, key in enumerate(keys):
-            found = positions_by_key.get(key)
+        for position in probe:
+            key = keys[position]
+            found = index.get(key)
             if not found:
                 continue
             if len(found) == 1:
@@ -803,9 +805,11 @@ class ColumnarPartition:
                 once = False
                 take.extend(repeat(position, len(found)))
                 at.extend(found)
+            if limit is not None and len(take) >= limit:
+                break
         if not take:
             return None
-        return take, *self.gather_rows(at), once and len(take) == len(keys)
+        return take, *self.gather_rows(at), once and len(take) == len(keys) == len(probe)
 
     def value_tuple(self, index: int) -> tuple[Any, ...]:
         """The value vector of one row (boxes a tuple, not a Row)."""

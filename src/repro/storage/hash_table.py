@@ -3,28 +3,32 @@
 Both the hybrid hash join and the double pipelined join build their inputs
 into a :class:`BucketedHashTable`.  Its resident rows live in *one*
 append-only column arena (a :class:`~repro.storage.columns.ColumnarPartition`
-— one typed or dict-coded column per attribute plus the arrival list); a
-bucket is what the paper's overflow resolution needs per bucket: its ``key ->
-arena positions`` index, a resident row count, ``flushed``, and the
-:class:`~repro.storage.disk.SpillLedger` of what it has on disk.  An insert
-costs what it changes — one key-index entry per row, then one ``extend`` per
-column — and a probe is a key pass producing positions followed by one
-C-level gather per column, so neither direction materializes
-:class:`~repro.storage.tuples.Row` objects or runs Python bytecode per cell.
-Spilled rows live the same way, in *one* append-only spill log per table (an
-:class:`~repro.storage.disk.OverflowFile` that tags each row with its
-bucket): a flush gathers its buckets' rows (ascending positions *are*
-insertion order) into one tagged chunk and reclaims their arena slots, and
-the rows a run segment sends to flushed buckets are one gather per column
-however many buckets they scatter over — every byte and page being what one
-file per bucket would charge.  The table charges every resident row's columnar
-byte estimate — :meth:`Schema.encoded_row_size` by default (string columns
-dictionary-encode; dictionary entries charge once per table as they are
-first inserted), :meth:`Schema.columnar_row_size` with ``encoded=False`` —
-against a :class:`~repro.storage.memory.MemoryBudget`, so the join operators
-discover memory pressure exactly when the paper's engine would — identically
-in all three drive modes, because the table's representation never changes
-with the drive.
+— a column per attribute plus the arrival list) whose ``key -> positions``
+dict is the table's one key index: an insert is one index entry per row plus
+one ``extend`` per column, a probe one lookup per key plus one C-level gather
+per column — no :class:`~repro.storage.tuples.Row`, no bytecode per cell, no
+working out which bucket a key is in.  Buckets serve the paper's overflow
+resolution only, so a :class:`Bucket` is ``flushed`` plus the
+:class:`~repro.storage.disk.SpillLedger` of what it has on disk, and a table
+keeps per-bucket resident keys and row counts only from its *first bucket
+question* on (a flush, a victim choice, a bucket's rows or sizes): derived
+then in one pass over the index — ``hash(key) % bucket_count`` once per
+distinct key — and kept by every later insert.  The table's own history picks
+the regime, never a knob.  Spilled rows live the same way, in *one*
+append-only spill log per table (an :class:`~repro.storage.disk.OverflowFile`
+tagging each row with its bucket): a flush pops its buckets' keys out of the
+index, gathers their rows (ascending positions *are* insertion order) into
+one tagged chunk and reclaims their arena slots, and the rows a run segment
+sends to flushed buckets are one gather per column however many buckets they
+scatter over — every byte and page being what one file per bucket would
+charge.  The table charges every resident row's columnar byte estimate —
+:meth:`Schema.encoded_row_size` by default (string columns dictionary-encode;
+dictionary entries charge once per table as they are first inserted),
+:meth:`Schema.columnar_row_size` with ``encoded=False`` — against a
+:class:`~repro.storage.memory.MemoryBudget`, so the join operators discover
+memory pressure exactly when the paper's engine would — identically in all
+three drive modes, because the table's representation never changes with the
+drive.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -32,7 +36,8 @@ with the drive.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, repeat
+from collections import Counter
+from itertools import chain, islice
 from operator import or_
 from typing import Any, Iterator, Sequence
 from zlib import crc32
@@ -56,6 +61,9 @@ from repro.storage.tuples import KeyBinder, Row
 
 #: Default bucket count; the paper's engine sized this from optimizer hints.
 DEFAULT_BUCKET_COUNT = 64
+
+#: Shortest prefix of a refused segment worth its own exact fit check.
+MIN_BULK_PREFIX = 8
 
 
 def bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
@@ -122,29 +130,34 @@ def stable_bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
 
 
 class Bucket(SpillLedger):
-    """One hash bucket: the key index of its resident rows plus the ledger of
-    its spilled ones.
+    """One hash bucket, as far as overflow resolution needs one: ``flushed`` and
+    the ledger of its spilled rows (its resident size is asked of the table)."""
 
-    ``positions`` maps each join key to the arena positions holding it, in
-    insertion order; ``resident_count`` is the number of positions indexed.
-    """
-
-    __slots__ = ("index", "positions", "resident_count", "flushed")
+    __slots__ = ("index", "flushed")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.positions: dict[tuple[Any, ...], list[int]] = {}
-        self.resident_count = 0
         self.flushed = False
 
-    def add(self, key: tuple[Any, ...], position: int) -> None:
-        """Index one more resident row (the row-at-a-time insert paths)."""
-        found = self.positions.get(key)
-        if found is None:
-            self.positions[key] = [position]
-        else:
-            found.append(position)
-        self.resident_count += 1
+
+class _DictionaryCharge:
+    """The budget a table's dictionary growth is charged to and the bytes
+    charged so far.  Growth hooks hold this, never the table: a hook bound to
+    the table would tie it into a reference cycle with its own dictionaries."""
+
+    __slots__ = ("budget", "nbytes")
+
+    def __init__(self, budget: MemoryBudget) -> None:
+        self.budget = budget
+        self.nbytes = 0
+
+    def grow(self, nbytes: int) -> None:
+        self.budget.force_reserve(nbytes)
+        self.nbytes += nbytes
+
+    def release(self) -> None:
+        self.budget.release(self.nbytes)
+        self.nbytes = 0
 
 
 class BucketedHashTable:
@@ -207,18 +220,20 @@ class BucketedHashTable:
         self.total_inserted = 0
         self.flushed_count = 0
         self._binder = KeyBinder(self.key_names)
-        self.dictionary_bytes = 0
+        self._growth = _DictionaryCharge(budget)
         self._dictionaries = None
         #: ``[(slot, dictionary, seen_codes)]`` for slots whose dictionary
         #: was adopted from the insert stream and ``[(slot, dictionary)]``
         #: for the table-owned ones (see ``_fix_dictionaries``).
         self._adopted_slots: list | None = None
         self._owned_slots: list | None = None
-        #: The column arena every bucket indexes into (built on first
-        #: insert), and how many of its slots belong to flushed buckets and
-        #: await compaction.
+        #: The column arena (built on first insert; its ``positions`` is the key
+        #: index) and how many of its slots are flushed rows awaiting compaction.
         self.arena: ColumnarPartition | None = None
         self._dead = 0
+        #: ``(resident keys, resident row count)`` per bucket; ``None`` until
+        #: the first bucket question (see :meth:`_track`).
+        self._tracked: tuple[list[list], list[int]] | None = None
         #: Every spilled row of every bucket, in write order.
         self.spill_log: OverflowFile = disk.create_file(f"{name}-spill", schema=schema)
 
@@ -248,15 +263,16 @@ class BucketedHashTable:
                 dictionaries[j] = source.dictionary
                 adopted.append((j, source.dictionary, set()))
             else:
-                dictionary.on_grow = self._record_dictionary_growth
+                dictionary.on_grow = self._growth.grow
                 owned.append((j, dictionary))
         self._dictionaries = dictionaries
         self._adopted_slots = adopted
         self._owned_slots = owned
 
-    def _record_dictionary_growth(self, nbytes: int) -> None:
-        self.budget.force_reserve(nbytes)
-        self.dictionary_bytes += nbytes
+    @property
+    def dictionary_bytes(self) -> int:
+        """Bytes charged for dictionary entries (table-owned or adopted)."""
+        return self._growth.nbytes
 
     def _charge_adopted(self, source_columns: Sequence, position: int) -> None:
         """Charge adopted-dictionary entries first referenced by this insert."""
@@ -268,7 +284,7 @@ class BucketedHashTable:
                 code = dictionary.codes.get(source[position])
             if code is not None and code not in seen:
                 seen.add(code)
-                self._record_dictionary_growth(dictionary.entry_bytes(code))
+                self._growth.grow(dictionary.entry_bytes(code))
 
     # -- schema / arena plumbing --------------------------------------------------
 
@@ -288,6 +304,37 @@ class BucketedHashTable:
                 self.schema, self.encoded, self._dictionaries
             )
         return store
+
+    def _derive_buckets(self) -> tuple[list[list], list[int]]:
+        """Every bucket's resident keys and row count, from one pass over the
+        key index: ``hash(key) % bucket_count`` once per *distinct* key."""
+        count = self.bucket_count
+        held = [[] for _ in range(count)]
+        sizes = [0] * count
+        if self.arena is not None:
+            for key, found in self.arena.positions.items():
+                index = hash(key) % count
+                held[index].append(key)
+                sizes[index] += len(found)
+        return held, sizes
+
+    def _track(self) -> tuple[list[list], list[int]]:
+        """The per-bucket bookkeeping: derived at the first bucket question,
+        kept by every insert from then on (:meth:`_index_row`, :meth:`_move_rows`)."""
+        if self._tracked is None:
+            self._tracked = self._derive_buckets()
+        return self._tracked
+
+    def _index_row(self, index: int, key: tuple[Any, ...]) -> None:
+        """Index the arena's newest row, of bucket ``index`` (row-at-a-time paths)."""
+        store = self.arena
+        found = store.positions.setdefault(key, [])
+        if self._tracked is not None:
+            held, sizes = self._tracked
+            if not found:
+                held[index].append(key)
+            sizes[index] += 1
+        found.append(len(store.arrivals) - 1)
 
     # -- basic operations --------------------------------------------------------
 
@@ -322,9 +369,8 @@ class BucketedHashTable:
         if not self.budget.try_reserve(self.row_bytes):
             self.total_inserted -= 1
             return False
-        store = self._arena()
-        store.append_values(row.values, row.arrival)
-        bucket.add(key, len(store.arrivals) - 1)
+        self._arena().append_values(row.values, row.arrival)
+        self._index_row(bucket.index, key)
         return True
 
     def insert_position(
@@ -344,9 +390,8 @@ class BucketedHashTable:
             return False
         if self.encoded and self._dictionaries is None:
             self._fix_dictionaries(source_columns)
-        store = self._arena()
-        store.append_position(source_columns, position, arrival)
-        self.buckets[bucket_index].add(key, len(store.arrivals) - 1)
+        self._arena().append_position(source_columns, position, arrival)
+        self._index_row(bucket_index, key)
         if self._adopted_slots:
             self._charge_adopted(source_columns, position)
         self.total_inserted += 1
@@ -376,8 +421,10 @@ class BucketedHashTable:
         of the named rows may hash to a flushed bucket.
 
         When the rows fit the budget they move in one key pass plus one
-        ``extend`` per column (the bulk fast path); otherwise they go row by
-        row.  The bounded forms (``stop`` / ``positions``) decide "fit"
+        ``extend`` per column (the bulk fast path); otherwise the longest
+        prefix found to fit *exactly* (halving from what the free bytes could
+        hold) moves that way and the rest go row by row up to the refusal.
+        The bounded forms (``stop`` / ``positions``) decide "fit"
         *including* the dictionary entries the rows will add, so a refusal
         lands on exactly the row where the tuple-at-a-time path refuses; the
         whole-remainder form keeps the hybrid build's batch-granular check
@@ -403,24 +450,27 @@ class BucketedHashTable:
             rows, spills = self.split_flushed(keys, rows)
             exact = True
         if rows and self._reserve_rows(columns, rows, exact):
-            self._scatter_rows(columns, arrivals, keys, rows)
-            self.total_inserted += len(rows)
-        else:
-            count = self.bucket_count
-            buckets = self.buckets
-            row_bytes = self.row_bytes
-            budget = self.budget
-            adopted = self._adopted_slots
+            self._move_rows(columns, arrivals, keys, rows)
+        elif rows:
+            # A prefix passing the exact check holds no refused row (usage
+            # only grows), so it moves in bulk; the row loop decides the rest.
+            room = self.budget.available_bytes
+            fit = min(len(rows) - 1, room // self.row_bytes) if room is not None else 0
+            while fit >= MIN_BULK_PREFIX:
+                if self._reserve_rows(columns, rows[:fit], True):
+                    self._move_rows(columns, arrivals, keys, rows[:fit])
+                    rows = rows[fit:]
+                    break
+                fit //= 2
             store = self._arena()
             for i in rows:
-                if not budget.try_reserve(row_bytes):
+                if not self.budget.try_reserve(self.row_bytes):
                     n = i
                     break
                 self.total_inserted += 1
                 store.append_position(columns, i, arrivals[i])
-                key = keys[i]
-                buckets[hash(key) % count].add(key, len(store.arrivals) - 1)
-                if adopted:
+                self._index_row(hash(keys[i]) % self.bucket_count, keys[i])
+                if self._adopted_slots:
                     self._charge_adopted(columns, i)
         if spills:
             self.total_inserted += self.spill_segment(columns, arrivals, spills, marked, n)
@@ -463,7 +513,7 @@ class BucketedHashTable:
 
         Adopted-dictionary entries first referenced by these rows are charged
         here (the bulk form of the per-insert adopted charge); table-owned
-        dictionaries charge through their growth hook as the scatter encodes.
+        dictionaries charge through their growth hook as the move encodes.
         With ``exact`` the reservation is refused unless the rows *and* the
         dictionary entries they add fit — which is when no row of a
         tuple-at-a-time insert would have been refused either, because usage
@@ -497,37 +547,34 @@ class BucketedHashTable:
         budget.reserve(need)
         for seen, fresh, nbytes in fresh_codes:
             seen |= fresh
-            self._record_dictionary_growth(nbytes)
+            self._growth.grow(nbytes)
         return True
 
-    def _scatter_rows(
+    def _move_rows(
         self,
         columns: Sequence[Sequence[Any]],
         arrivals: Sequence[float],
         keys: Sequence[tuple[Any, ...]],
         rows: Sequence[int],
     ) -> None:
-        """Move already-reserved ``rows`` into the arena.
-
-        Key-major first — one pass numbers the rows ``base, base + 1, …`` and
-        enters each in its bucket's key index, the only per-row work — then
-        one ``extend`` per column (:meth:`ColumnarPartition.extend_rows`).
+        """Move already-reserved ``rows`` into the arena and its key index
+        (:meth:`ColumnarPartition.extend_gather`).  A tracked table then does
+        its per-bucket bookkeeping: each key new to the index (its last ones
+        — a dict keeps insertion order) joins its bucket's list, and one pass
+        over the rows' keys counts them per bucket.
         """
-        bucket_count = self.bucket_count
-        buckets = self.buckets
         store = self._arena()
-        position = len(store.arrivals)
-        for i in rows:
-            key = keys[i]
-            bucket = buckets[hash(key) % bucket_count]
-            found = bucket.positions.get(key)
-            if found is None:
-                bucket.positions[key] = [position]
-            else:
-                found.append(position)
-            bucket.resident_count += 1
-            position += 1
-        store.extend_rows(columns, arrivals, rows)
+        index = store.positions
+        known = len(index)
+        store.extend_gather(columns, arrivals, keys, rows)
+        self.total_inserted += len(rows)
+        if self._tracked is not None:
+            held, sizes = self._tracked
+            count = self.bucket_count
+            for key in islice(reversed(index), len(index) - known):
+                held[hash(key) % count].append(key)
+            for i in rows:
+                sizes[hash(keys[i]) % count] += 1
 
     def insert_resident(self, row: Row) -> None:
         """Insert assuming memory is available; raises if the budget refuses."""
@@ -555,10 +602,9 @@ class BucketedHashTable:
         self, key: tuple[Any, ...]
     ) -> tuple[ColumnarPartition, list[int]] | None:
         """Resident matches as ``(arena, positions)`` — no row boxing."""
-        positions = self.buckets[hash(key) % self.bucket_count].positions.get(key)
-        if not positions:
-            return None
-        return self.arena, positions
+        store = self.arena
+        positions = store.positions.get(key) if store is not None else None
+        return (store, positions) if positions else None
 
     def gather_matches(
         self,
@@ -566,52 +612,11 @@ class BucketedHashTable:
         positions: Sequence[int] | None = None,
         limit: int | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
-        """Bulk probe: gathered match columns for the joins' output assembly.
-
-        Probes ``keys`` (restricted to the probed ``positions`` when given)
-        and returns ``(take, match_columns, match_arrivals, aligned)`` —
-        ``take[i]`` is the probed position whose key produced match ``i``,
-        and the matched build rows arrive as already-gathered column lists.
-        ``aligned`` is true when every key matched exactly once (``take`` is
-        the identity permutation).  ``None`` when nothing matched.
-
-        With ``limit`` the probe stops after the key whose matches bring the
-        total to ``limit`` or more (that key's matches are all included), so
-        ``take[-1]`` names the last key a tuple-at-a-time probe filling a
-        ``limit``-row batch would have consumed.
-
-        Key-major lookup, then column-major gathers: one pass over the keys
-        records each match's probed position and arena position; the output
-        columns are then one shared C-level gather applied per column
-        (:meth:`ColumnarPartition.gather_rows`; dictionary columns move codes).
-        """
-        bucket_count = self.bucket_count
-        buckets = self.buckets
-        probe = range(len(keys)) if positions is None else positions
-        take: list[int] = []
-        at: list[int] = []
-        once = True
-        for position in probe:
-            key = keys[position]
-            found = buckets[hash(key) % bucket_count].positions.get(key)
-            if not found:
-                continue
-            if len(found) == 1:
-                take.append(position)
-                at.append(found[0])
-            else:
-                once = False
-                take.extend(repeat(position, len(found)))
-                at.extend(found)
-            if limit is not None and len(take) >= limit:
-                break
-        if not take:
+        """Bulk probe of the resident rows (:meth:`ColumnarPartition.gather_matches`):
+        ``(take, match_columns, match_arrivals, aligned)`` or ``None``."""
+        if self.arena is None:
             return None
-        aligned = once and len(take) == len(keys) == len(probe)
-        return take, *self.arena.gather_rows(at), aligned
-
-    def is_bucket_flushed_for(self, key: tuple[Any, ...]) -> bool:
-        return self.bucket_for_key(key).flushed
+        return self.arena.gather_matches(keys, positions, limit)
 
     # -- flushing ----------------------------------------------------------------
 
@@ -650,10 +655,17 @@ class BucketedHashTable:
         self.spill_log.write_gather(source_columns, source_arrivals, indices, marked, groups)
         return len(indices)
 
-    def _bucket_positions(self, bucket: Bucket) -> Sequence[int]:
-        """``bucket``'s arena positions, ascending — which is its insertion
-        order — as a range when they are contiguous."""
-        rows = sorted(chain.from_iterable(bucket.positions.values()))
+    def bucket_sizes(self) -> Sequence[int]:
+        """Resident row count of every bucket (read-only)."""
+        return self._track()[1]
+
+    def _bucket_positions(self, index: int, detach: bool = False) -> Sequence[int]:
+        """Bucket ``index``'s arena positions, ascending — which is its
+        insertion order — as a range when they are contiguous.  ``detach``
+        pops the bucket's keys out of the index on the way (a flush)."""
+        index_of = self.arena.positions
+        found = map(index_of.pop if detach else index_of.__getitem__, self._track()[0][index])
+        rows = sorted(chain.from_iterable(found))
         if rows and rows[-1] - rows[0] + 1 == len(rows):
             return range(rows[0], rows[-1] + 1)
         return rows
@@ -663,7 +675,7 @@ class BucketedHashTable:
         insertion order, gathered out of the arena (storage classes kept)."""
         if self.arena is None:
             return [[] for _ in self.schema or ()], []
-        return self.arena.gather_rows(self._bucket_positions(self.buckets[index]))
+        return self.arena.gather_rows(self._bucket_positions(index))
 
     def flush_bucket(self, index: int, mark_rows: bool = False) -> int:
         """Write bucket ``index`` to disk, releasing its memory.
@@ -675,19 +687,21 @@ class BucketedHashTable:
 
     def _flush(self, victims: Sequence[Bucket], mark_rows: bool) -> int:
         """Flush ``victims`` in one step: one arena gather ordered by bucket,
-        one tagged write.  Counters and budget move atomically — key indexes
-        detached, arena slots reclaimed and resident bytes released *before*
-        the spill write, so no observer can see a half-drained bucket or
-        double-release its bytes.
+        one tagged write.  Counters and budget move atomically — keys popped
+        out of the index, arena slots reclaimed and resident bytes released
+        *before* the spill write, so no observer can see a half-drained bucket
+        or double-release its bytes.
         """
+        held, sizes = self._track()
         parts = []
         groups = []
         for bucket in victims:
-            if bucket.resident_count:
-                parts.append(self._bucket_positions(bucket))
-                groups.append((bucket, bucket.resident_count))
-                bucket.positions = {}
-                bucket.resident_count = 0
+            index = bucket.index
+            if sizes[index]:
+                parts.append(self._bucket_positions(index, detach=True))
+                groups.append((bucket, sizes[index]))
+                held[index] = []
+                sizes[index] = 0
             if not bucket.flushed:
                 bucket.flushed = True
                 self.flushed_count += 1
@@ -706,7 +720,7 @@ class BucketedHashTable:
         The arena's tail is truncated; slots in the middle stay behind as
         dead rows until they outnumber the live ones, when the survivors are
         compacted (one gather per column, one renumbering pass over the key
-        indexes).  A bucket flushes at most once per fill, so reclaiming is
+        index).  A bucket flushes at most once per fill, so reclaiming is
         amortised O(rows ever inserted).
         """
         store = self.arena
@@ -716,35 +730,24 @@ class BucketedHashTable:
             del store.arrivals[rows.start :]
         else:
             self._dead += len(rows)
-        dead = self._dead
-        if dead <= len(store.arrivals) - dead:
+        if self._dead * 2 <= len(store.arrivals):
             return
-        live = sorted(
-            chain.from_iterable(
-                chain.from_iterable(bucket.positions.values()) for bucket in self.buckets
-            )
-        )
+        live = sorted(chain.from_iterable(store.positions.values()))
         store.columns, store.arrivals = store.gather_rows(live)
         renumber = dict(zip(live, range(len(live)))).__getitem__
-        for bucket in self.buckets:
-            for found in bucket.positions.values():
-                found[:] = map(renumber, found)
+        for found in store.positions.values():
+            found[:] = map(renumber, found)
         self._dead = 0
 
     def flush_largest_bucket(self, mark_rows: bool = False) -> int | None:
         """Flush the resident bucket holding the most bytes; returns its index."""
-        victim: Bucket | None = None
-        victim_count = 0
-        for bucket in self.buckets:
-            if bucket.flushed:
-                continue
-            count = bucket.resident_count
-            if count > victim_count:
-                victim, victim_count = bucket, count
-        if victim is None:
+        sizes = self.bucket_sizes()
+        largest = max(sizes)
+        if not largest:
             return None
-        self.flush_bucket(victim.index, mark_rows)
-        return victim.index
+        victim = sizes.index(largest)  # the first of the largest; never a flushed one (size 0)
+        self.flush_bucket(victim, mark_rows)
+        return victim
 
     def flush_all(self, mark_rows: bool = False) -> int:
         """Flush every bucket (one gather, one write); returns rows flushed."""
@@ -754,7 +757,7 @@ class BucketedHashTable:
 
     @property
     def resident_rows(self) -> int:
-        return sum(b.resident_count for b in self.buckets)
+        return len(self.arena) - self._dead if self.arena is not None else 0
 
     @property
     def resident_bytes(self) -> int:
@@ -769,21 +772,17 @@ class BucketedHashTable:
 
     @property
     def flushed_buckets(self) -> list[int]:
-        if not self.flushed_count:
-            return []
         return [b.index for b in self.buckets if b.flushed]
 
     @property
     def has_resident_data(self) -> bool:
-        return any(b.resident_count > 0 for b in self.buckets)
+        return self.resident_rows > 0
 
     def resident_items(self) -> Iterator[Row]:
         """All resident rows, bucket by bucket (boxed; tests and debugging)."""
-        for bucket in self.buckets:
-            if bucket.resident_count:
-                batch = Batch.from_columns(self.schema, *self.bucket_rows(bucket.index))
-                # repro: allow[hot-path-row] boxed inspection view, tests/debugging only
-                yield from batch.rows()
+        for index in range(self.bucket_count):
+            # repro: allow[hot-path-row] boxed inspection view, tests/debugging only
+            yield from Batch.from_columns(self.schema, *self.bucket_rows(index)).rows()
 
     def overflow_store(self) -> tuple[list, list[float], list[bool], dict[int, list[int]], Any]:
         """Every row overflow resolution joins, as one positional store.
@@ -808,10 +807,10 @@ class BucketedHashTable:
             arrivals.extend(part.arrivals)
         spilled = len(log) if log is not None else 0
         marked = (log.marked if spilled else []) + [False] * (len(arrivals) - spilled)
-        for bucket in self.buckets:
-            if bucket.resident_count:
-                at = map(spilled.__add__, self._bucket_positions(bucket))
-                rows[bucket.index] = [*rows.get(bucket.index, ()), *at]
+        for index, size in enumerate(self.bucket_sizes()):
+            if size:
+                at = map(spilled.__add__, self._bucket_positions(index))
+                rows[index] = [*rows.get(index, ()), *at]
         keys = [as_values(columns[j]) for j in self._binder.indices_in(self.schema)]
         return columns, arrivals, marked, rows, keys[0] if len(keys) == 1 else list(zip(*keys))
 
@@ -830,7 +829,10 @@ class BucketedHashTable:
         exact multiple of the columnar row estimate, and never exceed what
         the budget believes is reserved (for a budget shared across tables,
         the *sum* of the tables' resident bytes must equal the reservation —
-        callers with sole ownership can assert equality).
+        callers with sole ownership can assert equality).  Also: the key
+        index names every live arena slot exactly once, and per-bucket
+        bookkeeping, once kept, equals a fresh derivation.  Asks no bucket
+        question: checking a table never starts its tracking.
         """
         resident = self.resident_bytes
         if resident > self.budget.used_bytes:
@@ -839,28 +841,25 @@ class BucketedHashTable:
                 f"budget reservation {self.budget.used_bytes}B"
             )
         slots = len(self.arena) if self.arena is not None else 0
-        indexed = [p for b in self.buckets for found in b.positions.values() for p in found]
+        index = self.arena.positions if self.arena is not None else {}
+        indexed = list(chain.from_iterable(index.values()))
         if (
             len(indexed) != self.resident_rows
-            or self.resident_rows != slots - self._dead
             or len(set(indexed)) != len(indexed)
             or any(not 0 <= p < slots for p in indexed)
         ):
             raise StorageError(
-                f"{self.name}: arena drift — {self.resident_rows} resident rows, "
-                f"{len(indexed)} indexed, {slots} slots of which {self._dead} dead"
+                f"{self.name}: arena drift — {len(indexed)} rows indexed, "
+                f"{slots} slots of which {self._dead} dead"
             )
+        if self._tracked is not None:  # else no bucket was ever asked about: nothing to drift
+            (kept, sizes), (fresh, counts) = self._tracked, self._derive_buckets()
+            if sizes != counts or [*map(Counter, kept)] != [*map(Counter, fresh)]:
+                raise StorageError(f"{self.name}: bucket bookkeeping drifted from the key index")
 
     def release_all(self) -> None:
         """Drop all resident rows and return their memory to the budget."""
-        resident = self.resident_rows
-        for bucket in self.buckets:
-            bucket.positions = {}
-            bucket.resident_count = 0
-        self.arena = None
+        self.budget.release(self.resident_rows * self.row_bytes)
+        self._growth.release()
+        self.arena = self._tracked = None
         self._dead = 0
-        if resident:
-            self.budget.release(resident * self.row_bytes)
-        if self.dictionary_bytes:
-            self.budget.release(self.dictionary_bytes)
-            self.dictionary_bytes = 0

@@ -168,7 +168,7 @@ class TestFlushing:
 
 
 class TestColumnarBuckets:
-    """Rows live in one typed column arena; buckets hold key->positions maps."""
+    """Rows live in one typed column arena, indexed by its one key->positions map."""
 
     def test_arena_columns_are_typed(self):
         from repro.storage.columns import DictColumn
@@ -207,6 +207,32 @@ class TestColumnarBuckets:
         assert stop == 3
         assert table.resident_rows == 3
         assert table.budget.stats.overflow_events == 1
+
+    @pytest.mark.parametrize("stop", [None, 100])
+    def test_refused_batch_moves_its_fitting_prefix_in_bulk(self, stop):
+        """Room for 70 of 100 rows (and the 7 dictionary entries they add): the
+        refusal lands on the tuple-at-a-time row, reached through a bulk prefix
+        rather than 70 row-at-a-time appends — whole-remainder and bounded forms."""
+        from helpers import recording_calls
+        from repro.storage.columns import ColumnarPartition
+
+        limit = 70 * ROW_BYTES + 7 * (2 + 8)
+        batch = Batch.from_columns(
+            SCHEMA, [array("q", range(100)), [f"v{i % 7}" for i in range(100)]], [0.0] * 100
+        )
+        table = make_table(limit_bytes=limit)
+        with recording_calls(ColumnarPartition, "append_position") as appended:
+            assert table.insert_batch(batch, stop=stop) == 70
+        assert 0 < len(appended) <= 35  # 72 rows would fit but for their entries; 36 do
+        twin = make_table(limit_bytes=limit)
+        fitted = 0
+        while twin.insert_position(bucket_of((fitted,), 8), (fitted,), batch.columns, fitted, 0.0):
+            fitted += 1
+        assert fitted == 70
+        assert table.budget.used_bytes == twin.budget.used_bytes == limit
+        assert table.budget.stats.overflow_events == twin.budget.stats.overflow_events == 1
+        assert probe_rows(table, list(range(100))) == probe_rows(twin, list(range(100)))
+        table.check_accounting()
 
     def test_insert_batch_routes_flushed_buckets_to_disk(self):
         table = make_table(buckets=1)
@@ -381,7 +407,7 @@ class TestColumnArena:
     def test_flush_largest_reads_the_bucket_counters(self):
         # Buckets 1 and 2 tie at three rows: the first strictly largest wins.
         table = self.make_filled([1, 2, 1, 2, 0, 1, 2])
-        assert [b.resident_count for b in table.buckets] == [1, 3, 3, 0]
+        assert table.bucket_sizes() == [1, 3, 3, 0]
         assert table.flush_largest_bucket() == 1
         assert table.resident_rows == 4 and table.has_resident_data
         assert table.flush_largest_bucket() == 2
@@ -403,7 +429,7 @@ class TestColumnArena:
         table = make_table(buckets=64)
         for start in range(0, 2000, 250):
             table.insert_batch(make_batch(list(range(start, start + 250))))
-        assert sum(1 for b in table.buckets if b.resident_count) == 64
+        assert all(table.bucket_sizes())
         assert made == [len(SCHEMA)]
 
     def test_misfit_degrades_the_tables_column(self):
@@ -419,6 +445,138 @@ class TestColumnArena:
         flushed = table.flush_bucket(bucket)
         assert sum(len(chunk) for chunk in chunk_rows(table, bucket)) == flushed
         table.check_accounting()
+
+
+class CountedKey:
+    """A join-key value that counts how often it is hashed.  A tuple hashes its
+    elements every time, so ``(CountedKey(v),)`` is hashed once per dict
+    operation and once per explicit ``hash(key)`` — and lands in the bucket of
+    ``(v,)``."""
+
+    calls = 0
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        CountedKey.calls += 1
+        return hash(self.value)
+
+    def __eq__(self, other) -> bool:
+        return self.value == other.value
+
+
+class TestKeyIndexProportionality:
+    """A table that is never asked a bucket question hashes a key once per
+    index operation and nowhere else; the first bucket question costs one pass
+    over the distinct keys, not the rows."""
+
+    def hashes(self, work) -> int:
+        before = CountedKey.calls
+        work()
+        return CountedKey.calls - before
+
+    def test_unpressured_insert_and_probe_hash_once_per_dict_operation(self):
+        n = 200
+        table = make_table(buckets=16)
+        keys = [(CountedKey(k),) for k in range(n)]
+        # A unique-key build is a miss then a store per row, a probe one lookup
+        # (an explicit ``hash(key) % bucket_count`` in front of each made it 5N).
+        batch = make_batch(list(range(n)))
+        assert self.hashes(lambda: table.insert_batch(batch, keys=keys)) == 2 * n
+        assert self.hashes(lambda: table.gather_matches(keys)) == n
+        assert self.hashes(lambda: table.match_positions(keys[3])) == 1
+        assert table._tracked is None
+        table.check_accounting()
+        assert table._tracked is None  # checking is not asking
+
+    def test_first_bucket_question_is_one_pass_over_distinct_keys(self):
+        distinct, copies, buckets = 40, 5, 4
+        table = make_table(buckets=buckets)
+        values = list(range(distinct)) * copies
+        keys = [(CountedKey(v),) for v in values]
+        # Rows after a key's first are one lookup each.
+        assert self.hashes(lambda: table.insert_batch(make_batch(values), keys=keys)) == (
+            len(values) + distinct
+        )
+        assert table._tracked is None
+        sizes = [0] * buckets
+        for value in values:
+            sizes[bucket_of((value,), buckets)] += 1
+        victim = sizes.index(max(sizes))
+        # One hash per distinct key to learn its bucket, one more per key of
+        # the victim to pop it out of the index.
+        assert self.hashes(table.flush_largest_bucket) == distinct + sizes[victim] // copies
+        assert table._tracked is not None
+        sizes[victim] = 0
+        assert table.bucket_sizes() == sizes
+        assert self.hashes(table.bucket_sizes) == 0  # asked once, kept from then on
+        table.check_accounting()
+
+
+class TestSharedProbeLoop:
+    """``ColumnarPartition.gather_matches`` — the one probe loop of the hybrid,
+    double pipelined and nested-loops joins: ``positions``, ``limit``, ``aligned``."""
+
+    def make_partition(self, keys: list[int]):
+        from repro.storage.columns import ColumnarPartition
+
+        partition = ColumnarPartition(SCHEMA, encoded=True)
+        batch = Batch.from_columns(
+            SCHEMA,
+            [array("q", keys), [f"v{i}" for i in range(len(keys))]],
+            [float(i) for i in range(len(keys))],
+        )
+        partition.extend_gather(
+            batch.columns, batch.arrivals, [(k,) for k in keys], range(len(keys))
+        )
+        return partition
+
+    def probe(self, partition, keys, positions=None, limit=None):
+        result = partition.gather_matches([(k,) for k in keys], positions, limit)
+        if result is None:
+            return None
+        take, columns, arrivals, aligned = result
+        return take, list(columns[1]), arrivals, aligned
+
+    def test_matches_come_key_major_in_insertion_order(self):
+        partition = self.make_partition([1, 2, 1, 3, 1])
+        assert self.probe(partition, [3, 9, 1]) == (
+            [0, 2, 2, 2], ["v3", "v0", "v2", "v4"], [3.0, 0.0, 2.0, 4.0], False,
+        )
+        assert self.probe(partition, [9, 8]) is None
+        assert self.probe(self.make_partition([]), [1]) is None
+
+    def test_aligned_only_when_every_key_matches_exactly_once(self):
+        partition = self.make_partition([1, 2, 3, 3])
+        assert self.probe(partition, [2, 1]) == ([0, 1], ["v1", "v0"], [1.0, 0.0], True)
+        assert self.probe(partition, [2, 9, 1])[3] is False  # a miss
+        assert self.probe(partition, [2, 3])[3] is False  # a fan-out
+        # Probing a subset of the keys is never the identity, though all of it matches once.
+        assert self.probe(partition, [2, 1, 9], positions=[0, 1])[3] is False
+        assert self.probe(partition, [2, 1], positions=[0, 1])[3] is True
+
+    def test_positions_restrict_the_probe_and_name_the_takes(self):
+        partition = self.make_partition([1, 2, 1])
+        assert self.probe(partition, [1, 2, 1, 2], positions=[1, 2]) == (
+            [1, 2, 2], ["v1", "v0", "v2"], [1.0, 0.0, 2.0], False,
+        )
+        assert self.probe(partition, [1, 2], positions=range(1, 2))[0] == [1]
+        assert self.probe(partition, [1, 2], positions=[]) is None
+
+    def test_limit_stops_after_the_key_that_fills_it(self):
+        partition = self.make_partition([1, 1, 1, 2, 3])
+        keys = [2, 1, 3, 1]
+        # The cut key's matches are all included; take[-1] names it.
+        assert self.probe(partition, keys, limit=2)[0] == [0, 1, 1, 1]
+        assert self.probe(partition, keys, limit=4)[0] == [0, 1, 1, 1]
+        assert self.probe(partition, keys, limit=5)[0] == [0, 1, 1, 1, 2]
+        assert self.probe(partition, keys, limit=1)[0] == [0]
+        assert self.probe(partition, keys, limit=99)[0] == [0, 1, 1, 1, 2, 3, 3, 3]
+        # Misses do not count towards the limit; a cut probe is never aligned.
+        assert self.probe(partition, [9, 2, 9, 3], limit=1)[0] == [1]
+        assert self.probe(partition, [2, 3], limit=1) == ([0], ["v3"], [3.0], False)
+        assert self.probe(partition, keys, positions=[2, 3], limit=1)[0] == [2]
 
 
 class TestAccountingInvariant:

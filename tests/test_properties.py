@@ -315,11 +315,17 @@ class TestColumnArenaProperties:
         encoded=st.booleans(),
         coded_sources=st.booleans(),
         limit=st.one_of(st.none(), st.integers(150, 2500)),
+        ask_from=st.integers(0, 50),
     )
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_interleavings_equal_the_naive_model(
-        self, ops, encoded, coded_sources, limit
+        self, ops, encoded, coded_sources, limit, ask_from
     ):
+        """``ask_from`` is the step from which every step ends by asking each
+        bucket its size and rows.  Before it the table hears a bucket question
+        only when an op is one (a flush, a revocation that has to flush), so the
+        untracked regime, the tracked one and the switch all run — and the
+        table must be tracking exactly when it has been asked."""
         from random import Random
 
         from repro.storage.columns import make_dictionaries
@@ -341,7 +347,8 @@ class TestColumnArenaProperties:
         model = ArenaModel(
             ARENA_SCHEMA.row_size_for(encoded), encoded, encoded and not coded_sources, limit
         )
-        for kind, seed, low, high, flag in ops:
+        asked = False  # has the table been asked a bucket question since its last release?
+        for step, (kind, seed, low, high, flag) in enumerate(ops):
             random = Random(seed)
             if kind in ("batch", "position"):
                 rows = arena_rows(random)
@@ -391,32 +398,49 @@ class TestColumnArenaProperties:
             elif kind == "flush":
                 index = low % ARENA_BUCKETS
                 assert table.flush_bucket(index, flag) == model.flush_bucket(index, flag)
+                asked = True
             elif kind == "flush_largest":
                 assert table.flush_largest_bucket(flag) == model.flush_largest_bucket(flag)
+                asked = True
             elif kind == "flush_all":
                 assert table.flush_all(flag) == model.flush_all(flag)
+                asked = True
             elif kind == "revoke":
                 if budget.limit_bytes is None:
                     continue
                 shrunk = model.used * (20 + low) // 100
+                asked = asked or model.used > shrunk  # the handler chooses a victim
                 budget.revoke_to(shrunk)
                 model.revoke_to(shrunk)
             else:
                 table.release_all()
                 model.release_all()
+                asked = False
             assert budget.used_bytes == table.resident_bytes == model.used
             assert table.resident_rows == model.resident_rows
+            assert table.has_resident_data == bool(model.rows)
             table.check_accounting()
-            for index in range(ARENA_BUCKETS):
-                bucket = table.buckets[index]
-                assert bucket.flushed == (index in model.flushed)
-                assert bucket.resident_count == len(model.resident(index))
-                columns, stamps = table.bucket_rows(index)
-                assert list(zip(zip(*(list(c) for c in columns)), stamps)) == [
-                    (values, arrival) for _, values, arrival in model.resident(index)
-                ]
+            assert [bucket.flushed for bucket in table.buckets] == [
+                index in model.flushed for index in range(ARENA_BUCKETS)
+            ]
+            # Inserts, probes, row counts and the check itself are not questions.
+            assert (table._tracked is not None) == asked
+            if step >= ask_from:
+                self.check_buckets(table, model)
+                asked = True
+        self.check_buckets(table, model)
         for index in range(ARENA_BUCKETS):
             assert spilled(table, index) == model.spill[index]
+
+    @staticmethod
+    def check_buckets(table, model):
+        assert table.bucket_sizes() == [len(model.resident(i)) for i in range(ARENA_BUCKETS)]
+        for index in range(ARENA_BUCKETS):
+            columns, stamps = table.bucket_rows(index)
+            assert list(zip(zip(*(list(c) for c in columns)), stamps)) == [
+                (values, arrival) for _, values, arrival in model.resident(index)
+            ]
+        table.check_accounting()
 
 
 # The spill log against one overflow file per bucket: random interleavings of

@@ -214,6 +214,33 @@ class TestSpillStateLifetime:
         finally:
             gc.enable()
 
+    def test_a_table_that_owns_its_dictionaries_is_freed_without_a_collection(self):
+        """A table-owned dictionary's growth hook holds the table's charge object
+        (budget + byte count), never the table: no ``table <-> dictionary`` cycle."""
+        schema = Schema.of("k:int", "v:str")
+        gc.collect()
+        gc.disable()
+        try:
+            budget = MemoryBudget(None)
+            table = BucketedHashTable(["k"], budget, SimulatedDisk(), bucket_count=2, schema=schema)
+            for key in range(8):  # row by row: no donor column, so the table owns the dictionary
+                table.insert(Row(schema, (key, f"value-{key}")))
+            table.flush_bucket(0)
+            assert table._owned_slots and not table._adopted_slots
+            assert table.dictionary_bytes == 8 * (len("value-0") + 8)
+            assert budget.used_bytes == table.resident_bytes
+            dictionary = table._owned_slots[0][1]
+            alive = [weakref.ref(table), weakref.ref(table.spill_log)]
+            del table
+            assert [ref() for ref in alive] == [None, None]
+            # The hook outlives the table with whoever still shares the dictionary,
+            # and keeps charging the same budget.
+            used = budget.used_bytes
+            dictionary.encode("late")
+            assert budget.used_bytes == used + len("late") + 8
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("method", METHODS)
     def test_a_spilling_join_frees_its_context_without_a_collection(self, tpcd_catalog, method):
         gc.collect()
