@@ -71,13 +71,18 @@ def run_rule_overhead(deployment, rule_count: int):
     ]
     plan = QueryPlan(query_name=f"overhead_{rule_count}", fragments=[fragment], global_rules=rules)
     context = ExecutionContext(deployment.catalog, query_name=plan.query_name)
+    executor = QueryExecutor(context)
     started = time.perf_counter()
-    outcome = QueryExecutor(context).execute(plan)
+    outcome = executor.execute(plan)
     wall_s = time.perf_counter() - started
     assert outcome.completed
+    handler = executor.event_handler
     return {
         "rules": rule_count,
         "events": context.events.total_enqueued,
+        "processed": handler.events_processed,
+        "fired": handler.rules_fired,
+        "actions": handler.actions_executed,
         "wall_s": wall_s,
         "virtual_ms": context.clock.now,
         "cardinality": outcome.answer.cardinality if outcome.answer else 0,
@@ -125,9 +130,11 @@ def print_ablation(overhead, scrambling) -> None:
     print("Ablation A2a — event-handler overhead (same join, growing rule set)")
     print(
         format_table(
-            ["registered rules", "events processed", "wall seconds", "virtual ms"],
+            ["registered rules", "events enqueued", "processed", "rules fired",
+             "wall seconds (not asserted)", "virtual ms"],
             [
-                [entry["rules"], entry["events"], round(entry["wall_s"], 3), round(entry["virtual_ms"], 1)]
+                [entry["rules"], entry["events"], entry["processed"], entry["fired"],
+                 round(entry["wall_s"], 3), round(entry["virtual_ms"], 1)]
                 for entry in overhead
             ],
         )
@@ -152,13 +159,23 @@ def test_rule_machinery_ablation(benchmark, deployment):
     overhead, scrambling = run_once(benchmark, lambda: run_ablation(deployment))
     print_ablation(overhead, scrambling)
 
-    # (a) Virtual time is unaffected by inert rules, and the wall-clock cost of
-    # 500 extra rules stays within a small factor of the rule-free run.
-    baseline = overhead[0]
-    heavy = overhead[-1]
-    assert heavy["cardinality"] == baseline["cardinality"]
-    assert heavy["virtual_ms"] == pytest.approx(baseline["virtual_ms"], rel=0.01)
-    assert heavy["wall_s"] < baseline["wall_s"] * 5 + 0.5
+    # (a) Inert rules change nothing the engine can count: the answer, virtual
+    # time (within the watched-scan batching tolerance), and — whatever number
+    # of rules watch the same trigger — the event queue's own traffic: every
+    # event enqueued is processed once, none fires a rule, and the one watched
+    # scan emits one threshold event per tuple on top of the rule-free run's
+    # events.  All of these repeat exactly.  The wall-clock column is printed
+    # for the record only: a real-time ratio over a 40-70 ms run flaps, and
+    # real-time claims belong to ``perflab compare`` (ROADMAP direction 1(d)).
+    baseline, light, heavy = overhead
+    for entry in overhead:
+        assert entry["cardinality"] == baseline["cardinality"] > 0
+        assert entry["virtual_ms"] == pytest.approx(baseline["virtual_ms"], rel=0.01)
+        assert entry["processed"] == entry["events"]
+        assert entry["fired"] == entry["actions"] == 0
+    assert light["virtual_ms"] == heavy["virtual_ms"]
+    orders = deployment.catalog.source("orders").cardinality
+    assert light["events"] == heavy["events"] == baseline["events"] + orders
 
     # (b) With rescheduling rules the stalled query finishes; the run without
     # them either fails or cannot finish sooner.

@@ -11,8 +11,6 @@ expressed.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import ExecutionError, SourceTimeoutError, SourceUnavailableError
@@ -21,7 +19,7 @@ from repro.storage.batch import Batch
 from repro.storage.columns import as_values
 from repro.storage.disk import OverflowFile
 from repro.storage.schema import Schema, merge_union_schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder, Row
 
 #: Per-key tuple/set-slot overhead charged for one remembered dedup key.
 DEDUP_KEY_OVERHEAD_BYTES = 16
@@ -100,7 +98,7 @@ class DynamicCollector(Operator):
         self._finished: set[str] = set()
         self._failed: set[str] = set()
         self._never_started: list[str] = []
-        self._seen_keys: set[tuple[Any, ...]] = set()
+        self._seen_keys: set[Key] = set()
         self._schema: Schema | None = None
         self.tuples_per_child: dict[str, int] = {c.operator_id: 0 for c in children}
         self._dedup_binder = KeyBinder(self.dedup_keys) if self.dedup_keys else None
@@ -183,7 +181,8 @@ class DynamicCollector(Operator):
                 f"{self.operator_id}-dedup", schema=self._key_schema()
             )
         ordered = list(keys)
-        columns = [list(column) for column in zip(*ordered)]
+        single = self._dedup_binder.single  # one key column: the keys are its values
+        columns = [ordered] if single else [list(column) for column in zip(*ordered)]
         # Keys carry no arrival of their own; a constant stamp keeps the
         # chunk's arrival column one run in encoded mode.
         self._spilled_keys_file.write_columns(
@@ -223,12 +222,10 @@ class DynamicCollector(Operator):
         if not probe:
             return frozenset()
         hits = set()
+        single = self._dedup_binder.single
         for chunk in file.read_chunks():
             columns = [as_values(column) for column in chunk.columns]
-            for position in range(len(chunk)):
-                key = tuple(column[position] for column in columns)
-                if key in probe:
-                    hits.add(key)
+            hits.update(probe.intersection(columns[0] if single else zip(*columns)))
         self._charge_disk_time()
         return frozenset(hits)
 
@@ -349,9 +346,9 @@ class DynamicCollector(Operator):
                 EventType.THRESHOLD, child_id, value=self.tuples_per_child[child_id]
             )
             if self.dedup_keys is not None:
-                key = row.key(self.dedup_keys)
+                key = self._dedup_binder.key(row)
                 if key in self._seen_keys or (
-                    self._spilled_key_count and self._spilled_hits((key,))
+                    self._spilled_key_count and self._spilled_hits([key])
                 ):
                     continue
                 self._seen_keys.add(key)
@@ -486,9 +483,9 @@ class DynamicCollector(Operator):
             if context.event_watched(EventType.THRESHOLD, child_id):
                 context.emit_event(EventType.THRESHOLD, child_id, value=count)
             if self.dedup_keys is not None:
-                key = row.key(self.dedup_keys)
+                key = self._dedup_binder.key(row)
                 if key in self._seen_keys or (
-                    self._spilled_key_count and self._spilled_hits((key,))
+                    self._spilled_key_count and self._spilled_hits([key])
                 ):
                     if context.batch_interrupt and out:
                         break

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import or_
-from typing import Any
+from typing import Any, Sequence
 
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
 from repro.storage.batch import Batch
-from repro.storage.columns import gather, picker
+from repro.storage.columns import ColumnarPartition, gather, picker
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder, Row
 
@@ -47,6 +47,8 @@ class JoinOperator(Operator):
         self._schema: Schema | None = None
         self._left_binder = KeyBinder(left_keys)
         self._right_binder = KeyBinder(right_keys)
+        #: ``row -> Key`` for each side (the row-at-a-time paths).
+        self.left_key, self.right_key = self._left_binder.key, self._right_binder.key
 
     @property
     def left(self) -> Operator:
@@ -66,11 +68,25 @@ class JoinOperator(Operator):
         """Concatenate a matching pair in left-then-right attribute order."""
         return left_row.concat(right_row, self.output_schema)
 
-    def left_key(self, row: Row):
-        return self._left_binder.key(row)
-
-    def right_key(self, row: Row):
-        return self._right_binder.key(row)
+    def _boxed_matches(
+        self, row: Row, store: ColumnarPartition, positions: Sequence[int], row_first: bool = True
+    ) -> list[Row]:
+        """``row`` joined with ``store``'s rows at ``positions``, boxed — the
+        output of every row-at-a-time path (``row`` is the left input unless
+        ``row_first`` is false); each pair carries the later arrival stamp."""
+        schema, values, arrival = self.output_schema, row.values, row.arrival
+        arrivals = store.arrivals
+        out = []
+        for position in positions:
+            matched, stamp = store.value_tuple(position), arrivals[position]
+            out.append(
+                Row.make(
+                    schema,
+                    values + matched if row_first else matched + values,
+                    arrival if arrival >= stamp else stamp,
+                )
+            )
+        return out
 
     def _join_spilled(self, left, right, index: int, unmarked_pairs: bool) -> Batch | None:
         """Join bucket ``index`` of two overflow stores (as laid out by

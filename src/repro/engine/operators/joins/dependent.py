@@ -31,7 +31,7 @@ from repro.network.cache import CACHE_SERVE_CPU_MS
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
 from repro.storage.columns import build_columns, make_dictionaries
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder, Row
 
 
 class DependentJoin(Operator):
@@ -59,18 +59,19 @@ class DependentJoin(Operator):
         self._source = context.catalog.source(source_name)
         self._right_schema = self._source.exported_schema
         self._schema: Schema | None = None
-        self._index: dict[tuple[Any, ...], list[Row]] | None = None
+        self._index: dict[Key, list[Row]] | None = None
         self._pending: list[Row] = []
         self._pending_out: BatchCursor | None = None
         self._left_binder = KeyBinder(left_keys)
-        self._memo: dict[tuple[Any, ...], list[Row]] | None = {} if probe_cache else None
+        self._right_binder = KeyBinder(right_keys)
+        self._memo: dict[Key, list[Row]] | None = {} if probe_cache else None
         #: Per-key transposed match columns ``(columns, arrivals)``, so the
         #: columnar probe path assembles output with per-column extends and a
         #: duplicate bind key never pays the row->column transpose twice.
         #: The column lists alias the same value objects the memo's rows
         #: hold (Python containers store references), so the overhead is the
         #: per-value pointer, not a second copy of the payload.
-        self._match_columns: dict[tuple[Any, ...], tuple[list, list[float]]] = {}
+        self._match_columns: dict[Key, tuple[list, list[float]]] = {}
         self._cache_dictionaries = None
         self._cached_extent = False
         #: Speculative source layer: keep checking for the extent to appear
@@ -103,8 +104,8 @@ class DependentJoin(Operator):
 
     def _adopt_entry(self, entry) -> None:
         """Build the probe index from a cached full extent; serve locally."""
-        index: dict[tuple[Any, ...], list[Row]] = {}
-        binder = KeyBinder(self.right_keys)
+        index: dict[Key, list[Row]] = {}
+        binder = self._right_binder
         make = Row.make
         for row in entry.rows:
             # Re-stamp to arrival 0 so join outputs carry the left
@@ -135,12 +136,12 @@ class DependentJoin(Operator):
 
     def _build_index(self) -> None:
         """Index the source contents by the bound key (kept at the source side)."""
-        index: dict[tuple[Any, ...], list[Row]] = {}
+        index: dict[Key, list[Row]] = {}
         for row in self._source.relation.qualified():
-            index.setdefault(row.key(self.right_keys), []).append(row)
+            index.setdefault(self._right_binder.key(row), []).append(row)
         self._index = index
 
-    def _probe_source(self, key: tuple[Any, ...]) -> list[Row]:
+    def _probe_source(self, key: Key) -> list[Row]:
         """One parameterized fetch; memoized so duplicate keys pay latency once."""
         if self._speculative and not self._cached_extent:
             self._try_adopt_cached_extent()
@@ -183,11 +184,10 @@ class DependentJoin(Operator):
             left_row = self.left.next()
             if left_row is None:
                 return None
-            key = left_row.key(self.left_keys)
-            for match in self._probe_source(key):
+            for match in self._probe_source(self._left_binder.key(left_row)):
                 self._pending.append(left_row.concat(match, self.output_schema))
 
-    def _probe_source_columns(self, key: tuple[Any, ...]) -> tuple[list, list[float]]:
+    def _probe_source_columns(self, key: Key) -> tuple[list, list[float]]:
         """One probe's matches as transposed ``(columns, arrivals)``.
 
         Wraps :meth:`_probe_source` (which owns all clock accounting and the

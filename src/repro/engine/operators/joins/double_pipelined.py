@@ -51,7 +51,7 @@ from repro.storage.batch import Batch
 from repro.storage.columns import as_values, empty_like, extend_moving, gather
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
-from repro.storage.tuples import Row
+from repro.storage.tuples import Key, Row
 
 #: Side identifiers (also used as indices into per-side lists).
 LEFT, RIGHT = 0, 1
@@ -67,12 +67,13 @@ RUN_SLACK_MS = 5.0
 
 
 class _Run:
-    """One consumed input run: a batch, its bulk-extracted join keys, and its
+    """One consumed input run: a batch, its bulk-extracted join keys (one per
+    row — the key column's own values when there is one key column), and its
     arrival stamps as a plain list (run-length stamps decode once)."""
 
     __slots__ = ("batch", "keys", "arrivals", "cursor")
 
-    def __init__(self, batch: Batch, keys: list[tuple[Any, ...]]) -> None:
+    def __init__(self, batch: Batch, keys: list[Key]) -> None:
         self.batch = batch
         self.keys = keys
         self.arrivals: list[float] = as_values(batch.arrivals)
@@ -169,7 +170,7 @@ class DoublePipelinedJoin(JoinOperator):
         # child in bulk), dropped as soon as their cursor reaches the end.
         self._runs: list[_Run | None] = [None, None]
         self._out: _OutputColumns | None = None
-        self._popped_key: tuple[Any, ...] | None = None
+        self._popped_key: Key | None = None
         self._emitted_output = False
         self.overflow_count = 0
 
@@ -360,7 +361,7 @@ class DoublePipelinedJoin(JoinOperator):
         table.spill_log.write(row, marked, table.buckets[index])
         self._charge_disk_time()
 
-    def _process(self, side: int, row: Row, key: tuple[Any, ...] | None = None) -> None:
+    def _process(self, side: int, row: Row, key: Key | None = None) -> None:
         """Probe, emit, and insert one arriving tuple (key may be precomputed).
 
         The row-at-a-time pipeline of the tuple and row-batch drives; matches
@@ -375,29 +376,10 @@ class DoublePipelinedJoin(JoinOperator):
             self._spill_arriving(side, index, row)
             return
         store = tables[other].arena
-        matches = store.positions.get(key) if store is not None else None
+        matches = store.lookup(key) if store is not None else None
         if matches:
             self._emitted_output = True
-            schema = self.output_schema
-            pending = self._pending
-            values = row.values
-            arrival = row.arrival
-            arrivals = store.arrivals
-            value_tuple = store.value_tuple
-            make = Row.make  # repro: allow[hot-path-row] the row pipeline's output is boxed by design
-            for position in matches:
-                match_values = value_tuple(position)
-                joined_values = (
-                    values + match_values if side == LEFT else match_values + values
-                )
-                match_arrival = arrivals[position]
-                pending.append(
-                    make(
-                        schema,
-                        joined_values,
-                        arrival if arrival >= match_arrival else match_arrival,
-                    )
-                )
+            self._pending += self._boxed_matches(row, store, matches, side == LEFT)
         # Footnote 3 of the paper: with the opposite input exhausted there
         # is nothing left for this tuple to meet, so it is not retained.
         if self._exhausted[other]:
@@ -405,7 +387,7 @@ class DoublePipelinedJoin(JoinOperator):
         self._insert_with_overflow(side, row, key, index)
 
     def _insert_with_overflow(
-        self, side: int, row: Row, key: tuple[Any, ...], index: int
+        self, side: int, row: Row, key: Key, index: int
     ) -> None:
         table = self._tables[side]
         while True:
@@ -700,7 +682,7 @@ class DoublePipelinedJoin(JoinOperator):
                 # repro: allow[hot-path-row] the row-spill baseline re-boxes by design
                 side_entries.extend((row, False) for row in remnant.rows())
             left_entries, right_entries = entries
-            right_by_key: dict[tuple[Any, ...], list[tuple[Row, bool]]] = {}
+            right_by_key: dict[Key, list[tuple[Row, bool]]] = {}
             for row, marked in right_entries:
                 right_by_key.setdefault(self.right_key(row), []).append((row, marked))
             for left_row, left_marked in left_entries:

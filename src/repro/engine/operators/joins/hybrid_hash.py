@@ -35,7 +35,7 @@ from repro.plan.rules import EventType
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
-from repro.storage.tuples import Row
+from repro.storage.tuples import Key, Row
 
 
 class HybridHashJoin(JoinOperator):
@@ -92,7 +92,7 @@ class HybridHashJoin(JoinOperator):
             row = self.right.next()
             if row is None:
                 break
-            key = self._inner_table.key_for(row)
+            key = self.right_key(row)
             inserted = self._inner_table.insert(row, key=key)
             if not inserted and not self._inner_table.bucket_for_key(key).flushed:
                 # Memory pressure: lazily flush the largest bucket and retry;
@@ -120,7 +120,7 @@ class HybridHashJoin(JoinOperator):
             batch = right.next_batch(DEFAULT_BATCH_SIZE)
             if not batch:
                 break
-            keys = batch.key_tuples(table.key_indices_in(batch.schema))
+            keys = batch.key_tuples(self._right_binder.indices_in(batch.schema))
             position = 0
             n = len(batch)
             while position < n:
@@ -193,26 +193,8 @@ class HybridHashJoin(JoinOperator):
             outer.spill_log.write(outer_row, False, outer.bucket_for_key(key))
             self._charge_disk_time()
             return []
-        schema = self.output_schema
-        values = outer_row.values
-        arrival = outer_row.arrival
-        make = Row.make  # repro: allow[hot-path-row] the tuple path's output is boxed by design
         matched = self._inner_table.match_positions(key)
-        if matched is None:
-            return []
-        store, positions = matched
-        out: list[Row] = []
-        arrivals = store.arrivals
-        for position in positions:
-            inner_arrival = arrivals[position]
-            out.append(
-                make(
-                    schema,
-                    values + store.value_tuple(position),
-                    arrival if arrival >= inner_arrival else inner_arrival,
-                )
-            )
-        return out
+        return self._boxed_matches(outer_row, *matched) if matched is not None else []
 
     def _overflow_pairs(self) -> Iterator[Row]:
         """Row-at-a-time overflow pass: joins spilled pairs, boxing each tuple.
@@ -226,7 +208,7 @@ class HybridHashJoin(JoinOperator):
             if not outer.buckets[bucket_index].spilled_count:
                 continue
             # Reload the inner bucket (charging read I/O) into a transient map.
-            inner_by_key: dict[tuple, list[Row]] = {}
+            inner_by_key: dict[Key, list[Row]] = {}
             for inner_row, _ in self._inner_table.overflow_rows(bucket_index):
                 inner_by_key.setdefault(self.right_key(inner_row), []).append(inner_row)
             self._charge_disk_time()
@@ -285,12 +267,14 @@ class HybridHashJoin(JoinOperator):
     def _probe_outer_batch(self, outer: Batch) -> Batch | None:
         """Probe one outer batch in bulk; ``None`` when nothing matched.
 
-        On the columnar path the probe keys are extracted as column slices
-        (one ``zip`` over the key columns), outer tuples of flushed buckets
-        are spilled as one column gather, and the output batch is
-        assembled from gathered match columns — no per-row key tuples via
-        attribute lookup, no :class:`Row` construction, and no per-tuple
-        spill writes.  Row-backed outer batches take the per-row path.
+        On the columnar path the probe keys are the key column itself (its
+        values as a list; one ``zip`` over the key columns for a composite
+        key), outer tuples of flushed buckets are spilled as one column
+        gather, and the output batch is assembled from gathered match columns
+        — against a primary-key build the whole key pass is one C-level
+        ``map`` over the inner table's index — with no :class:`Row`
+        construction and no per-tuple spill writes.  Row-backed outer batches
+        take the per-row path.
         """
         assert self._inner_table is not None
         table = self._inner_table

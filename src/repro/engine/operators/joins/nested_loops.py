@@ -141,7 +141,6 @@ class NestedLoopsJoin(JoinOperator):
         partition = self._inner
         if partition is None or not len(partition):
             return None
-        positions_by_key = partition.positions
         if outer.is_columnar:
             keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
             result = partition.gather_matches(keys)
@@ -152,24 +151,9 @@ class NestedLoopsJoin(JoinOperator):
                 outer, take, match_columns, match_arrivals, self.output_schema, aligned
             )
         out: list[Row] = []
-        left_key = self.left_key
-        schema = self.output_schema
-        make = Row.make
-        arrivals = partition.arrivals
         for outer_row in outer.rows():
-            found = positions_by_key.get(left_key(outer_row))
-            if found:
-                values = outer_row.values
-                arrival = outer_row.arrival
-                for p in found:
-                    inner_arrival = arrivals[p]
-                    out.append(
-                        make(
-                            schema,
-                            values + partition.value_tuple(p),
-                            arrival if arrival >= inner_arrival else inner_arrival,
-                        )
-                    )
+            found = partition.lookup(self.left_key(outer_row))
+            out += self._boxed_matches(outer_row, partition, found)
         if not out:
             return None
         return Batch.from_rows(self.output_schema, out)

@@ -27,6 +27,7 @@ copying them.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 from repro.storage.columns import (
@@ -37,7 +38,7 @@ from repro.storage.columns import (
     gather as gather_column,
 )
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
+from repro.storage.tuples import Key, Row
 
 
 def transpose_rows(rows: Sequence[Row]) -> list[list[Any]]:
@@ -243,18 +244,20 @@ class Batch:
             schema, [make(schema, row.values, row.arrival) for row in self._rows]
         )
 
-    def key_tuples(self, indices: Sequence[int]) -> list[tuple[Any, ...]]:
-        """Join/grouping keys for every row, extracted from column slices."""
-        if self._columns is not None:
-            columns = self._columns
-            if len(indices) == 1:
-                return [(value,) for value in columns[indices[0]]]
-            return list(zip(*(columns[i] for i in indices)))
-        rows = self._rows
-        if len(indices) == 1:
-            first = indices[0]
-            return [(row.values[first],) for row in rows]
-        return [tuple(row.values[i] for i in indices) for row in rows]
+    def key_tuples(self, indices: Sequence[int]) -> list[Key]:
+        """One :data:`~repro.storage.tuples.Key` per row, from column slices.
+
+        The name is kept for the benchmark, which calls it: keys are no longer
+        1-tuples, so one key column gives *its values as a plain list* (the
+        column itself when it is one — read-only — else decoded once at C level)
+        and only a composite key tuples: what the tables index by and ``bucket_of`` takes.
+        """
+        if self._columns is None:
+            return list(map(itemgetter(*indices), [row.values for row in self._rows]))
+        if len(indices) > 1:
+            return list(zip(*(self._columns[i] for i in indices)))
+        column = self._columns[indices[0]]
+        return column if type(column) is list else list(column)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "columnar" if self._columns is not None else "rows"

@@ -34,10 +34,11 @@ random access never pays more than one indirection.
 
 :class:`ColumnarPartition` is the shared append-only "columnar bag of rows"
 — the one column arena of a hash table and the nested-loops inner: one typed
-or encoded column per attribute, a parallel arrival column and one ``key ->
-row positions`` index, with the one insert loop and the one probe loop all
-three joins run, so they insert with one ``extend`` per column and assemble
-output with one C-level gather per column without ever materializing
+or encoded column per attribute, a parallel arrival column and one key index
+(``key -> position`` while keys are unique, ``key -> [positions]`` after),
+with the one insert pass and the one probe pass all three joins run, so they
+insert with one ``extend`` per column and assemble output with one C-level
+gather per column without ever materializing
 :class:`~repro.storage.tuples.Row` objects.
 """
 
@@ -47,12 +48,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import islice, repeat
-from operator import itemgetter, ne
+from itertools import compress, islice, repeat
+from operator import is_not, itemgetter, ne
 from typing import Any, Iterator, Sequence
 
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
+from repro.storage.tuples import Key, Row
 
 #: array typecodes for the attribute types stored packed.
 NUMERIC_TYPECODES = {"int": "q", "float": "d"}
@@ -650,11 +651,20 @@ class ColumnarPartition:
 
     A hash table's column arena (one per table) and the nested-loops join's
     inner buffer.  Rows live as per-attribute column entries plus an arrival
-    stamp, in insertion order; :attr:`positions` maps each join key to the
-    positions holding it, ascending.  :meth:`extend_gather` indexes a batch
-    and :meth:`gather_matches` resolves probe keys in one key pass each — one
-    hash per dict operation is all a row costs — and :meth:`gather_rows` turns
-    positions into output columns, so no row object exists on either path.
+    stamp, in insertion order; :attr:`positions` is the one key index, keyed
+    by :data:`~repro.storage.tuples.Key`.  :meth:`extend_gather` indexes a
+    batch and :meth:`gather_matches` resolves probe keys in one key pass each,
+    and :meth:`gather_rows` turns positions into output columns, so no row
+    object exists on either path.
+
+    The store's own history picks one of two regimes.  While every key is held
+    once (:attr:`unique` — a primary-key build side) the index maps ``key ->
+    position`` and both key passes run at C level: an insert checks only what
+    it can falsify (its keys distinct, and disjoint from the index) and makes
+    one ``update``; a probe is ``map(index.get, keys)``.  The first duplicate
+    key or the owning table's first bucket question ends it for good
+    (:meth:`generalize`): the values become ascending ``[position]`` lists for
+    the plain per-row loops.  Only this class and the owning table read them.
 
     In encoded mode string columns dictionary-encode (over the supplied
     ``dictionaries`` when given, so spill chunks gathered from one hash table
@@ -665,7 +675,7 @@ class ColumnarPartition:
     collapse.
     """
 
-    __slots__ = ("schema", "columns", "arrivals", "positions")
+    __slots__ = ("schema", "columns", "arrivals", "positions", "unique")
 
     def __init__(
         self,
@@ -678,7 +688,8 @@ class ColumnarPartition:
             dictionaries = make_dictionaries(schema)
         self.columns = empty_columns(schema, encoded, dictionaries)
         self.arrivals: list[float] = []
-        self.positions: dict[tuple[Any, ...], list[int]] = {}
+        self.positions: dict[Key, Any] = {}
+        self.unique = True
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -727,35 +738,71 @@ class ColumnarPartition:
         self,
         source_columns: Sequence[Sequence[Any]],
         source_arrivals: Sequence[float],
-        keys: Sequence[tuple[Any, ...]],
+        keys: Sequence[Key],
         indices: Sequence[int],
     ) -> None:
         """Bulk-append the rows of ``source_columns`` at ``indices``.
 
-        One key pass enters each row under ``keys[i]`` — a lookup, and a
-        store when the key is new: the only per-row work of an insert.  The
-        payloads then move with one ``extend`` per column: a slice of the
-        source (or of its codes) for a contiguous range, one gather otherwise;
-        a dict column fed from anything but its own dictionary bulk-encodes,
-        and a misfit value degrades the column (see :func:`extend_column`).
+        One key pass enters each row under ``keys[i]`` — a C-level check and
+        one ``update`` while the store stays :attr:`unique`, else a lookup (and
+        a store when the key is new) per row.  The payloads then move with one
+        ``extend`` per column: a slice of the source (or of its codes) for a
+        contiguous range, one gather otherwise; a dict column fed from anything
+        but its own dictionary bulk-encodes, and a misfit value degrades the
+        column (see :func:`extend_column`).
         """
         base = position = len(self.arrivals)
         positions = self.positions
-        for i in indices:
-            key = keys[i]
-            found = positions.get(key)
-            if found is None:
-                positions[key] = [position]
-            else:
-                found.append(position)
-            position += 1
         pick = picker(indices)
+        if self.unique:
+            fresh = dict(zip(pick(keys), range(base, base + len(indices))))
+            if len(fresh) == len(indices) and positions.keys().isdisjoint(fresh):
+                positions.update(fresh)
+            else:
+                self.generalize()
+        if not self.unique:
+            for i in indices:
+                key = keys[i]
+                found = positions.get(key)
+                if found is None:
+                    positions[key] = [position]
+                else:
+                    found.append(position)
+                position += 1
         columns = self.columns
         for j, source in enumerate(source_columns):
             extend_column(columns, j, gather(source, indices, pick), base)
         self.arrivals.extend(pick(as_values(source_arrivals)))
 
+    def index_newest(self, key: Key) -> bool:
+        """Enter the newest row under ``key`` (row-at-a-time paths); true when the key is new."""
+        positions, newest = self.positions, len(self.arrivals) - 1
+        found = positions.get(key)
+        if found is None:
+            positions[key] = newest if self.unique else [newest]
+            return True
+        if self.unique:
+            self.generalize()
+            found = positions[key]
+        found.append(newest)
+        return False
+
+    def generalize(self) -> None:
+        """Leave the unique regime (one way): every index value becomes the
+        ``[position]`` list the general loops and the flush code work on."""
+        if self.unique:
+            self.unique = False
+            for key, position in list(self.positions.items()):
+                self.positions[key] = [position]
+
     # -- lookup ----------------------------------------------------------------
+
+    def lookup(self, key: Key) -> Sequence[int]:
+        """The positions holding ``key``, ascending (empty when none do)."""
+        found = self.positions.get(key)
+        if found is None:
+            return ()
+        return (found,) if self.unique else found
 
     def gather_rows(self, at: Sequence[int]) -> tuple[list, list[float]]:
         """The rows at positions ``at`` as ``(columns, arrivals)``.
@@ -768,7 +815,7 @@ class ColumnarPartition:
 
     def gather_matches(
         self,
-        keys: Sequence[tuple[Any, ...]],
+        keys: Sequence[Key],
         positions: Sequence[int] | None = None,
         limit: int | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
@@ -790,26 +837,46 @@ class ColumnarPartition:
         """
         index = self.positions
         probe = range(len(keys)) if positions is None else positions
-        take: list[int] = []
-        at: list[int] = []
         once = True
-        for position in probe:
-            key = keys[position]
-            found = index.get(key)
-            if not found:
-                continue
-            if len(found) == 1:
-                take.append(position)
-                at.append(found[0])
-            else:
-                once = False
-                take.extend(repeat(position, len(found)))
-                at.extend(found)
-            if limit is not None and len(take) >= limit:
-                break
+        if self.unique:
+            # At most one match per key: the ``limit``-th hit is where the row loop
+            # stops, so the rest is looked up only if misses left the first ``limit`` short.
+            n = len(probe)
+            stop = n if limit is None else min(n, max(limit, 1))
+            take, at = self._hits(keys, probe[:stop])
+            if len(take) < stop < n:
+                more, found = self._hits(keys, probe[stop:])
+                take += more[: stop - len(take)]
+                at += found[: stop - len(at)]
+        else:
+            take: list[int] = []
+            at: list[int] = []
+            for position in probe:
+                key = keys[position]
+                found = index.get(key)
+                if not found:
+                    continue
+                if len(found) == 1:
+                    take.append(position)
+                    at.append(found[0])
+                else:
+                    once = False
+                    take.extend(repeat(position, len(found)))
+                    at.extend(found)
+                if limit is not None and len(take) >= limit:
+                    break
         if not take:
             return None
         return take, *self.gather_rows(at), once and len(take) == len(keys) == len(probe)
+
+    def _hits(self, keys: Sequence[Key], part: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The unique regime's key pass, all C-level: the positions of ``part``
+        whose key is held, and where each is held."""
+        at = list(map(self.positions.get, picker(part)(keys)))
+        if None not in at:
+            return list(part), at
+        hit = list(map(is_not, at, repeat(None)))
+        return list(compress(part, hit)), list(compress(at, hit))
 
     def value_tuple(self, index: int) -> tuple[Any, ...]:
         """The value vector of one row (boxes a tuple, not a Row)."""

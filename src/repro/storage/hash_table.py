@@ -2,33 +2,35 @@
 
 Both the hybrid hash join and the double pipelined join build their inputs
 into a :class:`BucketedHashTable`.  Its resident rows live in *one*
-append-only column arena (a :class:`~repro.storage.columns.ColumnarPartition`
-— a column per attribute plus the arrival list) whose ``key -> positions``
-dict is the table's one key index: an insert is one index entry per row plus
-one ``extend`` per column, a probe one lookup per key plus one C-level gather
-per column — no :class:`~repro.storage.tuples.Row`, no bytecode per cell, no
-working out which bucket a key is in.  Buckets serve the paper's overflow
-resolution only, so a :class:`Bucket` is ``flushed`` plus the
-:class:`~repro.storage.disk.SpillLedger` of what it has on disk, and a table
-keeps per-bucket resident keys and row counts only from its *first bucket
-question* on (a flush, a victim choice, a bucket's rows or sizes): derived
-then in one pass over the index — ``hash(key) % bucket_count`` once per
-distinct key — and kept by every later insert.  The table's own history picks
-the regime, never a knob.  Spilled rows live the same way, in *one*
-append-only spill log per table (an :class:`~repro.storage.disk.OverflowFile`
-tagging each row with its bucket): a flush pops its buckets' keys out of the
-index, gathers their rows (ascending positions *are* insertion order) into
-one tagged chunk and reclaims their arena slots, and the rows a run segment
-sends to flushed buckets are one gather per column however many buckets they
-scatter over — every byte and page being what one file per bucket would
-charge.  The table charges every resident row's columnar byte estimate —
-:meth:`Schema.encoded_row_size` by default (string columns dictionary-encode;
-dictionary entries charge once per table as they are first inserted),
-:meth:`Schema.columnar_row_size` with ``encoded=False`` — against a
-:class:`~repro.storage.memory.MemoryBudget`, so the join operators discover
-memory pressure exactly when the paper's engine would — identically in all
-three drive modes, because the table's representation never changes with the
-drive.
+append-only column arena (a :class:`~repro.storage.columns.ColumnarPartition`)
+whose key index is the table's one index, keyed by
+:data:`~repro.storage.tuples.Key`: the key column's bare values, tuples only
+for a composite key.  While every key is held once (a primary-key build) it
+maps ``key -> position`` and an insert or a probe is a few C-level passes over
+the key column; from the first duplicate key or the first bucket question it
+maps ``key -> [positions]`` and a row costs one dict operation in a plain
+loop.  Either way the payload moves with one ``extend`` / one C-level gather
+per column — no :class:`~repro.storage.tuples.Row`, no bytecode per cell.
+Buckets serve the paper's overflow resolution only: a :class:`Bucket` is
+``flushed`` plus the :class:`~repro.storage.disk.SpillLedger` of what it has
+on disk, bucket identity is the hash *of the key as a tuple* (``(k,)`` for a
+bare ``k`` — what it was when keys were tuples, so no victim, overflow point
+or spilled byte depends on the key form), and per-bucket resident keys and row
+counts exist only from a table's *first bucket question* on (a flush, a victim
+choice, a bucket's rows or sizes): derived then in one pass over the distinct
+keys, kept by every later insert.  The table's own history picks the regimes,
+never a knob.  Spilled rows live in *one* append-only spill log per table (an
+:class:`~repro.storage.disk.OverflowFile` tagging each row with its bucket): a
+flush pops its buckets' keys out of the index, gathers their rows (ascending
+positions *are* insertion order) into one tagged chunk and reclaims their
+arena slots, and the rows a run segment sends to flushed buckets are one
+gather per column however many buckets they scatter over — every byte and
+page being what one file per bucket would charge.  Resident rows charge their
+columnar byte estimate (:meth:`Schema.encoded_row_size` by default, dictionary
+entries once per table; :meth:`Schema.columnar_row_size` with
+``encoded=False``) against a :class:`~repro.storage.memory.MemoryBudget`, so
+the joins meet memory pressure exactly when the paper's engine would, in all
+three drive modes alike: the table's representation never changes with the drive.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -57,7 +59,7 @@ from repro.storage.columns import (
 from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk, SpillLedger
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder, Row
 
 #: Default bucket count; the paper's engine sized this from optimizer hints.
 DEFAULT_BUCKET_COUNT = 64
@@ -66,15 +68,18 @@ DEFAULT_BUCKET_COUNT = 64
 MIN_BULK_PREFIX = 8
 
 
-def bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
+def bucket_of(key: Key, bucket_count: int) -> int:
     """Deterministic bucket assignment for a join key.
 
-    Uses the builtin ``hash`` — fastest available, and perfectly fine for
-    *intra-process* buckets.  It is NOT stable across processes for strings
+    A one-column key is hashed *as the 1-tuple it stands for*: bucket identity
+    is what it was when keys were tuples, so no flush victim, overflow point
+    or spilled byte depends on the key's representation.  Uses the builtin
+    ``hash`` — fastest available, and perfectly fine for *intra-process*
+    buckets.  It is NOT stable across processes for strings
     (``PYTHONHASHSEED`` randomization); anything that partitions across
     process boundaries must use :func:`stable_bucket_of` instead.
     """
-    return hash(key) % bucket_count
+    return hash(key if type(key) is tuple else (key,)) % bucket_count
 
 
 def _adopted_codes(dictionary, source: Sequence[Any], pick):
@@ -90,16 +95,17 @@ def _adopted_codes(dictionary, source: Sequence[Any], pick):
     return map(dictionary.codes.get, pick(as_values(source)))
 
 
-def _stable_key_bytes(key: tuple[Any, ...]) -> bytes:
+def _stable_key_bytes(key: Key) -> bytes:
     """A canonical byte encoding of a join key, equal iff the keys route equal.
 
     Each value is tagged with its type so ``1`` and ``"1"`` never collide,
     except that floats with integral values encode as their int twin —
     builtin ``hash(1.0) == hash(1)``, and mixed int/float key columns must
-    keep routing rows with equal keys to the same lane.
+    keep routing rows with equal keys to the same lane.  A one-column key
+    encodes as the 1-tuple it stands for.
     """
     parts: list[bytes] = []
-    for value in key:
+    for value in key if type(key) is tuple else (key,):
         if isinstance(value, bool):
             parts.append(b"b1" if value else b"b0")
         elif isinstance(value, int):
@@ -118,7 +124,7 @@ def _stable_key_bytes(key: tuple[Any, ...]) -> bytes:
     return b"\x1f".join(parts)
 
 
-def stable_bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
+def stable_bucket_of(key: Key, bucket_count: int) -> int:
     """Process-stable bucket assignment (exchange lane routing).
 
     ``zlib.crc32`` over a canonical byte encoding: identical across runs,
@@ -303,52 +309,49 @@ class BucketedHashTable:
             store = self.arena = ColumnarPartition(
                 self.schema, self.encoded, self._dictionaries
             )
+            store.unique = self._tracked is None  # bucket work is on position lists
         return store
 
     def _derive_buckets(self) -> tuple[list[list], list[int]]:
         """Every bucket's resident keys and row count, from one pass over the
-        key index: ``hash(key) % bucket_count`` once per *distinct* key."""
+        (general-regime) key index: one bucket hash per *distinct* key."""
         count = self.bucket_count
+        single = self._binder.single
         held = [[] for _ in range(count)]
         sizes = [0] * count
         if self.arena is not None:
             for key, found in self.arena.positions.items():
-                index = hash(key) % count
+                index = hash((key,) if single else key) % count
                 held[index].append(key)
                 sizes[index] += len(found)
         return held, sizes
 
     def _track(self) -> tuple[list[list], list[int]]:
-        """The per-bucket bookkeeping: derived at the first bucket question,
-        kept by every insert from then on (:meth:`_index_row`, :meth:`_move_rows`)."""
+        """The per-bucket bookkeeping: derived at the first bucket question —
+        which also ends the arena's unique regime, buckets being flushed as
+        position lists — and kept by every insert from then on
+        (:meth:`_index_row`, :meth:`_move_rows`)."""
         if self._tracked is None:
+            if self.arena is not None:
+                self.arena.generalize()
             self._tracked = self._derive_buckets()
         return self._tracked
 
-    def _index_row(self, index: int, key: tuple[Any, ...]) -> None:
+    def _index_row(self, index: int, key: Key) -> None:
         """Index the arena's newest row, of bucket ``index`` (row-at-a-time paths)."""
-        store = self.arena
-        found = store.positions.setdefault(key, [])
+        fresh = self.arena.index_newest(key)
         if self._tracked is not None:
             held, sizes = self._tracked
-            if not found:
+            if fresh:
                 held[index].append(key)
             sizes[index] += 1
-        found.append(len(store.arrivals) - 1)
 
     # -- basic operations --------------------------------------------------------
 
-    def key_for(self, row: Row) -> tuple[Any, ...]:
-        return self._binder.key(row)
+    def bucket_for_key(self, key: Key) -> Bucket:
+        return self.buckets[bucket_of(key, self.bucket_count)]
 
-    def key_indices_in(self, schema: Schema) -> tuple[int, ...]:
-        """Positions of the key attributes in ``schema`` (for bulk extraction)."""
-        return self._binder.indices_in(schema)
-
-    def bucket_for_key(self, key: tuple[Any, ...]) -> Bucket:
-        return self.buckets[hash(key) % self.bucket_count]
-
-    def insert(self, row: Row, marked: bool = False, key: tuple[Any, ...] | None = None) -> bool:
+    def insert(self, row: Row, marked: bool = False, key: Key | None = None) -> bool:
         """Insert ``row``.
 
         Returns ``True`` when the row is resident in memory, ``False`` when it
@@ -361,7 +364,7 @@ class BucketedHashTable:
         self._adopt_schema(row.schema)
         if key is None:
             key = self._binder.key(row)
-        bucket = self.buckets[hash(key) % self.bucket_count]
+        bucket = self.bucket_for_key(key)
         self.total_inserted += 1
         if bucket.flushed:
             self.spill_log.write(row, marked, bucket)
@@ -376,7 +379,7 @@ class BucketedHashTable:
     def insert_position(
         self,
         bucket_index: int,
-        key: tuple[Any, ...],
+        key: Key,
         source_columns: Sequence[Sequence[Any]],
         position: int,
         arrival: float,
@@ -401,7 +404,7 @@ class BucketedHashTable:
         self,
         batch: Batch,
         marked: bool = False,
-        keys: Sequence[tuple[Any, ...]] | None = None,
+        keys: Sequence[Key] | None = None,
         start: int = 0,
         stop: int | None = None,
         positions: Sequence[int] | None = None,
@@ -469,7 +472,7 @@ class BucketedHashTable:
                     break
                 self.total_inserted += 1
                 store.append_position(columns, i, arrivals[i])
-                self._index_row(hash(keys[i]) % self.bucket_count, keys[i])
+                self._index_row(bucket_of(keys[i], self.bucket_count), keys[i])
                 if self._adopted_slots:
                     self._charge_adopted(columns, i)
         if spills:
@@ -478,7 +481,7 @@ class BucketedHashTable:
 
     def split_flushed(
         self,
-        keys: Sequence[tuple[Any, ...]],
+        keys: Sequence[Key],
         rows: Sequence[int],
         twin: "BucketedHashTable | None" = None,
         first_only: bool = False,
@@ -489,13 +492,14 @@ class BucketedHashTable:
         flushed too; ``first_only`` ends the split after the first spilling row.
         """
         count = self.bucket_count
+        single = self._binder.single
         flushed = [bucket.flushed for bucket in self.buckets]
         if twin is not None:
             flushed = list(map(or_, flushed, [bucket.flushed for bucket in twin.buckets]))
         live: list[int] = []
         spills: dict[int, list[int]] = {}
         for i in rows:
-            index = hash(keys[i]) % count
+            index = hash((keys[i],) if single else keys[i]) % count
             if flushed[index]:
                 found = spills.get(index)
                 if found is None:
@@ -554,7 +558,7 @@ class BucketedHashTable:
         self,
         columns: Sequence[Sequence[Any]],
         arrivals: Sequence[float],
-        keys: Sequence[tuple[Any, ...]],
+        keys: Sequence[Key],
         rows: Sequence[int],
     ) -> None:
         """Move already-reserved ``rows`` into the arena and its key index
@@ -571,10 +575,11 @@ class BucketedHashTable:
         if self._tracked is not None:
             held, sizes = self._tracked
             count = self.bucket_count
+            single = self._binder.single
             for key in islice(reversed(index), len(index) - known):
-                held[hash(key) % count].append(key)
+                held[hash((key,) if single else key) % count].append(key)
             for i in rows:
-                sizes[hash(keys[i]) % count] += 1
+                sizes[hash((keys[i],) if single else keys[i]) % count] += 1
 
     def insert_resident(self, row: Row) -> None:
         """Insert assuming memory is available; raises if the budget refuses."""
@@ -586,7 +591,7 @@ class BucketedHashTable:
 
     # -- probing -------------------------------------------------------------------
 
-    def probe(self, key: tuple[Any, ...]) -> list[Row]:
+    def probe(self, key: Key) -> list[Row]:
         """Resident rows matching ``key``, boxed (the tuple-at-a-time view)."""
         matched = self.match_positions(key)
         if matched is None:
@@ -594,21 +599,15 @@ class BucketedHashTable:
         store, positions = matched
         return [store.row_at(i) for i in positions]
 
-    def probe_row(self, row: Row, key_names: Sequence[str]) -> list[Row]:
-        """Probe using ``row``'s values of ``key_names`` as the key."""
-        return self.probe(row.key(key_names))
-
-    def match_positions(
-        self, key: tuple[Any, ...]
-    ) -> tuple[ColumnarPartition, list[int]] | None:
+    def match_positions(self, key: Key) -> tuple[ColumnarPartition, Sequence[int]] | None:
         """Resident matches as ``(arena, positions)`` — no row boxing."""
         store = self.arena
-        positions = store.positions.get(key) if store is not None else None
+        positions = store.lookup(key) if store is not None else None
         return (store, positions) if positions else None
 
     def gather_matches(
         self,
-        keys: Sequence[tuple[Any, ...]],
+        keys: Sequence[Key],
         positions: Sequence[int] | None = None,
         limit: int | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
@@ -791,7 +790,7 @@ class BucketedHashTable:
         followed by a copy of the arena (resident rows are unmarked), storage
         classes kept; ``rows[i]`` is bucket ``i``'s positions — spilled rows
         in write order, then resident ones in insertion order; ``keys`` each
-        row's join key (the key column itself when there is one: no tuples).
+        row's join key (:meth:`Batch.key_tuples`: bare values for one key column).
         Free of charge: readers charge buckets via ``spill_log.charge_read``.
         """
         log = self.spill_log.read_log()
@@ -811,8 +810,9 @@ class BucketedHashTable:
             if size:
                 at = map(spilled.__add__, self._bucket_positions(index))
                 rows[index] = [*rows.get(index, ()), *at]
-        keys = [as_values(columns[j]) for j in self._binder.indices_in(self.schema)]
-        return columns, arrivals, marked, rows, keys[0] if len(keys) == 1 else list(zip(*keys))
+        indices = self._binder.indices_in(self.schema)
+        keys = Batch.from_columns(self.schema, columns, arrivals).key_tuples(indices)
+        return columns, arrivals, marked, rows, keys
 
     def overflow_chunks(self, index: int) -> Iterator[SpillChunk]:
         """Read back bucket ``index``'s spilled rows as one columnar chunk."""
@@ -842,7 +842,8 @@ class BucketedHashTable:
             )
         slots = len(self.arena) if self.arena is not None else 0
         index = self.arena.positions if self.arena is not None else {}
-        indexed = list(chain.from_iterable(index.values()))
+        unique = self.arena is not None and self.arena.unique
+        indexed = list(index.values() if unique else chain.from_iterable(index.values()))
         if (
             len(indexed) != self.resident_rows
             or len(set(indexed)) != len(indexed)

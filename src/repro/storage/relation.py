@@ -8,7 +8,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.errors import SchemaError, StorageError
 from repro.storage.batch import Batch, transpose_rows
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row, rows_from_dicts
+from repro.storage.tuples import Key, KeyBinder, Row, rows_from_dicts
 
 
 class Relation:
@@ -235,11 +235,12 @@ class Relation:
             raise StorageError("join key lists must have equal length")
         schema = self.schema.join(other.schema)
         out = Relation(name or f"{self.name}_join_{other.name}", schema)
-        index: dict[tuple[Any, ...], list[Row]] = {}
+        index: dict[Key, list[Row]] = {}
+        left_key, right_key = KeyBinder(left_keys).key, KeyBinder(right_keys).key
         for row in other:
-            index.setdefault(row.key(right_keys), []).append(row)
+            index.setdefault(right_key(row), []).append(row)
         for row in self:
-            for match in index.get(row.key(left_keys), ()):
+            for match in index.get(left_key(row), ()):
                 out.append(row.concat(match, schema))
         return out
 

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.storage.schema import Schema
+
+#: A join / dedup / bind / partition key: the key attribute's value itself when
+#: there is one, the tuple of their values otherwise (what an ``itemgetter``
+#: over the key positions returns).  No attribute type holds tuples, so a key
+#: is a tuple exactly when it is composite (``hash_table.bucket_of`` relies on it).
+Key = Any
 
 
 class RowConstructionCounter:
@@ -130,10 +137,6 @@ class Row:
         values = tuple(self[name] for name in names)
         return Row(out_schema, values, self.arrival)
 
-    def key(self, names: Sequence[str]) -> tuple[Any, ...]:
-        """Join/grouping key: the values of ``names`` as a tuple."""
-        return tuple(self[name] for name in names)
-
     def concat(self, other: "Row", schema: Schema | None = None) -> "Row":
         """Concatenate with ``other`` (join output); arrival is the later stamp."""
         out_schema = schema if schema is not None else self.schema.join(other.schema)
@@ -163,12 +166,15 @@ class KeyBinder:
     Used by the join operators and the bucketed hash table.
     """
 
-    __slots__ = ("names", "_schema", "_indices")
+    __slots__ = ("names", "single", "_schema", "_indices", "_pick")
 
     def __init__(self, names: Sequence[str]) -> None:
         self.names = tuple(names)
+        #: One key attribute — keys are bare values.  The one place arity is known.
+        self.single = len(self.names) == 1
         self._schema: Schema | None = None
         self._indices: tuple[int, ...] = ()
+        self._pick = None
 
     def indices_in(self, schema: Schema) -> tuple[int, ...]:
         """Value indices of the key attributes in ``schema`` (cached per schema).
@@ -178,15 +184,14 @@ class KeyBinder:
         """
         if schema is not self._schema:
             self._indices = tuple(schema.index_of(name) for name in self.names)
+            self._pick = itemgetter(*self._indices)
             self._schema = schema
         return self._indices
 
-    def key(self, row: Row) -> tuple[Any, ...]:
-        indices = self.indices_in(row.schema)
-        values = row.values
-        if len(indices) == 1:
-            return (values[indices[0]],)
-        return tuple(values[i] for i in indices)
+    def key(self, row: Row) -> Key:
+        if row.schema is not self._schema:
+            self.indices_in(row.schema)
+        return self._pick(row.values)
 
 
 def rows_from_dicts(schema: Schema, records: Sequence[dict[str, Any]]) -> list[Row]:

@@ -122,3 +122,76 @@ def recording_calls(owner, name):
         yield calls
     finally:
         setattr(owner, name, original)
+
+
+def spill_fingerprints() -> dict:
+    """What the §4.2.3 overflow workload decides and charges, plan by plan.
+
+    ``part ⋈ partsupp`` (1 MB TPC-D, seed 7) at a third of the encoded join
+    state through the double pipelined join under both overflow strategies and
+    a constrained hybrid hash join, plus the left-flush plan re-keyed on
+    strings: flush victims in order, spill bytes and pages, overflow events,
+    the final virtual clock and the result cardinality.  Bucket identity is
+    the builtin ``hash``, so the string-keyed numbers repeat only under a
+    fixed ``PYTHONHASHSEED`` — callers run this in a child interpreter.
+    """
+    from repro.catalog.catalog import DataSourceCatalog
+    from repro.datagen.tpcd import TPCDGenerator
+    from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
+    from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
+    from repro.engine.operators.scan import WrapperScan
+    from repro.network.profiles import lan
+    from repro.network.source import DataSource
+    from repro.plan.physical import OverflowMethod
+    from repro.storage.hash_table import BucketedHashTable
+
+    database = TPCDGenerator(scale_mb=1.0, seed=7).generate(["part", "partsupp"])
+    part, partsupp = database["part"], database["partsupp"]
+    part_s = Relation.from_values(
+        "part_s",
+        Schema.of("p_partkey:str", "p_brand:str", "p_size:int"),
+        [(f"PK{r['p_partkey']:08d}", r["p_brand"], r["p_size"]) for r in part],
+    )
+    partsupp_s = Relation.from_values(
+        "partsupp_s",
+        Schema.of("ps_partkey:str", "ps_suppkey:int", "ps_supplycost:float"),
+        [(f"PK{r['ps_partkey']:08d}", r["ps_suppkey"], r["ps_supplycost"]) for r in partsupp],
+    )
+    catalog = DataSourceCatalog()
+    for relation in (part, partsupp, part_s, partsupp_s):
+        catalog.register_source(DataSource(relation.name, relation, lan()))
+
+    def run(join_cls, left, right, **kwargs):
+        sources = [catalog.source(name) for name in (left, right)]
+        state = sum(s.cardinality * s.exported_schema.encoded_row_size for s in sources)
+
+        def build(context):
+            return join_cls(
+                "join", context, WrapperScan("l", context, left), WrapperScan("r", context, right),
+                [f"{left}.p_partkey"], [f"{right}.ps_partkey"],
+                memory_limit_bytes=state // 3, **kwargs,
+            )
+
+        config = dict(disk_page_read_ms=1.0, disk_page_write_ms=1.2)
+        with recording_calls(BucketedHashTable, "flush_bucket") as flushes:
+            rows, context, _ = drive_join(build, catalog, "columnar", **config)
+        stats = context.disk.stats
+        return {
+            # "l8 r8 ...": the table's side (left / right / inner) and the bucket.
+            "victims": " ".join(
+                f"{args[0].name[5]}{args[1]}" for args, _, flushed in flushes if flushed
+            ),
+            "bytes_written": stats.bytes_written,
+            "pages": [stats.pages_written, stats.pages_read],
+            "overflow_events": context.stats.operator("join").overflow_events,
+            "clock": context.clock.now,
+            "rows": len(rows),
+        }
+
+    left_flush, symmetric = OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH
+    return {
+        "dpj_left": run(DoublePipelinedJoin, "part", "partsupp", overflow_method=left_flush),
+        "dpj_symmetric": run(DoublePipelinedJoin, "part", "partsupp", overflow_method=symmetric),
+        "hybrid": run(HybridHashJoin, "part", "partsupp"),
+        "dpj_left_str": run(DoublePipelinedJoin, "part_s", "partsupp_s", overflow_method=left_flush),
+    }

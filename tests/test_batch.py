@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.batch import Batch, BatchCursor, gather_join, transpose_rows
+from repro.storage.columns import DictColumn, build_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
@@ -90,8 +91,17 @@ def test_key_tuples_both_representations():
     row_backed = Batch.from_rows(SCHEMA, SAMPLE)
     columnar = Batch.from_columns(SCHEMA, row_backed.columns, list(row_backed.arrivals))
     for batch in (row_backed, columnar):
-        assert batch.key_tuples((0,)) == [(1,), (2,), (1,), (3,)]
+        # One key column: its values, not 1-tuples; composite keys stay tuples.
+        assert batch.key_tuples((0,)) == [1, 2, 1, 3]
         assert batch.key_tuples((0, 2)) == [(1, 10), (2, 20), (1, 30), (3, 40)]
+    # Whatever stores the column, the keys come back as one plain list of values.
+    assert columnar.key_tuples((0,)) is columnar.columns[0]
+    coded = build_columns(SCHEMA, columnar.columns, encoded=True)
+    assert type(coded[0]) is array_module.array and type(coded[1]) is DictColumn
+    typed = Batch.from_columns(SCHEMA, coded, columnar.arrivals)
+    for index in (0, 1):
+        keys = typed.key_tuples((index,))
+        assert type(keys) is list and keys == columnar.columns[index]
 
 
 def test_concat_columnar_and_mixed():

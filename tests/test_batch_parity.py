@@ -290,6 +290,93 @@ def test_operator_parity_on_joinable_catalog(parity_catalog, tree_name, batch_si
     assert_parity(JOINABLE_TREES[tree_name], parity_catalog, batch_size)
 
 
+# -- composite keys: two-column equi-joins through every join ------------------------------
+#
+# One-column keys are bare values and composite keys tuples (PR 18); the trees
+# above cover the first form, these the second — where either column alone
+# would over-match, so a key cut to its first column shows.
+
+TWO_COLUMN_LEFT = [(i % 10, f"g{i % 3}", i) for i in range(120)]
+TWO_COLUMN_RIGHT = [(i % 10, f"g{i % 4}", 1000 + i) for i in range(90)]
+
+TWO_COLUMN_JOINS = {
+    "hybrid_hash": HybridHashJoin,
+    "double_pipelined": DoublePipelinedJoin,
+    "nested_loops": NestedLoopsJoin,
+}
+
+
+@pytest.fixture
+def two_column_catalog():
+    catalog = DataSourceCatalog()
+    for name, values in (("tl", TWO_COLUMN_LEFT), ("tr", TWO_COLUMN_RIGHT)):
+        relation = make_relation(name, ["a:int", "b:str", "n:int"], values)
+        catalog.register_source(DataSource(name, relation, lan()))
+    return catalog
+
+
+def two_column_pairs() -> dict:
+    pairs: dict = {}
+    for left in TWO_COLUMN_LEFT:
+        for right in TWO_COLUMN_RIGHT:
+            if left[:2] == right[:2]:
+                pairs[left + right] = pairs.get(left + right, 0) + 1
+    return pairs
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@pytest.mark.parametrize("implementation", sorted(TWO_COLUMN_JOINS) + ["dependent"])
+def test_two_column_join_parity(two_column_catalog, implementation, batch_size):
+    def build(context):
+        left = WrapperScan("scan_l", context, "tl")
+        keys = (["tl.a", "tl.b"], ["tr.a", "tr.b"])
+        if implementation == "dependent":
+            return DependentJoin("join", context, left, "tr", *keys)
+        right = WrapperScan("scan_r", context, "tr")
+        return TWO_COLUMN_JOINS[implementation]("join", context, left, right, *keys)
+
+    assert_parity(build, two_column_catalog, batch_size)
+    rows = drain_batch(build(ExecutionContext(two_column_catalog)), batch_size)
+    assert multiset(rows) == two_column_pairs()
+
+
+@pytest.mark.parametrize("batch_size", [7, 64])
+@pytest.mark.parametrize(
+    "implementation, method",
+    [
+        ("double_pipelined", OverflowMethod.LEFT_FLUSH),
+        ("double_pipelined", OverflowMethod.SYMMETRIC_FLUSH),
+        ("hybrid_hash", None),
+    ],
+)
+def test_two_column_join_spill_parity(two_column_catalog, implementation, method, batch_size):
+    """Composite keys through the bucket code: routing, flushes, the spill join."""
+    options = {"overflow_method": method} if method is not None else {}
+
+    def build(context):
+        return TWO_COLUMN_JOINS[implementation](
+            "join", context, WrapperScan("scan_l", context, "tl"),
+            WrapperScan("scan_r", context, "tr"), ["tl.a", "tl.b"], ["tr.a", "tr.b"],
+            memory_limit_bytes=1500, bucket_count=8, **options,
+        )
+
+    reference = drain_tuple(build(ExecutionContext(two_column_catalog)))
+    assert multiset(reference) == two_column_pairs()
+    row_rows, row_ctx, row_join = drain_batch_with_context(
+        build, two_column_catalog, batch_size, columnar=False
+    )
+    col_rows, col_ctx, col_join = drain_batch_with_context(
+        build, two_column_catalog, batch_size, columnar=True
+    )
+    assert multiset(row_rows) == multiset(col_rows) == multiset(reference)
+    assert col_ctx.stats.operator("join").overflow_events > 0
+    for counter in ("tuples_written", "bytes_written", "tuples_read"):
+        assert getattr(row_ctx.disk.stats, counter) == getattr(col_ctx.disk.stats, counter) > 0
+    assert col_ctx.clock.now == pytest.approx(row_ctx.clock.now, rel=1e-9)
+    assert_budget_invariant(row_join)
+    assert_budget_invariant(col_join)
+
+
 # -- overflow paths (tiny memory budgets force bucket spills) -------------------------------
 
 

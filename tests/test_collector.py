@@ -310,6 +310,46 @@ class TestDedupSpill:
         assert {row["isbn"] for row in spilled} == {row["isbn"] for row in unbounded}
         assert len(spilled) == len(unbounded) == 20
 
+    #: ``(spills, spilled keys, digest entries, budget bytes, bytes written, bytes
+    #: read)`` at the parent of PR 18, when every dedup key was a tuple.
+    PARENT_CHARGES = {
+        ("one", "batch"): (4, 20, 20, 160, 212, 716),
+        ("one", "tuple"): (4, 19, 19, 184, 203, 5262),
+        ("two", "batch"): (8, 20, 20, 160, 1044, 3703),
+        ("two", "tuple"): (10, 20, 20, 160, 1060, 28662),
+    }
+
+    @pytest.mark.parametrize("drive", ["batch", "tuple"])
+    @pytest.mark.parametrize("arity", ["one", "two"])
+    def test_key_form_moves_no_spill_charge(self, bib_catalog, arity, drive):
+        """One-column dedup keys are bare values, composite keys tuples; the
+        spilled chunk holds the key *columns* either way, and what is written,
+        re-read and charged for the digest is what it was."""
+        keys = ["bib.isbn"] if arity == "one" else ["bib.isbn", "bib.title"]
+        context = ExecutionContext(bib_catalog)
+        collector = make_collector(
+            context, ["bib-main", "bib-mirror", "bib-partial"],
+            dedup_keys=keys, dedup_budget_bytes=200,
+        )
+        collector.open()
+        if drive == "tuple":
+            produced = len(list(collector.iterate()))
+        else:
+            produced = 0
+            while batch := collector.next_batch(16):
+                produced += len(batch)
+        assert produced == 20
+        stats = context.disk.stats
+        assert (
+            collector.dedup_spills, collector._spilled_key_count, len(collector._spilled_digest),
+            collector.budget.used_bytes, stats.bytes_written, stats.bytes_read,
+        ) == self.PARENT_CHARGES[arity, drive]
+        expected = int if arity == "one" else tuple
+        assert all(type(key) is expected for key in collector._seen_keys)
+        spilled = [row.values for row, _ in collector._spilled_keys_file.peek()]
+        assert len(spilled) == len(set(spilled)) == collector._spilled_key_count
+        assert all(len(values) == len(keys) and type(values[0]) is int for values in spilled)
+
     def test_tuple_path_consults_spilled_keys(self, bib_catalog):
         context = ExecutionContext(bib_catalog)
         collector = make_collector(

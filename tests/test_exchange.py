@@ -16,6 +16,7 @@ from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.iterators import Operator
 from repro.engine.operators import Exchange
+from repro.engine.operators.exchange import ExchangeSource
 from repro.network.profiles import NetworkProfile, lan
 from repro.network.source import DataSource
 from repro.plan.physical import JoinImplementation, collector, join, wrapper_scan
@@ -25,7 +26,7 @@ from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import make_relation, multiset
+from helpers import make_relation, multiset, recording_calls
 
 SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
 
@@ -264,6 +265,54 @@ def build_tie_exchange():
     # across parent and worker processes), not the builtin-hash bucket_of.
     expected_lane = {value: stable_bucket_of((value,), 2) for value in range(16)}
     return xchg, expected_lane
+
+
+class TestRoutingKeyForms:
+    """Lane routing at 4 inline lanes: a one-column partition key is the bare
+    column value, a composite key a tuple — and every row lands in the lane
+    it was routed to when all keys were tuples (assignments recorded on the
+    parent of PR 18; ``crc32`` over canonical bytes, so they hold anywhere)."""
+
+    ROWS = [(v, f"k{v}", f"k{v % 3}") for v in range(16)]
+    PARENT_LANES = {
+        ("id",): [1, 3, 1, 3, 0, 2, 0, 2, 3, 1, 3, 1, 3, 1, 2, 0],
+        ("name",): [3, 1, 3, 1, 2, 0, 2, 0, 1, 3, 1, 3, 1, 3, 0, 2],
+        ("id", "tag"): [3, 1, 3, 3, 1, 3, 3, 1, 2, 2, 0, 2, 2, 0, 2, 2],
+    }
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("keys", sorted(PARENT_LANES), ids="+".join)
+    def test_rows_reach_the_lanes_the_tuple_keys_chose(self, keys, columnar):
+        schema = Schema.of("id:int", "name:str", "tag:str")
+        context = ExecutionContext(
+            DataSourceCatalog(),
+            config=EngineConfig(per_tuple_cpu_ms=0.0, validate_plans=False),
+            query_name="route",
+        )
+        batch = Batch.from_rows(schema, [Row(schema, values, 0.0) for values in self.ROWS])
+        if columnar:
+            batch = Batch.from_columns(schema, batch.columns, batch.arrivals)
+        lanes: dict = {}
+
+        def build_lane(index, lane_context, sources):
+            lanes[index] = sources[0]
+            return sources[0]
+
+        xchg = Exchange(
+            "xchg", context, [_StaticProducer("src", context, schema, [batch])],
+            partition_keys=[list(keys)], lanes=4, build_lane=build_lane, output_schema=schema,
+        )
+        with recording_calls(ExchangeSource, "enqueue") as routed:
+            xchg.open()
+            emitted = list(xchg.iterate())
+            xchg.close()
+        lane_of = {id(source): index for index, source in lanes.items()}
+        assert multiset(emitted) == multiset(batch)
+        got = {}
+        for (source, _, part), _, _ in routed:
+            for row in part:
+                got[row.values[0]] = lane_of[id(source)]
+        assert [got[v] for v in range(16)] == self.PARENT_LANES[keys]
 
 
 class TestDeterministicTieBreaking:

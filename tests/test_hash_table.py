@@ -49,16 +49,9 @@ class TestBasicOperations:
         table.insert(make_row(1, "a"))
         table.insert(make_row(1, "b"))
         table.insert(make_row(2, "c"))
-        assert {row["v"] for row in table.probe((1,))} == {"a", "b"}
-        assert table.probe((99,)) == []
+        assert {row["v"] for row in table.probe(1)} == {"a", "b"}
+        assert table.probe(99) == []
         assert table.resident_rows == 3
-
-    def test_probe_row_uses_given_keys(self):
-        table = make_table()
-        table.insert(make_row(5, "a"))
-        other_schema = Schema.of("fk:int")
-        probe = Row(other_schema, (5,))
-        assert len(table.probe_row(probe, ["fk"])) == 1
 
     def test_budget_charged_per_row_in_encoded_bytes(self):
         budget = MemoryBudget(10_000)
@@ -94,8 +87,8 @@ class TestBasicOperations:
             make_table(buckets=0)
 
     def test_bucket_of_deterministic(self):
-        assert bucket_of((5,), 16) == bucket_of((5,), 16)
-        assert 0 <= bucket_of(("abc", 3), 7) < 7
+        assert bucket_of(5, 16) == bucket_of((5,), 16) == hash((5,)) % 16
+        assert 0 <= bucket_of(("abc", 3), 7) == hash(("abc", 3)) % 7 < 7
 
 
 class TestFlushing:
@@ -134,13 +127,13 @@ class TestFlushing:
         table = make_table(buckets=2)
         # Bucket of key k is deterministic; put more rows behind one key.
         heavy_key, light_key = 0, 1
-        if bucket_of((0,), 2) == bucket_of((1,), 2):
+        if bucket_of(0, 2) == bucket_of(1, 2):
             light_key = 2
         for _ in range(5):
             table.insert(make_row(heavy_key))
         table.insert(make_row(light_key))
         flushed_index = table.flush_largest_bucket()
-        assert flushed_index == bucket_of((heavy_key,), 2)
+        assert flushed_index == bucket_of(heavy_key, 2)
 
     def test_flush_largest_none_when_empty(self):
         assert make_table().flush_largest_bucket() is None
@@ -176,8 +169,8 @@ class TestColumnarBuckets:
         table = make_table()
         table.insert(make_row(1, "a"))
         table.insert(make_row(2, "b"))
-        store, positions = table.match_positions((1,))
-        assert positions == [0]
+        store, positions = table.match_positions(1)
+        assert list(positions) == [0]
         assert isinstance(store.columns[0], array)
         assert store.columns[0].typecode == "q"
         # String columns dictionary-encode by default...
@@ -188,7 +181,7 @@ class TestColumnarBuckets:
             schema=SCHEMA, encoded=False,
         )
         plain.insert(make_row(1, "a"))
-        assert isinstance(plain.match_positions((1,))[0].columns[1], list)
+        assert isinstance(plain.match_positions(1)[0].columns[1], list)
 
     def test_insert_batch_bulk_fast_path(self):
         table = make_table()
@@ -196,7 +189,7 @@ class TestColumnarBuckets:
         assert table.insert_batch(batch) == 50
         assert table.resident_rows == 50
         assert table.budget.used_bytes == 50 * ROW_BYTES + DICT_X_BYTES
-        assert {row["k"] for row in table.probe((7,))} == {7}
+        assert {row["k"] for row in table.probe(7)} == {7}
 
     def test_insert_batch_stops_at_exact_refusal_row(self):
         # Budget fits 3 rows (plus the shared "x" dictionary entry); the 4th
@@ -226,7 +219,7 @@ class TestColumnarBuckets:
         assert 0 < len(appended) <= 35  # 72 rows would fit but for their entries; 36 do
         twin = make_table(limit_bytes=limit)
         fitted = 0
-        while twin.insert_position(bucket_of((fitted,), 8), (fitted,), batch.columns, fitted, 0.0):
+        while twin.insert_position(bucket_of(fitted, 8), fitted, batch.columns, fitted, 0.0):
             fitted += 1
         assert fitted == 70
         assert table.budget.used_bytes == twin.budget.used_bytes == limit
@@ -248,7 +241,7 @@ class TestColumnarBuckets:
         table.insert(make_row(1, "a"))
         table.insert(make_row(2, "b"))
         table.insert(make_row(2, "c"))
-        result = table.gather_matches([(1,), (9,), (2,)])
+        result = table.gather_matches([1, 9, 2])
         assert result is not None
         take, columns, arrivals, aligned = result
         assert take == [0, 2, 2]
@@ -261,7 +254,7 @@ class TestColumnarBuckets:
         table = make_table()
         table.insert(make_row(1, "a"))
         table.insert(make_row(2, "b"))
-        take, _, _, aligned = table.gather_matches([(1,), (2,)])
+        take, _, _, aligned = table.gather_matches([1, 2])
         assert take == [0, 1]
         assert aligned
 
@@ -269,7 +262,7 @@ class TestColumnarBuckets:
         table = make_table()
         table.insert(make_row(1, "a"))
         table.insert(make_row(2, "b"))
-        take, columns, _, aligned = table.gather_matches([(1,), (2,)], positions=[1])
+        take, columns, _, aligned = table.gather_matches([1, 2], positions=[1])
         assert take == [1]
         assert list(columns[0]) == [2]
         assert not aligned  # a subset probe can never be the identity
@@ -278,16 +271,16 @@ class TestColumnarBuckets:
         """Hash-table insert/probe hot paths must not construct Row objects."""
         table = make_table()
         batch = make_batch(list(range(40)))
-        keys = batch.key_tuples(table.key_indices_in(SCHEMA))
+        keys = batch.key_tuples((0,))
         with counting_row_constructions() as counter:
             table.insert_batch(batch, keys=keys)
-            table.insert_position(bucket_of((99,), 8), (99,), batch.columns, 0, 0.0)
+            table.insert_position(bucket_of(99, 8), 99, batch.columns, 0, 0.0)
             assert table.gather_matches(keys) is not None
-            assert table.match_positions((5,)) is not None
+            assert table.match_positions(5) is not None
             assert counter.count == 0
         # The boxed views box (that is their job).
         with counting_row_constructions() as counter:
-            assert len(table.probe((5,))) == 1
+            assert len(table.probe(5)) == 1
             assert counter.count == 1
 
     def test_spill_and_flush_box_no_rows(self):
@@ -307,7 +300,7 @@ def keys_of_bucket(bucket: int, how_many: int, buckets: int = 4) -> list[int]:
     found = []
     key = 0
     while len(found) < how_many:
-        if bucket_of((key,), buckets) == bucket:
+        if bucket_of(key, buckets) == bucket:
             found.append(key)
         key += 1
     return found
@@ -322,7 +315,7 @@ def chunk_rows(table: BucketedHashTable, bucket: int) -> list[list[tuple]]:
 
 
 def probe_rows(table: BucketedHashTable, keys: list[int]) -> list[tuple]:
-    result = table.gather_matches([(key,) for key in keys])
+    result = table.gather_matches(keys)
     if result is None:
         return []
     take, columns, arrivals, _ = result
@@ -370,7 +363,7 @@ class TestColumnArena:
         # The arena keeps appending where the truncation left it.
         fresh = keys_of_bucket(3, 1)[0]
         table.insert(make_row(fresh, "late"))
-        assert table.match_positions((fresh,))[1] == [4]
+        assert table.match_positions(fresh)[1] == [4]
 
     def test_flush_in_the_middle_tombstones(self):
         layout = [0, 1, 0, 2, 0, 1, 0]
@@ -390,15 +383,15 @@ class TestColumnArena:
         assert len(table.arena) == 8 and table._dead == 3  # 3 dead <= 5 live
         table.flush_bucket(1)  # 6 dead > 2 live: compaction
         assert len(table.arena) == 2 and table._dead == 0
-        assert table.match_positions((self.keys[2],))[1] == [0]
-        assert table.match_positions((self.keys[5],))[1] == [1]
+        assert table.match_positions(self.keys[2])[1] == [0]
+        assert table.match_positions(self.keys[5])[1] == [1]
         self.expect_rows(table, layout, alive=[2])
         assert chunk_rows(table, 1) == [
             [(self.keys[i], f"v{i}", float(i), False) for i in (1, 4, 7)]
         ]
         # Inserts after a compaction extend the compacted arena.
         again = keys_of_bucket(2, 9)[-1]
-        table.insert_position(2, (again,), [[again], ["new"]], 0, 9.0)
+        table.insert_position(2, again, [[again], ["new"]], 0, 9.0)
         assert probe_rows(table, [again]) == [(0, again, "new", 9.0)]
         assert table.flush_bucket(2) == 3
         assert table.resident_rows == 0 and len(table.arena) == 0
@@ -437,21 +430,20 @@ class TestColumnArena:
         table.insert_batch(make_batch([0, 1, 2, 3]))
         odd = Batch.from_columns(SCHEMA, [array("q", [4, 5]), ["y", None]], [1.0, 1.0])
         assert table.insert_batch(odd) == 2
-        store, _ = table.match_positions((5,))
+        store, _ = table.match_positions(5)
         assert type(store.columns[1]) is list  # the table's column, every bucket's rows
         assert probe_rows(table, [0, 5]) == [(0, 0, "x", 0.0), (1, 5, None, 1.0)]
         assert table.budget.used_bytes == table.resident_bytes
-        bucket = bucket_of((0,), 4)
+        bucket = bucket_of(0, 4)
         flushed = table.flush_bucket(bucket)
         assert sum(len(chunk) for chunk in chunk_rows(table, bucket)) == flushed
         table.check_accounting()
 
 
 class CountedKey:
-    """A join-key value that counts how often it is hashed.  A tuple hashes its
-    elements every time, so ``(CountedKey(v),)`` is hashed once per dict
-    operation and once per explicit ``hash(key)`` — and lands in the bucket of
-    ``(v,)``."""
+    """A join-key value that counts how often it is hashed: once per dict
+    operation, and once per bucket hash — which hashes the 1-tuple around it,
+    so it lands in the bucket of ``v``."""
 
     calls = 0
 
@@ -468,8 +460,9 @@ class CountedKey:
 
 class TestKeyIndexProportionality:
     """A table that is never asked a bucket question hashes a key once per
-    index operation and nowhere else; the first bucket question costs one pass
-    over the distinct keys, not the rows."""
+    index operation and nowhere else; leaving the unique regime and the first
+    bucket question each cost one pass over the distinct keys, not the rows,
+    at most once per arena."""
 
     def hashes(self, work) -> int:
         before = CountedKey.calls
@@ -479,30 +472,47 @@ class TestKeyIndexProportionality:
     def test_unpressured_insert_and_probe_hash_once_per_dict_operation(self):
         n = 200
         table = make_table(buckets=16)
-        keys = [(CountedKey(k),) for k in range(n)]
-        # A unique-key build is a miss then a store per row, a probe one lookup
-        # (an explicit ``hash(key) % bucket_count`` in front of each made it 5N).
+        keys = [CountedKey(k) for k in range(n)]
+        # A unique-key build makes a dict of the batch's keys (distinct?), looks
+        # each up in the index (disjoint?) and merges with the hashes the dict
+        # already holds; a probe is one lookup per key.  3N in all.
         batch = make_batch(list(range(n)))
         assert self.hashes(lambda: table.insert_batch(batch, keys=keys)) == 2 * n
         assert self.hashes(lambda: table.gather_matches(keys)) == n
         assert self.hashes(lambda: table.match_positions(keys[3])) == 1
-        assert table._tracked is None
+        assert table._tracked is None and table.arena.unique
         table.check_accounting()
-        assert table._tracked is None  # checking is not asking
+        assert table._tracked is None and table.arena.unique  # checking is not asking
+        # A later batch costs what *it* holds, whatever the table holds...
+        more = [CountedKey(k) for k in range(n, n + 10)]
+        late = make_batch(list(range(n, n + 10)))
+        assert self.hashes(lambda: table.insert_batch(late, keys=more)) == 20
+        # ...and the first duplicate ends the regime with one pass over the
+        # distinct keys: the failed check (10 + the lookup that found it), the
+        # conversion (210), then a lookup per row and a store per new key.
+        again = [CountedKey(k) for k in [5] + list(range(300, 309))]
+        dup = make_batch([5] + list(range(300, 309)))
+        assert self.hashes(lambda: table.insert_batch(dup, keys=again)) == 11 + 210 + 10 + 9
+        assert not table.arena.unique and table._tracked is None
+        assert self.hashes(lambda: table.insert_batch(dup, keys=again)) == 10  # the plain loop
+        assert list(table.match_positions(again[0])[1]) == [5, 210, 220]
+        table.check_accounting()
 
     def test_first_bucket_question_is_one_pass_over_distinct_keys(self):
         distinct, copies, buckets = 40, 5, 4
         table = make_table(buckets=buckets)
         values = list(range(distinct)) * copies
-        keys = [(CountedKey(v),) for v in values]
-        # Rows after a key's first are one lookup each.
+        keys = [CountedKey(v) for v in values]
+        # The batch's own duplicates fail the unique check (a hash per row,
+        # once per arena; the empty index converts for free); then rows after
+        # a key's first are one lookup each.
         assert self.hashes(lambda: table.insert_batch(make_batch(values), keys=keys)) == (
-            len(values) + distinct
+            len(values) + len(values) + distinct
         )
-        assert table._tracked is None
+        assert table._tracked is None and not table.arena.unique
         sizes = [0] * buckets
         for value in values:
-            sizes[bucket_of((value,), buckets)] += 1
+            sizes[bucket_of(value, buckets)] += 1
         victim = sizes.index(max(sizes))
         # One hash per distinct key to learn its bucket, one more per key of
         # the victim to pop it out of the index.
@@ -512,6 +522,39 @@ class TestKeyIndexProportionality:
         assert table.bucket_sizes() == sizes
         assert self.hashes(table.bucket_sizes) == 0  # asked once, kept from then on
         table.check_accounting()
+
+    def test_a_bucket_question_ends_the_unique_regime_once_per_arena(self):
+        n, buckets = 120, 4
+        table = make_table(buckets=buckets)
+        keys = [CountedKey(k) for k in range(n)]
+        batch = make_batch(list(range(n)))
+        table.insert_batch(batch, keys=keys)
+        assert table.arena.unique
+        # The question converts the index (a store per key), derives the
+        # buckets (a bucket hash per key) and answers: two passes over the
+        # distinct keys, none over anything else.
+        assert self.hashes(table.bucket_sizes) == 2 * n
+        assert not table.arena.unique and table._tracked is not None
+        assert self.hashes(table.bucket_sizes) == 0
+        assert self.hashes(lambda: table.gather_matches(keys)) == n
+        # Tracked inserts: a lookup and a store per new key, its bucket once
+        # for the key list and once per row for the count.
+        more = [CountedKey(k) for k in range(n, n + 10)]
+        assert self.hashes(
+            lambda: table.insert_batch(make_batch(list(range(n, n + 10))), keys=more)
+        ) == 40
+        table.check_accounting()
+        # release_all starts a fresh arena, unique and unasked again.
+        table.release_all()
+        assert table.arena is None and table._tracked is None
+        assert self.hashes(lambda: table.insert_batch(batch, keys=keys)) == 2 * n
+        assert table.arena.unique and table._tracked is None
+        # A table asked before its first row starts its arena on position lists.
+        asked = make_table(buckets=buckets)
+        assert asked.bucket_sizes() == [0] * buckets
+        asked.insert_batch(batch, keys=keys)
+        assert not asked.arena.unique
+        asked.check_accounting()
 
 
 class TestSharedProbeLoop:
@@ -527,13 +570,11 @@ class TestSharedProbeLoop:
             [array("q", keys), [f"v{i}" for i in range(len(keys))]],
             [float(i) for i in range(len(keys))],
         )
-        partition.extend_gather(
-            batch.columns, batch.arrivals, [(k,) for k in keys], range(len(keys))
-        )
+        partition.extend_gather(batch.columns, batch.arrivals, keys, range(len(keys)))
         return partition
 
     def probe(self, partition, keys, positions=None, limit=None):
-        result = partition.gather_matches([(k,) for k in keys], positions, limit)
+        result = partition.gather_matches(keys, positions, limit)
         if result is None:
             return None
         take, columns, arrivals, aligned = result
@@ -577,6 +618,107 @@ class TestSharedProbeLoop:
         assert self.probe(partition, [9, 2, 9, 3], limit=1)[0] == [1]
         assert self.probe(partition, [2, 3], limit=1) == ([0], ["v3"], [3.0], False)
         assert self.probe(partition, keys, positions=[2, 3], limit=1)[0] == [2]
+
+    #: Rows ``(key 10 + i, "v<i>", arrival i)``: every key held once.
+    HELD = [10, 11, 12, 13, 14, 15]
+
+    @pytest.fixture(params=["unique", "general"])
+    def keyed_once(self, request):
+        """The same store in either regime: as built (``key -> position``), or
+        moved to position lists the way a duplicate or a bucket question would."""
+        partition = self.make_partition(self.HELD)
+        assert partition.unique
+        if request.param == "general":
+            partition.generalize()
+        assert partition.unique == (request.param == "unique")
+        return partition
+
+    def expected(self, keys, positions=None, limit=None):
+        """What a row-at-a-time probe of ``HELD`` returns and where it stops."""
+        probe = range(len(keys)) if positions is None else positions
+        take = []
+        for position in probe:
+            if keys[position] in self.HELD:
+                take.append(position)
+                if limit is not None and len(take) >= limit:
+                    break
+        if not take:
+            return None
+        at = [self.HELD.index(keys[position]) for position in take]
+        aligned = len(take) == len(keys) == len(probe)
+        return take, [f"v{i}" for i in at], [float(i) for i in at], aligned
+
+    @pytest.mark.parametrize(
+        "keys, positions, limit",
+        [
+            ([12, 10, 15], None, None),  # every key hits: aligned
+            ([12, 99, 10], None, None),  # a miss
+            ([99, 98], None, None),  # nothing
+            ([10, 11], [], None),
+            ([10, 99, 11, 12], [1, 2, 3], None),  # a subset, as a list...
+            ([10, 99, 11, 12], range(1, 3), None),  # ...and as a range
+            ([10, 11, 12], [0, 1], None),  # a matching subset is still not the identity
+            ([10, 11, 12], range(0, 3), None),  # the whole range is
+            ([10, 11, 12, 13], None, 2),  # the limit lands on a hit
+            ([10, 11], None, 2),  # ...the last one: aligned
+            ([10, 11, 99], None, 2),
+            ([99, 10, 98, 11, 97, 12], None, 2),  # misses leave the first two keys short
+            ([99, 10, 98, 11, 97, 12], None, 3),  # ...and the rest just enough
+            ([99, 98, 97, 10], None, 1),
+            ([99, 98, 97, 96], None, 1),
+            ([10, 11, 12], None, 99),  # beyond the segment
+            ([99, 10, 98], None, 99),
+            ([10, 99, 11, 12, 13], [1, 2, 4], 1),  # a limit inside a subset
+            ([10, 99, 11, 12, 13], [1, 2, 4], 2),
+            ([10, 99, 11, 12, 13], [1, 2, 4], 3),
+            ([14, 99, 15, 98, 10, 11], range(1, 6), 2),
+        ],
+    )
+    def test_both_regimes_keep_the_probe_contract(self, keyed_once, keys, positions, limit):
+        got = self.probe(keyed_once, keys, positions, limit)
+        assert got == self.expected(keys, positions, limit)
+        if got is not None and limit is not None and len(got[0]) >= limit:
+            # take[-1] names the key a row-at-a-time probe would have stopped at.
+            probe = list(range(len(keys)) if positions is None else positions)
+            hits = [p for p in probe if keys[p] in self.HELD]
+            assert got[0][-1] == hits[limit - 1]
+
+    def test_the_limit_th_hit_is_where_the_probe_stops(self, keyed_once):
+        keys = [99, 10, 98, 11, 97, 12]
+        assert self.probe(keyed_once, keys, limit=2) == ([1, 3], ["v0", "v1"], [0.0, 1.0], False)
+        # The caller may cut the lists it gets back (the DPJ drops matches past a refusal).
+        take, columns, arrivals, _ = keyed_once.gather_matches(keys, range(1, 6), 99)
+        assert type(take) is list and type(arrivals) is list
+        del take[1:], arrivals[1:]
+
+    def test_inserts_leave_the_unique_regime_at_the_first_duplicate(self):
+        from repro.storage.columns import ColumnarPartition
+
+        def extend(partition, keys):
+            batch = make_batch(keys)
+            partition.extend_gather(batch.columns, batch.arrivals, keys, range(len(keys)))
+
+        across = self.make_partition([1, 2, 3])
+        extend(across, [4, 5])
+        assert across.unique and across.positions == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+        extend(across, [6, 2])  # distinct in itself, not against the index
+        assert not across.unique
+        assert across.positions == {1: [0], 2: [1, 6], 3: [2], 4: [3], 5: [4], 6: [5]}
+        inside = self.make_partition([1, 2, 3])
+        extend(inside, [7, 8, 7])  # disjoint from the index, not distinct in itself
+        assert not inside.unique and inside.positions[7] == [3, 5] and inside.positions[1] == [0]
+        by_row = ColumnarPartition(SCHEMA, encoded=True)
+        for key in (1, 2):
+            by_row.append_values((key, "x"), 0.0)
+            assert by_row.index_newest(key)
+        assert by_row.unique and by_row.lookup(2) == (1,) and by_row.lookup(9) == ()
+        by_row.append_values((1, "y"), 0.0)
+        assert not by_row.index_newest(1)
+        assert not by_row.unique and by_row.positions == {1: [0, 2], 2: [1]}
+        assert by_row.lookup(1) == [0, 2] and by_row.lookup(2) == [1]
+        for partition in (across, inside, by_row):
+            partition.generalize()  # one way: nothing to do, nothing undone
+            assert not partition.unique
 
 
 class TestAccountingInvariant:
@@ -670,7 +812,7 @@ class TestEncodedHotPaths:
     def test_insert_probe_and_spill_move_no_rows_and_no_new_strings(self):
         table = self.make_string_table(buckets=4)
         batch = self.make_string_batch(list(range(32)))
-        keys = batch.key_tuples(table.key_indices_in(STR_SCHEMA))
+        keys = batch.key_tuples((0,))
         with counting_row_constructions() as counter:
             assert table.insert_batch(batch, keys=keys) == 32
             result = table.gather_matches(keys)

@@ -213,6 +213,42 @@ class TestDependentJoinProbeCache:
         assert multiset(batch_rows) == multiset(tuple_rows)
         assert batch_join.probes == tuple_join.probes == 3
         assert batch_join.cache_hits == tuple_join.cache_hits == 9
+        # Every path — the tuple drive's binder, the batch drive's key column,
+        # the source-side index — memoizes under one key form: the bind value.
+        assert set(tuple_join._memo) == set(batch_join._memo) == {0, 1, 2}
+        assert set(batch_join._index) == {0, 1, 5}
+        if batch_size > 1:
+            assert set(batch_join._match_columns) == {0, 1, 2}
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 64])
+    def test_two_column_bind_keys_memoize_as_tuples(self, batch_size):
+        items = make_relation(
+            "item", ["i_order:int", "i_tag:str", "i_n:int"],
+            [(i % 3, "ab"[i % 2], i) for i in range(12)],  # six distinct pairs, each twice
+        )
+        orders = make_relation(
+            "ord", ["o_id:int", "o_tag:str"], [(0, "a"), (0, "b"), (1, "a"), (1, "a"), (5, "b")]
+        )
+        catalog = DataSourceCatalog()
+        catalog.register_source(DataSource("item", items, lan()))
+        catalog.register_source(DataSource("ord", orders, wide_area()))
+        context = ExecutionContext(catalog)
+        join = DependentJoin(
+            "dj", context, WrapperScan("scan_item", context, "item"), "ord",
+            ["item.i_order", "item.i_tag"], ["ord.o_id", "ord.o_tag"],
+        )
+        join.open()
+        if batch_size is None:
+            rows = list(join.iterate())
+        else:
+            rows = []
+            while batch := join.next_batch(batch_size):
+                rows.extend(batch)
+        assert join.probes == 6 and join.cache_hits == 6
+        assert set(join._memo) == {(k, t) for k in range(3) for t in "ab"}
+        # (0, a), (0, b) match once and (1, a) twice; each pair arrives twice.
+        assert len(rows) == 2 * (1 + 1 + 2)
+        assert all(row.values[:2] == row.values[3:] for row in rows)
 
     def test_full_extent_source_cache_skips_probe_latency(self, dup_key_catalog):
         """A source read to completion earlier serves probes at local speed."""

@@ -102,7 +102,7 @@ class TestHashTableProperties:
         for pair in pairs:
             table.insert(Row(LEFT_SCHEMA, pair))
         for key in {k for k, _ in pairs}:
-            matches = table.probe((key,))
+            matches = table.probe(key)
             assert len(matches) == sum(1 for k, _ in pairs if k == key)
             assert all(row["l.k"] == key for row in matches)
 
@@ -159,15 +159,17 @@ arena_ops = st.tuples(
 )
 
 
-def arena_rows(random) -> list[tuple]:
+def arena_rows(random, fresh=None) -> list[tuple]:
+    """Rows keyed from a small domain (duplicates within and across batches),
+    or — while a table is kept unique — by the never-used keys ``fresh`` counts."""
     return [
         (
-            random.randrange(12),
+            random.randrange(12) if fresh is None else next(fresh),
             random.choice(["g0", "g1", "group-two"]),
             "".join(random.choices("abc", k=random.randrange(4))),
             random.choice([0.5, 1.5, -2.0]),
         )
-        for _ in range(random.randint(1, 24))
+        for _ in range(random.choice([1, 2, 3, 4] + [random.randint(1, 24)] * 3))
     ]
 
 
@@ -180,7 +182,10 @@ class ArenaModel:
         self.charges_strings = charges_strings
         self.owns_dictionaries = owns_dictionaries
         self.limit = limit
-        self.rows: dict[tuple, list[tuple]] = {}  # key -> [(sequence, values, arrival)]
+        self.rows: dict[int, list[tuple]] = {}  # key -> [(sequence, values, arrival)]
+        #: Every resident key held once and no bucket question heard since the
+        #: last release: the arena's unique regime (one way out, two exits).
+        self.unique = True
         self.sequence = 0
         self.flushed: set[int] = set()
         self.spill: list[list[tuple]] = [[] for _ in range(ARENA_BUCKETS)]
@@ -188,8 +193,8 @@ class ArenaModel:
         self.dictionary_bytes = 0
 
     @staticmethod
-    def bucket(key: tuple) -> int:
-        return hash(key) % ARENA_BUCKETS
+    def bucket(key: int) -> int:
+        return hash((key,)) % ARENA_BUCKETS  # bucket identity hashes the key as a tuple
 
     def resident(self, bucket: int) -> list[tuple]:
         rows = [r for key, found in self.rows.items() if self.bucket(key) == bucket for r in found]
@@ -207,7 +212,8 @@ class ArenaModel:
         return self.limit is None or self.used + nbytes <= self.limit
 
     def _insert(self, values: tuple, arrival: float) -> None:
-        self.rows.setdefault(values[:1], []).append((self.sequence, values, arrival))
+        self.unique = self.unique and values[0] not in self.rows
+        self.rows.setdefault(values[0], []).append((self.sequence, values, arrival))
         self.sequence += 1
         if self.charges_strings:
             for slot in STRING_SLOTS:
@@ -231,7 +237,7 @@ class ArenaModel:
             and self.fits(len(picked) * self.row_bytes)
         )
         for i in picked:
-            bucket = self.bucket(rows[i][:1])
+            bucket = self.bucket(rows[i][0])
             if bucket in self.flushed:
                 self.spill[bucket].append((rows[i], arrivals[i], marked))
             elif whole:
@@ -287,6 +293,7 @@ class ArenaModel:
     def release_all(self) -> None:
         self.rows = {}
         self.dictionary_bytes = 0
+        self.unique = True
 
 
 def arena_batch(rows, arrivals, dictionaries, run_length):
@@ -316,16 +323,25 @@ class TestColumnArenaProperties:
         coded_sources=st.booleans(),
         limit=st.one_of(st.none(), st.integers(150, 2500)),
         ask_from=st.integers(0, 50),
+        quiet_until=st.one_of(st.just(0), st.integers(0, 30), st.just(99)),
+        fresh_until=st.one_of(st.just(0), st.integers(0, 30), st.just(99)),
     )
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_interleavings_equal_the_naive_model(
-        self, ops, encoded, coded_sources, limit, ask_from
+        self, ops, encoded, coded_sources, limit, ask_from, quiet_until, fresh_until
     ):
         """``ask_from`` is the step from which every step ends by asking each
         bucket its size and rows.  Before it the table hears a bucket question
-        only when an op is one (a flush, a revocation that has to flush), so the
-        untracked regime, the tracked one and the switch all run — and the
-        table must be tracking exactly when it has been asked."""
+        only when an op is one (a flush, a revocation that has to flush) — and
+        those are skipped before step ``quiet_until`` — so the untracked regime,
+        the tracked one and the switch all run, and the table must be tracking
+        exactly when it has been asked.  Before step ``fresh_until`` every
+        inserted key is new, so a table stays in the unique-key regime for life
+        (both thresholds past the last step), or until its first duplicate
+        (inside a batch, across batches, through ``insert_position``), or until
+        its first bucket question, whichever the draw brings first — and the
+        arena must be in the model's regime after every step."""
+        from itertools import count
         from random import Random
 
         from repro.storage.columns import make_dictionaries
@@ -348,10 +364,13 @@ class TestColumnArenaProperties:
             ARENA_SCHEMA.row_size_for(encoded), encoded, encoded and not coded_sources, limit
         )
         asked = False  # has the table been asked a bucket question since its last release?
+        fresh = count()
         for step, (kind, seed, low, high, flag) in enumerate(ops):
             random = Random(seed)
+            if step < quiet_until and kind.startswith(("flush", "revoke")):
+                continue
             if kind in ("batch", "position"):
-                rows = arena_rows(random)
+                rows = arena_rows(random, fresh if step < fresh_until else None)
                 n = len(rows)
                 arrivals = [random.choice([0.0, 0.0, 1.0, 2.5]) for _ in rows]
                 batch = arena_batch(rows, arrivals, dictionaries, coded_sources)
@@ -364,7 +383,7 @@ class TestColumnArenaProperties:
                 if form == "positions":
                     picked = positions = [
                         i for i in picked
-                        if random.random() < 0.7 and model.bucket(rows[i][:1]) not in model.flushed
+                        if random.random() < 0.7 and model.bucket(rows[i][0]) not in model.flushed
                     ]
                 got = table.insert_batch(
                     batch, flag, None, start, None if form == "rest" else stop, positions
@@ -374,7 +393,7 @@ class TestColumnArenaProperties:
                 )
             elif kind == "position":
                 at = low * (n - 1) // 100
-                key = rows[at][:1]
+                key = rows[at][0]
                 if model.bucket(key) in model.flushed:
                     continue
                 got = table.insert_position(
@@ -382,7 +401,7 @@ class TestColumnArenaProperties:
                 )
                 assert got == model.insert_position(rows[at], arrivals[at])
             elif kind == "probe":
-                keys = [(random.randrange(14),) for _ in range(random.randint(1, 20))]
+                keys = [random.randrange(14) for _ in range(random.randint(1, 20))]
                 positions = (
                     [i for i in range(len(keys)) if random.random() < 0.6] if flag else None
                 )
@@ -419,18 +438,27 @@ class TestColumnArenaProperties:
             assert budget.used_bytes == table.resident_bytes == model.used
             assert table.resident_rows == model.resident_rows
             assert table.has_resident_data == bool(model.rows)
+            model.unique = model.unique and not asked
+            assert self.unique_regime(table) == model.unique
             table.check_accounting()
             assert [bucket.flushed for bucket in table.buckets] == [
                 index in model.flushed for index in range(ARENA_BUCKETS)
             ]
-            # Inserts, probes, row counts and the check itself are not questions.
+            # Inserts, probes, row counts and the check itself are not questions
+            # (and checking a table never moves it out of its regime).
             assert (table._tracked is not None) == asked
-            if step >= ask_from:
+            assert self.unique_regime(table) == model.unique
+            if step >= max(ask_from, quiet_until):
                 self.check_buckets(table, model)
                 asked = True
         self.check_buckets(table, model)
         for index in range(ARENA_BUCKETS):
             assert spilled(table, index) == model.spill[index]
+
+    @staticmethod
+    def unique_regime(table) -> bool:
+        """The regime the arena is in — or, before its first row, will start in."""
+        return table.arena.unique if table.arena is not None else table._tracked is None
 
     @staticmethod
     def check_buckets(table, model):

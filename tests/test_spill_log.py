@@ -2,8 +2,13 @@
 write proportionality, and spill-state lifetime."""
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from repro.engine.operators.scan import WrapperScan
 from repro.plan.physical import OverflowMethod
 from repro.storage.batch import Batch
 from repro.storage.disk import OverflowFile, SimulatedDisk
-from repro.storage.hash_table import BucketedHashTable, bucket_of
+from repro.storage.hash_table import BucketedHashTable, bucket_of, stable_bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, counting_row_constructions
@@ -51,10 +56,10 @@ def spill_late(table, rows, marked):
     half = len(rows) // 2
     spills: dict = {}
     for i, row in enumerate(rows[:half]):
-        spills.setdefault(bucket_of(table.key_for(row), BUCKETS), []).append(i)
+        spills.setdefault(bucket_of(row.values[0], BUCKETS), []).append(i)
     table.spill_segment(batch.columns, list(batch.arrivals), spills, marked)
     for row in rows[half:]:
-        table.spill_log.write(row, marked, table.bucket_for_key(table.key_for(row)))
+        table.spill_log.write(row, marked, table.bucket_for_key(row.values[0]))
 
 
 def prepared_dpj(catalog, method):
@@ -66,7 +71,7 @@ def prepared_dpj(catalog, method):
     for table, label in ((left, "L"), (right, "R")):
         for row in side_rows(table, keys, label + "u", 0):
             assert table.insert(row)
-    victim = bucket_of((1,), BUCKETS)
+    victim = bucket_of(1, BUCKETS)
     left.flush_bucket(victim)  # resident when flushed: unmarked, on disk
     if method is OverflowMethod.SYMMETRIC_FLUSH:
         right.flush_bucket(victim)
@@ -102,7 +107,7 @@ class TestSpillJoinAgainstTheRowOracle:
         ]
         expected = 0
         for key, count in keys.items():
-            if bucket_of((key,), BUCKETS) in spilled:
+            if bucket_of(key, BUCKETS) in spilled:
                 unmarked = count + (key in (1, 3))
                 expected += (unmarked + 2 * count) ** 2 - unmarked ** 2
         assert len(rows) == expected > 0
@@ -140,6 +145,71 @@ class TestSpillJoinAgainstTheRowOracle:
         assert len(rows) == sum(4 * c * c for c in (2, 1, 2, 1))
         assert context.disk.stats == oracle_context.disk.stats
         assert context.clock.now == oracle_context.clock.now
+
+
+class TestKeyFormMovesNothing:
+    """Keys stopped being 1-tuples (PR 18); bucket identity still hashes the
+    tuple, so every bucket, lane, victim, spilled byte and virtual millisecond
+    is what it was.  The constants were recorded on the parent commit."""
+
+    #: ``helpers.spill_fingerprints()`` at 43d3615 under ``PYTHONHASHSEED=0``.
+    GOLDEN = {
+        "dpj_left": {
+            "victims": "l8 l17 l29 l34 l46 l55 l60 l0 l3 l4 l5 l7 l9 l11 l12 l13 l14 l16 l20 l21 "
+            "l25 l26 l28 l30 l31 l32 l33 l35 l37 l38 l39 l42 l43 l47 l49 l50 l51 l52 l54 l56 l58 "
+            "l59 l63 r0 r5 r8 r2 r61 r40 r23 r1 r6 r10 r15 r17",
+            "bytes_written": 41559, "pages": [5, 5], "overflow_events": 55,
+            "clock": 44.097000000000556, "rows": 800,
+        },
+        "dpj_symmetric": {
+            "victims": "l8 r8 l17 r17 l0 r0 l26 r26 l5 r5 l29 r29 l34 r34 l43 r43 l46 r46 l55 r55 "
+            "l60 r60 l52 r52 l49 r49 l28 r28 l32 r32 l11 r11 l14 r14 l31 r31 l23 r23 l2 r2 l3 r3 "
+            "l58 r58 l20 r20 l37 r37 l63 r63 l61 r61 l40 r40 l7 r7 l12 r12 l4 r4 l16 r16 l21 r21 "
+            "l25 r25 l50 r50",
+            "bytes_written": 39148, "pages": [4, 4], "overflow_events": 34,
+            "clock": 39.45000000000054, "rows": 800,
+        },
+        "hybrid": {
+            "victims": "i0 i49 i28 i11 i8 i29 i32 i20 i17 i34 i46 i26 i55 i5 i60 i43 i14 i23 i52 "
+            "i31 i61 i37 i2 i40 i58",
+            "bytes_written": 32028, "pages": [3, 3], "overflow_events": 25,
+            "clock": 41.47400000000054, "rows": 800,
+        },
+        "dpj_left_str": {
+            "victims": "l35 l14 l9 l25 l29 l37 l49 l1 l3 l5 l7 l8 l11 l16 l23 l24 l31 l38 l48 l54 "
+            "l58 l63 l6 l13 l15 l17 l19 l27 l28 l32 l36 l39 l40 l43 l44 l46 l47 l50 l53 l55 l56 "
+            "l57 l60 r35 r25 r29 r1 r3 r5 r7 r8 r4 r11 r14 r22 r41 r2 r18 r59 r0 r52",
+            "bytes_written": 33754, "pages": [4, 4], "overflow_events": 61,
+            "clock": 52.68599999999939, "rows": 800,
+        },
+    }
+
+    def test_overflow_decisions_and_charges_are_the_parents(self):
+        # String buckets follow the builtin hash: pin the seed in a child.
+        root = Path(__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import json, helpers; print(json.dumps(helpers.spill_fingerprints()))"],
+            capture_output=True, text=True, check=True, cwd=root,
+            env={**os.environ, "PYTHONHASHSEED": "0",
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])},
+        )
+        measured = json.loads(result.stdout)
+        for plan, golden in self.GOLDEN.items():
+            assert measured[plan] == golden, plan
+
+    @pytest.mark.parametrize("value", [0, 7, -3, 2**40, "abc", "", 3.5, 2.0, None, True])
+    def test_a_scalar_key_buckets_and_routes_as_its_tuple(self, value):
+        for count in (1, 2, 8, 64):
+            assert bucket_of(value, count) == bucket_of((value,), count) == hash((value,)) % count
+            assert stable_bucket_of(value, count) == stable_bucket_of((value,), count)
+
+    def test_composite_keys_bucket_and_route_as_before(self):
+        for key in [(1, 2), ("abc", 3), (None, 2.5), (7, "x", 0)]:
+            assert bucket_of(key, 64) == hash(key) % 64
+        # Lane assignments pinned since PR 9 (tests/test_wire.py), scalar form included.
+        assert [stable_bucket_of(key, 4) for key in (3.5, None, True, (42, "x"))] == [1, 2, 0, 3]
+        assert [stable_bucket_of(key, 8) for key in (7, 1, (7,), (1,))] == [6, 3, 6, 3]
 
 
 class TestSpillWritesAreProportional:

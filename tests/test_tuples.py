@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row, rows_from_dicts
+from repro.storage.tuples import KeyBinder, Row, rows_from_dicts
 
 
 @pytest.fixture
@@ -46,8 +46,14 @@ class TestRow:
         assert projected.schema.names == ("t.name",)
 
     def test_key(self, schema):
+        # Keys are extracted through a binder (names resolved once per schema):
+        # a tuple for a composite key, the value itself for one attribute.
         row = Row(schema, (7, "ada"))
-        assert row.key(["name", "id"]) == ("ada", 7)
+        assert KeyBinder(["name", "id"]).key(row) == ("ada", 7)
+        binder = KeyBinder(["name"])
+        assert binder.single and binder.key(row) == "ada"
+        other = Row(Schema.of("u.name:str", "u.id:int"), ("bob", 3))
+        assert binder.key(other) == "bob" and binder.indices_in(other.schema) == (0,)
 
     def test_concat_takes_later_arrival(self, schema):
         other_schema = Schema.of("u.x:int")
