@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.context import EXCHANGE_BACKENDS
 from repro.errors import PlanValidationError, SchemaError
 from repro.optimizer.memory_alloc import MIN_JOIN_ALLOTMENT_BYTES
 from repro.plan.physical import OperatorSpec, OperatorType
@@ -209,14 +208,6 @@ class PlanValidator:
                 spec,
                 "bad-lane-count",
                 f"exchange lane count must be a positive integer, got {lanes!r}",
-            )
-        backend = spec.params.get("backend")
-        if backend is not None and backend not in EXCHANGE_BACKENDS:
-            known = ", ".join(EXCHANGE_BACKENDS)
-            self._report(
-                spec,
-                "bad-lane-count",
-                f"exchange backend must be one of {known}; got {backend!r}",
             )
         child_schema = child_schemas[0] if child_schemas else None
         keys = spec.params.get("partition_keys")

@@ -1,6 +1,6 @@
 """The project's lint rules, in one registry.
 
-Every rule here guards an invariant the ROADMAP's "Static analysis &
+Every rule here guards an invariant ``docs/engine.md``'s "Static analysis &
 invariants" section documents; add new rules as one module per concern and
 register the instance in :data:`ALL_RULES`.
 """
@@ -15,7 +15,6 @@ from repro.analysis.rules.leases import LeaseLifecycleRule
 from repro.analysis.rules.memory import BudgetMutationRule
 from repro.analysis.rules.rows import HotPathRowRule
 from repro.analysis.rules.scheduler import StepEffectRule
-from repro.analysis.rules.wire import WireSafetyRule
 
 #: Every registered rule, in reporting order.  ``clock-taint`` subsumed the
 #: syntactic ``wall-clock`` rule and ``lease-lifecycle`` replaced the
@@ -29,7 +28,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ConftestImportRule(),
     BareExceptRule(),
     SwallowedExceptRule(),
-    WireSafetyRule(),
 )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.engine.operators import (
@@ -21,7 +23,6 @@ from repro.engine.operators import (
 from repro.engine.operators.exchange import Exchange
 from repro.errors import PlanError
 from repro.optimizer.memory_alloc import split_allotment_across_lanes
-from repro.parallel.spec import CollectorLaneSpec, JoinLaneSpec
 from repro.plan.physical import JoinImplementation, OperatorSpec, OperatorType
 from repro.storage.schema import merge_union_schema
 
@@ -67,12 +68,7 @@ def build_operator(
     # consumer's clock.
     if operator_type == OperatorType.EXCHANGE:
         lanes = spec.params.get("lanes", context.config.exchange_lanes)
-        return _build_partitioned(
-            spec.children[0],
-            context,
-            _checked_lane_count(spec, lanes),
-            backend=_checked_backend(spec),
-        )
+        return _build_partitioned(spec.children[0], context, _checked_lane_count(spec, lanes))
     implicit_lanes = context.config.exchange_lanes
     if implicit_lanes > 1 and _is_partitionable(spec):
         return _build_partitioned(spec, context, implicit_lanes)
@@ -200,18 +196,6 @@ def _checked_lane_count(spec: OperatorSpec, lanes) -> int:
     return lanes
 
 
-def _checked_backend(spec: OperatorSpec) -> str | None:
-    from repro.engine.context import EXCHANGE_BACKENDS
-
-    backend = spec.params.get("backend")
-    if backend is not None and backend not in EXCHANGE_BACKENDS:
-        raise PlanError(
-            f"exchange {spec.operator_id!r}: unknown backend {backend!r} "
-            f"(known: {', '.join(EXCHANGE_BACKENDS)})"
-        )
-    return backend
-
-
 def _is_partitionable(spec: OperatorSpec) -> bool:
     """Can ``EngineConfig(exchange_lanes=N)`` wrap this node in an exchange?
 
@@ -228,9 +212,7 @@ def _is_partitionable(spec: OperatorSpec) -> bool:
     return False
 
 
-def _build_partitioned(
-    spec: OperatorSpec, context: ExecutionContext, lanes: int, backend: str | None = None
-) -> Operator:
+def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int) -> Operator:
     """Wrap ``spec`` in an :class:`Exchange` running ``lanes`` copies of it.
 
     Each input subtree is built on its own worker clock (derived from the
@@ -252,29 +234,26 @@ def _build_partitioned(
     if spec.operator_type == OperatorType.JOIN:
         left_keys = list(_required(spec, "left_keys"))
         right_keys = list(_required(spec, "right_keys"))
-        # The lane subtree is described declaratively (a picklable spec, not
-        # a closure) so the process exchange backend can rebuild it inside a
-        # worker; inline, the spec doubles as the build_lane callable.
-        lane_spec = JoinLaneSpec(
-            operator_id=spec.operator_id,
-            left_keys=left_keys,
-            right_keys=right_keys,
-            implementation=spec.implementation or JoinImplementation.DOUBLE_PIPELINED.value,
-            overflow_method=spec.params.get("overflow_method", "left_flush"),
-            allotments=split_allotment_across_lanes(spec.memory_limit_bytes, lanes),
-            lane_estimated=lane_estimated,
-        )
+        allotments = split_allotment_across_lanes(spec.memory_limit_bytes, lanes)
+
+        def build_join_lane(index: int, lane_context: ExecutionContext, sources) -> Operator:
+            per_lane = replace(
+                spec,
+                operator_id=f"{spec.operator_id}.lane{index}",
+                memory_limit_bytes=allotments[index],
+                estimated_cardinality=lane_estimated,
+            )
+            return _build_join(per_lane, lane_context, sources)
+
         return Exchange(
             spec.operator_id,
             context,
             producers,
             partition_keys=[left_keys, right_keys],
             lanes=lanes,
-            build_lane=lane_spec,
+            build_lane=build_join_lane,
             output_schema=producers[0].output_schema.join(producers[1].output_schema),
             estimated_cardinality=estimated,
-            lane_spec=lane_spec,
-            backend=backend,
         )
 
     # COLLECTOR with dedup_keys: partition every mirror by the dedup key so
@@ -290,15 +269,27 @@ def _build_partitioned(
             raise PlanError(
                 f"collector {spec.operator_id!r}: initially_active names unknown child"
             ) from exc
+    fallback = _as_bool(spec.params.get("fallback_on_failure", True))
     dedup_budget = spec.params.get("dedup_budget_bytes")
-    lane_spec = CollectorLaneSpec(
-        operator_id=spec.operator_id,
-        dedup_keys=dedup_keys,
-        active_positions=active_positions,
-        fallback=_as_bool(spec.params.get("fallback_on_failure", True)),
-        lane_budget=max(1, int(dedup_budget) // lanes) if dedup_budget else None,
-        lane_estimated=lane_estimated,
-    )
+    lane_budget = max(1, int(dedup_budget) // lanes) if dedup_budget else None
+
+    def build_collector_lane(index: int, lane_context: ExecutionContext, sources) -> Operator:
+        active = (
+            [sources[position].operator_id for position in active_positions]
+            if active_positions is not None
+            else None
+        )
+        return DynamicCollector(
+            f"{spec.operator_id}.lane{index}",
+            lane_context,
+            list(sources),
+            initially_active=active,
+            fallback_on_failure=fallback,
+            dedup_keys=dedup_keys,
+            estimated_cardinality=lane_estimated,
+            dedup_budget_bytes=lane_budget,
+        )
+
     schema = producers[0].output_schema
     for producer in producers[1:]:
         schema = merge_union_schema(schema, producer.output_schema)
@@ -308,11 +299,9 @@ def _build_partitioned(
         producers,
         partition_keys=[dedup_keys for _ in producers],
         lanes=lanes,
-        build_lane=lane_spec,
+        build_lane=build_collector_lane,
         output_schema=schema,
         estimated_cardinality=estimated,
-        lane_spec=lane_spec,
-        backend=backend,
     )
 
 

@@ -25,12 +25,6 @@ from repro.storage.table_store import LocalStore
 #: Default CPU cost charged per tuple processed by an operator, in virtual ms.
 DEFAULT_CPU_COST_MS = 0.002
 
-#: Exchange lane backends the engine knows how to run.  ``inline`` steps the
-#: lanes inside this process on the shared virtual timeline; ``process``
-#: runs each lane's subtree in its own OS process (real multicore), with
-#: identical results and identical virtual-time accounting.
-EXCHANGE_BACKENDS = ("inline", "process")
-
 
 @dataclass
 class EngineConfig:
@@ -107,18 +101,6 @@ class EngineConfig:
         a speculative broker lease that revocation victimizes first.  ``0``
         (the default) disables prefetching; only meaningful under the
         multi-query server with ``speculative_sources`` enabled.
-    exchange_backend:
-        How exchange lanes execute (see :data:`EXCHANGE_BACKENDS`).
-        ``"inline"`` (the default) steps every lane inside this process —
-        today's behavior, bit-identical.  ``"process"`` runs each lane's
-        operator subtree in its own OS process, fed routed batches over a
-        compact columnar wire format, for real multicore wall-clock
-        speedup; results and virtual-time accounting are identical to
-        ``inline`` by contract (the parity tests pin this).  Standalone
-        queries free-run their lane workers concurrently; under the
-        multi-query server (a broker-backed pool) lanes run in lockstep
-        with the parent so broker revocations land at exactly the same
-        lane-step boundaries as inline.
     """
 
     per_tuple_cpu_ms: float = DEFAULT_CPU_COST_MS
@@ -135,7 +117,6 @@ class EngineConfig:
     prefetch_budget_bytes: int = 0
     validate_plans: bool = True
     exchange_lanes: int = 1
-    exchange_backend: str = "inline"
 
 
 class ExecutionContext:

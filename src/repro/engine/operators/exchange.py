@@ -10,17 +10,19 @@ subtrees likewise run on their own worker clocks, so scan and network time is
 overlapped with lane CPU instead of serialized in front of it on the virtual
 timeline.
 
-Producers drain *at open*: every input is pumped to completion and routed
-before the first lane steps.  Virtual time cannot tell the difference —
-producer clocks advance only through the fixed pump sequence, lane clocks
-only through serves and processing — but it makes each lane a pure function
-of its own routed queues (and makes ``ExchangeSource.peek_arrival``
-effect-free).  That purity is the foundation of the pluggable lane
-*backend* (``EngineConfig.exchange_backend``): the default ``inline``
-backend steps lanes in this process, while the ``process`` backend
-(:mod:`repro.parallel.backend`) runs each lane's subtree in its own OS
-process over a columnar wire format and must produce identical result
-multisets *and* identical virtual-time accounting.
+Lanes are step generators in this process.  A producer *starts* when the
+first lane opens its :class:`ExchangeSource` for that input: the input's
+subtree opens on the producer's own clock, advanced to the opening lane's
+time, and is pumped to completion — everything routed — before the open
+returns.  A join lane opens both inputs as the exchange opens, so join
+producers start then; a collector lane opens a standby mirror only when its
+policy activates it, so a mirror nobody falls back to is never contacted
+(Section 4.1).  Virtual time cannot tell a drained producer from a
+demand-driven one — producer clocks advance only through the fixed pump
+sequence, lane clocks only through serves and processing, and nothing flows
+from lanes back into producers — while draining makes each lane a pure
+function of its own routed queues and ``ExchangeSource.peek_arrival`` an
+effect-free read.
 
 Data movement stays encoded end to end: the producer routes a batch by
 hashing the *canonical* key values (per-side dictionaries assign different
@@ -38,6 +40,10 @@ Causality on the timeline:
   producer's future);
 * a merged batch carries the lane clock's time when the lane emitted it; the
   exchange advances the consumer clock to that stamp before handing it on;
+* a producer's failure carries the producer clock's time when the pull
+  raised; a lane advances to that stamp before re-raising it, and the
+  exchange advances the consumer clock to the raising lane's before the error
+  leaves it (nobody observes a failure before it happened);
 * at end of stream the consumer clock advances to the *makespan* — the
   maximum over all producer and lane clocks — because the exchange is not
   done until its slowest worker is.
@@ -48,9 +54,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterator, Sequence
 
-from repro.engine.context import EXCHANGE_BACKENDS, ExecutionContext
+from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.errors import ExecutionError
+from repro.plan.rules import EventType
 from repro.storage.batch import Batch, BatchCursor
 from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
@@ -77,34 +84,31 @@ def _wait_hint(root: Operator, clock) -> float | None:
     return None
 
 
+def _leave_timeline(clock) -> None:
+    """Stop ``clock`` constraining the server frontier (nothing to do standalone)."""
+    server = getattr(clock, "server", None)
+    if server is not None:
+        server.finish(clock.session_id)
+
+
 class ExchangeSource(Operator):
     """Lane-side leaf: serves the batches routed to one lane from one input.
 
-    Producers are fully drained (and their batches routed) when the exchange
-    opens, so by the time a lane pulls, everything routed to it is already
-    queued: an empty queue with a finished producer is this lane's end of
-    stream for that input, and ``peek_arrival`` is a pure read of the queue
-    head — the effect-free peek contract the scheduler analysis enforces.
-
-    ``feed`` is the exchange itself for inline lanes; in a lane worker
-    process it is a stand-in satisfying the same three-method protocol
-    (``producer_done`` / ``producer_error`` / ``await_routed``) whose
-    ``await_routed`` blocks on the parent pipe until the in-flight routed
-    data becomes observable — a wall-clock wait, invisible to virtual time.
+    Opening the source starts its input's producer (the first lane to open
+    one does the work), and a started producer has drained: everything routed
+    to this lane is queued before its first pull.  An empty queue is therefore
+    this lane's end of stream for that input — or the producer's recorded
+    failure — and ``peek_arrival`` is a pure read of the queue head, the
+    effect-free peek contract the scheduler analysis enforces.
     """
 
     def __init__(
-        self,
-        operator_id: str,
-        context: ExecutionContext,
-        feed: "Exchange",
-        input_index: int,
-        schema: Schema,
+        self, operator_id: str, context: ExecutionContext, producer: "_ProducerDriver"
     ) -> None:
         super().__init__(operator_id, context)
-        self._feed = feed
-        self._input_index = input_index
-        self._schema = schema
+        self._producer = producer
+        producer.sources.append(self)  # lanes are built in index order
+        self._schema = producer.root.output_schema
         #: queued (available_ms, batch) pairs; available_ms is monotone
         #: because the producer clock only moves forward between routings.
         self._queue: deque[tuple[float, Batch]] = deque()
@@ -113,39 +117,39 @@ class ExchangeSource(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
+    def _do_open(self) -> None:
+        self._producer.start(self.context.clock.now)
+
     def enqueue(self, available_ms: float, batch: Batch) -> None:
         self._queue.append((available_ms, batch))
 
     def peek_arrival(self) -> float | None:
         if self.state in ("closed", "deactivated"):
             return None
-        while True:
-            if self._queue:
-                return self._queue[0][0]
-            if self._feed.producer_done(self._input_index):
-                if self._feed.producer_error(self._input_index) is not None:
-                    # A failed producer looks ready so the consumer pulls —
-                    # and the pull raises; errors never surface from a peek.
-                    return self.context.clock.now
-                return None
-            self._feed.await_routed(self._input_index)
+        if self._queue:
+            return self._queue[0][0]
+        if self._producer.error is not None:
+            # A failed producer looks ready at the time it failed, so the
+            # consumer pulls — and the pull raises; errors never surface
+            # from a peek.
+            return self._producer.failed_at_ms
+        return None
 
     def _ensure_queued(self) -> bool:
-        """Wait until this lane has data queued or the stream has ended.
+        """True when this lane has data queued; False at end of stream.
 
-        Every lane sees the same producer failure: a recorded pump error
-        re-raises on each lane's pull of that input, so per-lane collectors
-        take their fallback path consistently.
+        Every lane sees the same producer failure: the recorded pump error
+        re-raises on each lane's pull of that input once its queue is empty,
+        so per-lane collectors take their fallback path consistently — and
+        never before the failure happened on the producer's clock.
         """
-        feed = self._feed
-        while not self._queue:
-            if feed.producer_done(self._input_index):
-                error = feed.producer_error(self._input_index)
-                if error is not None:
-                    raise error
-                return False
-            feed.await_routed(self._input_index)
-        return True
+        if self._queue:
+            return True
+        producer = self._producer
+        if producer.error is not None:
+            self.context.clock.advance_to(producer.failed_at_ms)
+            raise producer.error
+        return False
 
     def _serve(self, max_rows: int) -> Batch:
         available, batch = self._queue.popleft()
@@ -187,26 +191,84 @@ class ExchangeSource(Operator):
 
 
 class _ProducerDriver:
-    """One input stream: its operator root (on a worker clock) and routing keys."""
+    """One input stream: its operator root (on a worker clock), its routing
+    keys, the lane sources it feeds, and how its drain ended."""
 
-    __slots__ = ("root", "binder", "done", "error")
+    __slots__ = ("root", "binder", "route_cpu_ms", "sources", "started", "error", "failed_at_ms")
 
-    def __init__(self, root: Operator, keys: Sequence[str]) -> None:
+    def __init__(self, root: Operator, keys: Sequence[str], route_cpu_ms: float) -> None:
         self.root = root
         self.binder = KeyBinder(list(keys))
-        self.done = False
+        self.route_cpu_ms = route_cpu_ms
+        #: This input's :class:`ExchangeSource` in each lane, by lane index
+        #: (each registers itself as its lane is built).
+        self.sources: list[ExchangeSource] = []
+        self.started = False
+        #: The pull failure that ended the stream, and when it happened on
+        #: this producer's clock (``None`` while clean).
         self.error: Exception | None = None
+        self.failed_at_ms: float | None = None
+
+    def start(self, at_ms: float) -> None:
+        """Open the input at ``at_ms`` and route its whole stream (first call only).
+
+        A pull failure ends the stream and is recorded, not raised: it
+        re-raises from every lane's :class:`ExchangeSource`, where the lane
+        subtree (a collector with a fallback mirror, say) can handle it.
+        """
+        if self.started:
+            return
+        self.started = True
+        root = self.root
+        clock = root.context.clock
+        clock.advance_to(at_ms)
+        root.open()
+        while True:
+            try:
+                batch = root.next_batch(DEFAULT_BATCH_SIZE)
+            except Exception as exc:
+                self.error = exc
+                self.failed_at_ms = clock.now
+                return
+            if not batch:
+                return
+            clock.consume_cpu(len(batch) * self.route_cpu_ms)
+            self._route(batch, clock.now)
+
+    def _route(self, batch: Batch, available_ms: float) -> None:
+        """Hand each lane its share of ``batch``, available at ``available_ms``."""
+        sources = self.sources
+        lane_count = len(sources)
+        if lane_count == 1:
+            sources[0].enqueue(available_ms, batch)
+            return
+        keys = batch.key_tuples(self.binder.indices_in(batch.schema))
+        routed: list[list[int] | None] = [None] * lane_count
+        for position, key in enumerate(keys):
+            # The PYTHONHASHSEED-independent hash: builtin ``hash`` randomizes
+            # strings per interpreter run, and lane assignment decides every
+            # laned virtual-time number.
+            lane_index = stable_bucket_of(key, lane_count)
+            positions = routed[lane_index]
+            if positions is None:
+                routed[lane_index] = [position]
+            else:
+                positions.append(position)
+        for lane_index, positions in enumerate(routed):
+            if positions is None:
+                continue
+            part = batch if len(positions) == len(keys) else batch.take(positions)
+            sources[lane_index].enqueue(available_ms, part)
 
 
 class _Lane:
-    """One worker lane: its context, sources, subtree root, and step state."""
+    """One worker lane: its context, subtree root, and step state."""
 
-    __slots__ = ("index", "context", "sources", "root", "steps", "next_event_ms", "finished", "output")
+    __slots__ = ("index", "context", "root", "steps", "next_event_ms", "finished", "output")
 
     def __init__(self, index: int, context: ExecutionContext) -> None:
         self.index = index
         self.context = context
-        self.sources: list[ExchangeSource] = []
         self.root: Operator | None = None
         self.steps: Iterator[float] | None = None
         self.next_event_ms = context.clock.now
@@ -224,7 +286,7 @@ class Exchange(Operator):
     leaves — the planner decides what runs inside a lane (a hash join, a
     deduplicating collector); the exchange only owns routing, stepping, and
     merging.  ``partition_keys[i]`` names the key columns of input ``i``; a
-    row's lane is ``bucket_of(canonical key values, lanes)``, identical
+    row's lane is ``stable_bucket_of(canonical key values, lanes)``, identical
     across inputs so matching rows always meet in the same lane.
 
     The merge is a pure handoff of already-produced batches (no per-value
@@ -244,8 +306,6 @@ class Exchange(Operator):
         build_lane: Callable[[int, ExecutionContext, list[ExchangeSource]], Operator],
         output_schema: Schema,
         estimated_cardinality: int | None = None,
-        lane_spec=None,
-        backend: str | None = None,
     ) -> None:
         if lanes < 1:
             raise ExecutionError(f"exchange {operator_id!r} needs at least one lane, got {lanes}")
@@ -254,36 +314,20 @@ class Exchange(Operator):
                 f"exchange {operator_id!r}: {len(producers)} inputs but "
                 f"{len(partition_keys)} partition key lists"
             )
-        # A per-plan backend choice overrides the engine-wide default.
-        backend = backend or context.config.exchange_backend
-        if backend not in EXCHANGE_BACKENDS:
-            raise ExecutionError(
-                f"exchange {operator_id!r}: unknown backend {backend!r} "
-                f"(known: {', '.join(EXCHANGE_BACKENDS)})"
-            )
         super().__init__(
             operator_id, context, children=producers, estimated_cardinality=estimated_cardinality
         )
         self.lane_count = lanes
-        #: A single lane is pure pass-through — no routing, nothing to
-        #: parallelize — so it always runs inline regardless of the backend.
-        self.backend_name = backend if lanes > 1 else "inline"
         self._build_lane = build_lane
-        #: Picklable description of the lane subtrees (what a worker process
-        #: rebuilds); required by the process backend, ignored inline.
-        self.lane_spec = lane_spec
         self._schema = output_schema
+        route_cpu_ms = context.config.per_tuple_cpu_ms * ROUTE_CPU_FACTOR
         self._producers = [
-            _ProducerDriver(root, keys) for root, keys in zip(producers, partition_keys)
+            _ProducerDriver(root, keys, route_cpu_ms)
+            for root, keys in zip(producers, partition_keys)
         ]
-        self._route_cpu_ms = context.config.per_tuple_cpu_ms * ROUTE_CPU_FACTOR
         self._lanes: list[_Lane] | None = None
-        self._backend = None
         self._cursor: BatchCursor | None = None
         self._drained = False
-        #: Per-lane wire shipping counters, populated by the process backend
-        #: (``None`` inline); survives close for benchmark reporting.
-        self.wire_report: list[dict] | None = None
 
     # -- schema / introspection ----------------------------------------------------
 
@@ -298,75 +342,15 @@ class Exchange(Operator):
             return []
         return [lane.root for lane in self._lanes if lane.root is not None]
 
-    # -- producer side (called by ExchangeSource) ----------------------------------
-
-    def producer_done(self, input_index: int) -> bool:
-        return self._producers[input_index].done
-
-    def producer_error(self, input_index: int) -> Exception | None:
-        """The recorded pump failure of input ``input_index`` (``None`` if clean)."""
-        return self._producers[input_index].error
-
-    def await_routed(self, input_index: int) -> None:
-        """Block until routed data for ``input_index`` is observable.
-
-        Inline this is unreachable: producers drain completely at open, so a
-        lane's empty queue always coincides with a finished producer.  The
-        worker-process feed overrides this with a pipe read (see
-        :class:`ExchangeSource`)."""
-        raise ExecutionError(
-            f"exchange {self.operator_id!r}: input {input_index} has no data in "
-            f"flight — producers drain at open"
-        )
-
-    def pump(self, input_index: int) -> None:
-        """Pull one batch from input ``input_index`` and route it to the lanes.
-
-        The first pump to raise stores the exception on the driver (and
-        re-raises); lanes re-raise it from every pull of that input.
-        """
-        driver = self._producers[input_index]
-        if driver.error is not None:
-            raise driver.error
-        if driver.done:
-            return
-        root = driver.root
-        try:
-            batch = root.next_batch(DEFAULT_BATCH_SIZE)
-        except Exception as exc:
-            driver.error = exc
-            driver.done = True
-            raise
-        if not batch:
-            driver.done = True
-            return
-        clock = root.context.clock
-        clock.consume_cpu(len(batch) * self._route_cpu_ms)
-        available = clock.now
-        lanes = self._lanes
-        assert lanes is not None, "pump before open"
-        if self.lane_count == 1:
-            lanes[0].sources[input_index].enqueue(available, batch)
-            return
-        keys = batch.key_tuples(driver.binder.indices_in(batch.schema))
-        routed: list[list[int] | None] = [None] * self.lane_count
-        for position, key in enumerate(keys):
-            # Routing must agree between the parent and lane worker
-            # *processes*, so it uses the PYTHONHASHSEED-independent hash
-            # (builtin hash randomizes strings per process).
-            lane_index = stable_bucket_of(key, self.lane_count)
-            positions = routed[lane_index]
-            if positions is None:
-                routed[lane_index] = [position]
-            else:
-                positions.append(position)
-        for lane_index, positions in enumerate(routed):
-            if positions is None:
-                continue
-            part = batch if len(positions) == len(keys) else batch.take(positions)
-            lanes[lane_index].sources[input_index].enqueue(available, part)
-
     # -- lifecycle -----------------------------------------------------------------
+
+    def open(self) -> None:  # noqa: D102 - overrides to defer producer opening to the lanes
+        if self.state == "open":
+            return
+        self._do_open()
+        self.state = "open"
+        self._stats.state = "open"
+        self.context.emit_event(EventType.OPENED, self.operator_id)
 
     def _do_open(self) -> None:
         lanes = [
@@ -374,51 +358,25 @@ class Exchange(Operator):
             for index in range(self.lane_count)
         ]
         self._lanes = lanes
-        if self.backend_name == "process":
-            from repro.parallel.backend import ProcessLanes
-
-            self._backend = ProcessLanes(self, lanes)
-            self._backend.open()
-            return
+        # Every lane's sources exist before any lane opens: the first open of
+        # an input routes its whole stream to all of them.
         for lane in lanes:
-            lane.sources = [
+            sources = [
                 ExchangeSource(
-                    f"{self.operator_id}.in{input_index}.lane{lane.index}",
-                    lane.context,
-                    self,
-                    input_index,
-                    driver.root.output_schema,
+                    f"{self.operator_id}.in{input_index}.lane{lane.index}", lane.context, driver
                 )
                 for input_index, driver in enumerate(self._producers)
             ]
-            lane.root = self._build_lane(lane.index, lane.context, lane.sources)
+            lane.root = self._build_lane(lane.index, lane.context, sources)
         for lane in lanes:
             lane.root.open()
             lane.steps = self._lane_steps(lane)
             lane.next_event_ms = lane.context.clock.now
-        self._drain_producers()
-
-    def _drain_producers(self) -> None:
-        """Pump every producer to completion, routing everything up front.
-
-        Virtual time is indifferent to *when* pumps physically execute:
-        producer clocks advance only through pumps (a fixed sequence), lane
-        clocks only through serves and processing, and no information flows
-        from lanes back into producers.  Draining at open therefore yields
-        the same stamps as demand-driven pumping — while making every lane a
-        pure function of its own routed queues, which is what lets a lane
-        run unchanged inside a worker process and still match inline
-        bit for bit.  A pump failure is recorded on its driver and
-        swallowed here; it re-raises on every lane's pull of that input.
-        """
-        for input_index, driver in enumerate(self._producers):
-            while not driver.done:
-                try:
-                    self.pump(input_index)
-                except Exception:
-                    if driver.error is None:
-                        raise
-                    break
+        for driver in self._producers:
+            if not driver.started:
+                # A standby input idles at its build time until a fallback
+                # starts it; left active it would hold the server frontier there.
+                _leave_timeline(driver.root.context.clock)
 
     def _lane_steps(self, lane: _Lane) -> Iterator[float]:
         """Session-style step generator: one yield per wait or output batch.
@@ -448,6 +406,11 @@ class Exchange(Operator):
         except StopIteration:
             lane.finished = True
             lane.next_event_ms = lane.context.clock.now
+        except Exception:
+            # The consumer learns of a lane's failure no earlier than the
+            # lane reached it.
+            self.context.clock.advance_to(lane.context.clock.now)
+            raise
 
     # -- merge side ----------------------------------------------------------------
 
@@ -526,9 +489,6 @@ class Exchange(Operator):
         lanes = self._lanes or []
         error: Exception | None = None
         try:
-            if self._backend is not None:
-                self._backend.close()
-                return
             for lane in lanes:
                 if lane.root is None:
                     continue
@@ -542,9 +502,7 @@ class Exchange(Operator):
         finally:
             # Release every worker clock from the timeline — a stuck lane
             # clock would pin the server frontier forever.
-            for clock in [d.root.context.clock for d in self._producers] + [
-                lane.context.clock for lane in lanes
-            ]:
-                server = getattr(clock, "server", None)
-                if server is not None:
-                    server.finish(clock.session_id)
+            for driver in self._producers:
+                _leave_timeline(driver.root.context.clock)
+            for lane in lanes:
+                _leave_timeline(lane.context.clock)

@@ -75,12 +75,3 @@ class SourceTimeoutError(SourceUnavailableError):
 
 class MemoryOverflowError(ExecutionError):
     """An operator ran out of memory and no overflow strategy was configured."""
-
-
-class QueryExecutionError(ExecutionError):
-    """A query failed for reasons outside its own operator tree.
-
-    Raised by the process exchange backend when a lane worker dies (killed,
-    crashed at import, lost its pipe) rather than failing cleanly: the
-    original operator-level exception, if any, is chained; otherwise the
-    worker's traceback text is embedded in the message."""

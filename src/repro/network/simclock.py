@@ -163,21 +163,5 @@ class SimClock:
         self._now = float(start_ms)
         self.stats = ClockStats()
 
-    def restore(self, now_ms: float, wait_ms: float, cpu_ms: float, io_ms: float) -> None:
-        """Adopt an externally accounted position and breakdown wholesale.
-
-        The process exchange backend runs each lane's clock *in the worker*
-        and mirrors it onto the parent's registered clock from the worker's
-        reports.  A plain charge cannot express the mirror: overlapped
-        charges reclassify waiting into CPU, so a worker's cumulative wait
-        may *decrease* between reports.  Mutates the existing
-        :class:`ClockStats` in place so aggregators holding a reference see
-        the update.
-        """
-        self._now = float(now_ms)
-        self.stats.wait_ms = wait_ms
-        self.stats.cpu_ms = cpu_ms
-        self.stats.io_ms = io_ms
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.2f}ms)"

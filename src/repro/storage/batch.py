@@ -155,18 +155,6 @@ class Batch:
         """True when column lists are already materialized (native columnar path)."""
         return self._columns is not None
 
-    def wire_parts(self) -> tuple[list | None, list[Row] | None, list[float]]:
-        """``(columns, rows, arrivals)`` exactly as stored — no conversion.
-
-        The wire format must ship the representation the batch actually has:
-        operators branch on :attr:`is_columnar`, so a row-backed batch that
-        crossed a process boundary as columns would drive different code on
-        the other side.  ``columns`` is ``None`` for a row-backed batch (and
-        vice versa); a batch holding both cached forms ships as columns."""
-        if self._columns is not None:
-            return self._columns, None, self.arrivals
-        return None, self._rows, self.arrivals
-
     # -- representation conversion (lazy, cached) ------------------------------
 
     @property

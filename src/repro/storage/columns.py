@@ -143,39 +143,6 @@ class Dictionary:
         """Estimated footprint of one entry (used by spill accounting)."""
         return len(self.values[code]) + DICT_SLOT_BYTES
 
-    # -- wire-format deltas (process exchange backend) -------------------------
-
-    def entries_since(self, base: int) -> list[str]:
-        """Entries added after the first ``base`` (the wire delta unit).
-
-        Codes are dense and never change, so ``values[base:]`` is exactly
-        what a receiver holding ``base`` entries needs to catch up: each
-        distinct string crosses a process boundary once, codes ever after.
-        """
-        return self.values[base:]
-
-    def adopt_entries(self, entries: Sequence[str], base: int) -> None:
-        """Append a shipped delta, verifying code alignment with the sender.
-
-        Raises
-        ------
-        ValueError
-            If this dictionary does not hold exactly ``base`` entries — the
-            sender computed the delta against a different watermark, so
-            adopting it would assign different codes than the shipped code
-            vectors use.
-        """
-        if len(self.values) != base:
-            raise ValueError(
-                f"dictionary delta expects {base} existing entries, have {len(self.values)}"
-            )
-        frozen, self.frozen = self.frozen, False
-        try:
-            for value in entries:
-                self.encode(value)
-        finally:
-            self.frozen = frozen
-
 
 class DictColumn:
     """A string column stored as ``array('q')`` codes plus a :class:`Dictionary`.
@@ -381,26 +348,6 @@ class RunLengthArrivals:
 
     def to_list(self) -> list[float]:
         return list(self)
-
-    def wire_runs(self) -> tuple[list[float], list[int]] | None:
-        """``(values, cumulative_ends)`` run pairs, or ``None`` when degraded.
-
-        The process exchange backend ships compressed arrivals as runs; a
-        degraded container (runs stopped compressing) ships its plain list
-        instead, so the receiver reconstructs the *same* internal form and
-        downstream behavior (degrade checks, slicing) matches bit for bit.
-        """
-        if self._plain is not None:
-            return None
-        return self._values, self._ends
-
-    @classmethod
-    def from_wire_runs(cls, values: Sequence[float], ends: Sequence[int]) -> "RunLengthArrivals":
-        """Rebuild from shipped run pairs without re-running degrade checks."""
-        out = cls()
-        out._values = list(values)
-        out._ends = list(ends)
-        return out
 
     # -- mutation -----------------------------------------------------------------
 

@@ -74,10 +74,10 @@ def bucket_of(key: Key, bucket_count: int) -> int:
     A one-column key is hashed *as the 1-tuple it stands for*: bucket identity
     is what it was when keys were tuples, so no flush victim, overflow point
     or spilled byte depends on the key's representation.  Uses the builtin
-    ``hash`` — fastest available, and perfectly fine for *intra-process*
-    buckets.  It is NOT stable across processes for strings
-    (``PYTHONHASHSEED`` randomization); anything that partitions across
-    process boundaries must use :func:`stable_bucket_of` instead.
+    ``hash`` — fastest available, and perfectly fine for buckets nobody
+    compares across runs.  It is NOT stable across interpreter runs for
+    strings (``PYTHONHASHSEED`` randomization); an assignment that must
+    repeat run to run (exchange lane routing) uses :func:`stable_bucket_of`.
     """
     return hash(key if type(key) is tuple else (key,)) % bucket_count
 
@@ -125,12 +125,12 @@ def _stable_key_bytes(key: Key) -> bytes:
 
 
 def stable_bucket_of(key: Key, bucket_count: int) -> int:
-    """Process-stable bucket assignment (exchange lane routing).
+    """Run-stable bucket assignment (exchange lane routing).
 
-    ``zlib.crc32`` over a canonical byte encoding: identical across runs,
-    interpreters, and processes regardless of ``PYTHONHASHSEED``, so a
-    parent routing batches and a lane worker checking its share always
-    agree.
+    ``zlib.crc32`` over a canonical byte encoding: identical across
+    interpreter runs whatever ``PYTHONHASHSEED`` says (builtin ``hash``
+    randomizes strings per run), so a laned query routes — and therefore
+    reads on the virtual clock — the same every time.
     """
     return crc32(_stable_key_bytes(key)) % bucket_count
 

@@ -255,7 +255,6 @@ class MemoryPool:
         operator_name: str,
         nbytes: int | None,
         on_overflow: Callable[[MemoryBudget], None] | None = None,
-        budget_class: type[MemoryBudget] = MemoryBudget,
         speculative: bool = False,
     ) -> MemoryBudget:
         """Carve a budget of ``nbytes`` (or unbounded) for ``operator_name``.
@@ -267,16 +266,11 @@ class MemoryPool:
         leased — their usage still propagates, but capacity enforcement is
         only meaningful for bounded allotments.
 
-        ``budget_class`` lets the process exchange backend grant *mirror*
-        budgets — :class:`MemoryBudget` subclasses that relay revocations to
-        the worker process holding the real allotment — while keeping every
-        grant/lease/capacity rule identical to a plain grant.
-
         ``speculative`` marks the lease as prefetch-backed: granted only
         from free broker capacity (possibly zero bytes) and revoked ahead of
         every query lease.
         """
-        budget = budget_class(nbytes, name=operator_name, on_overflow=on_overflow, pool=self)
+        budget = MemoryBudget(nbytes, name=operator_name, on_overflow=on_overflow, pool=self)
         if nbytes is not None:
             if self.broker is not None:
                 # The pool-exceeded raise below releases the lease first; the

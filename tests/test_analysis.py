@@ -40,7 +40,6 @@ FIXTURE_FOR_RULE = {
     "conftest-import": "conftest_import_violation.py",
     "bare-except": "bare_except_violation.py",
     "swallowed-except": "swallowed_except_violation.py",
-    "wire-safe": "wire_safe_violation.py",
 }
 
 

@@ -135,20 +135,6 @@ class TestExchangeValidation:
         findings = validate_tree(spec, joinable_catalog)
         assert codes(findings) == {"bad-lane-count"}
 
-    def test_unknown_backend_rejected(self, joinable_catalog):
-        spec = exchange(good_join(), ["ord.o_id"], 2)
-        spec.params["backend"] = "threads"
-        findings = validate_tree(spec, joinable_catalog)
-        assert codes(findings) == {"bad-lane-count"}
-        assert "'threads'" in findings[0].message
-        assert "inline" in findings[0].message and "process" in findings[0].message
-
-    def test_known_backends_accepted(self, joinable_catalog):
-        for backend in ("inline", "process"):
-            spec = exchange(good_join(), ["ord.o_id"], 2)
-            spec.params["backend"] = backend
-            assert validate_tree(spec, joinable_catalog) == []
-
     def test_schema_passes_through_unchanged(self, joinable_catalog):
         # The exchange is transparent: a parent projecting the child schema
         # still validates above it.

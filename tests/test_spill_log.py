@@ -207,7 +207,7 @@ class TestKeyFormMovesNothing:
     def test_composite_keys_bucket_and_route_as_before(self):
         for key in [(1, 2), ("abc", 3), (None, 2.5), (7, "x", 0)]:
             assert bucket_of(key, 64) == hash(key) % 64
-        # Lane assignments pinned since PR 9 (tests/test_wire.py), scalar form included.
+        # Lane assignments pinned since PR 9 (tests/test_exchange.py), scalar form included.
         assert [stable_bucket_of(key, 4) for key in (3.5, None, True, (42, "x"))] == [1, 2, 0, 3]
         assert [stable_bucket_of(key, 8) for key in (7, 1, (7,), (1,))] == [6, 3, 6, 3]
 
