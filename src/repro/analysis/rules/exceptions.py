@@ -8,7 +8,7 @@ flags every ``except:`` — it also catches ``KeyboardInterrupt`` and
 ``SystemExit``, which nothing in this engine should.  ``swallowed-except``
 flags broad handlers (``except Exception``/``BaseException``/bare) whose
 body is nothing but ``pass``/``continue``/``...`` — narrow handlers that
-deliberately fall through (parser fallbacks, typed-column degradation) stay
+deliberately fall through (parser fallbacks, dict-column degradation) stay
 legal.
 """
 

@@ -4,7 +4,7 @@ PR 3's columnar hash tables hold ``no Row objects are constructed on the
 insert/probe hot paths`` as a *runtime* assertion (the
 ``counting_row_constructions`` counter in ``tests/test_hash_table.py``).
 This rule is its static twin over the whole storage layer: inside the
-hot-path modules (typed columns, batches, the bucketed hash table, the spill
+hot-path modules (columns, batches, the bucketed hash table, the spill
 files), constructing a :class:`Row` (``Row(...)`` / ``Row.make``) or
 materializing ``.rows()`` is only legal at the declared row-boundary
 methods, each of which carries a ``# repro: allow[hot-path-row]`` pragma

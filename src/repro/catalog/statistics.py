@@ -42,7 +42,7 @@ class SourceStatistics:
     transfer_rate_kbps: float | None = None
     distinct_values: dict[str, int] = field(default_factory=dict)
     #: Average bytes one exported tuple occupies in columnar engine storage
-    #: under the engine's default *encoded* layout (packed numeric arrays,
+    #: under the *modelled* engine's default encoded layout (packed numbers,
     #: dictionary-coded strings, arrival stamp); this is the unit hash-table
     #: memory budgets charge, so memory allotments and overflow thresholds
     #: are computed from it rather than from the boxed row estimate in

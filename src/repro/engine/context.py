@@ -54,11 +54,13 @@ class EngineConfig:
         is identical either way.
     encoded_columns:
         When true (the default), the storage layer *encodes* columns:
-        string attributes dictionary-encode (``array('q')`` codes plus a
+        string attributes dictionary-encode (a list of codes plus a
         shared per-column dictionary) in scan batches, hash-table
         arenas, and spill chunks; arrival stamps run-length encode
         where blocks share one stamp; and memory budgets / spill files
-        charge the encoded footprint (``Schema.encoded_row_size``).
+        charge the encoded footprint (``Schema.encoded_row_size`` — the
+        *modelled* engine's 8 bytes per number or code, whatever Python
+        container holds the value).
         Orthogonal to the drive mode: the hash tables and overflow files
         are encoded (or not) identically under all three drives, so
         overflow events and spill I/O never depend on the drive.  Disable

@@ -9,7 +9,7 @@ from typing import Any, Sequence
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
-from repro.storage.batch import Batch
+from repro.storage.batch import Batch, later_stamps
 from repro.storage.columns import ColumnarPartition, gather, picker
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder, Row
@@ -127,7 +127,7 @@ class JoinOperator(Operator):
         pick_left, pick_right = picker(lefts), picker(rights)
         columns = [gather(column, lefts, pick_left) for column in left_columns]
         columns += [gather(column, rights, pick_right) for column in right_columns]
-        arrivals = list(map(max, pick_left(left_arrivals), pick_right(right_arrivals)))
+        arrivals = later_stamps(pick_left(left_arrivals), pick_right(right_arrivals))
         return Batch.from_columns(self.output_schema, columns, arrivals)
 
     def _charge_disk_time(self) -> None:

@@ -207,7 +207,7 @@ class DependentJoin(Operator):
         cached = self._match_columns.get(key)
         if cached is None:
             # Cached entries live for the whole probe phase, so they store
-            # typed/encoded columns (dict codes for strings when encoding is
+            # plain/encoded columns (dict codes for strings when encoding is
             # on) — the same footprint discipline the hash tables apply.
             if self._cache_dictionaries is None and self.context.encoded_columns:
                 self._cache_dictionaries = make_dictionaries(self._right_schema)

@@ -39,7 +39,7 @@ baseline).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
@@ -47,8 +47,8 @@ from repro.engine.operators.joins.base import JoinOperator
 from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
 from repro.plan.rules import EventType
-from repro.storage.batch import Batch
-from repro.storage.columns import as_values, empty_like, extend_moving, gather
+from repro.storage.batch import Batch, later_stamps
+from repro.storage.columns import DictColumn, as_values, extend_moving, gather, picker
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.tuples import Key, Row
@@ -86,52 +86,57 @@ class _Run:
 class _OutputColumns:
     """Pending columnar join output: per-column accumulators plus arrivals.
 
-    Accumulators start as plain lists; the first emission *upgrades* slots
-    to dict-encoded accumulators sharing the inputs' dictionaries, after
-    which matched string values move as raw codes and the output batches
-    stay encoded end to end.
+    The accumulators are *adopted*, never copied into: :meth:`extend` takes
+    ownership of the fresh columns an emission built, so with nothing pending
+    — the state after every full hand-over — those columns simply become the
+    accumulators, storage classes and all (matched strings stay codes end to
+    end).  An emission that finds rows pending extends them, pointers and
+    codes moving; a batch handed out is never touched again.
     """
 
-    __slots__ = ("columns", "arrivals", "cursor", "adopted")
+    __slots__ = ("columns", "arrivals", "cursor")
 
-    def __init__(self, width: int) -> None:
-        self.columns: list[list[Any]] = [[] for _ in range(width)]
+    def __init__(self) -> None:
+        self.columns: list = []
         self.arrivals: list[float] = []
         self.cursor = 0
-        self.adopted = False
 
     def __len__(self) -> int:
         return len(self.arrivals) - self.cursor
 
-    def extend(self, columns: list, arrivals) -> None:
-        """Append one column set (left-then-right order) and its stamps."""
-        if not self.adopted:
-            # The first emission fixes the output storage: typed and
-            # dict-encoded sources get accumulators of their own class
-            # (sharing the dictionary), so values move unboxed or as codes.
-            self.adopted = True
-            for j, source in enumerate(columns):
-                if type(source) is not list and not len(self.columns[j]):
-                    self.columns[j] = empty_like(source)
-        base = len(self.arrivals)
+    def extend(self, columns: list, arrivals: list[float]) -> None:
+        """Take over one fresh column set (left-then-right order) and its stamps."""
+        pending = self.arrivals
+        if not pending:
+            self.columns, self.arrivals = columns, arrivals
+            return
+        held = self.columns
         for j, column in enumerate(columns):
-            extend_moving(self.columns, j, column, base)
-        self.arrivals.extend(arrivals)
+            mine = held[j]
+            if type(mine) is list:
+                if type(column) is list:
+                    mine.extend(column)
+                    continue
+            elif type(column) is DictColumn and column.dictionary is mine.dictionary:
+                mine.codes.extend(column.codes)
+                continue
+            extend_moving(held, j, column)
+        pending.extend(arrivals)
 
     def take_batch(self, schema, max_rows: int) -> Batch:
         """Up to ``max_rows`` pending rows as a columnar batch."""
         start = self.cursor
-        stop = min(start + max_rows, len(self.arrivals))
-        if start == 0 and stop == len(self.arrivals):
+        total = len(self.arrivals)
+        stop = min(start + max_rows, total)
+        if start == 0 and stop == total:
             batch = Batch.from_columns(schema, self.columns, self.arrivals)
         else:
             columns = [column[start:stop] for column in self.columns]
             batch = Batch.from_columns(schema, columns, self.arrivals[start:stop])
-        self.cursor = stop
-        if stop == len(self.arrivals):
-            self.columns = [empty_like(column) for column in self.columns]
-            self.arrivals = []
-            self.cursor = 0
+        if stop == total:
+            self.columns, self.arrivals, self.cursor = [], [], 0
+        else:
+            self.cursor = stop
         return batch
 
 
@@ -198,9 +203,7 @@ class DoublePipelinedJoin(JoinOperator):
                 (self.right_keys, "right", self.right),
             )
         ]
-        self._left_width = len(self.left.output_schema)
-        self._right_width = len(self.right.output_schema)
-        self._out = _OutputColumns(self._left_width + self._right_width)
+        self._out = _OutputColumns()
 
     def _do_close(self) -> None:
         try:
@@ -518,7 +521,8 @@ class DoublePipelinedJoin(JoinOperator):
         columns move as slices when every row matched exactly once (the
         foreign-key case) and as gathers otherwise, dictionary columns as
         codes either way.  Each output tuple is stamped with the later of its
-        two inputs.
+        two inputs.  Every column built here is fresh — a copy of the run's, a
+        gather out of the arena — and the accumulators take them over.
         """
         self._emitted_output = True
         first, n = take[0], len(take)
@@ -526,11 +530,12 @@ class DoublePipelinedJoin(JoinOperator):
             own = [column[first : first + n] for column in run.batch.columns]
             own_arrivals = run.arrivals[first : first + n]
         else:
-            own = [gather(column, take) for column in run.batch.columns]
-            own_arrivals = map(run.arrivals.__getitem__, take)
+            pick = picker(take)
+            own = [gather(column, take, pick) for column in run.batch.columns]
+            own_arrivals = pick(run.arrivals)
         self._out.extend(
             own + match_columns if side == LEFT else match_columns + own,
-            map(max, own_arrivals, match_arrivals),
+            later_stamps(own_arrivals, match_arrivals),
         )
 
     def _insert_refused(self, table: BucketedHashTable, run: _Run, position: int) -> None:

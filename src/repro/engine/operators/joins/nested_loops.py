@@ -59,7 +59,7 @@ class NestedLoopsJoin(JoinOperator):
         """Buffer the entire inner input as a columnar partition.
 
         Blocks are drained at batch granularity and land in a
-        :class:`ColumnarPartition` (typed columns + key index, insertion
+        :class:`ColumnarPartition` (columns + key index, insertion
         order = scan order, so per-outer-row match order equals the
         sequential scan).  Columnar blocks move as per-column extends with no
         row boxing; the tuple-at-a-time drive boxes the buffer lazily on

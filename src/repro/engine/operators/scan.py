@@ -323,9 +323,8 @@ class WrapperScan(Operator):
                 if columns is None:
                     columns, arrivals = block_columns, block_arrivals
                 else:
-                    base = len(arrivals)
                     for position, column in enumerate(block_columns):
-                        extend_column(columns, position, column, base)
+                        extend_column(columns, position, column)
                     arrivals.extend(block_arrivals)
                 continue
             # Empty block: end of stream, bound reached, or a tuple that
@@ -348,11 +347,10 @@ class WrapperScan(Operator):
                 break
             self._threshold_counter += 1
             if columns is None:
-                # Seed typed accumulators so a batch that starts on the
-                # per-tuple fallback still carries packed numeric columns
-                # (and keeps downstream concats type-stable); in encoded
-                # mode the string accumulators share the wrapper's
-                # dictionaries so codes stay compatible with block fetches.
+                # In encoded mode the string accumulators share the
+                # wrapper's dictionaries, so a batch that starts on the
+                # per-tuple fallback stays code-compatible with block
+                # fetches (and keeps downstream concats encoding-stable).
                 columns = empty_columns(
                     self.output_schema,
                     self.wrapper.encoded_columns,

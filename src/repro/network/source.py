@@ -3,7 +3,7 @@
 A :class:`DataSource` holds a base relation and a
 :class:`~repro.network.profiles.NetworkProfile`.  What it exports is static,
 so it is built once per source and shared by every connection: the qualified
-schema, the typed/encoded columns, and the stream's clock steps under the
+schema, the plain/encoded columns, and the stream's clock steps under the
 current profile.  Opening a connection does only what the open can change —
 it lays those steps out from its start time into an arrival timetable, with no
 per-tuple Python work and no tuple boxed; the wrapper then streams *spans* of
@@ -90,11 +90,11 @@ class DataSource:
         return self._export[1]
 
     def encoded_column_cache(self) -> tuple[list, list]:
-        """The relation translated once into typed/encoded columns.
+        """The relation translated once into plain/encoded columns.
 
         Source data is static, so the wrapper's translation step (the XML
         parsing/Unicode conversion of the original system — here the
-        typed/dictionary-encoded column build) is done once per source and
+        dictionary-encoded column build) is done once per source and
         shared by every wrapper: connections deliver rows sequentially, so a
         block is a pair of C-level column slices over this cache.  Returns
         ``(columns, dictionaries)``; rebuilt, with the rest of the export,
@@ -128,8 +128,8 @@ class DataSource:
 
         Encoded: C-level slices over the one-time translation cache, sharing
         the source dictionaries so downstream consumers move codes.  Plain:
-        packed numeric buffers straight off the stored relation
-        (qualification only renames, so its rows carry the values).
+        a transpose straight off the stored relation (qualification only
+        renames, so its rows carry the values).
         """
         if encoded:
             return [column[start:stop] for column in self.encoded_column_cache()[0]]

@@ -1,18 +1,23 @@
-"""Typed and encoded column storage: the struct-of-arrays substrate.
+"""Plain and encoded column storage: the struct-of-arrays substrate.
 
-Columns holding ``int`` or ``float`` attributes are stored in compact
-``array('q')`` / ``array('d')`` buffers (8 bytes per value, no per-value
-Python object retained by the container); in *encoded* mode, ``str``
-attributes are stored as :class:`DictColumn` — an ``array('q')`` of codes
-plus a shared, append-only :class:`Dictionary` — and every other type (and
-any column that turns out to hold mixed, out-of-range, or excessively
-distinct values) falls back to a plain object list.  The helpers here keep
-that triple representation invisible to the rest of the engine: appends and
-bulk extends degrade a typed or dict-encoded column to a list the first time
-a value does not fit, gathers and slices preserve the storage class, and
-byte accounting (:meth:`Schema.columnar_row_size` /
-:meth:`Schema.encoded_row_size`) matches what the chosen representation
-actually costs.
+A column is a plain list holding *the objects it was given* — the source
+relation's own ``int`` / ``float`` / ``str`` objects — so every slice, gather,
+extend, arena insert, probe and spill move is a pointer copy: nothing is
+boxed on the way out or unboxed on the way in.  In *encoded* mode ``str``
+attributes are stored as :class:`DictColumn` — a plain list of codes (the
+:class:`Dictionary`'s own code objects, so a cell allocates nothing) plus a
+shared, append-only dictionary — and a dict column fed a value it cannot
+code (``None``, a non-string, a frozen or full dictionary) degrades to a
+plain list.  The helpers here keep that pair of representations invisible to
+the rest of the engine: appends and bulk extends degrade a dict-encoded
+column the first time a value does not fit, and gathers and slices preserve
+the storage class.  Byte accounting (:meth:`Schema.columnar_row_size` /
+:meth:`Schema.encoded_row_size`) is the *modelled* engine's, which packs
+numbers and codes into 8 bytes: it follows the attribute type, never the
+Python container.  (Deliberately not packed ``array`` buffers: one boxes
+every cell read from it and unboxes every cell written to it — 48 ns against
+15 ns per gathered cell, and the stdlib has no unboxed gather — while saving
+no memory, the source relation holding the objects anyway.)
 
 Dictionary encoding gives three wins on string-heavy workloads:
 
@@ -33,7 +38,7 @@ the stream does not compress (network stamps are strictly increasing), so
 random access never pays more than one indirection.
 
 :class:`ColumnarPartition` is the shared append-only "columnar bag of rows"
-— the one column arena of a hash table and the nested-loops inner: one typed
+— the one column arena of a hash table and the nested-loops inner: one plain
 or encoded column per attribute, a parallel arrival column and one key index
 (``key -> position`` while keys are unique, ``key -> [positions]`` after),
 with the one insert pass and the one probe pass all three joins run, so they
@@ -46,7 +51,6 @@ gather per column without ever materializing
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from itertools import compress, islice, repeat
 from operator import is_not, itemgetter, ne
@@ -55,13 +59,10 @@ from typing import Any, Iterator, Sequence
 from repro.storage.schema import Schema
 from repro.storage.tuples import Key, Row
 
-#: array typecodes for the attribute types stored packed.
-NUMERIC_TYPECODES = {"int": "q", "float": "d"}
-
 #: Attribute types that dictionary-encode in encoded mode.
 DICT_ENCODED_TYPES = {"str"}
 
-#: Bytes one dictionary code occupies (an ``array('q')`` slot).
+#: Bytes one dictionary code is charged (the modelled engine packs it).
 DICT_CODE_BYTES = 8
 
 #: Pointer overhead charged per dictionary entry (the value-list slot).
@@ -71,8 +72,8 @@ DICT_SLOT_BYTES = 8
 #: the column to an object list (the high-cardinality misfit path).
 DICT_MAX_ENTRIES = 1 << 20
 
-#: Exceptions that signal "this value does not fit the typed buffer".
-_DEGRADE_ERRORS = (TypeError, ValueError, OverflowError)
+#: Exceptions that signal "this value does not fit the dictionary column".
+_DEGRADE_ERRORS = (TypeError, ValueError)
 
 
 class Dictionary:
@@ -145,22 +146,24 @@ class Dictionary:
 
 
 class DictColumn:
-    """A string column stored as ``array('q')`` codes plus a :class:`Dictionary`.
+    """A string column stored as a list of codes plus a :class:`Dictionary`.
 
-    Sequence-compatible with the plain-list column it replaces: indexing and
-    iteration decode to the dictionary's canonical string objects (no string
-    is ever constructed per row), slicing and gathering return new
-    :class:`DictColumn` views sharing the same dictionary, and ``append`` /
-    ``extend`` encode incoming values — raising the standard degrade errors
-    on misfits so :func:`append_value` / :func:`extend_column` repair the
-    column to an object list exactly like a typed numeric column.
+    The codes are the dictionary's own code objects (the values of
+    :attr:`Dictionary.codes`), so no cell allocates.  Sequence-compatible
+    with the plain-list column it replaces: indexing and iteration decode to
+    the dictionary's canonical string objects (no string is ever constructed
+    per row), slicing and gathering return new :class:`DictColumn` views
+    sharing the same dictionary, and ``append`` / ``extend`` encode incoming
+    values — raising the standard degrade errors on misfits so
+    :func:`append_value` / :func:`extend_column` repair the column to a plain
+    list.
     """
 
     __slots__ = ("codes", "dictionary")
 
-    def __init__(self, dictionary: Dictionary | None = None, codes: array | None = None) -> None:
+    def __init__(self, dictionary: Dictionary | None = None, codes: list | None = None) -> None:
         self.dictionary = dictionary if dictionary is not None else Dictionary()
-        self.codes = codes if codes is not None else array("q")
+        self.codes: list[int] = codes if codes is not None else []
 
     # -- sizing / access -------------------------------------------------------
 
@@ -209,7 +212,7 @@ class DictColumn:
         """Extend with ``values``; same-dictionary extends move raw codes.
 
         A :class:`DictColumn` sharing this column's dictionary extends as a
-        single ``array.extend`` of codes (the code-vs-code fast path);
+        single ``list.extend`` of codes (the code-vs-code fast path);
         anything else (a foreign :class:`DictColumn` decodes first) is
         encoded in bulk, raising the degrade errors on a misfit before any
         code is appended.
@@ -427,14 +430,9 @@ def make_dictionaries(schema: Schema) -> list:
 
 
 def empty_column(type_name: str, encoded: bool = False, dictionary: Dictionary | None = None):
-    """A fresh, empty column for one attribute type.
-
-    Numeric attributes get packed arrays; in encoded mode, dict-encodable
-    attributes get a :class:`DictColumn` (over ``dictionary`` when given).
-    """
-    code = NUMERIC_TYPECODES.get(type_name)
-    if code:
-        return array(code)
+    """A fresh, empty column for one attribute type: a plain list, or in
+    encoded mode a :class:`DictColumn` (over ``dictionary`` when given) for a
+    dict-encodable attribute."""
     if encoded and type_name in DICT_ENCODED_TYPES:
         return DictColumn(dictionary)
     return []
@@ -450,14 +448,12 @@ def empty_columns(schema: Schema, encoded: bool = False, dictionaries: Sequence 
     ]
 
 
-def empty_like(column) -> "array | list | DictColumn":
+def empty_like(column) -> "list | DictColumn":
     """A fresh, empty column with the same storage class as ``column``.
 
     A dict-encoded column's twin shares its dictionary, so values moved
     between the two stay code-compatible (the encoding-stable concat path).
     """
-    if type(column) is array:
-        return array(column.typecode)
     if type(column) is DictColumn:
         return DictColumn(column.dictionary)
     return []
@@ -469,13 +465,8 @@ def build_column(
     encoded: bool = False,
     dictionary: Dictionary | None = None,
 ):
-    """A column over ``values``; object-list fallback on mixed/unfit values."""
-    code = NUMERIC_TYPECODES.get(type_name)
-    if code is not None:
-        try:
-            return array(code, values)
-        except _DEGRADE_ERRORS:
-            return list(values)
+    """A column over ``values`` (the values themselves, never copies); a
+    dict-encodable attribute falls back to a plain list on an unfit value."""
     if encoded and type_name in DICT_ENCODED_TYPES:
         column = DictColumn(dictionary)
         try:
@@ -492,7 +483,7 @@ def build_columns(
     encoded: bool = False,
     dictionaries: Sequence | None = None,
 ) -> list:
-    """Typed/encoded copies of ``columns`` as dictated by ``schema``."""
+    """Plain/encoded columns over ``columns`` as dictated by ``schema``."""
     if dictionaries is None:
         return [
             build_column(attribute.type_name, column, encoded)
@@ -526,11 +517,10 @@ def gather(column, indices: Sequence[int], pick=None):
     if pick is None:
         pick = picker(indices)
     if type(column) is DictColumn:
-        return DictColumn(column.dictionary, gather(column.codes, indices, pick))
+        picked = pick(column.codes)
+        return DictColumn(column.dictionary, list(picked) if type(picked) is tuple else picked)
     picked = pick(column)
-    if type(picked) is not tuple:
-        return picked
-    return array(column.typecode, picked) if type(column) is array else list(picked)
+    return list(picked) if type(picked) is tuple else picked
 
 
 def as_values(column) -> Sequence[Any]:
@@ -549,25 +539,19 @@ def as_values(column) -> Sequence[Any]:
     return column
 
 
-def extend_column(columns: list, position: int, values, base_length: int) -> None:
-    """Extend ``columns[position]`` with ``values``, degrading to a list on misfit.
-
-    ``base_length`` is the column's length before the extend; a typed or
-    dict-encoded buffer that rejects a value mid-extend may have been
-    partially extended, so the repair truncates back to ``base_length``
-    before re-running on a list.
-    """
+def extend_column(columns: list, position: int, values) -> None:
+    """Extend ``columns[position]`` with ``values``, degrading to a list on misfit
+    (a dict column encodes all of ``values`` before it appends any: nothing to undo)."""
     column = columns[position]
     try:
         column.extend(values)
     except _DEGRADE_ERRORS:
-        del column[base_length:]
         column = list(column)
         column.extend(values)
         columns[position] = column
 
 
-def extend_moving(columns: list, position: int, values, base_length: int) -> None:
+def extend_moving(columns: list, position: int, values) -> None:
     """:func:`extend_column` for an accumulator that only ever *moves* codes.
 
     A dict-encoded accumulator fed anything but codes of its own dictionary
@@ -580,7 +564,7 @@ def extend_moving(columns: list, position: int, values, base_length: int) -> Non
         type(values) is DictColumn and values.dictionary is column.dictionary
     ):
         columns[position] = list(column)
-    extend_column(columns, position, values, base_length)
+    extend_column(columns, position, values)
 
 
 def append_value(columns: list, position: int, value) -> None:
@@ -718,7 +702,7 @@ class ColumnarPartition:
                 position += 1
         columns = self.columns
         for j, source in enumerate(source_columns):
-            extend_column(columns, j, gather(source, indices, pick), base)
+            extend_column(columns, j, gather(source, indices, pick))
         self.arrivals.extend(pick(as_values(source_arrivals)))
 
     def index_newest(self, key: Key) -> bool:

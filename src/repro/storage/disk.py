@@ -479,9 +479,8 @@ class OverflowFile(SpillLedger):
             if type(arrivals) is not list:
                 arrivals = log.arrivals = list(arrivals)
             for chunk in chunks[1:]:
-                base = len(arrivals)
                 for position, column in enumerate(chunk.columns):
-                    extend_moving(columns, position, column, base)
+                    extend_moving(columns, position, column)
                 arrivals.extend(chunk.arrivals)
                 log.marked.extend(chunk.marked)
                 log.tags.extend(chunk.tags)

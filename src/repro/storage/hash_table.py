@@ -182,7 +182,7 @@ class BucketedHashTable:
     name:
         Used in the spill log's name and error messages.
     schema:
-        Schema of the stored rows; fixes the arena's typed column layout
+        Schema of the stored rows; fixes the arena's column layout
         and the per-row byte charge.  When omitted it is adopted from the
         first inserted row or batch.
     encoded:
@@ -196,8 +196,8 @@ class BucketedHashTable:
         counted in :attr:`resident_bytes`, so the budget invariant
         ``budget.used == sum(resident_bytes)`` holds in encoded bytes.
 
-    A value that does not fit its typed or dict-coded column degrades the
-    *table's* column to an object list (there is one column per attribute,
+    A value that does not fit its dict-coded column degrades the
+    *table's* column to a plain list (there is one column per attribute,
     not one per bucket), and every chunk flushed afterwards carries — and is
     charged for — the plain representation.
     """
@@ -802,7 +802,7 @@ class BucketedHashTable:
         arrivals: list[float] = []
         for part in parts:
             for j, column in enumerate(part.columns):
-                extend_moving(columns, j, column, len(arrivals))
+                extend_moving(columns, j, column)
             arrivals.extend(part.arrivals)
         spilled = len(log) if log is not None else 0
         marked = (log.marked if spilled else []) + [False] * (len(arrivals) - spilled)

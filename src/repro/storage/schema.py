@@ -26,18 +26,20 @@ TYPE_SIZES = {
     "bool": 1,
 }
 
-#: Per-value footprint in *columnar* storage for the types the column layer
-#: actually packs (``array('q')``/``array('d')`` — 8 bytes, no per-value
-#: object; must mirror ``columns.NUMERIC_TYPECODES``).  Every other type —
-#: including ``date`` and ``bool``, which live in object lists — charges its
-#: estimated payload plus one column-slot pointer.
+#: Per-value footprint in *columnar* storage for the types the *modelled*
+#: engine packs (8 bytes, no per-value object).  The byte model is the
+#: paper's engine's, not this process's: Python columns are plain lists of
+#: the source's own objects, and every overflow point, spilled byte and
+#: virtual millisecond follows these numbers, never the container.  Every
+#: other type — including ``date`` and ``bool`` — charges its estimated
+#: payload plus one column-slot pointer.
 COLUMNAR_VALUE_SIZES = {
     "int": 8,
     "float": 8,
 }
 
 #: Per-value footprint for attribute types that *dictionary-encode* in the
-#: encoded columnar layer: one ``array('q')`` code per row.  Dictionary
+#: encoded columnar layer: one 8-byte code per row (modelled).  Dictionary
 #: entries themselves are charged separately (actual value bytes plus a slot
 #: pointer, once per distinct value) by the containers that own them.
 ENCODED_VALUE_SIZES = {
@@ -271,8 +273,8 @@ class Schema:
         The sum of the per-column value footprints plus the parallel arrival
         stamp; there is no per-tuple object header because columnar storage
         holds no per-row objects.  This is the unit the memory budgets and
-        the spill files charge — hash tables and overflow files store columns,
-        so their accounting must match what columns actually cost.
+        the spill files charge — what the columns of the *modelled* engine
+        cost (numbers packed into 8 bytes), not what a Python list does.
         """
         size = self._columnar_row_size
         if size is None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import array as array_module
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,14 +92,16 @@ def test_key_tuples_both_representations():
         # One key column: its values, not 1-tuples; composite keys stay tuples.
         assert batch.key_tuples((0,)) == [1, 2, 1, 3]
         assert batch.key_tuples((0, 2)) == [(1, 10), (2, 20), (1, 30), (3, 40)]
-    # Whatever stores the column, the keys come back as one plain list of values.
+    # A plain column *is* its keys: handed over, not copied — numeric ones too.
     assert columnar.key_tuples((0,)) is columnar.columns[0]
     coded = build_columns(SCHEMA, columnar.columns, encoded=True)
-    assert type(coded[0]) is array_module.array and type(coded[1]) is DictColumn
-    typed = Batch.from_columns(SCHEMA, coded, columnar.arrivals)
-    for index in (0, 1):
-        keys = typed.key_tuples((index,))
-        assert type(keys) is list and keys == columnar.columns[index]
+    assert type(coded[0]) is list and type(coded[1]) is DictColumn
+    encoded = Batch.from_columns(SCHEMA, coded, columnar.arrivals)
+    assert encoded.key_tuples((0,)) is coded[0]
+    # A dict-encoded key column decodes once, to the dictionary's own strings.
+    keys = encoded.key_tuples((1,))
+    assert type(keys) is list and keys == columnar.columns[1]
+    assert all(key is coded[1].dictionary.values[code] for key, code in zip(keys, coded[1].codes))
 
 
 def test_concat_columnar_and_mixed():
@@ -258,93 +258,60 @@ def test_take_matches_row_selection(pairs, data):
 
 
 class TestTypedColumns:
-    """Typed (array-backed) columns: construction, stability, fallback."""
+    """Columns hold the values they were given: plain lists of the source's
+    own objects, whatever the attribute type.  (The class name dates from the
+    packed ``array`` layer this contract replaced.)"""
 
     def setup_method(self):
         self.schema = Schema.of("id:int", "score:float", "name:str")
+        # Values no packed buffer hands back as given: an int past 64 bits,
+        # an int under a float-typed attribute, floats (boxed anew per read).
+        self.values = [(2**63 + i, float(i) if i % 2 else i, f"n{i}") for i in range(6)]
+        self.rows = [Row(self.schema, values) for values in self.values]
+
+    def batch(self, lo=0, hi=6):
+        from repro.storage.batch import typed_transpose
+
+        return Batch.from_columns(
+            self.schema, typed_transpose(self.schema, self.rows[lo:hi]), [0.0] * (hi - lo)
+        )
+
+    def assert_holds(self, columns, positions):
+        """``columns`` are plain lists holding exactly the given objects."""
+        for j, column in enumerate(columns):
+            assert type(column) is list
+            assert len(column) == len(positions)
+            assert all(cell is self.values[i][j] for cell, i in zip(column, positions))
 
     def test_build_columns_types_numeric_attributes(self):
-        from repro.storage.columns import build_columns
-
-        columns = build_columns(
-            self.schema, [[1, 2, 3], [0.5, 1.5, 2.5], ["a", "b", "c"]]
-        )
-        assert isinstance(columns[0], array_module.array)
-        assert columns[0].typecode == "q"
-        assert columns[1].typecode == "d"
-        assert isinstance(columns[2], list)
+        columns = build_columns(self.schema, list(zip(*self.values)))
+        self.assert_holds(columns, range(6))
 
     def test_typed_transpose_from_rows(self):
         from repro.storage.batch import typed_transpose
 
-        rows = [Row(self.schema, (i, i * 0.5, f"n{i}")) for i in range(4)]
-        columns = typed_transpose(self.schema, rows)
-        assert columns[0].typecode == "q"
-        assert list(columns[0]) == [0, 1, 2, 3]
-        assert list(columns[1]) == [0.0, 0.5, 1.0, 1.5]
-
-    def test_build_column_falls_back_on_mixed_types(self):
-        from repro.storage.columns import build_column
-
-        column = build_column("int", [1, 2, "oops", 4])
-        assert isinstance(column, list)
-        assert column == [1, 2, "oops", 4]
+        self.assert_holds(typed_transpose(self.schema, self.rows), range(6))
 
     def test_take_and_slice_preserve_storage_class(self):
-        from repro.storage.batch import typed_transpose
-
-        rows = [Row(self.schema, (i, float(i), f"n{i}")) for i in range(6)]
-        batch = Batch.from_columns(
-            self.schema, typed_transpose(self.schema, rows), [0.0] * 6
-        )
-        taken = batch.take([1, 3, 5])
-        assert isinstance(taken.columns[0], array_module.array)
-        assert list(taken.columns[0]) == [1, 3, 5]
+        batch = self.batch()
+        self.assert_holds(batch.take([1, 3, 5]).columns, [1, 3, 5])
+        self.assert_holds(batch.take([4]).columns, [4])
         sliced = batch.slice(2, 4)
-        assert isinstance(sliced.columns[1], array_module.array)
-        assert list(sliced.columns[1]) == [2.0, 3.0]
-        assert [row.values for row in sliced] == [(2, 2.0, "n2"), (3, 3.0, "n3")]
+        self.assert_holds(sliced.columns, [2, 3])
+        assert [row.values for row in sliced] == self.values[2:4]
 
     def test_concat_preserves_storage_class(self):
-        from repro.storage.batch import typed_transpose
-
-        def typed_batch(lo, hi):
-            rows = [Row(self.schema, (i, float(i), f"n{i}")) for i in range(lo, hi)]
-            return Batch.from_columns(
-                self.schema, typed_transpose(self.schema, rows), [0.0] * (hi - lo)
-            )
-
-        merged = Batch.concat(self.schema, [typed_batch(0, 3), typed_batch(3, 5)])
-        assert isinstance(merged.columns[0], array_module.array)
-        assert list(merged.columns[0]) == [0, 1, 2, 3, 4]
+        merged = Batch.concat(self.schema, [self.batch(0, 3), self.batch(3, 5)])
+        self.assert_holds(merged.columns, range(5))
 
     def test_concat_degrades_on_misfit_values(self):
-        from repro.storage.batch import typed_transpose
-
-        rows = [Row(self.schema, (i, float(i), f"n{i}")) for i in range(3)]
-        typed = Batch.from_columns(
-            self.schema, typed_transpose(self.schema, rows), [0.0] * 3
-        )
-        # A later part carrying a non-int id must degrade the column, not raise.
-        loose = Batch.from_columns(self.schema, [["x"], [9.0], ["z"]], [0.0])
-        merged = Batch.concat(self.schema, [typed, loose])
-        assert isinstance(merged.columns[0], list)
-        assert merged.columns[0] == [0, 1, 2, "x"]
-        assert len(merged) == 4
-
-    def test_append_value_degrades_typed_column(self):
-        from repro.storage.columns import append_value, empty_columns
-
-        columns = empty_columns(self.schema)
-        append_value(columns, 0, 7)
-        append_value(columns, 0, "mixed")
-        assert columns[0] == [7, "mixed"]
-
-    def test_extend_column_repairs_partial_extension(self):
-        from repro.storage.columns import empty_columns, extend_column
-
-        columns = empty_columns(self.schema)
-        columns[0].extend([1, 2])
-        extend_column(columns, 0, [3, "bad", 5], base_length=2)
-        assert columns[0] == [1, 2, 3, "bad", 5]
-
+        # What still degrades: a dict-encoded column fed a value it cannot code.
+        coded = build_columns(self.schema, list(zip(*self.values[:3])), encoded=True)
+        assert type(coded[2]) is DictColumn
+        first = Batch.from_columns(self.schema, coded, [0.0] * 3)
+        loose = Batch.from_columns(self.schema, [["x"], [9.0], [None]], [0.0])
+        merged = Batch.concat(self.schema, [first, loose])
+        assert type(merged.columns[2]) is list
+        assert merged.columns[2] == ["n0", "n1", "n2", None]
+        assert merged.columns[0] == [2**63, 2**63 + 1, 2**63 + 2, "x"]  # a list holds anything
+        assert type(coded[2]) is DictColumn and len(coded[2]) == 3  # the part is untouched

@@ -3,18 +3,20 @@
 Covers the degradation paths (``None``/mixed-type values mid-batch,
 high-cardinality dictionaries), dictionary merging on batch concat and spill
 read-back, RLE arrival correctness under ``next_batch_bounded`` interrupts,
-and the canonical-string property (decoding never constructs strings).
+the canonical-string property (decoding never constructs strings), and the
+no-boxing property: every mover hands over the very objects it was given.
 """
 
-from array import array
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.operators.scan import TableScan
 from repro.storage.batch import Batch, gather_arrivals, typed_transpose
 from repro.storage.columns import (
     DICT_MAX_ENTRIES,
+    ColumnarPartition,
     DictColumn,
     Dictionary,
     RunLengthArrivals,
@@ -26,9 +28,11 @@ from repro.storage.columns import (
     empty_columns,
     empty_like,
     extend_column,
+    extend_moving,
     gather,
     make_dictionaries,
 )
+from repro.storage.disk import SimulatedDisk
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
@@ -83,10 +87,13 @@ class TestDictColumn:
         columns = build_columns(
             SCHEMA, [[1, 2], ["x", "y"], [0.5, 1.5]], encoded=True
         )
-        assert isinstance(columns[0], array)
+        assert type(columns[0]) is list and type(columns[2]) is list
         assert isinstance(columns[1], DictColumn)
-        assert isinstance(columns[2], array)
         assert list(columns[1]) == ["x", "y"]
+        # The codes are a plain list of the dictionary's own code objects.
+        dictionary = columns[1].dictionary
+        assert type(columns[1].codes) is list
+        assert all(code is dictionary.codes[v] for code, v in zip(columns[1].codes, "xy"))
 
     def test_decoding_returns_canonical_objects(self):
         column = DictColumn()
@@ -124,9 +131,9 @@ class TestDictColumn:
 
     def test_none_degrades_mid_batch(self):
         columns = empty_columns(SCHEMA, encoded=True)
-        extend_column(columns, 1, ["x", "y"], 0)
+        extend_column(columns, 1, ["x", "y"])
         assert isinstance(columns[1], DictColumn)
-        extend_column(columns, 1, ["z", None], 2)
+        extend_column(columns, 1, ["z", None])
         assert isinstance(columns[1], list)
         assert columns[1] == ["x", "y", "z", None]
 
@@ -380,3 +387,100 @@ class TestTableScanRLE:
         # fewer than one stamp per row.
         assert arrival_run_count(total.arrivals) == len(pieces)
         assert len(pieces) < 50
+
+
+# -- no boxing, stated as identity -----------------------------------------------------------
+#
+# A column holds the objects it was given and every mover copies pointers: what
+# comes out *is* what went in.  A packed buffer cannot pass — it boxes a fresh
+# object per read, cannot hold an int past 64 bits and turns an int under a
+# float-typed attribute into a float — and neither can a code column that
+# re-makes its ints: the dictionaries below start 300 entries in, past
+# CPython's small-int cache.
+
+MOVER_SCHEMA = Schema.of("t.k:int", "t.score:float", "t.name:str")
+
+mover_rows = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-3, 3), st.integers(2**63, 2**66)),
+        st.one_of(st.floats(allow_nan=False), st.integers(0, 9)),
+        st.sampled_from(["a", "b", "c", "dd"]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def deep_dictionaries():
+    dictionaries = make_dictionaries(MOVER_SCHEMA)
+    for filler in range(300):
+        dictionaries[2].encode(f"filler{filler}")
+    return dictionaries
+
+
+def assert_same_cells(column, cells):
+    """``column`` holds exactly the objects ``cells``; a dict column holds its
+    dictionary's own code objects and decodes to its own strings."""
+    assert len(column) == len(cells)
+    if type(column) is DictColumn:
+        codes, values = column.dictionary.codes, column.dictionary.values
+        assert type(column.codes) is list
+        assert all(code is codes[cell] for code, cell in zip(column.codes, cells))
+        assert all(out is values[codes[cell]] for out, cell in zip(column, cells))
+    else:
+        assert type(column) is list
+        assert all(out is cell for out, cell in zip(column, cells))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=mover_rows, data=st.data(), encoded=st.booleans())
+def test_every_mover_hands_over_the_objects_it_was_given(rows, data, encoded):
+    n = len(rows)
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="indices")
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    source = [list(column) for column in zip(*rows)]  # the objects that go in
+
+    def check(columns, positions):
+        for column, cells in zip(columns, source):
+            assert_same_cells(column, [cells[i] for i in positions])
+
+    columns = build_columns(MOVER_SCHEMA, source, encoded, deep_dictionaries() if encoded else None)
+    assert type(columns[2]) is (DictColumn if encoded else list)
+    check(columns, range(n))
+    check([gather(column, indices) for column in columns], indices)
+    check([column[lo:hi] for column in columns], range(lo, hi))
+    for extend in (extend_column, extend_moving):
+        grown = [empty_like(column) for column in columns]
+        for j, column in enumerate(columns):
+            extend(grown, j, column[:lo])
+            extend(grown, j, gather(column, indices))
+        check(grown, [*range(lo), *indices])
+
+    batch = Batch.from_columns(MOVER_SCHEMA, columns, [float(i) for i in range(n)])
+    assert batch.key_tuples([0]) is columns[0]
+    check(batch.take(indices).columns, indices)
+    check(batch.slice(lo, hi).columns, range(lo, hi))
+    parts = [batch.slice(lo, hi), batch.take(indices), batch]
+    check(Batch.concat(MOVER_SCHEMA, parts).columns, [*range(lo, hi), *indices, *range(n)])
+
+    # Into an arena (its own dictionaries: the strings re-encode) and out again.
+    moved = [*range(lo, hi), *indices]
+    store = ColumnarPartition(MOVER_SCHEMA, encoded, deep_dictionaries() if encoded else None)
+    store.extend_gather(columns, batch.arrivals, columns[0], range(lo, hi))
+    store.extend_gather(columns, batch.arrivals, columns[0], indices)
+    check(store.columns, moved)
+    at = list(range(len(moved)))[::-2]
+    gathered, arrivals = store.gather_rows(at)
+    check(gathered, [moved[i] for i in at])
+    assert all(a is batch.arrivals[moved[i]] for a, i in zip(arrivals, at))
+
+    # Onto disk in two chunks and back as the one merged log.
+    spill = SimulatedDisk(encoded=encoded).create_file(schema=MOVER_SCHEMA)
+    spill.write_gather(columns, batch.arrivals, range(lo, hi))
+    spill.write_gather(columns, batch.arrivals, indices)
+    log = spill.read_log()
+    if moved:
+        check(log.columns, moved)
+    else:
+        assert log is None

@@ -1,7 +1,5 @@
 """Unit tests for repro.storage.hash_table."""
 
-from array import array
-
 import pytest
 
 from repro.errors import StorageError
@@ -39,7 +37,7 @@ def make_table(limit_bytes=None, buckets=8, name="t") -> BucketedHashTable:
 
 def make_batch(keys, value="x") -> Batch:
     return Batch.from_columns(
-        SCHEMA, [array("q", keys), [value] * len(keys)], [0.0] * len(keys)
+        SCHEMA, [list(keys), [value] * len(keys)], [0.0] * len(keys)
     )
 
 
@@ -161,20 +159,23 @@ class TestFlushing:
 
 
 class TestColumnarBuckets:
-    """Rows live in one typed column arena, indexed by its one key->positions map."""
+    """Rows live in one column arena, indexed by its one key->positions map."""
 
     def test_arena_columns_are_typed(self):
         from repro.storage.columns import DictColumn
 
         table = make_table()
+        big = 2**63 + 1  # no packed buffer holds it; the arena holds the object itself
         table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
+        table.insert(make_row(big, "b"))
         store, positions = table.match_positions(1)
         assert list(positions) == [0]
-        assert isinstance(store.columns[0], array)
-        assert store.columns[0].typecode == "q"
-        # String columns dictionary-encode by default...
+        assert type(store.columns[0]) is list
+        assert store.columns[0][1] is big
+        # String columns dictionary-encode by default: the dictionary's own codes...
         assert isinstance(store.columns[1], DictColumn)
+        dictionary = store.columns[1].dictionary
+        assert all(code is dictionary.codes[v] for code, v in zip(store.columns[1].codes, "ab"))
         # ...and stay plain object lists with encoding off.
         plain = BucketedHashTable(
             ["k"], MemoryBudget(None), SimulatedDisk(), bucket_count=8,
@@ -211,7 +212,7 @@ class TestColumnarBuckets:
 
         limit = 70 * ROW_BYTES + 7 * (2 + 8)
         batch = Batch.from_columns(
-            SCHEMA, [array("q", range(100)), [f"v{i % 7}" for i in range(100)]], [0.0] * 100
+            SCHEMA, [list(range(100)), [f"v{i % 7}" for i in range(100)]], [0.0] * 100
         )
         table = make_table(limit_bytes=limit)
         with recording_calls(ColumnarPartition, "append_position") as appended:
@@ -335,7 +336,7 @@ class TestColumnArena:
         table.insert_batch(
             Batch.from_columns(
                 SCHEMA,
-                [array("q", keys), [f"v{i}" for i in range(len(keys))]],
+                [list(keys), [f"v{i}" for i in range(len(keys))]],
                 [float(i) for i in range(len(keys))],
             )
         )
@@ -428,7 +429,7 @@ class TestColumnArena:
     def test_misfit_degrades_the_tables_column(self):
         table = make_table(buckets=4)
         table.insert_batch(make_batch([0, 1, 2, 3]))
-        odd = Batch.from_columns(SCHEMA, [array("q", [4, 5]), ["y", None]], [1.0, 1.0])
+        odd = Batch.from_columns(SCHEMA, [[4, 5], ["y", None]], [1.0, 1.0])
         assert table.insert_batch(odd) == 2
         store, _ = table.match_positions(5)
         assert type(store.columns[1]) is list  # the table's column, every bucket's rows
@@ -567,7 +568,7 @@ class TestSharedProbeLoop:
         partition = ColumnarPartition(SCHEMA, encoded=True)
         batch = Batch.from_columns(
             SCHEMA,
-            [array("q", keys), [f"v{i}" for i in range(len(keys))]],
+            [list(keys), [f"v{i}" for i in range(len(keys))]],
             [float(i) for i in range(len(keys))],
         )
         partition.extend_gather(batch.columns, batch.arrivals, keys, range(len(keys)))

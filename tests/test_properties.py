@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import cycle
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile, lan
 from repro.network.source import DataSource
 from repro.plan.physical import OverflowMethod
+from repro.storage.columns import DictColumn
 from repro.storage.disk import SimulatedDisk
 from repro.storage.hash_table import BucketedHashTable
 from repro.storage.memory import MemoryBudget
@@ -728,41 +731,78 @@ def timed_sides(draw):
     return sides
 
 
+def timed_catalog(sides):
+    """``l(k, p)`` / ``r(k, q)`` arriving on the drawn timetables; returns
+    ``(catalog, left pairs, right pairs)``."""
+    (left_keys, left_times), (right_keys, right_times) = sides
+    left = [(key, f"p{i % 5}") for i, key in enumerate(left_keys)]
+    right = [(key, f"q{i}") for i, key in enumerate(right_keys)]
+    catalog = DataSourceCatalog()
+    for name, payload, pairs, times in (
+        ("l", "p", left, left_times),
+        ("r", "q", right, right_times),
+    ):
+        schema = Schema.of("k:int", f"{payload}:str")
+        relation = Relation(name, schema, (Row(schema, pair) for pair in pairs))
+        profile = ScriptedProfile(name=name, timetable=tuple(times))
+        catalog.register_source(DataSource(name, relation, profile))
+    return catalog, left, right
+
+
+def timed_join(memory, method):
+    def build(context):
+        return DoublePipelinedJoin(
+            "join",
+            context,
+            WrapperScan("sl", context, "l"),
+            WrapperScan("sr", context, "r"),
+            ["l.k"],
+            ["r.k"],
+            memory_limit_bytes=memory,
+            bucket_count=4,
+            overflow_method=method,
+        )
+
+    return build
+
+
+def containers(columns) -> list:
+    """The mutable container behind each column: the list, or a dict column's codes."""
+    return [column.codes if type(column) is DictColumn else column for column in columns]
+
+
+def snapshot(batch):
+    """What a batch holds, cell for cell, and the containers holding it."""
+    columns = batch.columns
+    return (
+        [(type(c), id(held), list(held)) for c, held in zip(columns, containers(columns))],
+        list(batch.arrivals),
+    )
+
+
+methods = st.sampled_from([OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH])
+
+#: One pull on the join: a plain batch, a bounded batch (rows arriving within
+#: ``now + window``), or one tuple — which serves pending columnar output
+#: through ``take_batch(..., 1)``.
+pulls = st.one_of(
+    st.tuples(st.just("batch"), st.sampled_from([1, 3, 7, 64]), st.none()),
+    st.tuples(st.just("bounded"), st.sampled_from([3, 64]), st.sampled_from([0.0, 0.5, 6.0])),
+    st.tuples(st.just("tuple"), st.just(1), st.none()),
+)
+
+
 class TestRunAtATimeProperties:
     @given(
         sides=timed_sides(),
         memory=st.sampled_from([None, 400, 900, 2500]),
-        method=st.sampled_from([OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]),
+        method=methods,
         batch_size=st.sampled_from([1, 7, 64, 256]),
     )
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_columnar_drive_equals_the_row_batch_drive(self, sides, memory, method, batch_size):
-        (left_keys, left_times), (right_keys, right_times) = sides
-        left = [(key, f"p{i % 5}") for i, key in enumerate(left_keys)]
-        right = [(key, f"q{i}") for i, key in enumerate(right_keys)]
-        catalog = DataSourceCatalog()
-        for name, payload, pairs, times in (
-            ("l", "p", left, left_times),
-            ("r", "q", right, right_times),
-        ):
-            schema = Schema.of("k:int", f"{payload}:str")
-            relation = Relation(name, schema, (Row(schema, pair) for pair in pairs))
-            profile = ScriptedProfile(name=name, timetable=tuple(times))
-            catalog.register_source(DataSource(name, relation, profile))
-
-        def build(context):
-            return DoublePipelinedJoin(
-                "join",
-                context,
-                WrapperScan("sl", context, "l"),
-                WrapperScan("sr", context, "r"),
-                ["l.k"],
-                ["r.k"],
-                memory_limit_bytes=memory,
-                bucket_count=4,
-                overflow_method=method,
-            )
-
+        catalog, left, right = timed_catalog(sides)
+        build = timed_join(memory, method)
         observed = {}
         for drive in ("columnar", "rows", "tuple"):
             rows, context, join = drive_join(build, catalog, drive, batch_size=batch_size)
@@ -780,6 +820,85 @@ class TestRunAtATimeProperties:
         }
         assert produced["columnar"] == produced["tuple"]
         assert join_multiset(rows) == reference_pairs(left, right)
+
+    @given(
+        sides=timed_sides(),
+        unique_right=st.booleans(),
+        memory=st.sampled_from([None, 400, 900]),
+        method=methods,
+        schedule=st.lists(pulls, max_size=6),
+        revoke_at=st.one_of(st.none(), st.integers(0, 12)),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_a_batch_handed_out_is_never_touched_again(
+        self, sides, unique_right, memory, method, schedule, revoke_at
+    ):
+        """The output accumulators *adopt* the columns an emission built, so a
+        hand-over gives the consumer the accumulators themselves.  Whatever the
+        pulls (foreign-key or many-to-many, flushes with cleanup, bounded and
+        tuple pulls, a revocation mid-run): no later emission mutates a batch
+        already handed out, and no accumulator is a column somebody else owns
+        — a run batch's, an arena's, a source's cached export."""
+        if unique_right:  # the foreign-key case: every left row matches at most once
+            right_keys, right_times = sides[1]
+            first = [i for i, key in enumerate(right_keys) if key not in right_keys[:i]]
+            sides = [sides[0], ([right_keys[i] for i in first], [right_times[i] for i in first])]
+        catalog, left, right = timed_catalog(sides)
+        context = ExecutionContext(catalog)
+        join = timed_join(memory, method)(context)
+        join.open()
+        exports = [
+            column for name in "lr" for column in catalog.source(name).encoded_column_cache()[0]
+        ]
+        exported = [list(held) for held in containers(exports)]
+        runs = []  # every run the join ever buffered, kept alive: ids stay comparable
+        buffer_run = join._buffer_run
+        join._buffer_run = lambda side, batch: runs.append(buffer_run(side, batch)) or runs[-1]
+
+        def ids(held):
+            return {id(container) for container in held}
+
+        def others():
+            held = containers(exports)
+            for run in runs:
+                held += [*containers(run.batch.columns), run.batch.arrivals, run.arrivals, run.keys]
+            for table in join._tables:
+                if table.arena is not None:
+                    held += [*containers(table.arena.columns), table.arena.arrivals]
+            return ids(held)
+
+        produced = []
+        handed = []
+        for step, (kind, size, window) in enumerate(cycle([*schedule, ("batch", 64, None)])):
+            if step == revoke_at:
+                join.budget.revoke_to(400)
+            if kind == "tuple":
+                row = join.next()
+                if row is None:
+                    break
+                produced.append(row)
+            else:
+                if kind == "bounded":
+                    batch = join.next_batch_bounded(size, context.clock.now + window)
+                else:
+                    batch = join.next_batch(size)
+                    if not batch:
+                        break
+                context.batch_interrupt = False
+                if batch:
+                    handed.append((batch, snapshot(batch)))
+            pending = ids([*containers(join._out.columns), join._out.arrivals])
+            assert not pending & others()
+            for batch, _ in handed:
+                given_out = ids([*containers(batch.columns), batch.arrivals])
+                assert not given_out & pending
+                assert not given_out & others()
+        join.close()
+        for batch, before in handed:
+            assert snapshot(batch) == before
+            produced += batch
+        assert [list(held) for held in containers(exports)] == exported
+        assert join_multiset(produced) == reference_pairs(left, right)
 
 
 # ---------------------------------------------------------------------------
