@@ -164,7 +164,12 @@ class DynamicCollector(Operator):
             self._spill_seen_keys()
 
     def _on_dedup_revoked(self, budget) -> None:
-        """Broker revocation mid-query: the key set spills immediately."""
+        """Broker revocation mid-query: the key set spills immediately.
+
+        Keeps the revocation contract (it never raises): with no resident key
+        left the spill is a no-op, and the retained digest's bytes surface at
+        this collector's own next reserve.
+        """
         self._spill_seen_keys()
 
     def _spill_seen_keys(self) -> None:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import or_
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
+from repro.plan.rules import EventType
 from repro.storage.batch import Batch, later_stamps
 from repro.storage.columns import ColumnarPartition, gather, picker
+from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder, Row
 
@@ -129,6 +131,30 @@ class JoinOperator(Operator):
         columns += [gather(column, rights, pick_right) for column in right_columns]
         arrivals = later_stamps(pick_left(left_arrivals), pick_right(right_arrivals))
         return Batch.from_columns(self.output_schema, columns, arrivals)
+
+    def _raise_out_of_memory(self) -> None:
+        """Count one overflow resolution and raise its ``OUT_OF_MEMORY`` event."""
+        self._stats.overflow_events += 1
+        self.context.emit_event(EventType.OUT_OF_MEMORY, self.operator_id)
+
+    def _revoke_until_fits(self, budget: MemoryBudget, flush: Callable[[], bool]) -> None:
+        """The broker shrank this join's lease: ``flush()`` until it fits.
+
+        The contract every revocation handler keeps: **it never raises** — it
+        runs inside another session's grant.  Flush first and stop when
+        ``flush()`` finds nothing resident (only dictionary/metadata bytes
+        remain); those bytes surface at the victim's own next reserve.  An
+        ``OUT_OF_MEMORY`` event follows each flush, never a flush that did not
+        happen.  The flushes' page I/O is charged to this session's clock.
+        """
+        flushed = False
+        while budget.limit_bytes is not None and budget.used_bytes > budget.limit_bytes:
+            if not flush():
+                break
+            flushed = True
+            self._raise_out_of_memory()
+        if flushed:
+            self._charge_disk_time()
 
     def _charge_disk_time(self) -> None:
         """Convert disk page I/O performed since the last call into virtual time."""

@@ -46,7 +46,6 @@ from repro.engine.iterators import Operator
 from repro.engine.operators.joins.base import JoinOperator
 from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
-from repro.plan.rules import EventType
 from repro.storage.batch import Batch, later_stamps
 from repro.storage.columns import DictColumn, as_values, extend_moving, gather, picker
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
@@ -583,34 +582,43 @@ class DoublePipelinedJoin(JoinOperator):
         this session's own virtual clock.  With resolution disabled
         (``OverflowMethod.FAIL``) nothing happens here: the shrunken limit
         surfaces on the victim's *own* next insert, so the failure lands in
-        the right session.
+        the right session.  Like every revocation handler it never raises
+        (:meth:`JoinOperator._revoke_until_fits`).
         """
-        if not self._tables or self.overflow_method == OverflowMethod.FAIL:
-            return
-        while budget.limit_bytes is not None and budget.used_bytes > budget.limit_bytes:
-            before = budget.used_bytes
-            self._resolve_overflow()
-            if budget.used_bytes >= before:
-                # Nothing left to flush (dictionary/metadata bytes remain);
-                # further pressure resolves at the next insert.
-                break
+        if self._tables and self.overflow_method != OverflowMethod.FAIL:
+            self._revoke_until_fits(budget, self._flush_and_charge)
+
+    def _flush_and_charge(self) -> bool:
+        """One flush, its pages charged before the next starts (as an insert-time overflow's are)."""
+        if not self._flush_victim():
+            return False
+        self._charge_disk_time()
+        return True
+
+    def _raise_out_of_memory(self) -> None:
+        self.overflow_count += 1
+        super()._raise_out_of_memory()
 
     def _resolve_overflow(self) -> None:
-        """Free memory according to the configured strategy."""
-        self.overflow_count += 1
-        self._stats.overflow_events += 1
-        self.context.emit_event(EventType.OUT_OF_MEMORY, self.operator_id)
+        """Insert-time overflow: free memory by the configured strategy, or fail the query."""
+        self._raise_out_of_memory()
         if self.overflow_method == OverflowMethod.FAIL:
             raise MemoryOverflowError(
                 f"{self.operator_id}: memory exhausted and overflow resolution disabled"
             )
-        if self.overflow_method == OverflowMethod.SYMMETRIC_FLUSH:
-            self._symmetric_flush()
-        else:
-            self._left_flush()
+        if not self._flush_victim():
+            raise MemoryOverflowError(
+                f"{self.operator_id}: memory exhausted with no resident bucket left to flush"
+            )
         self._charge_disk_time()
 
-    def _symmetric_flush(self) -> None:
+    def _flush_victim(self) -> bool:
+        """One flush by the configured strategy; false when nothing resident is left."""
+        if self.overflow_method == OverflowMethod.SYMMETRIC_FLUSH:
+            return self._symmetric_flush()
+        return self._left_flush()
+
+    def _symmetric_flush(self) -> bool:
         """Flush the bucket with the most combined resident bytes from both tables."""
         left_table, right_table = self._tables
         sizes = zip(left_table.bucket_sizes(), right_table.bucket_sizes())
@@ -621,24 +629,19 @@ class DoublePipelinedJoin(JoinOperator):
         ]
         best_bytes = max(combined)
         if best_bytes <= 0:
-            raise MemoryOverflowError(
-                f"{self.operator_id}: no resident bucket left to flush symmetrically"
-            )
+            return False
         best_index = combined.index(best_bytes)  # the first of the largest
         left_table.flush_bucket(best_index)
         right_table.flush_bucket(best_index)
+        return True
 
-    def _left_flush(self) -> None:
+    def _left_flush(self) -> bool:
         """Flush a left-side bucket (falling back to the right side), pause the left input."""
-        self._drain_right_first = True
-        flushed = self._tables[LEFT].flush_largest_bucket()
-        if flushed is not None:
-            return
-        flushed = self._tables[RIGHT].flush_largest_bucket()
-        if flushed is None:
-            raise MemoryOverflowError(
-                f"{self.operator_id}: both hash tables are empty yet memory is exhausted"
-            )
+        for table in self._tables:  # LEFT, then RIGHT
+            if table.flush_largest_bucket() is not None:
+                self._drain_right_first = True
+                return True
+        return False
 
     # -- overflow resolution output (the final phase) ---------------------------------------------------------
 

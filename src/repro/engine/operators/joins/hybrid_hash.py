@@ -31,7 +31,6 @@ from typing import Iterator
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.engine.operators.joins.base import JoinOperator
-from repro.plan.rules import EventType
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
@@ -156,10 +155,6 @@ class HybridHashJoin(JoinOperator):
         self._charge_disk_time()
         self._built = True
 
-    def _raise_out_of_memory(self) -> None:
-        self._stats.overflow_events += 1
-        self.context.emit_event(EventType.OUT_OF_MEMORY, self.operator_id)
-
     def _on_lease_revoked(self, budget: MemoryBudget) -> None:
         """Broker revocation: lazily flush buckets until the new lease fits.
 
@@ -169,19 +164,8 @@ class HybridHashJoin(JoinOperator):
         join in the final pass, the standard hybrid-hash discipline.
         """
         table = self._inner_table
-        if table is None:
-            return
-        flushed_any = False
-        while budget.limit_bytes is not None and budget.used_bytes > budget.limit_bytes:
-            # Flush first: a revocation that finds nothing resident (only
-            # dictionary/metadata bytes remain) must not emit OUT_OF_MEMORY
-            # events that no resolution follows.
-            if table.flush_largest_bucket() is None:
-                break
-            flushed_any = True
-            self._raise_out_of_memory()
-        if flushed_any:
-            self._charge_disk_time()
+        if table is not None:
+            self._revoke_until_fits(budget, lambda: table.flush_largest_bucket() is not None)
 
     # -- probe phase --------------------------------------------------------------------------
 

@@ -11,7 +11,9 @@ interface used by scan operators: ``open`` / ``next_arrival`` / ``fetch`` /
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from repro.errors import SourceTimeoutError, SourceUnavailableError
 from repro.network.simclock import SimClock
@@ -137,15 +139,6 @@ class Wrapper:
             return None
         return self._connection.next_arrival()
 
-    def would_timeout(self) -> bool:
-        """True when waiting for the next tuple would exceed the timeout."""
-        if self.timeout_ms is None:
-            return False
-        arrival = self.next_arrival()
-        if arrival is None:
-            return False
-        return arrival - self.clock.now > self.timeout_ms
-
     def fetch(self) -> Row | None:
         """Fetch the next tuple, advancing the virtual clock to its arrival.
 
@@ -193,6 +186,14 @@ class Wrapper:
         per-tuple :meth:`fetch` surfaces errors with their exact semantics on
         the caller's next pull.  Clock accounting and the arrival stamps are
         identical to fetching the same tuples one at a time.
+
+        Tuples that had arrived by the block's start wait for nothing: on a
+        sorted timetable they are the prefix up to ``bisect_right(arrivals,
+        now)``, stamped at C level with the clock's running ``accumulate`` of
+        back-to-back CPU charges (:meth:`SimClock.consume_cpu_run`'s
+        additions).  The per-tuple loop starts at the first tuple that may
+        wait — measured faster than any C-level chain there, and its wait
+        total must stay a sequential sum (``sum()`` is compensated since 3.12).
         """
         connection = self._connection
         if connection is None or connection.closed:
@@ -204,8 +205,16 @@ class Wrapper:
             return None
         start, stop, arrivals = span
         cpu = self.per_tuple_cpu_ms
+        count = len(arrivals)
         wait_total = 0.0
-        stamped: list[float] = []
+        arrived = bisect_right(arrivals, now) if connection.arrivals_sorted else 0
+        if arrived:
+            stamped = list(accumulate(repeat(cpu, arrived), initial=now))
+            now = stamped[-1]
+            del stamped[0]
+            arrivals = arrivals[arrived:]
+        else:
+            stamped = []
         append = stamped.append
         for arrival in arrivals:
             if arrival > now:
@@ -213,9 +222,9 @@ class Wrapper:
                 now = arrival
             now += cpu
             append(now)
-        self.clock.charge(wait_total, cpu * len(arrivals))
+        self.clock.charge(wait_total, cpu * count)
         stats = self.stats
-        stats.tuples_fetched += len(arrivals)
+        stats.tuples_fetched += count
         if stats.time_of_first_tuple is None:
             stats.time_of_first_tuple = stamped[0]
         stats.time_of_last_tuple = now
@@ -262,15 +271,3 @@ class Wrapper:
             return None
         start, stop, stamped = block
         return self.source.column_span(start, stop, self.encoded_columns), stamped
-
-    def fetch_available(self) -> Row | None:
-        """Fetch the next tuple only if it has already arrived; else ``None``.
-
-        Used by data-driven operators that poll multiple wrappers and only
-        want to consume from whichever has data ready.
-        """
-        connection = self._require_connection()
-        arrival = connection.next_arrival()
-        if arrival is None or arrival > self.clock.now:
-            return None
-        return self.fetch()

@@ -337,7 +337,11 @@ class PlanAwarePrefetcher:
         return counters.hits + counters.partial_hits > record.baseline_hits
 
     def _on_revoke(self, budget: MemoryBudget) -> None:
-        """Drop warmed data — never-used sources first — to fit the new limit."""
+        """Drop warmed data — never-used sources first — to fit the new limit.
+
+        Keeps the revocation contract (it never raises): dropping and
+        abandoning streams only release bytes and slots.
+        """
         limit = budget.limit_bytes or 0
         victims = sorted(
             (r for r in self._records.values() if r.resident_bytes > 0),

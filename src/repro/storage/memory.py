@@ -80,7 +80,9 @@ class MemoryBudget:
         #: with an overflow strategy point this at their Section 4.2
         #: resolution so revocation frees real memory immediately; without a
         #: handler the shrunken limit simply makes the next ``try_reserve``
-        #: fail, deferring resolution to the owner's next insert.
+        #: fail, deferring resolution to the owner's next insert.  A handler
+        #: never raises — it runs inside another session's grant; bytes it
+        #: cannot free surface at the owner's own next reserve.
         self.on_revoke: Callable[["MemoryBudget"], None] | None = None
         #: Revocations applied to this budget (for stats/rule conditions).
         self.revocations = 0

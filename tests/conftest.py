@@ -7,11 +7,21 @@ benchmarks use at larger scale.
 Plain helper *functions* live in :mod:`helpers` (``tests/helpers.py``) so test
 modules can import them without relying on the ambiguous top-level module name
 ``conftest`` (see the module docstring there for the collision this avoids).
+
+Two Hypothesis profiles.  ``tier1``, the default, is the gate: derandomized,
+with no example database, so every box and every run draws the same examples
+at each property's own count.  ``fuzz`` (``HYPOTHESIS_PROFILE=fuzz``) draws
+ten times as many (:func:`helpers.examples`) from one random seed, printed in
+the session header; rerun a failure with ``--hypothesis-seed=<seed>`` and pin
+the falsifying example with ``@example``.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import settings
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.datagen.tpcd import TPCDGenerator
@@ -22,7 +32,24 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import make_relation
+from helpers import HYPOTHESIS_PROFILE, examples, make_relation
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz", max_examples=examples(100), database=None, print_blob=True)
+settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Under ``fuzz``, draw the session's seed before Hypothesis's plugin reads it."""
+    if HYPOTHESIS_PROFILE == "fuzz" and config.getoption("hypothesis_seed") is None:
+        config.option.hypothesis_seed = str(random.SystemRandom().randrange(2**32))
+
+
+def pytest_report_header(config):
+    if HYPOTHESIS_PROFILE == "fuzz":
+        return f"hypothesis fuzz seed: {config.getoption('hypothesis_seed')}"
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ helpers in a uniquely named module makes the imports unambiguous.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -17,6 +18,15 @@ from repro.engine.context import EngineConfig, ExecutionContext
 from repro.network.profiles import NetworkProfile
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
+
+#: The Hypothesis profile ``tests/conftest.py`` loads: ``tier1`` (the gate,
+#: derandomized) unless ``HYPOTHESIS_PROFILE=fuzz`` selects the seeded fuzz run.
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+
+
+def examples(count: int) -> int:
+    """A property's example budget: ``count`` in the gate, ten times that under ``fuzz``."""
+    return count * 10 if HYPOTHESIS_PROFILE == "fuzz" else count
 
 
 def make_relation(name: str, columns: list[str], values: list[tuple]) -> Relation:

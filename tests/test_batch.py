@@ -12,6 +12,8 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
+from helpers import examples
+
 SCHEMA = Schema.of("t.k:int", "t.name:str", "t.qty:int")
 
 
@@ -212,7 +214,7 @@ rows_strategy = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(rows_strategy)
 def test_row_batch_row_round_trip(pairs):
     """rows -> from_rows -> columns -> from_columns -> rows is the identity."""
@@ -227,7 +229,7 @@ def test_row_batch_row_round_trip(pairs):
     assert transpose_rows(rebuilt.rows()) == (columns if rows else [])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(rows_strategy, st.integers(min_value=1, max_value=7))
 def test_cursor_reassembles_batch(pairs, chunk):
     rows = make_rows(pairs)
@@ -240,7 +242,7 @@ def test_cursor_reassembles_batch(pairs, chunk):
     assert [row.values for row in reassembled] == [row.values for row in rows]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(rows_strategy, st.data())
 def test_take_matches_row_selection(pairs, data):
     rows = make_rows(pairs)

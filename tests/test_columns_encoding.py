@@ -36,7 +36,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import make_relation
+from helpers import examples, make_relation
 
 SCHEMA = Schema.of("k:int", "name:str", "score:float")
 
@@ -432,7 +432,7 @@ def assert_same_cells(column, cells):
         assert all(out is cell for out, cell in zip(column, cells))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(rows=mover_rows, data=st.data(), encoded=st.booleans())
 def test_every_mover_hands_over_the_objects_it_was_given(rows, data, encoded):
     n = len(rows)

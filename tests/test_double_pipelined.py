@@ -441,6 +441,32 @@ class TestRunAtATime:
         )
         assert len(results["rows"][0]) == len(reference)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_revocation_it_cannot_meet_never_raises(self, method):
+        # 58 rows a side on one key, every r.q distinct: after one 64-row batch
+        # the join holds 2,020 B, 628 B of them dictionary entries no flush can
+        # free.  Revoking to 400 B flushes once and stops there — the handler
+        # runs inside another session's grant and must not raise through
+        # revoke_to; the rest surfaces at this join's own next reserve.
+        catalog = scripted_catalog(
+            [(0, f"p{i % 5}") for i in range(58)],
+            [4.0 + 2.0 * i for i in range(58)],
+            [(0, f"q{i}") for i in range(58)],
+            [1.0] * 58,
+        )
+        context = ExecutionContext(catalog)
+        join = scripted_join(method=method)(context)
+        join.open()
+        rows = list(join.next_batch(64))
+        assert join.budget.used_bytes == 2020
+        join.budget.revoke_to(400)
+        assert join.budget.used_bytes == sum(t.resident_bytes for t in join._tables) == 628
+        assert join.overflow_count == context.stats.operator("dpj").overflow_events == 1
+        while batch := join.next_batch(64):
+            rows += batch
+        join.close()
+        assert len(rows) == 58 * 58
+
     def test_tuple_drive_serves_a_high_fan_out_key_in_order(self):
         # One key matching 2,500 rows: the tuple drive hands them over through
         # a cursor (a pop(0) per row was quadratic), in emission order.

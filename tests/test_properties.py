@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import cycle
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.catalog import DataSourceCatalog
@@ -23,7 +23,7 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import ScriptedProfile, drive_join
+from helpers import ScriptedProfile, drive_join, examples
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -99,7 +99,7 @@ def run_join(join_cls, left_pairs, right_pairs, **kwargs):
 
 class TestHashTableProperties:
     @given(pairs=pair_lists)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_probe_returns_exactly_matching_rows(self, pairs):
         table = BucketedHashTable(["l.k"], MemoryBudget(None), SimulatedDisk(), bucket_count=8)
         for pair in pairs:
@@ -110,7 +110,7 @@ class TestHashTableProperties:
             assert all(row["l.k"] == key for row in matches)
 
     @given(pairs=pair_lists)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_flush_conserves_rows_and_memory(self, pairs):
         budget = MemoryBudget(None)
         disk = SimulatedDisk()
@@ -128,7 +128,7 @@ class TestHashTableProperties:
         assert budget.used_bytes == 0
 
     @given(pairs=pair_lists, limit_tuples=st.integers(min_value=1, max_value=10))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_resident_rows_never_exceed_budget(self, pairs, limit_tuples):
         limit = LEFT_SCHEMA.tuple_size * limit_tuples
         budget = MemoryBudget(limit)
@@ -329,7 +329,7 @@ class TestColumnArenaProperties:
         quiet_until=st.one_of(st.just(0), st.integers(0, 30), st.just(99)),
         fresh_until=st.one_of(st.just(0), st.integers(0, 30), st.just(99)),
     )
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_interleavings_equal_the_naive_model(
         self, ops, encoded, coded_sources, limit, ask_from, quiet_until, fresh_until
     ):
@@ -529,7 +529,7 @@ def spill_rows(random) -> list[tuple]:
 
 class TestSpillLogProperties:
     @given(ops=st.lists(spill_ops, min_size=5, max_size=40), encoded=st.booleans())
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_byte_is_what_per_bucket_files_would_charge(self, ops, encoded):
         from random import Random
         from unittest import mock
@@ -640,7 +640,7 @@ class TestSpillLogProperties:
 
 class TestTimelineProperties:
     @given(sizes=st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=50))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_arrival_schedules_are_monotone(self, sizes):
         profile = NetworkProfile(initial_latency_ms=10.0, bandwidth_kbps=100.0, jitter_ms=0.0)
         arrivals = profile.arrival_schedule(sizes)
@@ -655,13 +655,13 @@ class TestTimelineProperties:
 
 class TestJoinProperties:
     @given(left=pair_lists, right=pair_lists)
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(30), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_dpj_matches_reference_multiset(self, left, right):
         rows = run_join(DoublePipelinedJoin, left, right)
         assert join_multiset(rows) == reference_pairs(left, right)
 
     @given(left=pair_lists, right=pair_lists)
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(20), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_dpj_left_flush_under_pressure_matches_reference(self, left, right):
         rows = run_join(
             DoublePipelinedJoin,
@@ -674,7 +674,7 @@ class TestJoinProperties:
         assert join_multiset(rows) == reference_pairs(left, right)
 
     @given(left=pair_lists, right=pair_lists)
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(20), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_dpj_symmetric_flush_under_pressure_matches_reference(self, left, right):
         rows = run_join(
             DoublePipelinedJoin,
@@ -687,7 +687,7 @@ class TestJoinProperties:
         assert join_multiset(rows) == reference_pairs(left, right)
 
     @given(left=pair_lists, right=pair_lists)
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(20), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_hybrid_hash_under_pressure_matches_reference(self, left, right):
         rows = run_join(
             HybridHashJoin,
@@ -699,7 +699,7 @@ class TestJoinProperties:
         assert join_multiset(rows) == reference_pairs(left, right)
 
     @given(left=pair_lists, right=pair_lists)
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(30), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_join_cardinality_formula(self, left, right):
         rows = run_join(DoublePipelinedJoin, left, right)
         assert len(rows) == expected_join_size(left, right)
@@ -799,7 +799,7 @@ class TestRunAtATimeProperties:
         method=methods,
         batch_size=st.sampled_from([1, 7, 64, 256]),
     )
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_columnar_drive_equals_the_row_batch_drive(self, sides, memory, method, batch_size):
         catalog, left, right = timed_catalog(sides)
         build = timed_join(memory, method)
@@ -829,7 +829,17 @@ class TestRunAtATimeProperties:
         schedule=st.lists(pulls, max_size=6),
         revoke_at=st.one_of(st.none(), st.integers(0, 12)),
     )
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # A revocation the join cannot meet (only dictionary bytes left) once
+    # raised out of ``revoke_to``.
+    @example(
+        sides=[([0] * 58, [4.0 + 2.0 * i for i in range(58)]), ([0] * 58, [1.0] * 58)],
+        unique_right=False,
+        memory=None,
+        method=OverflowMethod.LEFT_FLUSH,
+        schedule=[],
+        revoke_at=1,
+    )
+    @settings(max_examples=examples(80), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_a_batch_handed_out_is_never_touched_again(
         self, sides, unique_right, memory, method, schedule, revoke_at
     ):
@@ -908,7 +918,7 @@ class TestRunAtATimeProperties:
 
 class TestRelationProperties:
     @given(pairs=pair_lists)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_union_cardinality_adds(self, pairs):
         schema = Schema.of("k:int", "p:str")
         a = Relation("a", schema, (Row(schema, p) for p in pairs))
@@ -916,7 +926,7 @@ class TestRelationProperties:
         assert a.union(b).cardinality == 2 * len(pairs)
 
     @given(pairs=pair_lists)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_distinct_idempotent(self, pairs):
         schema = Schema.of("k:int", "p:str")
         rel = Relation("a", schema, (Row(schema, p) for p in pairs))
@@ -926,7 +936,7 @@ class TestRelationProperties:
         assert once.cardinality == len(set(pairs))
 
     @given(pairs=pair_lists)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_projection_preserves_cardinality(self, pairs):
         schema = Schema.of("k:int", "p:str")
         rel = Relation("a", schema, (Row(schema, p) for p in pairs))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.network.simclock import SimClock
 
+from helpers import examples
+
 
 def test_advance_to_moves_forward_only():
     clock = SimClock()
@@ -55,7 +57,7 @@ def test_start_offset():
     count=st.integers(min_value=0, max_value=400),
     bound_after=st.one_of(st.none(), st.floats(min_value=-1.0, max_value=150.0)),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_consume_cpu_run_equals_the_per_call_loop(start, spent, cpu, count, bound_after):
     """Bit for bit: the stamps, the clock and the cpu_ms total of ``count``
     consume_cpu calls, each made only while the clock is before the bound."""

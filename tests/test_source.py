@@ -10,7 +10,7 @@ from repro.errors import SourceUnavailableError
 from repro.network.profiles import NetworkProfile, bursty, dead, lan, wide_area
 from repro.network.source import DataSource, make_mirror
 
-from helpers import make_relation
+from helpers import examples, make_relation
 
 
 @pytest.fixture
@@ -91,13 +91,7 @@ class TestSourceConnection:
             connection.fetch()
         with pytest.raises(SourceUnavailableError):
             connection.fetch()
-        assert connection.remaining() == 0
-
-    def test_remaining_counts_down(self, source):
-        connection = source.open()
-        assert connection.remaining() == 10
-        connection.fetch()
-        assert connection.remaining() == 9
+        assert connection.fetch_span(10) is None
 
 
 def reference_arrival_schedule(profile, tuple_sizes, start_ms=0.0):
@@ -140,7 +134,7 @@ class TestTimetable:
         start_ms=ms,
         start_row=st.integers(min_value=0, max_value=2100),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_equals_the_reference_loop(self, profile, rows, start_ms, start_row):
         relation = make_relation("t", ["k:int", "v:str", "w:float"], [])
         relation.extend(BIG.rows[:rows])
@@ -149,11 +143,11 @@ class TestTimetable:
         sizes = [source.exported_schema.tuple_size] * max(0, rows - start_row)
         expected = reference_arrival_schedule(profile, sizes, start_ms)
         assert connection._arrivals == expected
-        if profile.drop_after_tuples is None:
-            assert connection.remaining() == len(expected)
-        else:
-            survivors = max(0, profile.drop_after_tuples - start_row)
-            assert connection.remaining() == min(len(expected), survivors)
+        survivors = len(expected)
+        if profile.drop_after_tuples is not None:
+            survivors = min(survivors, max(0, profile.drop_after_tuples - start_row))
+        span = connection.fetch_span(len(expected) + 1)
+        assert (span[1] - span[0] if span else 0) == survivors
         # A second open, elsewhere on the clock, shares no mutable state.
         later = source.open(at_ms=start_ms + 250.0, start_row=start_row)
         assert later._arrivals is not connection._arrivals
@@ -163,7 +157,7 @@ class TestTimetable:
         assert source.open(at_ms=start_ms, start_row=start_row)._arrivals == expected
 
     @given(profile=profiles, sizes=st.lists(st.integers(min_value=1, max_value=4000), max_size=300))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_arrival_schedule_equals_the_reference_loop_for_mixed_sizes(self, profile, sizes):
         assert profile.arrival_schedule(sizes, 12.5) == reference_arrival_schedule(
             profile, sizes, 12.5

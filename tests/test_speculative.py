@@ -44,7 +44,7 @@ from repro.storage.memory import MemoryPool
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import make_relation, multiset
+from helpers import examples, make_relation, multiset
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
 
@@ -87,7 +87,7 @@ def speculative_context(
 
 
 class TestPartialExtentCausality:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     @given(st.data())
     def test_follower_never_observes_a_future_fill(self, data):
         """Random fill/consume interleavings: observation time >= fill time."""
@@ -145,7 +145,7 @@ class TestPartialExtentCausality:
             consumed.append(got)
         assert [r.values for r in consumed] == [r.values for r in source_rows]
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(cut=st.integers(min_value=0, max_value=60))
     def test_prefix_plus_tail_reassembles_exact_extent(self, cut):
         """A reader that consumes a cached prefix and fetches the live tail
