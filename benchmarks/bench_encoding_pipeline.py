@@ -5,7 +5,7 @@ the join key is the stringified part key (a Fig-3a-shaped plan whose memory
 behaviour is dominated by string storage), with memory allotments sized as a
 fraction of the **plain** columnar join state so the plain run spills heavily.
 Each plan — the double pipelined join under both overflow strategies plus a
-memory-constrained hybrid hash join — runs under the three drive modes, twice:
+memory-constrained hybrid hash join — runs under both drive modes, twice:
 
 * **encoded** (``EngineConfig(encoded_columns=True)``, the engine default) —
   string columns are dictionary-coded in scan batches, hash-table partitions,
@@ -15,14 +15,15 @@ memory-constrained hybrid hash join — runs under the three drive modes, twice:
 * **plain** (``encoded_columns=False``) — PR 3's columnar layer, the
   baseline.
 
-Encoding lives in the storage layer, so within one encoding the two batch
-drives must agree *exactly* on results, overflow events, and spill I/O (the
-tuple drive holds to the documented interleaving tolerance) — all asserted.
-The acceptance bars, on the string-keyed overflow workload under the
-columnar drive: encoded ≥ 1.2× wall clock and ≥ 1.5× fewer spilled bytes
-than plain.  Each run appends a trajectory record to ``BENCH_encoding.json``
-at the repo root (per-plan ratios + overflow counts) so performance history
-accumulates across commits.
+Encoding lives in the storage layer, so within one encoding the tuple
+drive's overflow events must stay within the documented interleaving
+tolerance of the batch drive's — asserted, with equal result cardinalities.
+The acceptance bars, on the string-keyed overflow workload under the batch
+drive: encoded ≥ 1.2× wall clock and ≥ 1.5× fewer spilled bytes than plain
+(an encoded run that spills nothing passes; its ratio is reported as n/a).
+Each run appends a trajectory record to ``BENCH_encoding.json`` at the repo
+root (per-plan ratios + overflow counts) so performance history accumulates
+across commits.
 """
 
 from __future__ import annotations
@@ -62,12 +63,8 @@ DISK_READ_MS, DISK_WRITE_MS = 1.0, 1.2
 #: Wall-clock measurement repetitions per cell; fastest run kept.
 REPEATS = 5
 
-#: (drive label, batch_size, columnar flag)
-DRIVES = [
-    ("tuple", None, False),
-    ("rows", DEFAULT_BATCH_SIZE, False),
-    ("columnar", DEFAULT_BATCH_SIZE, True),
-]
+#: (drive label, batch_size)
+DRIVES = [("tuple", None), ("columnar", DEFAULT_BATCH_SIZE)]
 
 ENCODINGS = ["plain", "encoded"]
 
@@ -76,9 +73,8 @@ PLAN_LABELS = ["dpj_left", "dpj_symmetric", "hybrid"]
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_encoding.json"
 
 #: Below this data scale the workload is a few milliseconds of fixed
-#: overhead, so the wall-clock bar only applies at or above it (same caveat
-#: as ``bench_spill_pipeline``); the spilled-bytes bar is scale-independent
-#: and always applies.
+#: overhead, so the wall-clock bar only applies at or above it; the
+#: spilled-bytes bar is scale-independent and always applies.
 STRICT_SCALE_MB = 2.0
 
 PART_S_SCHEMA = Schema.of(
@@ -178,7 +174,7 @@ def run_workload(catalog):
         per_encoding: dict[str, dict[str, dict]] = {
             encoding: {} for encoding in ENCODINGS
         }
-        for drive, batch_size, columnar in DRIVES:
+        for drive, batch_size in DRIVES:
             best = {encoding: float("inf") for encoding in ENCODINGS}
             cells: dict[str, dict] = {}
             for _ in range(REPEATS):
@@ -191,7 +187,6 @@ def run_workload(catalog):
                         result_name=f"enc_{label}_{encoding}_{drive}",
                         engine_config=configs[encoding],
                         batch_size=batch_size,
-                        columnar=columnar,
                     )
                     elapsed = time.perf_counter() - started
                     if elapsed < best[encoding]:
@@ -216,15 +211,13 @@ def run_workload(catalog):
 
 
 def assert_parity(measurements) -> None:
-    """Results must not depend on drive or encoding; I/O not on the drive.
+    """Results must not depend on drive or encoding.
 
-    All six (encoding, drive) cells of one plan produce the same result
+    All four (encoding, drive) cells of one plan produce the same result
     cardinality (multisets are held equal by ``tests/test_batch_parity.py``).
-    Within one encoding the two batch drives share the storage layer
-    bit for bit, so overflow events and spill bytes agree exactly; the
-    tuple drive's counts may sit within the documented interleaving
-    tolerance (run lookahead shifts which tuples arrive after their bucket
-    flushed).
+    Within one encoding the tuple drive's overflow events may sit within the
+    documented interleaving tolerance of the batch drive's (run lookahead
+    shifts which tuples arrive after their bucket flushed).
     """
     for label, per_encoding in measurements.items():
         cards = {
@@ -234,21 +227,14 @@ def assert_parity(measurements) -> None:
         }
         assert len(set(cards.values())) == 1, f"{label}: results differ: {cards}"
         for encoding, per_drive in per_encoding.items():
-            for metric in ("overflow_events", "tuples_spilled", "bytes_spilled", "bytes_reread"):
-                assert per_drive["rows"][metric] == per_drive["columnar"][metric], (
-                    f"{label}/{encoding}: {metric} differs between the batch drives"
-                )
-            assert per_drive["rows"]["virtual_ms"] == pytest.approx(
-                per_drive["columnar"]["virtual_ms"], rel=1e-9
-            ), f"{label}/{encoding}: encoding changed the drives' virtual-time parity"
             if scale_mb(3.0) >= STRICT_SCALE_MB:
-                batch_events = per_drive["rows"]["overflow_events"]
+                batch_events = per_drive["columnar"]["overflow_events"]
                 tuple_events = per_drive["tuple"]["overflow_events"]
                 assert abs(tuple_events - batch_events) <= max(2, batch_events // 10), (
                     f"{label}/{encoding}: tuple-drive overflow events {tuple_events} "
-                    f"too far from batch drives' {batch_events}"
+                    f"too far from the batch drive's {batch_events}"
                 )
-        assert per_encoding["plain"]["rows"]["overflow_events"] > 0, (
+        assert per_encoding["plain"]["columnar"]["overflow_events"] > 0, (
             f"{label}: workload was meant to force spills in plain mode"
         )
         # Encoding delays overflow: the same allotment produces fewer
@@ -258,9 +244,17 @@ def assert_parity(measurements) -> None:
         # flush smaller buckets more often.
         if scale_mb(3.0) >= STRICT_SCALE_MB:
             assert (
-                per_encoding["encoded"]["rows"]["overflow_events"]
-                < per_encoding["plain"]["rows"]["overflow_events"]
+                per_encoding["encoded"]["columnar"]["overflow_events"]
+                < per_encoding["plain"]["columnar"]["overflow_events"]
             ), f"{label}: encoding did not delay overflow"
+
+
+def spill_ratio(per_encoding) -> float | None:
+    """Plain over encoded spilled bytes; ``None`` when encoded spilled nothing."""
+    encoded_bytes = per_encoding["encoded"]["columnar"]["bytes_spilled"]
+    if not encoded_bytes:
+        return None
+    return round(per_encoding["plain"]["columnar"]["bytes_spilled"] / encoded_bytes, 4)
 
 
 def print_report(measurements) -> None:
@@ -268,6 +262,7 @@ def print_report(measurements) -> None:
     for label, per_encoding in measurements.items():
         plain = per_encoding["plain"]["columnar"]
         encoded = per_encoding["encoded"]["columnar"]
+        ratio = spill_ratio(per_encoding)
         rows.append(
             [
                 label,
@@ -275,7 +270,7 @@ def print_report(measurements) -> None:
                 f"{plain['overflow_events']}/{encoded['overflow_events']}",
                 plain["bytes_spilled"],
                 encoded["bytes_spilled"],
-                f"{plain['bytes_spilled'] / max(1, encoded['bytes_spilled']):.2f}x",
+                "n/a (encoded spilled 0 B)" if ratio is None else f"{ratio:.2f}x",
                 round(plain["s"] * 1000, 1),
                 round(encoded["s"] * 1000, 1),
                 f"{plain['s'] / encoded['s']:.2f}x",
@@ -318,11 +313,7 @@ def append_trajectory(measurements, aggregate: float) -> None:
                     / per_encoding["encoded"]["columnar"]["s"],
                     4,
                 ),
-                "spilled_bytes_ratio_plain_vs_encoded": round(
-                    per_encoding["plain"]["columnar"]["bytes_spilled"]
-                    / max(1, per_encoding["encoded"]["columnar"]["bytes_spilled"]),
-                    4,
-                ),
+                "spilled_bytes_ratio_plain_vs_encoded": spill_ratio(per_encoding),
                 "overflow_events_plain": per_encoding["plain"]["columnar"]["overflow_events"],
                 "overflow_events_encoded": per_encoding["encoded"]["columnar"]["overflow_events"],
                 "bytes_spilled_encoded": per_encoding["encoded"]["columnar"]["bytes_spilled"],
@@ -350,12 +341,13 @@ def test_encoding_pipeline_speedup(benchmark, deployment):
     print_report(measurements)
     assert_parity(measurements)
 
-    # Spilled-bytes bar: scale-independent, per plan.
+    # Spilled-bytes bar: scale-independent, per plan; an encoded run that
+    # spills nothing passes it outright.
     for label, per_encoding in measurements.items():
         plain_bytes = per_encoding["plain"]["columnar"]["bytes_spilled"]
         encoded_bytes = per_encoding["encoded"]["columnar"]["bytes_spilled"]
-        ratio = plain_bytes / max(1, encoded_bytes)
-        assert ratio >= 1.5, (
+        ratio = spill_ratio(per_encoding)
+        assert ratio is None or ratio >= 1.5, (
             f"{label}: encoded spill only {ratio:.2f}x smaller than plain "
             f"({encoded_bytes}B vs {plain_bytes}B; need >= 1.5x)"
         )

@@ -9,7 +9,7 @@ files), constructing a :class:`Row` (``Row(...)`` / ``Row.make``) or
 materializing ``.rows()`` is only legal at the declared row-boundary
 methods, each of which carries a ``# repro: allow[hot-path-row]`` pragma
 naming why the boxing is the point (tuple-path compatibility accessors, the
-row-spill baseline view).
+tuple drive's row spill view).
 
 Modules opt in by declaring ``# repro: module-role[hot-path]`` — there is
 no hardcoded module list, so a new columnar module joins the invariant's

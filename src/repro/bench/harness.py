@@ -88,7 +88,6 @@ def run_operator_tree(
     engine_config: EngineConfig | None = None,
     capture_points: int | None = None,
     batch_size: int | None = DEFAULT_BATCH_SIZE,
-    columnar: bool | None = None,
 ) -> RunResult:
     """Execute one physical operator tree to completion against ``catalog``.
 
@@ -96,22 +95,14 @@ def run_operator_tree(
     plans (exactly what the paper does for the join experiments, which used
     hand-coded query plans for greater control).
 
-    ``batch_size`` and ``columnar`` select among the three drive modes:
-
-    * the default pulls columnar (struct-of-arrays) batches of up to
-      ``batch_size`` rows through the vectorized ``next_batch`` protocol
-      (ramping up from one row so time-to-first-tuple stays exact);
-    * ``columnar=False`` keeps the batch protocol but forces row-backed
-      batches — PR 1's "row-batch" drive, the baseline that
-      ``benchmarks/bench_columnar_pipeline.py`` measures against;
-    * ``batch_size=None`` drives the tree tuple-at-a-time, the
-      pre-vectorization baseline of ``benchmarks/bench_batch_pipeline.py``.
-
-    ``columnar=None`` defers to the engine config (columnar by default).
+    ``batch_size`` selects between the two drive modes: by default the tree
+    is pulled in columnar (struct-of-arrays) batches of up to ``batch_size``
+    rows through the vectorized ``next_batch`` protocol (ramping up from one
+    row so time-to-first-tuple stays exact); ``batch_size=None`` drives it
+    tuple-at-a-time, the pre-vectorization baseline of
+    ``benchmarks/bench_batch_pipeline.py``.
     """
     context = ExecutionContext(catalog, config=engine_config, query_name=result_name)
-    if columnar is not None:
-        context.columnar = columnar
     root = build_operator(spec, context)
     root = Materialize(f"{result_name}-mat", context, root, result_name=result_name)
     timeline = TupleTimeline()

@@ -44,14 +44,6 @@ class EngineConfig:
     disk_page_read_ms / disk_page_write_ms:
         Virtual cost of one page of spill I/O.  Benchmarks that study memory
         overflow raise these to model a spinning disk.
-    columnar_batches:
-        When true (the default), batch-producing leaves build columnar
-        (struct-of-arrays) :class:`~repro.storage.batch.Batch` objects and
-        operators with native columnar paths keep data in columns end to
-        end.  When false, batches stay row-backed — the pre-columnar
-        "row-batch" drive, retained as a baseline for the parity tests and
-        ``benchmarks/bench_columnar_pipeline.py``.  Virtual-time accounting
-        is identical either way.
     encoded_columns:
         When true (the default), the storage layer *encodes* columns:
         string attributes dictionary-encode (a list of codes plus a
@@ -62,8 +54,8 @@ class EngineConfig:
         *modelled* engine's 8 bytes per number or code, whatever Python
         container holds the value).
         Orthogonal to the drive mode: the hash tables and overflow files
-        are encoded (or not) identically under all three drives, so
-        overflow events and spill I/O never depend on the drive.  Disable
+        are encoded (or not) identically under the batch and tuple drives,
+        so overflow events and spill I/O never depend on the drive.  Disable
         for the plain-columnar baseline the encoding benchmark measures
         against.
     enable_source_caching:
@@ -111,7 +103,6 @@ class EngineConfig:
     collector_dedup: bool = True
     disk_page_read_ms: float = 0.12
     disk_page_write_ms: float = 0.15
-    columnar_batches: bool = True
     encoded_columns: bool = True
     enable_source_caching: bool = False
     source_cache_max_age_ms: float | None = None
@@ -170,11 +161,6 @@ class ExecutionContext:
         #: drive would have — rule firing order is preserved under batching.
         self.watched_event_keys: set[tuple[EventType, str]] = set()
         self.batch_interrupt = False
-        #: Drive-mode switch for batch-producing leaves: columnar
-        #: (struct-of-arrays) batches when true, row-backed batches when
-        #: false.  Seeded from the config; the bench harness flips it per run
-        #: to compare the two batch drives.
-        self.columnar = self.config.columnar_batches
         #: Column-encoding switch (dictionary strings + run-length arrival
         #: stamps); orthogonal to the drive mode — see ``EngineConfig``.
         self.encoded_columns = self.config.encoded_columns
@@ -217,7 +203,6 @@ class ExecutionContext:
         # coordinating context, not inside lanes.
         worker.stats = self.stats
         worker.events = self.events
-        worker.columnar = self.columnar
         worker.encoded_columns = self.encoded_columns
         return worker
 

@@ -104,13 +104,13 @@ class QueryExecutor:
 
     Fragments are driven batch-at-a-time by default (``batch_size`` rows per
     ``next_batch`` call, ramping up from a single row so time-to-first-tuple
-    is recorded exactly).  Batches are columnar (struct-of-arrays) when the
-    context's engine config enables ``columnar_batches`` (the default) and
-    row-backed otherwise; the executor only reads batch lengths, so both
-    representations flow through unchanged.  Events are drained at batch
-    boundaries; operators cut batches short whenever an event with a
-    registered rule fires, so rule semantics are identical to the
-    tuple-at-a-time drive (``batch_size=None``), which is retained as a
+    is recorded exactly).  Batches are columnar (struct-of-arrays) wherever an
+    operator has a native columnar path and row-backed where a path is
+    inherently per-row (watched scans, collectors); the executor only reads
+    batch lengths, so both representations flow through unchanged.  Events
+    are drained at batch boundaries; operators cut batches short whenever an
+    event with a registered rule fires, so rule semantics are identical to
+    the tuple-at-a-time drive (``batch_size=None``), which is retained as a
     baseline.
     """
 

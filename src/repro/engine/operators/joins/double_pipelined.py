@@ -23,15 +23,16 @@ was flushed are written *marked* and are not probed live.  During the final
 overflow resolution, every pair is emitted except unmarked-with-unmarked —
 those pairs were already produced while both tuples were resident.
 
-Both hash tables keep their rows in a column arena in every drive mode.  Under
-the columnar drive the join works a *run segment* at a time — the rows of one
-input's run that a tuple-at-a-time join would consume back to back probe,
+Both hash tables keep their rows in a column arena in either drive mode.
+Under the batch drive the join works a *run segment* at a time — the rows of
+one input's run that a tuple-at-a-time join would consume back to back probe,
 insert, spill and emit in bulk, column- or row-backed alike, with no
 :class:`Row` boxing — cut so that consumption and output order, batch cuts,
 refusals, spill I/O and the virtual clock equal the tuple-at-a-time
 interleave exactly (:meth:`DoublePipelinedJoin._consume_segment`).  The
-row-batch and tuple drives feed the same tables row by row (the row-spill
-baseline).
+tuple drive feeds the same tables row by row through the per-tuple pipeline
+(:meth:`DoublePipelinedJoin._process`,
+:meth:`DoublePipelinedJoin._cleanup_pairs`).
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -333,11 +334,11 @@ class DoublePipelinedJoin(JoinOperator):
     def _buffer_run(self, side: int, run_batch: Batch) -> _Run:
         """Hold ``run_batch`` as ``side``'s run, join keys extracted in bulk.
 
-        Under the columnar drive a row-backed run (cache-collecting and
-        watched scans produce them) is transposed once, here, and only the
+        A row-backed run (watched and publishing scans and collectors produce
+        them; so does a tie step) is transposed once, here, and only the
         columns are kept.
         """
-        if self.context.columnar and not run_batch.is_columnar:
+        if not run_batch.is_columnar:
             run_batch = Batch.from_columns(
                 run_batch.schema, run_batch.columns, run_batch.arrivals
             )
@@ -366,8 +367,8 @@ class DoublePipelinedJoin(JoinOperator):
     def _process(self, side: int, row: Row, key: Key | None = None) -> None:
         """Probe, emit, and insert one arriving tuple (key may be precomputed).
 
-        The row-at-a-time pipeline of the tuple and row-batch drives; matches
-        are boxed into output rows on :attr:`_pending`.
+        The row-at-a-time pipeline of the tuple drive; matches are boxed
+        into output rows on :attr:`_pending`.
         """
         other = 1 - side
         if key is None:
@@ -403,7 +404,7 @@ class DoublePipelinedJoin(JoinOperator):
                 return
             self._resolve_overflow()
 
-    # -- run segments (the columnar drive) -------------------------------------------------------------
+    # -- run segments (the batch drive) ------------------------------------------------------------
 
     def _segment_end(self, side: int, run: _Run) -> int:
         """First position of ``run`` the tuple-accurate interleave would not
@@ -436,7 +437,7 @@ class DoublePipelinedJoin(JoinOperator):
     ) -> None:
         """Probe, emit, and insert one run segment in bulk.
 
-        The unit of the columnar drive.  Rows of one side's run never join
+        The unit of the batch drive.  Rows of one side's run never join
         each other, so the stretch a tuple-at-a-time join would consume back
         to back can probe the opposite table in one gather and move into its
         own table in one insert.  What keeps that *exactly* equal to the
@@ -673,13 +674,11 @@ class DoublePipelinedJoin(JoinOperator):
                 yield batch
 
     def _cleanup_pairs(self) -> Iterator[Row]:
-        """Row-at-a-time overflow resolution (tuple and row-batch drives).
+        """Row-at-a-time overflow resolution (the tuple drive).
 
         Same pair discipline and identical I/O accounting as
         :meth:`_cleanup_batches_iter`, but every spilled tuple read back from
-        disk is boxed into a :class:`Row` and joined tuple-at-a-time — the
-        re-boxing cost that makes this the *row-spill baseline* the spill
-        benchmark measures the columnar resolution against.
+        disk is boxed into a :class:`Row` and joined tuple-at-a-time.
         """
         for index in self._spilled_buckets():
             entries = [list(table.overflow_rows(index)) for table in self._tables]
@@ -687,7 +686,7 @@ class DoublePipelinedJoin(JoinOperator):
             # Resident remnants participate as unmarked entries (no read cost).
             for table, side_entries in zip(self._tables, entries):
                 remnant = Batch.from_columns(table.schema, *table.bucket_rows(index))
-                # repro: allow[hot-path-row] the row-spill baseline re-boxes by design
+                # repro: allow[hot-path-row] the tuple drive's cleanup boxes by design
                 side_entries.extend((row, False) for row in remnant.rows())
             left_entries, right_entries = entries
             right_by_key: dict[Key, list[tuple[Row, bool]]] = {}
@@ -771,13 +770,11 @@ class DoublePipelinedJoin(JoinOperator):
         Inputs are consumed in arrival-ordered *runs* (see
         :meth:`_pull_run`): which side to service next is still decided by
         arrival, but consecutive same-side tuples are pulled in bulk with
-        their join keys extracted from the run's key columns.  Under the
-        columnar drive a run is worked a segment at a time
-        (:meth:`_consume_segment`), accumulating output directly into column
-        lists; the row-batch drive feeds the row pipeline tuple by tuple.
-        The batch is cut short when a watched event (e.g. ``out_of_memory``
-        with an overflow-method rule attached) fires, so rule actions land
-        at the tuple-accurate point.
+        their join keys extracted from the run's key columns.  A run is
+        worked a segment at a time (:meth:`_consume_segment`), accumulating
+        output directly into column lists.  The batch is cut short when a
+        watched event (e.g. ``out_of_memory`` with an overflow-method rule
+        attached) fires, so rule actions land at the tuple-accurate point.
         """
         context = self.context
         clock = context.clock
@@ -793,9 +790,8 @@ class DoublePipelinedJoin(JoinOperator):
             if arrival_bound is not None and clock.now >= arrival_bound:
                 break
             if self._pending:
-                # Boxed rows from the row pipeline or a tuple-at-a-time
-                # caller on the same operator: flush any columnar output
-                # first to keep order.
+                # Boxed rows left by a tuple-at-a-time caller on the same
+                # operator: flush any columnar output first to keep order.
                 if len(out):
                     part = out.take_batch(schema, max_rows - count)
                     parts.append(part)
@@ -825,10 +821,7 @@ class DoublePipelinedJoin(JoinOperator):
                 continue
             side = self._choose_side()
             if side is None:
-                if context.columnar:
-                    self._cleanup_batches = self._cleanup_batches_iter()
-                else:
-                    self._cleanup = self._cleanup_pairs()
+                self._cleanup_batches = self._cleanup_batches_iter()
                 continue
             run = self._runs[side]
             if run is None or run.cursor >= len(run):
@@ -843,21 +836,10 @@ class DoublePipelinedJoin(JoinOperator):
                         # Right side drained: resume the paused left input.
                         self._drain_right_first = False
                     continue
-                if context.columnar:
-                    run = self._buffer_run(side, Batch.from_rows(row.schema, [row]))
-                else:
-                    self._process(side, row, None)
-            if run is not None:
-                if context.columnar:
-                    self._consume_segment(
-                        side, run, max_rows - count - len(out), arrival_bound
-                    )
-                else:
-                    position = run.cursor
-                    run.cursor = position + 1
-                    self._process(side, run.batch[position], run.keys[position])
-                if run.cursor >= len(run):
-                    self._runs[side] = None
+                run = self._buffer_run(side, Batch.from_rows(row.schema, [row]))
+            self._consume_segment(side, run, max_rows - count - len(out), arrival_bound)
+            if run.cursor >= len(run):
+                self._runs[side] = None
             # Cut the batch at a watched event — but only once some output is
             # actually collectable; rows sitting on ``_pending`` are moved
             # into the batch by the next loop iteration first (an empty

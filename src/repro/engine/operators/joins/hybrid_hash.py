@@ -7,15 +7,15 @@ that hash to a flushed bucket are spilled to the outer input's own table —
 one that never holds a resident row, only its spill log and per-bucket
 ledgers — and the overflow pairs are joined in a final pass.
 
-The hash table keeps its rows in a column arena in every drive mode; what changes
-with the drive is how data reaches and leaves it.  Under the columnar drive
-builds append column slices from batch columns, probes return gathered match
-columns, the outer tuples of flushed buckets spill as one column gather per
-probe batch, and the final overflow pass joins the two spill logs positionally
-through the kernel it shares with the double pipelined join's cleanup — no
-:class:`Row` objects anywhere on those paths.  Under the row-batch and tuple
-drives the same machinery is fed row by row (boxing at the boundary), which
-is the row-spill baseline the spill benchmark measures against.
+The hash table keeps its rows in a column arena in either drive mode; what
+changes with the drive is how data reaches and leaves it.  Under the batch
+drive builds append column slices from batch columns, probes return gathered
+match columns, the outer tuples of flushed buckets spill as one column gather
+per probe batch, and the final overflow pass joins the two spill logs
+positionally through the kernel it shares with the double pipelined join's
+cleanup — no :class:`Row` objects anywhere on those paths.  Under the tuple
+drive (and for row-backed outer batches) the same machinery is fed row by
+row, boxing at the boundary.
 
 Because the build phase must consume the *entire* inner input before the
 first output tuple, this operator exhibits exactly the delayed
@@ -183,7 +183,7 @@ class HybridHashJoin(JoinOperator):
     def _overflow_pairs(self) -> Iterator[Row]:
         """Row-at-a-time overflow pass: joins spilled pairs, boxing each tuple.
 
-        Serves the tuple and row-batch drives; the columnar drive uses
+        Serves the tuple drive; the batch drive uses
         :meth:`_overflow_pair_batches` instead and never boxes spilled rows.
         """
         assert self._inner_table is not None
@@ -316,6 +316,7 @@ class HybridHashJoin(JoinOperator):
                 self._pending_out = BatchCursor(batch)
                 continue
             if self._overflow_output is not None:
+                # A tuple-at-a-time caller already started the row overflow pass.
                 rows = []
                 needed = max_rows - count
                 for row in self._overflow_output:
@@ -329,10 +330,7 @@ class HybridHashJoin(JoinOperator):
                 continue
             outer = self.left.next_batch(max_rows)
             if not outer:
-                if context.columnar:
-                    self._overflow_batches = self._overflow_pair_batches()
-                else:
-                    self._overflow_output = self._overflow_pairs()
+                self._overflow_batches = self._overflow_pair_batches()
                 continue
             result = self._probe_outer_batch(outer)
             if result is not None:

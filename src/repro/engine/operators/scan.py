@@ -236,11 +236,11 @@ class WrapperScan(Operator):
         lost: the partial batch is delivered and the error re-raised on the
         next call, which is when a tuple-at-a-time consumer would have hit it.
 
-        In columnar mode the unwatched block path — live, cache-collecting
-        or cache-served alike — builds the batch's column lists straight from
-        the fetched blocks (no per-row :class:`Row` objects); the watched,
-        follower and publishing paths stay row-based, since they need per-row
-        events or publish row objects anyway.
+        The unwatched block path — live, cache-collecting or cache-served
+        alike — builds the batch's column lists straight from the fetched
+        blocks (no per-row :class:`Row` objects); the watched, follower and
+        publishing paths stay row-based, since they need per-row events or
+        publish row objects anyway.
         """
         if self._deferred_error is not None:
             error, self._deferred_error = self._deferred_error, None
@@ -258,9 +258,8 @@ class WrapperScan(Operator):
             fetch = self._pull_batched_row
             next_arrival = self._stream_next_arrival
         use_block = self._follower is None and not watched
-        if use_block and context.columnar and self._extent is None:
-            if cache_feed is None or cache_feed.columnar:
-                return self._batched_fetch_columnar(max_rows, arrival_bound)
+        if use_block and self._extent is None and (cache_feed is None or cache_feed.columnar):
+            return self._batched_fetch_columnar(max_rows, arrival_bound)
         use_block = use_block and cache_feed is None
         while len(batch) < max_rows:
             if use_block:
@@ -414,31 +413,23 @@ class TableScan(Operator):
     def _next_batch(self, max_rows: int) -> Batch:
         now = self.context.clock.now
         schema = self.output_schema
-        if self.context.columnar:
-            # Columns come straight from the stored relation (served from its
-            # buffered columnar batches when the result was materialized
-            # columnar); arrival is "now" for every row, as in the tuple path.
-            columns, count = self.context.local_store.column_block(
-                self.relation_name, self._cursor, max_rows
-            )
-            self._cursor += count
-            if not count:
-                return Batch.empty(schema)
-            # Local block reads stamp every row "now": one arrival run in
-            # encoded mode instead of ``count`` boxed floats.
-            arrivals = (
-                RunLengthArrivals.constant(now, count)
-                if self.context.encoded_columns
-                else [now] * count
-            )
-            return Batch.from_columns(schema, columns, arrivals)
-        block = self.context.local_store.row_block(
+        # Columns come straight from the stored relation (served from its
+        # buffered columnar batches when the result was materialized
+        # columnar); arrival is "now" for every row, as in the tuple path.
+        columns, count = self.context.local_store.column_block(
             self.relation_name, self._cursor, max_rows
         )
-        self._cursor += len(block)
-        if not block:
+        self._cursor += count
+        if not count:
             return Batch.empty(schema)
-        return Batch.from_rows(schema, [row.with_arrival(now) for row in block])
+        # Local block reads stamp every row "now": one arrival run in
+        # encoded mode instead of ``count`` boxed floats.
+        arrivals = (
+            RunLengthArrivals.constant(now, count)
+            if self.context.encoded_columns
+            else [now] * count
+        )
+        return Batch.from_columns(schema, columns, arrivals)
 
     def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
         # Stored rows all arrive "now", and nothing here advances the clock.

@@ -237,7 +237,7 @@ class Wrapper:
             return []
         start, stop, stamped = block
         schema = self.schema
-        make = Row.make  # repro: allow[hot-path-row] the row-batch fetch boxes by contract
+        make = Row.make  # repro: allow[hot-path-row] fetch_batch returns rows by contract
         stored = self.source.relation.rows[start:stop]
         return [make(schema, row.values, stamp) for row, stamp in zip(stored, stamped)]
 

@@ -83,11 +83,10 @@ class QueryServer:
         session_id: str,
         arrival_ms: float | None,
         engine_config: EngineConfig | None,
-        columnar: bool | None,
     ) -> ExecutionContext:
         clock = self.clock.session_clock(session_id, start_ms=arrival_ms)
         pool = MemoryPool(name=session_id, broker=self.broker)
-        context = ExecutionContext(
+        return ExecutionContext(
             self.catalog,
             clock=clock,
             memory_pool=pool,
@@ -96,9 +95,6 @@ class QueryServer:
             source_cache=self.source_cache,
             session_id=session_id,
         )
-        if columnar is not None:
-            context.columnar = columnar
-        return context
 
     def _next_session_id(self, name: str | None) -> str:
         self._counter += 1
@@ -116,7 +112,6 @@ class QueryServer:
         batch_size: int | None = DEFAULT_BATCH_SIZE,
         arrival_ms: float | None = None,
         engine_config: EngineConfig | None = None,
-        columnar: bool | None = None,
     ) -> QuerySession:
         """Admit a session over a hand-built operator tree.
 
@@ -125,7 +120,7 @@ class QueryServer:
         session can never start in the past.
         """
         session_id = self._next_session_id(name)
-        context = self._session_context(session_id, arrival_ms, engine_config, columnar)
+        context = self._session_context(session_id, arrival_ms, engine_config)
         session = QuerySession(
             session_id,
             context,
@@ -147,7 +142,6 @@ class QueryServer:
         batch_size: int | None = DEFAULT_BATCH_SIZE,
         arrival_ms: float | None = None,
         engine_config: EngineConfig | None = None,
-        columnar: bool | None = None,
     ) -> QuerySession:
         """Admit a session over a full query plan (fragments, rules, events).
 
@@ -160,7 +154,7 @@ class QueryServer:
         from repro.optimizer.memory_alloc import negotiate_plan_memory
 
         session_id = self._next_session_id(name)
-        context = self._session_context(session_id, arrival_ms, engine_config, columnar)
+        context = self._session_context(session_id, arrival_ms, engine_config)
         negotiate_plan_memory(plan, self.broker)
         if context.config.validate_plans:
             from repro.analysis.plan_check import check_plan

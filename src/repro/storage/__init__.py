@@ -15,7 +15,6 @@ This package provides the storage primitives the Tukwila engine is built on:
 from repro.storage.batch import (
     Batch,
     BatchCursor,
-    gather_join,
     gather_join_columns,
     transpose_rows,
     typed_transpose,
@@ -61,7 +60,6 @@ __all__ = [
     "build_columns",
     "counting_row_constructions",
     "empty_columns",
-    "gather_join",
     "gather_join_columns",
     "merge_union_schema",
     "rows_from_dicts",

@@ -12,11 +12,11 @@ genuinely need them (the tuple-at-a-time drive, tests).
 
 A batch may be *column-backed* or *row-backed*.  Operators with native
 columnar paths (scans, select, project, all three hash joins) produce and
-consume column-backed batches; operators that are inherently tuple-driven
-(the dynamic collector's per-arrival child picking, the row-batch drive)
-produce row-backed batches.  Either representation converts to the other
-lazily and caches the result, so mixed pipelines compose without sprinkling
-conversions through operator code.
+consume column-backed batches; paths that are inherently tuple-driven (the
+dynamic collector's per-arrival child picking, scans watched by a rule or
+publishing a speculative extent) produce row-backed batches.  Either
+representation converts to the other lazily and caches the result, so mixed
+pipelines compose without sprinkling conversions through operator code.
 
 Batches are immutable by contract: once a column list is handed to
 ``from_columns`` (or obtained from ``.columns``) it must not be mutated —
@@ -267,46 +267,6 @@ class Batch:
         return f"Batch({len(self)} rows, {kind}, {self.schema.names})"
 
 
-def gather_join(
-    left: Batch,
-    take: Sequence[int],
-    right_rows: Sequence[Row],
-    schema: Schema,
-    aligned: bool = False,
-) -> Batch:
-    """Join-output batch: left rows at ``take`` concatenated with ``right_rows``.
-
-    ``take[i]`` names the left row matched by ``right_rows[i]`` (indices repeat
-    when a left row has several matches).  Left values are gathered column by
-    column; right values are transposed from the matched rows; each output
-    arrival is the later of the two input stamps — exactly what
-    :meth:`Row.concat` produces tuple-at-a-time.
-
-    ``aligned=True`` asserts that ``take`` is the identity permutation (every
-    left row matched exactly once, the common case for foreign-key joins);
-    the left columns are then aliased outright instead of gathered.
-    """
-    if aligned:
-        columns = list(left.columns)
-        columns.extend(transpose_rows(right_rows))
-        left_arrivals = left.arrivals
-        arrivals = [
-            a if a >= (b := row.arrival) else b
-            for a, row in zip(left_arrivals, right_rows)
-        ]
-        return Batch.from_columns(schema, columns, arrivals)
-    columns = [[column[i] for i in take] for column in left.columns]
-    columns.extend(transpose_rows(right_rows))
-    left_arrivals = left.arrivals
-    arrivals = []
-    append = arrivals.append
-    for index, row in zip(take, right_rows):
-        a = left_arrivals[index]
-        b = row.arrival
-        append(a if a >= b else b)
-    return Batch.from_columns(schema, columns, arrivals)
-
-
 def gather_join_columns(
     left: Batch,
     take: Sequence[int],
@@ -315,15 +275,17 @@ def gather_join_columns(
     schema: Schema,
     aligned: bool = False,
 ) -> Batch:
-    """Join-output batch from already-gathered *columnar* right-side matches.
+    """Join-output batch: left rows at ``take`` beside gathered right-side matches.
 
-    The columnar twin of :func:`gather_join`: the matched build/probe values
-    arrive as column lists (gathered straight out of a hash table's arena
-    or spill chunks) instead of as :class:`Row` objects, so assembling the
-    output is pure per-column work — no row boxing anywhere.  ``take[i]``
-    names the left row matched by right position ``i``; ``aligned=True``
-    asserts ``take`` is the identity permutation, letting the left columns
-    alias instead of gather.
+    The matched build/probe values arrive as column lists (gathered straight
+    out of a hash table's arena or spill chunks), so assembling the output is
+    pure per-column work — no row boxing anywhere.  ``take[i]`` names the left
+    row matched by right position ``i`` (indices repeat when a left row has
+    several matches); each output arrival is the later of the two input
+    stamps, as :meth:`Row.concat` produces tuple-at-a-time.  ``aligned=True``
+    asserts ``take`` is the identity permutation (every left row matched
+    exactly once, the foreign-key case), letting the left columns alias
+    instead of gather.
     """
     if aligned:
         columns = list(left.columns)

@@ -29,8 +29,8 @@ page being what one file per bucket would charge.  Resident rows charge their
 columnar byte estimate (:meth:`Schema.encoded_row_size` by default, dictionary
 entries once per table; :meth:`Schema.columnar_row_size` with
 ``encoded=False``) against a :class:`~repro.storage.memory.MemoryBudget`, so
-the joins meet memory pressure exactly when the paper's engine would, in all
-three drive modes alike: the table's representation never changes with the drive.
+the joins meet memory pressure exactly when the paper's engine would, in both
+drive modes alike: the table's representation never changes with the drive.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -431,8 +431,8 @@ class BucketedHashTable:
         *including* the dictionary entries the rows will add, so a refusal
         lands on exactly the row where the tuple-at-a-time path refuses; the
         whole-remainder form keeps the hybrid build's batch-granular check
-        (growth inside the batch is charged after the fact, identically in
-        both batch drives) until a bucket is flushed — from then on rows of
+        (growth inside the batch is charged after the fact, identically for
+        row- and column-backed batches) until a bucket is flushed — from then on rows of
         flushed buckets are split off and spilled in one segment write, and
         the live ones are decided exactly as well.
         """

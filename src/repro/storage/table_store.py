@@ -12,7 +12,6 @@ from typing import Iterator
 
 from repro.errors import StorageError
 from repro.storage.relation import Relation
-from repro.storage.tuples import Row
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class LocalStore:
             return self._relations[name]
         except KeyError:
             raise StorageError(f"no materialized relation named {name!r}") from None
-
-    def row_block(self, name: str, start: int, max_rows: int) -> list[Row]:
-        """Batch read: a slice of a stored relation's rows (batch scan support)."""
-        return self.get(name).rows[start : start + max_rows]
 
     def column_block(self, name: str, start: int, max_rows: int):
         """Columnar batch read: ``(columns, count)`` without boxing rows.

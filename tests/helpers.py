@@ -10,12 +10,17 @@ helpers in a uniquely named module makes the imports unambiguous.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.engine.context import EngineConfig, ExecutionContext
+from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
+from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
+from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile
+from repro.storage.batch import Batch
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -27,6 +32,11 @@ HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
 def examples(count: int) -> int:
     """A property's example budget: ``count`` in the gate, ten times that under ``fuzz``."""
     return count * 10 if HYPOTHESIS_PROFILE == "fuzz" else count
+
+
+def digest(value) -> str:
+    """Short SHA-256 of ``repr(value)``: how pinned goldens name an outcome."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def make_relation(name: str, columns: list[str], values: list[tuple]) -> Relation:
@@ -78,19 +88,70 @@ class ScriptedProfile(NetworkProfile):
         return [start_ms + offset for offset in self.timetable[:count]]
 
 
+class RowPipelineDPJ(DoublePipelinedJoin):
+    """The DPJ's per-tuple pipeline (:meth:`_process`, :meth:`_cleanup_pairs`)
+    consumed in the batch drive's runs — what the retired row-batch drive ran."""
+
+    def _consume_segment(self, side, run, room, arrival_bound):
+        position = run.cursor
+        run.cursor = position + 1
+        self._process(side, run.batch[position], run.keys[position])
+
+    def _cleanup_batches_iter(self):
+        # No batch iterator: the batch loop drains the row cleanup instead.
+        self._cleanup = self._cleanup_pairs()
+
+
+class RowPipelineHybrid(HybridHashJoin):
+    """The hybrid's per-row probe (:meth:`_probe_one`) and row overflow pass."""
+
+    def _probe_outer_batch(self, outer):
+        return super()._probe_outer_batch(Batch.from_rows(outer.schema, outer.rows()))
+
+    def _overflow_pair_batches(self):
+        self._overflow_output = self._overflow_pairs()
+
+
+def per_tuple_reference(join):
+    """Switch a freshly built DPJ or hybrid hash join to its per-tuple pipeline."""
+    join.__class__ = {DoublePipelinedJoin: RowPipelineDPJ, HybridHashJoin: RowPipelineHybrid}[
+        type(join)
+    ]
+    return join
+
+
+def tpcd_dpj(memory, method, buckets=8):
+    """Builder of ``partsupp ⋈ part`` through a double pipelined join ("dpj")."""
+    return lambda context: DoublePipelinedJoin(
+        "dpj", context, WrapperScan("scan_ps", context, "partsupp"),
+        WrapperScan("scan_p", context, "part"), ["partsupp.ps_partkey"], ["part.p_partkey"],
+        memory_limit_bytes=memory, bucket_count=buckets, overflow_method=method,
+    )
+
+
+def tpcd_hybrid(memory):
+    """Builder of the same join through a hybrid hash join ("hh")."""
+    return lambda context: HybridHashJoin(
+        "hh", context, WrapperScan("scan_ps", context, "partsupp"),
+        WrapperScan("scan_p", context, "part"), ["partsupp.ps_partkey"], ["part.p_partkey"],
+        memory_limit_bytes=memory, bucket_count=8,
+    )
+
+
 def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **config):
     """Drain ``build(context)`` under one drive; returns ``(rows, context, join)``.
 
-    ``drive`` is ``"columnar"``, ``"rows"`` (the row-batch drive) or
-    ``"tuple"``.  Rows come back in production order.  The batch drives clear
-    ``batch_interrupt`` after every batch, as the executor does once it has
-    drained the event queue; ``between_batches(index, join)`` runs after each
-    batch (revocations, inspections).
+    ``drive`` is ``"columnar"`` (the batch drive), ``"rows"`` (the batch
+    protocol over the join's per-tuple pipeline, :func:`per_tuple_reference`)
+    or ``"tuple"``.  Rows come back in production order.  The batch drives
+    clear ``batch_interrupt`` after every batch, as the executor does once it
+    has drained the event queue; ``between_batches(index, join)`` runs after
+    each batch (revocations, inspections).
     """
-    context = ExecutionContext(
-        catalog, config=EngineConfig(columnar_batches=drive != "rows", **config)
-    )
+    context = ExecutionContext(catalog, config=EngineConfig(**config))
     join = build(context)
+    if drive == "rows":
+        per_tuple_reference(join)
     join.open()
     if drive == "tuple":
         rows = list(join.iterate())
@@ -147,9 +208,6 @@ def spill_fingerprints() -> dict:
     """
     from repro.catalog.catalog import DataSourceCatalog
     from repro.datagen.tpcd import TPCDGenerator
-    from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
-    from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
-    from repro.engine.operators.scan import WrapperScan
     from repro.network.profiles import lan
     from repro.network.source import DataSource
     from repro.plan.physical import OverflowMethod

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.batch import Batch, BatchCursor, gather_join, transpose_rows
+from repro.storage.batch import Batch, BatchCursor, gather_join_columns, transpose_rows
 from repro.storage.columns import DictColumn, build_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -124,9 +124,10 @@ def test_gather_join_matches_row_concat():
         Row.make(right_schema, (1, "R1"), 2.0),
         Row.make(right_schema, (1, "R2"), 0.1),
     ]
+    right_columns, right_arrivals = transpose_rows(right_rows), [2.0, 0.1]
     left = Batch.from_columns(SCHEMA, [[1, 2], ["a", "b"], [10, 20]], [1.0, 3.0])
     out_schema = SCHEMA.join(right_schema)
-    joined = gather_join(left, [0, 0], right_rows, out_schema)
+    joined = gather_join_columns(left, [0, 0], right_columns, right_arrivals, out_schema)
     expected = [
         left[0].concat(right_rows[0], out_schema),
         left[0].concat(right_rows[1], out_schema),
@@ -134,8 +135,8 @@ def test_gather_join_matches_row_concat():
     assert [row.values for row in joined] == [row.values for row in expected]
     assert joined.arrivals == [row.arrival for row in expected]
     # aligned=True (identity take) must agree with the general path.
-    aligned = gather_join(left, [0, 1], right_rows, out_schema, aligned=True)
-    general = gather_join(left, [0, 1], right_rows, out_schema)
+    args = (left, [0, 1], right_columns, right_arrivals, out_schema)
+    aligned, general = gather_join_columns(*args, aligned=True), gather_join_columns(*args)
     assert [row.values for row in aligned] == [row.values for row in general]
     assert aligned.arrivals == general.arrivals
 

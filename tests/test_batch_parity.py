@@ -1,17 +1,19 @@
 """Batch/tuple parity: every operator yields the same rows in every drive.
 
 Property-style tests asserting that each operator produces an identical
-multiset of rows across the three drive modes — columnar batches
-(``next_batch`` with struct-of-arrays :class:`Batch` objects, the default),
-row-backed batches (``columnar_batches=False``, PR 1's drive), and
-tuple-at-a-time (repeated ``next``) — across several batch sizes and both the
-tiny joinable catalog and the TPC-D catalog, including the memory-overflow
-paths of both hash joins, the dependent and nested-loops joins (duplicate-key
-and empty-probe paths), and the rule-driven collector-switch path.
+multiset of rows under both drive modes — batches (``next_batch``, columnar
+wherever an operator has a native columnar path) and tuple-at-a-time
+(repeated ``next``) — across several batch sizes and both the tiny joinable
+catalog and the TPC-D catalog, including the memory-overflow paths of both
+hash joins, the dependent and nested-loops joins (duplicate-key and
+empty-probe paths), and the rule-driven collector-switch path.  The tuple
+drive's clock is held to a tolerance, since batching coarsens the CPU/wait
+interleave by a few percent.
 
-The two batch drives must also agree on the virtual clock *exactly* (they
-differ only in data representation); the tuple drive is held to a tolerance,
-since batching coarsens the CPU/wait interleave by a few percent.
+Under memory pressure the hash joins are held *exactly*: against the
+per-tuple reference (``helpers.per_tuple_reference``, their per-tuple
+pipelines under the batch protocol) and against goldens recorded on the
+engine's retired row-batch drive.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from repro.plan.fragments import Fragment, QueryPlan
 from repro.plan.physical import OverflowMethod, collector, join, wrapper_scan
 from repro.query.conjunctive import SelectionPredicate
 
-from helpers import make_relation, multiset
+from helpers import (
+    digest,
+    make_relation,
+    multiset,
+    per_tuple_reference,
+    tpcd_dpj,
+    tpcd_hybrid,
+)
 
 BATCH_SIZES = [1, 3, 7, 64, 512]
 
@@ -67,29 +76,20 @@ def drain_batch(operator, batch_size):
 
 
 def assert_parity(build_tree, catalog, batch_size):
-    """Drive three identical trees (fresh contexts per mode) and compare.
+    """Drive two identical trees (fresh contexts per mode) and compare.
 
-    Asserts identical row multisets for the tuple, row-batch, and columnar
-    drives, identical clocks for the two batch drives, and clocks within
-    :data:`TUPLE_TIME_TOLERANCE` of the tuple drive.
+    Asserts identical row multisets for the tuple and batch drives and clocks
+    within :data:`TUPLE_TIME_TOLERANCE` of each other.
     """
     tuple_context = ExecutionContext(catalog)
     reference = drain_tuple(build_tree(tuple_context))
 
-    rows_context = ExecutionContext(catalog, config=EngineConfig(columnar_batches=False))
-    row_batched = drain_batch(build_tree(rows_context), batch_size)
+    batch_context = ExecutionContext(catalog)
+    batched = drain_batch(build_tree(batch_context), batch_size)
 
-    columnar_context = ExecutionContext(catalog)
-    assert columnar_context.columnar
-    columnar = drain_batch(build_tree(columnar_context), batch_size)
-
-    assert multiset(row_batched) == multiset(reference)
-    assert multiset(columnar) == multiset(reference)
-    assert columnar_context.clock.now == pytest.approx(
-        rows_context.clock.now, rel=1e-9
-    ), "columnar drive changed the virtual-time accounting"
+    assert multiset(batched) == multiset(reference)
     if tuple_context.clock.now > 0:
-        assert columnar_context.clock.now == pytest.approx(
+        assert batch_context.clock.now == pytest.approx(
             tuple_context.clock.now, rel=TUPLE_TIME_TOLERANCE
         )
 
@@ -362,17 +362,18 @@ def test_two_column_join_spill_parity(two_column_catalog, implementation, method
 
     reference = drain_tuple(build(ExecutionContext(two_column_catalog)))
     assert multiset(reference) == two_column_pairs()
+    # Bucket identity hashes the string column, so the outcome moves with
+    # PYTHONHASHSEED: the live per-tuple reference is the oracle here.
     row_rows, row_ctx, row_join = drain_batch_with_context(
-        build, two_column_catalog, batch_size, columnar=False
+        build, two_column_catalog, batch_size, reference=True
     )
-    col_rows, col_ctx, col_join = drain_batch_with_context(
-        build, two_column_catalog, batch_size, columnar=True
+    col_rows, col_ctx, col_join = drain_batch_with_context(build, two_column_catalog, batch_size)
+    assert multiset(col_rows) == multiset(reference)
+    assert spill_fingerprint(col_rows, col_ctx, "join") == spill_fingerprint(
+        row_rows, row_ctx, "join"
     )
-    assert multiset(row_rows) == multiset(col_rows) == multiset(reference)
     assert col_ctx.stats.operator("join").overflow_events > 0
-    for counter in ("tuples_written", "bytes_written", "tuples_read"):
-        assert getattr(row_ctx.disk.stats, counter) == getattr(col_ctx.disk.stats, counter) > 0
-    assert col_ctx.clock.now == pytest.approx(row_ctx.clock.now, rel=1e-9)
+    assert col_ctx.disk.stats.tuples_read > 0
     assert_budget_invariant(row_join)
     assert_budget_invariant(col_join)
 
@@ -410,19 +411,7 @@ def watch_overflow_resolutions(monkeypatch, check):
     "method", [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]
 )
 def test_dpj_overflow_parity(tpcd_catalog, tiny_tpcd, method, batch_size, monkeypatch):
-    def build(context):
-        return DoublePipelinedJoin(
-            "dpj",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,
-            bucket_count=8,
-            overflow_method=method,
-        )
-
+    build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, method)
     watch_overflow_resolutions(monkeypatch, assert_budget_invariant)
     reference = drain_tuple(build(ExecutionContext(tpcd_catalog)))
 
@@ -436,18 +425,7 @@ def test_dpj_overflow_parity(tpcd_catalog, tiny_tpcd, method, batch_size, monkey
 
 @pytest.mark.parametrize("batch_size", [1, 7, 64])
 def test_hybrid_overflow_parity(tpcd_catalog, tiny_tpcd, batch_size):
-    def build(context):
-        return HybridHashJoin(
-            "hh",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["part"]) * 20,
-            bucket_count=8,
-        )
-
+    build = tpcd_hybrid(len(tiny_tpcd["part"]) * 20)
     reference = drain_tuple(build(ExecutionContext(tpcd_catalog)))
 
     context = ExecutionContext(tpcd_catalog)
@@ -458,23 +436,70 @@ def test_hybrid_overflow_parity(tpcd_catalog, tiny_tpcd, batch_size):
     assert_budget_invariant(joined)
 
 
-# -- spill parity: columnar vs row-batch drives under memory pressure ----------------------
+# -- spill parity: the batch drive vs the per-tuple reference under memory pressure --------
 #
 # The hash tables, memory accounting, and spill files are columnar in every
-# drive; the two batch drives differ only in how tuples reach them, so their
-# result multisets, overflow events, spilled-tuple counts, and virtual clocks
-# must all agree *exactly* (and match the tuple drive's result multiset).
-# Column *encoding* (dictionary strings + RLE arrivals) is orthogonal to the
-# drive — it also lives in the storage layer — so the same parity must hold
-# with encoding on and off; both are parametrized below.
+# drive; the batch drive and the per-tuple reference differ only in how tuples
+# reach them, so their output (stamps and order included), overflow events,
+# spill I/O and virtual clocks must all agree *exactly* with each other and
+# with the goldens recorded on the retired row-batch drive (and match the
+# tuple drive's result multiset).  Column *encoding* (dictionary strings + RLE
+# arrivals) is orthogonal to the drive — it also lives in the storage layer —
+# so the same parity must hold with encoding on and off; both are parametrized
+# below.
 
 
-def drain_batch_with_context(build_tree, catalog, batch_size, columnar, encoded=True):
-    config = EngineConfig(columnar_batches=columnar, encoded_columns=encoded)
-    context = ExecutionContext(catalog, config=config)
+def drain_batch_with_context(build_tree, catalog, batch_size, reference=False, encoded=True):
+    context = ExecutionContext(catalog, config=EngineConfig(encoded_columns=encoded))
     operator = build_tree(context)
+    if reference:
+        per_tuple_reference(operator)
     rows = drain_batch(operator, batch_size)
     return rows, context, operator
+
+
+def spill_fingerprint(rows, context, operator_id):
+    """Output digest, overflow events, disk counters and final clock."""
+    stats = context.disk.stats
+    return (
+        digest([(row.values, row.arrival) for row in rows]),
+        context.stats.operator(operator_id).overflow_events,
+        (stats.tuples_written, stats.bytes_written, stats.tuples_read, stats.total_pages),
+        context.clock.now,
+    )
+
+
+def assert_spill_parity(build, catalog, operator_id, batch_size, encoded, golden):
+    tuple_config = EngineConfig(encoded_columns=encoded)
+    reference = drain_tuple(build(ExecutionContext(catalog, config=tuple_config)))
+    for per_tuple in (False, True):
+        rows, context, join = drain_batch_with_context(
+            build, catalog, batch_size, reference=per_tuple, encoded=encoded
+        )
+        assert multiset(rows) == multiset(reference)
+        assert spill_fingerprint(rows, context, operator_id) == golden, per_tuple
+        assert_budget_invariant(join)
+
+
+#: (method, batch size, encoded) -> :func:`spill_fingerprint` of the
+#: row-batch drive, which the batch drive matched.
+DPJ_SPILL_GOLDENS = {
+    ("left_flush", 7, True): ("5b7ddb9e6c0aef1d", 5, (177, 9143, 177, 2), 14.555999999999829),
+    ("left_flush", 7, False): ("d1389841840aceb6", 7, (244, 13588, 244, 2), 14.447999999999826),
+    ("left_flush", 64, True): ("fb63b30fb6463b91", 5, (177, 9143, 177, 2), 14.495999999999842),
+    ("left_flush", 64, False): ("d1389841840aceb6", 7, (244, 13588, 244, 2), 14.345999999999842),
+    ("symmetric_flush", 7, True): ("362c7b0f2feabe50", 6, (225, 12547, 225, 2), 14.683999999999825),
+    ("symmetric_flush", 7, False): ("48dd766e25f2c381", 6, (230, 14582, 230, 2), 14.683999999999825),
+    ("symmetric_flush", 64, True): ("797707d4af7eeed7", 6, (225, 12547, 225, 2), 14.667999999999843),
+    ("symmetric_flush", 64, False): ("93614a9deb1b6e41", 6, (230, 14582, 230, 2), 14.667999999999843),
+}
+#: (batch size, encoded) -> the same for the hybrid hash join.
+HYBRID_SPILL_GOLDENS = {
+    (7, True): ("f635dd7e50e7fd30", 8, (300, 16787, 300, 4), 14.70799999999989),
+    (7, False): ("fa6d10012516aeff", 7, (265, 16801, 265, 4), 14.651999999999893),
+    (64, True): ("cf6f1b3e09d7f119", 8, (300, 16787, 300, 4), 14.743999999999883),
+    (64, False): ("ab62c89e99689347", 7, (265, 16801, 265, 4), 14.743999999999883),
+}
 
 
 @pytest.mark.parametrize("encoded", [True, False])
@@ -485,62 +510,17 @@ def drain_batch_with_context(build_tree, catalog, batch_size, columnar, encoded=
 def test_dpj_spill_drive_parity(
     tpcd_catalog, tiny_tpcd, method, batch_size, encoded, monkeypatch
 ):
-    def build(context):
-        return DoublePipelinedJoin(
-            "dpj",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,
-            bucket_count=8,
-            overflow_method=method,
-        )
-
+    build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, method)
     watch_overflow_resolutions(monkeypatch, assert_budget_invariant)
-    tuple_config = EngineConfig(encoded_columns=encoded)
-    reference = drain_tuple(build(ExecutionContext(tpcd_catalog, config=tuple_config)))
-
-    row_rows, row_ctx, row_join = drain_batch_with_context(
-        build, tpcd_catalog, batch_size, columnar=False, encoded=encoded
-    )
-    col_rows, col_ctx, col_join = drain_batch_with_context(
-        build, tpcd_catalog, batch_size, columnar=True, encoded=encoded
-    )
-    assert multiset(row_rows) == multiset(reference)
-    assert multiset(col_rows) == multiset(reference)
-    assert row_join.overflow_count == col_join.overflow_count > 0
-    assert row_ctx.disk.stats.tuples_written == col_ctx.disk.stats.tuples_written
-    assert row_ctx.disk.stats.bytes_written == col_ctx.disk.stats.bytes_written
-    assert row_ctx.disk.stats.tuples_read == col_ctx.disk.stats.tuples_read
-    assert col_ctx.clock.now == pytest.approx(row_ctx.clock.now, rel=1e-9), (
-        "columnar spill changed the virtual-time accounting"
-    )
-    assert_budget_invariant(row_join)
-    assert_budget_invariant(col_join)
+    golden = DPJ_SPILL_GOLDENS[method.value, batch_size, encoded]
+    assert_spill_parity(build, tpcd_catalog, "dpj", batch_size, encoded, golden)
 
 
 def test_encoding_reduces_spilled_bytes_on_string_keys(tpcd_catalog, tiny_tpcd):
     """Encoded spill of a string-heavy build writes measurably fewer bytes."""
-    def build(context):
-        return DoublePipelinedJoin(
-            "dpj",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,
-            bucket_count=8,
-        )
-
-    _, plain_ctx, _ = drain_batch_with_context(
-        build, tpcd_catalog, 64, columnar=True, encoded=False
-    )
-    _, enc_ctx, _ = drain_batch_with_context(
-        build, tpcd_catalog, 64, columnar=True, encoded=True
-    )
+    build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.LEFT_FLUSH)
+    _, plain_ctx, _ = drain_batch_with_context(build, tpcd_catalog, 64, encoded=False)
+    _, enc_ctx, _ = drain_batch_with_context(build, tpcd_catalog, 64, encoded=True)
     assert plain_ctx.disk.stats.tuples_written > 0
     # Same allotment: the encoded run keeps more rows resident (fewer
     # spilled tuples) and each spilled tuple moves fewer bytes (part
@@ -560,42 +540,9 @@ def test_encoding_reduces_spilled_bytes_on_string_keys(tpcd_catalog, tiny_tpcd):
 @pytest.mark.parametrize("encoded", [True, False])
 @pytest.mark.parametrize("batch_size", [7, 64])
 def test_hybrid_spill_drive_parity(tpcd_catalog, tiny_tpcd, batch_size, encoded):
-    def build(context):
-        return HybridHashJoin(
-            "hh",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["part"]) * 20,
-            bucket_count=8,
-        )
-
-    tuple_config = EngineConfig(encoded_columns=encoded)
-    reference = drain_tuple(build(ExecutionContext(tpcd_catalog, config=tuple_config)))
-
-    row_rows, row_ctx, row_join = drain_batch_with_context(
-        build, tpcd_catalog, batch_size, columnar=False, encoded=encoded
-    )
-    col_rows, col_ctx, col_join = drain_batch_with_context(
-        build, tpcd_catalog, batch_size, columnar=True, encoded=encoded
-    )
-    assert multiset(row_rows) == multiset(reference)
-    assert multiset(col_rows) == multiset(reference)
-    assert (
-        row_ctx.stats.operator("hh").overflow_events
-        == col_ctx.stats.operator("hh").overflow_events
-        > 0
-    )
-    assert row_ctx.disk.stats.tuples_written == col_ctx.disk.stats.tuples_written
-    assert row_ctx.disk.stats.bytes_written == col_ctx.disk.stats.bytes_written
-    assert row_ctx.disk.stats.tuples_read == col_ctx.disk.stats.tuples_read
-    assert col_ctx.clock.now == pytest.approx(row_ctx.clock.now, rel=1e-9), (
-        "columnar spill changed the virtual-time accounting"
-    )
-    assert_budget_invariant(row_join)
-    assert_budget_invariant(col_join)
+    build = tpcd_hybrid(len(tiny_tpcd["part"]) * 20)
+    golden = HYBRID_SPILL_GOLDENS[batch_size, encoded]
+    assert_spill_parity(build, tpcd_catalog, "hh", batch_size, encoded, golden)
 
 
 def test_hybrid_mixed_callers_mid_overflow_pass(tpcd_catalog, tiny_tpcd):
@@ -605,18 +552,7 @@ def test_hybrid_mixed_callers_mid_overflow_pass(tpcd_catalog, tiny_tpcd):
     the same operator must drain that iterator rather than restart the row
     pass (which would re-read the spill files and re-emit pairs).
     """
-    def build(context):
-        return HybridHashJoin(
-            "hh",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["part"]) * 20,
-            bucket_count=8,
-        )
-
+    build = tpcd_hybrid(len(tiny_tpcd["part"]) * 20)
     reference = drain_tuple(build(ExecutionContext(tpcd_catalog)))
 
     context = ExecutionContext(tpcd_catalog)

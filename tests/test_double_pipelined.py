@@ -18,11 +18,13 @@ from repro.storage.tuples import counting_row_constructions
 
 from helpers import (
     ScriptedProfile,
+    digest,
     drive_join,
     make_relation,
     multiset,
     reference_join,
     spill_marks,
+    tpcd_dpj,
 )
 
 
@@ -67,15 +69,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("method", [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH])
     def test_tpcd_join_under_pressure_matches_reference(self, tpcd_catalog, tiny_tpcd, method):
         context = ExecutionContext(tpcd_catalog)
-        left = WrapperScan("scan_ps", context, "partsupp")
-        right = WrapperScan("scan_p", context, "part")
-        join = DoublePipelinedJoin(
-            "dpj", context, left, right,
-            ["partsupp.ps_partkey"], ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,  # far less than needed
-            bucket_count=8,
-            overflow_method=method,
-        )
+        # Far less memory than the join needs.
+        join = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, method)(context)
         join.open()
         rows = list(join.iterate())
         reference = reference_join(tiny_tpcd["partsupp"], tiny_tpcd["part"], "ps_partkey", "p_partkey")
@@ -159,15 +154,7 @@ class TestAdaptiveBehaviour:
 
     def test_left_flush_spills_more_left_than_right(self, tpcd_catalog, tiny_tpcd):
         context = ExecutionContext(tpcd_catalog)
-        left = WrapperScan("l", context, "partsupp")
-        right = WrapperScan("r", context, "part")
-        join = DoublePipelinedJoin(
-            "dpj", context, left, right,
-            ["partsupp.ps_partkey"], ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,
-            bucket_count=8,
-            overflow_method=OverflowMethod.LEFT_FLUSH,
-        )
+        join = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.LEFT_FLUSH)(context)
         join.open()
         list(join.iterate())
         left_flushed = len(join._tables[0].flushed_buckets)
@@ -176,15 +163,7 @@ class TestAdaptiveBehaviour:
 
     def test_symmetric_flush_flushes_pairs(self, tpcd_catalog, tiny_tpcd):
         context = ExecutionContext(tpcd_catalog)
-        left = WrapperScan("l", context, "partsupp")
-        right = WrapperScan("r", context, "part")
-        join = DoublePipelinedJoin(
-            "dpj", context, left, right,
-            ["partsupp.ps_partkey"], ["part.p_partkey"],
-            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,
-            bucket_count=8,
-            overflow_method=OverflowMethod.SYMMETRIC_FLUSH,
-        )
+        join = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.SYMMETRIC_FLUSH)(context)
         join.open()
         list(join.iterate())
         assert set(join._tables[0].flushed_buckets) == set(join._tables[1].flushed_buckets)
@@ -198,12 +177,14 @@ class TestAdaptiveBehaviour:
         assert context.memory_pool.granted_bytes == 0
 
 
-# -- the run-at-a-time columnar drive ------------------------------------------------------
+# -- the run-at-a-time batch drive ---------------------------------------------------------
 #
-# Under the columnar drive the join works a run segment at a time (bulk probe,
-# bulk insert, bulk spill).  The row-batch drive still feeds the same tables
-# tuple by tuple, so it is the oracle: consumption order, output order,
-# refusals, spill I/O and the virtual clock must be *equal*, not close.
+# Under the batch drive the join works a run segment at a time (bulk probe,
+# bulk insert, bulk spill).  Two oracles hold it to the per-tuple interleave:
+# the ``"rows"`` reference (helpers.RowPipelineDPJ) feeds the same tables tuple
+# by tuple, and the goldens below were recorded on the engine's retired
+# row-batch drive.  Consumption order, output order, refusals, spill I/O and
+# the virtual clock must be *equal*, not close.
 
 
 def scripted_catalog(left_rows, left_times, right_rows, right_times):
@@ -235,23 +216,6 @@ def scripted_join(memory=None, method=OverflowMethod.LEFT_FLUSH, buckets=8):
     return build
 
 
-def tpcd_join(memory, method, buckets=8):
-    def build(context):
-        return DoublePipelinedJoin(
-            "dpj",
-            context,
-            WrapperScan("scan_ps", context, "partsupp"),
-            WrapperScan("scan_p", context, "part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            memory_limit_bytes=memory,
-            bucket_count=buckets,
-            overflow_method=method,
-        )
-
-    return build
-
-
 def stamped(rows):
     return [(row.values, row.arrival) for row in rows]
 
@@ -259,6 +223,12 @@ def stamped(rows):
 def disk_counters(context):
     stats = context.disk.stats
     return (stats.tuples_written, stats.bytes_written, stats.tuples_read, stats.total_pages)
+
+
+def fingerprint(rows, context, join):
+    """A drive's outcome, bit for bit: the stamped output's digest, the
+    overflow count, the disk counters and the final clock."""
+    return (digest(stamped(rows)), join.overflow_count, disk_counters(context), context.clock.now)
 
 
 def record_resolutions(monkeypatch):
@@ -269,14 +239,8 @@ def record_resolutions(monkeypatch):
     original = DoublePipelinedJoin._resolve_overflow
 
     def recorded(self):
-        log.append(
-            (
-                self.context.columnar,
-                tuple(table.total_inserted for table in self._tables),
-                self.context.clock.now,
-                disk_counters(self.context),
-            )
-        )
+        inserted = tuple(table.total_inserted for table in self._tables)
+        log.append((inserted, self.context.clock.now, disk_counters(self.context)))
         original(self)
         assert self.budget.used_bytes == sum(t.resident_bytes for t in self._tables)
 
@@ -300,28 +264,59 @@ METHODS = [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]
 
 
 class TestRunAtATime:
+    """Goldens are what the engine's row-batch drive recorded at its last
+    commit; the batch drive matched every one of them there."""
+
+    #: (method, encoded) -> fingerprint plus the digest of the resolution log.
+    REFUSALS = {
+        ("left_flush", True): ("fb63b30fb6463b91", 5, (177, 9143, 177, 2), 14.495999999999842, "b58ca640798a95ac"),
+        ("left_flush", False): ("d1389841840aceb6", 7, (244, 13588, 244, 2), 14.345999999999842, "c386cbf7fddcf91d"),
+        ("symmetric_flush", True): ("797707d4af7eeed7", 6, (225, 12547, 225, 2), 14.667999999999843, "60ad1c8bdf1491a4"),
+        ("symmetric_flush", False): ("93614a9deb1b6e41", 6, (230, 14582, 230, 2), 14.667999999999843, "894c37545a9d0e82"),
+    }
+    #: Row-backed runs: scan mode -> the batch drive's fingerprint.
+    ROW_BACKED = {
+        "caching": ("797707d4af7eeed7", 6, (225, 12547, 225, 2), 14.667999999999843),
+        "watched": ("14a7fa76dfee1812", 6, (230, 12904, 230, 2), 14.591999999999864),
+    }
+    #: Under a pending watched event the per-tuple pipeline hands the
+    #: interrupting tuple's matches over one batch later than the columnar
+    #: accumulators do: the same rows, order, spill I/O and final clock, but
+    #: 128 output stamps 2 us later.  The row-batch drive's output digest:
+    WATCHED_ROWS_DIGEST = "7f4a0248b343d01c"
+    #: method -> (output digest, spill marks, disk counters, overflows, clock).
+    REVOCATIONS = {
+        "left_flush": ("d075f58e3c367b16", (126, 116), (242, 12259, 242, 2), 7, 14.641999999999827),
+        "symmetric_flush": ("cdfa80d55e8edaa9", (111, 154), (265, 14856, 265, 2), 7, 14.641999999999827),
+    }
+
+    @staticmethod
+    def row_backed_trees(tiny_tpcd):
+        """Cache-collecting and THRESHOLD-watched scans hand the join
+        row-backed batches; ``(tree, config)`` per scan mode."""
+        build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.SYMMETRIC_FLUSH)
+
+        def watched(context):
+            context.watch_events({(EventType.THRESHOLD, "scan_p")})
+            return build(context)
+
+        return {"caching": (build, {"enable_source_caching": True}), "watched": (watched, {})}
+
     @pytest.mark.parametrize("encoded", [True, False])
     @pytest.mark.parametrize("method", METHODS)
     def test_refusal_mid_run_lands_on_the_same_row(
         self, tpcd_catalog, tiny_tpcd, method, encoded, monkeypatch
     ):
         log = record_resolutions(monkeypatch)
-        build = tpcd_join(len(tiny_tpcd["partsupp"]) * 20, method)
-        col_rows, col_ctx, col_join = drive_join(
-            build, tpcd_catalog, "columnar", encoded_columns=encoded
-        )
-        row_rows, row_ctx, row_join = drive_join(
-            build, tpcd_catalog, "rows", encoded_columns=encoded
-        )
-        columnar_log = [entry[1:] for entry in log if entry[0]]
-        row_log = [entry[1:] for entry in log if not entry[0]]
-        assert columnar_log == row_log, "a refusal moved to a different row, time or disk state"
-        assert col_join.overflow_count == row_join.overflow_count == len(row_log) > 0
+        build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, method)
+        for drive in ("columnar", "rows"):
+            log.clear()
+            rows, context, join = drive_join(build, tpcd_catalog, drive, encoded_columns=encoded)
+            outcome = fingerprint(rows, context, join) + (digest(log),)
+            assert outcome == self.REFUSALS[method.value, encoded], drive
+            assert join.overflow_count == len(log) > 0
         # At least one refusal struck inside a run, not at its first row.
-        assert any(sum(inserted) % 128 for inserted, _, _ in row_log)
-        assert disk_counters(col_ctx) == disk_counters(row_ctx)
-        assert col_ctx.clock.now == row_ctx.clock.now
-        assert stamped(col_rows) == stamped(row_rows)
+        assert any(sum(inserted) % 128 for inserted, _, _ in log)
 
     def test_slack_window_run_is_not_consumed_ahead_of_the_other_side(self):
         # After the first output a left run may overshoot the right side's
@@ -343,10 +338,10 @@ class TestRunAtATime:
 
         DoublePipelinedJoin._consume_segment = spy
         try:
-            col_rows, col_ctx, _ = drive_join(build, catalog, "columnar", batch_size=256)
+            col_rows, col_ctx, col_join = drive_join(build, catalog, "columnar", batch_size=256)
         finally:
             DoublePipelinedJoin._consume_segment = original
-        row_rows, row_ctx, _ = drive_join(build, catalog, "rows", batch_size=256)
+        row_rows, row_ctx, row_join = drive_join(build, catalog, "rows", batch_size=256)
         tuple_rows, _, _ = drive_join(build, catalog, "tuple")
         # The 59-row left run pulled after the first output overshoots the
         # right side's arrival at 2.0: it is cut there, the right tuple is
@@ -354,19 +349,14 @@ class TestRunAtATime:
         left_segments = [rows for side, rows in switches if side == 0]
         assert sum(left_segments) == 60 and left_segments[:2] == [1, 9]
         assert switches[3][0] == 1
-        assert stamped(col_rows) == stamped(row_rows)
-        assert col_ctx.clock.now == row_ctx.clock.now
+        golden = ("e406ef0722dd3f39", 0, (0, 0, 0, 0), 30.102000000000004)
+        assert fingerprint(col_rows, col_ctx, col_join) == golden
+        assert fingerprint(row_rows, row_ctx, row_join) == golden
         assert multiset(col_rows) == multiset(tuple_rows)
 
     def test_row_backed_runs_take_the_bulk_path(self, tpcd_catalog, tiny_tpcd, monkeypatch):
-        """Cache-collecting and THRESHOLD-watched scans hand the join
-        row-backed batches; the columnar drive transposes each run once and
-        never boxes a row of its own."""
-        build = tpcd_join(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.SYMMETRIC_FLUSH)
-
-        def watched(context):
-            context.watch_events({(EventType.THRESHOLD, "scan_p")})
-            return build(context)
+        """The batch drive transposes each row-backed run once and never
+        boxes a row of its own."""
 
         def rows_built_by_the_scans(tree, config):
             """Row constructions of the two scans drained on their own."""
@@ -380,7 +370,7 @@ class TestRunAtATime:
                     scan.close()
                 return counter.count
 
-        for tree, config in ((build, {"enable_source_caching": True}), (watched, {})):
+        for mode, (tree, config) in self.row_backed_trees(tiny_tpcd).items():
             inputs = rows_built_by_the_scans(tree, config)
             per_tuple = count_calls(monkeypatch, BucketedHashTable, "insert_position")
             segments = count_calls(monkeypatch, DoublePipelinedJoin, "_consume_segment")
@@ -390,56 +380,62 @@ class TestRunAtATime:
                 built = counter.count
             assert segments and not boxed
             assert len(per_tuple) <= join.overflow_count
-            reference, row_ctx, row_join = drive_join(tree, tpcd_catalog, "rows", **config)
-            assert [row.values for row in rows] == [row.values for row in reference]
-            assert join.overflow_count == row_join.overflow_count > 0
-            assert disk_counters(context) == disk_counters(row_ctx)
-            if tree is build:
-                assert stamped(rows) == stamped(reference)
-                assert context.clock.now == row_ctx.clock.now
-            else:
-                # Under a pending watched event the row pipeline hands the
-                # interrupting tuple's matches over one batch later than the
-                # columnar accumulators do, which moves the per-batch CPU
-                # overlap (and so the clock) by a few microseconds.
-                assert context.clock.now == pytest.approx(row_ctx.clock.now, rel=1e-3)
+            assert fingerprint(rows, context, join) == self.ROW_BACKED[mode]
             # The scans' own rows plus the output boxed by this test's drain:
             # the join built none.
             assert built == inputs + len(rows)
+            reference, row_ctx, row_join = drive_join(tree, tpcd_catalog, "rows", **config)
+            assert [row.values for row in rows] == [row.values for row in reference]
+            assert fingerprint(reference, row_ctx, row_join)[1:] == self.ROW_BACKED[mode][1:]
+
+    def test_the_reference_reproduces_the_row_batch_drive(self, tpcd_catalog, tiny_tpcd, monkeypatch):
+        """``"rows"`` is the per-tuple pipeline, not the batch drive renamed:
+        on the watched tree, where the row-batch drive's stamps differ from
+        the batch drive's, it reproduces the row-batch golden, one
+        :meth:`_process` per consumed row and the row cleanup."""
+        tree, config = self.row_backed_trees(tiny_tpcd)["watched"]
+        processed = count_calls(monkeypatch, DoublePipelinedJoin, "_process")
+        cleanups = count_calls(monkeypatch, DoublePipelinedJoin, "_cleanup_pairs")
+        rows, context, join = drive_join(tree, tpcd_catalog, "rows", **config)
+        assert fingerprint(rows, context, join) == (
+            (self.WATCHED_ROWS_DIGEST,) + self.ROW_BACKED["watched"][1:]
+        )
+        assert len(processed) == len(tiny_tpcd["partsupp"]) + len(tiny_tpcd["part"])
+        assert cleanups == ["_cleanup_pairs"]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_revocation_between_batches_splits_a_run(self, tpcd_catalog, tiny_tpcd, method):
-        build = tpcd_join(64 * 1024, method)
+        build = tpcd_dpj(64 * 1024, method)
         split_runs = []
 
         def revoke(index, join):
             if index == 12:
-                if join.context.columnar:
-                    split_runs.extend(
-                        run for run in join._runs if run is not None and 0 < run.cursor < len(run)
-                    )
+                split_runs.extend(
+                    run for run in join._runs if run is not None and 0 < run.cursor < len(run)
+                )
                 join.budget.revoke_to(4 * 1024)
 
-        results = {}
         for drive in ("columnar", "rows"):
+            split_runs.clear()
             rows, context, join = drive_join(
                 build, tpcd_catalog, drive, batch_size=7, between_batches=revoke
             )
-            results[drive] = (
-                stamped(rows),
+            outcome = (
+                digest(stamped(rows)),
                 spill_marks(context),
                 disk_counters(context),
                 join.overflow_count,
                 context.clock.now,
             )
-        assert split_runs, "the revocation was meant to land inside a buffered run"
-        assert results["columnar"] == results["rows"]
-        marked, unmarked = results["rows"][1]
+            assert outcome == self.REVOCATIONS[method.value], drive
+            if drive == "columnar":
+                assert split_runs, "the revocation was meant to land inside a buffered run"
+        marked, unmarked = spill_marks(context)
         assert marked > 0 and unmarked > 0
         reference = reference_join(
             tiny_tpcd["partsupp"], tiny_tpcd["part"], "ps_partkey", "p_partkey"
         )
-        assert len(results["rows"][0]) == len(reference)
+        assert len(rows) == len(reference)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_a_revocation_it_cannot_meet_never_raises(self, method):

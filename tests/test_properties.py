@@ -705,7 +705,8 @@ class TestJoinProperties:
         assert len(rows) == expected_join_size(left, right)
 
 
-# The run-at-a-time columnar drive against its oracles: random two-sided
+# The run-at-a-time batch drive against its oracles (the per-tuple reference,
+# helpers.per_tuple_reference, and the tuple drive): random two-sided
 # arrival timetables (ties, bursts, gaps wider than the 5 ms slack window),
 # duplicate-key rates, memory limits, both overflow methods and batch sizes.
 

@@ -18,7 +18,7 @@ from repro.storage.tuples import counting_row_constructions
 from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
 
-from helpers import make_relation
+from helpers import digest, make_relation
 
 
 class TestOperatorBase:
@@ -140,20 +140,17 @@ class TestTableScan:
 
 # -- the row-free source layer -----------------------------------------------------------------
 #
-# Under the columnar drive no scan boxes a tuple: a bare scan, a cache-collecting
+# Under the batch drive no scan boxes a tuple: a bare scan, a cache-collecting
 # first reader, a scan served from the cache it filled, and a bounded pull on a
-# table scan.  The row-batch drive (``columnar_batches=False``) still runs the
-# row paths these replaced, so it is the oracle: batches cut at the same rows,
-# the same arrival stamps and the same clock, *equal*, not close.
+# table scan.  The goldens were recorded on the row paths these replaced (the
+# retired row-batch drive), which the columnar paths matched: batches cut at
+# the same rows, the same arrival stamps and the same clock, *equal*, not close.
 
 SOURCE_PROFILES = [lan(), wide_area(), bursty(burst_size=7)]
 
 
-def caching_context(catalog, columnar, **config):
-    return ExecutionContext(
-        catalog,
-        config=EngineConfig(enable_source_caching=True, columnar_batches=columnar, **config),
-    )
+def caching_context(catalog, **config):
+    return ExecutionContext(catalog, config=EngineConfig(enable_source_caching=True, **config))
 
 
 def drain_batches(scan, sizes=(1, 4, 64), bound_step=None):
@@ -216,7 +213,7 @@ class TestRowFreeScans:
 
     @pytest.mark.parametrize("encoded", [True, False], ids=["encoded", "plain"])
     def test_collecting_and_cache_served_scans_box_nothing(self, catalog, encoded):
-        context = caching_context(catalog, columnar=True, encoded_columns=encoded)
+        context = caching_context(catalog, encoded_columns=encoded)
         source = catalog.source("partsupp")
         first = WrapperScan("first", context, "partsupp")
         rows, boxed = self.drain_counting(first)
@@ -231,7 +228,7 @@ class TestRowFreeScans:
         assert source.stats.connections_opened == 1
 
     def test_one_schema_instance_from_source_to_scan(self, catalog):
-        context = caching_context(catalog, columnar=True)
+        context = caching_context(catalog)
         exported = catalog.source("partsupp").exported_schema
         first = WrapperScan("first", context, "partsupp")
         self.drain_counting(first)
@@ -242,19 +239,31 @@ class TestRowFreeScans:
         assert context.source_cache.lookup("partsupp", context.clock.now).schema is exported
         assert served.next_batch(8).schema is exported
 
+    #: (profile, bound step) -> digest of both scans' per-batch values and
+    #: stamps and the clock after the first, then the final clock state.
+    ROW_PATHS = {
+        ("lan", None): ("7104c97c6facea39", (14.721999999999754, 13.041999999999886, 1.6799999999999773, 0.0)),
+        ("lan", 0.05): ("c5e16bba7d4e68ae", (14.721999999999783, 13.041999999999744, 1.679999999999978, 0.0)),
+        ("lan", 3.0): ("ef88a260fe42e4e8", (14.721999999999754, 13.041999999999886, 1.6799999999999773, 0.0)),
+        ("wide-area", None): ("51dc10b161211eb3", (289.12146611864125, 287.441466118647, 1.6799999999999773, 0.0)),
+        ("wide-area", 0.05): ("9089bae6b5229233", (289.13546611864155, 287.4554661186462, 1.679999999999978, 0.0)),
+        ("wide-area", 3.0): ("97098f1b5bfa76e3", (289.1214661186416, 287.441466118647, 1.6799999999999777, 0.0)),
+        ("bursty", None): ("2a24e93c49439760", (13881.111890924121, 13879.431890924072, 1.6799999999999773, 0.0)),
+        ("bursty", 0.05): ("326fcf79c480d4b4", (13881.11389092414, 13879.433890924009, 1.679999999999978, 0.0)),
+        ("bursty", 3.0): ("957fb934c066db7b", (13881.11189092414, 13879.431890924061, 1.6799999999999777, 0.0)),
+    }
+
     @pytest.mark.parametrize("bound_step", [None, 0.05, 3.0], ids=["unbounded", "tight", "loose"])
     def test_collecting_and_served_scans_equal_the_row_paths(self, catalog, bound_step):
-        outcomes = {}
-        for columnar in (True, False):
-            context = caching_context(catalog, columnar)
-            first = drain_batches(WrapperScan("first", context, "partsupp"), bound_step=bound_step)
-            after_first = clock_state(context)
-            served_scan = WrapperScan("served", context, "partsupp")
-            served = drain_batches(served_scan, bound_step=bound_step)
-            assert served_scan.served_from_cache
-            outcomes[columnar] = (first, after_first, served, clock_state(context))
-        assert outcomes[True] == outcomes[False]
-        first, _, served, _ = outcomes[True]
+        context = caching_context(catalog)
+        first = drain_batches(WrapperScan("first", context, "partsupp"), bound_step=bound_step)
+        after_first = clock_state(context)
+        served_scan = WrapperScan("served", context, "partsupp")
+        served = drain_batches(served_scan, bound_step=bound_step)
+        assert served_scan.served_from_cache
+        profile = catalog.source("partsupp").profile.name
+        outcome = (digest((first, after_first, served)), clock_state(context))
+        assert outcome == self.ROW_PATHS[profile, bound_step]
         flat = [values for batch, _ in first for values in batch]
         assert flat == [row.values for row in catalog.source("partsupp").relation.rows]
         assert [values for batch, _ in served for values in batch] == flat
@@ -262,7 +271,7 @@ class TestRowFreeScans:
     def test_tuple_drive_keeps_its_rows_and_fills_the_same_view(self, catalog):
         """A tuple-drive first reader boxes one row per tuple it delivers — never
         the export — and deposits the same view a columnar reader is served from."""
-        context = caching_context(catalog, columnar=True)
+        context = caching_context(catalog)
         source = catalog.source("partsupp")
         first = WrapperScan("first", context, "partsupp")
         first.open()

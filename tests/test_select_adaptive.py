@@ -18,6 +18,7 @@ from repro.engine.operators.scan import WrapperScan
 from repro.engine.operators.select import REORDER_INTERVAL_BATCHES, Select
 from repro.network.profiles import lan
 from repro.network.source import DataSource
+from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
 
 from helpers import make_relation, multiset
@@ -44,10 +45,11 @@ def catalog():
     return catalog
 
 
-def run_select(catalog, adaptive: bool, batch_size: int = 64, columnar: bool = True):
-    context = ExecutionContext(
-        catalog, config=EngineConfig(columnar_batches=columnar)
-    )
+def run_select(catalog, adaptive: bool, batch_size: int = 64, watched: bool = False):
+    context = ExecutionContext(catalog)
+    if watched:
+        # A scan watched by a rule delivers row-backed batches.
+        context.watch_events({(EventType.THRESHOLD, "scan_item")})
     select = Select(
         "sel",
         context,
@@ -62,6 +64,7 @@ def run_select(catalog, adaptive: bool, batch_size: int = 64, columnar: bool = T
         if not batch:
             break
         rows.extend(batch)
+        context.batch_interrupt = False
     select.close()
     return select, rows
 
@@ -88,9 +91,10 @@ class TestAdaptivePredicateOrdering:
         assert select._compiled[0][0] == schema_index
 
     def test_row_backed_drive_adapts_too(self, catalog):
-        static, static_rows = run_select(catalog, adaptive=False, columnar=False)
-        adaptive, adaptive_rows = run_select(catalog, adaptive=True, columnar=False)
+        static, static_rows = run_select(catalog, adaptive=False, watched=True)
+        adaptive, adaptive_rows = run_select(catalog, adaptive=True, watched=True)
         assert multiset(adaptive_rows) == multiset(static_rows)
+        assert len(adaptive_rows) == ROWS // 100
         assert adaptive.comparator_calls < static.comparator_calls
 
     def test_reorder_interval_respected(self, catalog):
