@@ -10,11 +10,14 @@ scratch, and finds that saved state *without* usage pointers is slower than
 replanning from scratch.
 
 This benchmark counts dynamic-program nodes visited (the work measure) and
-wall-clock time for the three approaches across query sizes.
+wall-clock time for the three approaches across query sizes.  Node counts are
+asserted; the wall-clock speedup (median of :data:`REPETITIONS` runs) is
+printed, never asserted.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -44,6 +47,9 @@ CASES = [
 
 MODES = ("saved_state", "saved_state_no_pointers", "scratch")
 
+#: Wall-clock samples per (size, mode); the table prints their median.
+REPETITIONS = 25
+
 
 @pytest.fixture(scope="module")
 def deployment():
@@ -51,19 +57,23 @@ def deployment():
 
 
 def reoptimization_work(enumerator, query, sources, covered, mode):
-    """(nodes visited, wall seconds) for one re-optimization in the given mode."""
-    state = enumerator.enumerate(query, sources)
-    before_nodes = state.nodes_visited
-    started = time.perf_counter()
-    if mode == "scratch":
-        fresh = enumerator.replan_from_scratch(state, covered, "done", 40, sources)
-        nodes = fresh.nodes_visited
-    else:
-        enumerator.reoptimize_with_saved_state(
-            state, covered, "done", 40, use_usage_pointers=(mode == "saved_state")
-        )
-        nodes = state.nodes_visited - before_nodes
-    return nodes, time.perf_counter() - started
+    """(nodes visited, wall seconds) of the re-optimization in the given mode;
+    the seconds are the median over :data:`REPETITIONS` fresh saved states."""
+    samples = []
+    for _ in range(REPETITIONS):
+        state = enumerator.enumerate(query, sources)
+        before_nodes = state.nodes_visited
+        started = time.perf_counter()
+        if mode == "scratch":
+            fresh = enumerator.replan_from_scratch(state, covered, "done", 40, sources)
+            nodes = fresh.nodes_visited
+        else:
+            enumerator.reoptimize_with_saved_state(
+                state, covered, "done", 40, use_usage_pointers=(mode == "saved_state")
+            )
+            nodes = state.nodes_visited - before_nodes
+        samples.append(time.perf_counter() - started)
+    return nodes, statistics.median(samples)
 
 
 def run_sec65(deployment):
@@ -107,7 +117,7 @@ def print_sec65(results) -> None:
                 "saved, no pointers",
                 "scratch",
                 "node speedup vs scratch",
-                "time speedup vs scratch",
+                f"time speedup vs scratch (wall, median of {REPETITIONS} — not asserted)",
             ],
             rows,
         )

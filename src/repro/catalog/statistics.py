@@ -84,7 +84,8 @@ class StatisticsRegistry:
 
     def source(self, source_name: str) -> SourceStatistics:
         """Statistics for ``source_name`` (empty statistics when unknown)."""
-        return self._by_source.get(source_name, SourceStatistics())
+        found = self._by_source.get(source_name)
+        return found if found is not None else SourceStatistics()
 
     def knows_cardinality(self, source_name: str) -> bool:
         return self.source(source_name).has_cardinality

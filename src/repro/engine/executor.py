@@ -326,14 +326,17 @@ class QueryExecutor:
         )
 
     def _drain_events(self) -> None:
-        fired = self.event_handler.process(self.context.events)
+        handler, stats = self.event_handler, self.context.stats
+        processed = handler.events_processed
+        fired = handler.process(self.context.events)
         self.context.batch_interrupt = False
         if fired:
             # Fired (one-shot) rules and deactivated owners no longer watch
             # their trigger keys; refresh so batches stop being cut for them.
-            self.context.watched_event_keys = self.event_handler.watched_keys
-        self.context.stats.events_processed = self.event_handler.events_processed
-        self.context.stats.rules_fired = self.event_handler.rules_fired
+            self.context.watched_event_keys = handler.watched_keys
+        # A context outlives its executors (one per re-plan): counts accumulate.
+        stats.events_processed += handler.events_processed - processed
+        stats.rules_fired += fired
 
     # -- top-level execution -----------------------------------------------------------------------
 

@@ -63,10 +63,12 @@ class CostModel:
             return CardinalityEstimate(stats.cardinality or 1, reliable=True)
         return CardinalityEstimate(self.catalog.statistics.default_cardinality, reliable=False)
 
-    def source_scan_cost(self, source_name: str) -> float:
-        """Response-time cost of streaming one source completely."""
+    def source_scan_cost(self, source_name: str, cardinality: int | None = None) -> float:
+        """Response-time cost of streaming one source completely (``cardinality``
+        tuples, when the caller already holds :meth:`source_cardinality`)."""
         stats = self.catalog.statistics.source(source_name)
-        cardinality = self.source_cardinality(source_name).value
+        if cardinality is None:
+            cardinality = self.source_cardinality(source_name).value
         tuple_size = stats.tuple_size_bytes or self.params.default_tuple_size_bytes
         rate_kbps = stats.transfer_rate_kbps or self.params.default_transfer_rate_kbps
         access = (
@@ -80,25 +82,25 @@ class CostModel:
 
     # -- join estimates -----------------------------------------------------------------------------
 
+    def predicate_selectivity(self, predicate: JoinPredicate) -> tuple[float, bool]:
+        """One equi-join predicate's selectivity and whether the catalog knows it."""
+        registry = self.catalog.statistics
+        left, right = predicate.left_qualified, predicate.right_qualified
+        if registry.knows_join_selectivity(left, right):
+            return registry.join_selectivity(left, right), True
+        return DEFAULT_JOIN_SELECTIVITY, False
+
     def join_selectivity(
         self, predicates: list[JoinPredicate], left_card: int, right_card: int
     ) -> tuple[float, bool]:
         """Combined selectivity of the equi-join predicates and its reliability."""
         if not predicates:
             return 1.0, True  # cross product: "reliable" in that it needs no statistics
-        selectivity = 1.0
-        reliable = True
-        registry = self.catalog.statistics
+        selectivity, reliable = 1.0, True
         for predicate in predicates:
-            if registry.knows_join_selectivity(
-                predicate.left_qualified, predicate.right_qualified
-            ):
-                selectivity *= registry.join_selectivity(
-                    predicate.left_qualified, predicate.right_qualified
-                )
-            else:
-                selectivity *= DEFAULT_JOIN_SELECTIVITY
-                reliable = False
+            factor, known = self.predicate_selectivity(predicate)
+            selectivity *= factor
+            reliable = reliable and known
         return selectivity, reliable
 
     def join_cardinality(
@@ -111,10 +113,14 @@ class CostModel:
         selectivity, selectivity_reliable = self.join_selectivity(
             predicates, left.value, right.value
         )
-        value = max(1, int(left.value * right.value * selectivity))
         return CardinalityEstimate(
-            value, reliable=left.reliable and right.reliable and selectivity_reliable
+            self.join_size(left.value, right.value, selectivity),
+            reliable=left.reliable and right.reliable and selectivity_reliable,
         )
+
+    def join_size(self, left: int, right: int, selectivity: float) -> int:
+        """:meth:`join_cardinality` over plain tuple counts (the enumerator's inner loop)."""
+        return max(1, int(left * right * selectivity))
 
     def join_cost(
         self,
@@ -130,14 +136,23 @@ class CostModel:
         ``pipelined`` distinguishes the double pipelined join (both inputs
         resident) from a hybrid hash join (only the smaller input resident).
         """
+        return self.join_cost_of_sizes(
+            left.value, right.value, output.value, memory_limit_bytes, tuple_size_bytes, pipelined
+        )
+
+    def join_cost_of_sizes(
+        self, left: int, right: int, output: int, memory_limit_bytes: int | None,
+        tuple_size_bytes: int | None = None, pipelined: bool = True,
+    ) -> float:
+        """:meth:`join_cost` over plain tuple counts (the enumerator's inner loop)."""
         params = self.params
         tuple_size = tuple_size_bytes or params.default_tuple_size_bytes
-        build_tuples = left.value + right.value if pipelined else min(left.value, right.value)
-        probe_tuples = left.value + right.value if pipelined else max(left.value, right.value)
+        build_tuples = left + right if pipelined else min(left, right)
+        probe_tuples = left + right if pipelined else max(left, right)
         cost = (
             build_tuples * params.per_tuple_build_ms
             + probe_tuples * params.per_tuple_probe_ms
-            + output.value * params.per_tuple_cpu_ms
+            + output * params.per_tuple_cpu_ms
         )
         if memory_limit_bytes is not None:
             needed = build_tuples * tuple_size

@@ -31,7 +31,6 @@ from repro.plan.fragments import Fragment, QueryPlan
 from repro.plan.physical import (
     JoinImplementation,
     OperatorSpec,
-    OperatorType,
     OverflowMethod,
     collector,
     join,
@@ -98,7 +97,15 @@ class OptimizationResult:
     state: OptimizerState
     primary_sources: dict[str, str]
     strategy: PlanningStrategy
-    statistics_reliable: bool
+
+
+@dataclass
+class _Draft:
+    """A fragment plus its join nodes (in walk order) and sources, collected as it is built."""
+
+    fragment: Fragment
+    joins: list[OperatorSpec]
+    sources: list[str]
 
 
 class Optimizer:
@@ -112,20 +119,21 @@ class Optimizer:
 
     # -- leaf construction --------------------------------------------------------------------
 
-    def _leaf_spec(self, reformulated: ReformulatedQuery, relation: str, suffix: str) -> OperatorSpec:
+    def _leaf_spec(
+        self, reformulated: ReformulatedQuery, relation: str, suffix: str, sources: list[str]
+    ) -> OperatorSpec:
         """Build the access spec for one mediated relation leaf."""
         leaf = reformulated.leaf(relation)
         if not leaf.is_disjunctive:
-            return wrapper_scan(
-                leaf.primary.source_name, operator_id=f"scan_{relation}_{suffix}"
-            )
+            source = leaf.primary.source_name
+            sources.append(source)
+            return wrapper_scan(source, operator_id=f"scan_{relation}_{suffix}")
+        sources.extend(alt.source_name for alt in leaf.alternatives)
         children = [
             wrapper_scan(alt.source_name, operator_id=f"scan_{relation}_{alt.source_name}_{suffix}")
             for alt in leaf.alternatives
         ]
-        dedup_keys = list(
-            self.catalog.source(leaf.primary.source_name).exported_schema.names
-        )
+        dedup_keys = list(self.catalog.source(leaf.primary.source_name).exported_schema.names)
         spec = collector(children, operator_id=f"coll_{relation}_{suffix}")
         spec.params["dedup_keys"] = dedup_keys
         # Start with the primary source plus one fallback mirror; further
@@ -144,76 +152,84 @@ class Optimizer:
 
     # -- join tree construction ----------------------------------------------------------------------
 
-    def _choose_join_implementation(
-        self, left: DPEntry, right: DPEntry
-    ) -> JoinImplementation:
+    def _choose_join_implementation(self, left: DPEntry, right: DPEntry) -> JoinImplementation:
         threshold = self.config.dpj_max_build_bytes
-        if threshold is None:
-            return JoinImplementation.DOUBLE_PIPELINED
-        if not (left.cardinality.reliable and right.cardinality.reliable):
-            return JoinImplementation.DOUBLE_PIPELINED
-        build_bytes = (
-            left.cardinality.value + right.cardinality.value
-        ) * self.config.assumed_tuple_size_bytes
-        if build_bytes > threshold:
-            return JoinImplementation.HYBRID_HASH
+        if threshold is not None and left.cardinality.reliable and right.cardinality.reliable:
+            tuples = left.cardinality.value + right.cardinality.value
+            if tuples * self.config.assumed_tuple_size_bytes > threshold:
+                return JoinImplementation.HYBRID_HASH
         return JoinImplementation.DOUBLE_PIPELINED
 
-    def _join_spec_for_entry(
+    def _draft(
         self,
         state: OptimizerState,
-        entry: DPEntry,
+        top: DPEntry,
         reformulated: ReformulatedQuery,
         suffix: str,
-        leaf_override: dict[frozenset[str], OperatorSpec] | None = None,
-    ) -> OperatorSpec:
-        """Recursively build the operator tree for a DP entry."""
-        leaf_override = leaf_override or {}
-        if entry.subset in leaf_override:
-            return leaf_override[entry.subset]
-        if entry.materialized_as is not None:
-            return table_scan(entry.materialized_as, operator_id=f"tscan_{entry.materialized_as}_{suffix}")
-        if entry.is_leaf:
-            (relation,) = tuple(entry.subset)
-            spec = self._leaf_spec(reformulated, relation, suffix)
-            spec.estimated_cardinality = entry.cardinality.value
+        fragment_id: str,
+        result_name: str,
+        rescans: dict[frozenset[str], OperatorSpec],
+    ) -> _Draft:
+        """The fragment that computes ``top``; a subset in ``rescans`` is read
+        back from an earlier fragment's result."""
+        joins: list[OperatorSpec] = []
+        sources: list[str] = []
+
+        def build(entry: DPEntry) -> OperatorSpec:
+            if entry.subset in rescans:
+                return rescans[entry.subset]
+            if entry.materialized_as is not None:
+                name = entry.materialized_as
+                return table_scan(name, operator_id=f"tscan_{name}_{suffix}")
+            if entry.left is None:  # a leaf
+                (relation,) = entry.subset
+                spec = self._leaf_spec(reformulated, relation, suffix, sources)
+                spec.estimated_cardinality = entry.cardinality.value
+                spec.estimate_reliable = entry.cardinality.reliable
+                return spec
+            left, right = state.table[entry.left], state.table[entry.right]
+            # The enumerator orients an entry's predicates from its left half.
+            predicates = entry.predicates
+            implementation = self._choose_join_implementation(left, right)
+            if implementation == JoinImplementation.HYBRID_HASH:
+                # The smaller input becomes the build (inner/right) side.
+                if left.cardinality.value < right.cardinality.value:
+                    left, right = right, left
+                    predicates = [p.oriented(p.right_table) for p in predicates]
+            slot = len(joins)
+            joins.append(None)  # a walk meets this join before its inputs' joins
+            spec = join(
+                build(left),
+                build(right),
+                [p.left_qualified for p in predicates],
+                [p.right_qualified for p in predicates],
+                implementation=implementation,
+                estimated_cardinality=entry.cardinality.value,
+                overflow_method=self.config.default_overflow_method,
+                operator_id=f"join_{'_'.join(sorted(entry.subset))}_{suffix}",
+            )
             spec.estimate_reliable = entry.cardinality.reliable
+            joins[slot] = spec
             return spec
-        left_entry = state.entry(entry.left)
-        right_entry = state.entry(entry.right)
-        left_spec = self._join_spec_for_entry(state, left_entry, reformulated, suffix, leaf_override)
-        right_spec = self._join_spec_for_entry(state, right_entry, reformulated, suffix, leaf_override)
-        implementation = self._choose_join_implementation(left_entry, right_entry)
-        if implementation == JoinImplementation.HYBRID_HASH:
-            # The smaller input becomes the build (inner/right) side.
-            if left_entry.cardinality.value < right_entry.cardinality.value:
-                left_entry, right_entry = right_entry, left_entry
-                left_spec, right_spec = right_spec, left_spec
-        predicates = [p.oriented(_any_member(p.tables(), left_entry.subset)) for p in entry.predicates]
-        left_keys = [p.left_qualified for p in predicates]
-        right_keys = [p.right_qualified for p in predicates]
-        spec = join(
-            left_spec,
-            right_spec,
-            left_keys,
-            right_keys,
-            implementation=implementation,
-            estimated_cardinality=entry.cardinality.value,
-            overflow_method=self.config.default_overflow_method,
-            operator_id=f"join_{'_'.join(sorted(entry.subset))}_{suffix}",
+
+        fragment = Fragment(
+            fragment_id=fragment_id,
+            root=build(top),
+            result_name=result_name,
+            estimated_cardinality=top.cardinality.value,
+            estimate_reliable=top.cardinality.reliable,
+            covers=top.subset,
         )
-        spec.estimate_reliable = entry.cardinality.reliable
-        return spec
+        return _Draft(fragment, joins, sources)
 
     # -- fragmentation ----------------------------------------------------------------------------------
 
     def _linear_join_order(self, state: OptimizerState, entry: DPEntry) -> list[DPEntry]:
         """Join nodes of the best plan in bottom-up execution order."""
-        if entry.is_leaf or entry.materialized_as is not None:
+        if entry.left is None or entry.materialized_as is not None:
             return []
-        order: list[DPEntry] = []
-        order.extend(self._linear_join_order(state, state.entry(entry.left)))
-        order.extend(self._linear_join_order(state, state.entry(entry.right)))
+        order = self._linear_join_order(state, state.table[entry.left])
+        order.extend(self._linear_join_order(state, state.table[entry.right]))
         order.append(entry)
         return order
 
@@ -221,125 +237,97 @@ class Optimizer:
         self,
         state: OptimizerState,
         reformulated: ReformulatedQuery,
-        strategy: PlanningStrategy,
         suffix: str,
-    ) -> tuple[list[Fragment], dict[str, set[str]]]:
-        """Build one fragment per join of the best plan (materializing strategies)."""
-        query = reformulated.query
-        best = state.best_plan()
-        join_entries = self._linear_join_order(state, best)
-        fragments: list[Fragment] = []
+        skip: frozenset[str] = frozenset(),
+    ) -> tuple[list[_Draft], dict[str, set[str]]]:
+        """One fragment per join of the best plan (materializing strategies).
+
+        Joins covering only relations in ``skip`` (already materialized)
+        produce no fragment.
+        """
+        name = reformulated.query.name
+        drafts: list[_Draft] = []
         dependencies: dict[str, set[str]] = {}
         produced: dict[frozenset[str], tuple[str, str]] = {}  # subset -> (result, fragment)
-        for index, entry in enumerate(join_entries, start=1):
-            result_name = f"{query.name}_{suffix}_r{index}"
-            fragment_id = f"{query.name}_{suffix}_f{index}"
-            leaf_override: dict[frozenset[str], OperatorSpec] = {}
+        for index, entry in enumerate(self._linear_join_order(state, state.best_plan()), start=1):
+            fragment_id, result_name = f"{name}_{suffix}_f{index}", f"{name}_{suffix}_r{index}"
+            produced[entry.subset] = (result_name, fragment_id)
+            if entry.subset <= skip:
+                continue
+            rescans: dict[frozenset[str], OperatorSpec] = {}
             deps: set[str] = set()
             for side in (entry.left, entry.right):
                 if side in produced:
                     prior_result, prior_fragment = produced[side]
                     rescan = table_scan(prior_result, operator_id=f"tscan_{prior_result}")
-                    rescan.estimated_cardinality = state.entry(side).cardinality.value
-                    rescan.estimate_reliable = state.entry(side).cardinality.reliable
-                    leaf_override[side] = rescan
-                    deps.add(prior_fragment)
-            root = self._join_spec_for_entry(state, entry, reformulated, f"{suffix}{index}", leaf_override)
-            fragment = Fragment(
-                fragment_id=fragment_id,
-                root=root,
-                result_name=result_name,
-                estimated_cardinality=entry.cardinality.value,
-                estimate_reliable=entry.cardinality.reliable,
-                covers=entry.subset,
+                    rescan.estimated_cardinality = state.table[side].cardinality.value
+                    rescan.estimate_reliable = state.table[side].cardinality.reliable
+                    rescans[side] = rescan
+                    if not side <= skip:
+                        deps.add(prior_fragment)
+            suffixed = f"{suffix}{index}"
+            drafts.append(
+                self._draft(state, entry, reformulated, suffixed, fragment_id, result_name, rescans)
             )
-            fragment.rules = rules_for_fragment(
-                fragment,
-                replan_factor=self.config.replan_factor,
-                reschedule_on_timeout=self.config.reschedule_on_timeout,
-            )
-            if strategy != PlanningStrategy.MATERIALIZE_REPLAN:
-                fragment.rules = [
-                    rule for rule in fragment.rules if not rule.name.startswith("replan-")
-                ]
-            fragments.append(fragment)
             if deps:
                 dependencies[fragment_id] = deps
-            produced[entry.subset] = (result_name, fragment_id)
-        return fragments, dependencies
+        return drafts, dependencies
 
-    def _single_fragment(
-        self,
-        state: OptimizerState,
-        reformulated: ReformulatedQuery,
-        suffix: str,
-    ) -> Fragment:
-        """One fully pipelined fragment for the whole query."""
-        query = reformulated.query
-        best = state.best_plan()
-        root = self._join_spec_for_entry(state, best, reformulated, suffix)
-        fragment = Fragment(
-            fragment_id=f"{query.name}_{suffix}_f1",
-            root=root,
-            result_name=f"{query.name}_{suffix}_answer",
-            estimated_cardinality=best.cardinality.value,
-            estimate_reliable=best.cardinality.reliable,
-            covers=best.subset,
-        )
-        fragment.rules = rules_for_fragment(
-            fragment,
-            replan_factor=self.config.replan_factor,
-            reschedule_on_timeout=self.config.reschedule_on_timeout,
-        )
-        fragment.rules = [r for r in fragment.rules if not r.name.startswith("replan-")]
-        return fragment
-
-    def _allocate_memory(self, fragments: list[Fragment]) -> None:
+    def _allocate_memory(self, drafts: list[_Draft]) -> None:
         """Divide the memory pool among all join operators in the plan.
 
         A join's demand is the estimated size of the inputs it must hold in
         memory: both inputs for the double pipelined join, the smaller input
         for a hybrid hash join.  Poor selectivity estimates therefore starve
-        exactly the joins whose inputs were under-estimated — which is what
+        exactly the joins whose inputs were under-estimated, which
         re-optimization later corrects.
         """
         requests = []
         statistics = self.catalog.statistics
-        assumed = self.config.assumed_tuple_size_bytes
-        for fragment in fragments:
-            # Demands are stated in columnar bytes — the unit the hash tables
-            # charge at runtime, so an allotment is directly an overflow
-            # threshold.  The per-tuple unit is one fragment-wide estimate
-            # (the mean columnar size of the scanned sources): the *division*
-            # of memory between joins stays driven by the cardinality
-            # estimates, which is the quantity this experiment-bearing code
-            # path knows to be unreliable and that replanning corrects.
+        hybrid = JoinImplementation.HYBRID_HASH.value
+        for draft in drafts:
+            # Demands are in columnar bytes, the unit the hash tables charge at
+            # runtime (an allotment is an overflow threshold), per tuple one
+            # fragment-wide mean over the scanned sources: the *division* of
+            # memory stays driven by the cardinality estimates replanning fixes.
             unit = columnar_build_row_bytes(
-                fragment.root.leaf_sources(), statistics, assumed
+                draft.sources, statistics, self.config.assumed_tuple_size_bytes
             )
-            for node in fragment.root.walk():
-                if node.operator_type == OperatorType.JOIN:
-                    child_estimates = [
-                        child.estimated_cardinality
-                        if child.estimated_cardinality is not None
-                        else statistics.default_cardinality
-                        for child in node.children
-                    ]
-                    if node.implementation == JoinImplementation.HYBRID_HASH.value:
-                        build_tuples = min(child_estimates)
-                    else:
-                        build_tuples = sum(child_estimates)
-                    requests.append(
-                        JoinMemoryRequest(
-                            node.operator_id,
-                            estimated_build_bytes=build_tuples * unit,
-                        )
-                    )
+            for node in draft.joins:
+                child_estimates = [
+                    child.estimated_cardinality
+                    if child.estimated_cardinality is not None
+                    else statistics.default_cardinality
+                    for child in node.children
+                ]
+                if node.implementation == hybrid:
+                    build_tuples = min(child_estimates)
+                else:
+                    build_tuples = sum(child_estimates)
+                requests.append(JoinMemoryRequest(node.operator_id, build_tuples * unit))
         allocations = allocate_memory(requests, self.config.memory_pool_bytes)
-        for fragment in fragments:
-            for node in fragment.root.walk():
-                if node.operator_id in allocations:
-                    node.memory_limit_bytes = allocations[node.operator_id]
+        for draft in drafts:
+            for node in draft.joins:
+                node.memory_limit_bytes = allocations[node.operator_id]
+
+    def _plan(
+        self, name: str, drafts: list[_Draft], dependencies, strategy, partial: bool = False
+    ) -> QueryPlan:
+        """Rules and memory for the fragments that will run, then the plan.  The
+        last fragment is marked final first: nothing is re-planned after it."""
+        replan = strategy == PlanningStrategy.MATERIALIZE_REPLAN
+        for draft in drafts:
+            draft.fragment.mark_final(draft is drafts[-1])
+            draft.fragment.rules = rules_for_fragment(
+                draft.fragment,
+                draft.sources,
+                replan_factor=self.config.replan_factor,
+                reschedule_on_timeout=self.config.reschedule_on_timeout,
+                replan=replan,
+            )
+        self._allocate_memory(drafts)
+        fragments = [draft.fragment for draft in drafts]
+        return QueryPlan(name, fragments, dependencies, partial=partial)
 
     # -- public API ---------------------------------------------------------------------------------------
 
@@ -361,33 +349,19 @@ class Optimizer:
         state = self.enumerator.enumerate(
             query, primary_sources, memory_limit_bytes=self.config.memory_pool_bytes
         )
-        reliable = self.cost_model.has_reliable_statistics(query, primary_sources)
-
+        dependencies: dict[str, set[str]] = {}
         if len(query.relations) == 1 or strategy == PlanningStrategy.PIPELINE:
-            fragments = [self._single_fragment(state, reformulated, plan_suffix)]
-            dependencies: dict[str, set[str]] = {}
+            # One fully pipelined fragment for the whole query.
+            best, prefix = state.best_plan(), f"{query.name}_{plan_suffix}"
+            fragment_id, answer = f"{prefix}_f1", f"{prefix}_answer"
+            drafts = [self._draft(state, best, reformulated, plan_suffix, fragment_id, answer, {})]
         else:
-            fragments, dependencies = self._fragment_per_join(
-                state, reformulated, strategy, plan_suffix
-            )
-            if strategy == PlanningStrategy.PARTIAL and len(fragments) > 1:
-                first = fragments[0]
-                fragments = [first]
-                dependencies = {}
-        self._allocate_memory(fragments)
-        plan = QueryPlan(
-            query_name=query.name,
-            fragments=fragments,
-            dependencies=dependencies,
-            partial=(strategy == PlanningStrategy.PARTIAL and len(query.relations) > 2),
-        )
-        return OptimizationResult(
-            plan=plan,
-            state=state,
-            primary_sources=primary_sources,
-            strategy=strategy,
-            statistics_reliable=reliable,
-        )
+            drafts, dependencies = self._fragment_per_join(state, reformulated, plan_suffix)
+            if strategy == PlanningStrategy.PARTIAL and len(drafts) > 1:
+                drafts, dependencies = drafts[:1], {}
+        partial = strategy == PlanningStrategy.PARTIAL and len(query.relations) > 2
+        plan = self._plan(query.name, drafts, dependencies, strategy, partial)
+        return OptimizationResult(plan, state, primary_sources, strategy)
 
     def reoptimize(
         self,
@@ -407,66 +381,28 @@ class Optimizer:
         """
         if not materializations:
             raise OptimizationError("re-optimization requires at least one materialization")
-        state = previous.state
+        state, memory = previous.state, self.config.memory_pool_bytes
         for covered, result_name, actual_cardinality in materializations:
             if not covered:
                 raise OptimizationError("re-optimization requires non-empty covered sets")
             if mode == ReoptimizationMode.SCRATCH:
                 state = self.enumerator.replan_from_scratch(
-                    state,
-                    covered,
-                    result_name,
-                    actual_cardinality,
-                    previous.primary_sources,
-                    memory_limit_bytes=self.config.memory_pool_bytes,
+                    state, covered, result_name, actual_cardinality, previous.primary_sources,
+                    memory,
                 )
             else:
                 state = self.enumerator.reoptimize_with_saved_state(
-                    state,
-                    covered,
-                    result_name,
-                    actual_cardinality,
-                    memory_limit_bytes=self.config.memory_pool_bytes,
+                    state, covered, result_name, actual_cardinality, memory,
                     use_usage_pointers=(mode == ReoptimizationMode.SAVED_STATE),
                 )
-        fragments, dependencies = self._fragment_per_join(
-            state, reformulated, previous.strategy, plan_suffix
+        # Joins that only re-materialize already-covered subsets get no fragment.
+        covered_union = frozenset().union(*(covered for covered, _, _ in materializations))
+        drafts, dependencies = self._fragment_per_join(
+            state, reformulated, plan_suffix, skip=covered_union
         )
-        # Drop fragments that only re-materialize already-covered subsets.
-        covered_union: frozenset[str] = frozenset().union(
-            *(covered for covered, _, _ in materializations)
-        )
-        fragments = [f for f in fragments if not f.covers <= covered_union]
-        if not fragments:
+        if not drafts:
             raise OptimizationError(
                 "re-optimization produced no remaining fragments; the query was already complete"
             )
-        kept_ids = {f.fragment_id for f in fragments}
-        dependencies = {
-            fid: {d for d in deps if d in kept_ids}
-            for fid, deps in dependencies.items()
-            if fid in kept_ids
-        }
-        dependencies = {fid: deps for fid, deps in dependencies.items() if deps}
-        self._allocate_memory(fragments)
-        plan = QueryPlan(
-            query_name=reformulated.query.name,
-            fragments=fragments,
-            dependencies=dependencies,
-            partial=False,
-        )
-        return OptimizationResult(
-            plan=plan,
-            state=state,
-            primary_sources=previous.primary_sources,
-            strategy=previous.strategy,
-            statistics_reliable=previous.statistics_reliable,
-        )
-
-
-def _any_member(tables: frozenset[str], subset: frozenset[str]) -> str:
-    """The table of ``tables`` that lies in ``subset`` (for predicate orientation)."""
-    for table in tables:
-        if table in subset:
-            return table
-    raise OptimizationError(f"predicate tables {sorted(tables)} do not intersect {sorted(subset)}")
+        plan = self._plan(reformulated.query.name, drafts, dependencies, previous.strategy)
+        return OptimizationResult(plan, state, previous.primary_sources, previous.strategy)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.plan.fragments import Fragment
 from repro.plan.physical import OperatorSpec, OperatorType, OverflowMethod
 from repro.plan.rules import (
+    Always,
     Compare,
     EventType,
     Or,
@@ -21,6 +22,11 @@ from repro.plan.rules import (
     reschedule,
     set_overflow_method,
 )
+
+#: Stateless rule parts every generated rule can share.
+_ALWAYS = Always()
+_REPLAN_ACTIONS = (replan(),)
+_RESCHEDULE_ACTIONS = (reschedule(),)
 
 
 def replan_rule(
@@ -39,15 +45,16 @@ def replan_rule(
     The ``closed`` event for a fragment carries the actual result cardinality
     as its value, so the condition compares the event value to the estimate.
     """
-    over = Compare(event_value(), ">=", constant(estimated_cardinality), scale=factor)
-    under = Compare(event_value(), "<=", constant(estimated_cardinality), scale=1.0 / factor)
+    actual, estimate = event_value(), constant(estimated_cardinality)
+    over = Compare(actual, ">=", estimate, scale=factor)
+    under = Compare(actual, "<=", estimate, scale=1.0 / factor)
     return Rule(
         name=name or f"replan-{fragment.fragment_id}",
         owner=fragment.fragment_id,
         event_type=EventType.CLOSED,
         subject=fragment.fragment_id,
         condition=Or(over, under),
-        actions=[replan()],
+        actions=_REPLAN_ACTIONS,
     )
 
 
@@ -58,7 +65,8 @@ def timeout_reschedule_rule(source_name: str, owner: str, name: str | None = Non
         owner=owner,
         event_type=EventType.TIMEOUT,
         subject=source_name,
-        actions=[reschedule()],
+        condition=_ALWAYS,
+        actions=_RESCHEDULE_ACTIONS,
     )
 
 
@@ -91,28 +99,31 @@ def overflow_method_rule(
 
 def rules_for_fragment(
     fragment: Fragment,
+    sources: list[str],
     replan_factor: float = 2.0,
     reschedule_on_timeout: bool = True,
     overflow_method: OverflowMethod | None = None,
+    replan: bool = True,
 ) -> list[Rule]:
     """The standard rule set the optimizer attaches to a fragment.
 
-    * a re-optimization rule when the fragment's estimate is unreliable,
-    * a reschedule-on-timeout rule per source the fragment reads,
+    * with ``replan``, a re-optimization rule when the fragment's estimate is
+      unreliable — unless the fragment is final (mark it first): after the
+      last fragment there is nothing left to re-plan;
+    * a reschedule-on-timeout rule per source the fragment reads
+      (``sources``: :meth:`Fragment.sources`, which the optimizer collects
+      while it builds the tree);
     * optionally, an overflow-method rule for each double pipelined join.
     """
     rules: list[Rule] = []
-    if not fragment.estimate_reliable and fragment.estimated_cardinality is not None and not fragment.is_final:
-        rules.append(replan_rule(fragment, fragment.estimated_cardinality, replan_factor))
+    estimate = fragment.estimated_cardinality
+    if replan and not fragment.estimate_reliable and estimate is not None and not fragment.is_final:
+        rules.append(replan_rule(fragment, estimate, replan_factor))
     if reschedule_on_timeout:
-        for source in fragment.sources():
-            rules.append(
-                timeout_reschedule_rule(
-                    source,
-                    owner=fragment.fragment_id,
-                    name=f"reschedule-{fragment.fragment_id}-{source}",
-                )
-            )
+        owner = fragment.fragment_id
+        for source in sources:
+            name = f"reschedule-{owner}-{source}"
+            rules.append(timeout_reschedule_rule(source, owner=owner, name=name))
     if overflow_method is not None:
         for node in fragment.root.walk():
             if node.operator_type == OperatorType.JOIN and node.implementation == "double_pipelined":

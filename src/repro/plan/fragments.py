@@ -125,18 +125,15 @@ class QueryPlan:
         self._validate()
         if self.fragments and not self.answer_name:
             self.answer_name = self.fragments[-1].result_name
-        if self.fragments:
-            for fragment in self.fragments:
-                fragment.mark_final(False)
-            self.fragments[-1].mark_final(True)
+        for fragment in self.fragments:
+            fragment.mark_final(fragment is self.fragments[-1])
 
     # -- validation --------------------------------------------------------------
 
     def _validate(self) -> None:
-        ids = [f.fragment_id for f in self.fragments]
-        if len(ids) != len(set(ids)):
+        id_set = {f.fragment_id for f in self.fragments}
+        if len(id_set) != len(self.fragments):
             raise PlanError(f"duplicate fragment ids in plan {self.query_name!r}")
-        id_set = set(ids)
         for fragment_id, deps in self.dependencies.items():
             if fragment_id not in id_set:
                 raise PlanError(f"dependency entry for unknown fragment {fragment_id!r}")
@@ -155,6 +152,8 @@ class QueryPlan:
         validate_rule_set(self.all_rules())
 
     def _check_acyclic(self) -> None:
+        if not self.dependencies:
+            return
         # Kahn's algorithm over the dependency graph.
         indegree = {f.fragment_id: len(self.dependencies.get(f.fragment_id, set())) for f in self.fragments}
         ready = [fid for fid, deg in indegree.items() if deg == 0]

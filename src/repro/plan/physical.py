@@ -52,6 +52,21 @@ class OverflowMethod(str, Enum):
 
 _operator_ids = itertools.count(1)
 
+#: (fewest, most) children of each operator kind; ``None`` = unbounded.
+_ARITY = {
+    OperatorType.WRAPPER_SCAN: (0, 0),
+    OperatorType.TABLE_SCAN: (0, 0),
+    OperatorType.SELECT: (1, 1),
+    OperatorType.PROJECT: (1, 1),
+    OperatorType.UNION: (1, None),
+    OperatorType.JOIN: (2, 2),
+    OperatorType.DEPENDENT_JOIN: (2, 2),
+    OperatorType.COLLECTOR: (1, None),
+    OperatorType.CHOOSE: (1, None),
+    OperatorType.MATERIALIZE: (1, 1),
+    OperatorType.EXCHANGE: (1, 1),
+}
+
 
 def next_operator_id(prefix: str) -> str:
     """Generate a unique operator identifier like ``join7``."""
@@ -98,20 +113,7 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if not self.operator_id:
             raise PlanError("operator_id must be non-empty")
-        arity = {
-            OperatorType.WRAPPER_SCAN: (0, 0),
-            OperatorType.TABLE_SCAN: (0, 0),
-            OperatorType.SELECT: (1, 1),
-            OperatorType.PROJECT: (1, 1),
-            OperatorType.UNION: (1, None),
-            OperatorType.JOIN: (2, 2),
-            OperatorType.DEPENDENT_JOIN: (2, 2),
-            OperatorType.COLLECTOR: (1, None),
-            OperatorType.CHOOSE: (1, None),
-            OperatorType.MATERIALIZE: (1, 1),
-            OperatorType.EXCHANGE: (1, 1),
-        }[self.operator_type]
-        low, high = arity
+        low, high = _ARITY[self.operator_type]
         count = len(self.children)
         if count < low or (high is not None and count > high):
             raise PlanError(

@@ -219,14 +219,16 @@ def time_waiting(operator_id: str) -> Quantity:
     return read
 
 
+def _event_value(context: RuntimeContext, event: Event) -> Any:
+    return event.value
+
+
+_event_value.description = "event.value"  # type: ignore[attr-defined]
+
+
 def event_value() -> Quantity:
     """The payload carried by the triggering event (e.g. a threshold count)."""
-
-    def read(context: RuntimeContext, event: Event) -> Any:
-        return event.value
-
-    read.description = "event.value"  # type: ignore[attr-defined]
-    return read
+    return _event_value
 
 
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
@@ -323,14 +325,19 @@ def activate(collector_id: str, child: str) -> Action:
     return Action(ActionType.ACTIVATE, collector_id, child)
 
 
+#: Actions without a target or argument are values; every rule shares one.
+_RESCHEDULE = Action(ActionType.RESCHEDULE)
+_REPLAN = Action(ActionType.REOPTIMIZE)
+
+
 def reschedule() -> Action:
     """Reschedule the operator tree to favour responsive sources."""
-    return Action(ActionType.RESCHEDULE)
+    return _RESCHEDULE
 
 
 def replan() -> Action:
     """Re-invoke the optimizer with the statistics gathered so far."""
-    return Action(ActionType.REOPTIMIZE)
+    return _REPLAN
 
 
 def return_error(message: str) -> Action:
@@ -416,31 +423,32 @@ def validate_rule_set(rules: Sequence[Rule]) -> None:
 
     by_event: dict[tuple[EventType, str], list[Rule]] = {}
     for rule in rules:
-        by_event.setdefault(rule.event_key, []).append(rule)
-
-    def conflicting(a: Action, b: Action) -> bool:
-        same_target = a.target == b.target
-        if not same_target:
-            return False
-        pair = {a.action_type, b.action_type}
-        if pair == {ActionType.ACTIVATE, ActionType.DEACTIVATE}:
-            return True
-        if (
-            a.action_type == ActionType.SET_OVERFLOW_METHOD
-            and b.action_type == ActionType.SET_OVERFLOW_METHOD
-            and a.argument != b.argument
-        ):
-            return True
-        return False
+        by_event.setdefault((rule.event_type, rule.subject), []).append(rule)
 
     for event_rules in by_event.values():
+        if len(event_rules) < 2:
+            continue
         for i, first in enumerate(event_rules):
             for second in event_rules[i + 1 :]:
                 for action_a in first.actions:
                     for action_b in second.actions:
-                        if conflicting(action_a, action_b):
+                        if _conflicting(action_a, action_b):
                             raise RuleError(
                                 f"rules {first.name!r} and {second.name!r} can fire "
                                 f"simultaneously with conflicting actions "
                                 f"{action_a} / {action_b}"
                             )
+
+
+def _conflicting(a: Action, b: Action) -> bool:
+    """Whether two actions negate each other (see :func:`validate_rule_set`)."""
+    if a.target != b.target:
+        return False
+    pair = {a.action_type, b.action_type}
+    if pair == {ActionType.ACTIVATE, ActionType.DEACTIVATE}:
+        return True
+    return (
+        a.action_type == ActionType.SET_OVERFLOW_METHOD
+        and b.action_type == ActionType.SET_OVERFLOW_METHOD
+        and a.argument != b.argument
+    )

@@ -1,16 +1,21 @@
 """Unit tests for the DP join enumerator and saved optimizer state."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import enumeration_oracle as oracle
 from repro.catalog.catalog import DataSourceCatalog
+from repro.catalog.statistics import SourceStatistics
 from repro.errors import OptimizationError
 from repro.network.profiles import lan
 from repro.network.source import DataSource
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import JoinEnumerator
+from repro.optimizer.optimizer import ReoptimizationMode
 from repro.query.conjunctive import ConjunctiveQuery, JoinPredicate
 
-from helpers import make_relation
+from helpers import examples, make_relation
 
 
 def chain_query(tables_and_sizes):
@@ -150,3 +155,149 @@ class TestReoptimization:
         best = state.best_plan()
         assert best.subset == frozenset(query.relations)
         assert state.entry(frozenset({"a", "b", "c"})).materialized_as == "abc"
+
+
+# -- the compiled join graph against the frozenset enumerator it replaced ----------------------
+#
+# Round cardinalities and decimal selectivities put ``left * right *
+# selectivity`` on integer boundaries, where multiplying the selectivities in
+# another order truncates to another cardinality; parallel predicates and
+# cycles give splits several predicates to multiply.
+
+ROUND_CARDINALITIES = [1, 7, 10, 30, 70, 100, 300, 1000, 3000, 10_000]
+DECIMAL_SELECTIVITIES = [0.1, 0.2, 0.3, 0.7, 0.9, 0.01, 0.03, 0.07, 0.001, 1.0]
+
+
+def join_problem(relations, pairs, statistics, selectivities, memory=None,
+                 mode=ReoptimizationMode.SAVED_STATE, steps=(), default_cardinality=1000):
+    """``(catalog, query, memory, mode, steps)``: one predicate per ``(i, j)``
+    pair, relation ``i`` on its left; statistics and selectivities (``None`` =
+    unknown to the catalog) in relation and predicate order."""
+    catalog = DataSourceCatalog(default_cardinality=default_cardinality)
+    for name, stats in zip(relations, statistics):
+        catalog.statistics.set_source(name, stats)
+    predicates = [
+        JoinPredicate(relations[i], f"x{index}", relations[j], f"y{index}")
+        for index, (i, j) in enumerate(pairs)
+    ]
+    for predicate, selectivity in zip(predicates, selectivities):
+        if selectivity is not None:
+            catalog.statistics.set_join_selectivity(
+                predicate.left_qualified, predicate.right_qualified, selectivity
+            )
+    query = ConjunctiveQuery(name="g", relations=relations, join_predicates=predicates)
+    return catalog, query, memory, mode, list(steps)
+
+
+@st.composite
+def join_problems(draw):
+    """A connected join graph of 2-7 relations — tree edges up to four
+    predicates wide, plus chords — with partial statistics, a memory limit,
+    a re-optimization mode and a materialization sequence."""
+    count = draw(st.integers(min_value=2, max_value=7))
+    relations = draw(st.permutations("abcdefg"))[:count]
+    pairs = []
+    for i in range(1, count):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            pairs.append((i, j) if draw(st.booleans()) else (j, i))
+    chords = st.tuples(st.integers(0, count - 1), st.integers(1, count - 1))
+    pairs += [(i, (i + step) % count) for i, step in draw(st.lists(chords, max_size=3))]
+    # Mostly round numbers and decimal fractions (unknown ones default to
+    # round ones too), now and then anything.
+    actual = st.sampled_from(ROUND_CARDINALITIES) | st.integers(1, 10**6)
+    cardinality = st.sampled_from([*ROUND_CARDINALITIES, None]) | actual
+    statistics = [
+        SourceStatistics(
+            cardinality=draw(cardinality),
+            tuple_size_bytes=draw(st.sampled_from([None, 16, 100])),
+            access_cost_ms=draw(st.sampled_from([None, 0.0, 25.0])),
+        )
+        for _ in relations
+    ]
+    selectivity = st.sampled_from([*DECIMAL_SELECTIVITIES, None]) | st.floats(1e-6, 1.0)
+    return join_problem(
+        relations,
+        pairs,
+        statistics,
+        [draw(selectivity) for _ in pairs],
+        memory=draw(st.none() | st.sampled_from([0, 640, 64_000]) | st.integers(0, 10**7)),
+        mode=draw(st.sampled_from(list(ReoptimizationMode))),
+        steps=draw(st.lists(st.tuples(st.integers(0, 1000), actual), max_size=4)),
+        default_cardinality=draw(st.sampled_from([10, 1000])),
+    )
+
+
+def entry_fields(entry):
+    return (
+        entry.subset, entry.cost, entry.cardinality, entry.left, entry.right,
+        entry.predicates, entry.materialized_as,
+    )
+
+
+def assert_same_state(compiled, reference):
+    assert compiled.nodes_visited == reference.nodes_visited
+    assert compiled.reoptimizations == reference.reoptimizations
+    assert compiled.materialized_groups == reference.materialized_groups
+    assert compiled.table.keys() == reference.table.keys()
+    for subset, entry in reference.table.items():
+        assert entry_fields(compiled.table[subset]) == entry_fields(entry), sorted(subset)
+    assert compiled.pointers.usable_by == reference.pointers.usable_by
+    for subset in reference.table:
+        assert compiled.pointers.supersets_of(subset) == reference.pointers.supersets_of(subset)
+
+
+def next_cover(state, choice):
+    """A subset with an entry that cuts no materialized group, as the driver
+    would report a completed fragment (``None`` when there is none)."""
+    candidates = sorted(
+        (
+            subset
+            for subset in state.table
+            if len(subset) > 1
+            and not any(group & subset and not group <= subset
+                        for group, _ in state.materialized_groups)
+        ),
+        key=lambda subset: (len(subset), sorted(subset)),
+    )
+    return candidates[choice % len(candidates)] if candidates else None
+
+
+@given(problem=join_problems())
+# Three predicates between two relations of 10 and 100 rows with
+# selectivities 0.1, 0.2 and 0.7: multiplied in query order the estimate is
+# 14 rows, in reverse order 13.
+@example(
+    problem=join_problem(
+        ("a", "b"),
+        [(0, 1)] * 3,
+        [SourceStatistics(cardinality=10), SourceStatistics(cardinality=100)],
+        [0.1, 0.2, 0.7],
+    )
+)
+@settings(max_examples=examples(80), deadline=None)
+def test_compiled_enumerator_matches_the_frozenset_enumerator(problem):
+    catalog, query, memory, mode, steps = problem
+    sources = {relation: relation for relation in query.relations}
+    model = CostModel(catalog)
+    compiled, reference = JoinEnumerator(model), oracle.JoinEnumerator(model)
+    compiled_state = compiled.enumerate(query, sources, memory)
+    reference_state = reference.enumerate(query, sources, memory)
+    assert_same_state(compiled_state, reference_state)
+    for index, (choice, actual) in enumerate(steps):
+        covered = next_cover(reference_state, choice)
+        if covered is None:
+            break
+        arguments = (covered, f"m{index}", actual)
+        if mode == ReoptimizationMode.SCRATCH:
+            compiled_state = compiled.replan_from_scratch(
+                compiled_state, *arguments, sources, memory
+            )
+            reference_state = reference.replan_from_scratch(
+                reference_state, *arguments, sources, memory
+            )
+        else:
+            pointers = mode == ReoptimizationMode.SAVED_STATE
+            compiled.reoptimize_with_saved_state(compiled_state, *arguments, memory, pointers)
+            reference.reoptimize_with_saved_state(reference_state, *arguments, memory, pointers)
+        assert_same_state(compiled_state, reference_state)

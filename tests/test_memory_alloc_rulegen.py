@@ -98,7 +98,9 @@ class TestRuleGeneration:
 
     def test_rules_for_fragment_unreliable_estimate(self):
         fragment = make_fragment(reliable=False)
-        rules = rules_for_fragment(fragment, overflow_method=OverflowMethod.LEFT_FLUSH)
+        rules = rules_for_fragment(
+            fragment, fragment.sources(), overflow_method=OverflowMethod.LEFT_FLUSH
+        )
         names = {rule.name for rule in rules}
         assert any(name.startswith("replan-") for name in names)
         assert any(name.startswith("reschedule-frag1-a") for name in names)
@@ -106,10 +108,10 @@ class TestRuleGeneration:
 
     def test_rules_for_fragment_reliable_estimate_no_replan(self):
         fragment = make_fragment(reliable=True)
-        rules = rules_for_fragment(fragment)
+        rules = rules_for_fragment(fragment, fragment.sources())
         assert not any(rule.name.startswith("replan-") for rule in rules)
 
     def test_rules_for_fragment_no_reschedule_when_disabled(self):
         fragment = make_fragment()
-        rules = rules_for_fragment(fragment, reschedule_on_timeout=False)
+        rules = rules_for_fragment(fragment, fragment.sources(), reschedule_on_timeout=False)
         assert not any(rule.name.startswith("reschedule-") for rule in rules)

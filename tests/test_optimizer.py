@@ -141,6 +141,18 @@ class TestPhysicalChoices:
         ]
         assert joins[0].implementation == JoinImplementation.HYBRID_HASH.value
 
+    def test_hybrid_build_side_swap_reorients_the_keys(self):
+        # ``a`` is the enumerator's left half and the smaller input, so the
+        # hybrid join swaps it to the build (right) side with its key.
+        catalog = chain_catalog([("a", 100), ("b", 5000)])
+        catalog.statistics.set_join_selectivity("a.k", "b.k", 0.001)
+        optimizer = Optimizer(catalog, OptimizerConfig(dpj_max_build_bytes=1024))
+        reformulated = Reformulator(catalog).reformulate(chain_query(["a", "b"]))
+        root = optimizer.optimize(reformulated, strategy=PlanningStrategy.PIPELINE).plan.fragments[0].root
+        assert root.implementation == JoinImplementation.HYBRID_HASH.value
+        assert [child.params["source"] for child in root.children] == ["b", "a"]
+        assert (root.params["left_keys"], root.params["right_keys"]) == (["b.k"], ["a.k"])
+
     def test_memory_pool_divided_across_joins(self, setup):
         catalog, _, reformulated = setup
         optimizer = Optimizer(catalog, OptimizerConfig(memory_pool_bytes=4 * MB))
