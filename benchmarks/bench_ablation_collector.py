@@ -18,6 +18,7 @@ from repro.bench.reporting import format_table
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.builder import build_operator
+from repro.engine.iterators import DEFAULT_BATCH_SIZE
 from repro.network.profiles import dead, lan, wide_area
 from repro.network.source import DataSource, make_mirror
 from repro.storage.relation import Relation
@@ -74,9 +75,9 @@ def run_policy(policy: str, primary_dead: bool):
     distinct = set()
     failed_with = None
     try:
-        for row in root.iterate():
-            produced += 1
-            distinct.add(row["key"])
+        while batch := root.next_batch(DEFAULT_BATCH_SIZE):
+            produced += len(batch)
+            distinct.update(row["key"] for row in batch)
     except Exception as exc:
         # A plain union with a dead child cannot finish; report the partial
         # results together with what cut the run short.

@@ -126,8 +126,8 @@ class PlanValidator:
             return self._relation_schema(spec.params.get("relation"))
         if operator_type == OperatorType.SELECT:
             # Predicates over absent attributes are *legal* (the runtime
-            # compiles them as never-satisfiable, mirroring the tuple path),
-            # so selection is schema-transparent here.
+            # compiles them as never-satisfiable), so selection is
+            # schema-transparent here.
             return child_schemas[0] if child_schemas else None
         if operator_type == OperatorType.PROJECT:
             return self._check_project(spec, child_schemas[0])

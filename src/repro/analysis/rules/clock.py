@@ -1,6 +1,6 @@
 """Rule ``clock-taint``: no wall-clock/RNG value flows into engine state.
 
-The engine's determinism (result parity across drive modes, byte-exact
+The engine's determinism (result parity with the per-tuple oracles, byte-exact
 virtual-time accounting, the server's conservative discrete-event
 schedule) depends on *no* engine code depending on the machine clock or
 an unseeded RNG.  The PR-6 ``wall-clock`` rule flagged the calls

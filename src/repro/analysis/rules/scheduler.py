@@ -4,9 +4,9 @@ The discrete-event scheduler decides *when* to run a fragment by probing
 ``peek_arrival()`` and by building ``StepEvent("wait", …)`` records from
 wait hints.  Probes run outside the fragment's own virtual-time slice:
 if probing mutates a clock, a budget, a cache, or opens a source
-connection, the timeline silently diverges between drive modes — the
-static race-detector analog for the deterministic DES scheduler, and
-the property the planned exchange operators will lean on.
+connection, the timeline silently diverges between probed and unprobed
+runs — the static race-detector analog for the deterministic DES
+scheduler, and the property the planned exchange operators will lean on.
 
 The rule finds every *entry* (any definition of a probe-root name —
 ``peek_arrival``, or the prefetcher's ``prefetch_decision`` hook, which the

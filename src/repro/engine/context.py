@@ -140,9 +140,9 @@ class ExecutionContext:
         self._deactivated: set[str] = set()
         #: Event keys ``(event_type, subject)`` that some registered rule
         #: triggers on.  Emitting a watched event raises ``batch_interrupt``,
-        #: which tells batch-mode operators to cut their current batch short so
-        #: the executor drains the queue at exactly the point a tuple-at-a-time
-        #: drive would have — rule firing order is preserved under batching.
+        #: which tells operators to cut their current batch short so the
+        #: executor drains the queue right after the tuple that raised the
+        #: event — rule firing order is preserved under batching.
         self.watched_event_keys: set[tuple[EventType, str]] = set()
         self.batch_interrupt = False
 

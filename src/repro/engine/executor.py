@@ -102,19 +102,18 @@ class ExecutionOutcome:
 class QueryExecutor:
     """Executes a :class:`~repro.plan.fragments.QueryPlan` over an execution context.
 
-    Fragments are driven batch-at-a-time by default (``batch_size`` rows per
+    Fragments are driven batch at a time (up to ``batch_size`` rows per
     ``next_batch`` call, ramping up from a single row so time-to-first-tuple
     is recorded exactly).  Batches are columnar (struct-of-arrays) wherever an
     operator has a native columnar path and row-backed where a path is
-    inherently per-row (watched scans, collectors); the executor only reads
-    batch lengths, so both representations flow through unchanged.  Events
-    are drained at batch boundaries; operators cut batches short whenever an
-    event with a registered rule fires, so rule semantics are identical to
-    the tuple-at-a-time drive (``batch_size=None``), which is retained as a
-    baseline.
+    inherently per-row (watched scans, the watched collector); the executor
+    only reads batch lengths, so both representations flow through
+    unchanged.  Events are drained at batch boundaries; operators cut
+    batches short whenever an event with a registered rule fires, so every
+    rule runs at the tuple that raised its event.
     """
 
-    def __init__(self, context: ExecutionContext, batch_size: int | None = DEFAULT_BATCH_SIZE) -> None:
+    def __init__(self, context: ExecutionContext, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         self.context = context
         self.batch_size = batch_size
         # The handler calls back into this executor; through a weak method, so
@@ -252,58 +251,33 @@ class QueryExecutor:
         self._drain_events()
         produced = 0
         try:
-            if self.batch_size is None:
-                # Tuple-at-a-time drive (the pre-vectorization baseline).
-                while True:
-                    if self._error_message:
-                        raise ExecutionError(self._error_message)
-                    wait_until = self._wait_hint(root)
-                    if wait_until is not None:
-                        yield StepEvent(
-                            "wait",
-                            self.context.clock.now,
-                            wait_until_ms=wait_until,
-                            fragment_id=fragment.fragment_id,
-                        )
-                    row = root.next()
-                    if row is None:
-                        break
-                    produced += 1
-                    timeline.record(self.context.clock.now, produced)
-                    if is_final:
-                        self.context.stats.output_timeline.record(self.context.clock.now, produced)
-                    self._drain_events()
+            # Ramp the batch size up from one row so the first output tuple
+            # is timestamped exactly, then grow to the configured size for
+            # bulk throughput.
+            batch_size = 1
+            while True:
+                if self._error_message:
+                    raise ExecutionError(self._error_message)
+                wait_until = self._wait_hint(root)
+                if wait_until is not None:
                     yield StepEvent(
-                        "batch", self.context.clock.now, fragment_id=fragment.fragment_id
+                        "wait",
+                        self.context.clock.now,
+                        wait_until_ms=wait_until,
+                        fragment_id=fragment.fragment_id,
                     )
-            else:
-                # Batch-at-a-time drive.  Ramp the batch size up from one row
-                # so the first output tuple is timestamped exactly, then grow
-                # to the configured size for bulk throughput.
-                batch_size = 1
-                while True:
-                    if self._error_message:
-                        raise ExecutionError(self._error_message)
-                    wait_until = self._wait_hint(root)
-                    if wait_until is not None:
-                        yield StepEvent(
-                            "wait",
-                            self.context.clock.now,
-                            wait_until_ms=wait_until,
-                            fragment_id=fragment.fragment_id,
-                        )
-                    batch = root.next_batch(batch_size)
-                    if not batch:
-                        break
-                    produced += len(batch)
-                    timeline.record(self.context.clock.now, produced)
-                    if is_final:
-                        self.context.stats.output_timeline.record(self.context.clock.now, produced)
-                    self._drain_events()
-                    batch_size = min(batch_size * 4, self.batch_size)
-                    yield StepEvent(
-                        "batch", self.context.clock.now, fragment_id=fragment.fragment_id
-                    )
+                batch = root.next_batch(batch_size)
+                if not batch:
+                    break
+                produced += len(batch)
+                timeline.record(self.context.clock.now, produced)
+                if is_final:
+                    self.context.stats.output_timeline.record(self.context.clock.now, produced)
+                self._drain_events()
+                batch_size = min(batch_size * 4, self.batch_size)
+                yield StepEvent(
+                    "batch", self.context.clock.now, fragment_id=fragment.fragment_id
+                )
         finally:
             root.close()
             self._drain_events()
@@ -363,8 +337,7 @@ class QueryExecutor:
             rule for rule in plan.all_rules() if not rule.fired
         )
         # Batches must be interrupted whenever an event that can fire a rule
-        # is emitted, so rules run at the same per-tuple points as the
-        # tuple-at-a-time drive.
+        # is emitted, so rules run at the tuple that raised the event.
         self.context.watch_events(self.event_handler.watched_keys)
         completed: list[str] = []
         failed_sources: list[str] = []

@@ -1,11 +1,16 @@
 """The iterator model: the runtime operator base class.
 
-Tukwila executes operator trees top-down with the standard iterator (open /
-next / close) protocol.  Operators additionally expose :meth:`peek_arrival` —
-an estimate of the earliest virtual time at which their next tuple could be
-delivered — which is what lets data-driven operators (the double pipelined
-join, the dynamic collector) decide which input to service first, standing in
-for the original engine's per-child threads.
+Tukwila executes operator trees top-down with the iterator (open / next /
+close) protocol, here batch at a time: every operator implements one pull,
+:meth:`Operator._next_batch`, which serves :meth:`Operator.next_batch`,
+its arrival-bounded form :meth:`Operator.next_batch_bounded`, and
+:meth:`Operator.next` — a one-row adapter for single exact steps, tests and
+examples, not a second drive.  Operators additionally expose
+:meth:`peek_arrival` — an estimate of the earliest virtual time at which
+their next tuple could be delivered — which is what lets data-driven
+operators (the double pipelined join, the dynamic collector) decide which
+input to service first, standing in for the original engine's per-child
+threads.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ DEFAULT_BATCH_SIZE = 256
 class Operator:
     """Base class for all runtime operators.
 
-    Subclasses implement :meth:`_do_open`, :meth:`_next` and optionally
-    :meth:`_do_close` and :meth:`peek_arrival`.  The base class maintains
-    state, statistics, and event emission.
+    Subclasses implement :meth:`_next_batch` (their one pull) and
+    optionally :meth:`_do_open`, :meth:`_do_close` and :meth:`peek_arrival`.
+    The base class maintains state, statistics, and event emission, and
+    adapts the pull to the public :meth:`next_batch`,
+    :meth:`next_batch_bounded` and :meth:`next`.
     """
 
     #: Multiplier on the per-tuple CPU charge for this operator's output.
@@ -73,18 +80,27 @@ class Operator:
         self.context.emit_event(EventType.OPENED, self.operator_id)
 
     def next(self) -> Row | None:
-        """Produce the next output row, or ``None`` at end of stream."""
+        """The one-row adapter: the next output row, or ``None`` at end of stream.
+
+        Takes a one-row batch from :meth:`_next_batch` and charges it as one
+        row — the per-row CPU charge, not overlapped with waits, and one
+        output record.  It is not a drive mode: the batch drive takes single
+        exact steps through it (a data-driven consumer's tie step, the
+        collector's watched-THRESHOLD path), and tests and examples read
+        operators row by row with it.
+        """
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")
         if self.state in ("closed", "deactivated"):
             return None
-        row = self._next()
-        if row is not None:
-            self.context.clock.consume_cpu(
-                self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
-            )
-            self._stats.record_output(self.context.clock.now)
-        return row
+        batch = self._next_batch(1)
+        if not batch:
+            return None
+        self.context.clock.consume_cpu(
+            self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
+        )
+        self._stats.record_output(self.context.clock.now)
+        return batch[0]
 
     def next_batch(self, max_rows: int = DEFAULT_BATCH_SIZE) -> Batch:
         """Produce up to ``max_rows`` output rows as a :class:`Batch`.
@@ -93,20 +109,17 @@ class Operator:
 
         * A non-empty batch may hold fewer than ``max_rows`` rows (operators
           cut batches short when a watched event fires, so the executor can
-          run rules at exactly the tuple-at-a-time firing point).
+          run rules at exactly the tuple that raised the event).
         * An empty (falsy) batch is only returned at end of stream —
           operators keep pulling until they have at least one row or their
-          input is done, mirroring :meth:`next`, which blocks until a row or
-          ``None``.
+          input is done.
         * The batch may be column-backed (native columnar paths) or
-          row-backed (tuple-driven operators, the generic fallback); either
-          converts to the other lazily, so consumers dispatch on
-          :attr:`Batch.is_columnar` when they have a vectorized path and
-          call :meth:`Batch.rows` otherwise.
+          row-backed (watched and publishing scans, the collector's
+          watched-THRESHOLD path); either converts to the other lazily, so
+          consumers dispatch on :attr:`Batch.is_columnar` when they have a
+          vectorized path and call :meth:`Batch.rows` otherwise.
 
-        The default implementation loops :meth:`_next`; hot operators override
-        :meth:`_next_batch` with native vectorized paths.  Per-tuple CPU and
-        statistics are charged once per batch with identical totals.
+        Per-tuple CPU and statistics are charged once per batch.
         """
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")
@@ -114,40 +127,39 @@ class Operator:
             return Batch.empty(self.output_schema)
         if max_rows <= 0:
             raise ExecutionError(f"batch size must be positive, got {max_rows}")
-        clock = self.context.clock
-        wait_before = clock.stats.wait_ms
-        batch = self._next_batch(max_rows)
-        if batch:
-            # Charge the batch's per-tuple CPU as overlapped with the waiting
-            # that accrued while the batch streamed in — the accounting a
-            # tuple-at-a-time drive produces by interleaving the same charges
-            # between arrival waits.
-            clock.consume_cpu_overlapped(
-                len(batch) * self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR,
-                max(0.0, clock.stats.wait_ms - wait_before),
-            )
-            self._stats.record_output_batch(len(batch), clock.now)
-        return batch
+        return self._charged(max_rows, None)
 
     def next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
         """Produce up to ``max_rows`` rows arriving strictly before ``arrival_bound``.
 
-        Used by data-driven consumers (the double pipelined join) to consume a
-        *run* of tuples from one input in bulk: every row returned would also
-        have been consumed consecutively by a tuple-at-a-time drive, because
-        no other input could deliver anything earlier.  May return an empty
-        :class:`Batch` when the next row arrives at or after the bound — that
-        is not end of stream; callers fall back to a single :meth:`next` step
-        (the tie-break case).
+        Used by data-driven consumers (the double pipelined join, the
+        dynamic collector) to consume a *run* of tuples from one input in
+        bulk: no other input could deliver anything earlier.  May return an
+        empty :class:`Batch` when the next row arrives at or after the bound
+        — that is not end of stream; callers then take a single exact
+        :meth:`next` step (the tie-break case).
         """
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")
         if self.state in ("closed", "deactivated"):
             return Batch.empty(self.output_schema)
+        return self._charged(max_rows, arrival_bound)
+
+    def _charged(self, max_rows: int, arrival_bound: float | None) -> Batch:
+        """One pull of the hook, its per-tuple CPU and output statistics charged."""
         clock = self.context.clock
         wait_before = clock.stats.wait_ms
-        batch = self._next_batch_bounded(max_rows, arrival_bound)
+        if arrival_bound is None:
+            # Unbounded pulls pass ``max_rows`` alone, so a hook that never
+            # serves bounded callers may take just that.
+            batch = self._next_batch(max_rows)
+        else:
+            batch = self._next_batch(max_rows, arrival_bound)
         if batch:
+            # Charge the batch's per-tuple CPU as overlapped with the waiting
+            # that accrued while the batch streamed in — the accounting a
+            # row-at-a-time interleave of the same charges between arrival
+            # waits produces.
             clock.consume_cpu_overlapped(
                 len(batch) * self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR,
                 max(0.0, clock.stats.wait_ms - wait_before),
@@ -204,7 +216,7 @@ class Operator:
         return self._stats.tuples_produced
 
     def iterate(self) -> Iterator[Row]:
-        """Convenience generator over the operator's full output."""
+        """The operator's full output, row by row through :meth:`next`."""
         while True:
             row = self.next()
             if row is None:
@@ -216,48 +228,14 @@ class Operator:
     def _do_open(self) -> None:
         """Subclass hook: acquire resources."""
 
-    def _next(self) -> Row | None:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
+        """Subclass hook, the operator's one pull: up to ``max_rows`` rows.
+
+        Empty means end of stream — or, with an ``arrival_bound``, that the
+        next row would arrive at or after the bound (see
+        :meth:`next_batch_bounded`).
+        """
         raise NotImplementedError
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        """Subclass hook: produce up to ``max_rows`` rows (empty = end of stream).
-
-        The fallback loops the tuple-at-a-time hook into a row-backed
-        :class:`Batch`, stopping early when a watched event interrupts the
-        batch (but never returning an empty batch unless the stream is
-        exhausted).
-        """
-        context = self.context
-        rows: list[Row] = []
-        while len(rows) < max_rows:
-            row = self._next()
-            if row is None:
-                break
-            rows.append(row)
-            if context.batch_interrupt:
-                break
-        return Batch.from_rows(rows[0].schema if rows else self.output_schema, rows)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        """Subclass hook for :meth:`next_batch_bounded`.
-
-        The fallback re-checks :meth:`peek_arrival` before every pull, so it
-        is exact for any operator; leaf scans override it with a direct loop
-        over their source's arrival sequence.
-        """
-        context = self.context
-        rows: list[Row] = []
-        while len(rows) < max_rows:
-            arrival = self.peek_arrival()
-            if arrival is None or arrival >= arrival_bound:
-                break
-            row = self._next()
-            if row is None:
-                break
-            rows.append(row)
-            if context.batch_interrupt:
-                break
-        return Batch.from_rows(rows[0].schema if rows else self.output_schema, rows)
 
     def _do_close(self) -> None:
         """Subclass hook: release resources."""

@@ -14,7 +14,6 @@ from repro.engine.iterators import Operator
 from repro.errors import ExecutionError
 from repro.storage.batch import Batch
 from repro.storage.schema import Schema, merge_union_schema
-from repro.storage.tuples import Row
 
 
 class ChooseNode(Operator):
@@ -84,16 +83,13 @@ class ChooseNode(Operator):
             self._selected.open()
         return self._selected
 
-    def _next(self) -> Row | None:
-        return self._ensure_selected().next()
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         # Pass-through: the chosen alternative's batches (columnar or not)
-        # flow on unchanged, matching the tuple path's row pass-through.
-        return self._ensure_selected().next_batch(max_rows)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        return self._ensure_selected().next_batch_bounded(max_rows, arrival_bound)
+        # flow on unchanged.
+        selected = self._ensure_selected()
+        if arrival_bound is None:
+            return selected.next_batch(max_rows)
+        return selected.next_batch_bounded(max_rows, arrival_bound)
 
     def peek_arrival(self) -> float | None:
         if self.state in ("closed", "deactivated"):

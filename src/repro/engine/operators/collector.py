@@ -289,10 +289,6 @@ class DynamicCollector(Operator):
             ) from None
 
     @property
-    def active_children(self) -> list[str]:
-        return list(self._active)
-
-    @property
     def contacted_children(self) -> list[str]:
         """Children that were ever activated."""
         return [
@@ -316,8 +312,9 @@ class DynamicCollector(Operator):
 
     # -- iteration ----------------------------------------------------------------------------------
 
-    def _pick_child(self) -> str | None:
-        """Active child with the earliest next arrival; ``None`` when all are done."""
+    def _pick_child(self, arrival_bound: float | None = None) -> str | None:
+        """Active child with the earliest next arrival; ``None`` when all are
+        done or, under an ``arrival_bound``, when that arrival is not before it."""
         best_id, best_arrival = None, None
         for child_id in list(self._active):
             child = self._child_by_id[child_id]
@@ -328,67 +325,41 @@ class DynamicCollector(Operator):
                 continue
             if best_arrival is None or arrival < best_arrival:
                 best_id, best_arrival = child_id, arrival
+        if arrival_bound is not None and best_arrival is not None and best_arrival >= arrival_bound:
+            return None
         return best_id
 
-    def _next(self) -> Row | None:
-        schema = self.output_schema
-        while True:
-            child_id = self._pick_child()
-            if child_id is None:
-                return None
-            child = self._child_by_id[child_id]
-            try:
-                row = child.next()
-            except (SourceTimeoutError, SourceUnavailableError):
-                self._handle_child_failure(child_id)
-                continue
-            if row is None:
-                self._active.remove(child_id)
-                self._finished.add(child_id)
-                continue
-            self.tuples_per_child[child_id] += 1
-            self.context.emit_event(
-                EventType.THRESHOLD, child_id, value=self.tuples_per_child[child_id]
-            )
-            if self.dedup_keys is not None:
-                key = self._dedup_binder.key(row)
-                if key in self._seen_keys or (
-                    self._spilled_key_count and self._spilled_hits([key])
-                ):
-                    continue
-                self._seen_keys.add(key)
-                self._reserve_dedup_keys(1)
-            return Row(schema, row.values, row.arrival)
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
+        """Bounded child runs with columnar deduplication.
 
-    def _next_batch(self, max_rows: int) -> Batch:
-        """Batch iteration: bounded child runs with columnar deduplication.
-
-        Which input to service next is still the collector's data-driven
-        policy, but consecutive tuples of the chosen child are consumed as
-        one *bounded run* — every row arriving strictly before the next-best
-        child's arrival, exactly the rows a tuple-at-a-time drive would have
-        pulled back to back.  Dedup keys are then extracted from the run's
-        column slices in bulk and fresh rows kept with one index-take — no
-        :class:`~repro.storage.tuples.Row` is boxed per tuple to call
-        ``row.key``.  When a rule watches any child's THRESHOLD events the
-        per-tuple path runs instead, so per-tuple events (and the rule
-        actions they trigger) land at the tuple-accurate cut points.
+        Which input to service next is the collector's data-driven policy,
+        but consecutive tuples of the chosen child are consumed as one
+        *bounded run* — every row arriving strictly before the next-best
+        child's arrival (and the caller's ``arrival_bound``), exactly the
+        rows a per-arrival pick would take back to back.  Dedup keys are
+        then extracted from the run's column slices in bulk and fresh rows
+        kept with one index-take — no :class:`~repro.storage.tuples.Row` is
+        boxed per tuple to call ``row.key``.  When a rule watches any child's
+        THRESHOLD events the per-row path runs instead, so per-tuple events
+        (and the rule actions they trigger) land at the exact tuple.
         """
         context = self.context
         if any(
             context.event_watched(EventType.THRESHOLD, child.operator_id)
             for child in self.children
         ):
-            return self._next_batch_tuplewise(max_rows)
+            return self._watched_batch(max_rows, arrival_bound)
         schema = self.output_schema
         parts: list[Batch] = []
         count = 0
         while count < max_rows:
-            child_id = self._pick_child()
+            child_id = self._pick_child(arrival_bound)
             if child_id is None:
                 break
             child = self._child_by_id[child_id]
             bound = self._second_best_arrival(child_id)
+            if arrival_bound is not None and arrival_bound < bound:
+                bound = arrival_bound
             try:
                 run = child.next_batch_bounded(max_rows - count, bound)
                 if not run:
@@ -457,11 +428,12 @@ class DynamicCollector(Operator):
             return Batch.empty(run.schema)
         return run.take(fresh)
 
-    def _next_batch_tuplewise(self, max_rows: int) -> Batch:
+    def _watched_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         """Per-row child selection with tuple-accurate THRESHOLD events.
 
-        The pre-columnar batch path, kept for plans whose rules watch child
-        thresholds: the batch is cut short as soon as a watched event fires
+        For plans whose rules watch child thresholds: each row is one exact
+        :meth:`~repro.engine.iterators.Operator.next` step of the child
+        picked, and the batch is cut short as soon as a watched event fires,
         so rule actions (activate/deactivate) take effect at the exact
         tuple.  The output batch is row-backed (rows are created here
         regardless); downstream columnar operators convert lazily.
@@ -470,7 +442,7 @@ class DynamicCollector(Operator):
         context = self.context
         out: list[Row] = []
         while len(out) < max_rows:
-            child_id = self._pick_child()
+            child_id = self._pick_child(arrival_bound)
             if child_id is None:
                 break
             child = self._child_by_id[child_id]

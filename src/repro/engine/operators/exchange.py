@@ -58,10 +58,10 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.errors import ExecutionError
 from repro.plan.rules import EventType
-from repro.storage.batch import Batch, BatchCursor
+from repro.storage.batch import Batch
 from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import KeyBinder
 
 #: CPU charge per routed row, as a fraction of the configured per-tuple cost.
 #: Routing hashes one key tuple and appends one index per row — cheaper than
@@ -159,19 +159,11 @@ class ExchangeSource(Operator):
         self.context.clock.advance_to(available)
         return batch
 
-    def _next(self) -> Row | None:
-        if not self._ensure_queued():
-            return None
-        return self._serve(1)[0]
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         if not self._ensure_queued():
             return Batch.empty(self._schema)
-        return self._serve(max_rows)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        if not self._ensure_queued():
-            return Batch.empty(self._schema)
+        if arrival_bound is None:
+            return self._serve(max_rows)
         available, batch = self._queue[0]
         if available >= arrival_bound:
             return Batch.empty(self._schema)  # not end of stream: tie-break case
@@ -326,7 +318,6 @@ class Exchange(Operator):
             for root, keys in zip(producers, partition_keys)
         ]
         self._lanes: list[_Lane] | None = None
-        self._cursor: BatchCursor | None = None
         self._drained = False
 
     # -- schema / introspection ----------------------------------------------------
@@ -430,9 +421,18 @@ class Exchange(Operator):
         clocks.extend(lane.context.clock.now for lane in self._lanes)
         return max(clocks)
 
-    def _merge_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
+        """Hand over the earliest lane's next output batch (up to ``max_rows``).
+
+        Under an ``arrival_bound`` nothing is merged unless the exchange's
+        next output (:meth:`peek_arrival`) comes before the bound.
+        """
         if self._drained:
             return Batch.empty(self._schema)
+        if arrival_bound is not None:
+            arrival = self.peek_arrival()
+            if arrival is None or arrival >= arrival_bound:
+                return Batch.empty(self._schema)
         self._run_lanes()
         ready = [lane for lane in self._lanes if lane.output]
         if not ready:
@@ -449,28 +449,9 @@ class Exchange(Operator):
         self.context.clock.advance_to(produced_at)
         return batch.with_schema(self._schema)
 
-    def _next_batch(self, max_rows: int) -> Batch:
-        cursor = self._cursor
-        if cursor is not None:
-            if cursor:
-                return cursor.take(max_rows)
-            self._cursor = None
-        return self._merge_batch(max_rows)
-
-    def _next(self) -> Row | None:
-        cursor = self._cursor
-        if cursor is None or not cursor:
-            batch = self._merge_batch(DEFAULT_BATCH_SIZE)
-            if not batch:
-                return None
-            cursor = self._cursor = BatchCursor(batch)
-        return cursor.next_row()
-
     def peek_arrival(self) -> float | None:
         if self.state in ("closed", "deactivated"):
             return None
-        if self._cursor is not None and self._cursor:
-            return self.context.clock.now
         if self._lanes is None:
             return self.context.clock.now
         best: float | None = None

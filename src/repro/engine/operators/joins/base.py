@@ -4,17 +4,17 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import or_
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch, later_stamps
-from repro.storage.columns import ColumnarPartition, gather, picker
+from repro.storage.columns import gather, picker
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import KeyBinder
 
 
 class JoinOperator(Operator):
@@ -49,8 +49,6 @@ class JoinOperator(Operator):
         self._schema: Schema | None = None
         self._left_binder = KeyBinder(left_keys)
         self._right_binder = KeyBinder(right_keys)
-        #: ``row -> Key`` for each side (the row-at-a-time paths).
-        self.left_key, self.right_key = self._left_binder.key, self._right_binder.key
 
     @property
     def left(self) -> Operator:
@@ -66,37 +64,13 @@ class JoinOperator(Operator):
             self._schema = self.left.output_schema.join(self.right.output_schema)
         return self._schema
 
-    def join_rows(self, left_row: Row, right_row: Row) -> Row:
-        """Concatenate a matching pair in left-then-right attribute order."""
-        return left_row.concat(right_row, self.output_schema)
-
-    def _boxed_matches(
-        self, row: Row, store: ColumnarPartition, positions: Sequence[int], row_first: bool = True
-    ) -> list[Row]:
-        """``row`` joined with ``store``'s rows at ``positions``, boxed — the
-        output of every row-at-a-time path (``row`` is the left input unless
-        ``row_first`` is false); each pair carries the later arrival stamp."""
-        schema, values, arrival = self.output_schema, row.values, row.arrival
-        arrivals = store.arrivals
-        out = []
-        for position in positions:
-            matched, stamp = store.value_tuple(position), arrivals[position]
-            out.append(
-                Row.make(
-                    schema,
-                    values + matched if row_first else matched + values,
-                    arrival if arrival >= stamp else stamp,
-                )
-            )
-        return out
-
     def _join_spilled(self, left, right, index: int, unmarked_pairs: bool) -> Batch | None:
         """Join bucket ``index`` of two overflow stores (as laid out by
         :meth:`BucketedHashTable.overflow_store`); ``None`` when no pair.
 
         The live join's kernel over spilled rows: a key pass pairs positions
-        (left-major, each side in read-back order — what a tuple-at-a-time
-        pass produces), the marked-bit rule is a mask over the pair lists,
+        (left-major, each side in read-back order — what a per-tuple pass
+        produces), the marked-bit rule is a mask over the pair lists,
         and one shared gather per column assembles the output, dictionary
         columns moving codes.  With ``unmarked_pairs`` false a pair of two
         unmarked rows is dropped: both were resident when they met, so the

@@ -60,7 +60,6 @@ class DependentJoin(Operator):
         self._right_schema = self._source.exported_schema
         self._schema: Schema | None = None
         self._index: dict[Key, list[Row]] | None = None
-        self._pending: list[Row] = []
         self._pending_out: BatchCursor | None = None
         self._left_binder = KeyBinder(left_keys)
         self._right_binder = KeyBinder(right_keys)
@@ -171,22 +170,6 @@ class DependentJoin(Operator):
             memo[key] = matches
         return matches
 
-    def _next(self) -> Row | None:
-        if self._pending_out is not None:
-            # Output left behind by a batch caller on the same operator.
-            row = self._pending_out.next_row()
-            if row is not None:
-                return row
-            self._pending_out = None
-        while True:
-            if self._pending:
-                return self._pending.pop(0)
-            left_row = self.left.next()
-            if left_row is None:
-                return None
-            for match in self._probe_source(self._left_binder.key(left_row)):
-                self._pending.append(left_row.concat(match, self.output_schema))
-
     def _probe_source_columns(self, key: Key) -> tuple[list, list[float]]:
         """One probe's matches as transposed ``(columns, arrivals)``.
 
@@ -225,59 +208,43 @@ class DependentJoin(Operator):
     def _probe_left_batch(self, left_batch: Batch) -> Batch | None:
         """All matches for one left batch; ``None`` when nothing matched.
 
-        Keys come from the batch's key columns when it is columnar; the
-        probes themselves stay per-key (each is a parameterized source fetch,
-        memo-deduplicated), and the output batch is assembled from cached
-        per-key match columns with one gather per column.
+        Keys come from the batch's key columns (a row-backed batch is
+        transposed once, first); the probes themselves stay per-key (each is
+        a parameterized source fetch, memo-deduplicated), and the output
+        batch is assembled from cached per-key match columns with one gather
+        per column.
         """
-        if left_batch.is_columnar:
-            keys = left_batch.key_tuples(self._left_binder.indices_in(left_batch.schema))
-            width = len(self._right_schema)
-            take: list[int] = []
-            match_columns: list[list[Any]] = [[] for _ in range(width)]
-            match_arrivals: list[float] = []
-            aligned = True
-            for position, key in enumerate(keys):
-                columns, arrivals = self._probe_source_columns(key)
-                found = len(arrivals)
-                if not found:
-                    aligned = False
-                    continue
-                if found == 1:
-                    take.append(position)
-                else:
-                    aligned = False
-                    take.extend([position] * found)
-                for acc, column in zip(match_columns, columns):
-                    acc.extend(column)
-                match_arrivals.extend(arrivals)
-            if not take:
-                return None
-            return gather_join_columns(
-                left_batch,
-                take,
-                match_columns,
-                match_arrivals,
-                self.output_schema,
-                aligned,
+        if not left_batch.is_columnar:
+            left_batch = Batch.from_columns(
+                left_batch.schema, left_batch.columns, left_batch.arrivals
             )
-        out: list[Row] = []
-        schema = self.output_schema
-        binder = self._left_binder
-        for left_row in left_batch.rows():
-            for match in self._probe_source(binder.key(left_row)):
-                out.append(left_row.concat(match, schema))
-        if not out:
+        keys = left_batch.key_tuples(self._left_binder.indices_in(left_batch.schema))
+        width = len(self._right_schema)
+        take: list[int] = []
+        match_columns: list[list[Any]] = [[] for _ in range(width)]
+        match_arrivals: list[float] = []
+        aligned = True
+        for position, key in enumerate(keys):
+            columns, arrivals = self._probe_source_columns(key)
+            found = len(arrivals)
+            if not found:
+                aligned = False
+                continue
+            if found == 1:
+                take.append(position)
+            else:
+                aligned = False
+                take.extend([position] * found)
+            for acc, column in zip(match_columns, columns):
+                acc.extend(column)
+            match_arrivals.extend(arrivals)
+        if not take:
             return None
-        return Batch.from_rows(schema, out)
+        return gather_join_columns(
+            left_batch, take, match_columns, match_arrivals, self.output_schema, aligned
+        )
 
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._batched(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        return self._batched(max_rows, arrival_bound)
-
-    def _batched(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         schema = self.output_schema
         while True:
             if self._pending_out is not None:
@@ -286,11 +253,6 @@ class DependentJoin(Operator):
                     self._pending_out = None
                 if part:
                     return part
-            if self._pending:
-                # Leftovers from a tuple-at-a-time caller on the same operator.
-                rows = self._pending[:max_rows]
-                del self._pending[:max_rows]
-                return Batch.from_rows(schema, rows)
             if arrival_bound is None:
                 left_batch = self.left.next_batch(max_rows)
             else:

@@ -23,16 +23,14 @@ was flushed are written *marked* and are not probed live.  During the final
 overflow resolution, every pair is emitted except unmarked-with-unmarked —
 those pairs were already produced while both tuples were resident.
 
-Both hash tables keep their rows in a column arena in either drive mode.
-Under the batch drive the join works a *run segment* at a time — the rows of
-one input's run that a tuple-at-a-time join would consume back to back probe,
-insert, spill and emit in bulk, column- or row-backed alike, with no
-:class:`Row` boxing — cut so that consumption and output order, batch cuts,
-refusals, spill I/O and the virtual clock equal the tuple-at-a-time
-interleave exactly (:meth:`DoublePipelinedJoin._consume_segment`).  The
-tuple drive feeds the same tables row by row through the per-tuple pipeline
-(:meth:`DoublePipelinedJoin._process`,
-:meth:`DoublePipelinedJoin._cleanup_pairs`).
+Both hash tables keep their rows in a column arena, and the join works a
+*run segment* at a time — the rows of one input's run that a per-tuple
+interleave would consume back to back probe, insert, spill and emit in bulk,
+column- or row-backed alike, with no :class:`Row` boxing — cut so that
+consumption and output order, batch cuts, refusals, spill I/O and the
+virtual clock equal that interleave exactly
+(:meth:`DoublePipelinedJoin._consume_segment`; the tests keep the per-tuple
+pipeline as its oracle).
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -51,7 +49,7 @@ from repro.storage.batch import Batch, later_stamps
 from repro.storage.columns import DictColumn, as_values, extend_moving, gather, picker
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
-from repro.storage.tuples import Key, Row
+from repro.storage.tuples import Key
 
 #: Side identifiers (also used as indices into per-side lists).
 LEFT, RIGHT = 0, 1
@@ -166,16 +164,11 @@ class DoublePipelinedJoin(JoinOperator):
         self._tables: list[BucketedHashTable] = []
         self._exhausted = [False, False]
         self._drain_right_first = False
-        # Boxed output rows awaiting hand-over (see ``_take_pending``).
-        self._pending: list[Row] = []
-        self._pending_at = 0
-        self._cleanup: Iterator[Row] | None = None
         self._cleanup_batches: Iterator[Batch] | None = None
-        # Batch path only: per-side run buffers (rows already pulled from a
-        # child in bulk), dropped as soon as their cursor reaches the end.
+        # Per-side run buffers (rows already pulled from a child in bulk),
+        # dropped as soon as their cursor reaches the end.
         self._runs: list[_Run | None] = [None, None]
         self._out: _OutputColumns | None = None
-        self._popped_key: Key | None = None
         self._emitted_output = False
         self.overflow_count = 0
 
@@ -221,9 +214,8 @@ class DoublePipelinedJoin(JoinOperator):
     def _choose_side(self) -> int | None:
         """Pick which input to consume next, or ``None`` when both are done.
 
-        Arrivals come from the run buffers first; with empty buffers — always
-        the case under a pure tuple-at-a-time drive — this is the plain
-        data-driven choice over the children's ``peek_arrival``.
+        Arrivals come from the run buffers first; with empty buffers this is
+        the plain data-driven choice over the children's ``peek_arrival``.
         """
         if self._exhausted[LEFT] and self._exhausted[RIGHT]:
             return None
@@ -261,7 +253,7 @@ class DoublePipelinedJoin(JoinOperator):
         if self.state in ("closed", "deactivated"):
             return None
         now = self.context.clock.now
-        if self._pending or self._cleanup is not None or self._cleanup_batches is not None:
+        if self._cleanup_batches is not None:
             return now
         out = self._out
         if out is not None and out.arrivals:
@@ -278,7 +270,7 @@ class DoublePipelinedJoin(JoinOperator):
             return now
         return min(arrivals)
 
-    # -- batch-path input runs -----------------------------------------------------------------------
+    # -- input runs --------------------------------------------------------------------------------
 
     def _side_has_buffer(self, side: int) -> bool:
         run = self._runs[side]
@@ -291,29 +283,14 @@ class DoublePipelinedJoin(JoinOperator):
             return run.arrivals[run.cursor]
         return self._child(side).peek_arrival()
 
-    def _pop_buffered(self, side: int) -> Row | None:
-        """Next already-buffered row of ``side``, or ``None`` when none is held.
-
-        Sets :attr:`_popped_key` to the row's precomputed join key (``None``
-        when nothing was buffered — the caller computes it).
-        """
-        run = self._runs[side]
-        if run is None or run.cursor >= len(run):
-            self._popped_key = None
-            return None
-        cursor = run.cursor
-        run.cursor = cursor + 1
-        self._popped_key = run.keys[cursor]
-        return run.batch[cursor]
-
     def _pull_run(self, side: int) -> _Run | None:
         """Pull ``side``'s next run — every row arriving before the other
         side's next arrival plus :data:`RUN_SLACK_MS` — or ``None`` if empty."""
         other = 1 - side
         if self._exhausted[other] or (side == RIGHT and self._drain_right_first):
             # The other side is done, or paused by Incremental Left Flush:
-            # the tuple drive consumes this side back to back regardless of
-            # arrivals, so an unbounded run matches its order exactly.
+            # this side is consumed back to back regardless of arrivals, so
+            # an unbounded run keeps the per-tuple order exactly.
             bound = float("inf")
         else:
             other_arrival = self._peek_side(other)
@@ -346,64 +323,7 @@ class DoublePipelinedJoin(JoinOperator):
         run = self._runs[side] = _Run(run_batch, keys)
         return run
 
-    # -- tuple processing ----------------------------------------------------------------------------
-
-    def _bucket_spilled(self, index: int) -> bool:
-        return self._tables[LEFT].buckets[index].flushed or self._tables[RIGHT].buckets[index].flushed
-
-    def _spill_arriving(self, side: int, index: int, row: Row, marked: bool = True) -> None:
-        """Send an arriving tuple straight to its side's spill log.
-
-        ``marked=True`` records that the tuple never probed live (it arrived
-        after its bucket spilled), so the final resolution joins it against
-        everything; a tuple that *did* probe is written unmarked so its
-        already-emitted pairs are not produced again.
-        """
-        table = self._tables[side]
-        table.spill_log.write(row, marked, table.buckets[index])
-        self._charge_disk_time()
-
-    def _process(self, side: int, row: Row, key: Key | None = None) -> None:
-        """Probe, emit, and insert one arriving tuple (key may be precomputed).
-
-        The row-at-a-time pipeline of the tuple drive; matches are boxed
-        into output rows on :attr:`_pending`.
-        """
-        other = 1 - side
-        if key is None:
-            key = self.left_key(row) if side == LEFT else self.right_key(row)
-        index = bucket_of(key, self.bucket_count)
-        tables = self._tables
-        if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
-            self._spill_arriving(side, index, row)
-            return
-        store = tables[other].arena
-        matches = store.lookup(key) if store is not None else None
-        if matches:
-            self._emitted_output = True
-            self._pending += self._boxed_matches(row, store, matches, side == LEFT)
-        # Footnote 3 of the paper: with the opposite input exhausted there
-        # is nothing left for this tuple to meet, so it is not retained.
-        if self._exhausted[other]:
-            return
-        self._insert_with_overflow(side, row, key, index)
-
-    def _insert_with_overflow(
-        self, side: int, row: Row, key: Key, index: int
-    ) -> None:
-        table = self._tables[side]
-        while True:
-            if table.buckets[index].flushed:
-                # The strategy spilled this row's own bucket.  The row has
-                # already probed, so it spills unmarked — exactly like the
-                # resident rows just flushed alongside it.
-                self._spill_arriving(side, index, row, marked=False)
-                return
-            if table.insert(row, key=key):
-                return
-            self._resolve_overflow()
-
-    # -- run segments (the batch drive) ------------------------------------------------------------
+    # -- run segments ------------------------------------------------------------------------------
 
     def _segment_end(self, side: int, run: _Run) -> int:
         """First position of ``run`` the tuple-accurate interleave would not
@@ -436,9 +356,9 @@ class DoublePipelinedJoin(JoinOperator):
     ) -> None:
         """Probe, emit, and insert one run segment in bulk.
 
-        The unit of the batch drive.  Rows of one side's run never join
-        each other, so the stretch a tuple-at-a-time join would consume back
-        to back can probe the opposite table in one gather and move into its
+        The join's unit of work.  Rows of one side's run never join each
+        other, so the stretch a per-tuple interleave would consume back to
+        back can probe the opposite table in one gather and move into its
         own table in one insert.  What keeps that *exactly* equal to the
         per-tuple interleave:
 
@@ -542,7 +462,8 @@ class DoublePipelinedJoin(JoinOperator):
 
         The refused row has already probed; if the strategy spills its own
         bucket it goes to disk unmarked, exactly like the resident rows
-        flushed alongside it (see :meth:`_insert_with_overflow`).
+        flushed alongside it — its already-emitted pairs must not be
+        produced again.
         """
         key = run.keys[position]
         index = bucket_of(key, self.bucket_count)
@@ -560,9 +481,9 @@ class DoublePipelinedJoin(JoinOperator):
     def _charge_spill_pages(self) -> None:
         """Charge a bulk spill's write pages to the clock one page at a time.
 
-        The tuple-at-a-time path charges each page as the row that fills it
-        is written, and float addition is not associative: one
-        ``pages * cost`` charge would leave the clock a last bit away.
+        A per-tuple spill charges each page as the row that fills it is
+        written, and float addition is not associative: one ``pages * cost``
+        charge would leave the clock a last bit away.
         """
         disk = self.context.disk
         baseline = self._disk_baseline  # set by the charge that preceded the writes
@@ -618,6 +539,9 @@ class DoublePipelinedJoin(JoinOperator):
             return self._symmetric_flush()
         return self._left_flush()
 
+    def _bucket_spilled(self, index: int) -> bool:
+        return self._tables[LEFT].buckets[index].flushed or self._tables[RIGHT].buckets[index].flushed
+
     def _symmetric_flush(self) -> bool:
         """Flush the bucket with the most combined resident bytes from both tables."""
         left_table, right_table = self._tables
@@ -672,98 +596,9 @@ class DoublePipelinedJoin(JoinOperator):
             if batch is not None:
                 yield batch
 
-    def _cleanup_pairs(self) -> Iterator[Row]:
-        """Row-at-a-time overflow resolution (the tuple drive).
-
-        Same pair discipline and identical I/O accounting as
-        :meth:`_cleanup_batches_iter`, but every spilled tuple read back from
-        disk is boxed into a :class:`Row` and joined tuple-at-a-time.
-        """
-        for index in self._spilled_buckets():
-            entries = [list(table.overflow_rows(index)) for table in self._tables]
-            self._charge_disk_time()
-            # Resident remnants participate as unmarked entries (no read cost).
-            for table, side_entries in zip(self._tables, entries):
-                remnant = Batch.from_columns(table.schema, *table.bucket_rows(index))
-                # repro: allow[hot-path-row] the tuple drive's cleanup boxes by design
-                side_entries.extend((row, False) for row in remnant.rows())
-            left_entries, right_entries = entries
-            right_by_key: dict[Key, list[tuple[Row, bool]]] = {}
-            for row, marked in right_entries:
-                right_by_key.setdefault(self.right_key(row), []).append((row, marked))
-            for left_row, left_marked in left_entries:
-                for right_row, right_marked in right_by_key.get(
-                    self.left_key(left_row), ()
-                ):
-                    if not left_marked and not right_marked:
-                        continue  # both were resident when they met: already emitted
-                    yield self.join_rows(left_row, right_row)
-
     # -- iterator -------------------------------------------------------------------------------------------------
 
-    def _take_pending(self, limit: int) -> list[Row]:
-        """Up to ``limit`` boxed output rows, in order.
-
-        Served through a cursor (a ``pop(0)`` per row is quadratic on a
-        high-fan-out key); the list is cleared once drained, so a non-empty
-        ``_pending`` always has rows left.
-        """
-        at = self._pending_at
-        rows = self._pending[at : at + limit]
-        if at + len(rows) == len(self._pending):
-            self._pending.clear()
-            self._pending_at = 0
-        else:
-            self._pending_at = at + len(rows)
-        return rows
-
-    def _next(self) -> Row | None:
-        while True:
-            if self._pending:
-                return self._take_pending(1)[0]
-            out = self._out
-            if out is not None and len(out):
-                batch = out.take_batch(self.output_schema, 1)
-                return batch[0]
-            if self._cleanup_batches is not None:
-                # A batch caller started the columnar cleanup; keep draining it.
-                batch = next(self._cleanup_batches, None)
-                if batch is None:
-                    return None
-                # repro: allow[hot-path-row] tuple-drive caller: rows are its unit
-                self._pending.extend(batch.rows())
-                continue
-            if self._cleanup is not None:
-                row = next(self._cleanup, None)
-                if row is None:
-                    return None
-                return row
-            side = self._choose_side()
-            if side is None:
-                self._cleanup = self._cleanup_pairs()
-                continue
-            row = self._pop_buffered(side)
-            key = self._popped_key
-            if row is None:
-                row = self._child(side).next()
-            if row is None:
-                self._exhausted[side] = True
-                if side == RIGHT and self._drain_right_first:
-                    # Right side drained: resume reading the paused left input.
-                    self._drain_right_first = False
-                continue
-            self._process(side, row, key)
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._produce_batch(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        # Mirrors the generic bounded fallback (whose per-pull check is
-        # ``peek_arrival() < bound``, and an open join's peek is "now") while
-        # keeping the run-buffer machinery engaged for this join's own inputs.
-        return self._produce_batch(max_rows, arrival_bound)
-
-    def _produce_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         """Batch iteration around the symmetric pipeline.
 
         Inputs are consumed in arrival-ordered *runs* (see
@@ -774,49 +609,25 @@ class DoublePipelinedJoin(JoinOperator):
         output directly into column lists.  The batch is cut short when a
         watched event (e.g. ``out_of_memory`` with an overflow-method rule
         attached) fires, so rule actions land at the tuple-accurate point.
+        Under an ``arrival_bound`` the join stops once its clock reaches the
+        bound: an open join's next output is available "now".
         """
         context = self.context
         clock = context.clock
         schema = self.output_schema
         out = self._out
-        parts: list[Batch] = []
-        count = 0
-        # Rows emitted into ``out`` (and leftovers on ``_pending``) count
-        # toward the batch but are only sliced into an actual Batch once, on
-        # the way out — draining them eagerly would shred the output into
-        # per-row parts and pay a concat per column per row.
-        while count + len(out) < max_rows:
+        # Rows emitted into ``out`` count toward the batch but are only
+        # sliced into an actual Batch once, on the way out — draining them
+        # eagerly would shred the output into per-row parts and pay a concat
+        # per column per row.
+        while len(out) < max_rows:
             if arrival_bound is not None and clock.now >= arrival_bound:
                 break
-            if self._pending:
-                # Boxed rows left by a tuple-at-a-time caller on the same
-                # operator: flush any columnar output first to keep order.
-                if len(out):
-                    part = out.take_batch(schema, max_rows - count)
-                    parts.append(part)
-                    count += len(part)
-                    if count >= max_rows:
-                        break
-                rows = self._take_pending(max_rows - count)
-                # repro: allow[hot-path-row] hand-over of rows that are already boxed
-                parts.append(Batch.from_rows(schema, rows))
-                count += len(rows)
-                if context.batch_interrupt:
-                    break
-                continue
             if self._cleanup_batches is not None:
                 batch = next(self._cleanup_batches, None)
                 if batch is None:
                     break
                 out.extend(batch.columns, batch.arrivals)
-                continue
-            if self._cleanup is not None:
-                # A tuple-at-a-time caller already started the row-based
-                # cleanup; keep draining it row by row.
-                row = next(self._cleanup, None)
-                if row is None:
-                    break
-                self._pending.append(row)
                 continue
             side = self._choose_side()
             if side is None:
@@ -836,21 +647,14 @@ class DoublePipelinedJoin(JoinOperator):
                         self._drain_right_first = False
                     continue
                 run = self._buffer_run(side, Batch.from_rows(row.schema, [row]))
-            self._consume_segment(side, run, max_rows - count - len(out), arrival_bound)
+            self._consume_segment(side, run, max_rows - len(out), arrival_bound)
             if run.cursor >= len(run):
                 self._runs[side] = None
             # Cut the batch at a watched event — but only once some output is
-            # actually collectable; rows sitting on ``_pending`` are moved
-            # into the batch by the next loop iteration first (an empty
-            # return here would read as a spurious end-of-stream).
-            if context.batch_interrupt and (count or len(out)):
+            # actually collectable (an empty return here would read as a
+            # spurious end-of-stream).
+            if context.batch_interrupt and len(out):
                 break
-        if len(out) and count < max_rows:
-            part = out.take_batch(schema, max_rows - count)
-            parts.append(part)
-            count += len(part)
-        if not parts:
+        if not len(out):
             return Batch.empty(schema)
-        if len(parts) == 1:
-            return parts[0]
-        return Batch.concat(schema, parts)
+        return out.take_batch(schema, max_rows)

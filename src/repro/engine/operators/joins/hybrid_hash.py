@@ -7,15 +7,13 @@ that hash to a flushed bucket are spilled to the outer input's own table —
 one that never holds a resident row, only its spill log and per-bucket
 ledgers — and the overflow pairs are joined in a final pass.
 
-The hash table keeps its rows in a column arena in either drive mode; what
-changes with the drive is how data reaches and leaves it.  Under the batch
-drive builds append column slices from batch columns, probes return gathered
-match columns, the outer tuples of flushed buckets spill as one column gather
-per probe batch, and the final overflow pass joins the two spill logs
-positionally through the kernel it shares with the double pipelined join's
-cleanup — no :class:`Row` objects anywhere on those paths.  Under the tuple
-drive (and for row-backed outer batches) the same machinery is fed row by
-row, boxing at the boundary.
+The hash table keeps its rows in a column arena: builds append column slices
+from batch columns, probes return gathered match columns, the outer tuples of
+flushed buckets spill as one column gather per probe batch, and the final
+overflow pass joins the two spill logs positionally through the kernel it
+shares with the double pipelined join's cleanup — no :class:`Row` objects
+anywhere on those paths (a row-backed outer batch is transposed once, on
+arrival).
 
 Because the build phase must consume the *entire* inner input before the
 first output tuple, this operator exhibits exactly the delayed
@@ -34,7 +32,6 @@ from repro.engine.operators.joins.base import JoinOperator
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
-from repro.storage.tuples import Key, Row
 
 
 class HybridHashJoin(JoinOperator):
@@ -61,9 +58,7 @@ class HybridHashJoin(JoinOperator):
         self._inner_table: BucketedHashTable | None = None
         self._outer_table: BucketedHashTable | None = None
         self._built = False
-        self._probe_matches: list[Row] = []
         self._pending_out: BatchCursor | None = None
-        self._overflow_output: Iterator[Row] | None = None
         self._overflow_batches: Iterator[Batch] | None = None
 
     # -- build phase --------------------------------------------------------------------
@@ -84,32 +79,14 @@ class HybridHashJoin(JoinOperator):
             )
         )
 
-    def _build_inner(self) -> None:
-        assert self._inner_table is not None
-        while True:
-            row = self.right.next()
-            if row is None:
-                break
-            key = self.right_key(row)
-            inserted = self._inner_table.insert(row, key=key)
-            if not inserted and not self._inner_table.bucket_for_key(key).flushed:
-                # Memory pressure: lazily flush the largest bucket and retry;
-                # if the row's own bucket got flushed the retry spills it.
-                self._raise_out_of_memory()
-                self._inner_table.flush_largest_bucket()
-                self._inner_table.insert(row)
-        self._charge_disk_time()
-        self._built = True
-
-    def _build_inner_batched(self) -> None:
-        """Batch-at-a-time build: bulk columnar inserts with the tuple path's
-        overflow recovery.
+    def _build(self) -> None:
+        """Drain the inner input into the hash table: bulk columnar inserts
+        with per-row overflow recovery.
 
         ``insert_batch`` moves whole batches (one key pass, one ``extend`` per
-        column) while memory lasts and stops at exactly the row where the
-        tuple-at-a-time build would have overflowed; the refused suffix is
-        retried after flushing the largest bucket, so overflow events and
-        bucket states match the tuple drive one for one.
+        column) while memory lasts and stops at exactly the row that does not
+        fit; the refused suffix is retried after flushing the largest bucket,
+        so every overflow event lands on the row that caused it.
         """
         assert self._inner_table is not None
         table = self._inner_table
@@ -126,12 +103,13 @@ class HybridHashJoin(JoinOperator):
                 if position < n:
                     # Memory pressure: flush the largest bucket and retry the
                     # refused suffix (rows whose bucket got flushed spill on
-                    # the retry, as in the tuple path).
+                    # the retry).
                     self._raise_out_of_memory()
                     if table.flush_largest_bucket() is None:
-                        # Nothing resident to flush; the tuple path's single
-                        # retry gives up on such a row, so take one plain
-                        # per-row step and move on.
+                        # Nothing resident to flush: the refused row gets one
+                        # plain per-row attempt (a spill when its bucket is
+                        # flushed, else one more insert) and the build moves
+                        # on.
                         key = keys[position]
                         index = bucket_of(key, table.bucket_count)
                         if table.buckets[index].flushed:
@@ -168,38 +146,6 @@ class HybridHashJoin(JoinOperator):
 
     # -- probe phase --------------------------------------------------------------------------
 
-    def _probe_one(self, outer_row: Row) -> list[Row]:
-        assert self._inner_table is not None
-        key = self.left_key(outer_row)
-        if self._inner_table.bucket_for_key(key).flushed:
-            outer = self._outer_table
-            outer.spill_log.write(outer_row, False, outer.bucket_for_key(key))
-            self._charge_disk_time()
-            return []
-        matched = self._inner_table.match_positions(key)
-        return self._boxed_matches(outer_row, *matched) if matched is not None else []
-
-    def _overflow_pairs(self) -> Iterator[Row]:
-        """Row-at-a-time overflow pass: joins spilled pairs, boxing each tuple.
-
-        Serves the tuple drive; the batch drive uses
-        :meth:`_overflow_pair_batches` instead and never boxes spilled rows.
-        """
-        assert self._inner_table is not None
-        outer = self._outer_table
-        for bucket_index in self._inner_table.flushed_buckets:
-            if not outer.buckets[bucket_index].spilled_count:
-                continue
-            # Reload the inner bucket (charging read I/O) into a transient map.
-            inner_by_key: dict[Key, list[Row]] = {}
-            for inner_row, _ in self._inner_table.overflow_rows(bucket_index):
-                inner_by_key.setdefault(self.right_key(inner_row), []).append(inner_row)
-            self._charge_disk_time()
-            for outer_row, _ in outer.overflow_rows(bucket_index):
-                for inner_row in inner_by_key.get(self.left_key(outer_row), ()):
-                    yield self.join_rows(outer_row, inner_row)
-            self._charge_disk_time()
-
     def _overflow_pair_batches(self) -> Iterator[Batch]:
         """Columnar overflow pass: joins the two spill logs positionally, one
         batch per bucket, each side's read-back charged as it is reached."""
@@ -219,34 +165,6 @@ class HybridHashJoin(JoinOperator):
 
     # -- iterator ----------------------------------------------------------------------------------
 
-    def _next(self) -> Row | None:
-        if not self._built:
-            self._build_inner()
-        while True:
-            if self._pending_out is not None:
-                row = self._pending_out.next_row()
-                if row is not None:
-                    return row
-                self._pending_out = None
-            if self._probe_matches:
-                return self._probe_matches.pop()
-            if self._overflow_batches is not None:
-                # A batch caller already started the columnar overflow pass;
-                # keep draining it (restarting the row pass would re-read the
-                # spill files and duplicate the already-emitted pairs).
-                batch = next(self._overflow_batches, None)
-                if batch is None:
-                    return None
-                self._pending_out = BatchCursor(batch)
-                continue
-            if self._overflow_output is not None:
-                return next(self._overflow_output, None)
-            outer_row = self.left.next()
-            if outer_row is None:
-                self._overflow_output = self._overflow_pairs()
-                continue
-            self._probe_matches = self._probe_one(outer_row)
-
     def _probe_outer_batch(self, outer: Batch) -> Batch | None:
         """Probe one outer batch in bulk; ``None`` when nothing matched.
 
@@ -256,19 +174,14 @@ class HybridHashJoin(JoinOperator):
         gather, and the output batch is assembled from gathered match columns
         — against a primary-key build the whole key pass is one C-level
         ``map`` over the inner table's index — with no :class:`Row`
-        construction and no per-tuple spill writes.  Row-backed outer batches
-        take the per-row path.
+        construction and no per-tuple spill writes.  A row-backed outer batch
+        (watched and publishing scans, the watched collector) is transposed
+        once, first.
         """
         assert self._inner_table is not None
         table = self._inner_table
         if not outer.is_columnar:
-            matches: list[Row] = []
-            # repro: allow[hot-path-row] row-backed outer batch: the declared tuple-path branch
-            for outer_row in outer.rows():
-                matches.extend(self._probe_one(outer_row))
-            if not matches:
-                return None
-            return Batch.from_rows(self.output_schema, matches)
+            outer = Batch.from_columns(outer.schema, outer.columns, outer.arrivals)
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
         positions: list[int] | None = None
         if table.flushed_count:
@@ -284,10 +197,19 @@ class HybridHashJoin(JoinOperator):
             outer, take, match_columns, match_arrivals, self.output_schema, aligned
         )
 
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
+        """Build on the first pull, then probe outer batches and finish with
+        the overflow pass.
+
+        Under an ``arrival_bound`` the join stops once its clock reaches the
+        bound (its next output cannot come earlier), pulls the outer side
+        bounded, and leaves the overflow pass to an unbounded pull — an empty
+        bounded outer batch does not tell the bound from the end of stream.
+        """
         if not self._built:
-            self._build_inner_batched()
+            self._build()
         context = self.context
+        clock = context.clock
         schema = self.output_schema
         parts: list[Batch] = []
         count = 0
@@ -300,35 +222,21 @@ class HybridHashJoin(JoinOperator):
                     parts.append(part)
                     count += len(part)
                 continue
-            if self._probe_matches:
-                # Leftovers from a tuple-at-a-time caller on the same operator.
-                needed = max_rows - count
-                rows = self._probe_matches[:needed]
-                del self._probe_matches[:needed]
-                parts.append(Batch.from_rows(schema, rows))
-                count += len(rows)
-                continue
+            if arrival_bound is not None and clock.now >= arrival_bound:
+                break
             if self._overflow_batches is not None:
                 batch = next(self._overflow_batches, None)
                 if batch is None:
                     break
                 self._pending_out = BatchCursor(batch)
                 continue
-            if self._overflow_output is not None:
-                # A tuple-at-a-time caller already started the row overflow pass.
-                rows = []
-                needed = max_rows - count
-                for row in self._overflow_output:
-                    rows.append(row)
-                    if len(rows) >= needed:
-                        break
-                if not rows:
-                    break
-                parts.append(Batch.from_rows(schema, rows))
-                count += len(rows)
-                continue
-            outer = self.left.next_batch(max_rows)
+            if arrival_bound is None:
+                outer = self.left.next_batch(max_rows)
+            else:
+                outer = self.left.next_batch_bounded(max_rows, arrival_bound)
             if not outer:
+                if arrival_bound is not None:
+                    break
                 self._overflow_batches = self._overflow_pair_batches()
                 continue
             result = self._probe_outer_batch(outer)

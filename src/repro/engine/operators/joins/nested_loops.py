@@ -8,13 +8,11 @@ to conventional join algorithms.
 The inner load pulls blocks through ``next_batch`` like the other blocking
 operators (the hybrid hash build), so the inner child's per-tuple rule events
 are only materialized when a rule actually watches them and blocks are cut at
-the tuple-accurate firing points — the earlier implementation looped
-``next()``, paying one event object per inner tuple and ignoring the block
-protocol entirely.  The batch paths are native: the bounded variant pulls the
-outer side through ``next_batch_bounded`` so arrival bounds are honored, and
-matching is vectorized while still charging the tuple path's full
-compare-every-pair CPU cost (the algorithm being simulated is still a nested
-loop; only the wall-clock bookkeeping is bulk).
+the tuple-accurate firing points.  A bounded pull takes the outer side through
+``next_batch_bounded`` so arrival bounds are honored, and matching is
+vectorized while still charging the full compare-every-pair CPU cost (the
+algorithm being simulated is still a nested loop; only the wall-clock
+bookkeeping is bulk).
 """
 
 from __future__ import annotations
@@ -24,11 +22,9 @@ from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.engine.operators.joins.base import JoinOperator
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
 from repro.storage.columns import ColumnarPartition
-from repro.storage.tuples import Row
 
-#: Fraction of the per-tuple CPU cost charged for one inner-row comparison.
-#: Shared by the tuple path (charged per comparison) and the batch path
-#: (charged in bulk per outer block) so their virtual-time totals agree.
+#: Fraction of the per-tuple CPU cost charged for one inner-row comparison
+#: (charged in bulk per outer block).
 COMPARE_CPU_FACTOR = 0.1
 
 
@@ -49,10 +45,7 @@ class NestedLoopsJoin(JoinOperator):
             operator_id, context, left, right, left_keys, right_keys, estimated_cardinality
         )
         self._inner: ColumnarPartition | None = None
-        self._inner_row_cache: list[Row] | None = None
         self._inner_loaded = False
-        self._current_outer: Row | None = None
-        self._inner_cursor = 0
         self._pending_out: BatchCursor | None = None
 
     def _load_inner(self) -> None:
@@ -62,8 +55,7 @@ class NestedLoopsJoin(JoinOperator):
         :class:`ColumnarPartition` (columns + key index, insertion
         order = scan order, so per-outer-row match order equals the
         sequential scan).  Columnar blocks move as per-column extends with no
-        row boxing; the tuple-at-a-time drive boxes the buffer lazily on
-        first use (see :attr:`_inner_rows`).
+        row boxing.
         """
         right = self.right
         partition = ColumnarPartition(right.output_schema)
@@ -79,17 +71,10 @@ class NestedLoopsJoin(JoinOperator):
         self._inner = partition
         self._inner_loaded = True
 
-    @property
-    def _inner_rows(self) -> list[Row]:
-        """The inner buffer boxed as rows (tuple-at-a-time path only; cached)."""
-        if self._inner_row_cache is None:
-            self._inner_row_cache = self._inner.rows() if self._inner else []
-        return self._inner_row_cache
-
     def peek_arrival(self) -> float | None:
         if self.state in ("closed", "deactivated"):
             return None
-        if self._pending_out or self._current_outer is not None:
+        if self._pending_out:
             return self.context.clock.now
         if not self._inner_loaded:
             # Nothing can be produced before the inner is drained; its next
@@ -100,71 +85,31 @@ class NestedLoopsJoin(JoinOperator):
             return None
         return self.left.peek_arrival()
 
-    def _next(self) -> Row | None:
-        if not self._inner_loaded:
-            self._load_inner()
-        if self._pending_out is not None:
-            # Output left behind by a batch caller on the same operator.
-            row = self._pending_out.next_row()
-            if row is not None:
-                return row
-            self._pending_out = None
-        while True:
-            if self._current_outer is None:
-                self._current_outer = self.left.next()
-                self._inner_cursor = 0
-                if self._current_outer is None:
-                    return None
-            outer_key = self.left_key(self._current_outer)
-            while self._inner_cursor < len(self._inner_rows):
-                inner_row = self._inner_rows[self._inner_cursor]
-                self._inner_cursor += 1
-                # Comparing every inner tuple costs CPU even on mismatch.
-                self.context.clock.consume_cpu(
-                    self.context.config.per_tuple_cpu_ms * COMPARE_CPU_FACTOR
-                )
-                if self.right_key(inner_row) == outer_key:
-                    return self.join_rows(self._current_outer, inner_row)
-            self._current_outer = None
-
     # -- batch paths -------------------------------------------------------------
 
     def _join_outer_batch(self, outer: Batch) -> Batch | None:
         """All matches for one outer batch; ``None`` when nothing matched.
 
-        Columnar outer batches assemble output from gathered partition
-        columns (no row boxing); row-backed batches box each matched inner
-        row at the boundary.
+        Output is assembled from gathered partition columns (no row boxing);
+        a row-backed outer batch is transposed once, first.
         """
         partition = self._inner
         if partition is None or not len(partition):
             return None
-        if outer.is_columnar:
-            keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
-            result = partition.gather_matches(keys)
-            if result is None:
-                return None
-            take, match_columns, match_arrivals, aligned = result
-            return gather_join_columns(
-                outer, take, match_columns, match_arrivals, self.output_schema, aligned
-            )
-        out: list[Row] = []
-        for outer_row in outer.rows():
-            found = partition.lookup(self.left_key(outer_row))
-            out += self._boxed_matches(outer_row, partition, found)
-        if not out:
+        if not outer.is_columnar:
+            outer = Batch.from_columns(outer.schema, outer.columns, outer.arrivals)
+        keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
+        result = partition.gather_matches(keys)
+        if result is None:
             return None
-        return Batch.from_rows(self.output_schema, out)
+        take, match_columns, match_arrivals, aligned = result
+        return gather_join_columns(
+            outer, take, match_columns, match_arrivals, self.output_schema, aligned
+        )
 
-    def _batched(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         if not self._inner_loaded:
             self._load_inner()
-        if self._current_outer is not None:
-            # A tuple-at-a-time caller left an outer row mid-scan: fall back
-            # to the generic per-tuple loop, which finishes it exactly.
-            if arrival_bound is None:
-                return super()._next_batch(max_rows)
-            return super()._next_batch_bounded(max_rows, arrival_bound)
         schema = self.output_schema
         clock = self.context.clock
         cpu_per_compare = self.context.config.per_tuple_cpu_ms * COMPARE_CPU_FACTOR
@@ -187,9 +132,9 @@ class NestedLoopsJoin(JoinOperator):
                 return Batch.empty(schema)
             # The simulated algorithm still compares every (outer, inner)
             # pair; charge the whole block's comparison CPU in one call,
-            # overlapped with the waits accrued while the block streamed in —
-            # the tuple path interleaves the same charges between arrival
-            # waits, hiding them whenever data is the bottleneck.
+            # overlapped with the waits accrued while the block streamed in
+            # (a per-pair interleave would hide the same charges between
+            # arrival waits whenever data is the bottleneck).
             if inner_count:
                 clock.consume_cpu_overlapped(
                     len(outer) * inner_count * cpu_per_compare,
@@ -198,9 +143,3 @@ class NestedLoopsJoin(JoinOperator):
             result = self._join_outer_batch(outer)
             if result is not None:
                 self._pending_out = BatchCursor(result)
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._batched(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        return self._batched(max_rows, arrival_bound)

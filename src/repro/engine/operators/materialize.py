@@ -7,7 +7,6 @@ from repro.engine.iterators import Operator
 from repro.storage.batch import Batch
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 
 class Materialize(Operator):
@@ -52,27 +51,21 @@ class Materialize(Operator):
     def _do_open(self) -> None:
         self._relation = Relation(self.result_name, self.output_schema)
 
-    def _next(self) -> Row | None:
-        row = self.child.next()
-        if row is None:
-            return None
-        assert self._relation is not None
-        self._relation.append(row)
-        self.context.clock.consume_io(self.context.config.materialization_cost_ms_per_tuple)
-        return row
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         clock = self.context.clock
         wait_before = clock.stats.wait_ms
-        batch = self.child.next_batch(max_rows)
+        if arrival_bound is None:
+            batch = self.child.next_batch(max_rows)
+        else:
+            batch = self.child.next_batch_bounded(max_rows, arrival_bound)
         if batch:
             assert self._relation is not None
             # Columnar batches are retained struct-of-arrays; rows are only
             # boxed if something later reads the relation row-wise.
             self._relation.extend_batch(batch)
             # Overlapped like the batch CPU charge in Operator.next_batch:
-            # tuple-at-a-time materialization hides this IO inside the waits
-            # between arrivals.
+            # per-row materialization IO hides inside the waits between
+            # arrivals.
             clock.consume_io_overlapped(
                 len(batch) * self.context.config.materialization_cost_ms_per_tuple,
                 max(0.0, clock.stats.wait_ms - wait_before),

@@ -42,13 +42,7 @@ class Project(Operator):
             return None
         return self.child.peek_arrival()
 
-    def _next(self) -> Row | None:
-        row = self.child.next()
-        if row is None:
-            return None
-        return row.project(self.attributes, self.output_schema)
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         if self._indices is None:
             # The input schema is fixed once the child is open; bind the
             # projected attribute positions once instead of per row.
@@ -56,7 +50,10 @@ class Project(Operator):
             self._indices = [child_schema.index_of(name) for name in self.attributes]
         indices = self._indices
         schema = self.output_schema
-        batch = self.child.next_batch(max_rows)
+        if arrival_bound is None:
+            batch = self.child.next_batch(max_rows)
+        else:
+            batch = self.child.next_batch_bounded(max_rows, arrival_bound)
         if not batch:
             return Batch.empty(schema)
         if batch.is_columnar:

@@ -200,39 +200,16 @@ class WrapperScan(Operator):
         self.context.emit_event(kind, self.source_name, value=value)
         self.context.emit_event(kind, self.operator_id, value=value)
 
-    def _next(self) -> Row | None:
-        if self.context.is_deactivated(self.operator_id):
-            return None
-        try:
-            row = self._pull_row()
-        except SourceUnavailableError as exc:
-            self._emit_failure(exc)
-            raise
-        if row is None:
-            self._fill_cache_if_complete()
-            return None
-        self._threshold_counter += 1
-        self.context.emit_event(
-            EventType.THRESHOLD, self.operator_id, value=self._threshold_counter
-        )
-        return row
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._batched_fetch(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        return self._batched_fetch(max_rows, arrival_bound)
-
-    def _batched_fetch(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         """Vectorized fetch loop, optionally stopping at an arrival bound.
 
         Per-row THRESHOLD events are only emitted when a rule actually watches
-        this operator (emitting one Event object per source tuple is the
-        single biggest per-row cost of the tuple-at-a-time path); the
-        threshold counter itself is always maintained.  A source failure that
-        strikes mid-batch is deferred so the rows fetched before it are not
-        lost: the partial batch is delivered and the error re-raised on the
-        next call, which is when a tuple-at-a-time consumer would have hit it.
+        this operator (one Event object per source tuple would otherwise be
+        the biggest per-row cost of a scan); the threshold counter itself is
+        always maintained.  A source failure that strikes mid-batch is
+        deferred so the rows fetched before it are not lost: the partial
+        batch is delivered and the error re-raised on the next call, which is
+        when the row after the last delivered one would have hit it.
 
         The unwatched block path — live, cache-collecting or cache-served
         alike — builds the batch's column lists straight from the fetched
@@ -257,7 +234,7 @@ class WrapperScan(Operator):
             next_arrival = self._stream_next_arrival
         use_block = self._follower is None and not watched
         if use_block and self._extent is None and (cache_feed is None or cache_feed.columnar):
-            return self._batched_fetch_columnar(max_rows, arrival_bound)
+            return self._fetch_columnar(max_rows, arrival_bound)
         use_block = use_block and cache_feed is None
         while len(batch) < max_rows:
             if use_block:
@@ -302,7 +279,7 @@ class WrapperScan(Operator):
                     break
         return Batch.from_rows(self.output_schema, batch)
 
-    def _batched_fetch_columnar(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _fetch_columnar(self, max_rows: int, arrival_bound: float | None) -> Batch:
         """Columnar block fetch: identical block/fallback structure, no boxing.
 
         The feed is the live wrapper or, served from the cache, the cache
@@ -382,7 +359,6 @@ class TableScan(Operator):
     ) -> None:
         super().__init__(operator_id, context, estimated_cardinality=estimated_cardinality)
         self.relation_name = relation_name
-        self._relation = None
         self._cursor = 0
 
     @property
@@ -390,26 +366,18 @@ class TableScan(Operator):
         return self.context.local_store.get(self.relation_name).schema
 
     def _do_open(self) -> None:
-        # Row access stays lazy: a relation materialized columnar is only
-        # boxed into Row objects if the tuple path actually reads it.
-        self._relation = self.context.local_store.get(self.relation_name)
+        self.context.local_store.get(self.relation_name)  # a missing relation fails here
         self._cursor = 0
 
-    def _next(self) -> Row | None:
-        # Boxes only the row delivered (a relation materialized columnar
-        # stays columnar).  Local reads are CPU + buffer-pool work; the base
-        # class adds the generic per-tuple CPU charge on return.
-        row = self._relation.row_at(self._cursor, self.context.clock.now)
-        if row is not None:
-            self._cursor += 1
-        return row
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         now = self.context.clock.now
         schema = self.output_schema
+        if arrival_bound is not None and now >= arrival_bound:
+            # Stored rows all arrive "now", and nothing here advances the clock.
+            return Batch.empty(schema)
         # Columns come straight from the stored relation (served from its
         # buffered columnar batches when the result was materialized
-        # columnar); arrival is "now" for every row, as in the tuple path.
+        # columnar); arrival is "now" for every row.
         columns, count = self.context.local_store.column_block(
             self.relation_name, self._cursor, max_rows
         )
@@ -419,9 +387,3 @@ class TableScan(Operator):
         # Local block reads stamp every row "now": one arrival run instead
         # of ``count`` boxed floats.
         return Batch.from_columns(schema, columns, RunLengthArrivals.constant(now, count))
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        # Stored rows all arrive "now", and nothing here advances the clock.
-        if self.context.clock.now >= arrival_bound:
-            return Batch.empty(self.output_schema)
-        return self._next_batch(max_rows)

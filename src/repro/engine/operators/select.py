@@ -84,31 +84,14 @@ class Select(Operator):
             return None
         return self.child.peek_arrival()
 
-    def _matches(self, row: Row) -> bool:
-        for predicate in self.predicates:
-            value = row.get(f"{predicate.table}.{predicate.attr}", row.get(predicate.attr))
-            if value is None or not predicate.evaluate(value):
-                return False
-        return True
-
-    def _next(self) -> Row | None:
-        while True:
-            row = self.child.next()
-            if row is None:
-                return None
-            if self._matches(row):
-                return row
-
     def _compile_predicates(self) -> list[CompiledPredicate]:
         """Bind each predicate to a column index and a raw comparator, once.
 
-        The tuple path resolves attribute names (and the comparator table) per
-        row; the input schema is fixed once the child is open, so the batch
-        evaluator binds column indices and comparator callables a single time
-        and then filters whole batches with plain ``comparator(value, const)``
-        calls.  ``None`` marks an attribute absent from the schema — such
-        predicates can never be satisfied (mirroring :meth:`_matches`, where
-        the lookup yields ``None``).
+        The input schema is fixed once the child is open, so the evaluator
+        binds column indices and comparator callables a single time and then
+        filters whole batches with plain ``comparator(value, const)`` calls.
+        An attribute is looked up qualified first, then bare; ``None`` marks
+        one absent from the schema — such predicates can never be satisfied.
         """
         schema = self.child.output_schema
         compiled: list[CompiledPredicate] = []
@@ -257,14 +240,17 @@ class Select(Operator):
         self._maybe_reorder()
         return Batch.from_rows(batch.schema, out)
 
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         if self._compiled is None:
             self._compiled = self._compile_predicates()
             self._observed = [[0, 0] for _ in self._compiled]
             self._dict_masks = [{} for _ in self._compiled]
         child = self.child
         while True:
-            batch = child.next_batch(max_rows)
+            if arrival_bound is None:
+                batch = child.next_batch(max_rows)
+            else:
+                batch = child.next_batch_bounded(max_rows, arrival_bound)
             if not batch:
                 return batch
             if batch.is_columnar:

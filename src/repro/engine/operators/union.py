@@ -7,7 +7,6 @@ from repro.engine.iterators import Operator
 from repro.errors import ExecutionError
 from repro.storage.batch import Batch
 from repro.storage.schema import Schema, merge_union_schema
-from repro.storage.tuples import Row
 
 
 class Union(Operator):
@@ -60,24 +59,21 @@ class Union(Operator):
                 return arrival
         return None
 
-    def _next(self) -> Row | None:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         schema = self.output_schema
         while self._current < len(self.children):
-            row = self.children[self._current].next()
-            if row is not None:
-                # Re-stamp onto the union's schema so downstream operators see
-                # consistent attribute names regardless of which child produced it.
-                return Row(schema, row.values, row.arrival)
-            self._current += 1
-        return None
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        schema = self.output_schema
-        while self._current < len(self.children):
-            batch = self.children[self._current].next_batch(max_rows)
+            child = self.children[self._current]
+            if arrival_bound is None:
+                batch = child.next_batch(max_rows)
+            else:
+                batch = child.next_batch_bounded(max_rows, arrival_bound)
             if batch:
-                # Re-stamping onto the union schema is a pure schema rebind
-                # for columnar batches (column lists are aliased, not copied).
+                # Re-stamp onto the union's schema so downstream operators see
+                # consistent attribute names whichever child produced a row: a
+                # pure schema rebind for columnar batches (column lists are
+                # aliased, not copied).
                 return batch.with_schema(schema)
+            if arrival_bound is not None and child.peek_arrival() is not None:
+                return Batch.empty(schema)  # the bound, not this child's end
             self._current += 1
         return Batch.empty(schema)

@@ -208,7 +208,7 @@ class DataSource:
         time.  This is a deliberate conservative approximation (queueing
         may be overestimated, never missed): the scheduler's frontier-first
         order makes it deterministic, and it matches the batch-granular
-        coarseness the drive modes already accept.  Exact sharing would
+        coarseness the batch drive already accepts.  Exact sharing would
         need per-slot busy *interval* bookkeeping.
         """
         if self.max_concurrent is None or self.profile.unavailable:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.iterators import DEFAULT_BATCH_SIZE
 from repro.engine.stats import ServerStats, SourceLayerSummary
 from repro.network.cache import SourceCache
 from repro.plan.fragments import QueryPlan
@@ -109,7 +108,6 @@ class QueryServer:
         name: str | None = None,
         *,
         result_name: str | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
         arrival_ms: float | None = None,
         engine_config: EngineConfig | None = None,
     ) -> QuerySession:
@@ -127,7 +125,6 @@ class QueryServer:
             admission_index=self._counter,
             root_spec=root_spec,
             result_name=result_name,
-            batch_size=batch_size,
         )
         self.sessions[session_id] = session
         if self.prefetcher is not None:
@@ -139,7 +136,6 @@ class QueryServer:
         plan: QueryPlan,
         name: str | None = None,
         *,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
         arrival_ms: float | None = None,
         engine_config: EngineConfig | None = None,
     ) -> QuerySession:
@@ -167,7 +163,6 @@ class QueryServer:
             context,
             admission_index=self._counter,
             plan=plan,
-            batch_size=batch_size,
         )
         self.sessions[session_id] = session
         if self.prefetcher is not None:
@@ -199,20 +194,6 @@ class QueryServer:
             self.scheduler_slices += 1
         if self.prefetcher is not None:
             self.prefetcher.quiesce()
-        return self.stats()
-
-    def run_serially(self) -> ServerStats:
-        """Back-to-back baseline: finish each session before starting the next.
-
-        Uses the same sessions, clocks, broker, and cache — only the
-        interleaving differs — so the gap between :meth:`run` and this is
-        purely the scheduler's overlap (the benchmark instead compares
-        against fully isolated runs, which also removes sharing).
-        """
-        for session in sorted(self.sessions.values(), key=lambda s: s.admission_index):
-            while not session.finished:
-                session.step()
-                self.scheduler_slices += 1
         return self.stats()
 
     # -- reporting ----------------------------------------------------------------------

@@ -52,14 +52,12 @@ class QuerySession:
         plan: QueryPlan | None = None,
         root_spec: OperatorSpec | None = None,
         result_name: str | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
     ) -> None:
         if (plan is None) == (root_spec is None):
             raise ValueError("a session takes exactly one of plan= or root_spec=")
         self.session_id = session_id
         self.context = context
         self.admission_index = admission_index
-        self.batch_size = batch_size
         self.status = SessionStatus.PENDING
         self.summary = SessionSummary(
             session_id=session_id, submitted_at_ms=context.clock.now
@@ -75,7 +73,7 @@ class QuerySession:
         self.error: str | None = None
         self.executor: QueryExecutor | None = None
         if plan is not None:
-            self.executor = QueryExecutor(context, batch_size=batch_size)
+            self.executor = QueryExecutor(context)
             self._plan = plan
             self._gen = self.executor.steps(plan)
         else:
@@ -180,30 +178,18 @@ class QuerySession:
         produced = 0
         timeline = self.timeline
         try:
-            if self.batch_size is None:
-                while True:
-                    wait_until = wait_hint(root, context.clock)
-                    if wait_until is not None:
-                        yield StepEvent("wait", context.clock.now, wait_until_ms=wait_until)
-                    row = root.next()
-                    if row is None:
-                        break
-                    produced += 1
-                    timeline.record(context.clock.now, produced)
-                    yield StepEvent("batch", context.clock.now)
-            else:
-                size = 1
-                while True:
-                    wait_until = wait_hint(root, context.clock)
-                    if wait_until is not None:
-                        yield StepEvent("wait", context.clock.now, wait_until_ms=wait_until)
-                    batch = root.next_batch(size)
-                    if not batch:
-                        break
-                    produced += len(batch)
-                    timeline.record(context.clock.now, produced)
-                    size = min(size * 4, self.batch_size)
-                    yield StepEvent("batch", context.clock.now)
+            size = 1
+            while True:
+                wait_until = wait_hint(root, context.clock)
+                if wait_until is not None:
+                    yield StepEvent("wait", context.clock.now, wait_until_ms=wait_until)
+                batch = root.next_batch(size)
+                if not batch:
+                    break
+                produced += len(batch)
+                timeline.record(context.clock.now, produced)
+                size = min(size * 4, DEFAULT_BATCH_SIZE)
+                yield StepEvent("batch", context.clock.now)
         finally:
             root.close()
         self.result = context.local_store.get(self._result_name)

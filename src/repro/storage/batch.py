@@ -8,7 +8,7 @@ in columns lets operators work on whole batches with C-speed primitives —
 ``zip`` transposes, ``itemgetter`` gathers, slice copies, all of them pointer
 moves — instead of creating one boxed :class:`~repro.storage.tuples.Row`
 object per tuple.  Rows are only materialized lazily at the boundaries that
-genuinely need them (the tuple-at-a-time drive, tests).
+genuinely need them (the one-row ``Operator.next`` adapter, tests).
 
 A batch may be *column-backed* or *row-backed*.  Operators with native
 columnar paths (scans, select, project, all three hash joins) produce and
@@ -183,7 +183,7 @@ class Batch:
         return rows
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows())  # repro: allow[hot-path-row] tuple-drive compatibility
+        return iter(self.rows())  # repro: allow[hot-path-row] row iteration for tests and callers
 
     def __getitem__(self, index: int) -> Row:
         if self._rows is not None:
@@ -264,7 +264,7 @@ def gather_join_columns(
     pure per-column work — no row boxing anywhere.  ``take[i]`` names the left
     row matched by right position ``i`` (indices repeat when a left row has
     several matches); each output arrival is the later of the two input
-    stamps, as :meth:`Row.concat` produces tuple-at-a-time.  ``aligned=True``
+    stamps, as :meth:`Row.concat` produces row by row.  ``aligned=True``
     asserts ``take`` is the identity permutation (every left row matched
     exactly once, the foreign-key case), letting the left columns alias
     instead of gather.
@@ -285,7 +285,7 @@ class BatchCursor:
 
     Join operators produce one output batch per probed input batch, which may
     exceed the consumer's requested ``max_rows``; a cursor hands out slices
-    (or single rows, for tuple-at-a-time callers) until the batch is drained.
+    until the batch is drained.
     """
 
     __slots__ = ("batch", "position")
@@ -310,11 +310,3 @@ class BatchCursor:
         if position == 0 and stop == len(self.batch):
             return self.batch
         return self.batch.slice(position, stop)
-
-    def next_row(self) -> Row | None:
-        """One row at a time (for tuple-at-a-time consumers); ``None`` when drained."""
-        if self.position >= len(self.batch):
-            return None
-        row = self.batch[self.position]
-        self.position += 1
-        return row

@@ -19,8 +19,8 @@ scatter over, are one gather per column and one block-level charge, the
 per-group byte arithmetic being offsets into that one chunk.  A reader merges
 the log once (:meth:`OverflowFile.read_log`; tag runs give every group's
 positions) and is charged, per group, what the group was charged on write.
-The per-row ``write``/``read`` API remains for tuple-at-a-time callers (the
-tuple drive's row spill) and boxes rows only there.
+The per-row ``write``/``read`` API remains as a row view (the tests' per-tuple
+join pipelines spill through it) and boxes rows only there.
 
 Byte accounting is *representation-faithful* and *per group*: every byte and
 page is what one file per bucket would charge.  A dictionary-encoded string

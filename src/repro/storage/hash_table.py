@@ -28,8 +28,8 @@ gather per column however many buckets they scatter over — every byte and
 page being what one file per bucket would charge.  Resident rows charge their
 columnar byte estimate (:attr:`Schema.encoded_row_size`, dictionary entries
 once per table) against a :class:`~repro.storage.memory.MemoryBudget`, so
-the joins meet memory pressure exactly when the paper's engine would, in both
-drive modes alike: the table's representation never changes with the drive.
+the joins meet memory pressure exactly when the paper's engine would, however
+rows reach the table: its representation never changes with the caller.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -251,7 +251,7 @@ class BucketedHashTable:
         (the overflow signal) forward.  Adopted slots charge each entry at
         the first *insert* referencing it (tracked per code), which is the
         same logical point an owned dictionary charges at, so byte totals
-        and overflow positions agree across drive modes.
+        and overflow positions agree between bulk and per-row inserts.
         """
         dictionaries = make_dictionaries(self.schema)
         adopted: list = []
@@ -585,7 +585,7 @@ class BucketedHashTable:
     # -- probing -------------------------------------------------------------------
 
     def probe(self, key: Key) -> list[Row]:
-        """Resident rows matching ``key``, boxed (the tuple-at-a-time view)."""
+        """Resident rows matching ``key``, boxed (a row view for tests)."""
         matched = self.match_positions(key)
         if matched is None:
             return []

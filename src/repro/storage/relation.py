@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, StorageError
@@ -33,7 +32,7 @@ class Relation:
         self._rows: list[Row] = []
         self._pending: list[Batch] = []
         #: Cumulative row counts of ``_pending`` (``_pending_ends[i]`` rows
-        #: sit in batches ``0..i``), so one row is found by bisection.
+        #: sit in batches ``0..i``): the length without boxing.
         self._pending_ends: list[int] = []
         if rows:
             self.extend(rows)
@@ -130,26 +129,6 @@ class Relation:
         """The row list (not a copy; treat as read-only)."""
         self._materialize_pending()
         return self._rows
-
-    def row_at(self, index: int, arrival: float) -> Row | None:
-        """Row ``index`` stamped ``arrival``; ``None`` past the end.
-
-        Boxes exactly the row asked for: one still held in a buffered
-        columnar batch is read out of that batch's columns in place, so the
-        batches stay columnar for later :meth:`column_block` reads.
-        """
-        rows = self._rows
-        if index < len(rows):
-            return rows[index].with_arrival(arrival)
-        index -= len(rows)
-        ends = self._pending_ends
-        at = bisect_right(ends, index)
-        if at == len(ends):
-            return None
-        batch = self._pending[at]
-        if at:
-            index -= ends[at - 1]
-        return Row.make(batch.schema, tuple(c[index] for c in batch.columns), arrival)
 
     @property
     def cardinality(self) -> int:

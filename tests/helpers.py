@@ -16,13 +16,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
+from repro.engine.operators.joins.double_pipelined import LEFT, RIGHT, DoublePipelinedJoin
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile
 from repro.storage.batch import Batch
+from repro.storage.hash_table import bucket_of
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
+from repro.storage.tuples import Row
 
 #: The Hypothesis profile ``tests/conftest.py`` loads: ``tier1`` (the gate,
 #: derandomized) unless ``HYPOTHESIS_PROFILE=fuzz`` selects the seeded fuzz run.
@@ -88,28 +90,178 @@ class ScriptedProfile(NetworkProfile):
         return [start_ms + offset for offset in self.timetable[:count]]
 
 
+def boxed_matches(schema, row, store, positions, row_first=True):
+    """``row`` joined with ``store``'s rows at ``positions``, boxed (``row``
+    is the left input unless ``row_first`` is false); each pair carries the
+    later arrival stamp."""
+    values, arrival, arrivals = row.values, row.arrival, store.arrivals
+    out = []
+    for position in positions:
+        matched, stamp = store.value_tuple(position), arrivals[position]
+        out.append(
+            Row.make(
+                schema,
+                values + matched if row_first else matched + values,
+                arrival if arrival >= stamp else stamp,
+            )
+        )
+    return out
+
+
 class RowPipelineDPJ(DoublePipelinedJoin):
-    """The DPJ's per-tuple pipeline (:meth:`_process`, :meth:`_cleanup_pairs`)
-    consumed in the batch drive's runs — what the retired row-batch drive ran."""
+    """The DPJ's per-tuple pipeline — :meth:`_process` per consumed row and
+    the row cleanup :meth:`_cleanup_pairs` — fed by the join's own input runs.
 
-    def _consume_segment(self, side, run, room, arrival_bound):
-        position = run.cursor
-        run.cursor = position + 1
-        self._process(side, run.batch[position], run.keys[position])
+    What the engine's retired row-batch drive ran (its tuple drive fed the
+    same pipeline a child row at a time): matches are boxed onto
+    :attr:`_pending` and handed over at the top of the next loop turn, spills
+    are row writes charged one row at a time.
+    """
 
-    def _cleanup_batches_iter(self):
-        # No batch iterator: the batch loop drains the row cleanup instead.
-        self._cleanup = self._cleanup_pairs()
+    def _do_open(self):
+        super()._do_open()
+        self._pending = []
+        self._cleanup = None
+
+    def peek_arrival(self):
+        if self.state == "open" and (self._pending or self._cleanup is not None):
+            return self.context.clock.now
+        return super().peek_arrival()
+
+    def _next_batch(self, max_rows, arrival_bound=None):
+        context, clock = self.context, self.context.clock
+        rows = []
+        while len(rows) < max_rows:
+            if arrival_bound is not None and clock.now >= arrival_bound:
+                break
+            if self._pending:
+                room = max_rows - len(rows)
+                rows += self._pending[:room]
+                del self._pending[:room]
+                if context.batch_interrupt:
+                    break
+                continue
+            if self._cleanup is not None:
+                row = next(self._cleanup, None)
+                if row is None:
+                    break
+                self._pending.append(row)
+                continue
+            side = self._choose_side()
+            if side is None:
+                self._cleanup = self._cleanup_pairs()
+                continue
+            run = self._runs[side]
+            if run is None or run.cursor >= len(run):
+                run = self._pull_run(side)
+            if run is None:
+                row = self._child(side).next()
+                if row is None:
+                    self._exhausted[side] = True
+                    if side == RIGHT and self._drain_right_first:
+                        self._drain_right_first = False
+                    continue
+                run = self._buffer_run(side, Batch.from_rows(row.schema, [row]))
+            position = run.cursor
+            run.cursor = position + 1
+            self._process(side, run.batch[position], run.keys[position])
+            if run.cursor >= len(run):
+                self._runs[side] = None
+            if context.batch_interrupt and rows:
+                break
+        return Batch.from_rows(self.output_schema, rows)
+
+    def _process(self, side, row, key):
+        """Probe, emit, and insert one arriving tuple."""
+        other, tables = 1 - side, self._tables
+        index = bucket_of(key, self.bucket_count)
+        if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
+            # Arrived after its bucket spilled: never probes live (marked).
+            self._spill_arriving(side, index, row, marked=True)
+            return
+        store = tables[other].arena
+        matches = store.lookup(key) if store is not None else None
+        if matches:
+            self._emitted_output = True
+            self._pending += boxed_matches(self.output_schema, row, store, matches, side == LEFT)
+        if self._exhausted[other]:
+            return  # footnote 3: nothing left for it to meet
+        table = tables[side]
+        while True:
+            if table.buckets[index].flushed:
+                # The strategy spilled its own bucket: it has probed (unmarked).
+                self._spill_arriving(side, index, row, marked=False)
+                return
+            if table.insert(row, key=key):
+                return
+            self._resolve_overflow()
+
+    def _spill_arriving(self, side, index, row, marked):
+        table = self._tables[side]
+        table.spill_log.write(row, marked, table.buckets[index])
+        self._charge_disk_time()
+
+    def _cleanup_pairs(self):
+        """Row-at-a-time overflow resolution, every spilled tuple boxed."""
+        left_key, right_key = self._left_binder.key, self._right_binder.key
+        schema = self.output_schema
+        for index in self._spilled_buckets():
+            entries = [list(table.overflow_rows(index)) for table in self._tables]
+            self._charge_disk_time()
+            # Resident remnants participate as unmarked entries (no read cost).
+            for table, side_entries in zip(self._tables, entries):
+                remnant = Batch.from_columns(table.schema, *table.bucket_rows(index))
+                side_entries.extend((row, False) for row in remnant.rows())
+            left_entries, right_entries = entries
+            right_by_key = {}
+            for row, marked in right_entries:
+                right_by_key.setdefault(right_key(row), []).append((row, marked))
+            for left_row, left_marked in left_entries:
+                for right_row, right_marked in right_by_key.get(left_key(left_row), ()):
+                    if left_marked or right_marked:  # both unmarked: already emitted
+                        yield left_row.concat(right_row, schema)
 
 
 class RowPipelineHybrid(HybridHashJoin):
-    """The hybrid's per-row probe (:meth:`_probe_one`) and row overflow pass."""
+    """The hybrid's per-row probe (:meth:`_probe_one`) and row overflow pass
+    (:meth:`_overflow_pairs`, handed over one row per batch)."""
 
     def _probe_outer_batch(self, outer):
-        return super()._probe_outer_batch(Batch.from_rows(outer.schema, outer.rows()))
+        matches = []
+        for outer_row in outer.rows():
+            matches += self._probe_one(outer_row)
+        return Batch.from_rows(self.output_schema, matches) if matches else None
+
+    def _probe_one(self, outer_row):
+        key = self._left_binder.key(outer_row)
+        if self._inner_table.bucket_for_key(key).flushed:
+            outer = self._outer_table
+            outer.spill_log.write(outer_row, False, outer.bucket_for_key(key))
+            self._charge_disk_time()
+            return []
+        matched = self._inner_table.match_positions(key)
+        return boxed_matches(self.output_schema, outer_row, *matched) if matched else []
 
     def _overflow_pair_batches(self):
-        self._overflow_output = self._overflow_pairs()
+        for row in self._overflow_pairs():
+            yield Batch.from_rows(self.output_schema, [row])
+
+    def _overflow_pairs(self):
+        """Joins spilled pairs bucket by bucket, boxing each tuple."""
+        left_key, right_key = self._left_binder.key, self._right_binder.key
+        schema, inner, outer = self.output_schema, self._inner_table, self._outer_table
+        for bucket_index in inner.flushed_buckets:
+            if not outer.buckets[bucket_index].spilled_count:
+                continue
+            # Reload the inner bucket (charging read I/O) into a transient map.
+            inner_by_key = {}
+            for inner_row, _ in inner.overflow_rows(bucket_index):
+                inner_by_key.setdefault(right_key(inner_row), []).append(inner_row)
+            self._charge_disk_time()
+            for outer_row, _ in outer.overflow_rows(bucket_index):
+                for inner_row in inner_by_key.get(left_key(outer_row), ()):
+                    yield outer_row.concat(inner_row, schema)
+            self._charge_disk_time()
 
 
 def per_tuple_reference(join):
@@ -143,10 +295,11 @@ def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **con
 
     ``drive`` is ``"columnar"`` (the batch drive), ``"rows"`` (the batch
     protocol over the join's per-tuple pipeline, :func:`per_tuple_reference`)
-    or ``"tuple"``.  Rows come back in production order.  The batch drives
-    clear ``batch_interrupt`` after every batch, as the executor does once it
-    has drained the event queue; ``between_batches(index, join)`` runs after
-    each batch (revocations, inspections).
+    or ``"tuple"`` (one row at a time through the ``next()`` adapter).  Rows
+    come back in production order.  The batch drives clear
+    ``batch_interrupt`` after every batch, as the executor does once it has
+    drained the event queue; ``between_batches(index, join)`` runs after each
+    batch (revocations, inspections).
     """
     context = ExecutionContext(catalog, config=EngineConfig(**config))
     join = build(context)

@@ -146,9 +146,8 @@ def test_batch_cursor_slices_and_rows():
     cursor = BatchCursor(batch)
     first = cursor.take(3)
     assert len(first) == 3 and len(cursor) == 1
-    assert cursor.next_row().values == SAMPLE[3].values
+    assert [row.values for row in cursor.take(5)] == [SAMPLE[3].values]
     assert not cursor
-    assert cursor.next_row() is None
     assert not cursor.take(5)
 
 
@@ -173,20 +172,6 @@ def test_relation_column_block_serves_pending_without_boxing():
     assert len(relation.rows) == 4
     columns, count = relation.column_block(0, 2)
     assert count == 2 and columns == [[1, 2], ["a", "b"], [10, 20]]
-
-
-def test_relation_row_at_reads_rows_then_pending_batches_in_place():
-    relation = Relation("t", SCHEMA, SAMPLE[:2])
-    relation.extend_batch(Batch.from_columns(SCHEMA, [[7, 8], ["g", "h"], [70, 80]], [0.0, 0.0]))
-    relation.extend_batch(Batch.from_columns(SCHEMA, [[9], ["i"], [90]], [0.0]))
-    got = [relation.row_at(i, 5.0) for i in range(6)]
-    assert [row.values for row in got[:5]] == [
-        SAMPLE[0].values, SAMPLE[1].values, (7, "g", 70), (8, "h", 80), (9, "i", 90)
-    ]
-    assert all(row.arrival == 5.0 for row in got[:5]) and got[5] is None
-    assert len(relation._pending) == 2 and len(relation) == 5  # nothing materialized
-    assert [row.values for row in relation.rows] == [row.values for row in got[:5]]
-    assert relation.row_at(4, 1.0).values == (9, "i", 90) and relation.row_at(5, 1.0) is None
 
 
 def test_relation_extend_batch_lazy_materialization():

@@ -161,6 +161,8 @@ class TestPolicyBehaviour:
 
     def test_threshold_events_emitted_per_child(self, bib_catalog):
         context = ExecutionContext(bib_catalog)
+        # Per-row THRESHOLD events are raised when a rule watches them.
+        context.watch_events({(EventType.THRESHOLD, "scan_bib-main")})
         collector = make_collector(context, ["bib-main"], dedup_keys=None)
         collector.open()
         list(collector.iterate())

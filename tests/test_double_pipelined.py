@@ -17,6 +17,7 @@ from repro.storage.memory import MB
 from repro.storage.tuples import counting_row_constructions
 
 from helpers import (
+    RowPipelineDPJ,
     ScriptedProfile,
     digest,
     drive_join,
@@ -372,11 +373,10 @@ class TestRunAtATime:
             inputs = rows_built_by_the_scans(tree, config)
             per_tuple = count_calls(monkeypatch, BucketedHashTable, "insert_position")
             segments = count_calls(monkeypatch, DoublePipelinedJoin, "_consume_segment")
-            boxed = count_calls(monkeypatch, DoublePipelinedJoin, "_process")
             with counting_row_constructions() as counter:
                 rows, context, join = drive_join(tree, tpcd_catalog, "columnar", **config)
                 built = counter.count
-            assert segments and not boxed
+            assert segments
             assert len(per_tuple) <= join.overflow_count
             assert fingerprint(rows, context, join) == self.ROW_BACKED[mode]
             # The scans' own rows plus the output boxed by this test's drain:
@@ -392,8 +392,8 @@ class TestRunAtATime:
         the batch drive's, it reproduces the row-batch golden, one
         :meth:`_process` per consumed row and the row cleanup."""
         tree, config = self.row_backed_trees(tiny_tpcd)["watched"]
-        processed = count_calls(monkeypatch, DoublePipelinedJoin, "_process")
-        cleanups = count_calls(monkeypatch, DoublePipelinedJoin, "_cleanup_pairs")
+        processed = count_calls(monkeypatch, RowPipelineDPJ, "_process")
+        cleanups = count_calls(monkeypatch, RowPipelineDPJ, "_cleanup_pairs")
         rows, context, join = drive_join(tree, tpcd_catalog, "rows", **config)
         assert fingerprint(rows, context, join) == (
             (self.WATCHED_ROWS_DIGEST,) + self.ROW_BACKED["watched"][1:]
@@ -462,8 +462,8 @@ class TestRunAtATime:
         assert len(rows) == 58 * 58
 
     def test_tuple_drive_serves_a_high_fan_out_key_in_order(self):
-        # One key matching 2,500 rows: the tuple drive hands them over through
-        # a cursor (a pop(0) per row was quadratic), in emission order.
+        # One key matching 2,500 rows: ``next()`` hands them over one at a
+        # time from the output accumulators' cursor, in emission order.
         fan_out = 2500
         left_rows = [(7, f"l{i}") for i in range(fan_out)]
         right_rows = [(7, "r0"), (8, "r1")]

@@ -1,7 +1,7 @@
 """Exchange / ExchangeSource: lane-count invariance, broker invariant, determinism.
 
 The exchange promises result transparency — identical result multisets at any
-lane count, under both drive modes — plus the server-wide memory
+lane count, read in batches or row by row — plus the server-wide memory
 invariant (``broker.used == sum(resident_bytes)`` at every revocation, with
 per-lane budgets as individual leases) and a fully deterministic merge
 (earliest event first, lane index as the tie-break).
@@ -43,7 +43,8 @@ SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
 
 
 def run_tuple_tree(spec, catalog, engine_config=None, result_name="bench_result") -> RunResult:
-    """:func:`run_operator_tree` driven tuple-at-a-time: one ``next()`` per row."""
+    """:func:`run_operator_tree` read one row at a time, through the
+    one-row adapter :meth:`~repro.engine.iterators.Operator.next`."""
     context = ExecutionContext(catalog, config=engine_config, query_name=result_name)
     root = build_operator(spec, context)
     root = Materialize(f"{result_name}-mat", context, root, result_name=result_name)
@@ -64,7 +65,7 @@ def run_tuple_tree(spec, catalog, engine_config=None, result_name="bench_result"
     )
 
 
-#: The two drive modes (docs/engine.md, "Drive modes"): batches and tuple-at-a-time.
+#: How a run is read: in batches (the drive), or a row at a time through ``next()``.
 DRIVE_MODES = {
     "columnar": run_operator_tree,
     "tuple": run_tuple_tree,
@@ -198,20 +199,15 @@ class TestLaneGoldens:
     failures moved no join number."""
 
     #: (plan, lanes, drive) -> (cardinality, completion ms, time to first
-    #: tuple ms, timeline digest, operator-stats digest)
+    #: tuple ms, timeline digest, operator-stats digest); the tuple drive's
+    #: goldens left with that drive.
     PARENT = {
         ("dpj", 1, "columnar"): (1527, 101.80750000000016, 10.128999999999989, "6739f2364674a8ae", "23644173eb653106"),
-        ("dpj", 1, "tuple"): (1527, 100.45149999999998, 5.099499999999999, "76efb9d8c4446afd", "ff88a7386124f211"),
         ("dpj", 2, "columnar"): (1527, 104.22500000000116, 5.0895, "347112e878fc5a17", "b84ede9d3d7f866f"),
-        ("dpj", 2, "tuple"): (1527, 105.76100000000135, 27.53599999999995, "ada3b42b992e5a33", "c86be51e176eec3e"),
         ("dpj", 4, "columnar"): (1527, 106.23800000000115, 5.0895, "daae52cc5996f093", "5c17bce69cf5e2d3"),
-        ("dpj", 4, "tuple"): (1527, 107.77400000000142, 27.53599999999995, "822cc18d2984f05e", "2c8f8667f01e4a5d"),
         ("hybrid", 1, "columnar"): (1527, 100.43950000000075, 37.82449999999959, "2c885e01b3b42b81", "83f8dfb3dffcc975"),
-        ("hybrid", 1, "tuple"): (1527, 100.45149999999998, 37.83849999999972, "03f1bbe32dccc2a5", "4b8b851200847a6f"),
         ("hybrid", 2, "columnar"): (1527, 104.22500000000116, 5.0895, "347112e878fc5a17", "58cd089c5c14ae93"),
-        ("hybrid", 2, "tuple"): (1527, 105.76100000000135, 37.88199999999959, "a1e2e791810e1ffe", "4f0dcb9e8d311205"),
         ("hybrid", 4, "columnar"): (1527, 106.23800000000115, 5.0895, "510bf0258b66391b", "af9c79eb60ee4e41"),
-        ("hybrid", 4, "tuple"): (1527, 107.77400000000142, 37.88199999999959, "03ded62f8ec4083d", "64df59a67943a27c"),
         ("dpj-64k", 2, "columnar"): (1527, 104.22500000000116, 5.0895, "347112e878fc5a17", "b84ede9d3d7f866f"),
         ("dpj-64k", 4, "columnar"): (1527, 106.23800000000115, 5.0895, "daae52cc5996f093", "5c17bce69cf5e2d3"),
     }

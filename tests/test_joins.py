@@ -158,7 +158,7 @@ class TestDependentJoinProbeCache:
         catalog.register_source(DataSource("ord", orders, wide_area()))
         return catalog
 
-    def _run(self, catalog, probe_cache, batch_size=None, context=None):
+    def _run(self, catalog, probe_cache, batch_size=64, context=None):
         context = context or ExecutionContext(catalog)
         left = WrapperScan("scan_item", context, "item")
         join = DependentJoin(
@@ -166,15 +166,9 @@ class TestDependentJoinProbeCache:
             probe_cache=probe_cache,
         )
         join.open()
-        if batch_size is None:
-            rows = list(join.iterate())
-        else:
-            rows = []
-            while True:
-                batch = join.next_batch(batch_size)
-                if not batch:
-                    break
-                rows.extend(batch)
+        rows = []
+        while batch := join.next_batch(batch_size):
+            rows.extend(batch)
         join.close()
         return join, rows, context
 
@@ -206,16 +200,18 @@ class TestDependentJoinProbeCache:
 
     @pytest.mark.parametrize("batch_size", [1, 4, 64])
     def test_batch_drive_hits_the_memo_identically(self, dup_key_catalog, batch_size):
-        tuple_join, tuple_rows, _ = self._run(dup_key_catalog, probe_cache=True)
         batch_join, batch_rows, _ = self._run(
             dup_key_catalog, probe_cache=True, batch_size=batch_size
         )
-        assert multiset(batch_rows) == multiset(tuple_rows)
-        assert batch_join.probes == tuple_join.probes == 3
-        assert batch_join.cache_hits == tuple_join.cache_hits == 9
-        # Every path — the tuple drive's binder, the batch drive's key column,
-        # the source-side index — memoizes under one key form: the bind value.
-        assert set(tuple_join._memo) == set(batch_join._memo) == {0, 1, 2}
+        # Keys 0 and 1 match "ada" and "bob"; key 2 matches nothing.
+        assert multiset(batch_rows) == {
+            (i % 3, f"sku{i}", i % 3, ("ada", "bob")[i % 3]): 1 for i in range(12) if i % 3 < 2
+        }
+        assert batch_join.probes == 3
+        assert batch_join.cache_hits == 9
+        # Every path — the batch's key column, the source-side index —
+        # memoizes under one key form: the bind value.
+        assert set(batch_join._memo) == {0, 1, 2}
         assert set(batch_join._index) == {0, 1, 5}
         if batch_size > 1:
             assert set(batch_join._match_columns) == {0, 1, 2}

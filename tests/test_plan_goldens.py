@@ -109,13 +109,20 @@ def fingerprint(tables, query, strategy, mode):
 
 
 #: (query, strategy, mode) -> :func:`fingerprint`, recorded on the enumerator
-#: that walked frozensets (every plan, allotment and virtual number).
+#: that walked frozensets (every plan, allotment and virtual number).  Four
+#: ``pipeline`` times were restated when the tuple drive left the engine
+#: (the old values in the comments): their plans nest one double pipelined
+#: join under another, and the outer join's tie step, one ``next()`` on the
+#: inner join, used to run the inner join's per-tuple pipeline (an input row
+#: at a time, each row's CPU charged on its own) and now takes one row
+#: through its batch path (arrival-bounded input runs, CPU overlapped with
+#: the waits) — plans, rules and node counts are unchanged.
 GOLDENS: dict[tuple[str, str, str], tuple] = {
     ('Q1', 'pipeline', 'saved_state'): (('185d6f64c2092e9d',), ('ab076e22edf5d1b0',), (10,), 45.20999999999928, 5.161999999999999),
-    ('Q2', 'pipeline', 'saved_state'): (('57ad2c7273bece76',), ('9db3f6293872abf9',), (12,), 44.85699999999945, 7.087999999999991),
-    ('Q3', 'pipeline', 'saved_state'): (('69827db4e4c52088',), ('5029739eb1e6f22d',), (12,), 18.693999999999843, 14.001999999999843),
-    ('Q4', 'pipeline', 'saved_state'): (('92a1477eea860000',), ('cd69024d2b2b9fef',), (12,), 8.674249999999999, 6.877000000000008),
-    ('Q5', 'pipeline', 'saved_state'): (('cc2dc8e81384071d',), ('9d103c020aa7bace',), (10,), 77.10499999999946, 6.985999999999992),
+    ('Q2', 'pipeline', 'saved_state'): (('57ad2c7273bece76',), ('9db3f6293872abf9',), (12,), 44.85699999999936, 8.922250000000005),  # was 44.85699999999945, 7.087999999999991
+    ('Q3', 'pipeline', 'saved_state'): (('69827db4e4c52088',), ('5029739eb1e6f22d',), (12,), 18.69799999999984, 14.005999999999842),  # was 18.693999999999843, 14.001999999999843
+    ('Q4', 'pipeline', 'saved_state'): (('92a1477eea860000',), ('cd69024d2b2b9fef',), (12,), 8.674249999999995, 7.001000000000008),  # was 8.674249999999999, 6.877000000000008
+    ('Q5', 'pipeline', 'saved_state'): (('cc2dc8e81384071d',), ('9d103c020aa7bace',), (10,), 71.47849999999998, 9.226250000000004),  # was 77.10499999999946, 6.985999999999992
     ('Q6', 'pipeline', 'saved_state'): (('a08bd53124d90fa1',), ('4299e4ea0eb10ef7',), (10,), 18.661999999999843, 10.127999999999933),
     ('Q7', 'pipeline', 'saved_state'): (('17a3ffea09f08226',), ('aa022f814c69a019',), (10,), 16.145999999999844, 10.043999999999933),
     ('Q1', 'materialize', 'saved_state'): (('1b1f7f1842b950b6',), ('30b454f0658cab49',), (10,), 62.384999999999245, 58.79299999999924),

@@ -695,7 +695,7 @@ class TestJoinProperties:
 
 
 # The run-at-a-time batch drive against its oracles (the per-tuple reference,
-# helpers.per_tuple_reference, and the tuple drive): random two-sided
+# helpers.per_tuple_reference, and the naive join): random two-sided
 # arrival timetables (ties, bursts, gaps wider than the 5 ms slack window),
 # duplicate-key rates, memory limits, both overflow methods and batch sizes.
 
@@ -773,8 +773,8 @@ def snapshot(batch):
 methods = st.sampled_from([OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH])
 
 #: One pull on the join: a plain batch, a bounded batch (rows arriving within
-#: ``now + window``), or one tuple — which serves pending columnar output
-#: through ``take_batch(..., 1)``.
+#: ``now + window``), or one row through ``next()`` — which serves pending
+#: columnar output through ``take_batch(..., 1)``.
 pulls = st.one_of(
     st.tuples(st.just("batch"), st.sampled_from([1, 3, 7, 64]), st.none()),
     st.tuples(st.just("bounded"), st.sampled_from([3, 64]), st.sampled_from([0.0, 0.5, 6.0])),
@@ -794,7 +794,7 @@ class TestRunAtATimeProperties:
         catalog, left, right = timed_catalog(sides)
         build = timed_join(memory, method)
         observed = {}
-        for drive in ("columnar", "rows", "tuple"):
+        for drive in ("columnar", "rows"):
             rows, context, join = drive_join(build, catalog, drive, batch_size=batch_size)
             stats = context.disk.stats
             observed[drive] = (
@@ -803,13 +803,8 @@ class TestRunAtATimeProperties:
                 (stats.tuples_written, stats.bytes_written, stats.tuples_read, stats.total_pages),
                 context.clock.now,
             )
+            assert join_multiset(rows) == reference_pairs(left, right)
         assert observed["columnar"] == observed["rows"]
-        produced = {
-            drive: sorted(values for values, _ in observed[drive][0])
-            for drive in ("columnar", "tuple")
-        }
-        assert produced["columnar"] == produced["tuple"]
-        assert join_multiset(rows) == reference_pairs(left, right)
 
     @given(
         sides=timed_sides(),

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.iterators import Operator
 from repro.engine.operators.materialize import Materialize
 from repro.engine.operators.project import Project
 from repro.engine.operators.scan import TableScan, WrapperScan
@@ -74,6 +73,8 @@ class TestWrapperScan:
         assert scan.peek_arrival() is None
 
     def test_threshold_events_emitted(self, context):
+        # Per-row THRESHOLD events are raised when a rule watches them.
+        context.watch_events({(EventType.THRESHOLD, "s")})
         scan = WrapperScan("s", context, "ord")
         scan.open()
         list(scan.iterate())
@@ -288,31 +289,29 @@ class TestRowFreeScans:
         tuple_served.open()
         assert [row.values for row in tuple_served.iterate()] == [r.values for r in rows]
 
-    def test_table_scan_bounded_pull_equals_the_generic_loop(self, tpcd_catalog):
+    def test_table_scan_bounded_pull_stops_at_the_bound(self, tpcd_catalog):
+        """Stored rows all arrive "now": a bounded pull takes a block while the
+        clock is before the bound and nothing (the clock untouched) once it is
+        not, boxing no row either way."""
         relation = tpcd_catalog.source("part").relation
-        outcomes = []
-        for native in (True, False):
-            context = ExecutionContext(tpcd_catalog)
-            context.local_store.materialize(relation)
-            context.clock.consume_cpu(5.0)
-            scan = TableScan("t", context, "part")
-            scan.open()
-            if not native:
-                scan._next_batch_bounded = lambda n, bound, s=scan: Operator._next_batch_bounded(
-                    s, n, bound
-                )
-            pulls = []
-            with counting_row_constructions() as counter:
-                for bound in (5.0, 4.0, 5.0 + 1e-9, float("inf"), float("inf")):
-                    batch = scan.next_batch_bounded(16, bound)
-                    pulls.append((len(batch), list(batch.arrivals), clock_state(context)))
-                boxed = counter.count
-            pulls.append([row.values for row in scan.next_batch(10_000).rows()])
-            outcomes.append(pulls)
-            assert boxed == (0 if native else 48)
-        assert outcomes[0] == outcomes[1]
-        assert [count for count, _, _ in outcomes[0][:5]] == [0, 0, 16, 16, 16]
-        assert len(outcomes[0][5]) == relation.cardinality - 48
+        context = ExecutionContext(tpcd_catalog)
+        context.local_store.materialize(relation)
+        context.clock.consume_cpu(5.0)
+        scan = TableScan("t", context, "part")
+        scan.open()
+        counts = []
+        with counting_row_constructions() as counter:
+            for bound in (5.0, 4.0, 5.0 + 1e-9, float("inf"), float("inf")):
+                before = clock_state(context)
+                batch = scan.next_batch_bounded(16, bound)
+                counts.append(len(batch))
+                assert list(batch.arrivals) == [before[0]] * len(batch)
+                if not batch:
+                    assert clock_state(context) == before
+            boxed = counter.count
+        assert boxed == 0
+        assert counts == [0, 0, 16, 16, 16]
+        assert len(scan.next_batch(10_000)) == relation.cardinality - 48
 
 
 class TestSelectProject:

@@ -24,7 +24,14 @@ from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, counting_row_constructions
 
-from helpers import drive_join, multiset, recording_calls, reference_join, spill_marks
+from helpers import (
+    drive_join,
+    multiset,
+    per_tuple_reference,
+    recording_calls,
+    reference_join,
+    spill_marks,
+)
 
 METHODS = [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]
 BUCKETS = 2
@@ -92,6 +99,7 @@ class TestSpillJoinAgainstTheRowOracle:
     def test_dpj_cleanup_equals_the_row_pairs(self, joinable_catalog, method):
         context, join, keys = prepared_dpj(joinable_catalog, method)
         oracle_context, oracle, _ = prepared_dpj(joinable_catalog, method)
+        per_tuple_reference(oracle)
         with counting_row_constructions() as counter:
             batches = list(join._cleanup_batches_iter())
             assert counter.count == 0
@@ -136,6 +144,7 @@ class TestSpillJoinAgainstTheRowOracle:
 
         context, join = prepared()
         oracle_context, oracle = prepared()
+        per_tuple_reference(oracle)
         with counting_row_constructions() as counter:
             batches = list(join._overflow_pair_batches())
             assert counter.count == 0
