@@ -46,7 +46,7 @@ from repro.engine.operators.joins.base import JoinOperator
 from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
 from repro.storage.batch import Batch, later_stamps
-from repro.storage.columns import DictColumn, as_values, extend_moving, gather, picker
+from repro.storage.columns import as_values, gather, gather_into, picker
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.tuples import Key
@@ -82,59 +82,60 @@ class _Run:
 
 
 class _OutputColumns:
-    """Pending columnar join output: per-column accumulators plus arrivals.
+    """Pending columnar join output: one accumulator per output column plus arrivals.
 
-    The accumulators are *adopted*, never copied into: :meth:`extend` takes
-    ownership of the fresh columns an emission built, so with nothing pending
-    — the state after every full hand-over — those columns simply become the
+    Every output cell is copied once, into the column that keeps it.  With
+    nothing pending, the fresh columns an emission gathered *become* the
     accumulators, storage classes and all (matched strings stay codes end to
-    end).  An emission that finds rows pending extends them, pointers and
-    codes moving; a batch handed out is never touched again.
+    end); with rows pending, a segment writes its matches and its own rows
+    straight onto their ends (:func:`gather_into`: the storage classes
+    gathering fresh and then extending would give).  :meth:`take_batch`
+    keeps only the rows it does not hand out — after a segment, at most one
+    key's fan-out — and a batch handed out is never touched again.
     """
 
-    __slots__ = ("columns", "arrivals", "cursor")
+    __slots__ = ("columns", "arrivals")
 
     def __init__(self) -> None:
         self.columns: list = []
         self.arrivals: list[float] = []
-        self.cursor = 0
 
     def __len__(self) -> int:
-        return len(self.arrivals) - self.cursor
+        return len(self.arrivals)
 
     def extend(self, columns: list, arrivals: list[float]) -> None:
-        """Take over one fresh column set (left-then-right order) and its stamps."""
-        pending = self.arrivals
-        if not pending:
+        """Take over one fresh column set (left-then-right order) and its
+        stamps, or append it to the rows pending."""
+        if not self.arrivals:
             self.columns, self.arrivals = columns, arrivals
             return
-        held = self.columns
-        for j, column in enumerate(columns):
-            mine = held[j]
-            if type(mine) is list:
-                if type(column) is list:
-                    mine.extend(column)
-                    continue
-            elif type(column) is DictColumn and column.dictionary is mine.dictionary:
-                mine.codes.extend(column.codes)
-                continue
-            extend_moving(held, j, column)
-        pending.extend(arrivals)
+        gather_into(self.columns, 0, columns)
+        self.arrivals.extend(arrivals)
+
+    def truncate(self, slots: range, before: list, length: int) -> None:
+        """Cut the columns in ``slots`` back to ``length`` rows, undoing the
+        tail of a write-through; ``before`` is the column list from before
+        that write.  A column the write degraded was replaced, the original
+        left intact, and it goes back if no written row stays."""
+        columns = self.columns
+        for j in slots:
+            if columns[j] is not before[j] and length == len(self.arrivals):
+                columns[j] = before[j]
+            else:
+                del columns[j][length:]
 
     def take_batch(self, schema, max_rows: int) -> Batch:
         """Up to ``max_rows`` pending rows as a columnar batch."""
-        start = self.cursor
-        total = len(self.arrivals)
-        stop = min(start + max_rows, total)
-        if start == 0 and stop == total:
-            batch = Batch.from_columns(schema, self.columns, self.arrivals)
-        else:
-            columns = [column[start:stop] for column in self.columns]
-            batch = Batch.from_columns(schema, columns, self.arrivals[start:stop])
-        if stop == total:
-            self.columns, self.arrivals, self.cursor = [], [], 0
-        else:
-            self.cursor = stop
+        columns, arrivals = self.columns, self.arrivals
+        if len(arrivals) <= max_rows:
+            self.columns, self.arrivals = [], []
+            return Batch.from_columns(schema, columns, arrivals)
+        batch = Batch.from_columns(
+            schema, [column[:max_rows] for column in columns], arrivals[:max_rows]
+        )
+        for column in columns:
+            del column[:max_rows]
+        del arrivals[:max_rows]
         return batch
 
 
@@ -196,6 +197,9 @@ class DoublePipelinedJoin(JoinOperator):
             )
         ]
         self._out = _OutputColumns()
+        width = len(self.left.output_schema)
+        #: Each side's output column slots.
+        self._slots = (range(width), range(width, len(self.output_schema)))
 
     def _do_close(self) -> None:
         try:
@@ -399,8 +403,16 @@ class DoublePipelinedJoin(JoinOperator):
                 # the clock, and a bounded pull's caller re-checks the clock
                 # before every tuple: the segment ends at the first spilled row.
                 end = cursor + len(live) + 1
+        out = self._out
+        pending = len(out)
+        if pending:
+            # Write-through: the matches go straight onto the rows pending.
+            before = out.columns[:]
+            into = (out.columns, self._slots[other].start)
+        else:
+            into = None
         result = tables[other].gather_matches(
-            keys, range(cursor, end) if live is None else live, room
+            keys, range(cursor, end) if live is None else live, room, into
         )
         if result is not None and len(result[0]) >= room:
             end = result[0][-1] + 1
@@ -422,40 +434,47 @@ class DoublePipelinedJoin(JoinOperator):
             if take[-1] > stop:
                 keep = bisect_right(take, stop)
                 del take[keep:], match_arrivals[keep:]
-                for column in match_columns:
-                    del column[keep:]
+                if into is None:
+                    for column in match_columns:
+                        del column[keep:]
+                else:
+                    out.truncate(self._slots[other], before, pending + keep)
             if take:
-                self._emit_matches(side, run, take, match_columns, match_arrivals)
+                self._emit_matches(
+                    side, run, take, None if into else match_columns, match_arrivals
+                )
         run.cursor = stop
         if stop < end:
             self._insert_refused(table, run, stop)
             run.cursor = stop + 1
 
     def _emit_matches(
-        self, side: int, run: _Run, take: list[int], match_columns: list, match_arrivals: list
+        self, side: int, run: _Run, take: list[int], match_columns, match_arrivals: list
     ) -> None:
-        """Extend the output accumulators with one segment's matches.
+        """Complete one segment's output with its own side's rows.
 
-        ``take[i]`` is the run position match ``i`` belongs to; the run's own
-        columns move as slices when every row matched exactly once (the
-        foreign-key case) and as gathers otherwise, dictionary columns as
-        codes either way.  Each output tuple is stamped with the later of its
-        two inputs.  Every column built here is fresh — a copy of the run's, a
-        gather out of the arena — and the accumulators take them over.
+        ``take[i]`` is the run position match ``i`` belongs to; one picker
+        moves the run's columns — a slice when every row matched exactly once
+        (the foreign-key case), a gather otherwise — dictionary columns as
+        codes.  With rows pending the matches are already written through
+        (``match_columns`` is ``None``) and the run's values go straight onto the
+        accumulators too; otherwise they are gathered fresh and, with the
+        fresh ``match_columns``, become the accumulators.  Each output tuple
+        is stamped with the later of its two inputs.
         """
         self._emitted_output = True
         first, n = take[0], len(take)
         if take[-1] - first + 1 == n and take == list(range(first, first + n)):
-            own = [column[first : first + n] for column in run.batch.columns]
-            own_arrivals = run.arrivals[first : first + n]
-        else:
-            pick = picker(take)
-            own = [gather(column, take, pick) for column in run.batch.columns]
-            own_arrivals = pick(run.arrivals)
-        self._out.extend(
-            own + match_columns if side == LEFT else match_columns + own,
-            later_stamps(own_arrivals, match_arrivals),
-        )
+            take = range(first, first + n)
+        pick = picker(take)
+        out = self._out
+        stamps = later_stamps(pick(run.arrivals), match_arrivals)
+        if match_columns is None:
+            gather_into(out.columns, self._slots[side].start, run.batch.columns, pick)
+            out.arrivals.extend(stamps)
+            return
+        own = [gather(column, take, pick) for column in run.batch.columns]
+        out.extend(own + match_columns if side == LEFT else match_columns + own, stamps)
 
     def _insert_refused(self, table: BucketedHashTable, run: _Run, position: int) -> None:
         """Resolve the overflow a bulk insert stopped at, then retry the row.

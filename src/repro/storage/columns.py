@@ -515,6 +515,34 @@ def gather(column, indices: Sequence[int], pick=None):
     return list(picked) if type(picked) is tuple else picked
 
 
+def gather_into(
+    columns: list, first: int, sources: Sequence, pick=None, encode: bool = False
+) -> None:
+    """Extend ``columns[first + j]`` with ``sources[j]``'s values at ``pick``
+    — all of them when ``pick`` is ``None`` — copying each value once.
+
+    A list extends straight from a list, and a dict column sharing the
+    source's dictionary straight from its codes.  Any other pair gathers
+    first and extends through :func:`extend_moving` — or, with ``encode``,
+    :func:`extend_column`, which encodes into the column's own dictionary
+    where the first degrades it (a hash table's arena owns its dictionary;
+    an output accumulator only shares one).  Either way the storage class
+    comes out as gathering fresh and then extending makes it.
+    """
+    for j, source in enumerate(sources, first):
+        column = columns[j]
+        if type(column) is list:
+            if type(source) is list:
+                column.extend(source if pick is None else pick(source))
+                continue
+        elif type(source) is DictColumn and source.dictionary is column.dictionary:
+            column.codes.extend(source.codes if pick is None else pick(source.codes))
+            continue
+        if pick is not None:
+            source = gather(source, (), pick)
+        (extend_column if encode else extend_moving)(columns, j, source)
+
+
 def as_values(column) -> Sequence[Any]:
     """``column`` as a random-access value sequence with C-speed indexing.
 
@@ -661,11 +689,12 @@ class ColumnarPartition:
 
         One key pass enters each row under ``keys[i]`` — a C-level check and
         one ``update`` while the store stays :attr:`unique`, else a lookup (and
-        a store when the key is new) per row.  The payloads then move with one
-        ``extend`` per column: a slice of the source (or of its codes) for a
-        contiguous range, one gather otherwise; a dict column fed from anything
-        but its own dictionary bulk-encodes, and a misfit value degrades the
-        column (see :func:`extend_column`).
+        a store when the key is new) per row.  The payloads then move straight
+        onto the store's own columns (:func:`gather_into`, one picker shared
+        by every column — a slice for a contiguous range), so each value is
+        copied once: a dict column fed from anything but its own dictionary
+        bulk-encodes, and a misfit value degrades the column (see
+        :func:`extend_column`).
         """
         base = position = len(self.arrivals)
         positions = self.positions
@@ -685,9 +714,7 @@ class ColumnarPartition:
                 else:
                     found.append(position)
                 position += 1
-        columns = self.columns
-        for j, source in enumerate(source_columns):
-            extend_column(columns, j, gather(source, indices, pick))
+        gather_into(self.columns, 0, source_columns, pick, encode=True)
         self.arrivals.extend(pick(as_values(source_arrivals)))
 
     def index_newest(self, key: Key) -> bool:
@@ -720,20 +747,31 @@ class ColumnarPartition:
             return ()
         return (found,) if self.unique else found
 
-    def gather_rows(self, at: Sequence[int]) -> tuple[list, list[float]]:
+    def gather_rows(
+        self, at: Sequence[int], into: tuple[list, int] | None = None
+    ) -> tuple[list, list[float]]:
         """The rows at positions ``at`` as ``(columns, arrivals)``.
 
         One shared C-level gather applied per column, storage classes kept
-        (dict columns move codes) — no per-cell Python bytecode.
+        (dict columns move codes) — no per-cell Python bytecode.  With
+        ``into = (columns, first)`` the values go straight onto the end of
+        ``columns[first:]`` instead (:func:`gather_into`), and that list
+        comes back as the columns.
         """
         pick = picker(at)
-        return [gather(column, at, pick) for column in self.columns], list(pick(self.arrivals))
+        if into is None:
+            columns = [gather(column, at, pick) for column in self.columns]
+        else:
+            columns, first = into
+            gather_into(columns, first, self.columns, pick)
+        return columns, list(pick(self.arrivals))
 
     def gather_matches(
         self,
         keys: Sequence[Key],
         positions: Sequence[int] | None = None,
         limit: int | None = None,
+        into: tuple[list, int] | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
         """Bulk probe: gathered match columns for the joins' output assembly.
 
@@ -741,7 +779,9 @@ class ColumnarPartition:
         and returns ``(take, match_columns, match_arrivals, aligned)`` — the
         contract consumed by :func:`repro.storage.batch.gather_join_columns`:
         ``take[i]`` is the probed position whose key produced match ``i``,
-        and the matched rows arrive as already-gathered column lists.
+        and the matched rows arrive as already-gathered column lists — or,
+        with ``into``, written onto the end of the caller's columns
+        (:meth:`gather_rows`), which come back in their place.
         ``aligned`` is true when every key matched exactly once (``take`` is
         the identity permutation).  ``None`` when nothing matched.
 
@@ -783,7 +823,7 @@ class ColumnarPartition:
                     break
         if not take:
             return None
-        return take, *self.gather_rows(at), once and len(take) == len(keys) == len(probe)
+        return take, *self.gather_rows(at, into), once and len(take) == len(keys) == len(probe)
 
     def _hits(self, keys: Sequence[Key], part: Sequence[int]) -> tuple[list[int], list[int]]:
         """The unique regime's key pass, all C-level: the positions of ``part``

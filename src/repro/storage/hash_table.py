@@ -30,6 +30,13 @@ columnar byte estimate (:attr:`Schema.encoded_row_size`, dictionary entries
 once per table) against a :class:`~repro.storage.memory.MemoryBudget`, so
 the joins meet memory pressure exactly when the paper's engine would, however
 rows reach the table: its representation never changes with the caller.
+
+Rows move in bulk (:meth:`BucketedHashTable.insert_batch`,
+:meth:`BucketedHashTable.gather_matches`, the spill segment writer).
+:meth:`BucketedHashTable.insert_position` and
+:meth:`BucketedHashTable.spill_position` are the one per-row kernel pair, kept
+for the two steps that take one row per overflow: the double pipelined join's
+refused-row retry and the hybrid build's nothing-to-flush step.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -380,7 +387,8 @@ class BucketedHashTable:
         """Insert one row by position from batch/run columns — no row boxing.
 
         Returns ``False`` when the memory budget refuses (the caller runs its
-        overflow strategy and retries); the bucket must not be flushed.
+        overflow strategy and retries); the bucket must not be flushed.  With
+        :meth:`spill_position`, the per-row kernel pair (see the module notes).
         """
         if not self.budget.try_reserve(self.row_bytes):
             return False
@@ -574,14 +582,6 @@ class BucketedHashTable:
             for i in rows:
                 sizes[hash((keys[i],) if single else keys[i]) % count] += 1
 
-    def insert_resident(self, row: Row) -> None:
-        """Insert assuming memory is available; raises if the budget refuses."""
-        if not self.insert(row):
-            raise StorageError(
-                f"{self.name}: failed to insert resident row (budget exhausted "
-                f"or bucket flushed)"
-            )
-
     # -- probing -------------------------------------------------------------------
 
     def probe(self, key: Key) -> list[Row]:
@@ -603,12 +603,15 @@ class BucketedHashTable:
         keys: Sequence[Key],
         positions: Sequence[int] | None = None,
         limit: int | None = None,
+        into: tuple[list, int] | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
         """Bulk probe of the resident rows (:meth:`ColumnarPartition.gather_matches`):
-        ``(take, match_columns, match_arrivals, aligned)`` or ``None``."""
+        ``(take, match_columns, match_arrivals, aligned)`` or ``None``; with
+        ``into = (columns, first)`` the matched values are written onto the
+        end of ``columns[first:]`` and ``columns`` comes back in their place."""
         if self.arena is None:
             return None
-        return self.arena.gather_matches(keys, positions, limit)
+        return self.arena.gather_matches(keys, positions, limit, into)
 
     # -- flushing ----------------------------------------------------------------
 
@@ -620,7 +623,8 @@ class BucketedHashTable:
         arrival: float,
         marked: bool,
     ) -> None:
-        """Write one arriving row straight to the spill log."""
+        """Write one arriving row straight to the spill log (the per-row
+        twin of :meth:`spill_segment`; see :meth:`insert_position`)."""
         self.spill_log.write_position(
             source_columns, position, arrival, marked, self.buckets[bucket_index]
         )
@@ -765,16 +769,6 @@ class BucketedHashTable:
     @property
     def flushed_buckets(self) -> list[int]:
         return [b.index for b in self.buckets if b.flushed]
-
-    @property
-    def has_resident_data(self) -> bool:
-        return self.resident_rows > 0
-
-    def resident_items(self) -> Iterator[Row]:
-        """All resident rows, bucket by bucket (boxed; tests and debugging)."""
-        for index in range(self.bucket_count):
-            # repro: allow[hot-path-row] boxed inspection view, tests/debugging only
-            yield from Batch.from_columns(self.schema, *self.bucket_rows(index)).rows()
 
     def overflow_store(self) -> tuple[list, list[float], list[bool], dict[int, list[int]], Any]:
         """Every row overflow resolution joins, as one positional store.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, StorageError
@@ -152,18 +153,16 @@ class Relation:
         if self._pending and not self._rows:
             columns: list[list[Any]] = [[] for _ in range(len(self.schema))]
             count = 0
-            offset = 0
             end = start + max_rows
-            for batch in self._pending:
-                batch_start = offset
-                offset += len(batch)
-                if offset <= start:
-                    continue
+            pending, ends = self._pending, self._pending_ends
+            # From the first batch holding row ``start``, found by bisection.
+            for index in range(bisect_right(ends, start), len(pending)):
+                batch_start = ends[index - 1] if index else 0
                 if batch_start >= end:
                     break
                 lo = max(start, batch_start) - batch_start
-                hi = min(end, offset) - batch_start
-                for acc, column in zip(columns, batch.columns):
+                hi = min(end, ends[index]) - batch_start
+                for acc, column in zip(columns, pending[index].columns):
                     acc.extend(column[lo:hi])
                 count += hi - lo
             return columns, count

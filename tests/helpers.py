@@ -16,11 +16,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.operators.joins.double_pipelined import LEFT, RIGHT, DoublePipelinedJoin
+from repro.engine.iterators import Operator
+from repro.engine.operators.joins.double_pipelined import (
+    LEFT,
+    RIGHT,
+    DoublePipelinedJoin,
+    _OutputColumns,
+)
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile
 from repro.storage.batch import Batch
+from repro.storage.columns import DictColumn, extend_column, extend_moving, gather
 from repro.storage.hash_table import bucket_of
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -262,6 +269,129 @@ class RowPipelineHybrid(HybridHashJoin):
                 for inner_row in inner_by_key.get(left_key(outer_row), ()):
                     yield outer_row.concat(inner_row, schema)
             self._charge_disk_time()
+
+
+def gather_then_extend(columns, first, sources, indices=None, encode=False):
+    """The two-copy reference for :func:`~repro.storage.columns.gather_into`:
+    each source's values at ``indices`` (all of them when ``None``) gathered
+    into a fresh column, which is then extended onto ``columns[first + j]``
+    as the output accumulators and the arena extended before write-through:
+    a list from a list, a dict column from its own dictionary's codes, and
+    anything else through ``extend_column`` (``encode``) or ``extend_moving``."""
+    for j, source in enumerate(sources, first):
+        fresh = source if indices is None else gather(source, indices)
+        mine = columns[j]
+        if encode:
+            extend_column(columns, j, fresh)
+        elif type(mine) is list and type(fresh) is list:
+            mine.extend(fresh)
+        elif (
+            type(mine) is DictColumn
+            and type(fresh) is DictColumn
+            and fresh.dictionary is mine.dictionary
+        ):
+            mine.codes.extend(fresh.codes)
+        else:
+            extend_moving(columns, j, fresh)
+
+
+class GatherThenExtendOutput(_OutputColumns):
+    """The output accumulators before write-through: rows are only ever
+    appended as whole fresh column sets (:func:`gather_then_extend`), and a
+    partial hand-over moves a cursor, keeping the rows it handed out."""
+
+    __slots__ = ("cursor",)
+
+    def __init__(self):
+        super().__init__()
+        self.cursor = 0
+
+    def __len__(self):
+        return len(self.arrivals) - self.cursor
+
+    def extend(self, columns, arrivals):
+        if not self.arrivals:
+            self.columns, self.arrivals = columns, arrivals
+            return
+        gather_then_extend(self.columns, 0, columns)
+        self.arrivals.extend(arrivals)
+
+    def take_batch(self, schema, max_rows):
+        start, total = self.cursor, len(self.arrivals)
+        stop = min(start + max_rows, total)
+        if start == 0 and stop == total:
+            batch = Batch.from_columns(schema, self.columns, self.arrivals)
+        else:
+            columns = [column[start:stop] for column in self.columns]
+            batch = Batch.from_columns(schema, columns, self.arrivals[start:stop])
+        if stop == total:
+            self.columns, self.arrivals, self.cursor = [], [], 0
+        else:
+            self.cursor = stop
+        return batch
+
+
+class GatherThenExtendDPJ(DoublePipelinedJoin):
+    """The DPJ's output path before write-through, as an oracle: every run
+    segment emits into empty accumulators — so it gathers its matches and
+    its own rows into fresh columns — and those are then extended onto the
+    rows pending (:class:`GatherThenExtendOutput`)."""
+
+    def _do_open(self):
+        super()._do_open()
+        self._out = GatherThenExtendOutput()
+
+    def _consume_segment(self, side, run, room, arrival_bound):
+        pending, self._out = self._out, _OutputColumns()
+        try:
+            super()._consume_segment(side, run, room, arrival_bound)
+        finally:
+            fresh, self._out = self._out, pending
+        if len(fresh):
+            pending.extend(fresh.columns, fresh.arrivals)
+
+
+class ScriptedRuns(Operator):
+    """A leaf serving prebuilt batches in order, each row arriving at its
+    stamp: a pull stays inside one batch — column- or row-backed, its column
+    storage classes kept — and takes the rows arriving before the bound, the
+    clock waiting for the last one taken."""
+
+    def __init__(self, operator_id, context, schema, batches):
+        super().__init__(operator_id, context)
+        self._schema = schema
+        self._batches = list(batches)
+        self._cursor = 0
+
+    @property
+    def output_schema(self):
+        return self._schema
+
+    def peek_arrival(self):
+        if self.state in ("closed", "deactivated") or not self._batches:
+            return None
+        return self._batches[0].arrivals[self._cursor]
+
+    def _next_batch(self, max_rows, arrival_bound=None):
+        if not self._batches:
+            return Batch.empty(self._schema)
+        batch, start = self._batches[0], self._cursor
+        arrivals = batch.arrivals
+        stop = min(start + max_rows, len(batch))
+        if arrival_bound is not None:
+            stop = next((i for i in range(start, stop) if arrivals[i] >= arrival_bound), stop)
+        if stop == start:
+            return Batch.empty(self._schema)
+        self.context.clock.advance_to(arrivals[stop - 1])
+        if stop == len(batch):
+            self._batches.pop(0)
+            self._cursor = 0
+        else:
+            self._cursor = stop
+        if batch.is_columnar:
+            columns = [column[start:stop] for column in batch.columns]
+            return Batch.from_columns(self._schema, columns, list(arrivals[start:stop]))
+        return Batch.from_rows(self._schema, batch.rows()[start:stop])
 
 
 def per_tuple_reference(join):

@@ -174,6 +174,48 @@ def test_relation_column_block_serves_pending_without_boxing():
     assert count == 2 and columns == [[1, 2], ["a", "b"], [10, 20]]
 
 
+class _CountingBatch(Batch):
+    """A batch that counts how often it is sized or its columns are read."""
+
+    reads = 0
+
+    def __len__(self):
+        _CountingBatch.reads += 1
+        return super().__len__()
+
+    @property
+    def columns(self):
+        _CountingBatch.reads += 1
+        return Batch.columns.fget(self)
+
+
+@given(sizes=st.lists(st.integers(0, 5), max_size=12), max_rows=st.integers(1, 7))
+@settings(max_examples=examples(60), deadline=None)
+def test_relation_column_block_reads_only_the_batches_it_spans(sizes, max_rows):
+    relation = Relation("t", SCHEMA)
+    rows, total = [], 0
+    for size in sizes:
+        values = [(total + i, f"n{total + i}", 10 * (total + i)) for i in range(size)]
+        total += size
+        rows += values
+        columns = transpose_rows([Row(SCHEMA, v) for v in values]) or [[], [], []]
+        relation.extend_batch(_CountingBatch.from_columns(SCHEMA, columns, [0.0] * size))
+    for start in range(total + 2):
+        _CountingBatch.reads = 0
+        columns, count = relation.column_block(start, max_rows)
+        block = rows[start : start + max_rows]
+        assert count == len(block)
+        assert columns == (transpose_rows([Row(SCHEMA, v) for v in block]) or [[], [], []])
+        # Only the batches from the one holding row ``start`` on are touched:
+        # each sized once and, if it holds block rows, read once — plus the
+        # first batch past the block, sized to stop there.
+        ends = [sum(sizes[: at + 1]) for at in range(len(sizes))]
+        first = next((at for at, end in enumerate(ends) if end > start), len(sizes))
+        assert _CountingBatch.reads <= 2 * (len(sizes) - first)
+        assert _CountingBatch.reads <= 2 * (count + 1 + sizes[first:].count(0))
+    assert relation._rows == []
+
+
 def test_relation_extend_batch_lazy_materialization():
     relation = Relation("t", SCHEMA)
     relation.extend_batch(Batch.from_columns(SCHEMA, [[1, 2], ["a", "b"], [1, 2]], [0.0, 0.0]))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
+from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin, _OutputColumns
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.errors import MemoryOverflowError
@@ -463,7 +463,7 @@ class TestRunAtATime:
 
     def test_tuple_drive_serves_a_high_fan_out_key_in_order(self):
         # One key matching 2,500 rows: ``next()`` hands them over one at a
-        # time from the output accumulators' cursor, in emission order.
+        # time from the front of the output accumulators, in emission order.
         fan_out = 2500
         left_rows = [(7, f"l{i}") for i in range(fan_out)]
         right_rows = [(7, "r0"), (8, "r1")]
@@ -472,3 +472,32 @@ class TestRunAtATime:
         )
         rows, _, _ = drive_join(scripted_join(), catalog, "tuple")
         assert [row.values for row in rows] == [(7, f"l{i}", 7, "r0") for i in range(fan_out)]
+
+    @pytest.mark.parametrize("max_rows", [1, 7, 64])
+    def test_output_accumulator_drops_rows_it_has_handed_out(self, monkeypatch, max_rows):
+        # Many-to-many fan-out under small batches, the Fig. 5 Q5/Q6 shape:
+        # every right row meets nine left rows, so batches end mid-key and
+        # rows stay pending across every hand-over.  Rows handed out leave the
+        # accumulators: they never hold more than a batch plus one key's fan-out.
+        fan_out, keys = 9, 30
+        left_rows = [(key, f"l{i}") for key in range(keys) for i in range(fan_out)]
+        right_rows = [(key, f"r{key}.{i}") for i in range(3) for key in range(keys)]
+        catalog = scripted_catalog(
+            left_rows, [1.0] * len(left_rows),
+            right_rows, [50.0 + 0.5 * i for i in range(len(right_rows))],
+        )
+        held = []
+        take_batch = _OutputColumns.take_batch
+
+        def recorded(self, schema, max_rows):
+            held.append(max(len(self.arrivals), *map(len, self.columns)))
+            return take_batch(self, schema, max_rows)
+
+        monkeypatch.setattr(_OutputColumns, "take_batch", recorded)
+        rows, _, _ = drive_join(scripted_join(), catalog, "columnar", batch_size=max_rows)
+        assert len(rows) == fan_out * len(right_rows)
+        assert multiset(rows) == multiset(
+            reference_join(catalog.source("l").relation, catalog.source("r").relation, "k", "k")
+        )
+        assert len(held) >= len(rows) // max_rows
+        assert max(held) <= max_rows + fan_out

@@ -67,12 +67,6 @@ class TestBasicOperations:
         assert not table.insert(make_row(2))
         assert table.resident_rows == 1
 
-    def test_insert_resident_raises_when_full(self):
-        table = make_table(limit_bytes=ROW_BYTES)
-        table.insert_resident(make_row(1))
-        with pytest.raises(StorageError):
-            table.insert_resident(make_row(2))
-
     def test_bucket_count_validation(self):
         with pytest.raises(StorageError):
             make_table(buckets=0)
@@ -112,7 +106,7 @@ class TestFlushing:
         flushed = table.flush_all()
         assert flushed == 10
         assert table.resident_rows == 0
-        assert not table.has_resident_data
+        assert table.resident_rows == 0
 
     def test_flush_largest_picks_biggest(self):
         table = make_table(buckets=2)
@@ -143,12 +137,6 @@ class TestFlushing:
         table.release_all()
         assert budget.used_bytes == 0
         assert table.resident_rows == 0
-
-    def test_resident_items_iterates_all(self):
-        table = make_table()
-        for i in range(5):
-            table.insert(make_row(i))
-        assert len(list(table.resident_items())) == 5
 
 
 class TestColumnarBuckets:
@@ -393,11 +381,11 @@ class TestColumnArena:
         table = self.make_filled([1, 2, 1, 2, 0, 1, 2])
         assert table.bucket_sizes() == [1, 3, 3, 0]
         assert table.flush_largest_bucket() == 1
-        assert table.resident_rows == 4 and table.has_resident_data
+        assert table.resident_rows == 4
         assert table.flush_largest_bucket() == 2
         assert table.flush_largest_bucket() == 0
         assert table.flush_largest_bucket() is None
-        assert not table.has_resident_data
+        assert table.resident_rows == 0
 
     def test_one_column_set_per_table(self, monkeypatch):
         from repro.storage import columns as columns_module

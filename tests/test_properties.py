@@ -15,7 +15,8 @@ from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile, lan
 from repro.network.source import DataSource
 from repro.plan.physical import OverflowMethod
-from repro.storage.columns import DictColumn
+from repro.storage.batch import Batch
+from repro.storage.columns import DictColumn, Dictionary, build_column, gather_into, picker
 from repro.storage.disk import SimulatedDisk
 from repro.storage.hash_table import BucketedHashTable
 from repro.storage.memory import MemoryBudget
@@ -23,7 +24,14 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import ScriptedProfile, drive_join, examples
+from helpers import (
+    GatherThenExtendDPJ,
+    ScriptedProfile,
+    ScriptedRuns,
+    drive_join,
+    examples,
+    gather_then_extend,
+)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -434,7 +442,6 @@ class TestColumnArenaProperties:
                 asked = False
             assert budget.used_bytes == table.resident_bytes == model.used
             assert table.resident_rows == model.resident_rows
-            assert table.has_resident_data == bool(model.rows)
             model.unique = model.unique and not asked
             assert self.unique_regime(table) == model.unique
             table.check_accounting()
@@ -894,6 +901,241 @@ class TestRunAtATimeProperties:
             produced += batch
         assert [list(held) for held in containers(exports)] == exported
         assert join_multiset(produced) == reference_pairs(left, right)
+
+
+# Write-through output and arena ingest against their gather-then-extend
+# reference (helpers.gather_then_extend, helpers.GatherThenExtendDPJ): runs
+# whose string columns carry the source's dictionary, no dictionary (a
+# row-backed run, as a tie step hands over), a foreign one, or a misfit value
+# that degrades the arena column it lands in.
+
+#: How one scripted block carries its string column.
+block_kinds = st.sampled_from(["source", "rows", "foreign", "misfit"])
+
+
+class Dictionaries:
+    """Every dictionary one build made, labelled in creation order; any other
+    (a hash table's own) is labelled when first seen, so two builds' outputs
+    compare by role, not by object."""
+
+    def __init__(self):
+        self.labels = {}  # id -> (label, the dictionary, kept alive so no id is reused)
+
+    def new(self):
+        dictionary = Dictionary()
+        self.labels[id(dictionary)] = (f"made{len(self.labels)}", dictionary)
+        return dictionary
+
+    def label(self, dictionary):
+        return self.labels.setdefault(id(dictionary), (f"seen{len(self.labels)}", dictionary))[0]
+
+    def column(self, column):
+        """A column by role: storage class, dictionary label and contents."""
+        if type(column) is DictColumn:
+            dictionary = column.dictionary
+            return ("dict", self.label(dictionary), list(column.codes), list(dictionary.values))
+        return (type(column).__name__, list(column))
+
+
+@st.composite
+def gather_cases(draw):
+    """Target columns, sources and a pick for one ``gather_into`` call."""
+    classes = st.sampled_from(["list", "dict0", "dict1", "frozen"])
+    width = draw(st.integers(1, 3))
+    targets = [(draw(classes), draw(st.lists(payloads, max_size=4))) for _ in range(width)]
+    length = draw(st.integers(0, 8))
+    sources = [
+        (
+            draw(st.sampled_from(["list", "misfit", "dict0", "dict1", "dict2"])),
+            draw(st.lists(payloads, min_size=length, max_size=length)),
+        )
+        for _ in range(width)
+    ]
+    indices = draw(
+        st.one_of(
+            st.none(),
+            st.builds(lambda a, b: range(min(a, b), max(a, b)), *[st.integers(0, length)] * 2),
+            st.lists(st.integers(0, max(length - 1, 0)), max_size=10) if length else st.just([]),
+        )
+    )
+    return targets, sources, indices, draw(st.booleans())
+
+
+def build_gather_case(targets, sources):
+    """Fresh target columns and sources for one case, with their dictionaries."""
+    made = Dictionaries()
+    shared = [made.new(), made.new()]
+
+    def column(kind, values):
+        if kind == "list":
+            return list(values)
+        if kind == "misfit":
+            return [*values[:-1], None] if values else []
+        dictionary = {"dict0": shared[0], "dict1": shared[1]}.get(kind) or made.new()
+        column = build_column("str", values, dictionary)
+        if kind == "frozen":
+            dictionary.freeze()
+        return column
+
+    return made, [column(*t) for t in targets], [column(*s) for s in sources]
+
+
+def scripted_block(made, schema, dictionary, kind, keys, stamps, salt):
+    """One input batch: keys, a string column carried as ``kind``, stamps."""
+    strings = [f"{salt}{key % 3}" for key in keys]
+    if kind == "rows":
+        return Batch.from_rows(
+            schema, [Row.make(schema, pair, t) for pair, t in zip(zip(keys, strings), stamps)]
+        )
+    if kind == "misfit":
+        column = [*strings[:-1], None]
+    else:
+        column = build_column("str", strings, dictionary if kind == "source" else made.new())
+    return Batch.from_columns(schema, [list(keys), column], list(stamps))
+
+
+@st.composite
+def scripted_sides(draw):
+    """Two inputs as lists of ``(kind, keys, stamps)`` blocks."""
+    sides = []
+    for _ in range(2):
+        blocks, now = [], draw(st.sampled_from([0.5, 1.0]))
+        for _ in range(draw(st.integers(0, 5))):
+            size = draw(st.integers(1, 12))
+            keys = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+            stamps = []
+            for gap in draw(st.lists(gaps, min_size=size, max_size=size)):
+                now += gap
+                stamps.append(now)
+            blocks.append((draw(block_kinds), keys, stamps))
+        sides.append(blocks)
+    return sides
+
+
+def ids(columns) -> set:
+    """Identities of the mutable containers behind ``columns``."""
+    return {id(held) for held in containers(columns)}
+
+
+class TestWriteThroughProperties:
+    @given(case=gather_cases())
+    @settings(max_examples=examples(150), deadline=None)
+    def test_gather_into_equals_gather_then_extend(self, case):
+        targets, sources, indices, encode = case
+        observed = []
+        for kernel in ("write-through", "reference"):
+            made, columns, source_columns = build_gather_case(targets, sources)
+            if kernel == "reference":
+                gather_then_extend(columns, 0, source_columns, indices, encode)
+            else:
+                pick = None if indices is None else picker(indices)
+                gather_into(columns, 0, source_columns, pick, encode)
+            assert not ids(source_columns) & ids(columns)
+            observed.append([made.column(column) for column in columns])
+        assert observed[0] == observed[1]
+
+    @given(
+        sides=scripted_sides(),
+        memory=st.sampled_from([None, 100, 200, 400]),
+        method=methods,
+        schedule=st.lists(pulls, max_size=6),
+    )
+    # A refusal at a segment's first row, unmatched, with later rows matched,
+    # after the write-through degraded a pending column: none of its rows
+    # stay, so the column goes back to the dict column it was — and is
+    # handed out as one before any later write could degrade it again.
+    @example(
+        sides=[
+            [
+                (
+                    "misfit",
+                    [0, 0, 0, 2, 4, 2, 4, 0, 0, 3, 4, 2],
+                    [0.5, 0.51, 2.51, 2.5199999999999996, 9.52, 11.52, 13.52, 20.52, 20.53,
+                     22.53, 22.53, 24.53],
+                )
+            ],
+            [
+                ("foreign", [5, 0, 1, 4], [3.0, 5.0, 5.3, 12.3]),
+                (
+                    "source",
+                    [5, 2, 4, 1, 4, 2, 4, 4, 2, 4],
+                    [12.600000000000001, 12.600000000000001, 19.6, 26.6, 33.6, 33.6, 33.9,
+                     34.199999999999996, 34.199999999999996, 34.199999999999996],
+                ),
+                (
+                    "misfit",
+                    [2, 2, 4, 0, 4, 2],
+                    [34.199999999999996, 34.199999999999996, 34.199999999999996, 34.49999999999999,
+                     34.50999999999999, 34.50999999999999],
+                ),
+                (
+                    "foreign",
+                    [5, 5, 1, 1, 4],
+                    [34.80999999999999, 34.819999999999986, 34.819999999999986, 34.819999999999986,
+                     41.819999999999986],
+                ),
+                (
+                    "rows",
+                    [3, 1, 4, 0, 3, 5, 4, 5],
+                    [41.829999999999984, 41.829999999999984, 41.83999999999998, 41.83999999999998,
+                     48.83999999999998, 55.83999999999998, 57.83999999999998, 64.83999999999997],
+                ),
+            ],
+        ],
+        memory=400,
+        method=OverflowMethod.SYMMETRIC_FLUSH,
+        schedule=[("batch", 1, None), ("batch", 1, None)],
+    )
+    @settings(max_examples=examples(80), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_write_through_output_equals_gather_then_extend(self, sides, memory, method, schedule):
+        """Batch for batch, the join's output carries the values, stamps,
+        storage classes and dictionaries the gather-then-extend oracle gives,
+        and no accumulator or arena container is ever a run's own."""
+        observed = []
+        for join_cls in (DoublePipelinedJoin, GatherThenExtendDPJ):
+            made = Dictionaries()
+            context = ExecutionContext(DataSourceCatalog())
+            children = []
+            for name, payload, blocks in (("l", "p", sides[0]), ("r", "q", sides[1])):
+                schema = Schema.of(f"{name}.k:int", f"{name}.{payload}:str")
+                source = made.new()
+                batches = [scripted_block(made, schema, source, *block, payload) for block in blocks]
+                children.append(ScriptedRuns(f"s{name}", context, schema, batches))
+            join = join_cls(
+                "join", context, *children, ["l.k"], ["r.k"],
+                memory_limit_bytes=memory, bucket_count=4, overflow_method=method,
+            )
+            join.open()
+            runs = []
+            buffer_run = join._buffer_run
+            join._buffer_run = lambda side, batch: runs.append(buffer_run(side, batch)) or runs[-1]
+            outputs = []
+            for kind, size, window in cycle([*schedule, ("batch", 64, None)]):
+                if kind == "tuple":
+                    row = join.next()
+                    if row is None:
+                        break
+                    outputs.append(("row", row.values, row.arrival))
+                else:
+                    if kind == "bounded":
+                        batch = join.next_batch_bounded(size, context.clock.now + window)
+                    else:
+                        batch = join.next_batch(size)
+                        if not batch:
+                            break
+                    context.batch_interrupt = False
+                    outputs.append(
+                        (list(batch.arrivals), [made.column(column) for column in batch.columns])
+                    )
+                owned = [*join._out.columns, join._out.arrivals]
+                for table in join._tables:
+                    if table.arena is not None:
+                        owned += [*table.arena.columns, table.arena.arrivals]
+                foreign = [c for run in runs for c in (*run.batch.columns, run.arrivals)]
+                assert not ids(owned) & ids(foreign)
+            observed.append((outputs, join.overflow_count, context.clock.now))
+            join.close()
+        assert observed[0] == observed[1]
 
 
 # ---------------------------------------------------------------------------
