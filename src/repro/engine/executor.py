@@ -104,13 +104,11 @@ class QueryExecutor:
 
     Fragments are driven batch at a time (up to ``batch_size`` rows per
     ``next_batch`` call, ramping up from a single row so time-to-first-tuple
-    is recorded exactly).  Batches are columnar (struct-of-arrays) wherever an
-    operator has a native columnar path and row-backed where a path is
-    inherently per-row (watched scans, the watched collector); the executor
-    only reads batch lengths, so both representations flow through
-    unchanged.  Events are drained at batch boundaries; operators cut
-    batches short whenever an event with a registered rule fires, so every
-    rule runs at the tuple that raised its event.
+    is recorded exactly).  Batches are columnar (struct-of-arrays); the
+    executor only reads batch lengths.  Events are drained at batch
+    boundaries; operators cut batches short whenever an event with a
+    registered rule fires, so every rule runs at the tuple that raised its
+    event.
     """
 
     def __init__(self, context: ExecutionContext, batch_size: int = DEFAULT_BATCH_SIZE) -> None:

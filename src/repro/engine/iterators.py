@@ -113,11 +113,10 @@ class Operator:
         * An empty (falsy) batch is only returned at end of stream —
           operators keep pulling until they have at least one row or their
           input is done.
-        * The batch may be column-backed (native columnar paths) or
-          row-backed (watched and publishing scans, the collector's
-          watched-THRESHOLD path); either converts to the other lazily, so
-          consumers dispatch on :attr:`Batch.is_columnar` when they have a
-          vectorized path and call :meth:`Batch.rows` otherwise.
+        * The batch is columns; a per-row producer (watched and publishing
+          scans, the collector's watched-THRESHOLD path, tie steps) builds
+          it with :meth:`Batch.from_rows`, so consumers never branch on
+          how it was made.
 
         Per-tuple CPU and statistics are charged once per batch.
         """

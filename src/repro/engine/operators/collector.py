@@ -435,8 +435,7 @@ class DynamicCollector(Operator):
         :meth:`~repro.engine.iterators.Operator.next` step of the child
         picked, and the batch is cut short as soon as a watched event fires,
         so rule actions (activate/deactivate) take effect at the exact
-        tuple.  The output batch is row-backed (rows are created here
-        regardless); downstream columnar operators convert lazily.
+        tuple.  The picked rows are transposed into the output batch once.
         """
         schema = self.output_schema
         context = self.context
@@ -469,7 +468,7 @@ class DynamicCollector(Operator):
                     continue
                 self._seen_keys.add(key)
                 self._reserve_dedup_keys(1)
-            out.append(Row.make(schema, row.values, row.arrival))
+            out.append(row)
             if context.batch_interrupt:
                 break
         return Batch.from_rows(schema, out)

@@ -208,16 +208,11 @@ class DependentJoin(Operator):
     def _probe_left_batch(self, left_batch: Batch) -> Batch | None:
         """All matches for one left batch; ``None`` when nothing matched.
 
-        Keys come from the batch's key columns (a row-backed batch is
-        transposed once, first); the probes themselves stay per-key (each is
-        a parameterized source fetch, memo-deduplicated), and the output
-        batch is assembled from cached per-key match columns with one gather
-        per column.
+        Keys come from the batch's key columns; the probes themselves stay
+        per-key (each is a parameterized source fetch, memo-deduplicated), and
+        the output batch is assembled from cached per-key match columns with
+        one gather per column.
         """
-        if not left_batch.is_columnar:
-            left_batch = Batch.from_columns(
-                left_batch.schema, left_batch.columns, left_batch.arrivals
-            )
         keys = left_batch.key_tuples(self._left_binder.indices_in(left_batch.schema))
         width = len(self._right_schema)
         take: list[int] = []

@@ -26,9 +26,8 @@ those pairs were already produced while both tuples were resident.
 Both hash tables keep their rows in a column arena, and the join works a
 *run segment* at a time — the rows of one input's run that a per-tuple
 interleave would consume back to back probe, insert, spill and emit in bulk,
-column- or row-backed alike, with no :class:`Row` boxing — cut so that
-consumption and output order, batch cuts, refusals, spill I/O and the
-virtual clock equal that interleave exactly
+with no :class:`Row` boxing — cut so that consumption and output order, batch
+cuts, refusals, spill I/O and the virtual clock equal that interleave exactly
 (:meth:`DoublePipelinedJoin._consume_segment`; the tests keep the per-tuple
 pipeline as its oracle).
 """
@@ -312,16 +311,7 @@ class DoublePipelinedJoin(JoinOperator):
         return self._buffer_run(side, run_batch)
 
     def _buffer_run(self, side: int, run_batch: Batch) -> _Run:
-        """Hold ``run_batch`` as ``side``'s run, join keys extracted in bulk.
-
-        A row-backed run (watched and publishing scans and collectors produce
-        them; so does a tie step) is transposed once, here, and only the
-        columns are kept.
-        """
-        if not run_batch.is_columnar:
-            run_batch = Batch.from_columns(
-                run_batch.schema, run_batch.columns, run_batch.arrivals
-            )
+        """Hold ``run_batch`` as ``side``'s run, join keys extracted in bulk."""
         binder = self._left_binder if side == LEFT else self._right_binder
         keys = run_batch.key_tuples(binder.indices_in(run_batch.schema))
         run = self._runs[side] = _Run(run_batch, keys)

@@ -12,8 +12,7 @@ from batch columns, probes return gathered match columns, the outer tuples of
 flushed buckets spill as one column gather per probe batch, and the final
 overflow pass joins the two spill logs positionally through the kernel it
 shares with the double pipelined join's cleanup — no :class:`Row` objects
-anywhere on those paths (a row-backed outer batch is transposed once, on
-arrival).
+anywhere on those paths.
 
 Because the build phase must consume the *entire* inner input before the
 first output tuple, this operator exhibits exactly the delayed
@@ -174,14 +173,10 @@ class HybridHashJoin(JoinOperator):
         gather, and the output batch is assembled from gathered match columns
         — against a primary-key build the whole key pass is one C-level
         ``map`` over the inner table's index — with no :class:`Row`
-        construction and no per-tuple spill writes.  A row-backed outer batch
-        (watched and publishing scans, the watched collector) is transposed
-        once, first.
+        construction and no per-tuple spill writes.
         """
         assert self._inner_table is not None
         table = self._inner_table
-        if not outer.is_columnar:
-            outer = Batch.from_columns(outer.schema, outer.columns, outer.arrivals)
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
         positions: list[int] | None = None
         if table.flushed_count:

@@ -90,14 +90,11 @@ class NestedLoopsJoin(JoinOperator):
     def _join_outer_batch(self, outer: Batch) -> Batch | None:
         """All matches for one outer batch; ``None`` when nothing matched.
 
-        Output is assembled from gathered partition columns (no row boxing);
-        a row-backed outer batch is transposed once, first.
+        Output is assembled from gathered partition columns (no row boxing).
         """
         partition = self._inner
         if partition is None or not len(partition):
             return None
-        if not outer.is_columnar:
-            outer = Batch.from_columns(outer.schema, outer.columns, outer.arrivals)
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
         result = partition.gather_matches(keys)
         if result is None:

@@ -6,7 +6,6 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.storage.batch import Batch
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 
 class Project(Operator):
@@ -56,14 +55,6 @@ class Project(Operator):
             batch = self.child.next_batch_bounded(max_rows, arrival_bound)
         if not batch:
             return Batch.empty(schema)
-        if batch.is_columnar:
-            # Columnar projection is pure column selection: the output batch
-            # aliases the chosen column lists, copying nothing.
-            return batch.select_columns(indices, schema)
-        return Batch.from_rows(
-            schema,
-            [
-                Row.make(schema, tuple(row.values[i] for i in indices), row.arrival)
-                for row in batch.rows()
-            ],
-        )
+        # Projection is pure column selection: the output batch aliases the
+        # chosen column lists, copying nothing.
+        return batch.select_columns(indices, schema)

@@ -11,7 +11,6 @@ from repro.query.conjunctive import COMPARATORS, SelectionPredicate
 from repro.storage.batch import Batch
 from repro.storage.columns import DictColumn
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 #: A compiled predicate: (column index or None, comparator, constant).
 CompiledPredicate = tuple[int | None, Callable[[Any, Any], bool], Any]
@@ -67,6 +66,9 @@ class Select(Operator):
         #: itself so a collected dictionary's recycled ``id`` can never
         #: alias a stale mask.
         self._dict_masks: list[dict[int, tuple]] = []
+        #: True when a predicate names an attribute absent from the input:
+        #: the conjunction can never be satisfied.
+        self._unsatisfiable = False
         self._batches_seen = 0
         self.comparator_calls = 0
         self.reorder_count = 0
@@ -156,8 +158,8 @@ class Select(Operator):
             mask.extend(comparator(value, constant) for value in values[start:])
         return mask
 
-    def _filter_columnar(self, batch: Batch) -> Batch:
-        """Filter a whole columnar batch: per-column passes, one index-take.
+    def _filter(self, batch: Batch) -> Batch:
+        """Filter a whole batch: per-column passes, one index-take.
 
         Each predicate narrows a selection vector of row indices by scanning
         only its own column; the surviving indices drive a single
@@ -167,15 +169,18 @@ class Select(Operator):
         :meth:`_dict_mask` — so their comparator cost is per distinct value,
         not per row (dictionary entries are never ``None``; a column holding
         ``None`` has degraded to a plain list and takes the generic pass).
+        A conjunction over an absent attribute passes nothing, so it runs no
+        comparator at all.
         """
         assert self._compiled is not None
+        if self._unsatisfiable:
+            self._maybe_reorder()
+            return Batch.empty(batch.schema)
         columns = batch.columns
         count = len(batch)
         observed = self._observed
         selected: list[int] | None = None
         for position, (index, comparator, constant) in enumerate(self._compiled):
-            if index is None:
-                return Batch.empty(batch.schema)
             column = columns[index]
             tested = count if selected is None else len(selected)
             if type(column) is DictColumn:
@@ -210,39 +215,10 @@ class Select(Operator):
             return batch
         return batch.take(selected)
 
-    def _filter_rows(self, batch: Batch) -> Batch:
-        """Row-backed filtering with the same compiled predicates.
-
-        Short-circuits per row, so the same selectivity counters feed the
-        adaptive re-sort: a predicate is "tested" each time it runs and
-        "passes" each row it lets through to the next conjunct.
-        """
-        assert self._compiled is not None
-        compiled = self._compiled
-        observed = self._observed
-        out: list[Row] = []
-        calls = 0
-        for row in batch.rows():
-            values = row.values
-            for position, (index, comparator, constant) in enumerate(compiled):
-                if index is None:
-                    break
-                value = values[index]
-                calls += 1
-                counters = observed[position]
-                counters[0] += 1
-                if value is None or not comparator(value, constant):
-                    break
-                counters[1] += 1
-            else:
-                out.append(row)
-        self.comparator_calls += calls
-        self._maybe_reorder()
-        return Batch.from_rows(batch.schema, out)
-
     def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         if self._compiled is None:
             self._compiled = self._compile_predicates()
+            self._unsatisfiable = any(index is None for index, _, _ in self._compiled)
             self._observed = [[0, 0] for _ in self._compiled]
             self._dict_masks = [{} for _ in self._compiled]
         child = self.child
@@ -253,9 +229,6 @@ class Select(Operator):
                 batch = child.next_batch_bounded(max_rows, arrival_bound)
             if not batch:
                 return batch
-            if batch.is_columnar:
-                out = self._filter_columnar(batch)
-            else:
-                out = self._filter_rows(batch)
+            out = self._filter(batch)
             if out:
                 return out

@@ -70,8 +70,7 @@ class Union(Operator):
             if batch:
                 # Re-stamp onto the union's schema so downstream operators see
                 # consistent attribute names whichever child produced a row: a
-                # pure schema rebind for columnar batches (column lists are
-                # aliased, not copied).
+                # pure schema rebind (column lists are aliased, not copied).
                 return batch.with_schema(schema)
             if arrival_bound is not None and child.peek_arrival() is not None:
                 return Batch.empty(schema)  # the bound, not this child's end

@@ -7,16 +7,14 @@ stamps, all sharing one :class:`~repro.storage.schema.Schema`.  Keeping values
 in columns lets operators work on whole batches with C-speed primitives —
 ``zip`` transposes, ``itemgetter`` gathers, slice copies, all of them pointer
 moves — instead of creating one boxed :class:`~repro.storage.tuples.Row`
-object per tuple.  Rows are only materialized lazily at the boundaries that
-genuinely need them (the one-row ``Operator.next`` adapter, tests).
+object per tuple.
 
-A batch may be *column-backed* or *row-backed*.  Operators with native
-columnar paths (scans, select, project, all three hash joins) produce and
-consume column-backed batches; paths that are inherently tuple-driven (the
-dynamic collector's per-arrival child picking, scans watched by a rule or
-publishing a speculative extent) produce row-backed batches.  Either
-representation converts to the other lazily and caches the result, so mixed
-pipelines compose without sprinkling conversions through operator code.
+Batches have one storage form: columns.  Paths that are inherently
+tuple-driven (the dynamic collector's per-arrival child picking, scans watched
+by a rule or publishing a speculative extent, one-row tie steps) build rows and
+hand them to :meth:`Batch.from_rows`, which transposes them once; every
+consumer reads columns.  Rows are boxed on demand (``rows()``, iteration,
+``[i]``) and never cached.
 
 Batches are immutable by contract: once a column list is handed to
 ``from_columns`` (or obtained from ``.columns``) it must not be mutated —
@@ -28,7 +26,6 @@ copying them.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 from repro.storage.columns import (
@@ -70,71 +67,55 @@ def later_stamps(a: Sequence[float], b: Sequence[float]) -> list[float]:
 class Batch:
     """An ordered collection of tuples sharing one schema (see module docs)."""
 
-    __slots__ = ("schema", "arrivals", "_columns", "_rows")
+    __slots__ = ("schema", "arrivals", "columns")
 
-    def __init__(
-        self,
-        schema: Schema,
-        arrivals: list[float],
-        columns: list[list[Any]] | None = None,
-        rows: list[Row] | None = None,
-    ) -> None:
-        if columns is None and rows is None:
-            raise ValueError("a Batch needs columns, rows, or both")
+    def __init__(self, schema: Schema, columns: list[list[Any]], arrivals: list[float]) -> None:
         self.schema = schema
+        self.columns = columns
         self.arrivals = arrivals
-        self._columns = columns
-        self._rows = rows
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, schema: Schema, rows: list[Row]) -> "Batch":
-        """Row-backed batch; arrival stamps are taken from the rows."""
-        return cls(schema, [row.arrival for row in rows], rows=rows)
+    def from_rows(cls, schema: Schema, rows: Sequence[Row]) -> "Batch":
+        """Batch over ``rows``' values and arrival stamps, transposed once."""
+        columns = transpose_rows(rows) if rows else [[] for _ in range(len(schema))]
+        return cls(schema, columns, [row.arrival for row in rows])
 
     @classmethod
     def from_columns(
         cls, schema: Schema, columns: list[list[Any]], arrivals: list[float]
     ) -> "Batch":
-        """Column-backed batch over ``columns`` (one list per attribute)."""
-        return cls(schema, arrivals, columns=columns)
+        """Batch over ``columns`` (one list per attribute)."""
+        return cls(schema, columns, arrivals)
 
     @classmethod
     def empty(cls, schema: Schema) -> "Batch":
         """The end-of-stream sentinel: zero rows (falsy)."""
-        return cls(schema, [], columns=[[] for _ in range(len(schema))])
+        return cls(schema, [[] for _ in range(len(schema))], [])
 
     @classmethod
     def concat(cls, schema: Schema, parts: Sequence["Batch"]) -> "Batch":
-        """Concatenation of ``parts`` in order (columnar when all parts are)."""
+        """Concatenation of ``parts`` in order."""
         if not parts:
             return cls.empty(schema)
         if len(parts) == 1:
             return parts[0]
-        if all(part._columns is not None for part in parts):
-            # Accumulators clone the first non-empty part's storage classes so
-            # dict-encoded columns stay encoded through concatenation; a
-            # value that does not fit degrades that column to a list.
-            first = next((p for p in parts if p.arrivals), parts[0])
-            columns: list[list[Any]] = [empty_like(c) for c in first._columns]
-            # Arrival accumulators keep run-length encoding when the first
-            # non-empty part carries it (encoded-mode scan blocks).
-            arrivals = (
-                RunLengthArrivals()
-                if isinstance(first.arrivals, RunLengthArrivals)
-                else []
-            )
-            for part in parts:
-                for position, column in enumerate(part._columns):
-                    extend_column(columns, position, column)
-                arrivals.extend(part.arrivals)
-            return cls.from_columns(schema, columns, arrivals)
-        rows: list[Row] = []
+        # Accumulators clone the first non-empty part's storage classes so
+        # dict-encoded columns stay encoded through concatenation; a value
+        # that does not fit degrades that column to a list.
+        first = next((p for p in parts if p.arrivals), parts[0])
+        columns: list[list[Any]] = [empty_like(c) for c in first.columns]
+        # Arrival accumulators keep run-length encoding when the first
+        # non-empty part carries it (encoded-mode scan blocks).
+        arrivals = (
+            RunLengthArrivals() if isinstance(first.arrivals, RunLengthArrivals) else []
+        )
         for part in parts:
-            # repro: allow[hot-path-row] row-backed concat: inputs are already boxed
-            rows.extend(part.rows())
-        return cls.from_rows(schema, rows)
+            for position, column in enumerate(part.columns):
+                extend_column(columns, position, column)
+            arrivals.extend(part.arrivals)
+        return cls(schema, columns, arrivals)
 
     # -- sizing / truthiness ---------------------------------------------------
 
@@ -144,51 +125,28 @@ class Batch:
     def __bool__(self) -> bool:
         return bool(self.arrivals)
 
-    @property
-    def is_columnar(self) -> bool:
-        """True when column lists are already materialized (native columnar path)."""
-        return self._columns is not None
-
-    # -- representation conversion (lazy, cached) ------------------------------
-
-    @property
-    def columns(self) -> list[list[Any]]:
-        """Column lists, transposing from rows on first access."""
-        columns = self._columns
-        if columns is None:
-            rows = self._rows
-            columns = transpose_rows(rows) if rows else [[] for _ in range(len(self.schema))]
-            self._columns = columns
-        return columns
+    # -- rows, boxed on demand (the one-row adapter and tests) -------------------
 
     def column(self, index: int) -> list[Any]:
         """One column's values, in row order."""
         return self.columns[index]
 
     def rows(self) -> list[Row]:
-        """Row objects, materializing from columns on first access."""
-        rows = self._rows
-        if rows is None:
-            schema = self.schema
-            make = Row.make  # repro: allow[hot-path-row] declared tuple-path boundary
-            columns = self._columns
-            if columns:
-                rows = [
-                    make(schema, values, arrival)
-                    for values, arrival in zip(zip(*columns), self.arrivals)
-                ]
-            else:
-                rows = [make(schema, (), arrival) for arrival in self.arrivals]
-            self._rows = rows
-        return rows
+        """Row objects, boxed afresh on every call (nothing is cached)."""
+        schema = self.schema
+        make = Row.make  # repro: allow[hot-path-row] declared tuple-path boundary
+        if self.columns:
+            return [
+                make(schema, values, arrival)
+                for values, arrival in zip(zip(*self.columns), self.arrivals)
+            ]
+        return [make(schema, (), arrival) for arrival in self.arrivals]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows())  # repro: allow[hot-path-row] row iteration for tests and callers
 
     def __getitem__(self, index: int) -> Row:
-        if self._rows is not None:
-            return self._rows[index]
-        values = tuple(column[index] for column in self._columns)
+        values = tuple(column[index] for column in self.columns)
         # repro: allow[hot-path-row] single-row accessor is a declared boundary
         return Row.make(self.schema, values, self.arrivals[index])
 
@@ -196,37 +154,23 @@ class Batch:
 
     def take(self, indices: Sequence[int]) -> "Batch":
         """New batch holding the rows at ``indices`` (one gather per column)."""
-        if self._columns is not None:
-            pick = picker(indices)
-            columns = [gather_column(column, indices, pick) for column in self._columns]
-            return Batch.from_columns(
-                self.schema, columns, gather_arrivals(self.arrivals, indices, pick)
-            )
-        rows = self._rows
-        return Batch.from_rows(self.schema, [rows[i] for i in indices])
+        pick = picker(indices)
+        columns = [gather_column(column, indices, pick) for column in self.columns]
+        return Batch(self.schema, columns, gather_arrivals(self.arrivals, indices, pick))
 
     def slice(self, start: int, stop: int) -> "Batch":
         """Contiguous sub-batch ``[start:stop)`` (slice copies per column)."""
-        if self._columns is not None:
-            columns = [column[start:stop] for column in self._columns]
-            return Batch.from_columns(self.schema, columns, self.arrivals[start:stop])
-        return Batch.from_rows(self.schema, self._rows[start:stop])
+        columns = [column[start:stop] for column in self.columns]
+        return Batch(self.schema, columns, self.arrivals[start:stop])
 
     def select_columns(self, indices: Sequence[int], schema: Schema) -> "Batch":
         """Projection onto ``indices``: pure column-list reuse, no value copies."""
         columns = self.columns
-        return Batch.from_columns(
-            schema, [columns[i] for i in indices], self.arrivals
-        )
+        return Batch(schema, [columns[i] for i in indices], self.arrivals)
 
     def with_schema(self, schema: Schema) -> "Batch":
         """Re-stamp onto ``schema`` (same arity); columns are aliased, not copied."""
-        if self._columns is not None:
-            return Batch.from_columns(schema, self._columns, self.arrivals)
-        make = Row.make  # repro: allow[hot-path-row] row-backed re-stamp keeps rows rows
-        return Batch.from_rows(
-            schema, [make(schema, row.values, row.arrival) for row in self._rows]
-        )
+        return Batch(schema, self.columns, self.arrivals)
 
     def key_tuples(self, indices: Sequence[int]) -> list[Key]:
         """One :data:`~repro.storage.tuples.Key` per row, from column slices.
@@ -237,16 +181,13 @@ class Batch:
         once at C level) and only a composite key tuples: what the tables
         index by and ``bucket_of`` takes.
         """
-        if self._columns is None:
-            return list(map(itemgetter(*indices), [row.values for row in self._rows]))
         if len(indices) > 1:
-            return list(zip(*(self._columns[i] for i in indices)))
-        column = self._columns[indices[0]]
+            return list(zip(*(self.columns[i] for i in indices)))
+        column = self.columns[indices[0]]
         return column if type(column) is list else list(column)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "columnar" if self._columns is not None else "rows"
-        return f"Batch({len(self)} rows, {kind}, {self.schema.names})"
+        return f"Batch({len(self)} rows, {self.schema.names})"
 
 
 def gather_join_columns(

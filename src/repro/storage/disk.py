@@ -398,8 +398,8 @@ class OverflowFile(SpillLedger):
 
         Gathers preserve the source storage class, so dict-encoded columns
         spill as code gathers (sharing the source dictionary) and the chunk
-        is charged the encoded footprint.  Plain string columns (a
-        transposed row-backed batch carries them) encode through the
+        is charged the encoded footprint.  Plain string columns (a batch
+        built from rows carries them) encode through the
         file-owned dictionaries first, exactly as the per-row writers do, so
         the same tuples charge the same bytes whichever way they are written;
         a misfit value sends the rows down the per-row path.

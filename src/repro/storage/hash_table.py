@@ -92,7 +92,7 @@ def _adopted_codes(dictionary, source: Sequence[Any], pick):
     """Codes under an adopted ``dictionary`` of the values ``pick`` takes from ``source``.
 
     A column sharing the dictionary holds them already; any other source (a
-    transposed row-backed run, a tie-step row) looks its values up, ``None``
+    run transposed from rows, a tie-step row) looks its values up, ``None``
     for a value the dictionary does not know — so every drive charges an
     entry at the first insert that references it.
     """

@@ -19,7 +19,7 @@ class Relation:
     the small relational algebra needed by tests and by the reference
     (non-adaptive) evaluator used to cross-check operator results.
 
-    Columnar batches appended via :meth:`extend_batch` are kept in their
+    Batches appended via :meth:`extend_batch` are kept in their
     struct-of-arrays form and only converted into :class:`Row` objects when
     something actually reads rows — callers that just need the cardinality
     (benchmark drivers, materialization metadata) never pay for boxing.
@@ -39,7 +39,7 @@ class Relation:
             self.extend(rows)
 
     def _materialize_pending(self) -> None:
-        """Convert any buffered columnar batches into rows (order-preserving)."""
+        """Convert any buffered batches into rows (order-preserving)."""
         if self._pending:
             # Each batch is dropped as soon as it is boxed, so the peak holds
             # one representation of the result plus one batch, not both.
@@ -100,19 +100,15 @@ class Relation:
         self._rows.extend(rows)
 
     def extend_batch(self, batch: Batch) -> None:
-        """Append a whole batch; columnar batches are buffered without boxing."""
+        """Append a whole batch, buffered as columns without boxing."""
         if len(batch.schema) != len(self.schema):
             raise SchemaError(
                 f"batch arity {len(batch.schema)} does not match relation "
                 f"{self.name!r} arity {len(self.schema)}"
             )
-        if batch.is_columnar:
-            self._pending.append(batch)
-            ends = self._pending_ends
-            ends.append((ends[-1] if ends else 0) + len(batch))
-        else:
-            self._materialize_pending()
-            self._rows.extend(batch.rows())
+        self._pending.append(batch)
+        ends = self._pending_ends
+        ends.append((ends[-1] if ends else 0) + len(batch))
 
     # -- access -----------------------------------------------------------------
 

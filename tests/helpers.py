@@ -353,9 +353,9 @@ class GatherThenExtendDPJ(DoublePipelinedJoin):
 
 class ScriptedRuns(Operator):
     """A leaf serving prebuilt batches in order, each row arriving at its
-    stamp: a pull stays inside one batch — column- or row-backed, its column
-    storage classes kept — and takes the rows arriving before the bound, the
-    clock waiting for the last one taken."""
+    stamp: a pull stays inside one batch — its column storage classes kept —
+    and takes the rows arriving before the bound, the clock waiting for the
+    last one taken."""
 
     def __init__(self, operator_id, context, schema, batches):
         super().__init__(operator_id, context)
@@ -388,10 +388,8 @@ class ScriptedRuns(Operator):
             self._cursor = 0
         else:
             self._cursor = stop
-        if batch.is_columnar:
-            columns = [column[start:stop] for column in batch.columns]
-            return Batch.from_columns(self._schema, columns, list(arrivals[start:stop]))
-        return Batch.from_rows(self._schema, batch.rows()[start:stop])
+        columns = [column[start:stop] for column in batch.columns]
+        return Batch.from_columns(self._schema, columns, list(arrivals[start:stop]))
 
 
 def per_tuple_reference(join):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns, transpose_rows
-from repro.storage.columns import DictColumn, build_columns
+from repro.storage.columns import DictColumn, RunLengthArrivals, build_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
@@ -34,24 +34,37 @@ SAMPLE = make_rows(
 # -- construction and conversion ------------------------------------------------
 
 
-def test_from_rows_exposes_columns():
+def test_from_rows_transposes_once(monkeypatch):
+    import repro.storage.batch as batch_module
+
+    calls = []
+    transpose = batch_module.transpose_rows
+    monkeypatch.setattr(
+        batch_module, "transpose_rows", lambda rows: calls.append(1) or transpose(rows)
+    )
     batch = Batch.from_rows(SCHEMA, SAMPLE)
-    assert not batch.is_columnar
-    assert len(batch) == 4
+    assert len(calls) == 1
     assert batch.columns == [[1, 2, 1, 3], ["a", "b", "c", "d"], [10, 20, 30, 40]]
     assert batch.arrivals == [0.5, 1.5, 2.5, 3.0]
+    # Every later read is served by the columns built then.
+    columns = batch.columns
+    derived = [batch.rows(), batch[2], batch.take([1]), batch.slice(0, 2), batch.key_tuples((0,))]
+    assert len(calls) == 1 and batch.columns is columns and all(derived)
+    assert not Batch.from_rows(SCHEMA, []) and Batch.from_rows(SCHEMA, []).columns == [[], [], []]
 
 
-def test_from_columns_materializes_rows_lazily():
+def test_rows_box_on_demand():
     columns = [[1, 2], ["x", "y"], [5, 6]]
     batch = Batch.from_columns(SCHEMA, columns, [1.0, 2.0])
-    assert batch.is_columnar
     rows = batch.rows()
     assert [row.values for row in rows] == [(1, "x", 5), (2, "y", 6)]
     assert [row.arrival for row in rows] == [1.0, 2.0]
     assert all(row.schema is SCHEMA for row in rows)
-    # Cached: second call returns the same list.
-    assert batch.rows() is rows
+    # Nothing is cached: each call boxes afresh, and the columns stay the batch's.
+    again = batch.rows()
+    assert again is not rows and again[0] is not rows[0]
+    assert [row.values for row in again] == [row.values for row in rows]
+    assert batch.columns is columns
 
 
 def test_empty_batch_is_falsy_end_of_stream_sentinel():
@@ -106,16 +119,25 @@ def test_key_tuples_both_representations():
     assert all(key is coded[1].dictionary.values[code] for key, code in zip(keys, coded[1].codes))
 
 
-def test_concat_columnar_and_mixed():
-    first = Batch.from_columns(SCHEMA, [[1], ["a"], [10]], [0.5])
-    second = Batch.from_rows(SCHEMA, SAMPLE[1:2])
-    both = Batch.concat(SCHEMA, [first, second])
-    assert [row.values for row in both] == [(1, "a", 10), (2, "b", 20)]
-    all_columnar = Batch.concat(
-        SCHEMA, [first, Batch.from_columns(SCHEMA, [[9], ["z"], [90]], [4.0])]
-    )
-    assert all_columnar.is_columnar
-    assert all_columnar.columns == [[1, 9], ["a", "z"], [10, 90]]
+def test_concat_keeps_encodings():
+    coded = build_columns(SCHEMA, [[1, 2], ["a", "b"], [10, 20]])
+    first = Batch.from_columns(SCHEMA, coded, RunLengthArrivals([0.5, 0.5]))
+    second = Batch.from_rows(SCHEMA, SAMPLE[1:3])
+    both = Batch.concat(SCHEMA, [Batch.empty(SCHEMA), first, second])
+    assert [row.values for row in both] == [
+        (1, "a", 10), (2, "b", 20), (2, "b", 20), (1, "c", 30)
+    ]
+    assert list(both.arrivals) == [0.5, 0.5, 1.5, 2.5]
+    # The first non-empty part's storage classes carry through: the string
+    # column stays coded under its dictionary, the stamps run-length encoded.
+    assert type(both.columns[1]) is DictColumn
+    assert both.columns[1].dictionary is coded[1].dictionary
+    assert type(both.columns[0]) is list
+    assert isinstance(both.arrivals, RunLengthArrivals)
+    # A plain first part keeps plain lists.
+    plain = Batch.concat(SCHEMA, [second, first])
+    assert all(type(column) is list for column in plain.columns)
+    assert plain.columns == [[2, 1, 1, 2], ["b", "c", "a", "b"], [20, 30, 10, 20]]
 
 
 def test_gather_join_matches_row_concat():
@@ -174,6 +196,10 @@ def test_relation_column_block_serves_pending_without_boxing():
     assert count == 2 and columns == [[1, 2], ["a", "b"], [10, 20]]
 
 
+#: ``Batch``'s own ``columns`` slot, which ``_CountingBatch`` wraps.
+_COLUMNS_SLOT = Batch.columns
+
+
 class _CountingBatch(Batch):
     """A batch that counts how often it is sized or its columns are read."""
 
@@ -186,7 +212,11 @@ class _CountingBatch(Batch):
     @property
     def columns(self):
         _CountingBatch.reads += 1
-        return Batch.columns.fget(self)
+        return _COLUMNS_SLOT.__get__(self)
+
+    @columns.setter
+    def columns(self, columns):
+        _COLUMNS_SLOT.__set__(self, columns)
 
 
 @given(sizes=st.lists(st.integers(0, 5), max_size=12), max_rows=st.integers(1, 7))
@@ -243,18 +273,37 @@ rows_strategy = st.lists(
 
 
 @settings(max_examples=examples(60), deadline=None)
-@given(rows_strategy)
-def test_row_batch_row_round_trip(pairs):
-    """rows -> from_rows -> columns -> from_columns -> rows is the identity."""
+@given(rows_strategy, st.data())
+def test_row_batch_row_round_trip(pairs, data):
+    """rows -> from_rows -> columns -> from_columns -> rows is the identity,
+    for a ``from_rows`` batch and for what ``take``, ``slice`` and ``concat``
+    derive from one; ``[i]`` and ``key_tuples`` read the same rows."""
     rows = make_rows(pairs)
-    row_backed = Batch.from_rows(SCHEMA, rows)
-    columns = [list(column) for column in row_backed.columns]
-    rebuilt = Batch.from_columns(SCHEMA, columns, list(row_backed.arrivals))
-    assert len(rebuilt) == len(rows)
-    assert [row.values for row in rebuilt.rows()] == [row.values for row in rows]
-    assert [row.arrival for row in rebuilt.rows()] == [row.arrival for row in rows]
-    # And back again: transposing the materialized rows recovers the columns.
-    assert transpose_rows(rebuilt.rows()) == (columns if rows else [])
+    n = len(rows)
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=20)) if n else []
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    built = Batch.from_rows(SCHEMA, rows)
+    inputs = [
+        (built, rows),
+        (built.take(indices), [rows[i] for i in indices]),
+        (built.slice(lo, hi), rows[lo:hi]),
+        (
+            Batch.concat(SCHEMA, [Batch.from_rows(SCHEMA, rows[:lo]), built.slice(lo, n)]),
+            rows,
+        ),
+    ]
+    for batch, expected in inputs:
+        columns = [list(column) for column in batch.columns]
+        rebuilt = Batch.from_columns(SCHEMA, columns, list(batch.arrivals))
+        assert len(rebuilt) == len(expected)
+        assert [row.values for row in rebuilt.rows()] == [row.values for row in expected]
+        assert [row.arrival for row in rebuilt.rows()] == [row.arrival for row in expected]
+        # And back again: transposing the materialized rows recovers the columns.
+        assert transpose_rows(rebuilt.rows()) == (columns if expected else [])
+        assert [batch[i].values for i in range(len(batch))] == [row.values for row in expected]
+        assert list(batch.key_tuples((0,))) == [row.values[0] for row in expected]
+        assert batch.key_tuples((1, 2)) == [row.values[1:] for row in expected]
 
 
 @settings(max_examples=examples(60), deadline=None)

@@ -432,7 +432,7 @@ def test_every_mover_hands_over_the_objects_it_was_given(rows, data, coded):
         for column, cells in zip(columns, source):
             assert_same_cells(column, [cells[i] for i in positions])
 
-    # Dict-coded strings, or the plain string lists a row-backed batch transposes to.
+    # Dict-coded strings, or the plain string lists a batch built from rows carries.
     if coded:
         columns = build_columns(MOVER_SCHEMA, source, deep_dictionaries())
     else:

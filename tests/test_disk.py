@@ -132,7 +132,7 @@ class TestColumnarSpill:
 
     def test_row_and_chunk_writes_charge_identical_bytes(self, disk):
         """The row spill and a gathered chunk of plain string lists (what a
-        row-backed batch transposes to) agree on bytes: the file encodes both."""
+        batch built from rows carries) agree on bytes: the file encodes both."""
         row_file = disk.create_file("rows", schema=SCHEMA)
         for values in [("x", "y", "z"), ("u", "v", "w")]:
             row_file.write(Row(SCHEMA, values), marked=True)

@@ -292,7 +292,7 @@ class TestRunAtATime:
     @staticmethod
     def row_backed_trees(tiny_tpcd):
         """Cache-collecting and THRESHOLD-watched scans hand the join
-        row-backed batches; ``(tree, config)`` per scan mode."""
+        batches built from rows; ``(tree, config)`` per scan mode."""
         build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.SYMMETRIC_FLUSH)
 
         def watched(context):
@@ -354,7 +354,7 @@ class TestRunAtATime:
         assert multiset(col_rows) == multiset(tuple_rows)
 
     def test_row_backed_runs_take_the_bulk_path(self, tpcd_catalog, tiny_tpcd, monkeypatch):
-        """The batch drive transposes each row-backed run once and never
+        """Each run built from rows is transposed once and the join never
         boxes a row of its own."""
 
         def rows_built_by_the_scans(tree, config):

@@ -905,8 +905,8 @@ class TestRunAtATimeProperties:
 
 # Write-through output and arena ingest against their gather-then-extend
 # reference (helpers.gather_then_extend, helpers.GatherThenExtendDPJ): runs
-# whose string columns carry the source's dictionary, no dictionary (a
-# row-backed run, as a tie step hands over), a foreign one, or a misfit value
+# whose string columns carry the source's dictionary, no dictionary (a run
+# built from rows, as a tie step hands over), a foreign one, or a misfit value
 # that degrades the arena column it lands in.
 
 #: How one scripted block carries its string column.

@@ -48,7 +48,7 @@ def catalog():
 def run_select(catalog, adaptive: bool, batch_size: int = 64, watched: bool = False):
     context = ExecutionContext(catalog)
     if watched:
-        # A scan watched by a rule delivers row-backed batches.
+        # A scan watched by a rule builds its batches row by row.
         context.watch_events({(EventType.THRESHOLD, "scan_item")})
     select = Select(
         "sel",
@@ -96,6 +96,30 @@ class TestAdaptivePredicateOrdering:
         assert multiset(adaptive_rows) == multiset(static_rows)
         assert len(adaptive_rows) == ROWS // 100
         assert adaptive.comparator_calls < static.comparator_calls
+
+    def test_unsatisfiable_conjunction_runs_no_comparator(self, catalog):
+        """A predicate over an absent attribute passes nothing: no comparator
+        runs, not even the valid predicates written before it, and every
+        input batch still counts toward the re-sort cadence."""
+        context = ExecutionContext(catalog)
+        predicates = [PREDICATES[0], SelectionPredicate("item", "absent", "=", 0)]
+        select = Select(
+            "sel", context, WrapperScan("scan_item", context, "item"), predicates
+        )
+        select.open()
+        pulled = []
+        next_batch = select.child.next_batch
+
+        def counted(max_rows):
+            pulled.append(next_batch(max_rows))
+            return pulled[-1]
+
+        select.child.next_batch = counted
+        assert not select.next_batch(64)
+        select.close()
+        assert select.comparator_calls == 0
+        assert sum(len(batch) for batch in pulled) == ROWS
+        assert select._batches_seen == sum(1 for batch in pulled if batch)
 
     def test_reorder_interval_respected(self, catalog):
         select, _ = run_select(catalog, adaptive=True, batch_size=64)
