@@ -47,7 +47,7 @@ class HotPathRowRule(Rule):
                 elif isinstance(func, ast.Attribute) and func.attr == "rows":
                     yield (
                         node.lineno,
-                        "materializes .rows() on a hot-path module; rows()/row_at "
+                        "materializes .rows() on a hot-path module; rows() "
                         "boxing belongs at declared tuple-path boundaries only",
                     )
             elif isinstance(node, ast.Attribute) and node.attr == "make":

@@ -3,9 +3,10 @@
 Tukwila executes operator trees top-down with the iterator (open / next /
 close) protocol, here batch at a time: every operator implements one pull,
 :meth:`Operator._next_batch`, which serves :meth:`Operator.next_batch`,
-its arrival-bounded form :meth:`Operator.next_batch_bounded`, and
-:meth:`Operator.next` — a one-row adapter for single exact steps, tests and
-examples, not a second drive.  Operators additionally expose
+its arrival-bounded form :meth:`Operator.next_batch_bounded`, and the
+one-row step :meth:`Operator.next_one` with its boxed form
+:meth:`Operator.next` — single exact steps, tests and examples, not a
+second drive.  Operators additionally expose
 :meth:`peek_arrival` — an estimate of the earliest virtual time at which
 their next tuple could be delivered — which is what lets data-driven
 operators (the double pipelined join, the dynamic collector) decide which
@@ -36,7 +37,7 @@ class Operator:
     optionally :meth:`_do_open`, :meth:`_do_close` and :meth:`peek_arrival`.
     The base class maintains state, statistics, and event emission, and
     adapts the pull to the public :meth:`next_batch`,
-    :meth:`next_batch_bounded` and :meth:`next`.
+    :meth:`next_batch_bounded`, :meth:`next_one` and :meth:`next`.
     """
 
     #: Multiplier on the per-tuple CPU charge for this operator's output.
@@ -79,28 +80,34 @@ class Operator:
         self._stats.state = "open"
         self.context.emit_event(EventType.OPENED, self.operator_id)
 
-    def next(self) -> Row | None:
-        """The one-row adapter: the next output row, or ``None`` at end of stream.
+    def next_one(self) -> Batch:
+        """One exact step: a one-row batch, or an empty one at end of stream.
 
         Takes a one-row batch from :meth:`_next_batch` and charges it as one
         row — the per-row CPU charge, not overlapped with waits, and one
         output record.  It is not a drive mode: the batch drive takes single
-        exact steps through it (a data-driven consumer's tie step, the
-        collector's watched-THRESHOLD path), and tests and examples read
-        operators row by row with it.
+        exact steps through it (a data-driven consumer's tie step), and the
+        batch comes back in the form the operator made it, so strings a
+        source coded stay codes across the step.
         """
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")
         if self.state in ("closed", "deactivated"):
-            return None
+            return Batch.empty(self.output_schema)
         batch = self._next_batch(1)
-        if not batch:
-            return None
-        self.context.clock.consume_cpu(
-            self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
-        )
-        self._stats.record_output(self.context.clock.now)
-        return batch[0]
+        if batch:
+            self.context.clock.consume_cpu(
+                self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
+            )
+            self._stats.record_output(self.context.clock.now)
+        return batch
+
+    def next(self) -> Row | None:
+        """The one-row adapter: :meth:`next_one`'s row boxed, or ``None`` at
+        end of stream (the collector's watched-THRESHOLD path, tests and
+        examples read operators row by row with it)."""
+        batch = self.next_one()
+        return batch[0] if batch else None
 
     def next_batch(self, max_rows: int = DEFAULT_BATCH_SIZE) -> Batch:
         """Produce up to ``max_rows`` output rows as a :class:`Batch`.
@@ -114,9 +121,9 @@ class Operator:
           operators keep pulling until they have at least one row or their
           input is done.
         * The batch is columns; a per-row producer (watched and publishing
-          scans, the collector's watched-THRESHOLD path, tie steps) builds
-          it with :meth:`Batch.from_rows`, so consumers never branch on
-          how it was made.
+          scans, the collector's watched-THRESHOLD path) builds it with
+          :meth:`Batch.from_rows`, so consumers never branch on how it was
+          made.
 
         Per-tuple CPU and statistics are charged once per batch.
         """
@@ -136,7 +143,7 @@ class Operator:
         bulk: no other input could deliver anything earlier.  May return an
         empty :class:`Batch` when the next row arrives at or after the bound
         — that is not end of stream; callers then take a single exact
-        :meth:`next` step (the tie-break case).
+        :meth:`next_one` step (the tie-break case).
         """
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")

@@ -288,15 +288,6 @@ class DynamicCollector(Operator):
                 f"collector {self.operator_id!r} has no child {child_id!r}"
             ) from None
 
-    @property
-    def contacted_children(self) -> list[str]:
-        """Children that were ever activated."""
-        return [
-            child.operator_id
-            for child in self.children
-            if child.operator_id not in self._never_started
-        ]
-
     # -- failure handling -----------------------------------------------------------------------
 
     def _handle_child_failure(self, child_id: str) -> None:
@@ -365,12 +356,11 @@ class DynamicCollector(Operator):
                 if not run:
                     # Bound reached with nothing buffered (the tie case) or
                     # end of stream: take one exact per-tuple step.
-                    row = child.next()
-                    if row is None:
+                    run = child.next_one()
+                    if not run:
                         self._active.remove(child_id)
                         self._finished.add(child_id)
                         continue
-                    run = Batch.from_rows(child.output_schema, [row])
             except (SourceTimeoutError, SourceUnavailableError):
                 self._handle_child_failure(child_id)
                 continue

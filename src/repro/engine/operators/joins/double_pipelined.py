@@ -647,15 +647,15 @@ class DoublePipelinedJoin(JoinOperator):
                 run = self._pull_run(side)
             if run is None:
                 # The tie-break case: the next row arrives exactly at the
-                # bound, so it is taken as one plain step.
-                row = self._child(side).next()
-                if row is None:
+                # bound, so it is taken as one exact step, kept as columns.
+                step = self._child(side).next_one()
+                if not step:
                     self._exhausted[side] = True
                     if side == RIGHT and self._drain_right_first:
                         # Right side drained: resume the paused left input.
                         self._drain_right_first = False
                     continue
-                run = self._buffer_run(side, Batch.from_rows(row.schema, [row]))
+                run = self._buffer_run(side, step)
             self._consume_segment(side, run, max_rows - len(out), arrival_bound)
             if run.cursor >= len(run):
                 self._runs[side] = None

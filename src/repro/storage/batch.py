@@ -10,11 +10,11 @@ moves — instead of creating one boxed :class:`~repro.storage.tuples.Row`
 object per tuple.
 
 Batches have one storage form: columns.  Paths that are inherently
-tuple-driven (the dynamic collector's per-arrival child picking, scans watched
-by a rule or publishing a speculative extent, one-row tie steps) build rows and
-hand them to :meth:`Batch.from_rows`, which transposes them once; every
-consumer reads columns.  Rows are boxed on demand (``rows()``, iteration,
-``[i]``) and never cached.
+tuple-driven (the dynamic collector's watched per-arrival child picking, scans
+watched by a rule or publishing a speculative extent) build rows and hand them
+to :meth:`Batch.from_rows`, which transposes them once; a one-row tie step
+hands over its child's batch as it is.  Every consumer reads columns.  Rows are
+boxed on demand (``rows()``, iteration, ``[i]``) and never cached.
 
 Batches are immutable by contract: once a column list is handed to
 ``from_columns`` (or obtained from ``.columns``) it must not be mutated —

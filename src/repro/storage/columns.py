@@ -51,12 +51,12 @@ gather per column without ever materializing
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, islice, repeat
-from operator import is_not, itemgetter, ne
+from itertools import chain, compress, islice, repeat
+from operator import is_not, itemgetter, ne, sub
 from typing import Any, Iterator, Sequence
 
 from repro.storage.schema import Schema
-from repro.storage.tuples import Key, Row
+from repro.storage.tuples import Key
 
 #: Attribute types that dictionary-encode.
 DICT_ENCODED_TYPES = {"str"}
@@ -325,15 +325,9 @@ class RunLengthArrivals:
     def __iter__(self) -> Iterator[float]:
         if self._plain is not None:
             return iter(self._plain)
-
-        def runs():
-            previous = 0
-            for value, end in zip(self._values, self._ends):
-                for _ in range(end - previous):
-                    yield value
-                previous = end
-
-        return runs()
+        # One C-level ``repeat`` per run: no bytecode per stamp.
+        ends = self._ends
+        return chain.from_iterable(map(repeat, self._values, map(sub, ends, chain((0,), ends))))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RunLengthArrivals):
@@ -349,6 +343,9 @@ class RunLengthArrivals:
         return f"RunLengthArrivals({len(self)} stamps, {form})"
 
     def to_list(self) -> list[float]:
+        values = self._values
+        if self._plain is None and len(values) == 1:
+            return [values[0]] * self._ends[0]
         return list(self)
 
     # -- mutation -----------------------------------------------------------------
@@ -418,6 +415,19 @@ def compress_arrivals(arrivals) -> "RunLengthArrivals | list[float]":
     if n and arrival_run_count(arrivals) * 2 <= n:
         return RunLengthArrivals(arrivals)
     return arrivals
+
+
+def adoptable_dictionary(column) -> Dictionary | None:
+    """The dictionary a store may adopt from ``column``, or ``None``.
+
+    Only a frozen dictionary is adoptable: nobody grows it, so a store that
+    shares it moves raw codes and charges nobody else's budget.  An unfrozen
+    one belongs to whoever grows it (a hash table's own charges the table),
+    so a store fed its codes owns a dictionary instead.
+    """
+    if type(column) is DictColumn and column.dictionary.frozen:
+        return column.dictionary
+    return None
 
 
 def make_dictionaries(schema: Schema) -> list:
@@ -837,19 +847,3 @@ class ColumnarPartition:
     def value_tuple(self, index: int) -> tuple[Any, ...]:
         """The value vector of one row (boxes a tuple, not a Row)."""
         return tuple(column[index] for column in self.columns)
-
-    def row_at(self, index: int) -> Row:
-        """One row boxed as a :class:`Row` (compatibility/tuple-path accessor)."""
-        # repro: allow[hot-path-row] declared tuple-path boundary accessor
-        return Row.make(self.schema, self.value_tuple(index), self.arrivals[index])
-
-    def rows(self) -> list[Row]:
-        """All rows boxed (compatibility/tuple-path accessor)."""
-        schema = self.schema
-        make = Row.make  # repro: allow[hot-path-row] declared tuple-path boundary
-        if not len(self.arrivals):
-            return []
-        return [
-            make(schema, values, arrival)
-            for values, arrival in zip(zip(*self.columns), self.arrivals)
-        ]

@@ -50,6 +50,7 @@ from repro.storage.columns import (
     _DEGRADE_ERRORS,
     DictColumn,
     RunLengthArrivals,
+    adoptable_dictionary,
     append_value,
     as_values,
     compress_arrivals,
@@ -250,10 +251,11 @@ class OverflowFile(SpillLedger):
         """The open tail chunk, creating one when absent.
 
         A new tail's dict-encoded slots *adopt* the writer's dictionaries
-        when ``source_columns`` carries dict columns (so positional spills
-        re-encode with one lookup and create no per-file dictionaries);
-        slots with no donor fall back to file-owned dictionaries, created
-        once per file.
+        when ``source_columns`` carries dict columns over frozen ones (so
+        positional spills re-encode with one lookup and create no per-file
+        dictionaries); other slots fall back to file-owned dictionaries,
+        created once per file — the tail encodes every value it is written,
+        and growing a dictionary it does not own would charge its owner.
         """
         if self._tail is None:
             assert self.schema is not None
@@ -262,9 +264,7 @@ class OverflowFile(SpillLedger):
             dictionaries = self._dictionaries
             if source_columns is not None:
                 dictionaries = [
-                    source.dictionary
-                    if (own is not None and type(source) is DictColumn)
-                    else own
+                    own if own is None else adoptable_dictionary(source) or own
                     for own, source in zip(dictionaries, source_columns)
                 ]
             columns = empty_columns(self.schema, dictionaries)

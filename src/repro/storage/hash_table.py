@@ -56,6 +56,7 @@ from repro.storage.columns import (
     DICT_SLOT_BYTES,
     ColumnarPartition,
     DictColumn,
+    adoptable_dictionary,
     as_values,
     empty_like,
     extend_moving,
@@ -92,9 +93,9 @@ def _adopted_codes(dictionary, source: Sequence[Any], pick):
     """Codes under an adopted ``dictionary`` of the values ``pick`` takes from ``source``.
 
     A column sharing the dictionary holds them already; any other source (a
-    run transposed from rows, a tie-step row) looks its values up, ``None``
-    for a value the dictionary does not know — so every drive charges an
-    entry at the first insert that references it.
+    batch transposed from rows, a column of another dictionary) looks its
+    values up, ``None`` for a value the dictionary does not know — so every
+    drive charges an entry at the first insert that references it.
     """
     if type(source) is DictColumn and source.dictionary is dictionary:
         return pick(source.codes)
@@ -192,9 +193,10 @@ class BucketedHashTable:
         and the per-row byte charge.  When omitted it is adopted from the
         first inserted row or batch.
 
-    The arena dictionary-encodes string columns over *table-owned*
-    dictionaries — so flushed chunks stay code-compatible and each distinct
-    value is stored (and charged) once per table — and resident rows charge
+    The arena dictionary-encodes string columns over one dictionary per
+    slot — the frozen one the first insert is coded by, else a table-owned
+    one — so flushed chunks stay code-compatible and each distinct value is
+    charged once per table, and resident rows charge
     :attr:`Schema.encoded_row_size`.  Dictionary growth is force-charged to
     the budget as it happens (it cannot be refused row by row) and counted
     in :attr:`resident_bytes`, so the budget invariant ``budget.used ==
@@ -249,10 +251,10 @@ class BucketedHashTable:
         """Fix the table's per-slot dictionaries on first insert.
 
         Dict-encodable slots *adopt* the insert stream's dictionary when the
-        first insert arrives as columns carrying one (all later inserts from
-        the same scan then move raw codes — no re-encoding); slots with no
-        donor get table-owned dictionaries whose growth hook charges the
-        budget at encode time.  Either way, growth is a side effect of value
+        first insert carries a frozen one (:func:`adoptable_dictionary`: all
+        later inserts coded by it then move raw codes — no re-encoding);
+        other slots get table-owned dictionaries whose growth hook charges
+        the budget at encode time.  Either way, growth is a side effect of value
         encoding and cannot be refused row by row, so it force-charges past
         the limit — the elevated usage simply brings the next row refusal
         (the overflow signal) forward.  Adopted slots charge each entry at
@@ -267,9 +269,10 @@ class BucketedHashTable:
             if dictionary is None:
                 continue
             source = source_columns[j] if source_columns is not None else None
-            if type(source) is DictColumn:
-                dictionaries[j] = source.dictionary
-                adopted.append((j, source.dictionary, set()))
+            donor = adoptable_dictionary(source)
+            if donor is not None:
+                dictionaries[j] = donor
+                adopted.append((j, donor, set()))
             else:
                 dictionary.on_grow = self._growth.grow
                 owned.append((j, dictionary))
@@ -583,14 +586,6 @@ class BucketedHashTable:
                 sizes[hash((keys[i],) if single else keys[i]) % count] += 1
 
     # -- probing -------------------------------------------------------------------
-
-    def probe(self, key: Key) -> list[Row]:
-        """Resident rows matching ``key``, boxed (a row view for tests)."""
-        matched = self.match_positions(key)
-        if matched is None:
-            return []
-        store, positions = matched
-        return [store.row_at(i) for i in positions]
 
     def match_positions(self, key: Key) -> tuple[ColumnarPartition, Sequence[int]] | None:
         """Resident matches as ``(arena, positions)`` — no row boxing."""

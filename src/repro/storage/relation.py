@@ -7,8 +7,9 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, StorageError
 from repro.storage.batch import Batch, transpose_rows
+from repro.storage.columns import empty_like, gather_into, picker
 from repro.storage.schema import Schema
-from repro.storage.tuples import Key, KeyBinder, Row, rows_from_dicts
+from repro.storage.tuples import Key, KeyBinder, Row
 
 
 class Relation:
@@ -49,13 +50,6 @@ class Relation:
                 self._rows.extend(pending.pop().rows())
 
     # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_dicts(
-        cls, name: str, schema: Schema, records: Sequence[dict[str, Any]]
-    ) -> "Relation":
-        """Build a relation from dict records keyed by attribute name."""
-        return cls(name, schema, rows_from_dicts(schema, records))
 
     @classmethod
     def from_values(
@@ -142,12 +136,14 @@ class Relation:
 
         When the relation still holds only buffered columnar batches (a
         fragment result that nothing has read row-wise yet), the block is
-        sliced straight from their column lists — no :class:`Row` objects are
-        created.  Otherwise the row list is transposed, which materializes
-        pending batches first.
+        sliced straight from their columns — no :class:`Row` objects are
+        created, and strings stay codes: the accumulators take the storage
+        classes of the first batch the block reaches, and a column whose
+        batches disagree on the dictionary degrades to values.  Otherwise the
+        row list is transposed, which materializes pending batches first.
         """
         if self._pending and not self._rows:
-            columns: list[list[Any]] = [[] for _ in range(len(self.schema))]
+            columns: list | None = None
             count = 0
             end = start + max_rows
             pending, ends = self._pending, self._pending_ends
@@ -158,9 +154,15 @@ class Relation:
                     break
                 lo = max(start, batch_start) - batch_start
                 hi = min(end, ends[index]) - batch_start
-                for acc, column in zip(columns, pending[index].columns):
-                    acc.extend(column[lo:hi])
+                if hi <= lo:
+                    continue  # an empty batch inside the block
+                sources = pending[index].columns
+                if columns is None:
+                    columns = [empty_like(column) for column in sources]
+                gather_into(columns, 0, sources, picker(range(lo, hi)))
                 count += hi - lo
+            if columns is None:
+                columns = [[] for _ in range(len(self.schema))]
             return columns, count
         block = self.rows[start : start + max_rows]
         if not block:
@@ -177,10 +179,6 @@ class Relation:
                 out.extend(batch.column(idx))
             return out
         return [row.values[idx] for row in self.rows]
-
-    def distinct_count(self, name: str) -> int:
-        """Number of distinct values of attribute ``name``."""
-        return len(set(self.column(name)))
 
     # -- reference relational algebra (used by tests and the catalog) -----------
 

@@ -115,6 +115,26 @@ def boxed_matches(schema, row, store, positions, row_first=True):
     return out
 
 
+def resident_matches(table, key) -> list[Row]:
+    """``table``'s resident rows matching ``key``, boxed."""
+    matched = table.match_positions(key)
+    if matched is None:
+        return []
+    store, positions = matched
+    return [
+        Row.make(store.schema, store.value_tuple(i), store.arrivals[i]) for i in positions
+    ]
+
+
+def contacted_children(collector) -> list[str]:
+    """The ids of ``collector``'s children that were ever activated."""
+    return [
+        child.operator_id
+        for child in collector.children
+        if child.operator_id not in collector._never_started
+    ]
+
+
 class RowPipelineDPJ(DoublePipelinedJoin):
     """The DPJ's per-tuple pipeline — :meth:`_process` per consumed row and
     the row cleanup :meth:`_cleanup_pairs` — fed by the join's own input runs.

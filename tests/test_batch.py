@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns, transpose_rows
-from repro.storage.columns import DictColumn, RunLengthArrivals, build_columns
+from repro.storage.columns import (
+    DictColumn,
+    RunLengthArrivals,
+    as_values,
+    build_columns,
+    make_dictionaries,
+)
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
@@ -196,6 +202,33 @@ def test_relation_column_block_serves_pending_without_boxing():
     assert count == 2 and columns == [[1, 2], ["a", "b"], [10, 20]]
 
 
+def test_relation_column_block_keeps_codes_and_degrades_mixed_dictionaries():
+    def coded(keys, names, dictionaries):
+        columns = build_columns(SCHEMA, [keys, names, keys], dictionaries)
+        return Batch.from_columns(SCHEMA, columns, [0.0] * len(keys))
+
+    shared = make_dictionaries(SCHEMA)
+    relation = Relation("t", SCHEMA)
+    relation.extend_batch(coded([1, 2], ["a", "b"], shared))
+    relation.extend_batch(Batch.empty(SCHEMA))
+    relation.extend_batch(coded([3], ["c"], shared))
+    relation.extend_batch(coded([4, 5], ["c", "d"], None))  # its own dictionary
+    # Batches sharing a dictionary: the block is that dictionary's codes.
+    columns, count = relation.column_block(1, 2)
+    assert count == 2 and columns == [[2, 3], ["b", "c"], [2, 3]]
+    assert type(columns[1]) is DictColumn and columns[1].dictionary is shared[1]
+    assert columns[1].codes == [1, 2] and type(columns[0]) is list
+    # One batch of a block coded by another dictionary: that column is values.
+    columns, count = relation.column_block(2, 5)
+    assert count == 3 and columns == [[3, 4, 5], ["c", "c", "d"], [3, 4, 5]]
+    assert type(columns[1]) is list
+    # A block inside the foreign batch keeps *its* codes.
+    columns, _ = relation.column_block(3, 2)
+    assert type(columns[1]) is DictColumn and columns[1].dictionary is not shared[1]
+    assert len(shared[1]) == 3  # nothing grew the shared dictionary
+    assert relation._rows == []
+
+
 #: ``Batch``'s own ``columns`` slot, which ``_CountingBatch`` wraps.
 _COLUMNS_SLOT = Batch.columns
 
@@ -277,13 +310,27 @@ rows_strategy = st.lists(
 def test_row_batch_row_round_trip(pairs, data):
     """rows -> from_rows -> columns -> from_columns -> rows is the identity,
     for a ``from_rows`` batch and for what ``take``, ``slice`` and ``concat``
-    derive from one; ``[i]`` and ``key_tuples`` read the same rows."""
+    derive from one, and over run-length stamps (several runs, one run, and
+    degraded to a plain list); ``[i]`` and ``key_tuples`` read the same rows."""
     rows = make_rows(pairs)
     n = len(rows)
     indices = data.draw(st.lists(st.integers(0, n - 1), max_size=20)) if n else []
     lo = data.draw(st.integers(0, n), label="lo")
     hi = data.draw(st.integers(lo, n), label="hi")
     built = Batch.from_rows(SCHEMA, rows)
+
+    def stamped(expected, stamps):
+        """``expected`` re-stamped, and a batch of it over run-length ``stamps``."""
+        expected = [Row.make(SCHEMA, row.values, t) for row, t in zip(expected, stamps)]
+        columns = transpose_rows(expected) or [[], [], []]
+        return Batch.from_columns(SCHEMA, columns, stamps), expected
+
+    # Each drawn row twice, by stamp: one run per distinct stamp.
+    twice = sorted(rows * 2, key=lambda row: row.arrival)
+    runs_batch, runs_rows = stamped(twice, RunLengthArrivals([row.arrival for row in twice]))
+    padded = rows * (64 // n + 1) if n else []
+    degraded = RunLengthArrivals([float(i) for i in range(len(padded))])
+    assert not padded or degraded._plain is not None
     inputs = [
         (built, rows),
         (built.take(indices), [rows[i] for i in indices]),
@@ -292,8 +339,13 @@ def test_row_batch_row_round_trip(pairs, data):
             Batch.concat(SCHEMA, [Batch.from_rows(SCHEMA, rows[:lo]), built.slice(lo, n)]),
             rows,
         ),
+        (runs_batch, runs_rows),
+        (runs_batch.take(indices), [runs_rows[i] for i in indices]),
+        stamped(rows, RunLengthArrivals.constant(0.5, n)),
+        stamped(padded, degraded),
     ]
     for batch, expected in inputs:
+        assert as_values(batch.arrivals) == [row.arrival for row in expected]
         columns = [list(column) for column in batch.columns]
         rebuilt = Batch.from_columns(SCHEMA, columns, list(batch.arrivals))
         assert len(rebuilt) == len(expected)

@@ -18,12 +18,15 @@ engine's retired row-batch drive.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.core.policies import apply_policy, race_policy
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import ExecutionStatus, QueryExecutor
+from repro.engine.iterators import Operator
 from repro.engine.operators.collector import DynamicCollector
 from repro.engine.operators.joins.dependent import DependentJoin
 from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
@@ -306,10 +309,10 @@ def test_operator_parity_on_joinable_catalog(parity_catalog, tree_name, batch_si
     )
 
 
-def drain_bounded(operator, context) -> list:
+def drain_bounded(operator, context, exact_step=Operator.next) -> list:
     """Read ``operator`` the way a data-driven consumer does: arrival-bounded
     runs (the bound at, just past, and well past the clock, in turn), and one
-    exact ``next()`` step whenever a run comes back empty."""
+    exact step whenever a run comes back empty."""
     operator.open()
     rows: list = []
     windows = (0.0, 0.05, 3.0)
@@ -320,7 +323,7 @@ def drain_bounded(operator, context) -> list:
         rows.extend(batch)
         context.batch_interrupt = False
         if not batch:
-            row = operator.next()
+            row = exact_step(operator)
             if row is None:
                 break
             rows.append(row)
@@ -335,6 +338,59 @@ def test_bounded_runs_and_tie_steps_deliver_every_row(parity_catalog, tree_name)
     context = ExecutionContext(parity_catalog)
     rows = drain_bounded(JOINABLE_TREES[tree_name](context), context)
     assert multiset_digest(rows) == JOINABLE_GOLDENS[tree_name][0]
+
+
+def one_row_step(operator):
+    """One exact step through :meth:`Operator.next_one`, its row boxed here."""
+    batch = operator.next_one()
+    assert len(batch) <= 1
+    return batch[0] if batch else None
+
+
+def stepped_drive(build, catalog, step) -> tuple:
+    """Everything a bounded drive of ``build`` leaves: the stamped rows, the
+    clock and its breakdown, and every operator's statistics."""
+    context = ExecutionContext(catalog)
+    rows = drain_bounded(build(context), context, step)
+    stats = {op: asdict(found) for op, found in context.stats.operator_stats.items()}
+    stamped = [(row.values, row.arrival) for row in rows]
+    return stamped, context.clock.now, asdict(context.clock.stats), stats
+
+
+def tree_collector(context):
+    children = [
+        WrapperScan(f"scan_{name}", context, name)
+        for name in ["bib-main", "bib-mirror", "bib-partial"]
+    ]
+    return DynamicCollector("coll", context, children, dedup_keys=["bib.isbn"])
+
+
+#: tree -> (clock, digest of the operator statistics, digest of the stamped
+#: rows) of a bounded drive whose exact steps were ``next()`` calls, recorded
+#: while ``next()`` boxed its one-row batch itself.
+STEPPED_GOLDENS = {
+    "double_pipelined": (20.18000000000023, "e1c79a79af6033a9", "5e97c0db04237d5d"),
+    "collector": (191.64840888782277, "2d0d2c607bd0e526", "7b593a1e6164952a"),
+}
+
+
+@pytest.mark.parametrize(
+    "build, catalog_name, golden",
+    [
+        (tree_dpj, "parity_catalog", STEPPED_GOLDENS["double_pipelined"]),
+        (tree_collector, "mirror_catalog", STEPPED_GOLDENS["collector"]),
+    ],
+    ids=["double_pipelined", "collector"],
+)
+def test_one_row_step_charges_as_next_does(request, build, catalog_name, golden):
+    """A tie step taken with ``next_one`` or with ``next`` leaves the same
+    rows, the same clock bit for bit and the same operator statistics — the
+    ones ``next()`` left before it was built on ``next_one``."""
+    catalog = request.getfixturevalue(catalog_name)
+    boxed = stepped_drive(build, catalog, Operator.next)
+    assert stepped_drive(build, catalog, one_row_step) == boxed
+    rows, now, _, stats = boxed
+    assert (now, digest(repr(sorted(stats.items()))), digest(repr(rows))) == golden
 
 
 # -- composite keys: two-column equi-joins through every join ------------------------------

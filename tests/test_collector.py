@@ -11,7 +11,7 @@ from repro.network.profiles import dead, lan, slow_start, wide_area
 from repro.network.source import DataSource, make_mirror
 from repro.plan.rules import EventType
 
-from helpers import make_relation
+from helpers import contacted_children, make_relation
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ class TestPolicyBehaviour:
         collector.open()
         rows = list(collector.iterate())
         assert len(rows) == 20
-        assert collector.contacted_children == ["scan_bib-main"]
+        assert contacted_children(collector) == ["scan_bib-main"]
         # The mirror's source was never opened.
         assert bib_catalog.source("bib-mirror").stats.connections_opened == 0
 
@@ -100,7 +100,7 @@ class TestPolicyBehaviour:
         rows = list(collector.iterate())
         bib_catalog.source("bib-main").set_profile(lan())
         assert len(rows) == 20
-        assert "scan_bib-mirror" in collector.contacted_children
+        assert "scan_bib-mirror" in contacted_children(collector)
 
     def test_no_fallback_when_disabled(self, bib_catalog):
         bib_catalog.source("bib-main").set_profile(dead())

@@ -4,7 +4,11 @@ import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin, _OutputColumns
+from repro.engine.operators.joins.double_pipelined import (
+    LEFT,
+    DoublePipelinedJoin,
+    _OutputColumns,
+)
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.errors import MemoryOverflowError
@@ -12,6 +16,7 @@ from repro.network.profiles import lan, slow_start
 from repro.network.source import DataSource
 from repro.plan.physical import OverflowMethod
 from repro.plan.rules import EventType
+from repro.storage.columns import Dictionary
 from repro.storage.hash_table import BucketedHashTable
 from repro.storage.memory import MB
 from repro.storage.tuples import counting_row_constructions
@@ -501,3 +506,58 @@ class TestRunAtATime:
         )
         assert len(held) >= len(rows) // max_rows
         assert max(held) <= max_rows + fan_out
+
+
+class TestCodesEndToEnd:
+    """Strings stay dictionary codes across every boundary a nested DPJ
+    crosses: no hash table decodes and re-encodes a value."""
+
+    def test_nested_join_tie_step_keeps_source_codes(self, monkeypatch):
+        # Every tuple of all three sources arrives at one shared timetable, so
+        # the parent's first left insert is a tie step into the child join.
+        count = 12
+        catalog = DataSourceCatalog()
+        for name, rows in (
+            ("a", [(i, f"a{i}") for i in range(count)]),
+            ("b", [(i, f"b{i % 5}") for i in range(count)]),
+            ("c", [(i, f"c{i % 3}") for i in range(count)]),
+        ):
+            profile = ScriptedProfile(name=f"tied-{name}", timetable=(5.0,) * count)
+            relation = make_relation(name, ["k:int", f"{name}s:str"], rows)
+            catalog.register_source(DataSource(name, relation, profile))
+        context = ExecutionContext(catalog)
+        scans = {name: WrapperScan(f"scan_{name}", context, name) for name in "abc"}
+        child = DoublePipelinedJoin(
+            "child", context, scans["a"], scans["b"], ["a.k"], ["b.k"]
+        )
+        parent = DoublePipelinedJoin(
+            "parent", context, child, scans["c"], ["a.k"], ["c.k"]
+        )
+        steps = []
+        pull = DoublePipelinedJoin._next_batch
+
+        def recorded(self, max_rows, arrival_bound=None):
+            if self is child and max_rows == 1 and not parent._tables[LEFT].total_inserted:
+                steps.append(max_rows)  # a tie step before the parent's first left insert
+            return pull(self, max_rows, arrival_bound)
+
+        monkeypatch.setattr(DoublePipelinedJoin, "_next_batch", recorded)
+        sources = {
+            id(dictionary)
+            for name in "abc"
+            for dictionary in catalog.source(name).encoded_column_cache()[1]
+        }  # each source codes its strings once, up front
+        encodes = count_calls(monkeypatch, Dictionary, "encode")
+        parent.open()
+        rows = list(parent.iterate())
+        assert sorted(row.values for row in rows) == [
+            (i, f"a{i}", i, f"b{i % 5}", i, f"c{i % 3}") for i in range(count)
+        ]
+        assert steps
+        assert encodes == []
+        for join in (child, parent):
+            for table in join._tables:
+                assert not table._owned_slots
+                adopted = [dictionary for _, dictionary, _ in table._adopted_slots]
+                assert len(adopted) == sum(1 for a in table.schema if a.type_name == "str")
+                assert {id(dictionary) for dictionary in adopted} <= sources

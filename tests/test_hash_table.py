@@ -10,6 +10,8 @@ from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, counting_row_constructions
 
+from helpers import resident_matches
+
 SCHEMA = Schema.of("k:int", "v:str")
 
 #: Bytes one resident row charges against the budget: the *encoded* columnar
@@ -47,8 +49,8 @@ class TestBasicOperations:
         table.insert(make_row(1, "a"))
         table.insert(make_row(1, "b"))
         table.insert(make_row(2, "c"))
-        assert {row["v"] for row in table.probe(1)} == {"a", "b"}
-        assert table.probe(99) == []
+        assert {row["v"] for row in resident_matches(table, 1)} == {"a", "b"}
+        assert resident_matches(table, 99) == []
         assert table.resident_rows == 3
 
     def test_budget_charged_per_row_in_encoded_bytes(self):
@@ -160,7 +162,7 @@ class TestColumnarBuckets:
         # ...and a value no dictionary codes degrades the table's column to a list.
         table.insert(make_row(2, None))
         assert type(table.arena.columns[1]) is list
-        assert [row["v"] for row in table.probe(2)] == [None]
+        assert [row["v"] for row in resident_matches(table, 2)] == [None]
 
     def test_insert_batch_bulk_fast_path(self):
         table = make_table()
@@ -168,7 +170,7 @@ class TestColumnarBuckets:
         assert table.insert_batch(batch) == 50
         assert table.resident_rows == 50
         assert table.budget.used_bytes == 50 * ROW_BYTES + DICT_X_BYTES
-        assert {row["k"] for row in table.probe(7)} == {7}
+        assert {row["k"] for row in resident_matches(table, 7)} == {7}
 
     def test_insert_batch_stops_at_exact_refusal_row(self):
         # Budget fits 3 rows (plus the shared "x" dictionary entry); the 4th
@@ -259,7 +261,7 @@ class TestColumnarBuckets:
             assert counter.count == 0
         # The boxed views box (that is their job).
         with counting_row_constructions() as counter:
-            assert len(table.probe(5)) == 1
+            assert len(resident_matches(table, 5)) == 1
             assert counter.count == 1
 
     def test_spill_and_flush_box_no_rows(self):
@@ -768,6 +770,9 @@ class TestEncodedHotPaths:
         columns = build_columns(
             STR_SCHEMA, [values, payload], dictionaries=dictionaries
         )
+        # Frozen, as a source's translation cache is: what a table adopts.
+        for dictionary in dictionaries:
+            dictionary.freeze()
         return Batch.from_columns(STR_SCHEMA, columns, [0.0] * len(keys))
 
     def make_string_table(self, limit_bytes=None, buckets=8):
@@ -842,3 +847,37 @@ class TestEncodedHotPaths:
         expected_dict = 2 * (5 + 8) + (3 + 8) + (4 + 8)
         assert table.dictionary_bytes == expected_dict
         assert budget.used_bytes == 4 * STR_SCHEMA.encoded_row_size + expected_dict
+
+
+class TestDictionaryOwnership:
+    """A table adopts only a frozen dictionary: any other one belongs to
+    whoever grows it, and its growth would be charged to them."""
+
+    def test_a_table_owns_its_dictionary_when_fed_another_tables_codes(self):
+        donor_budget, budget = MemoryBudget(None), MemoryBudget(None)
+        donor = BucketedHashTable(["k"], donor_budget, SimulatedDisk(), schema=SCHEMA)
+        table = BucketedHashTable(["k"], budget, SimulatedDisk(), schema=SCHEMA)
+        donor.insert_batch(make_batch([1]))  # plain strings: the donor owns its dictionary
+        columns, arrivals = donor.arena.gather_rows([0])
+        table.insert_batch(Batch.from_columns(SCHEMA, columns, arrivals))
+        assert table._dictionaries[1] is not donor._dictionaries[1]
+        table.insert_batch(make_batch([2], "fresh"))
+        assert donor.dictionary_bytes == DICT_X_BYTES
+        assert table.dictionary_bytes == DICT_X_BYTES + len("fresh") + 8
+        donor.release_all()
+        table.insert_batch(make_batch([3], "later"))
+        assert donor_budget.used_bytes == donor.resident_bytes == 0
+        assert budget.used_bytes == table.resident_bytes
+        table.check_accounting()
+
+    def test_a_spill_tail_owns_its_dictionary_when_fed_a_tables_codes(self):
+        budget = MemoryBudget(None)
+        donor = BucketedHashTable(["k"], budget, SimulatedDisk(), schema=SCHEMA)
+        donor.insert_batch(make_batch([1]))
+        log = SimulatedDisk().create_file("log", schema=SCHEMA)
+        log.write_position(donor.arena.columns, 0, 0.0)
+        log.write(make_row(2, "fresh"))
+        assert donor.dictionary_bytes == DICT_X_BYTES
+        assert len(donor._dictionaries[1]) == 1
+        assert budget.used_bytes == donor.resident_bytes
+        assert [row.values for row, _ in log.read()] == [(1, "x"), (2, "fresh")]

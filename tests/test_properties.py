@@ -31,6 +31,7 @@ from helpers import (
     drive_join,
     examples,
     gather_then_extend,
+    resident_matches,
 )
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ class TestHashTableProperties:
         for pair in pairs:
             table.insert(Row(LEFT_SCHEMA, pair))
         for key in {k for k, _ in pairs}:
-            matches = table.probe(key)
+            matches = resident_matches(table, key)
             assert len(matches) == sum(1 for k, _ in pairs if k == key)
             assert all(row["l.k"] == key for row in matches)
 

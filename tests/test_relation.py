@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
+from repro.storage.tuples import Row, rows_from_dicts
 
 from helpers import make_relation
 
@@ -18,7 +18,7 @@ class TestConstruction:
 
     def test_from_dicts(self):
         schema = Schema.of("a:int", "b:str")
-        rel = Relation.from_dicts("r", schema, [{"a": 1, "b": "x"}])
+        rel = Relation("r", schema, rows_from_dicts(schema, [{"a": 1, "b": "x"}]))
         assert rel[0].values == (1, "x")
 
     def test_append_arity_check(self):
@@ -77,7 +77,7 @@ class TestAlgebra:
 class TestStatisticsHelpers:
     def test_column_and_distinct_count(self, people_relation):
         assert len(people_relation.column("id")) == 4
-        assert people_relation.distinct_count("id") == 4
+        assert len(set(people_relation.column("id"))) == 4
 
     def test_size_bytes(self, people_relation):
         assert people_relation.size_bytes == people_relation.schema.tuple_size * 4

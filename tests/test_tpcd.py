@@ -75,7 +75,7 @@ class TestGeneration:
             ("orders", "o_orderkey"),
         ]:
             rel = tiny_tpcd[table]
-            assert rel.distinct_count(key) == rel.cardinality
+            assert len(set(rel.column(key))) == rel.cardinality
 
     def test_lineitem_references_orders(self):
         db = TPCDGenerator(scale_mb=0.1, seed=3).generate(["orders", "lineitem"])
