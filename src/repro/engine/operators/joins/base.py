@@ -10,8 +10,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
 from repro.plan.rules import EventType
-from repro.storage.batch import Batch, later_stamps
-from repro.storage.columns import gather, picker
+from repro.storage.batch import Batch, MatchCursor
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder
@@ -64,17 +63,17 @@ class JoinOperator(Operator):
             self._schema = self.left.output_schema.join(self.right.output_schema)
         return self._schema
 
-    def _join_spilled(self, left, right, index: int, unmarked_pairs: bool) -> Batch | None:
+    def _join_spilled(self, left, right, index: int, unmarked_pairs: bool) -> MatchCursor | None:
         """Join bucket ``index`` of two overflow stores (as laid out by
         :meth:`BucketedHashTable.overflow_store`); ``None`` when no pair.
 
         The live join's kernel over spilled rows: a key pass pairs positions
         (left-major, each side in read-back order — what a per-tuple pass
-        produces), the marked-bit rule is a mask over the pair lists,
-        and one shared gather per column assembles the output, dictionary
-        columns moving codes.  With ``unmarked_pairs`` false a pair of two
-        unmarked rows is dropped: both were resident when they met, so the
-        live join already produced it.
+        produces), the marked-bit rule is a mask over the pair lists, and a
+        cursor over the two stores (fresh snapshots) gathers the output,
+        dictionary columns moving codes.  With ``unmarked_pairs`` false a pair
+        of two unmarked rows is dropped: both were resident when they met, so
+        the live join already produced it.
         """
         left_columns, left_arrivals, left_marked, left_rows, left_keys = left
         right_columns, right_arrivals, right_marked, right_rows, right_keys = right
@@ -100,11 +99,13 @@ class JoinOperator(Operator):
             rights = list(compress(rights, keep))
         if not lefts:
             return None
-        pick_left, pick_right = picker(lefts), picker(rights)
-        columns = [gather(column, lefts, pick_left) for column in left_columns]
-        columns += [gather(column, rights, pick_right) for column in right_columns]
-        arrivals = later_stamps(pick_left(left_arrivals), pick_right(right_arrivals))
-        return Batch.from_columns(self.output_schema, columns, arrivals)
+        return MatchCursor(
+            self.output_schema,
+            Batch(self.left.output_schema, left_columns, left_arrivals),
+            lefts,
+            Batch(self.right.output_schema, right_columns, right_arrivals),
+            rights,
+        )
 
     def _raise_out_of_memory(self) -> None:
         """Count one overflow resolution and raise its ``OUT_OF_MEMORY`` event."""

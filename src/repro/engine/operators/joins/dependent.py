@@ -28,7 +28,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import ExecutionError
 from repro.network.cache import CACHE_SERVE_CPU_MS
-from repro.storage.batch import Batch, BatchCursor, gather_join_columns
+from repro.storage.batch import Batch, MatchCursor
 from repro.storage.columns import build_columns, make_dictionaries
 from repro.storage.schema import Schema
 from repro.storage.tuples import Key, KeyBinder, Row
@@ -60,7 +60,7 @@ class DependentJoin(Operator):
         self._right_schema = self._source.exported_schema
         self._schema: Schema | None = None
         self._index: dict[Key, list[Row]] | None = None
-        self._pending_out: BatchCursor | None = None
+        self._pending_out: MatchCursor | None = None
         self._left_binder = KeyBinder(left_keys)
         self._right_binder = KeyBinder(right_keys)
         self._memo: dict[Key, list[Row]] | None = {} if probe_cache else None
@@ -205,13 +205,13 @@ class DependentJoin(Operator):
             self._match_columns[key] = cached
         return cached
 
-    def _probe_left_batch(self, left_batch: Batch) -> Batch | None:
+    def _probe_left_batch(self, left_batch: Batch) -> MatchCursor | None:
         """All matches for one left batch; ``None`` when nothing matched.
 
         Keys come from the batch's key columns; the probes themselves stay
-        per-key (each is a parameterized source fetch, memo-deduplicated), and
-        the output batch is assembled from cached per-key match columns with
-        one gather per column.
+        per-key (each is a parameterized source fetch, memo-deduplicated), the
+        matches are collected from cached per-key match columns, and a
+        :class:`MatchCursor` hands the output out beside the left rows.
         """
         keys = left_batch.key_tuples(self._left_binder.indices_in(left_batch.schema))
         width = len(self._right_schema)
@@ -235,8 +235,9 @@ class DependentJoin(Operator):
             match_arrivals.extend(arrivals)
         if not take:
             return None
-        return gather_join_columns(
-            left_batch, take, match_columns, match_arrivals, self.output_schema, aligned
+        matches = Batch(self._right_schema, match_columns, match_arrivals)
+        return MatchCursor(
+            self.output_schema, left_batch, take, matches, range(len(match_arrivals)), aligned
         )
 
     def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
@@ -256,6 +257,4 @@ class DependentJoin(Operator):
                 # Unbounded: left exhausted — end of stream.  Bounded:
                 # possibly just the bound; the caller falls back to next().
                 return Batch.empty(schema)
-            result = self._probe_left_batch(left_batch)
-            if result is not None:
-                self._pending_out = BatchCursor(result)
+            self._pending_out = self._probe_left_batch(left_batch)

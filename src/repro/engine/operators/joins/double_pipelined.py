@@ -45,7 +45,7 @@ from repro.engine.operators.joins.base import JoinOperator
 from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
 from repro.storage.batch import Batch, later_stamps
-from repro.storage.columns import as_values, gather, gather_into, picker
+from repro.storage.columns import as_run, as_values, gather, gather_into, picker
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.tuples import Key
@@ -453,9 +453,7 @@ class DoublePipelinedJoin(JoinOperator):
         is stamped with the later of its two inputs.
         """
         self._emitted_output = True
-        first, n = take[0], len(take)
-        if take[-1] - first + 1 == n and take == list(range(first, first + n)):
-            take = range(first, first + n)
+        take = as_run(take)
         pick = picker(take)
         out = self._out
         stamps = later_stamps(pick(run.arrivals), match_arrivals)
@@ -592,7 +590,8 @@ class DoublePipelinedJoin(JoinOperator):
         tuples are never boxed or decoded: both sides' overflow rows (spilled,
         then resident remnants — unmarked, free to read) are laid out once as
         positional stores and each bucket goes through :meth:`_join_spilled`,
-        its read-back charged when it is reached, left then right.
+        its read-back charged when it is reached, left then right, and its
+        cursor taken whole.
         """
         sides = None
         for index in self._spilled_buckets():
@@ -601,9 +600,9 @@ class DoublePipelinedJoin(JoinOperator):
             self._charge_disk_time()
             if sides is None:
                 sides = [table.overflow_store() for table in self._tables]
-            batch = self._join_spilled(*sides, index, False)
-            if batch is not None:
-                yield batch
+            cursor = self._join_spilled(*sides, index, False)
+            if cursor is not None:
+                yield cursor.take(len(cursor))
 
     # -- iterator -------------------------------------------------------------------------------------------------
 

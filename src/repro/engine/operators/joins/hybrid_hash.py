@@ -8,7 +8,11 @@ one that never holds a resident row, only its spill log and per-bucket
 ledgers — and the overflow pairs are joined in a final pass.
 
 The hash table keeps its rows in a column arena: builds append column slices
-from batch columns, probes return gathered match columns, the outer tuples of
+from batch columns; a probe is a key pass that returns match *positions*
+(``probe_positions``), and its output is gathered from the outer batch and
+the arena a piece at a time, as a :class:`~repro.storage.batch.MatchCursor`
+hands it out — each output cell copied once, stamped from the outer side
+without a comparison when the build finished first; the outer tuples of
 flushed buckets spill as one column gather per probe batch, and the final
 overflow pass joins the two spill logs positionally through the kernel it
 shares with the double pipelined join's cleanup — no :class:`Row` objects
@@ -28,7 +32,7 @@ from typing import Iterator
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.engine.operators.joins.base import JoinOperator
-from repro.storage.batch import Batch, BatchCursor, gather_join_columns
+from repro.storage.batch import Batch, MatchCursor
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
 
@@ -57,8 +61,10 @@ class HybridHashJoin(JoinOperator):
         self._inner_table: BucketedHashTable | None = None
         self._outer_table: BucketedHashTable | None = None
         self._built = False
-        self._pending_out: BatchCursor | None = None
-        self._overflow_batches: Iterator[Batch] | None = None
+        #: The arena's latest stamp once the build is done (the stamp rule's bound).
+        self._build_latest: float | None = None
+        self._pending_out: MatchCursor | None = None
+        self._overflow_cursors: Iterator[MatchCursor] | None = None
 
     # -- build phase --------------------------------------------------------------------
 
@@ -129,6 +135,8 @@ class HybridHashJoin(JoinOperator):
                             )
                         position += 1
         self._charge_disk_time()
+        if table.arena is not None:
+            self._build_latest = max(table.arena.arrivals, default=None)
         self._built = True
 
     def _on_lease_revoked(self, budget: MemoryBudget) -> None:
@@ -137,17 +145,21 @@ class HybridHashJoin(JoinOperator):
         Mid-build this is exactly the insert-time overflow path (flush the
         largest bucket); mid-probe it is still safe — probe tuples hashing
         to a freshly flushed bucket spill to the outer overflow files and
-        join in the final pass, the standard hybrid-hash discipline.
+        join in the final pass, the standard hybrid-hash discipline.  A
+        batch's matches are fixed when it probes: the rows still pending are
+        gathered out of the arena before a flush moves it.
         """
         table = self._inner_table
         if table is not None:
+            if self._pending_out is not None:
+                self._pending_out.settle()
             self._revoke_until_fits(budget, lambda: table.flush_largest_bucket() is not None)
 
     # -- probe phase --------------------------------------------------------------------------
 
-    def _overflow_pair_batches(self) -> Iterator[Batch]:
+    def _overflow_pair_cursors(self) -> Iterator[MatchCursor]:
         """Columnar overflow pass: joins the two spill logs positionally, one
-        batch per bucket, each side's read-back charged as it is reached."""
+        cursor per bucket, each side's read-back charged as it is reached."""
         tables = (self._outer_table, self._inner_table)
         sides = None
         for bucket_index in self._inner_table.flushed_buckets:
@@ -158,22 +170,23 @@ class HybridHashJoin(JoinOperator):
                 self._charge_disk_time()
             if sides is None:
                 sides = [table.overflow_store() for table in tables]
-            batch = self._join_spilled(*sides, bucket_index, True)
-            if batch is not None:
-                yield batch
+            cursor = self._join_spilled(*sides, bucket_index, True)
+            if cursor is not None:
+                yield cursor
 
     # -- iterator ----------------------------------------------------------------------------------
 
-    def _probe_outer_batch(self, outer: Batch) -> Batch | None:
+    def _probe_outer_batch(self, outer: Batch) -> MatchCursor | None:
         """Probe one outer batch in bulk; ``None`` when nothing matched.
 
-        On the columnar path the probe keys are the key column itself (its
-        values as a list; one ``zip`` over the key columns for a composite
-        key), outer tuples of flushed buckets are spilled as one column
-        gather, and the output batch is assembled from gathered match columns
-        — against a primary-key build the whole key pass is one C-level
-        ``map`` over the inner table's index — with no :class:`Row`
-        construction and no per-tuple spill writes.
+        The probe keys are the key column itself (its values as a list; one
+        ``zip`` over the key columns for a composite key), outer tuples of
+        flushed buckets are spilled as one column gather, and the key pass
+        returns match positions — against a primary-key build one C-level
+        ``map`` over the inner table's index.  The output is left to a
+        :class:`MatchCursor`, which gathers it from ``outer`` and the arena
+        as it is handed out; no :class:`Row` is constructed and no per-tuple
+        spill write made.
         """
         assert self._inner_table is not None
         table = self._inner_table
@@ -184,12 +197,12 @@ class HybridHashJoin(JoinOperator):
             if spills:
                 self._outer_table.spill_segment(outer.columns, outer.arrivals, spills, False)
                 self._charge_disk_time()
-        result = table.gather_matches(keys, positions)
-        if result is None:
+        found = table.probe_positions(keys, positions)
+        if found is None:
             return None
-        take, match_columns, match_arrivals, aligned = result
-        return gather_join_columns(
-            outer, take, match_columns, match_arrivals, self.output_schema, aligned
+        take, at, aligned = found
+        return MatchCursor(
+            self.output_schema, outer, take, table.arena, at, aligned, self._build_latest
         )
 
     def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
@@ -219,11 +232,10 @@ class HybridHashJoin(JoinOperator):
                 continue
             if arrival_bound is not None and clock.now >= arrival_bound:
                 break
-            if self._overflow_batches is not None:
-                batch = next(self._overflow_batches, None)
-                if batch is None:
+            if self._overflow_cursors is not None:
+                self._pending_out = next(self._overflow_cursors, None)
+                if self._pending_out is None:
                     break
-                self._pending_out = BatchCursor(batch)
                 continue
             if arrival_bound is None:
                 outer = self.left.next_batch(max_rows)
@@ -232,11 +244,9 @@ class HybridHashJoin(JoinOperator):
             if not outer:
                 if arrival_bound is not None:
                     break
-                self._overflow_batches = self._overflow_pair_batches()
+                self._overflow_cursors = self._overflow_pair_cursors()
                 continue
-            result = self._probe_outer_batch(outer)
-            if result is not None:
-                self._pending_out = BatchCursor(result)
+            self._pending_out = self._probe_outer_batch(outer)
             if context.batch_interrupt and count:
                 break
         return Batch.concat(schema, parts)

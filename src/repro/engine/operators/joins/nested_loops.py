@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.engine.operators.joins.base import JoinOperator
-from repro.storage.batch import Batch, BatchCursor, gather_join_columns
+from repro.storage.batch import Batch, MatchCursor
 from repro.storage.columns import ColumnarPartition
 
 #: Fraction of the per-tuple CPU cost charged for one inner-row comparison
@@ -46,7 +46,9 @@ class NestedLoopsJoin(JoinOperator):
         )
         self._inner: ColumnarPartition | None = None
         self._inner_loaded = False
-        self._pending_out: BatchCursor | None = None
+        #: The loaded inner's latest stamp (the stamp rule's bound).
+        self._inner_latest: float | None = None
+        self._pending_out: MatchCursor | None = None
 
     def _load_inner(self) -> None:
         """Buffer the entire inner input as a columnar partition.
@@ -69,6 +71,7 @@ class NestedLoopsJoin(JoinOperator):
                 block.columns, block.arrivals, keys, range(len(block))
             )
         self._inner = partition
+        self._inner_latest = max(partition.arrivals, default=None)
         self._inner_loaded = True
 
     def peek_arrival(self) -> float | None:
@@ -87,21 +90,23 @@ class NestedLoopsJoin(JoinOperator):
 
     # -- batch paths -------------------------------------------------------------
 
-    def _join_outer_batch(self, outer: Batch) -> Batch | None:
+    def _join_outer_batch(self, outer: Batch) -> MatchCursor | None:
         """All matches for one outer batch; ``None`` when nothing matched.
 
-        Output is assembled from gathered partition columns (no row boxing).
+        One key pass over the partition's index; the output is gathered from
+        ``outer`` and the partition (fixed once loaded) as the cursor hands
+        it out — no row boxing.
         """
         partition = self._inner
         if partition is None or not len(partition):
             return None
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
-        result = partition.gather_matches(keys)
-        if result is None:
+        found = partition.probe_positions(keys)
+        if found is None:
             return None
-        take, match_columns, match_arrivals, aligned = result
-        return gather_join_columns(
-            outer, take, match_columns, match_arrivals, self.output_schema, aligned
+        take, at, aligned = found
+        return MatchCursor(
+            self.output_schema, outer, take, partition, at, aligned, self._inner_latest
         )
 
     def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
@@ -137,6 +142,4 @@ class NestedLoopsJoin(JoinOperator):
                     len(outer) * inner_count * cpu_per_compare,
                     max(0.0, clock.stats.wait_ms - wait_before),
                 )
-            result = self._join_outer_batch(outer)
-            if result is not None:
-                self._pending_out = BatchCursor(result)
+            self._pending_out = self._join_outer_batch(outer)

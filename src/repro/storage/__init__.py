@@ -12,12 +12,7 @@ This package provides the storage primitives the Tukwila engine is built on:
 * :class:`~repro.storage.table_store.LocalStore` for fragment materialization
 """
 
-from repro.storage.batch import (
-    Batch,
-    BatchCursor,
-    gather_join_columns,
-    transpose_rows,
-)
+from repro.storage.batch import Batch, transpose_rows
 from repro.storage.columns import ColumnarPartition, build_columns, empty_columns
 from repro.storage.disk import (
     DiskStats,
@@ -36,7 +31,6 @@ from repro.storage.tuples import Row, counting_row_constructions, rows_from_dict
 __all__ = [
     "Attribute",
     "Batch",
-    "BatchCursor",
     "Bucket",
     "BucketedHashTable",
     "ColumnarPartition",
@@ -59,7 +53,6 @@ __all__ = [
     "build_columns",
     "counting_row_constructions",
     "empty_columns",
-    "gather_join_columns",
     "merge_union_schema",
     "rows_from_dicts",
     "transpose_rows",

@@ -20,6 +20,11 @@ Batches are immutable by contract: once a column list is handed to
 ``from_columns`` (or obtained from ``.columns``) it must not be mutated —
 ``select_columns`` and schema re-stamping alias column lists rather than
 copying them.
+
+Probe joins hand their output out through one :class:`MatchCursor`: the key
+pass yields match positions only, and the cursor gathers each output row from
+the probe batch and the build-side store when it hands the row out, in
+caller-sized pieces — its docstring states the output stamp rule.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -30,6 +35,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.storage.columns import (
     RunLengthArrivals,
+    as_run,
     as_values,
     empty_like,
     extend_column,
@@ -190,64 +196,64 @@ class Batch:
         return f"Batch({len(self)} rows, {self.schema.names})"
 
 
-def gather_join_columns(
-    left: Batch,
-    take: Sequence[int],
-    right_columns: Sequence[Sequence[Any]],
-    right_arrivals: Sequence[float],
-    schema: Schema,
-    aligned: bool = False,
-) -> Batch:
-    """Join-output batch: left rows at ``take`` beside gathered right-side matches.
+class MatchCursor:
+    """Pending join output, gathered a piece at a time as it is handed out.
 
-    The matched build/probe values arrive as column lists (gathered straight
-    out of a hash table's arena or spill chunks), so assembling the output is
-    pure per-column work — no row boxing anywhere.  ``take[i]`` names the left
-    row matched by right position ``i`` (indices repeat when a left row has
-    several matches); each output arrival is the later of the two input
-    stamps, as :meth:`Row.concat` produces row by row.  ``aligned=True``
-    asserts ``take`` is the identity permutation (every left row matched
-    exactly once, the foreign-key case), letting the left columns alias
-    instead of gather.
-    """
-    if aligned:
-        columns = list(left.columns)
-        left_arrivals = left.arrivals
-    else:
-        pick = picker(take)
-        columns = [gather_column(column, take, pick) for column in left.columns]
-        left_arrivals = pick(as_values(left.arrivals))
-    columns.extend(right_columns)
-    return Batch.from_columns(schema, columns, later_stamps(left_arrivals, right_arrivals))
+    Output row ``i`` is ``left``'s row ``take[i]`` beside ``right``'s row
+    ``at[i]`` (``left`` the probe batch, ``right`` the build-side store:
+    anything with ``columns`` and ``arrivals``).  :meth:`take` gathers exactly
+    the next ``n`` rows, each cell copied once: a whole ``aligned`` probe
+    batch (``take`` the identity) aliases its columns, a contiguous run of
+    either side slices, anything else is one :func:`picker` per side.
 
-
-class BatchCursor:
-    """Pending-output helper: serves a batch in caller-sized pieces.
-
-    Join operators produce one output batch per probed input batch, which may
-    exceed the consumer's requested ``max_rows``; a cursor hands out slices
-    until the batch is drained.
+    The stamp rule, stated once: a row carries the later of its two input
+    stamps, ties keeping the left one (:func:`later_stamps`).  When ``bound``,
+    an upper bound on ``right``'s stamps (a finished build's latest), is at
+    most the probe batch's earliest stamp, that is every row's left stamp,
+    taken without comparing.  ``right`` must not change while rows are
+    pending; :meth:`settle` gathers them first.
     """
 
-    __slots__ = ("batch", "position")
+    __slots__ = ("schema", "left", "left_at", "right", "right_at", "position", "stamps", "left_wins")
 
-    def __init__(self, batch: Batch) -> None:
-        self.batch = batch
+    def __init__(
+        self, schema: Schema, left: Batch, take: Sequence[int], right, at: Sequence[int],
+        aligned: bool = False, bound: float | None = None,
+    ) -> None:
+        self.schema, self.left, self.right, self.right_at = schema, left, right, at
+        self.left_at = range(len(take)) if aligned else take
         self.position = 0
-
-    def __bool__(self) -> bool:
-        return self.position < len(self.batch)
+        self.stamps = as_values(left.arrivals)
+        self.left_wins = bound is not None and bound <= min(self.stamps)
 
     def __len__(self) -> int:
-        return len(self.batch) - self.position
+        return len(self.right_at) - self.position
 
-    def take(self, max_rows: int) -> Batch:
-        """Up to ``max_rows`` rows as a batch (empty when drained)."""
-        position = self.position
-        stop = min(position + max_rows, len(self.batch))
-        if stop <= position:
-            return Batch.empty(self.batch.schema)
-        self.position = stop
-        if position == 0 and stop == len(self.batch):
-            return self.batch
-        return self.batch.slice(position, stop)
+    def take(self, n: int) -> Batch:
+        """The next ``n`` output rows (fewer at the end) as a batch."""
+        start, left_at, right_at = self.position, self.left_at, self.right_at
+        stop = self.position = min(start + n, len(right_at))
+        if start or stop < len(right_at):
+            left_at, right_at = left_at[start:stop], right_at[start:stop]
+        right_at, stamps = as_run(right_at), self.stamps
+        if type(left_at) is range and len(left_at) == len(stamps):
+            columns = list(self.left.columns)
+        else:
+            left_at = as_run(left_at)
+            pick = picker(left_at)
+            columns = [gather_column(column, left_at, pick) for column in self.left.columns]
+            stamps = pick(stamps)
+        pick = picker(right_at)
+        columns += [gather_column(column, right_at, pick) for column in self.right.columns]
+        if not self.left_wins:
+            stamps = later_stamps(stamps, pick(self.right.arrivals))
+        return Batch(self.schema, columns, stamps if type(stamps) is list else list(stamps))
+
+    def settle(self) -> None:
+        """Gather the pending rows' ``right`` side now, before ``right`` changes."""
+        at, right = self.right_at[self.position :], self.right
+        pick = picker(at)
+        columns = [gather_column(column, at, pick) for column in right.columns]
+        self.right = Batch(right.schema, columns, list(pick(right.arrivals)))
+        self.left_at, self.right_at = self.left_at[self.position :], range(len(at))
+        self.position = 0

@@ -511,6 +511,17 @@ def picker(indices: Sequence[int]):
     return itemgetter(slice(start, start + n))
 
 
+def as_run(indices: Sequence[int]) -> Sequence[int]:
+    """``indices`` as a ``range`` when they are one ascending contiguous run
+    (:func:`picker` then slices), else as given."""
+    n = len(indices)
+    if n > 1 and type(indices) is not range:
+        first = indices[0]
+        if indices[-1] - first == n - 1 and indices == list(range(first, first + n)):
+            return range(first, first + n)
+    return indices
+
+
 def gather(column, indices: Sequence[int], pick=None):
     """Values of ``column`` at ``indices``, preserving the storage class.
 
@@ -614,7 +625,7 @@ class ColumnarPartition:
     inner buffer.  Rows live as per-attribute column entries plus an arrival
     stamp, in insertion order; :attr:`positions` is the one key index, keyed
     by :data:`~repro.storage.tuples.Key`.  :meth:`extend_gather` indexes a
-    batch and :meth:`gather_matches` resolves probe keys in one key pass each,
+    batch and :meth:`probe_positions` resolves probe keys in one key pass each,
     and :meth:`gather_rows` turns positions into output columns, so no row
     object exists on either path.
 
@@ -776,30 +787,22 @@ class ColumnarPartition:
             gather_into(columns, first, self.columns, pick)
         return columns, list(pick(self.arrivals))
 
-    def gather_matches(
+    def probe_positions(
         self,
         keys: Sequence[Key],
         positions: Sequence[int] | None = None,
         limit: int | None = None,
-        into: tuple[list, int] | None = None,
-    ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
-        """Bulk probe: gathered match columns for the joins' output assembly.
+    ) -> tuple[list[int], list[int], bool] | None:
+        """The bulk probe's key pass: ``(take, at, aligned)``, or ``None``
+        when nothing matched.
 
-        Probes ``keys`` (restricted to the probed ``positions`` when given)
-        and returns ``(take, match_columns, match_arrivals, aligned)`` — the
-        contract consumed by :func:`repro.storage.batch.gather_join_columns`:
-        ``take[i]`` is the probed position whose key produced match ``i``,
-        and the matched rows arrive as already-gathered column lists — or,
-        with ``into``, written onto the end of the caller's columns
-        (:meth:`gather_rows`), which come back in their place.
-        ``aligned`` is true when every key matched exactly once (``take`` is
-        the identity permutation).  ``None`` when nothing matched.
-
-        With ``limit`` the probe stops after the key whose matches bring the
-        total to ``limit`` or more (that key's matches are all included), so
-        ``take[-1]`` names the last key a tuple-at-a-time probe filling a
-        ``limit``-row batch would have consumed.  One index lookup per key
-        resolves positions; the values then move through :meth:`gather_rows`.
+        Match ``i`` pairs probed position ``take[i]`` (only ``positions`` are
+        probed, when given) with this store's row ``at[i]``; ``aligned`` is
+        true when every key matched exactly once (``take`` is the identity).
+        No value moves: the rows are gathered by position afterwards.  With
+        ``limit`` the probe stops after the key whose matches bring the total
+        to ``limit`` or more, so ``take[-1]`` is the last key a
+        tuple-at-a-time probe filling a ``limit``-row batch would consume.
         """
         index = self.positions
         probe = range(len(keys)) if positions is None else positions
@@ -833,7 +836,7 @@ class ColumnarPartition:
                     break
         if not take:
             return None
-        return take, *self.gather_rows(at, into), once and len(take) == len(keys) == len(probe)
+        return take, at, once and len(take) == len(keys) == len(probe)
 
     def _hits(self, keys: Sequence[Key], part: Sequence[int]) -> tuple[list[int], list[int]]:
         """The unique regime's key pass, all C-level: the positions of ``part``
@@ -843,7 +846,3 @@ class ColumnarPartition:
             return list(part), at
         hit = list(map(is_not, at, repeat(None)))
         return list(compress(part, hit)), list(compress(at, hit))
-
-    def value_tuple(self, index: int) -> tuple[Any, ...]:
-        """The value vector of one row (boxes a tuple, not a Row)."""
-        return tuple(column[index] for column in self.columns)

@@ -31,8 +31,9 @@ once per table) against a :class:`~repro.storage.memory.MemoryBudget`, so
 the joins meet memory pressure exactly when the paper's engine would, however
 rows reach the table: its representation never changes with the caller.
 
-Rows move in bulk (:meth:`BucketedHashTable.insert_batch`,
-:meth:`BucketedHashTable.gather_matches`, the spill segment writer).
+Rows move in bulk (:meth:`BucketedHashTable.insert_batch`, the probe's key
+pass :meth:`BucketedHashTable.probe_positions` and the gathers by position
+after it, the spill segment writer).
 :meth:`BucketedHashTable.insert_position` and
 :meth:`BucketedHashTable.spill_position` are the one per-row kernel pair, kept
 for the two steps that take one row per overflow: the double pipelined join's
@@ -593,6 +594,18 @@ class BucketedHashTable:
         positions = store.lookup(key) if store is not None else None
         return (store, positions) if positions else None
 
+    def probe_positions(
+        self,
+        keys: Sequence[Key],
+        positions: Sequence[int] | None = None,
+        limit: int | None = None,
+    ) -> tuple[list[int], list[int], bool] | None:
+        """The bulk probe's key pass over :attr:`arena`
+        (:meth:`ColumnarPartition.probe_positions`)."""
+        if self.arena is None:
+            return None
+        return self.arena.probe_positions(keys, positions, limit)
+
     def gather_matches(
         self,
         keys: Sequence[Key],
@@ -600,13 +613,17 @@ class BucketedHashTable:
         limit: int | None = None,
         into: tuple[list, int] | None = None,
     ) -> tuple[list[int], list[list[Any]], list[float], bool] | None:
-        """Bulk probe of the resident rows (:meth:`ColumnarPartition.gather_matches`):
+        """Bulk probe of the resident rows, gathered at once: the key pass
+        composed with :meth:`ColumnarPartition.gather_rows` —
         ``(take, match_columns, match_arrivals, aligned)`` or ``None``; with
         ``into = (columns, first)`` the matched values are written onto the
         end of ``columns[first:]`` and ``columns`` comes back in their place."""
-        if self.arena is None:
+        arena = self.arena
+        found = arena.probe_positions(keys, positions, limit) if arena is not None else None
+        if found is None:
             return None
-        return self.arena.gather_matches(keys, positions, limit, into)
+        take, at, aligned = found
+        return take, *arena.gather_rows(at, into), aligned
 
     # -- flushing ----------------------------------------------------------------
 

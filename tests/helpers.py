@@ -97,6 +97,11 @@ class ScriptedProfile(NetworkProfile):
         return [start_ms + offset for offset in self.timetable[:count]]
 
 
+def value_tuple(store, index):
+    """The value vector of ``store``'s row ``index`` (a tuple, not a Row)."""
+    return tuple(column[index] for column in store.columns)
+
+
 def boxed_matches(schema, row, store, positions, row_first=True):
     """``row`` joined with ``store``'s rows at ``positions``, boxed (``row``
     is the left input unless ``row_first`` is false); each pair carries the
@@ -104,7 +109,7 @@ def boxed_matches(schema, row, store, positions, row_first=True):
     values, arrival, arrivals = row.values, row.arrival, store.arrivals
     out = []
     for position in positions:
-        matched, stamp = store.value_tuple(position), arrivals[position]
+        matched, stamp = value_tuple(store, position), arrivals[position]
         out.append(
             Row.make(
                 schema,
@@ -122,7 +127,7 @@ def resident_matches(table, key) -> list[Row]:
         return []
     store, positions = matched
     return [
-        Row.make(store.schema, store.value_tuple(i), store.arrivals[i]) for i in positions
+        Row.make(store.schema, value_tuple(store, i), store.arrivals[i]) for i in positions
     ]
 
 
@@ -249,15 +254,34 @@ class RowPipelineDPJ(DoublePipelinedJoin):
                         yield left_row.concat(right_row, schema)
 
 
+class BoxedRowsCursor:
+    """The per-row pipelines' pending output: rows boxed when produced (so
+    fixed then), handed out in pieces as the join's cursor hands out its own."""
+
+    def __init__(self, schema, rows):
+        self.schema, self.rows, self.position = schema, rows, 0
+
+    def __len__(self):
+        return len(self.rows) - self.position
+
+    def take(self, n):
+        start = self.position
+        self.position = min(start + n, len(self.rows))
+        return Batch.from_rows(self.schema, self.rows[start : self.position])
+
+    def settle(self):
+        pass
+
+
 class RowPipelineHybrid(HybridHashJoin):
     """The hybrid's per-row probe (:meth:`_probe_one`) and row overflow pass
-    (:meth:`_overflow_pairs`, handed over one row per batch)."""
+    (:meth:`_overflow_pairs`, handed over one row per cursor)."""
 
     def _probe_outer_batch(self, outer):
         matches = []
         for outer_row in outer.rows():
             matches += self._probe_one(outer_row)
-        return Batch.from_rows(self.output_schema, matches) if matches else None
+        return BoxedRowsCursor(self.output_schema, matches) if matches else None
 
     def _probe_one(self, outer_row):
         key = self._left_binder.key(outer_row)
@@ -269,9 +293,9 @@ class RowPipelineHybrid(HybridHashJoin):
         matched = self._inner_table.match_positions(key)
         return boxed_matches(self.output_schema, outer_row, *matched) if matched else []
 
-    def _overflow_pair_batches(self):
+    def _overflow_pair_cursors(self):
         for row in self._overflow_pairs():
-            yield Batch.from_rows(self.output_schema, [row])
+            yield BoxedRowsCursor(self.output_schema, [row])
 
     def _overflow_pairs(self):
         """Joins spilled pairs bucket by bucket, boxing each tuple."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.batch import Batch, BatchCursor, gather_join_columns, transpose_rows
+from repro.storage.batch import Batch, MatchCursor, later_stamps, transpose_rows
 from repro.storage.columns import (
     DictColumn,
     RunLengthArrivals,
@@ -152,29 +152,42 @@ def test_gather_join_matches_row_concat():
         Row.make(right_schema, (1, "R1"), 2.0),
         Row.make(right_schema, (1, "R2"), 0.1),
     ]
-    right_columns, right_arrivals = transpose_rows(right_rows), [2.0, 0.1]
+    right = Batch.from_rows(right_schema, right_rows)
     left = Batch.from_columns(SCHEMA, [[1, 2], ["a", "b"], [10, 20]], [1.0, 3.0])
     out_schema = SCHEMA.join(right_schema)
-    joined = gather_join_columns(left, [0, 0], right_columns, right_arrivals, out_schema)
+    joined = MatchCursor(out_schema, left, [0, 0], right, [0, 1]).take(2)
     expected = [
         left[0].concat(right_rows[0], out_schema),
         left[0].concat(right_rows[1], out_schema),
     ]
     assert [row.values for row in joined] == [row.values for row in expected]
     assert joined.arrivals == [row.arrival for row in expected]
-    # aligned=True (identity take) must agree with the general path.
-    args = (left, [0, 1], right_columns, right_arrivals, out_schema)
-    aligned, general = gather_join_columns(*args, aligned=True), gather_join_columns(*args)
+    # aligned=True (identity take) must agree with the general path, and
+    # aliases the probe batch's columns when handed out whole.
+    args = (out_schema, left, [0, 1], right, [1, 0])
+    aligned, general = MatchCursor(*args, aligned=True).take(2), MatchCursor(*args).take(2)
     assert [row.values for row in aligned] == [row.values for row in general]
-    assert aligned.arrivals == general.arrivals
+    assert aligned.arrivals == general.arrivals == [1.0, 3.0]
+    assert all(a is b for a, b in zip(aligned.columns, left.columns))
+    # A bound on the build's stamps no later than the probe's earliest: the
+    # probe's stamps, taken without comparing — what the pairwise rule picks.
+    early = Batch.from_columns(right_schema, right.columns, [0.5, 0.1])
+    for bound, left_wins in ((0.5, True), (1.0, True), (2.5, False)):
+        cursor = MatchCursor(out_schema, left, [0, 0], early, [0, 1], bound=bound)
+        assert cursor.left_wins is left_wins
+        assert cursor.take(2).arrivals == [1.0, 1.0] == later_stamps([1.0, 1.0], [0.5, 0.1])
 
 
 def test_batch_cursor_slices_and_rows():
-    batch = Batch.from_rows(SCHEMA, SAMPLE)
-    cursor = BatchCursor(batch)
+    right = Batch.from_columns(Schema.of("r.k:int"), [[1, 3]], [0.0, 9.0])
+    cursor = MatchCursor(
+        SCHEMA.join(right.schema), Batch.from_rows(SCHEMA, SAMPLE), [0, 1, 2, 3], right,
+        [0, 1, 0, 1], aligned=True,
+    )
     first = cursor.take(3)
     assert len(first) == 3 and len(cursor) == 1
-    assert [row.values for row in cursor.take(5)] == [SAMPLE[3].values]
+    assert first.arrivals == [0.5, 9.0, 2.5]
+    assert [row.values for row in cursor.take(5)] == [SAMPLE[3].values + (3,)]
     assert not cursor
     assert not cursor.take(5)
 
@@ -358,17 +371,74 @@ def test_row_batch_row_round_trip(pairs, data):
         assert batch.key_tuples((1, 2)) == [row.values[1:] for row in expected]
 
 
-@settings(max_examples=examples(60), deadline=None)
-@given(rows_strategy, st.integers(min_value=1, max_value=7))
-def test_cursor_reassembles_batch(pairs, chunk):
-    rows = make_rows(pairs)
-    cursor = BatchCursor(Batch.from_rows(SCHEMA, rows))
-    reassembled = []
+RIGHT = Schema.of("r.k:int", "r.tag:str", "r.n:int")
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(
+    rows_strategy.filter(bool),
+    rows_strategy.filter(bool),
+    st.data(),
+)
+def test_cursor_reassembles_batch(left_pairs, right_pairs, data):
+    """A :class:`MatchCursor`'s pieces, whatever their sizes, are the
+    whole-batch gather stamped by :func:`later_stamps`: over aligned and
+    general probes, list and run-length probe stamps, probes newer than the
+    build and older (a scan of a stored relation stamps one run), with and
+    without a stamp bound, settled part-way or not — and no piece is longer
+    than asked for."""
+    right_stamps = [arrival for _, arrival in right_pairs]
+    latest = max(right_stamps)
+    stamps = [arrival for _, arrival in left_pairs]
+    kind = data.draw(st.sampled_from(["drawn", "after the build", "stored relation"]))
+    if kind == "after the build":
+        stamps = [latest + 1.0 + arrival for arrival in stamps]
+    elif kind == "stored relation":
+        stamps = [0.0] * len(stamps)
+    form = data.draw(st.sampled_from([list, RunLengthArrivals]))
+    left_columns = transpose_rows(make_rows(left_pairs))
+    left = Batch.from_columns(
+        SCHEMA, build_columns(SCHEMA, left_columns, make_dictionaries(SCHEMA)), form(stamps)
+    )
+    right = Batch.from_columns(
+        RIGHT,
+        build_columns(RIGHT, transpose_rows(make_rows(right_pairs)), make_dictionaries(RIGHT)),
+        right_stamps,
+    )
+    rights = st.integers(0, len(right_pairs) - 1)
+    aligned = data.draw(st.booleans())
+    if aligned:
+        take = list(range(len(left_pairs)))
+    else:
+        take = sorted(data.draw(st.lists(st.integers(0, len(left_pairs) - 1), min_size=1)))
+    at = data.draw(st.lists(rights, min_size=len(take), max_size=len(take)))
+    if data.draw(st.booleans()):  # some runs contiguous, so pieces slice
+        at = [min(i, len(right_pairs) - 1) for i in range(len(take))]
+    bound = data.draw(st.sampled_from([None, latest, latest + 0.5]))
+    expected_values = [left_pairs[i][0] + right_pairs[j][0] for i, j in zip(take, at)]
+    expected_stamps = later_stamps([stamps[i] for i in take], [right_stamps[j] for j in at])
+
+    cursor = MatchCursor(SCHEMA.join(RIGHT), left, take, right, at, aligned, bound)
+    assert cursor.left_wins == (bound is not None and bound <= min(stamps))
+    sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    settle_at = data.draw(st.one_of(st.none(), st.integers(0, len(sizes))))
+    pieces = []
     while cursor:
-        part = cursor.take(chunk)
-        assert 0 < len(part) <= chunk
-        reassembled.extend(part.rows())
-    assert [row.values for row in reassembled] == [row.values for row in rows]
+        if len(pieces) == settle_at:
+            cursor.settle()
+            for column in right.columns + [right.arrivals]:
+                del column[:]  # the store changes under the settled cursor
+        n = sizes[min(len(pieces), len(sizes) - 1)]
+        remaining = len(cursor)
+        piece = cursor.take(n)
+        assert len(piece) == min(n, remaining)
+        assert type(piece.arrivals) is list
+        if aligned and not pieces and n >= len(take):
+            assert all(a is b for a, b in zip(piece.columns, left.columns))
+        pieces.append(piece)
+    assert not cursor.take(3)
+    assert [row.values for piece in pieces for row in piece] == expected_values
+    assert [stamp for piece in pieces for stamp in piece.arrivals] == expected_stamps
 
 
 @settings(max_examples=examples(60), deadline=None)

@@ -651,7 +651,7 @@ def test_hybrid_mixed_callers_mid_overflow_pass(tpcd_catalog, tiny_tpcd):
             rows.extend(batch)
             # As soon as the overflow pass has begun, switch to one-row
             # pulls for the remainder.
-            if joined._overflow_batches is not None:
+            if joined._overflow_cursors is not None:
                 switched = True
         else:
             row = joined.next()

@@ -539,8 +539,9 @@ class TestKeyIndexProportionality:
 
 
 class TestSharedProbeLoop:
-    """``ColumnarPartition.gather_matches`` — the one probe loop of the hybrid,
-    double pipelined and nested-loops joins: ``positions``, ``limit``, ``aligned``."""
+    """``ColumnarPartition.probe_positions`` — the one probe loop of the hybrid,
+    double pipelined and nested-loops joins: ``positions``, ``limit``,
+    ``aligned``; the matched rows come back through ``gather_rows``."""
 
     def make_partition(self, keys: list[int]):
         from repro.storage.columns import ColumnarPartition
@@ -555,10 +556,11 @@ class TestSharedProbeLoop:
         return partition
 
     def probe(self, partition, keys, positions=None, limit=None):
-        result = partition.gather_matches(keys, positions, limit)
-        if result is None:
+        found = partition.probe_positions(keys, positions, limit)
+        if found is None:
             return None
-        take, columns, arrivals, aligned = result
+        take, at, aligned = found
+        columns, arrivals = partition.gather_rows(at)
         return take, list(columns[1]), arrivals, aligned
 
     def test_matches_come_key_major_in_insertion_order(self):
@@ -668,7 +670,8 @@ class TestSharedProbeLoop:
         keys = [99, 10, 98, 11, 97, 12]
         assert self.probe(keyed_once, keys, limit=2) == ([1, 3], ["v0", "v1"], [0.0, 1.0], False)
         # The caller may cut the lists it gets back (the DPJ drops matches past a refusal).
-        take, columns, arrivals, _ = keyed_once.gather_matches(keys, range(1, 6), 99)
+        take, at, _ = keyed_once.probe_positions(keys, range(1, 6), 99)
+        arrivals = keyed_once.gather_rows(at)[1]
         assert type(take) is list and type(arrivals) is list
         del take[1:], arrivals[1:]
 

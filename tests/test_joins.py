@@ -10,9 +10,11 @@ from repro.engine.operators.joins.nested_loops import NestedLoopsJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import lan, wide_area
 from repro.network.source import DataSource
+from repro.storage.batch import Batch
 from repro.storage.memory import MB
+from repro.storage.schema import Schema
 
-from helpers import make_relation, multiset, reference_join
+from helpers import ScriptedRuns, digest, make_relation, multiset, reference_join
 
 
 def expected_join(catalog):
@@ -263,3 +265,73 @@ class TestDependentJoinProbeCache:
         assert len(rows) == 8
         # All probes are local: no wide-area initial latency is paid at all.
         assert context.clock.now - warm_time < wide_area().initial_latency_ms
+
+class TestHybridRevocationMidProbe:
+    """A broker revocation that lands while one probe's fan-out is still being
+    handed out flushes, truncates and compacts the arena under it; the matches
+    were fixed when the batch probed, so the output, its stamps and every
+    clock reading are what they were when each probe gathered all its matches
+    at once — the goldens were recorded on that engine."""
+
+    OUTER = Schema.of("l.k:int", "l.p:str")
+    INNER = Schema.of("r.k:int", "r.q:str")
+    #: Keys 0 and 1 interleaved, then key 3, then key 2's 40 rows at the
+    #: arena's tail (buckets 0, 1, 4 and 3 of 8): a revocation down to 20 rows
+    #: flushes key 2 (the tail: truncated in place), key 0 (dead slots) and
+    #: key 1 (dead outnumber live: compacted).
+    BUILD_KEYS = [i % 2 for i in range(60)] + [3] * 10 + [2] * 40
+    #: outer stamps -> (digest of the output rows and stamps, batch sizes,
+    #: digest of the clock after every pull, final clock, overflow events,
+    #: budget used after the revocation)
+    GOLDEN = {
+        "build-side-later": (
+            "c808870b3dfbff19", [7] * 15 + [5], "a0bc1105b514905b", 70.20599999999995, 3, 1450,
+        ),
+        "probe-side-later": (
+            "a94bfe8034c263a8", [7] * 15 + [5], "6d0709c16da6d4c5", 1004.2060000000001, 3, 1450,
+        ),
+    }
+
+    def drive(self, outer_stamps):
+        context = ExecutionContext(DataSourceCatalog())
+        inner = Batch.from_columns(
+            self.INNER,
+            [self.BUILD_KEYS, [f"q{i}" for i in range(110)]],
+            [1.0 + 0.5 * i for i in range(110)],
+        )
+        outer = Batch.from_columns(self.OUTER, [[2, 0, 1, 7, 3], list("abcde")], list(outer_stamps))
+        join = HybridHashJoin(
+            "hh", context, ScriptedRuns("l", context, self.OUTER, [outer]),
+            ScriptedRuns("r", context, self.INNER, [inner]), ["l.k"], ["r.k"],
+            memory_limit_bytes=64 * 1024, bucket_count=8,
+        )
+        join.open()
+        batches = [join.next_batch(7)]
+        clocks = [context.clock.now]
+        table = join._inner_table
+        assert len(table.arena) == 110 and len(batches[0]) == 7
+        join.budget.revoke_to(table.dictionary_bytes + 20 * table.row_bytes)
+        assert table.flushed_buckets == [0, 1, 3]
+        assert len(table.arena) == table.resident_rows == 10  # truncated, then compacted
+        used = join.budget.used_bytes
+        assert used == table.resident_bytes + join._outer_table.resident_bytes
+        while batch := join.next_batch(7):
+            batches.append(batch)
+            clocks.append(context.clock.now)
+        join.close()
+        rows = [(row.values, row.arrival) for batch in batches for row in batch]
+        assert len(rows) == 110
+        return (
+            digest(rows), [len(batch) for batch in batches], digest(clocks), context.clock.now,
+            context.stats.operator("hh").overflow_events, used,
+        )
+
+    @pytest.mark.parametrize(
+        "case, outer_stamps",
+        [
+            ("build-side-later", (3.0, 20.0, 40.0, 60.0, 70.0)),
+            ("probe-side-later", (1000.0, 1001.0, 1002.0, 1003.0, 1004.0)),
+        ],
+    )
+    def test_output_is_fixed_when_the_batch_probes(self, case, outer_stamps):
+        assert self.drive(outer_stamps) == self.GOLDEN[case]

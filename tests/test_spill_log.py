@@ -146,7 +146,7 @@ class TestSpillJoinAgainstTheRowOracle:
         oracle_context, oracle = prepared()
         per_tuple_reference(oracle)
         with counting_row_constructions() as counter:
-            batches = list(join._overflow_pair_batches())
+            batches = [cursor.take(len(cursor)) for cursor in join._overflow_pair_cursors()]
             assert counter.count == 0
         rows = [row for batch in batches for row in batch]
         assert stamped(rows) == stamped(oracle._overflow_pairs())
