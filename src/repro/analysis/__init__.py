@@ -1,4 +1,4 @@
-"""Engine invariant analysis: AST lint rules and the static plan validator.
+"""Engine invariant analysis: AST lint rules and the static plan check.
 
 The engine's correctness rests on conventions that no type checker enforces:
 all time flows through the virtual clocks, every memory reservation is paired
@@ -17,50 +17,12 @@ conventions into checked invariants:
   per-module by content hash), and a forward taint engine.  The flow-aware
   rules (``clock-taint``, ``lease-lifecycle``, ``step-effect``) are built
   on it via the :class:`~repro.analysis.linter.ProjectRule` interface.
-* :mod:`repro.analysis.plan_check` — a static validator for physical operator
-  trees, run before execution (``EngineConfig(validate_plans=True)``, the
-  default): schema compatibility at unions and joins, dependent-join bind
-  keys actually produced by the left input, allotments not below the broker
-  floor, and dictionary-encoding consistency across join keys.
+* :mod:`repro.analysis.plan_check` — the static check of physical operator
+  trees, always run before execution: ``check_tree`` in the builder and at
+  ``QueryServer.submit``, ``check_plan`` at ``QueryServer.submit_plan``.
+  It is the one module here the engine imports, which is why this package
+  re-exports nothing: loading the check must not load the analyzer.
 
 Run the linter from the repo root with ``python -m repro.analysis src/repro``
 (exit status 0 = clean); the same pass runs as a tier-1 test and a CI job.
 """
-
-from repro.analysis.dataflow import AnalysisProject, build_cfg
-from repro.analysis.linter import (
-    Finding,
-    LintReport,
-    ModuleSource,
-    ProjectRule,
-    Rule,
-    run_lint,
-)
-from repro.analysis.plan_check import (
-    PlanCheckFinding,
-    PlanValidator,
-    check_plan,
-    check_tree,
-    validate_plan,
-    validate_tree,
-)
-from repro.analysis.rules import ALL_RULES, rule_by_id
-
-__all__ = [
-    "ALL_RULES",
-    "AnalysisProject",
-    "Finding",
-    "LintReport",
-    "ModuleSource",
-    "PlanCheckFinding",
-    "PlanValidator",
-    "ProjectRule",
-    "Rule",
-    "build_cfg",
-    "check_plan",
-    "check_tree",
-    "rule_by_id",
-    "run_lint",
-    "validate_plan",
-    "validate_tree",
-]

@@ -2,16 +2,18 @@
 
 Plan well-formedness is decidable before execution — a dependent join's
 bindings either are or are not produced by its left input, a union's inputs
-either are or are not schema-compatible — so the engine checks it *before*
-instantiating runtime operators (``EngineConfig(validate_plans=True)``, the
-default) instead of failing mid-stream with a partially executed plan.
+either are or are not schema-compatible — so the engine always checks it
+*before* instantiating runtime operators instead of failing mid-stream with
+a partially executed plan.  There are two entry points: :func:`check_tree`
+(the builder, ``QueryServer.submit``) and :func:`check_plan`
+(``QueryServer.submit_plan``).
 
 Checked invariants, per node:
 
 * **Schema compatibility** — union/collector/choose children must be
-  compatible (same arity and attribute types); project attributes and join
-  keys must resolve in their input schemas; a join output must not carry
-  duplicate attribute names.
+  compatible (:func:`~repro.storage.schema.union_schema`); project
+  attributes and join keys must resolve in their input schemas; a join
+  output must not carry duplicate attribute names.
 * **Binding availability** — a dependent join's bind keys (``left_keys``)
   must be produced by its left input, and its ``right_keys`` by the bound
   source's exported schema (the Logic-of-Information-Flows executability
@@ -22,9 +24,11 @@ Checked invariants, per node:
   non-string key of the other input would compare codes with plain values.
   A join key pair where exactly one side is dict-encodable is rejected
   unless the spec declares a translation (``params["key_translation"]``).
-* **Memory floors** (plan level) — a bounded join allotment below the
-  optimizer/broker floor (:data:`MIN_JOIN_ALLOTMENT_BYTES`) can never be
-  granted and is rejected at admission rather than at the first overflow.
+* **Memory floors** (:func:`check_plan` only) — a bounded join allotment
+  below the optimizer/broker floor (:data:`MIN_JOIN_ALLOTMENT_BYTES`) can
+  never be granted and is rejected at admission rather than at the first
+  overflow.  Hand-built trees are exempt: tiny allotments are how tests and
+  benchmarks force the overflow paths.
 
 Schemas are resolved from the catalog (wrapper scans, dependent joins) and
 the local store / earlier fragments' results (table scans).  A node whose
@@ -36,12 +40,13 @@ above it that need the schema are skipped, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import PlanValidationError, SchemaError
 from repro.optimizer.memory_alloc import MIN_JOIN_ALLOTMENT_BYTES
 from repro.plan.physical import OperatorSpec, OperatorType
 from repro.storage.columns import DICT_ENCODED_TYPES
-from repro.storage.schema import Attribute, Schema
+from repro.storage.schema import Attribute, Schema, union_schema
 
 
 @dataclass(frozen=True, order=True)
@@ -56,60 +61,81 @@ class PlanCheckFinding:
         return f"{self.operator_id}: [{self.code}] {self.message}"
 
 
-class PlanValidator:
-    """Schema-propagating validator over one physical operator tree.
+def check_tree(spec: OperatorSpec, catalog, local_store=None) -> None:
+    """Check one operator tree; raise :class:`PlanValidationError` on any finding.
 
-    Parameters
-    ----------
-    catalog:
-        Resolves wrapper-scan and dependent-join source schemas.
-    local_store:
-        Optional runtime store for resolving table-scan schemas (the builder
-        passes the context's store, so fragments built after their inputs
-        materialized validate against real schemas).
-    known_relations:
-        Statically known relation schemas by name — earlier fragments'
-        results when validating a full plan.
-    enforce_floor:
-        Check bounded join allotments against the broker floor.  On for plan
-        admission (allotments come from the optimizer/broker negotiation and
-        must be grantable); off for hand-built trees, where tiny allotments
-        are how tests and benchmarks force the overflow paths.
+    Table scans resolve against ``local_store`` (the builder passes its
+    context's store, so a fragment built after its inputs materialized is
+    checked against their real schemas).  Never applies the floor rule.
     """
 
-    def __init__(
-        self,
-        catalog,
-        *,
-        local_store=None,
-        known_relations: dict[str, Schema] | None = None,
-        enforce_floor: bool = False,
-    ) -> None:
+    def stored_schema(name: str) -> Schema | None:
+        if local_store is None or name not in local_store:
+            return None
+        return local_store.get(name).schema
+
+    tree = _TreeCheck(catalog, stored_schema)
+    tree.visit(spec)
+    _raise_if_findings(tree.findings, f"operator tree {spec.operator_id!r}")
+
+
+def check_plan(plan, catalog) -> None:
+    """Check every fragment of a :class:`QueryPlan`, then the broker floor.
+
+    Fragments are checked in execution order and each one's result schema is
+    carried forward: a table scan of an earlier fragment's ``result_name``
+    resolves to that fragment's statically computed schema, so
+    cross-fragment mismatches are caught at admission too.
+    """
+    findings: list[PlanCheckFinding] = []
+    results: dict[str, Schema] = {}
+    fragments = plan.execution_order()
+    for fragment in fragments:
+        tree = _TreeCheck(catalog, results.get)
+        schema = tree.visit(fragment.root)
+        findings.extend(tree.findings)
+        if schema is not None:
+            results[fragment.result_name] = schema
+    for fragment in fragments:
+        for spec in fragment.root.walk():
+            limit = spec.memory_limit_bytes
+            if spec.operator_type != OperatorType.JOIN or limit is None:
+                continue
+            if limit < MIN_JOIN_ALLOTMENT_BYTES:
+                findings.append(PlanCheckFinding(
+                    spec.operator_id,
+                    "sub-floor-allotment",
+                    f"join allotment of {limit} bytes is below the broker floor "
+                    f"({MIN_JOIN_ALLOTMENT_BYTES} bytes); the broker never "
+                    "revokes below the floor, so this allotment could never "
+                    "be granted",
+                ))
+    _raise_if_findings(findings, f"plan {plan.query_name!r}")
+
+
+def _raise_if_findings(findings: list[PlanCheckFinding], what: str) -> None:
+    if findings:
+        rendered = "; ".join(finding.render() for finding in findings)
+        raise PlanValidationError(
+            f"{what} failed static validation: {rendered}", findings=findings
+        )
+
+
+class _TreeCheck:
+    """One bottom-up, schema-propagating walk over an operator tree.
+
+    ``relation_schema`` resolves a table scan's relation name to its schema,
+    or ``None`` when it is not known statically.
+    """
+
+    def __init__(self, catalog, relation_schema: Callable[[str], Schema | None]) -> None:
         self.catalog = catalog
-        self.local_store = local_store
-        self.known_relations = dict(known_relations or {})
-        self.enforce_floor = enforce_floor
+        self.relation_schema = relation_schema
         self.findings: list[PlanCheckFinding] = []
-        self._schemas: dict[str, Schema | None] = {}
 
-    # -- public API --------------------------------------------------------------------
-
-    def validate_tree(self, spec: OperatorSpec) -> list[PlanCheckFinding]:
-        """Check ``spec`` and all descendants; returns the findings."""
-        self._visit(spec)
-        return self.findings
-
-    def schema_of(self, spec: OperatorSpec) -> Schema | None:
-        """The computed output schema of a validated node (``None`` = unknown)."""
-        return self._schemas.get(spec.operator_id)
-
-    # -- traversal ---------------------------------------------------------------------
-
-    def _visit(self, spec: OperatorSpec) -> Schema | None:
-        child_schemas = [self._visit(child) for child in spec.children]
-        schema = self._check_node(spec, child_schemas)
-        self._schemas[spec.operator_id] = schema
-        return schema
+    def visit(self, spec: OperatorSpec) -> Schema | None:
+        """Check ``spec`` and its descendants; returns its output schema."""
+        return self._check_node(spec, [self.visit(child) for child in spec.children])
 
     def _report(self, spec: OperatorSpec, code: str, message: str) -> None:
         self.findings.append(PlanCheckFinding(spec.operator_id, code, message))
@@ -123,11 +149,11 @@ class PlanValidator:
         if operator_type == OperatorType.WRAPPER_SCAN:
             return self._source_schema(spec.params.get("source"))
         if operator_type == OperatorType.TABLE_SCAN:
-            return self._relation_schema(spec.params.get("relation"))
-        if operator_type == OperatorType.SELECT:
-            # Predicates over absent attributes are *legal* (the runtime
-            # compiles them as never-satisfiable), so selection is
-            # schema-transparent here.
+            relation = spec.params.get("relation")
+            return self.relation_schema(relation) if isinstance(relation, str) else None
+        if operator_type in (OperatorType.SELECT, OperatorType.MATERIALIZE):
+            # Both are schema-transparent.  Predicates over absent attributes
+            # are *legal*: the runtime compiles them as never-satisfiable.
             return child_schemas[0] if child_schemas else None
         if operator_type == OperatorType.PROJECT:
             return self._check_project(spec, child_schemas[0])
@@ -136,13 +162,18 @@ class PlanValidator:
             OperatorType.COLLECTOR,
             OperatorType.CHOOSE,
         ):
-            return self._check_union_like(spec, child_schemas)
+            try:
+                return union_schema(child_schemas)
+            except SchemaError as exc:
+                self._report(spec, "schema-mismatch", f"{operator_type.value} {exc}")
+                return None
         if operator_type == OperatorType.JOIN:
-            return self._check_join(spec, child_schemas)
+            left_schema, right_schema = (child_schemas + [None, None])[:2]
+            return self._check_join(spec, left_schema, right_schema, dependent=False)
         if operator_type == OperatorType.DEPENDENT_JOIN:
-            return self._check_dependent_join(spec, child_schemas)
-        if operator_type == OperatorType.MATERIALIZE:
-            return child_schemas[0] if child_schemas else None
+            left_schema = child_schemas[0] if child_schemas else None
+            right_schema = self._source_schema(spec.params.get("source"))
+            return self._check_join(spec, left_schema, right_schema, dependent=True)
         if operator_type == OperatorType.EXCHANGE:
             return self._check_exchange(spec, child_schemas)
         return None  # unknown operator kinds are the builder's problem
@@ -165,28 +196,6 @@ class PlanValidator:
             )
             return None
         return child_schema.project(list(attributes))
-
-    def _check_union_like(
-        self, spec: OperatorSpec, child_schemas: list[Schema | None]
-    ) -> Schema | None:
-        known = [s for s in child_schemas if s is not None]
-        if not known:
-            return None
-        first = known[0]
-        for position, schema in enumerate(child_schemas):
-            if schema is None or schema is first:
-                continue
-            if not first.compatible_with(schema):
-                self._report(
-                    spec,
-                    "schema-mismatch",
-                    f"{spec.operator_type.value} input #{position} is not "
-                    f"compatible with input #0: {list(schema.names)} vs "
-                    f"{list(first.names)} (arity and attribute types must match)",
-                )
-        if len(known) != len(child_schemas):
-            return None  # an unknown child could widen the schema at runtime
-        return first
 
     def _check_exchange(
         self, spec: OperatorSpec, child_schemas: list[Schema | None]
@@ -217,60 +226,47 @@ class PlanValidator:
         # Hash partition + arrival-ordered merge preserves the input schema.
         return child_schema
 
+    # -- joins -------------------------------------------------------------------------
+
     def _check_join(
-        self, spec: OperatorSpec, child_schemas: list[Schema | None]
+        self,
+        spec: OperatorSpec,
+        left_schema: Schema | None,
+        right_schema: Schema | None,
+        *,
+        dependent: bool,
     ) -> Schema | None:
-        left_schema, right_schema = (child_schemas + [None, None])[:2]
-        left_keys = spec.params.get("left_keys")
-        right_keys = spec.params.get("right_keys")
-        self._check_keys(
-            spec, left_schema, left_keys, side="left", right_schema=right_schema,
-            right_keys=right_keys,
-        )
-        if self.enforce_floor and spec.memory_limit_bytes is not None:
-            if spec.memory_limit_bytes < MIN_JOIN_ALLOTMENT_BYTES:
-                self._report(
-                    spec,
-                    "sub-floor-allotment",
-                    f"join allotment of {spec.memory_limit_bytes} bytes is below "
-                    f"the broker floor ({MIN_JOIN_ALLOTMENT_BYTES} bytes); the "
-                    "broker never revokes below the floor, so this allotment "
-                    "could never be granted",
-                )
-        return self._join_output(spec, left_schema, right_schema)
-
-    def _check_dependent_join(
-        self, spec: OperatorSpec, child_schemas: list[Schema | None]
-    ) -> Schema | None:
-        left_schema = child_schemas[0] if child_schemas else None
-        right_schema = self._source_schema(spec.params.get("source"))
-        left_keys = spec.params.get("left_keys")
-        right_keys = spec.params.get("right_keys")
-        self._check_keys(
-            spec, left_schema, left_keys, side="bind", right_schema=right_schema,
-            right_keys=right_keys,
-        )
-        return self._join_output(spec, left_schema, right_schema)
-
-    # -- shared join helpers -----------------------------------------------------------
+        self._check_keys(spec, left_schema, right_schema, dependent=dependent)
+        if left_schema is None or right_schema is None:
+            return None
+        try:
+            return left_schema.join(right_schema)
+        except SchemaError:
+            duplicates = sorted(set(left_schema.names) & set(right_schema.names))
+            self._report(
+                spec,
+                "schema-mismatch",
+                f"join output would carry duplicate attribute names "
+                f"{duplicates}; qualify or rename one input",
+            )
+            return None
 
     def _check_keys(
         self,
         spec: OperatorSpec,
         left_schema: Schema | None,
-        left_keys,
-        *,
-        side: str,
         right_schema: Schema | None,
-        right_keys,
+        *,
+        dependent: bool,
     ) -> None:
+        left_keys = spec.params.get("left_keys")
+        right_keys = spec.params.get("right_keys")
         if not isinstance(left_keys, (list, tuple)) or not isinstance(
             right_keys, (list, tuple)
         ):
             return  # missing params: the builder reports those precisely
         if len(left_keys) != len(right_keys):
             return  # arity mismatch raises in the operator constructors
-        dependent = side == "bind"
         for left_key, right_key in zip(left_keys, right_keys):
             left_attr = self._resolve(left_schema, left_key)
             right_attr = self._resolve(right_schema, right_key)
@@ -315,23 +311,6 @@ class PlanValidator:
             "values — declare params['key_translation'] or align the types",
         )
 
-    def _join_output(
-        self, spec: OperatorSpec, left: Schema | None, right: Schema | None
-    ) -> Schema | None:
-        if left is None or right is None:
-            return None
-        try:
-            return left.join(right)
-        except SchemaError:
-            duplicates = sorted(set(left.names) & set(right.names))
-            self._report(
-                spec,
-                "schema-mismatch",
-                f"join output would carry duplicate attribute names "
-                f"{duplicates}; qualify or rename one input",
-            )
-            return None
-
     # -- schema resolution -------------------------------------------------------------
 
     def _source_schema(self, source_name) -> Schema | None:
@@ -341,18 +320,6 @@ class PlanValidator:
             return None
         return self.catalog.source(source_name).exported_schema
 
-    def _relation_schema(self, relation_name) -> Schema | None:
-        if not isinstance(relation_name, str):
-            return None
-        if relation_name in self.known_relations:
-            return self.known_relations[relation_name]
-        if self.local_store is not None:
-            try:
-                return self.local_store.get(relation_name).schema
-            except Exception:  # noqa: BLE001 - absent relation: schema unknown
-                return None
-        return None
-
     @staticmethod
     def _resolve(schema: Schema | None, name) -> Attribute | None:
         if schema is None or not isinstance(name, str):
@@ -361,84 +328,3 @@ class PlanValidator:
             return schema.attribute(name)
         except SchemaError:
             return None
-
-
-# -- module-level entry points ------------------------------------------------------------
-
-
-def validate_tree(
-    spec: OperatorSpec,
-    catalog,
-    *,
-    local_store=None,
-    known_relations: dict[str, Schema] | None = None,
-    enforce_floor: bool = False,
-) -> list[PlanCheckFinding]:
-    """Validate one operator tree; returns all findings (empty = clean)."""
-    validator = PlanValidator(
-        catalog,
-        local_store=local_store,
-        known_relations=known_relations,
-        enforce_floor=enforce_floor,
-    )
-    return validator.validate_tree(spec)
-
-
-def validate_plan(
-    plan,
-    catalog,
-    *,
-    enforce_floor: bool = True,
-) -> list[PlanCheckFinding]:
-    """Validate every fragment of a :class:`QueryPlan` in execution order.
-
-    Fragment result schemas propagate: a table scan of an earlier fragment's
-    ``result_name`` resolves to that fragment's statically computed schema,
-    so cross-fragment mismatches are caught at admission too.
-    """
-    findings: list[PlanCheckFinding] = []
-    known: dict[str, Schema] = {}
-    for fragment in plan.execution_order():
-        validator = PlanValidator(
-            catalog,
-            known_relations=known,
-            enforce_floor=enforce_floor,
-        )
-        findings.extend(validator.validate_tree(fragment.root))
-        schema = validator.schema_of(fragment.root)
-        if schema is not None:
-            known[fragment.result_name] = schema
-    return findings
-
-
-def _raise_if_findings(findings: list[PlanCheckFinding], what: str) -> None:
-    if findings:
-        rendered = "; ".join(finding.render() for finding in findings)
-        raise PlanValidationError(
-            f"{what} failed static validation: {rendered}", findings=findings
-        )
-
-
-def check_tree(
-    spec: OperatorSpec,
-    catalog,
-    *,
-    local_store=None,
-    known_relations: dict[str, Schema] | None = None,
-    enforce_floor: bool = False,
-) -> None:
-    """Validate a tree; raise :class:`PlanValidationError` on any finding."""
-    findings = validate_tree(
-        spec,
-        catalog,
-        local_store=local_store,
-        known_relations=known_relations,
-        enforce_floor=enforce_floor,
-    )
-    _raise_if_findings(findings, f"operator tree {spec.operator_id!r}")
-
-
-def check_plan(plan, catalog, *, enforce_floor: bool = True) -> None:
-    """Validate a full plan; raise :class:`PlanValidationError` on any finding."""
-    findings = validate_plan(plan, catalog, enforce_floor=enforce_floor)
-    _raise_if_findings(findings, f"plan {plan.query_name!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.analysis import plan_check
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.engine.operators import (
@@ -24,7 +25,7 @@ from repro.engine.operators.exchange import Exchange
 from repro.errors import PlanError
 from repro.optimizer.memory_alloc import split_allotment_across_lanes
 from repro.plan.physical import JoinImplementation, OperatorSpec, OperatorType
-from repro.storage.schema import merge_union_schema
+from repro.storage.schema import union_schema
 
 #: Join implementations a lane can run: hash-based, so hash partitioning on
 #: the join key sends every matching pair to the same lane.
@@ -34,13 +35,10 @@ _PARTITIONABLE_JOINS = (
 )
 
 
-def build_operator(
-    spec: OperatorSpec, context: ExecutionContext, validate: bool | None = None
-) -> Operator:
+def build_operator(spec: OperatorSpec, context: ExecutionContext) -> Operator:
     """Instantiate the runtime operator tree described by ``spec``.
 
-    When ``validate`` is true (default: ``context.config.validate_plans``),
-    the tree is first checked statically — schema compatibility, key
+    The tree is first checked statically — schema compatibility, key
     bindings, encoding consistency — and a violation raises
     :class:`~repro.errors.PlanValidationError` before any operator exists.
 
@@ -50,16 +48,11 @@ def build_operator(
         If the spec uses an unknown operator type, implementation, or is
         missing required parameters.
     """
-    if validate is None:
-        validate = context.config.validate_plans
-    if validate:
-        from repro.analysis.plan_check import check_tree
+    plan_check.check_tree(spec, context.catalog, context.local_store)
+    return _build(spec, context)
 
-        check_tree(
-            spec,
-            context.catalog,
-            local_store=context.local_store,
-        )
+
+def _build(spec: OperatorSpec, context: ExecutionContext) -> Operator:
     operator_type = spec.operator_type
 
     # Exchange insertion happens before children are built: the partitioned
@@ -72,7 +65,7 @@ def build_operator(
     if implicit_lanes > 1 and _is_partitionable(spec):
         return _build_partitioned(spec, context, implicit_lanes)
 
-    children = [build_operator(child, context, validate=False) for child in spec.children]
+    children = [_build(child, context) for child in spec.children]
     params = spec.params
 
     if operator_type == OperatorType.WRAPPER_SCAN:
@@ -222,9 +215,9 @@ def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int
     """
     if lanes == 1 or not _is_partitionable(spec):
         # Nothing to parallelize: build the plain serial form.
-        return build_operator(spec, context, validate=False)
+        return _build(spec, context)
     producers = [
-        build_operator(child, context.derive_worker(f"{spec.operator_id}.in{index}"), validate=False)
+        _build(child, context.derive_worker(f"{spec.operator_id}.in{index}"))
         for index, child in enumerate(spec.children)
     ]
     estimated = spec.estimated_cardinality
@@ -289,9 +282,6 @@ def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int
             dedup_budget_bytes=lane_budget,
         )
 
-    schema = producers[0].output_schema
-    for producer in producers[1:]:
-        schema = merge_union_schema(schema, producer.output_schema)
     return Exchange(
         spec.operator_id,
         context,
@@ -299,7 +289,7 @@ def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int
         partition_keys=[dedup_keys for _ in producers],
         lanes=lanes,
         build_lane=build_collector_lane,
-        output_schema=schema,
+        output_schema=union_schema([producer.output_schema for producer in producers]),
         estimated_cardinality=estimated,
     )
 

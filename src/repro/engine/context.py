@@ -50,14 +50,6 @@ class EngineConfig:
         source are served locally.
     source_cache_max_age_ms:
         Expiry for cached source data (``None`` = never expires).
-    validate_plans:
-        When true (the default), plans are statically validated before any
-        runtime operator is built: schema compatibility at unions/joins,
-        dependent-join bind keys produced by the left input, join-key
-        encoding consistency, and (at server admission) memory allotments
-        not below the broker floor.  A violation raises
-        :class:`~repro.errors.PlanValidationError` with every finding,
-        instead of failing mid-stream with a partially executed plan.
     exchange_lanes:
         Partition parallelism.  With N > 1 the builder wraps every
         partitionable operator (hash joins, keyed collectors) in an
@@ -93,7 +85,6 @@ class EngineConfig:
     source_cache_max_age_ms: float | None = None
     speculative_sources: bool = False
     prefetch_budget_bytes: int = 0
-    validate_plans: bool = True
     exchange_lanes: int = 1
 
 

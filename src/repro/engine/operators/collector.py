@@ -18,7 +18,7 @@ from repro.plan.rules import EventType
 from repro.storage.batch import Batch
 from repro.storage.columns import as_values
 from repro.storage.disk import OverflowFile
-from repro.storage.schema import Schema, merge_union_schema
+from repro.storage.schema import Schema, union_schema
 from repro.storage.tuples import Key, KeyBinder, Row
 
 #: Per-key tuple/set-slot overhead charged for one remembered dedup key.
@@ -239,10 +239,7 @@ class DynamicCollector(Operator):
     @property
     def output_schema(self) -> Schema:
         if self._schema is None:
-            schema = self.children[0].output_schema
-            for child in self.children[1:]:
-                schema = merge_union_schema(schema, child.output_schema)
-            self._schema = schema
+            self._schema = union_schema([child.output_schema for child in self.children])
         return self._schema
 
     # -- activation control (used by rule actions and policies) -----------------------------

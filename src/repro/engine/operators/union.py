@@ -6,7 +6,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import ExecutionError
 from repro.storage.batch import Batch
-from repro.storage.schema import Schema, merge_union_schema
+from repro.storage.schema import Schema, union_schema
 
 
 class Union(Operator):
@@ -36,10 +36,7 @@ class Union(Operator):
     @property
     def output_schema(self) -> Schema:
         if self._schema is None:
-            schema = self.children[0].output_schema
-            for child in self.children[1:]:
-                schema = merge_union_schema(schema, child.output_schema)
-            self._schema = schema
+            self._schema = union_schema([child.output_schema for child in self.children])
         return self._schema
 
     def peek_arrival(self) -> float | None:

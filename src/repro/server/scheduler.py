@@ -20,6 +20,7 @@ event precedes ``T`` gets the timeline.
 
 from __future__ import annotations
 
+from repro.analysis import plan_check
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.stats import ServerStats, SourceLayerSummary
@@ -115,8 +116,10 @@ class QueryServer:
 
         ``arrival_ms`` staggers admission on the shared timeline (a user who
         shows up later); it is clamped to the server's causal frontier, so a
-        session can never start in the past.
+        session can never start in the past.  A malformed tree raises
+        :class:`~repro.errors.PlanValidationError` before any session exists.
         """
+        plan_check.check_tree(root_spec, self.catalog)
         session_id = self._next_session_id(name)
         context = self._session_context(session_id, arrival_ms, engine_config)
         session = QuerySession(
@@ -145,19 +148,17 @@ class QueryServer:
         broker before execution: under cross-query pressure the session's
         joins start with what the server can actually provide (free capacity
         plus everything revocable) rather than the optimizer's single-tenant
-        assumption.
+        assumption.  A malformed plan raises
+        :class:`~repro.errors.PlanValidationError` before any session exists.
         """
         from repro.optimizer.memory_alloc import negotiate_plan_memory
 
+        negotiate_plan_memory(plan, self.broker)
+        # After negotiation every bounded allotment must sit at or above the
+        # broker floor — a sub-floor allotment could never be granted.
+        plan_check.check_plan(plan, self.catalog)
         session_id = self._next_session_id(name)
         context = self._session_context(session_id, arrival_ms, engine_config)
-        negotiate_plan_memory(plan, self.broker)
-        if context.config.validate_plans:
-            from repro.analysis.plan_check import check_plan
-
-            # After negotiation every bounded allotment must sit at or above
-            # the broker floor — a sub-floor allotment could never be granted.
-            check_plan(plan, self.catalog, enforce_floor=True)
         session = QuerySession(
             session_id,
             context,

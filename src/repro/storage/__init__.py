@@ -24,7 +24,7 @@ from repro.storage.disk import (
 from repro.storage.hash_table import BucketedHashTable, Bucket, DEFAULT_BUCKET_COUNT
 from repro.storage.memory import MB, MemoryBudget, MemoryPool, MemoryStats
 from repro.storage.relation import Relation
-from repro.storage.schema import Attribute, Schema, TYPE_SIZES, merge_union_schema
+from repro.storage.schema import Attribute, Schema, TYPE_SIZES
 from repro.storage.table_store import LocalStore, MaterializationInfo
 from repro.storage.tuples import Row, counting_row_constructions, rows_from_dicts
 
@@ -53,7 +53,6 @@ __all__ = [
     "build_columns",
     "counting_row_constructions",
     "empty_columns",
-    "merge_union_schema",
     "rows_from_dicts",
     "transpose_rows",
 ]

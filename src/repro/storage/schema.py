@@ -297,10 +297,25 @@ class Schema:
         )
 
 
-def merge_union_schema(left: Schema, right: Schema) -> Schema:
-    """Schema for a union: keeps the left names, validates compatibility."""
-    if not left.compatible_with(right):
-        raise SchemaError(
-            f"union inputs are not compatible: {left.names} vs {right.names}"
-        )
-    return left
+def union_schema(schemas: Sequence[Schema | None]) -> Schema | None:
+    """The output schema of a union, choose or collector over ``schemas``.
+
+    Every input must match the first known one in arity and attribute types;
+    the output keeps that input's names.  ``None`` is an input whose schema
+    is not known yet (the static plan check): it is skipped, and the result
+    is then ``None`` too, since that input could still differ at runtime.
+
+    Raises :class:`SchemaError` naming the first incompatible input.
+    """
+    known = [(at, schema) for at, schema in enumerate(schemas) if schema is not None]
+    if not known:
+        return None
+    first_position, first = known[0]
+    for position, schema in known[1:]:
+        if not first.compatible_with(schema):
+            raise SchemaError(
+                f"input #{position} is not compatible with input #{first_position}: "
+                f"{list(schema.names)} vs {list(first.names)} (arity and "
+                "attribute types must match)"
+            )
+    return first if len(known) == len(schemas) else None

@@ -21,10 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ALL_RULES, run_lint
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.linter import ModuleSource, lint_module
-from repro.analysis.rules import rule_by_id
+from repro.analysis.linter import ModuleSource, lint_module, run_lint
+from repro.analysis.rules import ALL_RULES, rule_by_id
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 SOURCE_TREE = Path(__file__).parents[1] / "src" / "repro"

@@ -439,7 +439,7 @@ def build_tie_exchange():
     schema = Schema.of("id:int")
     context = ExecutionContext(
         DataSourceCatalog(),
-        config=EngineConfig(per_tuple_cpu_ms=0.0, validate_plans=False),
+        config=EngineConfig(per_tuple_cpu_ms=0.0),
         query_name="tie",
     )
     rows = [Row(schema, (value,), 0.0) for value in range(16)]
@@ -480,7 +480,7 @@ class TestRoutingKeyForms:
         schema = Schema.of("id:int", "name:str", "tag:str")
         context = ExecutionContext(
             DataSourceCatalog(),
-            config=EngineConfig(per_tuple_cpu_ms=0.0, validate_plans=False),
+            config=EngineConfig(per_tuple_cpu_ms=0.0),
             query_name="route",
         )
         batch = Batch.from_rows(schema, [Row(schema, values, 0.0) for values in self.ROWS])

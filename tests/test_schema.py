@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage.schema import Attribute, Schema, TYPE_SIZES, merge_union_schema
+from repro.storage.schema import Attribute, Schema, TYPE_SIZES, union_schema
 
 
 class TestAttribute:
@@ -113,8 +113,14 @@ class TestMergeUnionSchema:
     def test_keeps_left_names(self):
         left = Schema.of("a:int", "b:str")
         right = Schema.of("x:int", "y:str")
-        assert merge_union_schema(left, right).names == ("a", "b")
+        assert union_schema([left, right, right]).names == ("a", "b")
+        # An input not known yet is skipped, and the result is unknown too.
+        assert union_schema([None, left, right]) is None
+        assert union_schema([None]) is None
 
     def test_rejects_incompatible(self):
-        with pytest.raises(SchemaError):
-            merge_union_schema(Schema.of("a:int"), Schema.of("b:str"))
+        compatible, incompatible = Schema.of("a:int"), Schema.of("b:str")
+        with pytest.raises(SchemaError, match="input #2 is not compatible with input #0"):
+            union_schema([compatible, compatible, incompatible, incompatible])
+        with pytest.raises(SchemaError, match="input #2 is not compatible with input #1"):
+            union_schema([None, compatible, incompatible])
