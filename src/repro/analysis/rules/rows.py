@@ -8,8 +8,10 @@ hot-path modules (columns, batches, the bucketed hash table, the spill
 files), constructing a :class:`Row` (``Row(...)`` / ``Row.make``) or
 materializing ``.rows()`` is only legal at the declared row-boundary
 methods, each of which carries a ``# repro: allow[hot-path-row]`` pragma
-naming why the boxing is the point (tuple-path compatibility accessors, the
-tuple drive's row spill view).
+naming why the boxing is the point.  The declared boundaries are
+:class:`Batch`'s row accessors (``rows()``, iteration, ``batch[i]``),
+``Wrapper.fetch_batch``, and the one-tuple fetch of a source connection and
+of a cached extent.  The spill files declare none: every reader is chunked.
 
 Modules opt in by declaring ``# repro: module-role[hot-path]`` — there is
 no hardcoded module list, so a new columnar module joins the invariant's

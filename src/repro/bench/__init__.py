@@ -4,7 +4,6 @@ from repro.bench.harness import (
     Deployment,
     RunResult,
     build_deployment,
-    hide_statistics,
     run_operator_tree,
 )
 from repro.bench.reporting import (
@@ -22,7 +21,6 @@ __all__ = [
     "ascii_chart",
     "build_deployment",
     "format_table",
-    "hide_statistics",
     "run_operator_tree",
     "speedup",
     "timeline_series",

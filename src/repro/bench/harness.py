@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import DataSourceCatalog
-from repro.catalog.statistics import SourceStatistics
 from repro.datagen.tpcd import TPCDDatabase, TPCDGenerator
 from repro.engine.builder import build_operator
 from repro.engine.context import EngineConfig, ExecutionContext
@@ -32,9 +31,6 @@ class Deployment:
     database: TPCDDatabase
     catalog: DataSourceCatalog
     sources: dict[str, DataSource] = field(default_factory=dict)
-
-    def source_for(self, table: str) -> DataSource:
-        return self.sources[table]
 
     def set_profile(self, table: str, profile: NetworkProfile) -> None:
         """Change the network profile of one table's source."""
@@ -129,12 +125,3 @@ def run_operator_tree(
         relation=relation,
         context=context,
     )
-
-
-def hide_statistics(catalog: DataSourceCatalog, attribute_pairs_known: bool = False) -> None:
-    """Strip cardinality statistics, modelling autonomous sources with no metadata."""
-    for name in list(catalog.statistics.sources_with_statistics()):
-        catalog.statistics.set_source(name, SourceStatistics())
-    if not attribute_pairs_known:
-        # Selectivities default when unknown; nothing further to clear.
-        return

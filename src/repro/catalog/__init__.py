@@ -5,14 +5,12 @@ from repro.catalog.overlap import OverlapCatalog, OverlapEntry
 from repro.catalog.source_desc import SourceDescription
 from repro.catalog.statistics import (
     DEFAULT_JOIN_SELECTIVITY,
-    DEFAULT_SELECTION_SELECTIVITY,
     SourceStatistics,
     StatisticsRegistry,
 )
 
 __all__ = [
     "DEFAULT_JOIN_SELECTIVITY",
-    "DEFAULT_SELECTION_SELECTIVITY",
     "DataSourceCatalog",
     "OverlapCatalog",
     "OverlapEntry",

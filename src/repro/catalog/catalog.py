@@ -114,27 +114,7 @@ class DataSourceCatalog:
             if desc.mediated_relation == mediated_relation
         )
 
-    def complete_sources_for_relation(self, mediated_relation: str) -> list[str]:
-        """Sources declared complete for ``mediated_relation``."""
-        return [
-            name
-            for name in self.sources_for_relation(mediated_relation)
-            if self._descriptions[name].complete
-        ]
-
-    def mediated_relations(self) -> list[str]:
-        """All mediated relations covered by at least one source."""
-        return sorted({desc.mediated_relation for desc in self._descriptions.values()})
-
     # -- statistics convenience -----------------------------------------------------
-
-    def cardinality_estimate(self, source_name: str) -> int:
-        """Best cardinality estimate for a source."""
-        return self.statistics.cardinality(source_name)
-
-    def has_reliable_cardinality(self, source_name: str) -> bool:
-        """Whether the catalog has an explicit cardinality for the source."""
-        return self.statistics.knows_cardinality(source_name)
 
     def record_observed_cardinality(self, source_name: str, cardinality: int) -> None:
         """Feed back an observed cardinality from the execution engine.

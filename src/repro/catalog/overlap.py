@@ -49,30 +49,6 @@ class OverlapCatalog:
         """Recorded overlap probability, or 0.0 when unknown."""
         return self._entries.get((container, contained), 0.0)
 
-    def are_mirrors(self, source_a: str, source_b: str) -> bool:
-        """True when overlap is 1.0 in both directions."""
-        return (
-            self.overlap(source_a, source_b) >= 1.0
-            and self.overlap(source_b, source_a) >= 1.0
-        )
-
-    def mirrors_of(self, source: str, candidates: list[str]) -> list[str]:
-        """Candidates that fully mirror ``source``."""
-        return [c for c in candidates if c != source and self.are_mirrors(source, c)]
-
-    def expected_coverage(self, primary: str, others: list[str]) -> float:
-        """Expected fraction of ``primary``'s data recoverable from ``others``.
-
-        Assumes independence across the other sources, matching the
-        probabilistic-reasoning approach the paper cites.
-        """
-        miss_probability = 1.0
-        for other in others:
-            if other == primary:
-                return 1.0
-            miss_probability *= 1.0 - self.overlap(primary, other)
-        return 1.0 - miss_probability
-
     def rank_by_coverage(self, primary: str, candidates: list[str]) -> list[str]:
         """Candidates ordered by how much of ``primary`` they cover (descending)."""
         return sorted(

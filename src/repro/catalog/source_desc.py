@@ -53,14 +53,3 @@ class SourceDescription:
                 f"source {self.source_name!r} declared complete but coverage is "
                 f"{self.coverage}"
             )
-
-    def source_attribute(self, mediated_attr: str) -> str:
-        """Source-side attribute name for a mediated attribute base name."""
-        return self.attribute_map.get(mediated_attr, mediated_attr)
-
-    def mediated_attribute(self, source_attr: str) -> str:
-        """Mediated attribute base name for a source attribute base name."""
-        for mediated, source in self.attribute_map.items():
-            if source == source_attr:
-                return mediated
-        return source_attr

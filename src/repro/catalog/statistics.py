@@ -14,8 +14,6 @@ from repro.errors import CatalogError
 
 #: Selectivity assumed for a join predicate with no statistics at all.
 DEFAULT_JOIN_SELECTIVITY = 0.001
-#: Selectivity assumed for a selection predicate with no statistics.
-DEFAULT_SELECTION_SELECTIVITY = 0.1
 
 
 @dataclass
@@ -56,12 +54,6 @@ class SourceStatistics:
     def cardinality_or(self, default: int) -> int:
         return self.cardinality if self.cardinality is not None else default
 
-    def distinct_or(self, attr: str, default: int) -> int:
-        """Distinct count of ``attr`` (base name), or ``default``."""
-        base = attr.rsplit(".", 1)[-1]
-        value = self.distinct_values.get(attr, self.distinct_values.get(base))
-        return value if value is not None else default
-
 
 class StatisticsRegistry:
     """Catalog-wide store of per-source statistics and join selectivities."""
@@ -72,7 +64,6 @@ class StatisticsRegistry:
         self.default_cardinality = default_cardinality
         self._by_source: dict[str, SourceStatistics] = {}
         self._join_selectivities: dict[frozenset[str], float] = {}
-        self._selection_selectivities: dict[str, float] = {}
 
     # -- source statistics --------------------------------------------------------
 
@@ -115,22 +106,9 @@ class StatisticsRegistry:
     def knows_join_selectivity(self, left_attr: str, right_attr: str) -> bool:
         return self._join_key(left_attr, right_attr) in self._join_selectivities
 
-    def set_selection_selectivity(self, qualified_attr: str, selectivity: float) -> None:
-        if not 0.0 < selectivity <= 1.0:
-            raise CatalogError(f"selectivity must be in (0, 1], got {selectivity}")
-        self._selection_selectivities[qualified_attr] = selectivity
-
-    def selection_selectivity(self, qualified_attr: str) -> float:
-        return self._selection_selectivities.get(
-            qualified_attr, DEFAULT_SELECTION_SELECTIVITY
-        )
-
     # -- bulk helpers ----------------------------------------------------------------
 
     def update_cardinality(self, source_name: str, cardinality: int) -> None:
         """Overwrite a source's cardinality (used when execution feeds back stats)."""
         stats = self._by_source.setdefault(source_name, SourceStatistics())
         stats.cardinality = cardinality
-
-    def sources_with_statistics(self) -> list[str]:
-        return sorted(self._by_source)

@@ -13,10 +13,7 @@ from repro.datagen.workload import (
     FK_EDGES,
     JoinEdge,
     TPCDJoinGraph,
-    figure3a_query,
-    figure3b_query,
     figure5_queries,
-    two_and_three_way_joins,
 )
 
 __all__ = [
@@ -29,9 +26,6 @@ __all__ = [
     "TPCDJoinGraph",
     "ValueGenerator",
     "cardinality",
-    "figure3a_query",
-    "figure3b_query",
     "figure5_queries",
     "scale_factor_for_megabytes",
-    "two_and_three_way_joins",
 ]

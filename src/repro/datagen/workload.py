@@ -108,28 +108,6 @@ class TPCDJoinGraph:
         return ConjunctiveQuery(name=label, relations=table_list, join_predicates=predicates)
 
 
-def two_and_three_way_joins(graph: TPCDJoinGraph | None = None) -> list[ConjunctiveQuery]:
-    """All connected two- and three-table joins (the Figure 3a workload family)."""
-    graph = graph or TPCDJoinGraph()
-    queries = []
-    for size in (2, 3):
-        for tables in graph.connected_subsets(size):
-            queries.append(graph.query_for(tables))
-    return queries
-
-
-def figure3a_query(graph: TPCDJoinGraph | None = None) -> ConjunctiveQuery:
-    """The Figure 3a query: lineitem ⋈ orders ⋈ supplier."""
-    graph = graph or TPCDJoinGraph()
-    return graph.query_for(frozenset({"lineitem", "orders", "supplier"}), name="fig3a")
-
-
-def figure3b_query(graph: TPCDJoinGraph | None = None) -> ConjunctiveQuery:
-    """The Figure 3b / Figure 4 query: partsupp ⋈ part."""
-    graph = graph or TPCDJoinGraph()
-    return graph.query_for(frozenset({"partsupp", "part"}), name="partsupp_part")
-
-
 def figure5_queries(graph: TPCDJoinGraph | None = None, count: int = 7) -> list[ConjunctiveQuery]:
     """The Figure 5 workload: four-table joins that avoid lineitem.
 

@@ -126,7 +126,6 @@ class ExecutionContext:
             self.source_cache = None
         self.events = EventQueue()
         self.stats = QueryRuntimeStats(query_name=query_name)
-        self._wrappers: dict[str, list[Wrapper]] = {}
         self._operators: dict[str, object] = {}
         self._deactivated: set[str] = set()
         #: Event keys ``(event_type, subject)`` that some registered rule
@@ -184,7 +183,6 @@ class ExecutionContext:
 
         Every scan operator gets its own wrapper so that a plan may read the
         same source more than once (self-joins, retries after rescheduling).
-        All wrappers created for a query are tracked for statistics reporting.
         """
         source = self.catalog.source(source_name)
         wrapper = Wrapper(
@@ -192,13 +190,7 @@ class ExecutionContext:
             self.clock,
             timeout_ms=timeout_ms if timeout_ms is not None else self.config.default_timeout_ms,
         )
-        self._wrappers.setdefault(source_name, []).append(wrapper)
         return wrapper
-
-    @property
-    def wrappers(self) -> dict[str, list[Wrapper]]:
-        """All wrappers created so far, keyed by source name."""
-        return {name: list(items) for name, items in self._wrappers.items()}
 
     # -- operator registry ------------------------------------------------------------
 

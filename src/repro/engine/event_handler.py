@@ -53,10 +53,6 @@ class EventHandler:
             raise RuleError(f"no rule named {name!r}") from None
 
     @property
-    def active_rules(self) -> list[Rule]:
-        return [r for r in self._rules_by_name.values() if self._is_active(r)]
-
-    @property
     def watched_keys(self) -> set[tuple[EventType, str]]:
         """Event keys that at least one *active* rule still triggers on.
 
@@ -75,9 +71,6 @@ class EventHandler:
     def deactivate_owner(self, owner: str) -> None:
         """Deactivate every rule owned by ``owner`` (the rule's own flag is kept)."""
         self._inactive_owners.add(owner)
-
-    def reactivate_owner(self, owner: str) -> None:
-        self._inactive_owners.discard(owner)
 
     def _is_active(self, rule: Rule) -> bool:
         return rule.active and not rule.fired and rule.owner not in self._inactive_owners

@@ -41,9 +41,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._queue)
-
-    def drain(self) -> list[Event]:
-        """Remove and return all queued events (oldest first)."""
-        out = list(self._queue)
-        self._queue.clear()
-        return out

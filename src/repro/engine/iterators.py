@@ -17,7 +17,6 @@ threads.
 from __future__ import annotations
 
 import weakref
-from typing import Iterator
 
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
@@ -220,14 +219,6 @@ class Operator:
     @property
     def tuples_produced(self) -> int:
         return self._stats.tuples_produced
-
-    def iterate(self) -> Iterator[Row]:
-        """The operator's full output, row by row through :meth:`next`."""
-        while True:
-            row = self.next()
-            if row is None:
-                return
-            yield row
 
     # -- subclass hooks ----------------------------------------------------------------------
 

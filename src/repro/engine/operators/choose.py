@@ -40,10 +40,6 @@ class ChooseNode(Operator):
             self._schema = union_schema([child.output_schema for child in self.children])
         return self._schema
 
-    @property
-    def selected_id(self) -> str | None:
-        return self._selected.operator_id if self._selected is not None else None
-
     def select(self, child_id: str) -> None:
         """Pick which alternative to run (idempotent before the first tuple)."""
         for child in self.children:

@@ -7,7 +7,6 @@ summaries (time to first tuple, completion time, disk I/O).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -39,27 +38,12 @@ class TupleTimeline:
     def completion_time(self) -> float | None:
         return self.times_ms[-1] if self.times_ms else None
 
-    def count_at(self, time_ms: float) -> int:
-        """Cumulative tuples produced by ``time_ms``."""
-        idx = bisect_right(self.times_ms, time_ms)
-        return self.counts[idx - 1] if idx > 0 else 0
-
     def time_for_count(self, count: int) -> float | None:
         """Earliest virtual time at which ``count`` tuples had been produced."""
         for time_ms, produced in zip(self.times_ms, self.counts):
             if produced >= count:
                 return time_ms
         return None
-
-    def sample(self, points: int = 50) -> list[tuple[float, int]]:
-        """Evenly spaced (time, count) samples for plotting/reporting."""
-        if not self.times_ms:
-            return []
-        end = self.times_ms[-1]
-        if points <= 1 or end == 0:
-            return [(end, self.total)]
-        step = end / (points - 1)
-        return [(i * step, self.count_at(i * step)) for i in range(points)]
 
 
 @dataclass
@@ -103,16 +87,6 @@ class FragmentStats:
     started_at_ms: float
     completed_at_ms: float
     timeline: TupleTimeline = field(default_factory=TupleTimeline)
-
-    @property
-    def estimate_error_factor(self) -> float | None:
-        """How far off the estimate was (max of ratio and inverse ratio)."""
-        if not self.estimated_cardinality:
-            return None
-        actual = max(1, self.result_cardinality)
-        estimate = max(1, self.estimated_cardinality)
-        ratio = actual / estimate
-        return max(ratio, 1.0 / ratio)
 
 
 @dataclass
@@ -215,9 +189,9 @@ class ServerStats:
 
     ``makespan_ms`` is the total virtual wall clock of the concurrent run —
     the quantity the throughput benchmark holds against the sum of
-    back-to-back serial completion times (``serial_equivalent_ms``): the gap
-    between the two is exactly the overlap the cooperative scheduler and the
-    shared source cache bought.
+    back-to-back serial completion times (the sessions' ``elapsed_ms``): the
+    gap between the two is exactly the overlap the cooperative scheduler and
+    the shared source cache bought.
     """
 
     server_name: str
@@ -236,19 +210,3 @@ class ServerStats:
     per_source: dict[str, SourceLayerSummary] = field(default_factory=dict)
     #: Speculative prefetcher summary (``None`` when the layer is disabled).
     prefetch: PrefetchSummary | None = None
-
-    @property
-    def completed_sessions(self) -> int:
-        return sum(1 for s in self.sessions if s.status == "completed")
-
-    @property
-    def serial_equivalent_ms(self) -> float:
-        """Sum of per-session elapsed times — what back-to-back execution costs."""
-        return sum(s.elapsed_ms or 0.0 for s in self.sessions)
-
-    @property
-    def overlap_speedup(self) -> float:
-        """serial-equivalent / makespan (1.0 = no overlap won)."""
-        if self.makespan_ms <= 0:
-            return 1.0
-        return self.serial_equivalent_ms / self.makespan_ms

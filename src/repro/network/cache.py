@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 from repro.network.source import DataSource
-from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
@@ -73,11 +72,6 @@ class CacheEntry:
     @property
     def cardinality(self) -> int:
         return len(self.rows)
-
-    def as_relation(self) -> Relation:
-        """The cached contents as a relation named after the source."""
-        values = [row.values for row in self.rows]
-        return Relation.from_values(self.source_name, self.schema, values)
 
 
 @dataclass
@@ -444,10 +438,6 @@ class SourceCache:
 
     def __contains__(self, source_name: str) -> bool:
         return source_name in self._entries
-
-    @property
-    def cached_sources(self) -> list[str]:
-        return sorted(self._entries)
 
     # -- partial-extent streaming ---------------------------------------------------
 

@@ -113,14 +113,6 @@ class NetworkProfile:
         del clocks[0]
         return clocks if jitter is None else list(map(operator.add, clocks, jitter))
 
-    def arrival_schedule(self, tuple_sizes: Sequence[int], start_ms: float = 0.0) -> list[float]:
-        """Arrival timestamps for a sequence of tuples of the given sizes.
-
-        The schedule is deterministic given the profile's seed.
-        """
-        steps, jitter = self.stream_steps(tuple_sizes)
-        return self.lay_out(steps, jitter, len(tuple_sizes), start_ms)
-
 
 def lan(**overrides) -> NetworkProfile:
     """10 Mbps LAN between wrapper and engine (the paper's local setup)."""

@@ -30,16 +30,6 @@ class ClockStats:
     cpu_ms: float = 0.0
     io_ms: float = 0.0
 
-    @property
-    def total_ms(self) -> float:
-        return self.wait_ms + self.cpu_ms + self.io_ms
-
-    def add(self, other: "ClockStats") -> None:
-        """Accumulate ``other`` into this breakdown (server-level aggregation)."""
-        self.wait_ms += other.wait_ms
-        self.cpu_ms += other.cpu_ms
-        self.io_ms += other.io_ms
-
 
 class SimClock:
     """A monotonically advancing virtual clock measured in milliseconds."""

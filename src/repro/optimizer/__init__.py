@@ -18,7 +18,6 @@ from repro.optimizer.rulegen import (
     overflow_method_rule,
     replan_rule,
     rules_for_fragment,
-    timeout_replan_rule,
     timeout_reschedule_rule,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "overflow_method_rule",
     "replan_rule",
     "rules_for_fragment",
-    "timeout_replan_rule",
     "timeout_reschedule_rule",
 ]

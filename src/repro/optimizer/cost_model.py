@@ -40,12 +40,6 @@ class CardinalityEstimate:
     value: int
     reliable: bool
 
-    def scaled(self, factor: float, reliable: bool | None = None) -> "CardinalityEstimate":
-        return CardinalityEstimate(
-            max(1, int(self.value * factor)),
-            self.reliable if reliable is None else reliable,
-        )
-
 
 class CostModel:
     """Cardinality and cost estimation over the data source catalog."""
@@ -103,23 +97,8 @@ class CostModel:
             reliable = reliable and known
         return selectivity, reliable
 
-    def join_cardinality(
-        self,
-        left: CardinalityEstimate,
-        right: CardinalityEstimate,
-        predicates: list[JoinPredicate],
-    ) -> CardinalityEstimate:
-        """System-R style join size estimate."""
-        selectivity, selectivity_reliable = self.join_selectivity(
-            predicates, left.value, right.value
-        )
-        return CardinalityEstimate(
-            self.join_size(left.value, right.value, selectivity),
-            reliable=left.reliable and right.reliable and selectivity_reliable,
-        )
-
     def join_size(self, left: int, right: int, selectivity: float) -> int:
-        """:meth:`join_cardinality` over plain tuple counts (the enumerator's inner loop)."""
+        """System-R style join size over plain tuple counts (the enumerator's inner loop)."""
         return max(1, int(left * right * selectivity))
 
     def join_cost(
@@ -160,10 +139,6 @@ class CostModel:
                 spilled = (needed - memory_limit_bytes) / tuple_size
                 cost += spilled * params.per_tuple_spill_ms
         return cost
-
-    def materialization_cost(self, cardinality: CardinalityEstimate) -> float:
-        """Cost of writing an intermediate result to the local store."""
-        return cardinality.value * self.params.per_tuple_materialize_ms
 
     def rescan_cost(self, cardinality: int) -> float:
         """Cost of reading a materialized intermediate result back."""

@@ -43,10 +43,6 @@ class DPEntry:
     #: Set when the subset corresponds to a materialized intermediate result.
     materialized_as: str | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
 
 class JoinGraph:
     """A query's join graph, compiled once: relations as bits, predicates as edges.
@@ -118,21 +114,8 @@ class UsagePointers:
     graph: JoinGraph
     parents: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def usable_by(self) -> dict[frozenset[str], set[frozenset[str]]]:
-        """The pointers as subsets: each to the larger subsets that could use it."""
-        sets = self.graph.sets
-        return {
-            sets[child]: {sets[parent] for parent in _members(parents)}
-            for child, parents in self.parents.items()
-        }
-
-    def supersets_of(self, subset: frozenset[str]) -> set[frozenset[str]]:
-        """Transitive closure of ``usable_by`` starting at ``subset``."""
-        return {self.graph.sets[mask] for mask in self.superset_masks(self.graph.masks[subset])}
-
     def superset_masks(self, mask: int) -> list[int]:
-        """:meth:`supersets_of` over masks."""
+        """Every enumerated superset of ``mask`` the usage pointers reach (transitively)."""
         seen, reached = 0, [mask]
         for current in reached:  # grows as it goes: a breadth-first walk
             found = self.parents.get(current, 0) & ~seen

@@ -70,17 +70,6 @@ def timeout_reschedule_rule(source_name: str, owner: str, name: str | None = Non
     )
 
 
-def timeout_replan_rule(source_name: str, owner: str, name: str | None = None) -> Rule:
-    """Re-optimize when ``source_name`` times out (used when rescheduling is exhausted)."""
-    return Rule(
-        name=name or f"replan-timeout-{source_name}",
-        owner=owner,
-        event_type=EventType.TIMEOUT,
-        subject=source_name,
-        actions=[replan()],
-    )
-
-
 def overflow_method_rule(
     join_spec: OperatorSpec,
     method: OverflowMethod,

@@ -8,21 +8,12 @@ set of fragments plus a set of global rules (Section 3.1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import PlanError
 from repro.plan.physical import OperatorSpec, OperatorType
 from repro.plan.rules import Rule, validate_rule_set
-
-_fragment_ids = itertools.count(1)
-
-
-def next_fragment_id() -> str:
-    """Generate a unique fragment identifier like ``frag3``."""
-    return f"frag{next(_fragment_ids)}"
-
 
 class FragmentStatus(str, Enum):
     """Lifecycle of a fragment during execution."""

@@ -9,7 +9,7 @@ query representation used throughout the optimizer and execution engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import QueryError
 
@@ -148,25 +148,6 @@ class ConjunctiveQuery:
 
     # -- structure -------------------------------------------------------------
 
-    @property
-    def is_join_query(self) -> bool:
-        return len(self.relations) > 1
-
-    def predicates_between(self, left: Iterable[str], right: Iterable[str]) -> list[JoinPredicate]:
-        """Join predicates with one side in ``left`` and the other in ``right``."""
-        left_set, right_set = set(left), set(right)
-        out = []
-        for pred in self.join_predicates:
-            if pred.left_table in left_set and pred.right_table in right_set:
-                out.append(pred)
-            elif pred.left_table in right_set and pred.right_table in left_set:
-                out.append(pred.oriented(next(iter(pred.tables() & left_set))))
-        return out
-
-    def selections_on(self, table: str) -> list[SelectionPredicate]:
-        """Selections that apply to ``table``."""
-        return [sel for sel in self.selections if sel.table == table]
-
     def join_connected(self) -> bool:
         """True when the join graph over the query's relations is connected."""
         if len(self.relations) <= 1:
@@ -182,20 +163,6 @@ class ConjunctiveQuery:
                             seen.add(other)
                             frontier.append(other)
         return seen == set(self.relations)
-
-    def subquery(self, relations: Iterable[str], name: str | None = None) -> "ConjunctiveQuery":
-        """Restriction of this query to a subset of its relations."""
-        keep = [r for r in self.relations if r in set(relations)]
-        if not keep:
-            raise QueryError("subquery must keep at least one relation")
-        keep_set = set(keep)
-        return ConjunctiveQuery(
-            name=name or f"{self.name}[{','.join(keep)}]",
-            relations=keep,
-            join_predicates=[p for p in self.join_predicates if p.tables() <= keep_set],
-            selections=[s for s in self.selections if s.table in keep_set],
-            projection=(),
-        )
 
     def __str__(self) -> str:
         parts = [f"SELECT {', '.join(self.projection) if self.projection else '*'}"]

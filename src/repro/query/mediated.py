@@ -26,10 +26,6 @@ class MediatedRelation:
         if not self.name:
             raise SchemaError("mediated relation name must be non-empty")
 
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.base_name for a in self.schema)
-
 
 class MediatedSchema:
     """A collection of mediated (virtual) relations."""
@@ -63,10 +59,6 @@ class MediatedSchema:
     def __len__(self) -> int:
         return len(self._relations)
 
-    @property
-    def relation_names(self) -> list[str]:
-        return sorted(self._relations)
-
     def validate_query_relations(self, relations: list[str] | tuple[str, ...]) -> None:
         """Raise :class:`QueryError` if any relation is not in the schema."""
         missing = [r for r in relations if r not in self._relations]
@@ -74,11 +66,3 @@ class MediatedSchema:
             raise QueryError(
                 f"query references relations not in the mediated schema: {missing}"
             )
-
-    @classmethod
-    def from_relations(cls, schemas: dict[str, Schema]) -> "MediatedSchema":
-        """Build a mediated schema from a name -> schema mapping."""
-        mediated = cls()
-        for name, schema in schemas.items():
-            mediated.add_relation(name, schema)
-        return mediated

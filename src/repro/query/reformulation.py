@@ -72,18 +72,6 @@ class ReformulatedQuery:
                 f"query {self.query.name!r} has no leaf for {mediated_relation!r}"
             ) from None
 
-    @property
-    def disjunctive_relations(self) -> list[str]:
-        """Mediated relations answered by more than one source."""
-        return sorted(r for r, leaf in self.leaves.items() if leaf.is_disjunctive)
-
-    @property
-    def all_source_names(self) -> list[str]:
-        out: set[str] = set()
-        for leaf in self.leaves.values():
-            out.update(leaf.source_names)
-        return sorted(out)
-
 
 class Reformulator:
     """Rewrites mediated queries into source-level queries using the catalog."""

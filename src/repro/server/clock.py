@@ -23,7 +23,7 @@ Two derived times matter:
 
 from __future__ import annotations
 
-from repro.network.simclock import ClockStats, SimClock
+from repro.network.simclock import SimClock
 
 
 class SessionClock(SimClock):
@@ -117,13 +117,6 @@ class ServerClock:
     @property
     def session_clocks(self) -> dict[str, SessionClock]:
         return dict(self._clocks)
-
-    def aggregate_stats(self) -> ClockStats:
-        """Summed wait/CPU/IO breakdown across every session."""
-        total = ClockStats()
-        for clock in self._clocks.values():
-            total.add(clock.stats)
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -117,11 +117,6 @@ class QuerySession:
             self.next_event_ms = self.context.clock.now
         return True
 
-    def run_to_completion(self) -> None:
-        """Drive this session alone (no interleaving) until it finishes."""
-        while self.step():
-            pass
-
     # -- completion ---------------------------------------------------------------------
 
     def _complete(self) -> None:

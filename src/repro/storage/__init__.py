@@ -26,7 +26,7 @@ from repro.storage.memory import MB, MemoryBudget, MemoryPool, MemoryStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, Schema, TYPE_SIZES
 from repro.storage.table_store import LocalStore, MaterializationInfo
-from repro.storage.tuples import Row, counting_row_constructions, rows_from_dicts
+from repro.storage.tuples import Row, counting_row_constructions
 
 __all__ = [
     "Attribute",
@@ -53,6 +53,5 @@ __all__ = [
     "build_columns",
     "counting_row_constructions",
     "empty_columns",
-    "rows_from_dicts",
     "transpose_rows",
 ]

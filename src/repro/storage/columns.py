@@ -289,12 +289,6 @@ class RunLengthArrivals:
             return len(self._plain)
         return len(self._values)
 
-    @property
-    def last(self) -> float | None:
-        if self._plain is not None:
-            return self._plain[-1] if self._plain else None
-        return self._values[-1] if self._values else None
-
     def __getitem__(self, index):
         if self._plain is not None:
             if isinstance(index, slice):
@@ -660,13 +654,6 @@ class ColumnarPartition:
         return len(self.arrivals)
 
     # -- insertion ------------------------------------------------------------
-
-    def append_values(self, values: Sequence[Any], arrival: float) -> None:
-        """Append one row given as a value vector (the tuple-at-a-time path)."""
-        columns = self.columns
-        for j, value in enumerate(values):
-            append_value(columns, j, value)
-        self.arrivals.append(arrival)
 
     def append_position(
         self, source_columns: Sequence[Sequence[Any]], index: int, arrival: float

@@ -19,8 +19,7 @@ scatter over, are one gather per column and one block-level charge, the
 per-group byte arithmetic being offsets into that one chunk.  A reader merges
 the log once (:meth:`OverflowFile.read_log`; tag runs give every group's
 positions) and is charged, per group, what the group was charged on write.
-The per-row ``write``/``read`` API remains as a row view (the tests' per-tuple
-join pipelines spill through it) and boxes rows only there.
+Every reader works in chunks: nothing here boxes a row.
 
 Byte accounting is *representation-faithful* and *per group*: every byte and
 page is what one file per bucket would charge.  A dictionary-encoded string
@@ -61,7 +60,6 @@ from repro.storage.columns import (
     picker,
 )
 from repro.storage.schema import ARRIVAL_STAMP_BYTES, Schema
-from repro.storage.tuples import Row
 
 #: Bytes per simulated disk page.  TPC-D era systems used 4-8 KB pages.
 PAGE_SIZE_BYTES = 8192
@@ -87,11 +85,6 @@ class DiskStats:
     chunks_read: int = 0
     pending_write_bytes: int = 0
     pending_read_bytes: int = 0
-
-    @property
-    def total_tuple_ios(self) -> int:
-        """Total tuple I/O operations (reads + writes), the paper's cost metric."""
-        return self.tuples_written + self.tuples_read
 
     @property
     def total_pages(self) -> int:
@@ -324,18 +317,6 @@ class OverflowFile(SpillLedger):
         ledger.spilled_bytes += nbytes
         self._stats.record_write(nbytes, 1, 0)
 
-    def write(self, row: Row, marked: bool = False, ledger: SpillLedger | None = None) -> None:
-        """Append one row to the file, accounting for the write I/O."""
-        self._check_open()
-        if self.schema is None:
-            self.schema = row.schema
-        self._append_row(row.values, row.arrival, marked, self if ledger is None else ledger)
-
-    def write_all(self, rows: Sequence[Row], marked: bool = False) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.write(row, marked)
-
     def write_position(
         self,
         source_columns: Sequence[Sequence[Any]],
@@ -499,27 +480,9 @@ class OverflowFile(SpillLedger):
                 ledger.spilled_bytes,
             )
 
-    def _boxed(self, chunks) -> Iterator[tuple[Row, bool]]:
-        schema = self.schema
-        make = Row.make  # repro: allow[hot-path-row] the row-at-a-time views re-box by design
-        for chunk in chunks:
-            columns = chunk.columns
-            for i, (arrival, marked) in enumerate(zip(chunk.arrivals, chunk.marked)):
-                yield make(schema, tuple(column[i] for column in columns), arrival), marked
-
-    def read(self, ledger: SpillLedger | None = None) -> Iterator[tuple[Row, bool]]:
-        """Yield ``(row, marked)`` pairs, accounting for the read I/O.
-
-        This is the row-at-a-time view: each spilled tuple is boxed back into
-        a :class:`Row` — the re-boxing cost the columnar readers avoid.
-        Values of dict-encoded columns decode to the dictionary's canonical
-        string objects (no per-row string construction).
-        """
-        return self._boxed(self.read_chunks(ledger))
-
-    def peek(self) -> list[tuple[Row, bool]]:
-        """Contents without charging I/O (for tests and debugging)."""
-        return list(self._boxed(self._chunks))
+    def peek(self) -> list[SpillChunk]:
+        """The file's chunks, without charging I/O (for tests and debugging)."""
+        return list(self._chunks)
 
     def close(self) -> None:
         """Mark the file read-only."""
@@ -546,8 +509,9 @@ class SimulatedDisk:
     def create_file(self, prefix: str = "overflow", schema: Schema | None = None) -> OverflowFile:
         """Create a new, uniquely named overflow file.
 
-        ``schema`` fixes the file's columnar layout and byte accounting up
-        front; when omitted it is adopted from the first row written.
+        ``schema`` fixes the file's columnar layout and byte accounting; when
+        omitted, the owner sets :attr:`OverflowFile.schema` before the first
+        write (a hash table adopts it from its first insert).
         """
         self._sequence += 1
         name = f"{prefix}-{self._sequence}"

@@ -48,7 +48,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice
 from operator import or_
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 from zlib import crc32
 
 from repro.errors import StorageError
@@ -64,10 +64,10 @@ from repro.storage.columns import (
     make_dictionaries,
     picker,
 )
-from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk, SpillLedger
+from repro.storage.disk import OverflowFile, SimulatedDisk, SpillLedger
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
-from repro.storage.tuples import Key, KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder
 
 #: Default bucket count; the paper's engine sized this from optimizer hints.
 DEFAULT_BUCKET_COUNT = 64
@@ -352,34 +352,6 @@ class BucketedHashTable:
 
     # -- basic operations --------------------------------------------------------
 
-    def bucket_for_key(self, key: Key) -> Bucket:
-        return self.buckets[bucket_of(key, self.bucket_count)]
-
-    def insert(self, row: Row, marked: bool = False, key: Key | None = None) -> bool:
-        """Insert ``row``.
-
-        Returns ``True`` when the row is resident in memory, ``False`` when it
-        went straight to the spill log (because the bucket was
-        already flushed) or when the memory budget refused the reservation.
-        A ``False`` return with an un-flushed bucket signals the caller that
-        its overflow strategy must run before retrying.  Callers that already
-        computed the row's join key may pass it to skip recomputation.
-        """
-        self._adopt_schema(row.schema)
-        if key is None:
-            key = self._binder.key(row)
-        bucket = self.bucket_for_key(key)
-        self.total_inserted += 1
-        if bucket.flushed:
-            self.spill_log.write(row, marked, bucket)
-            return False
-        if not self.budget.try_reserve(self.row_bytes):
-            self.total_inserted -= 1
-            return False
-        self._arena().append_values(row.values, row.arrival)
-        self._index_row(bucket.index, key)
-        return True
-
     def insert_position(
         self,
         bucket_index: int,
@@ -418,7 +390,7 @@ class BucketedHashTable:
 
         A return equal to ``stop`` (``len(batch)`` by default) means every
         row was handled.  Rows whose bucket is already flushed go straight to
-        the spill log (they count as handled, exactly as in :meth:`insert`).
+        the spill log (they count as handled).
         On the first memory refusal for a resident insert, the refused row's
         position is returned so the caller can run its overflow strategy and
         retry from there.
@@ -812,14 +784,6 @@ class BucketedHashTable:
         indices = self._binder.indices_in(self.schema)
         keys = Batch.from_columns(self.schema, columns, arrivals).key_tuples(indices)
         return columns, arrivals, marked, rows, keys
-
-    def overflow_chunks(self, index: int) -> Iterator[SpillChunk]:
-        """Read back bucket ``index``'s spilled rows as one columnar chunk."""
-        return self.spill_log.read_chunks(self.buckets[index])
-
-    def overflow_rows(self, index: int) -> Iterator[tuple[Row, bool]]:
-        """Read back bucket ``index``'s spilled rows (charging read I/O)."""
-        return self.spill_log.read(self.buckets[index])
 
     def check_accounting(self) -> None:
         """Raise unless the budget's usage covers this table's resident bytes.

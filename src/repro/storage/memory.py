@@ -88,10 +88,6 @@ class MemoryBudget:
         self.revocations = 0
 
     @property
-    def unlimited(self) -> bool:
-        return self.limit_bytes is None
-
-    @property
     def used_bytes(self) -> int:
         return self.stats.reserved
 
@@ -313,7 +309,3 @@ class MemoryPool:
             raise MemoryBudgetError(
                 f"no budget granted to operator {operator_name!r}"
             ) from None
-
-    @property
-    def budgets(self) -> dict[str, MemoryBudget]:
-        return dict(self._budgets)

@@ -87,13 +87,6 @@ class Attribute:
         """Attribute name without any relation qualifier."""
         return self.name.rsplit(".", 1)[-1]
 
-    @property
-    def qualifier(self) -> str | None:
-        """Relation qualifier, or ``None`` for unqualified attributes."""
-        if "." in self.name:
-            return self.name.rsplit(".", 1)[0]
-        return None
-
     def qualified(self, relation_name: str) -> "Attribute":
         """Return a copy qualified with ``relation_name`` (replacing any prior one)."""
         return Attribute(f"{relation_name}.{self.base_name}", self.type_name, self.avg_size)
@@ -119,10 +112,6 @@ class Attribute:
         if fixed is not None:
             return fixed
         return self.column_size
-
-    def renamed(self, new_name: str) -> "Attribute":
-        """Return a copy with a different (possibly qualified) name."""
-        return Attribute(new_name, self.type_name, self.avg_size)
 
 
 @dataclass(frozen=True)
@@ -238,18 +227,6 @@ class Schema:
     def join(self, other: "Schema") -> "Schema":
         """Concatenation of two schemas (as produced by a join)."""
         return Schema(self.attributes + other.attributes)
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Rename attributes according to ``mapping`` (old name -> new name)."""
-        renamed = []
-        for attr in self.attributes:
-            if attr.name in mapping:
-                renamed.append(attr.renamed(mapping[attr.name]))
-            elif attr.base_name in mapping:
-                renamed.append(attr.renamed(mapping[attr.base_name]))
-            else:
-                renamed.append(attr)
-        return Schema(tuple(renamed))
 
     # -- sizing ----------------------------------------------------------------
 

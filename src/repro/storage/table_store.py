@@ -78,11 +78,6 @@ class LocalStore:
     def names(self) -> list[str]:
         return sorted(self._relations)
 
-    def drop(self, name: str) -> None:
-        """Remove a materialized relation (no error if absent)."""
-        self._relations.pop(name, None)
-        self._info.pop(name, None)
-
     def clear(self) -> None:
         self._relations.clear()
         self._info.clear()

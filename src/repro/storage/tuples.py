@@ -192,21 +192,3 @@ class KeyBinder:
         if row.schema is not self._schema:
             self.indices_in(row.schema)
         return self._pick(row.values)
-
-
-def rows_from_dicts(schema: Schema, records: Sequence[dict[str, Any]]) -> list[Row]:
-    """Build rows from dictionaries keyed by (base or qualified) attribute name."""
-    out = []
-    for record in records:
-        values = []
-        for attr in schema:
-            if attr.name in record:
-                values.append(record[attr.name])
-            elif attr.base_name in record:
-                values.append(record[attr.base_name])
-            else:
-                raise SchemaError(
-                    f"record is missing attribute {attr.name!r}: {sorted(record)}"
-                )
-        out.append(Row(schema, tuple(values)))
-    return out

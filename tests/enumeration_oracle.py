@@ -2,10 +2,14 @@
 
 A verbatim copy of ``repro.optimizer.enumeration`` as it was when its dynamic
 program walked ``frozenset`` subsets: splits built member by member, predicates
-found by ``ConjunctiveQuery.predicates_between``, selectivities read from the
-catalog on every split.  ``tests/test_enumeration.py`` holds the compiled
-enumerator to it field for field (floats with ``==``), node count for node
-count, usage pointer for usage pointer.  Only this docstring differs.
+found by :func:`predicates_between`, selectivities read from the catalog on
+every split.  ``tests/test_enumeration.py`` holds the compiled enumerator to it
+field for field (floats with ``==``), node count for node count, usage pointer
+for usage pointer.  Only this docstring differs, and the two engine methods the
+old enumerator called are functions here (:func:`predicates_between`,
+:func:`join_cardinality`), with the two views of the compiled enumerator's
+usage pointers the tests compare (:func:`compiled_usable_by`,
+:func:`compiled_supersets_of`).
 
 Original docstring:
 
@@ -33,6 +37,51 @@ from itertools import combinations
 from repro.errors import OptimizationError
 from repro.optimizer.cost_model import CardinalityEstimate, CostModel
 from repro.query.conjunctive import ConjunctiveQuery, JoinPredicate
+
+
+def predicates_between(query: ConjunctiveQuery, left, right) -> list[JoinPredicate]:
+    """``query``'s join predicates with one side in ``left`` and the other in
+    ``right``, oriented left to right."""
+    left_set, right_set = set(left), set(right)
+    out = []
+    for pred in query.join_predicates:
+        if pred.left_table in left_set and pred.right_table in right_set:
+            out.append(pred)
+        elif pred.left_table in right_set and pred.right_table in left_set:
+            out.append(pred.oriented(next(iter(pred.tables() & left_set))))
+    return out
+
+
+def join_cardinality(
+    cost_model: CostModel,
+    left: CardinalityEstimate,
+    right: CardinalityEstimate,
+    predicates: list[JoinPredicate],
+) -> CardinalityEstimate:
+    """System-R style join size estimate."""
+    selectivity, selectivity_reliable = cost_model.join_selectivity(
+        predicates, left.value, right.value
+    )
+    return CardinalityEstimate(
+        cost_model.join_size(left.value, right.value, selectivity),
+        reliable=left.reliable and right.reliable and selectivity_reliable,
+    )
+
+
+def compiled_usable_by(pointers) -> dict[frozenset[str], set[frozenset[str]]]:
+    """The compiled enumerator's usage pointers as subsets: each to the larger
+    subsets that could use it."""
+    sets = pointers.graph.sets
+    return {
+        sets[child]: {sets[m] for m in range(parents.bit_length()) if parents >> m & 1}
+        for child, parents in pointers.parents.items()
+    }
+
+
+def compiled_supersets_of(pointers, subset: frozenset[str]) -> set[frozenset[str]]:
+    """Transitive closure of :func:`compiled_usable_by` starting at ``subset``."""
+    graph = pointers.graph
+    return {graph.sets[mask] for mask in pointers.superset_masks(graph.masks[subset])}
 
 
 @dataclass
@@ -204,13 +253,13 @@ class JoinEnumerator:
             # superset of a subquery is reachable through the pointers.
             state.pointers.record_usable(left, subset)
             state.pointers.record_usable(right, subset)
-            predicates = query.predicates_between(left, right)
+            predicates = predicates_between(query, left, right)
             if not predicates:
                 continue  # avoid cross products
             left_entry = state.table[left]
             right_entry = state.table[right]
-            cardinality = self.cost_model.join_cardinality(
-                left_entry.cardinality, right_entry.cardinality, predicates
+            cardinality = join_cardinality(
+                self.cost_model, left_entry.cardinality, right_entry.cardinality, predicates
             )
             cost = (
                 left_entry.cost

@@ -31,7 +31,7 @@ from repro.storage.columns import DictColumn, extend_column, extend_moving, gath
 from repro.storage.hash_table import bucket_of
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
+from repro.storage.tuples import KeyBinder, Row
 
 #: The Hypothesis profile ``tests/conftest.py`` loads: ``tier1`` (the gate,
 #: derandomized) unless ``HYPOTHESIS_PROFILE=fuzz`` selects the seeded fuzz run.
@@ -97,6 +97,14 @@ class ScriptedProfile(NetworkProfile):
         return [start_ms + offset for offset in self.timetable[:count]]
 
 
+def arrival_schedule(profile, tuple_sizes, start_ms=0.0) -> list[float]:
+    """Arrival stamps of tuples of ``tuple_sizes`` under ``profile``, the first
+    sent at ``start_ms`` (deterministic given its seed): its ``stream_steps``
+    laid out as a source's timetable lays them out."""
+    steps, jitter = profile.stream_steps(tuple_sizes)
+    return profile.lay_out(steps, jitter, len(tuple_sizes), start_ms)
+
+
 def value_tuple(store, index):
     """The value vector of ``store``'s row ``index`` (a tuple, not a Row)."""
     return tuple(column[index] for column in store.columns)
@@ -129,6 +137,52 @@ def resident_matches(table, key) -> list[Row]:
     return [
         Row.make(store.schema, value_tuple(store, i), store.arrivals[i]) for i in positions
     ]
+
+
+def spill_row(file, row, marked=False, ledger=None) -> None:
+    """Append one boxed ``row`` to the spill ``file`` through the per-row
+    kernel, :meth:`~repro.storage.disk.OverflowFile.write_position`."""
+    file.write_position([[value] for value in row.values], 0, row.arrival, marked, ledger)
+
+
+def insert_row(table, row, marked=False, key=None) -> bool:
+    """Insert one boxed ``row`` into the hash ``table``: spilled (:func:`spill_row`)
+    when its bucket is flushed, else a one-row ``insert_batch``.  True when the
+    row is resident; false when it was spilled or the budget refused it."""
+    if key is None:
+        key = KeyBinder(table.key_names).key(row)
+    bucket = table.buckets[bucket_of(key, table.bucket_count)]
+    if bucket.flushed:
+        spill_row(table.spill_log, row, marked, bucket)
+        return False
+    return table.insert_batch(Batch.from_rows(row.schema, [row]), marked, [key]) == 1
+
+
+def read_rows(file, ledger=None, charge=True) -> list[tuple[Row, bool]]:
+    """The spill ``file``'s rows (``ledger``'s group alone when given) boxed
+    as ``(row, marked)`` pairs in write order.  Read I/O is charged, as
+    ``read_chunks`` charges it, unless ``charge`` is false (``peek``)."""
+    chunks = file.read_chunks(ledger) if charge else file.peek()
+    schema = file.schema
+    return [
+        (Row.make(schema, tuple(column[i] for column in chunk.columns), arrival), marked)
+        for chunk in chunks
+        for i, (arrival, marked) in enumerate(zip(chunk.arrivals, chunk.marked))
+    ]
+
+
+def iterate(operator):
+    """``operator``'s full output, row by row through its one-row step ``next()``."""
+    while (row := operator.next()) is not None:
+        yield row
+
+
+def drain(queue) -> list:
+    """Pop every event waiting in ``queue``, oldest first."""
+    events = []
+    while queue:
+        events.append(queue.pop())
+    return events
 
 
 def contacted_children(collector) -> list[str]:
@@ -224,13 +278,13 @@ class RowPipelineDPJ(DoublePipelinedJoin):
                 # The strategy spilled its own bucket: it has probed (unmarked).
                 self._spill_arriving(side, index, row, marked=False)
                 return
-            if table.insert(row, key=key):
+            if insert_row(table, row, key=key):
                 return
             self._resolve_overflow()
 
     def _spill_arriving(self, side, index, row, marked):
         table = self._tables[side]
-        table.spill_log.write(row, marked, table.buckets[index])
+        spill_row(table.spill_log, row, marked, table.buckets[index])
         self._charge_disk_time()
 
     def _cleanup_pairs(self):
@@ -238,7 +292,7 @@ class RowPipelineDPJ(DoublePipelinedJoin):
         left_key, right_key = self._left_binder.key, self._right_binder.key
         schema = self.output_schema
         for index in self._spilled_buckets():
-            entries = [list(table.overflow_rows(index)) for table in self._tables]
+            entries = [read_rows(table.spill_log, table.buckets[index]) for table in self._tables]
             self._charge_disk_time()
             # Resident remnants participate as unmarked entries (no read cost).
             for table, side_entries in zip(self._tables, entries):
@@ -285,9 +339,10 @@ class RowPipelineHybrid(HybridHashJoin):
 
     def _probe_one(self, outer_row):
         key = self._left_binder.key(outer_row)
-        if self._inner_table.bucket_for_key(key).flushed:
+        index = bucket_of(key, self.bucket_count)
+        if self._inner_table.buckets[index].flushed:
             outer = self._outer_table
-            outer.spill_log.write(outer_row, False, outer.bucket_for_key(key))
+            spill_row(outer.spill_log, outer_row, False, outer.buckets[index])
             self._charge_disk_time()
             return []
         matched = self._inner_table.match_positions(key)
@@ -306,10 +361,10 @@ class RowPipelineHybrid(HybridHashJoin):
                 continue
             # Reload the inner bucket (charging read I/O) into a transient map.
             inner_by_key = {}
-            for inner_row, _ in inner.overflow_rows(bucket_index):
+            for inner_row, _ in read_rows(inner.spill_log, inner.buckets[bucket_index]):
                 inner_by_key.setdefault(right_key(inner_row), []).append(inner_row)
             self._charge_disk_time()
-            for outer_row, _ in outer.overflow_rows(bucket_index):
+            for outer_row, _ in read_rows(outer.spill_log, outer.buckets[bucket_index]):
                 for inner_row in inner_by_key.get(left_key(outer_row), ()):
                     yield outer_row.concat(inner_row, schema)
             self._charge_disk_time()
@@ -479,7 +534,7 @@ def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **con
         per_tuple_reference(join)
     join.open()
     if drive == "tuple":
-        rows = list(join.iterate())
+        rows = list(iterate(join))
     else:
         batches = []
         while True:
@@ -497,7 +552,8 @@ def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **con
 
 def spill_marks(context) -> tuple[int, int]:
     """``(marked, unmarked)`` spilled-row counts over every overflow file."""
-    marks = [marked for file in context.disk.files.values() for _, marked in file.peek()]
+    chunks = [chunk for file in context.disk.files.values() for chunk in file.peek()]
+    marks = [marked for chunk in chunks for marked in chunk.marked]
     return sum(marks), len(marks) - sum(marks)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import build_deployment, hide_statistics, run_operator_tree
+from repro.bench.harness import build_deployment, run_operator_tree
 from repro.bench.reporting import ascii_chart, format_table, speedup, timeline_series
 from repro.engine.stats import TupleTimeline
 from repro.network.profiles import wide_area
@@ -18,19 +18,13 @@ class TestDeployment:
     def test_tables_and_sources_registered(self, deployment):
         assert set(deployment.database.names) == {"part", "partsupp"}
         assert "part" in deployment.catalog.source_names
-        assert deployment.source_for("part").cardinality == deployment.database["part"].cardinality
+        assert deployment.sources["part"].cardinality == deployment.database["part"].cardinality
 
     def test_set_profile(self, deployment):
         deployment.set_profile("part", wide_area())
-        assert deployment.source_for("part").profile.name == "wide-area"
+        assert deployment.sources["part"].profile.name == "wide-area"
         deployment.set_all_profiles(wide_area())
-        assert deployment.source_for("partsupp").profile.name == "wide-area"
-
-    def test_hide_statistics(self):
-        dep = build_deployment(0.2, ["part"], seed=1)
-        assert dep.catalog.has_reliable_cardinality("part")
-        hide_statistics(dep.catalog)
-        assert not dep.catalog.has_reliable_cardinality("part")
+        assert deployment.sources["partsupp"].profile.name == "wide-area"
 
 
 class TestRunOperatorTree:
@@ -93,22 +87,12 @@ class TestReporting:
 
 
 class TestTupleTimeline:
-    def test_count_at_and_time_for_count(self):
+    def test_time_for_count(self):
         timeline = TupleTimeline()
         timeline.record(10.0, 1)
         timeline.record(20.0, 2)
         timeline.record(30.0, 3)
-        assert timeline.count_at(5.0) == 0
-        assert timeline.count_at(20.0) == 2
         assert timeline.time_for_count(3) == 30.0
         assert timeline.time_for_count(4) is None
         assert timeline.time_to_first == 10.0
         assert timeline.completion_time == 30.0
-
-    def test_sample_even_spacing(self):
-        timeline = TupleTimeline()
-        for i in range(1, 11):
-            timeline.record(i * 10.0, i)
-        samples = timeline.sample(points=5)
-        assert len(samples) == 5
-        assert samples[-1][1] == 10

@@ -12,6 +12,8 @@ from repro.storage.tuples import Row
 from repro.core.system import Tukwila
 from repro.network.source import DataSource
 
+from helpers import iterate
+
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
 
@@ -32,7 +34,6 @@ class TestSourceCache:
         assert cache.stats.misses == 1
         assert cache.stats.fills == 1
         assert "src" in cache
-        assert cache.cached_sources == ["src"]
 
     def test_expiry_by_age(self):
         cache = SourceCache(max_age_ms=100.0)
@@ -47,7 +48,7 @@ class TestSourceCache:
         cache.fill("a", SCHEMA, rows(), now_ms=1.0)
         cache.fill("b", SCHEMA, rows(), now_ms=2.0)
         cache.fill("c", SCHEMA, rows(), now_ms=3.0)
-        assert cache.cached_sources == ["b", "c"]
+        assert [name in cache for name in "abc"] == [False, True, True]
 
     def test_invalidate_and_clear(self):
         cache = SourceCache()
@@ -57,7 +58,7 @@ class TestSourceCache:
         assert "a" not in cache
         cache.fill("b", SCHEMA, rows(), now_ms=0.0)
         cache.clear()
-        assert cache.cached_sources == []
+        assert "b" not in cache
 
     def test_hit_rate(self):
         cache = SourceCache()
@@ -69,13 +70,6 @@ class TestSourceCache:
     def test_invalid_max_entries(self):
         with pytest.raises(ValueError):
             SourceCache(max_entries=0)
-
-    def test_entry_as_relation(self):
-        cache = SourceCache()
-        entry = cache.fill("src", SCHEMA, rows(3), now_ms=0.0)
-        relation = entry.as_relation()
-        assert relation.cardinality == 3
-        assert relation.name == "src"
 
 
 class TestCachingScanFeed:
@@ -103,14 +97,14 @@ class TestWrapperScanCaching:
     def test_second_scan_served_from_cache(self, cached_context):
         first = WrapperScan("scan1", cached_context, "ord")
         first.open()
-        assert len(list(first.iterate())) == 3
+        assert len(list(iterate(first))) == 3
         first.close()
-        assert "ord" in cached_context.source_cache.cached_sources
+        assert "ord" in cached_context.source_cache
 
         second = WrapperScan("scan2", cached_context, "ord")
         second.open()
         assert second.served_from_cache
-        assert len(list(second.iterate())) == 3
+        assert len(list(iterate(second))) == 3
         # Only the first scan opened a real connection.
         assert cached_context.catalog.source("ord").stats.connections_opened == 1
 
@@ -124,7 +118,7 @@ class TestWrapperScanCaching:
     def test_caching_disabled_by_default(self, context):
         scan = WrapperScan("scan1", context, "ord")
         scan.open()
-        list(scan.iterate())
+        list(iterate(scan))
         scan.close()
         assert context.source_cache is None
 

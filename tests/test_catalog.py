@@ -29,13 +29,6 @@ class TestSourceDescription:
         desc = SourceDescription("s", "book")
         assert desc.complete
         assert desc.coverage == 1.0
-        assert desc.source_attribute("isbn") == "isbn"
-
-    def test_attribute_mapping_roundtrip(self):
-        desc = SourceDescription("s", "book", attribute_map={"isbn": "id"})
-        assert desc.source_attribute("isbn") == "id"
-        assert desc.mediated_attribute("id") == "isbn"
-        assert desc.mediated_attribute("other") == "other"
 
     def test_incomplete_requires_consistent_coverage(self):
         with pytest.raises(CatalogError):
@@ -82,20 +75,20 @@ class TestDataSourceCatalog:
         stats = catalog.statistics.source("lib1")
         assert stats.cardinality == books.cardinality
         assert stats.transfer_rate_kbps == lan().bandwidth_kbps
-        assert catalog.has_reliable_cardinality("lib1")
+        assert catalog.statistics.knows_cardinality("lib1")
 
     def test_unpublished_statistics(self, books):
         catalog = DataSourceCatalog()
         catalog.register_source(DataSource("dark", books, lan()), publish_statistics=False)
-        assert not catalog.has_reliable_cardinality("dark")
-        assert catalog.cardinality_estimate("dark") == catalog.statistics.default_cardinality
+        assert not catalog.statistics.knows_cardinality("dark")
+        assert catalog.statistics.cardinality("dark") == catalog.statistics.default_cardinality
 
     def test_explicit_statistics_win(self, books):
         catalog = DataSourceCatalog()
         catalog.register_source(
             DataSource("s", books, lan()), statistics=SourceStatistics(cardinality=999)
         )
-        assert catalog.cardinality_estimate("s") == 999
+        assert catalog.statistics.cardinality("s") == 999
 
     def test_sources_for_relation_and_mirrors(self, catalog, books):
         catalog.register_source(
@@ -103,8 +96,6 @@ class TestDataSourceCatalog:
             description=SourceDescription("lib2", "book", complete=False, coverage=0.7),
         )
         assert catalog.sources_for_relation("book") == ["lib1", "lib2"]
-        assert catalog.complete_sources_for_relation("book") == ["lib1"]
-        assert catalog.mediated_relations() == ["book"]
 
     def test_record_observed_cardinality(self, catalog):
         catalog.record_observed_cardinality("intermediate_r1", 55)

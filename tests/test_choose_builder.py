@@ -23,7 +23,7 @@ from repro.plan.physical import (
 )
 from repro.query.conjunctive import SelectionPredicate
 
-from helpers import make_relation
+from helpers import iterate, make_relation
 
 
 class TestChooseNode:
@@ -36,10 +36,9 @@ class TestChooseNode:
         node = ChooseNode("choose1", context, [a, b])
         node.open()
         node.select("b")
-        rows = list(node.iterate())
+        rows = list(iterate(node))
         assert len(rows) == 3
-        assert node.selected_id == "b"
-        assert a.tuples_produced == 0
+        assert (a.tuples_produced, b.tuples_produced) == (0, 3)
 
     def test_default_selection_prefers_non_deactivated(self, context):
         a = WrapperScan("a", context, "ord")
@@ -47,8 +46,8 @@ class TestChooseNode:
         context.deactivate("a")
         node = ChooseNode("choose1", context, [a, b])
         node.open()
-        list(node.iterate())
-        assert node.selected_id == "b"
+        list(iterate(node))
+        assert (a.tuples_produced, b.tuples_produced) == (0, 3)
 
     def test_unknown_selection_rejected(self, context):
         a = WrapperScan("a", context, "ord")
@@ -84,7 +83,7 @@ class TestBuilder:
         )
         operator = build_operator(spec, context)
         operator.open()
-        assert len(list(operator.iterate())) == 3
+        assert len(list(iterate(operator))) == 3
 
     def test_builds_scans_select_project_union_materialize(self, context):
         rel = make_relation("cached", ["x:int"], [(5,), (6,)])
@@ -101,7 +100,7 @@ class TestBuilder:
         )
         operator = build_operator(pipeline, context)
         operator.open()
-        rows = list(operator.iterate())
+        rows = list(iterate(operator))
         operator.close()
         assert [row.values for row in rows] == [(6,)]
         assert "out" in context.local_store
@@ -109,7 +108,7 @@ class TestBuilder:
         union_spec = union_([wrapper_scan("ord"), wrapper_scan("ord")])
         union_op = build_operator(union_spec, context)
         union_op.open()
-        assert len(list(union_op.iterate())) == 6
+        assert len(list(iterate(union_op))) == 6
 
     def test_builds_collector_with_params(self, context):
         spec = collector(
@@ -137,7 +136,7 @@ class TestBuilder:
         )
         operator = build_operator(spec, context)
         operator.open()
-        assert len(list(operator.iterate())) == 3
+        assert len(list(iterate(operator))) == 3
 
     def test_missing_required_parameter(self, context):
         spec = OperatorSpec("bad", OperatorType.WRAPPER_SCAN, params={})

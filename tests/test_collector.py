@@ -11,7 +11,7 @@ from repro.network.profiles import dead, lan, slow_start, wide_area
 from repro.network.source import DataSource, make_mirror
 from repro.plan.rules import EventType
 
-from helpers import contacted_children, make_relation
+from helpers import contacted_children, drain, iterate, make_relation, read_rows
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ class TestBasicUnion:
         context = ExecutionContext(bib_catalog)
         collector = make_collector(context, ["bib-main", "bib-mirror"], dedup_keys=None)
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         assert len(rows) == 40
 
     def test_dedup_suppresses_mirror_duplicates(self, bib_catalog):
@@ -47,7 +47,7 @@ class TestBasicUnion:
             context, ["bib-main", "bib-mirror"], dedup_keys=["bib.isbn"]
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         assert len(rows) == 20
         assert len({row["isbn"] for row in rows}) == 20
 
@@ -80,7 +80,7 @@ class TestPolicyBehaviour:
             dedup_keys=["bib.isbn"],
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         assert len(rows) == 20
         assert contacted_children(collector) == ["scan_bib-main"]
         # The mirror's source was never opened.
@@ -97,7 +97,7 @@ class TestPolicyBehaviour:
             dedup_keys=["bib.isbn"],
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         bib_catalog.source("bib-main").set_profile(lan())
         assert len(rows) == 20
         assert "scan_bib-mirror" in contacted_children(collector)
@@ -113,7 +113,7 @@ class TestPolicyBehaviour:
             fallback_on_failure=False,
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         bib_catalog.source("bib-main").set_profile(lan())
         assert rows == []
 
@@ -128,7 +128,7 @@ class TestPolicyBehaviour:
             dedup_keys=["bib.isbn"],
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         bib_catalog.source("bib-main").set_profile(lan())
         assert 0 < len(rows) < 20
 
@@ -156,7 +156,7 @@ class TestPolicyBehaviour:
         collector.open()
         collector.next()
         collector.activate_child("scan_bib-mirror")
-        list(collector.iterate())
+        list(iterate(collector))
         assert collector.tuples_per_child["scan_bib-mirror"] == 20
 
     def test_threshold_events_emitted_per_child(self, bib_catalog):
@@ -165,8 +165,8 @@ class TestPolicyBehaviour:
         context.watch_events({(EventType.THRESHOLD, "scan_bib-main")})
         collector = make_collector(context, ["bib-main"], dedup_keys=None)
         collector.open()
-        list(collector.iterate())
-        events = context.events.drain()
+        list(iterate(collector))
+        events = drain(context.events)
         values = [
             e.value for e in events
             if e.event_type == EventType.THRESHOLD and e.subject == "scan_bib-main"
@@ -184,7 +184,7 @@ class TestPolicyBehaviour:
             context, ["bib-main", "bib-mirror"], dedup_keys=["bib.isbn"]
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         bib_catalog.source("bib-mirror").set_profile(wide_area())
         assert len(rows) == 20
         # Everything useful came from the fast source; the slow mirror
@@ -201,7 +201,7 @@ class TestDedupAccounting:
             context, ["bib-main", "bib-mirror"], dedup_keys=["bib.isbn"]
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         assert len(rows) == 20
         # 20 distinct keys, each charged the estimated key footprint.
         assert collector.budget.used_bytes == 20 * collector._dedup_key_bytes()
@@ -229,7 +229,7 @@ class TestDedupAccounting:
         context = ExecutionContext(bib_catalog)
         collector = make_collector(context, ["bib-main"], dedup_keys=None)
         collector.open()
-        list(collector.iterate())
+        list(iterate(collector))
         assert collector.budget.used_bytes == 0
 
     def test_columnar_dedup_filters_with_index_take(self, bib_catalog):
@@ -335,7 +335,7 @@ class TestDedupSpill:
         )
         collector.open()
         if drive == "tuple":
-            produced = len(list(collector.iterate()))
+            produced = len(list(iterate(collector)))
         else:
             produced = 0
             while batch := collector.next_batch(16):
@@ -348,7 +348,7 @@ class TestDedupSpill:
         ) == self.PARENT_CHARGES[arity, drive]
         expected = int if arity == "one" else tuple
         assert all(type(key) is expected for key in collector._seen_keys)
-        spilled = [row.values for row, _ in collector._spilled_keys_file.peek()]
+        spilled = [row.values for row, _ in read_rows(collector._spilled_keys_file, charge=False)]
         assert len(spilled) == len(set(spilled)) == collector._spilled_key_count
         assert all(len(values) == len(keys) and type(values[0]) is int for values in spilled)
 
@@ -361,7 +361,7 @@ class TestDedupSpill:
             dedup_budget_bytes=200,
         )
         collector.open()
-        rows = list(collector.iterate())
+        rows = list(iterate(collector))
         assert len(rows) == 20
         assert collector.dedup_spills >= 1
 

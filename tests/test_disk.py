@@ -8,6 +8,8 @@ from repro.storage.disk import MARK_BIT_BYTES, PAGE_SIZE_BYTES, SimulatedDisk
 from repro.storage.schema import ARRIVAL_STAMP_BYTES, Schema
 from repro.storage.tuples import Row, counting_row_constructions
 
+from helpers import read_rows, spill_row
+
 SCHEMA = Schema.of("a:str", "b:str", "c:str")
 
 #: Bytes charged per spilled row whose values the file already holds and
@@ -35,28 +37,29 @@ def row():
 
 class TestOverflowFile:
     def test_write_and_read_preserves_order_and_marks(self, disk, row):
-        handle = disk.create_file("spill")
-        handle.write(row, marked=False)
-        handle.write(row, marked=True)
-        contents = list(handle.read())
+        handle = disk.create_file("spill", schema=SCHEMA)
+        spill_row(handle, row, marked=False)
+        spill_row(handle, row, marked=True)
+        contents = read_rows(handle)
         assert [marked for _, marked in contents] == [False, True]
 
     def test_write_after_close_rejected(self, disk, row):
-        handle = disk.create_file()
+        handle = disk.create_file(schema=SCHEMA)
         handle.close()
         with pytest.raises(StorageError):
-            handle.write(row)
+            spill_row(handle, row)
 
     def test_peek_does_not_charge_io(self, disk, row):
-        handle = disk.create_file()
-        handle.write(row)
+        handle = disk.create_file(schema=SCHEMA)
+        spill_row(handle, row)
         reads_before = disk.stats.tuples_read
-        handle.peek()
+        assert sum(map(len, handle.peek())) == 1
         assert disk.stats.tuples_read == reads_before
 
     def test_len(self, disk, row):
-        handle = disk.create_file()
-        handle.write_all([row, row])
+        handle = disk.create_file(schema=SCHEMA)
+        spill_row(handle, row)
+        spill_row(handle, row)
         assert len(handle) == 2
 
 
@@ -72,31 +75,30 @@ class TestSimulatedDisk:
             disk.file("missing")
 
     def test_tuple_and_byte_accounting(self, disk, row):
-        handle = disk.create_file()
-        handle.write(row)
-        list(handle.read())
+        handle = disk.create_file(schema=SCHEMA)
+        spill_row(handle, row)
+        read_rows(handle)
         assert disk.stats.tuples_written == 1
         assert disk.stats.tuples_read == 1
         assert disk.stats.bytes_written == SPILL_ROW_BYTES + FIRST_ROW_EXTRA_BYTES
         assert disk.stats.bytes_read == SPILL_ROW_BYTES + FIRST_ROW_EXTRA_BYTES
-        assert disk.stats.total_tuple_ios == 2
 
     def test_pages_accumulate_across_tuples(self, disk, row):
-        handle = disk.create_file()
+        handle = disk.create_file(schema=SCHEMA)
         tuples_per_page = PAGE_SIZE_BYTES // SPILL_ROW_BYTES + 1
         for _ in range(tuples_per_page):
-            handle.write(row)
+            spill_row(handle, row)
         assert disk.stats.pages_written >= 1
 
     def test_io_time_since_snapshot(self, disk, row):
-        handle = disk.create_file()
+        handle = disk.create_file(schema=SCHEMA)
         tuples_per_page = PAGE_SIZE_BYTES // SPILL_ROW_BYTES + 1
         for _ in range(tuples_per_page):
-            handle.write(row)
+            spill_row(handle, row)
         snapshot = disk.stats.snapshot()
         assert disk.io_time_ms(snapshot) == 0.0
         for _ in range(tuples_per_page):
-            handle.write(row)
+            spill_row(handle, row)
         assert disk.io_time_ms(snapshot) > 0.0
         assert disk.io_time_ms() >= disk.io_time_ms(snapshot)
 
@@ -131,18 +133,17 @@ class TestColumnarSpill:
         assert chunk.marked == [False, False]
 
     def test_row_and_chunk_writes_charge_identical_bytes(self, disk):
-        """The row spill and a gathered chunk of plain string lists (what a
-        batch built from rows carries) agree on bytes: the file encodes both."""
+        """The per-row kernel and a gathered chunk of plain string lists (what
+        a batch built from rows carries) agree on bytes: the file encodes both."""
+        columns = [["x", "u"], ["y", "v"], ["z", "w"]]
         row_file = disk.create_file("rows", schema=SCHEMA)
-        for values in [("x", "y", "z"), ("u", "v", "w")]:
-            row_file.write(Row(SCHEMA, values), marked=True)
+        for index in range(2):
+            row_file.write_position(columns, index, 0.0, marked=True)
         per_row = disk.stats.bytes_written
         chunk_file = disk.create_file("chunks", schema=SCHEMA)
-        chunk_file.write_gather([["x", "u"], ["y", "v"], ["z", "w"]], [0.0, 0.0], [0, 1], True)
+        chunk_file.write_gather(columns, [0.0, 0.0], [0, 1], True)
         assert disk.stats.bytes_written == 2 * per_row
-        assert [r.values for r, _ in row_file.peek()] == [
-            r.values for r, _ in chunk_file.peek()
-        ]
+        assert read_rows(row_file, charge=False) == read_rows(chunk_file, charge=False)
 
     def test_chunk_paths_box_no_rows(self, disk):
         """Spill write/read hot paths must not construct Row objects."""
@@ -152,20 +153,15 @@ class TestColumnarSpill:
             handle.write_columns([c[:] for c in columns], [1.0, 2.0], False)
             handle.write_gather(columns, [1.0, 2.0], [0, 1], marked=True)
             handle.write_position(columns, 1, 2.0, marked=True)
-            for chunk in handle.read_chunks():
-                assert len(chunk) > 0
+            assert sum(len(chunk) for chunk in handle.read_chunks()) == 5
             assert counter.count == 0
-        # The row-at-a-time view boxes (that is its job).
-        with counting_row_constructions() as counter:
-            assert len(list(handle.read())) == 5
-            assert counter.count == 5
 
     def test_read_preserves_marked_bits_across_mixed_writes(self, disk, row):
         handle = disk.create_file("mixed", schema=SCHEMA)
-        handle.write(row, marked=False)
+        spill_row(handle, row, marked=False)
         handle.write_columns([["x"], ["y"], ["z"]], [0.0], True)
-        handle.write(row, marked=True)
-        assert [marked for _, marked in handle.read()] == [False, True, True]
+        spill_row(handle, row, marked=True)
+        assert [marked for _, marked in read_rows(handle)] == [False, True, True]
 
 
 class TestEncodedSpill:
@@ -183,13 +179,13 @@ class TestEncodedSpill:
 
     def test_per_row_write_charges_encoded_footprint(self, disk, row):
         handle = disk.create_file(schema=SCHEMA)
-        handle.write(row)
+        spill_row(handle, row)
         # 3 codes (8B each) + 3 new one-char dictionary entries (1+8B each)
         # + one arrival run (8B) + mark bit.
         first = 3 * 8 + 3 * 9 + 8 + 1
         assert disk.stats.bytes_written == first
         # Same values, same arrival: codes only, no new entries, no new run.
-        handle.write(row)
+        spill_row(handle, row)
         assert disk.stats.bytes_written == first + 3 * 8 + 1
 
     def test_chunk_write_charges_dictionary_once_per_file(self, disk):
@@ -205,19 +201,18 @@ class TestEncodedSpill:
         assert disk.stats.bytes_written == first + 6 * 8 + 2 * 8 + 2
 
     def test_row_and_chunk_writes_charge_identical_bytes(self, disk):
+        values = [["x", "u"], ["y", "v"], ["z", "w"]]
         row_file = disk.create_file("rows", schema=SCHEMA)
-        for values in [("x", "y", "z"), ("u", "v", "w")]:
-            row_file.write(Row(SCHEMA, values), marked=True)
+        for index in range(2):
+            row_file.write_position(values, index, 0.0, marked=True)
         per_row = disk.stats.bytes_written
         chunk_file = disk.create_file("chunks", schema=SCHEMA)
-        columns = self.make_dict_columns([["x", "u"], ["y", "v"], ["z", "w"]])
+        columns = self.make_dict_columns(values)
         chunk_file.write_columns(columns, [0.0, 0.0], True)
         # The chunk's arrival column collapses to one run where the per-row
         # path wrote two equal stamps merged into one run as well.
         assert disk.stats.bytes_written == 2 * per_row
-        assert [r.values for r, _ in row_file.peek()] == [
-            r.values for r, _ in chunk_file.peek()
-        ]
+        assert read_rows(row_file, charge=False) == read_rows(chunk_file, charge=False)
 
     def test_arrival_runs_span_chunk_boundaries(self, disk):
         handle = disk.create_file(schema=Schema.of("k:int"))
@@ -229,7 +224,7 @@ class TestEncodedSpill:
 
     def test_read_charges_what_write_charged(self, disk, row):
         handle = disk.create_file(schema=SCHEMA)
-        handle.write(row)
+        spill_row(handle, row)
         columns = self.make_dict_columns([["x"], ["y"], ["z"]])
         handle.write_columns(columns, [9.0], False)
         for chunk in handle.read_chunks():
@@ -238,8 +233,8 @@ class TestEncodedSpill:
 
     def test_readback_decodes_to_canonical_strings(self, disk):
         handle = disk.create_file(schema=SCHEMA)
-        handle.write(Row(SCHEMA, ("x", "y", "z")))
-        handle.write(Row(SCHEMA, ("x", "y", "z")))
+        spill_row(handle, Row(SCHEMA, ("x", "y", "z")))
+        spill_row(handle, Row(SCHEMA, ("x", "y", "z")))
         with counting_row_constructions() as counter:
             (chunk,) = list(handle.read_chunks())
             assert counter.count == 0
@@ -257,7 +252,7 @@ class TestEncodedSpill:
 
     def test_misfit_value_degrades_tail_column(self, disk):
         handle = disk.create_file(schema=SCHEMA)
-        handle.write(Row(SCHEMA, ("x", "y", "z")))
-        handle.write(Row(SCHEMA, ("x", None, "z")))
-        values = [r.values for r, _ in handle.peek()]
+        spill_row(handle, Row(SCHEMA, ("x", "y", "z")))
+        spill_row(handle, Row(SCHEMA, ("x", None, "z")))
+        values = [r.values for r, _ in read_rows(handle, charge=False)]
         assert values == [("x", "y", "z"), ("x", None, "z")]

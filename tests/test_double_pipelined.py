@@ -25,7 +25,9 @@ from helpers import (
     RowPipelineDPJ,
     ScriptedProfile,
     digest,
+    drain,
     drive_join,
+    iterate,
     make_relation,
     multiset,
     reference_join,
@@ -60,14 +62,14 @@ class TestCorrectness:
     def test_matches_reference_with_ample_memory(self, joinable_catalog, context):
         join = make_join(context, memory=10 * MB)
         join.open()
-        assert multiset(list(join.iterate())) == multiset(expected(joinable_catalog))
+        assert multiset(list(iterate(join))) == multiset(expected(joinable_catalog))
 
     @pytest.mark.parametrize("method", [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH])
     def test_matches_reference_under_memory_pressure(self, joinable_catalog, method):
         context = ExecutionContext(joinable_catalog)
         join = make_join(context, method=method, memory=150, buckets=4)
         join.open()
-        rows = list(join.iterate())
+        rows = list(iterate(join))
         assert multiset(rows) == multiset(expected(joinable_catalog))
         assert join.overflow_count > 0
         assert context.disk.stats.tuples_written > 0
@@ -78,7 +80,7 @@ class TestCorrectness:
         # Far less memory than the join needs.
         join = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, method)(context)
         join.open()
-        rows = list(join.iterate())
+        rows = list(iterate(join))
         reference = reference_join(tiny_tpcd["partsupp"], tiny_tpcd["part"], "ps_partkey", "p_partkey")
         assert multiset(rows) == multiset(reference)
         assert join.overflow_count > 0
@@ -88,7 +90,7 @@ class TestCorrectness:
         join = make_join(context, method=OverflowMethod.FAIL, memory=150)
         join.open()
         with pytest.raises(MemoryOverflowError):
-            list(join.iterate())
+            list(iterate(join))
 
 
 class TestAdaptiveBehaviour:
@@ -139,7 +141,7 @@ class TestAdaptiveBehaviour:
         context = ExecutionContext(joinable_catalog)
         join = make_join(context, memory=None)
         join.open()
-        list(join.iterate())
+        list(iterate(join))
         joinable_catalog.source("ord").set_profile(lan())
         # The right (fast) child's tuples are all inserted before the slow left child's.
         assert join._tables[1].total_inserted > 0
@@ -148,8 +150,8 @@ class TestAdaptiveBehaviour:
         context = ExecutionContext(joinable_catalog)
         join = make_join(context, memory=150, buckets=4)
         join.open()
-        list(join.iterate())
-        events = context.events.drain()
+        list(iterate(join))
+        events = drain(context.events)
         assert any(e.event_type == EventType.OUT_OF_MEMORY for e in events)
 
     def test_set_overflow_method_at_runtime(self, joinable_catalog):
@@ -162,7 +164,7 @@ class TestAdaptiveBehaviour:
         context = ExecutionContext(tpcd_catalog)
         join = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.LEFT_FLUSH)(context)
         join.open()
-        list(join.iterate())
+        list(iterate(join))
         left_flushed = len(join._tables[0].flushed_buckets)
         right_flushed = len(join._tables[1].flushed_buckets)
         assert left_flushed >= right_flushed
@@ -171,14 +173,14 @@ class TestAdaptiveBehaviour:
         context = ExecutionContext(tpcd_catalog)
         join = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.SYMMETRIC_FLUSH)(context)
         join.open()
-        list(join.iterate())
+        list(iterate(join))
         assert set(join._tables[0].flushed_buckets) == set(join._tables[1].flushed_buckets)
 
     def test_releases_memory_on_close(self, joinable_catalog):
         context = ExecutionContext(joinable_catalog)
         join = make_join(context, memory=MB)
         join.open()
-        list(join.iterate())
+        list(iterate(join))
         join.close()
         assert context.memory_pool.granted_bytes == 0
 
@@ -549,7 +551,7 @@ class TestCodesEndToEnd:
         }  # each source codes its strings once, up front
         encodes = count_calls(monkeypatch, Dictionary, "encode")
         parent.open()
-        rows = list(parent.iterate())
+        rows = list(iterate(parent))
         assert sorted(row.values for row in rows) == [
             (i, f"a{i}", i, f"b{i % 5}", i, f"c{i % 3}") for i in range(count)
         ]

@@ -17,6 +17,7 @@ from repro.plan.rules import (
     reschedule,
 )
 
+from helpers import drain
 from test_rules import FakeContext
 
 
@@ -40,7 +41,7 @@ class TestEventQueue:
         queue = EventQueue()
         queue.emit(EventType.OPENED, "a")
         queue.emit(EventType.OPENED, "b")
-        drained = queue.drain()
+        drained = drain(queue)
         assert [e.subject for e in drained] == ["a", "b"]
         assert not queue
         assert queue.total_enqueued == 2
@@ -103,9 +104,6 @@ class TestEventHandler:
         handler.deactivate_owner("coll1")
         handler.process_event(Event(EventType.TIMEOUT, "srcA"))
         assert log == []
-        handler.reactivate_owner("coll1")
-        handler.process_event(Event(EventType.TIMEOUT, "srcA"))
-        assert len(log) == 1
 
     def test_all_actions_of_a_rule_execute_in_order(self):
         handler, log = make_handler()
@@ -160,4 +158,3 @@ class TestEventHandler:
         assert handler.rule("r1") is rule
         with pytest.raises(RuleError):
             handler.rule("missing")
-        assert handler.active_rules == [rule]

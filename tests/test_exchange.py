@@ -37,7 +37,7 @@ from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import make_relation, multiset, recording_calls
+from helpers import iterate, make_relation, multiset, recording_calls
 
 SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
 
@@ -498,7 +498,7 @@ class TestRoutingKeyForms:
         )
         with recording_calls(ExchangeSource, "enqueue") as routed:
             xchg.open()
-            emitted = list(xchg.iterate())
+            emitted = list(iterate(xchg))
             xchg.close()
         lane_of = {id(source): index for index, source in lanes.items()}
         assert multiset(emitted) == multiset(batch)
@@ -587,7 +587,7 @@ class TestDeterministicTieBreaking:
         # index, so lane 0's rows all precede lane 1's.
         xchg, expected_lane = build_tie_exchange()
         xchg.open()
-        emitted = [row.values[0] for row in xchg.iterate()]
+        emitted = [row.values[0] for row in iterate(xchg)]
         xchg.close()
         lane_sequence = [expected_lane[value] for value in emitted]
         assert sorted(lane_sequence) == lane_sequence, (

@@ -10,7 +10,7 @@ from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, counting_row_constructions
 
-from helpers import resident_matches
+from helpers import insert_row, read_rows, resident_matches, spill_row
 
 SCHEMA = Schema.of("k:int", "v:str")
 
@@ -46,9 +46,9 @@ def make_batch(keys, value="x") -> Batch:
 class TestBasicOperations:
     def test_insert_and_probe(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(1, "b"))
-        table.insert(make_row(2, "c"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(1, "b"))
+        insert_row(table, make_row(2, "c"))
         assert {row["v"] for row in resident_matches(table, 1)} == {"a", "b"}
         assert resident_matches(table, 99) == []
         assert table.resident_rows == 3
@@ -56,17 +56,17 @@ class TestBasicOperations:
     def test_budget_charged_per_row_in_encoded_bytes(self):
         budget = MemoryBudget(10_000)
         table = BucketedHashTable(["k"], budget, SimulatedDisk())
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         # One encoded row plus the value's dictionary entry, charged once.
         assert table.dictionary_bytes == DICT_X_BYTES
         assert budget.used_bytes == ROW_BYTES + DICT_X_BYTES
-        table.insert(make_row(2))
+        insert_row(table, make_row(2))
         assert budget.used_bytes == 2 * ROW_BYTES + DICT_X_BYTES
 
     def test_insert_refused_when_budget_full(self):
         table = make_table(limit_bytes=ROW_BYTES)
-        assert table.insert(make_row(1))
-        assert not table.insert(make_row(2))
+        assert insert_row(table, make_row(1))
+        assert not insert_row(table, make_row(2))
         assert table.resident_rows == 1
 
     def test_bucket_count_validation(self):
@@ -85,7 +85,7 @@ class TestFlushing:
         table = BucketedHashTable(["k"], budget, disk, bucket_count=4)
         rows = [make_row(i) for i in range(20)]
         for row in rows:
-            table.insert(row)
+            insert_row(table, row)
         used_before = budget.used_bytes
         index = table.flush_largest_bucket()
         assert index is not None
@@ -95,16 +95,16 @@ class TestFlushing:
 
     def test_inserts_into_flushed_bucket_go_to_disk(self):
         table = make_table(buckets=1)
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         table.flush_bucket(0)
-        assert not table.insert(make_row(2))
+        assert not insert_row(table, make_row(2))
         assert table.resident_rows == 0
-        assert len(list(table.overflow_rows(0))) == 2
+        assert len(read_rows(table.spill_log, table.buckets[0])) == 2
 
     def test_flush_all(self):
         table = make_table(buckets=4)
         for i in range(10):
-            table.insert(make_row(i))
+            insert_row(table, make_row(i))
         flushed = table.flush_all()
         assert flushed == 10
         assert table.resident_rows == 0
@@ -117,25 +117,25 @@ class TestFlushing:
         if bucket_of(0, 2) == bucket_of(1, 2):
             light_key = 2
         for _ in range(5):
-            table.insert(make_row(heavy_key))
-        table.insert(make_row(light_key))
+            insert_row(table, make_row(heavy_key))
+        insert_row(table, make_row(light_key))
         flushed_index = table.flush_largest_bucket()
         assert flushed_index == bucket_of(heavy_key, 2)
 
     def test_flush_largest_none_when_empty(self):
         assert make_table().flush_largest_bucket() is None
 
-    def test_overflow_rows_marks_preserved(self):
+    def test_spilled_rows_keep_their_marks(self):
         table = make_table(buckets=1)
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         table.flush_bucket(0, mark_rows=True)
-        assert all(marked for _, marked in table.overflow_rows(0))
+        assert all(marked for _, marked in read_rows(table.spill_log, table.buckets[0]))
 
     def test_release_all_returns_budget(self):
         budget = MemoryBudget(None)
         table = BucketedHashTable(["k"], budget, SimulatedDisk())
         for i in range(5):
-            table.insert(make_row(i))
+            insert_row(table, make_row(i))
         table.release_all()
         assert budget.used_bytes == 0
         assert table.resident_rows == 0
@@ -149,8 +149,8 @@ class TestColumnarBuckets:
 
         table = make_table()
         big = 2**63 + 1  # no packed buffer holds it; the arena holds the object itself
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(big, "b"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(big, "b"))
         store, positions = table.match_positions(1)
         assert list(positions) == [0]
         assert type(store.columns[0]) is list
@@ -160,7 +160,7 @@ class TestColumnarBuckets:
         dictionary = store.columns[1].dictionary
         assert all(code is dictionary.codes[v] for code, v in zip(store.columns[1].codes, "ab"))
         # ...and a value no dictionary codes degrades the table's column to a list.
-        table.insert(make_row(2, None))
+        insert_row(table, make_row(2, None))
         assert type(table.arena.columns[1]) is list
         assert [row["v"] for row in resident_matches(table, 2)] == [None]
 
@@ -210,18 +210,18 @@ class TestColumnarBuckets:
 
     def test_insert_batch_routes_flushed_buckets_to_disk(self):
         table = make_table(buckets=1)
-        table.insert(make_row(0))
+        insert_row(table, make_row(0))
         table.flush_bucket(0)
         batch = make_batch([1, 2, 3])
         assert table.insert_batch(batch) == 3
         assert table.resident_rows == 0
-        assert len(list(table.overflow_rows(0))) == 4
+        assert len(read_rows(table.spill_log, table.buckets[0])) == 4
 
     def test_gather_matches_returns_columns_and_take(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
-        table.insert(make_row(2, "c"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
+        insert_row(table, make_row(2, "c"))
         result = table.gather_matches([1, 9, 2])
         assert result is not None
         take, columns, arrivals, aligned = result
@@ -233,16 +233,16 @@ class TestColumnarBuckets:
 
     def test_gather_matches_aligned_identity(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
         take, _, _, aligned = table.gather_matches([1, 2])
         assert take == [0, 1]
         assert aligned
 
     def test_gather_matches_respects_positions_subset(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
         take, columns, _, aligned = table.gather_matches([1, 2], positions=[1])
         assert take == [1]
         assert list(columns[0]) == [2]
@@ -271,7 +271,7 @@ class TestColumnarBuckets:
         with counting_row_constructions() as counter:
             table.flush_bucket(0)
             table.spill_position(0, batch.columns, 3, 0.0, marked=True)
-            for chunk in table.overflow_chunks(0):
+            for chunk in table.spill_log.read_chunks(table.buckets[0]):
                 assert len(chunk) > 0
             assert counter.count == 0
 
@@ -291,7 +291,7 @@ def chunk_rows(table: BucketedHashTable, bucket: int) -> list[list[tuple]]:
     """Bucket's spill file as ``[[(k, v, arrival, marked), ...] per chunk]``."""
     return [
         list(zip(*(list(c) for c in chunk.columns), list(chunk.arrivals), chunk.marked))
-        for chunk in table.overflow_chunks(bucket)
+        for chunk in table.spill_log.read_chunks(table.buckets[bucket])
     ]
 
 
@@ -343,7 +343,7 @@ class TestColumnArena:
         self.expect_rows(table, layout, alive=[0, 1])
         # The arena keeps appending where the truncation left it.
         fresh = keys_of_bucket(3, 1)[0]
-        table.insert(make_row(fresh, "late"))
+        insert_row(table, make_row(fresh, "late"))
         assert table.match_positions(fresh)[1] == [4]
 
     def test_flush_in_the_middle_tombstones(self):
@@ -693,10 +693,10 @@ class TestSharedProbeLoop:
         assert not inside.unique and inside.positions[7] == [3, 5] and inside.positions[1] == [0]
         by_row = ColumnarPartition(SCHEMA)
         for key in (1, 2):
-            by_row.append_values((key, "x"), 0.0)
+            by_row.append_position([[key], ["x"]], 0, 0.0)
             assert by_row.index_newest(key)
         assert by_row.unique and by_row.lookup(2) == (1,) and by_row.lookup(9) == ()
-        by_row.append_values((1, "y"), 0.0)
+        by_row.append_position([[1], ["y"]], 0, 0.0)
         assert not by_row.index_newest(1)
         assert not by_row.unique and by_row.positions == {1: [0, 2], 2: [1]}
         assert by_row.lookup(1) == [0, 2] and by_row.lookup(2) == [1]
@@ -711,7 +711,7 @@ class TestAccountingInvariant:
     def test_flush_releases_atomically(self):
         table = make_table(buckets=4)
         for i in range(20):
-            table.insert(make_row(i))
+            insert_row(table, make_row(i))
         assert (
             table.budget.used_bytes
             == table.resident_bytes
@@ -733,8 +733,8 @@ class TestAccountingInvariant:
         left = BucketedHashTable(["k"], budget, disk, bucket_count=4, schema=SCHEMA)
         right = BucketedHashTable(["k"], budget, disk, bucket_count=4, schema=SCHEMA)
         for i in range(10):
-            left.insert(make_row(i))
-            right.insert(make_row(i))
+            insert_row(left, make_row(i))
+            insert_row(right, make_row(i))
         assert budget.used_bytes == left.resident_bytes + right.resident_bytes
         left.flush_bucket(0)
         right.flush_all()
@@ -744,7 +744,7 @@ class TestAccountingInvariant:
 
     def test_check_accounting_detects_drift(self):
         table = make_table()
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         table.budget.release(ROW_BYTES)  # simulate a lost release
         with pytest.raises(StorageError):
             table.check_accounting()
@@ -806,7 +806,7 @@ class TestEncodedHotPaths:
             assert result is not None
             table.flush_bucket(0)
             table.spill_position(0, batch.columns, 3, 0.0, marked=True)
-            chunks = list(table.overflow_chunks(0))
+            chunks = list(table.spill_log.read_chunks(table.buckets[0]))
             assert chunks
             assert counter.count == 0
         canonical = self.all_dictionary_string_ids(batch, table)
@@ -879,8 +879,8 @@ class TestDictionaryOwnership:
         donor.insert_batch(make_batch([1]))
         log = SimulatedDisk().create_file("log", schema=SCHEMA)
         log.write_position(donor.arena.columns, 0, 0.0)
-        log.write(make_row(2, "fresh"))
+        spill_row(log, make_row(2, "fresh"))
         assert donor.dictionary_bytes == DICT_X_BYTES
         assert len(donor._dictionaries[1]) == 1
         assert budget.used_bytes == donor.resident_bytes
-        assert [row.values for row, _ in log.read()] == [(1, "x"), (2, "fresh")]
+        assert [row.values for row, _ in read_rows(log)] == [(1, "x"), (2, "fresh")]

@@ -14,7 +14,7 @@ from repro.storage.batch import Batch
 from repro.storage.memory import MB
 from repro.storage.schema import Schema
 
-from helpers import ScriptedRuns, digest, make_relation, multiset, reference_join
+from helpers import ScriptedRuns, digest, iterate, make_relation, multiset, reference_join
 
 
 def expected_join(catalog):
@@ -35,7 +35,7 @@ class TestNestedLoopsJoin:
         left, right = scans(context)
         join = NestedLoopsJoin("nl", context, left, right, ["ord.o_id"], ["item.i_order"])
         join.open()
-        rows = list(join.iterate())
+        rows = list(iterate(join))
         expected = expected_join(joinable_catalog)
         assert multiset(rows) == multiset(expected)
 
@@ -59,7 +59,7 @@ class TestHybridHashJoin:
             "hh", context, left, right, ["ord.o_id"], ["item.i_order"], memory_limit_bytes=10 * MB
         )
         join.open()
-        rows = list(join.iterate())
+        rows = list(iterate(join))
         assert multiset(rows) == multiset(expected_join(joinable_catalog))
 
     def test_matches_reference_with_tiny_memory(self, joinable_catalog):
@@ -74,7 +74,7 @@ class TestHybridHashJoin:
             memory_limit_bytes=100, bucket_count=4,
         )
         join.open()
-        rows = list(join.iterate())
+        rows = list(iterate(join))
         assert multiset(rows) == multiset(expected_join(joinable_catalog))
         assert context.disk.stats.tuples_written > 0
         assert context.stats.operator("hh").overflow_events > 0
@@ -99,7 +99,7 @@ class TestHybridHashJoin:
             "hh", context, left, right, ["ord.o_id"], ["item.i_order"], memory_limit_bytes=MB
         )
         join.open()
-        list(join.iterate())
+        list(iterate(join))
         join.close()
         assert context.memory_pool.granted_bytes == 0
 
@@ -120,7 +120,7 @@ class TestDependentJoin:
             "dj", context, left, "item", ["ord.o_id"], ["item.i_order"]
         )
         join.open()
-        rows = list(join.iterate())
+        rows = list(iterate(join))
         expected = expected_join(catalog_with_lookup)
         assert multiset(rows) == multiset(expected)
         assert join.probes == 3  # one parameterized fetch per left tuple
@@ -130,7 +130,7 @@ class TestDependentJoin:
         left = WrapperScan("scan_ord", context, "ord")
         join = DependentJoin("dj", context, left, "item", ["ord.o_id"], ["item.i_order"])
         join.open()
-        list(join.iterate())
+        list(iterate(join))
         # Three probes at >=145ms each dominate the tiny scan time.
         assert context.clock.now >= 3 * wide_area().initial_latency_ms
 
@@ -237,7 +237,7 @@ class TestDependentJoinProbeCache:
         )
         join.open()
         if batch_size is None:
-            rows = list(join.iterate())
+            rows = list(iterate(join))
         else:
             rows = []
             while batch := join.next_batch(batch_size):

@@ -9,15 +9,17 @@ from repro.storage.schema import Schema
 
 @pytest.fixture
 def schema():
-    return MediatedSchema.from_relations(
-        {"book": Schema.of("isbn:int", "title:str"), "review": Schema.of("isbn:int", "stars:int")}
+    return MediatedSchema(
+        [
+            MediatedRelation("book", Schema.of("isbn:int", "title:str")),
+            MediatedRelation("review", Schema.of("isbn:int", "stars:int")),
+        ]
     )
 
 
-def test_from_relations_and_lookup(schema):
+def test_construction_and_lookup(schema):
     assert len(schema) == 2
-    assert schema.relation_names == ["book", "review"]
-    assert schema.get("book").attribute_names == ("isbn", "title")
+    assert schema.get("book").schema == Schema.of("isbn:int", "title:str")
     assert "book" in schema
 
 

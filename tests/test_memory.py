@@ -34,7 +34,7 @@ class TestMemoryBudget:
 
     def test_unlimited_budget(self):
         budget = MemoryBudget(None)
-        assert budget.unlimited
+        assert budget.limit_bytes is None
         assert budget.available_bytes is None
         assert budget.try_reserve(10**9)
 
@@ -82,7 +82,7 @@ class TestMemoryPool:
     def test_unbounded_grant_from_bounded_pool(self):
         pool = MemoryPool(MB)
         budget = pool.grant("join1", None)
-        assert budget.unlimited
+        assert budget.limit_bytes is None
         assert pool.granted_bytes == 0
 
     def test_revoke_returns_memory(self):

@@ -12,7 +12,6 @@ from repro.optimizer.rulegen import (
     overflow_method_rule,
     replan_rule,
     rules_for_fragment,
-    timeout_replan_rule,
     timeout_reschedule_rule,
 )
 from repro.plan.fragments import Fragment
@@ -87,8 +86,6 @@ class TestRuleGeneration:
         reschedule = timeout_reschedule_rule("srcA", owner="frag1")
         assert reschedule.event_type == EventType.TIMEOUT
         assert reschedule.actions[0].action_type == ActionType.RESCHEDULE
-        replan = timeout_replan_rule("srcA", owner="frag1")
-        assert replan.actions[0].action_type == ActionType.REOPTIMIZE
 
     def test_overflow_rule_targets_join(self):
         fragment = make_fragment()

@@ -28,17 +28,7 @@ def test_invalid_probability_rejected(catalog):
 
 def test_mirrors(catalog):
     catalog.set_mirrors("a", "b")
-    assert catalog.are_mirrors("a", "b")
-    assert catalog.are_mirrors("b", "a")
-    assert catalog.mirrors_of("a", ["a", "b", "c"]) == ["b"]
-
-
-def test_expected_coverage_independent_sources(catalog):
-    catalog.set_overlap("a", "b", 0.5)
-    catalog.set_overlap("a", "c", 0.5)
-    assert catalog.expected_coverage("a", ["b", "c"]) == pytest.approx(0.75)
-    assert catalog.expected_coverage("a", ["a", "b"]) == 1.0
-    assert catalog.expected_coverage("a", []) == 0.0
+    assert catalog.overlap("a", "b") == catalog.overlap("b", "a") == 1.0
 
 
 def test_rank_by_coverage(catalog):

@@ -45,7 +45,7 @@ from repro.query.conjunctive import SelectionPredicate
 from repro.server import QueryServer, SessionStatus
 from repro.storage.schema import Schema
 
-from helpers import examples, multiset, reference_join
+from helpers import examples, iterate, multiset, reference_join
 
 
 def good_join(memory_limit_bytes: int | None = None) -> OperatorSpec:
@@ -224,7 +224,7 @@ class TestBuilderWiring:
     def test_valid_tree_builds_and_runs_unchanged(self, context, orders_and_items):
         operator = build_operator(good_join(), context)
         operator.open()
-        produced = list(operator.iterate())
+        produced = list(iterate(operator))
         orders, items = orders_and_items
         expected = reference_join(orders, items, "ord.o_id", "item.i_order")
         assert multiset(produced) == multiset(expected)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.network.profiles import NetworkProfile, bursty, dead, lan, slow_start, wide_area
 
+from helpers import arrival_schedule
+
 
 class TestNetworkProfile:
     def test_transfer_time_scales_with_bytes(self):
@@ -16,27 +18,27 @@ class TestNetworkProfile:
 
     def test_arrival_schedule_monotone_and_after_latency(self):
         profile = NetworkProfile(initial_latency_ms=100.0, bandwidth_kbps=10.0)
-        arrivals = profile.arrival_schedule([512] * 5)
+        arrivals = arrival_schedule(profile, [512] * 5)
         assert arrivals == sorted(arrivals)
         assert arrivals[0] >= 100.0
 
     def test_arrival_schedule_deterministic_given_seed(self):
         profile = NetworkProfile(jitter_ms=20.0, seed=3)
         sizes = [100] * 10
-        assert profile.arrival_schedule(sizes) == profile.arrival_schedule(sizes)
+        assert arrival_schedule(profile, sizes) == arrival_schedule(profile, sizes)
 
     def test_different_seed_changes_jittered_schedule(self):
         sizes = [100] * 10
-        a = NetworkProfile(jitter_ms=20.0, seed=1).arrival_schedule(sizes)
-        b = NetworkProfile(jitter_ms=20.0, seed=2).arrival_schedule(sizes)
+        a = arrival_schedule(NetworkProfile(jitter_ms=20.0, seed=1), sizes)
+        b = arrival_schedule(NetworkProfile(jitter_ms=20.0, seed=2), sizes)
         assert a != b
 
     def test_burst_gaps_increase_spread(self):
         sizes = [100] * 20
-        smooth = NetworkProfile(bandwidth_kbps=100.0).arrival_schedule(sizes)
-        gappy = NetworkProfile(
-            bandwidth_kbps=100.0, burst_size=5, burst_gap_ms=50.0
-        ).arrival_schedule(sizes)
+        smooth = arrival_schedule(NetworkProfile(bandwidth_kbps=100.0), sizes)
+        gappy = arrival_schedule(
+            NetworkProfile(bandwidth_kbps=100.0, burst_size=5, burst_gap_ms=50.0), sizes
+        )
         assert gappy[-1] > smooth[-1]
 
     def test_with_overrides(self):
@@ -46,8 +48,8 @@ class TestNetworkProfile:
 
     def test_start_offset_shifts_schedule(self):
         profile = NetworkProfile(initial_latency_ms=10.0, bandwidth_kbps=100.0)
-        base = profile.arrival_schedule([100], start_ms=0.0)
-        shifted = profile.arrival_schedule([100], start_ms=500.0)
+        base = arrival_schedule(profile, [100], start_ms=0.0)
+        shifted = arrival_schedule(profile, [100], start_ms=500.0)
         assert shifted[0] == pytest.approx(base[0] + 500.0)
 
 

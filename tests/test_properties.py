@@ -28,9 +28,12 @@ from helpers import (
     GatherThenExtendDPJ,
     ScriptedProfile,
     ScriptedRuns,
+    arrival_schedule,
     drive_join,
     examples,
     gather_then_extend,
+    insert_row,
+    iterate,
     resident_matches,
 )
 
@@ -96,7 +99,7 @@ def run_join(join_cls, left_pairs, right_pairs, **kwargs):
         **kwargs,
     )
     join.open()
-    rows = list(join.iterate())
+    rows = list(iterate(join))
     join.close()
     return rows
 
@@ -112,7 +115,7 @@ class TestHashTableProperties:
     def test_probe_returns_exactly_matching_rows(self, pairs):
         table = BucketedHashTable(["l.k"], MemoryBudget(None), SimulatedDisk(), bucket_count=8)
         for pair in pairs:
-            table.insert(Row(LEFT_SCHEMA, pair))
+            insert_row(table, Row(LEFT_SCHEMA, pair))
         for key in {k for k, _ in pairs}:
             matches = resident_matches(table, key)
             assert len(matches) == sum(1 for k, _ in pairs if k == key)
@@ -125,7 +128,7 @@ class TestHashTableProperties:
         disk = SimulatedDisk()
         table = BucketedHashTable(["l.k"], budget, disk, bucket_count=4)
         for pair in pairs:
-            table.insert(Row(LEFT_SCHEMA, pair))
+            insert_row(table, Row(LEFT_SCHEMA, pair))
         resident_before = table.resident_rows
         table.flush_all()
         assert table.resident_rows == 0
@@ -143,9 +146,9 @@ class TestHashTableProperties:
         budget = MemoryBudget(limit)
         table = BucketedHashTable(["l.k"], budget, SimulatedDisk(), bucket_count=4)
         for pair in pairs:
-            if not table.insert(Row(LEFT_SCHEMA, pair)):
+            if not insert_row(table, Row(LEFT_SCHEMA, pair)):
                 table.flush_largest_bucket()
-                table.insert(Row(LEFT_SCHEMA, pair))
+                insert_row(table, Row(LEFT_SCHEMA, pair))
             # Row reservations respect the limit; dictionary growth is
             # force-charged on top (it cannot be refused row by row).
             assert budget.used_bytes <= limit + table.dictionary_bytes
@@ -321,7 +324,7 @@ def spilled(table, bucket):
     """Bucket's spilled rows read back in order: ``[(values, arrival, marked), ...]``."""
     return [
         row
-        for chunk in table.overflow_chunks(bucket)
+        for chunk in table.spill_log.read_chunks(table.buckets[bucket])
         for row in zip(zip(*(list(c) for c in chunk.columns)), list(chunk.arrivals), chunk.marked)
     ]
 
@@ -603,7 +606,7 @@ class TestSpillLogProperties:
                     model.write(buckets[at], rows[at], arrivals[at], flag)
                 elif kind == "row":
                     row = Row(ARENA_SCHEMA, rows[at], arrivals[at])
-                    assert table.insert(row, flag) == (buckets[at] not in flushed)
+                    assert insert_row(table, row, flag) == (buckets[at] not in flushed)
                     if buckets[at] in flushed:
                         model.write(buckets[at], rows[at], arrivals[at], flag)
                     else:
@@ -640,7 +643,7 @@ class TestTimelineProperties:
     @settings(max_examples=examples(60), deadline=None)
     def test_arrival_schedules_are_monotone(self, sizes):
         profile = NetworkProfile(initial_latency_ms=10.0, bandwidth_kbps=100.0, jitter_ms=0.0)
-        arrivals = profile.arrival_schedule(sizes)
+        arrivals = arrival_schedule(profile, sizes)
         assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
         assert arrivals[0] >= 10.0
 

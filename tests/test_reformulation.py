@@ -50,7 +50,6 @@ def test_disjunctive_leaf_lists_all_sources(catalog, query):
     leaf = reformulated.leaf("book")
     assert leaf.is_disjunctive
     assert set(leaf.source_names) == {"books-main", "books-mirror", "books-partial"}
-    assert reformulated.disjunctive_relations == ["book"]
 
 
 def test_primary_is_complete_and_cheapest(catalog, query):
@@ -65,12 +64,6 @@ def test_primary_is_complete_and_cheapest(catalog, query):
 def test_single_source_leaf_not_disjunctive(catalog, query):
     reformulated = Reformulator(catalog).reformulate(query)
     assert not reformulated.leaf("review").is_disjunctive
-
-
-def test_all_source_names(catalog, query):
-    reformulated = Reformulator(catalog).reformulate(query)
-    assert "reviews-main" in reformulated.all_source_names
-    assert len(reformulated.all_source_names) == 4
 
 
 def test_missing_relation_raises(catalog):

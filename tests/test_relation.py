@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row, rows_from_dicts
+from repro.storage.tuples import Row
 
 from helpers import make_relation
 
@@ -15,11 +14,6 @@ class TestConstruction:
         rel = make_relation("r", ["a:int", "b:str"], [(1, "x"), (2, "y")])
         assert len(rel) == 2
         assert rel.cardinality == 2
-
-    def test_from_dicts(self):
-        schema = Schema.of("a:int", "b:str")
-        rel = Relation("r", schema, rows_from_dicts(schema, [{"a": 1, "b": "x"}]))
-        assert rel[0].values == (1, "x")
 
     def test_append_arity_check(self):
         rel = make_relation("r", ["a:int"], [(1,)])

@@ -1,6 +1,5 @@
 """Unit tests for repro.engine.stats (runtime statistics containers)."""
 
-import pytest
 
 from repro.engine.stats import (
     FragmentStats,
@@ -23,29 +22,6 @@ class TestOperatorRuntimeStats:
         stats = OperatorRuntimeStats("op1")
         assert stats.state == "pending"
         assert stats.time_of_first_output is None
-
-
-class TestFragmentStats:
-    def make(self, actual, estimate):
-        return FragmentStats(
-            fragment_id="f1",
-            result_name="r1",
-            result_cardinality=actual,
-            estimated_cardinality=estimate,
-            started_at_ms=0.0,
-            completed_at_ms=100.0,
-        )
-
-    def test_estimate_error_factor_overestimate_and_underestimate(self):
-        assert self.make(actual=200, estimate=100).estimate_error_factor == pytest.approx(2.0)
-        assert self.make(actual=50, estimate=100).estimate_error_factor == pytest.approx(2.0)
-        assert self.make(actual=100, estimate=100).estimate_error_factor == pytest.approx(1.0)
-
-    def test_estimate_error_factor_without_estimate(self):
-        assert self.make(actual=10, estimate=None).estimate_error_factor is None
-
-    def test_zero_actual_cardinality_handled(self):
-        assert self.make(actual=0, estimate=100).estimate_error_factor == pytest.approx(100.0)
 
 
 class TestQueryRuntimeStats:
@@ -78,16 +54,9 @@ class TestTupleTimelineEdgeCases:
         assert timeline.total == 0
         assert timeline.time_to_first is None
         assert timeline.completion_time is None
-        assert timeline.count_at(100.0) == 0
-        assert timeline.sample() == []
 
     def test_time_to_first_skips_zero_counts(self):
         timeline = TupleTimeline()
         timeline.record(1.0, 0)
         timeline.record(5.0, 1)
         assert timeline.time_to_first == 5.0
-
-    def test_single_point_sample(self):
-        timeline = TupleTimeline()
-        timeline.record(10.0, 3)
-        assert timeline.sample(points=1) == [(10.0, 3)]

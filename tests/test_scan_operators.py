@@ -17,7 +17,7 @@ from repro.storage.tuples import counting_row_constructions
 from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
 
-from helpers import digest, make_relation
+from helpers import digest, drain, iterate, make_relation
 
 
 class TestOperatorBase:
@@ -29,16 +29,16 @@ class TestOperatorBase:
     def test_open_emits_opened_event(self, context):
         scan = WrapperScan("s", context, "ord")
         scan.open()
-        events = context.events.drain()
+        events = drain(context.events)
         assert any(e.event_type == EventType.OPENED and e.subject == "s" for e in events)
 
     def test_close_emits_closed_event_with_cardinality(self, context):
         scan = WrapperScan("s", context, "ord")
         scan.open()
-        list(scan.iterate())
-        context.events.drain()
+        list(iterate(scan))
+        drain(context.events)
         scan.close()
-        events = context.events.drain()
+        events = drain(context.events)
         closed = [e for e in events if e.event_type == EventType.CLOSED and e.subject == "s"]
         assert closed and closed[0].value == 3
 
@@ -54,7 +54,7 @@ class TestWrapperScan:
     def test_streams_all_rows_with_qualified_schema(self, context):
         scan = WrapperScan("s", context, "ord")
         scan.open()
-        rows = list(scan.iterate())
+        rows = list(iterate(scan))
         assert len(rows) == 3
         assert scan.output_schema.names == ("ord.o_id", "ord.o_cust")
         assert scan.tuples_produced == 3
@@ -62,14 +62,14 @@ class TestWrapperScan:
     def test_arrival_times_monotone(self, context):
         scan = WrapperScan("s", context, "ord")
         scan.open()
-        arrivals = [row.arrival for row in scan.iterate()]
+        arrivals = [row.arrival for row in iterate(scan)]
         assert arrivals == sorted(arrivals)
 
     def test_peek_arrival_before_and_after_eof(self, context):
         scan = WrapperScan("s", context, "ord")
         scan.open()
         assert scan.peek_arrival() is not None
-        list(scan.iterate())
+        list(iterate(scan))
         assert scan.peek_arrival() is None
 
     def test_threshold_events_emitted(self, context):
@@ -77,8 +77,8 @@ class TestWrapperScan:
         context.watch_events({(EventType.THRESHOLD, "s")})
         scan = WrapperScan("s", context, "ord")
         scan.open()
-        list(scan.iterate())
-        events = context.events.drain()
+        list(iterate(scan))
+        events = drain(context.events)
         thresholds = [e for e in events if e.event_type == EventType.THRESHOLD]
         assert [e.value for e in thresholds] == [1, 2, 3]
 
@@ -89,7 +89,7 @@ class TestWrapperScan:
         scan.open()
         with pytest.raises(SourceTimeoutError):
             scan.next()
-        events = context.events.drain()
+        events = drain(context.events)
         assert any(e.event_type == EventType.TIMEOUT and e.subject == "ord" for e in events)
         assert any(e.event_type == EventType.TIMEOUT and e.subject == "s" for e in events)
 
@@ -100,7 +100,7 @@ class TestTableScan:
         context.local_store.materialize(rel)
         scan = TableScan("t", context, "cached")
         scan.open()
-        assert [row["x"] for row in scan.iterate()] == [1, 2]
+        assert [row["x"] for row in iterate(scan)] == [1, 2]
 
     def test_missing_relation_raises_on_open(self, context):
         scan = TableScan("t", context, "ghost")
@@ -135,7 +135,7 @@ class TestTableScan:
             assert relation.column_block(8, 5) == ([[8, 9], ["v8", "v9"]], 2)
             assert counter.count == 0
         assert block.columns == [[4, 5, 6], ["v4", "v5", "v6"]]
-        assert [row.values[0] for row in scan.iterate()] == [7, 8, 9]
+        assert [row.values[0] for row in iterate(scan)] == [7, 8, 9]
         assert scan.next() is None
 
 
@@ -275,7 +275,7 @@ class TestRowFreeScans:
         source = catalog.source("partsupp")
         first = WrapperScan("first", context, "partsupp")
         first.open()
-        rows = list(first.iterate())
+        rows = list(iterate(first))
         first.close()
         assert [row.values for row in rows] == [row.values for row in source.relation.rows]
         assert all(row.schema is source.exported_schema for row in rows)
@@ -287,7 +287,7 @@ class TestRowFreeScans:
         assert [values for batch, _ in batches for values in batch] == [r.values for r in rows]
         tuple_served = WrapperScan("tuple_served", context, "partsupp")
         tuple_served.open()
-        assert [row.values for row in tuple_served.iterate()] == [r.values for r in rows]
+        assert [row.values for row in iterate(tuple_served)] == [r.values for r in rows]
 
     def test_table_scan_bounded_pull_stops_at_the_bound(self, tpcd_catalog):
         """Stored rows all arrive "now": a bounded pull takes a block while the
@@ -321,7 +321,7 @@ class TestSelectProject:
             "sel", context, scan, [SelectionPredicate("ord", "o_id", ">=", 2)]
         )
         select.open()
-        assert [row["o_id"] for row in select.iterate()] == [2, 3]
+        assert [row["o_id"] for row in iterate(select)] == [2, 3]
 
     def test_select_multiple_predicates_conjunctive(self, context):
         scan = WrapperScan("s", context, "ord")
@@ -335,13 +335,13 @@ class TestSelectProject:
             ],
         )
         select.open()
-        assert [row["o_cust"] for row in select.iterate()] == ["bob"]
+        assert [row["o_cust"] for row in iterate(select)] == ["bob"]
 
     def test_project_restricts_schema(self, context):
         scan = WrapperScan("s", context, "ord")
         project = Project("p", context, scan, ["ord.o_cust"])
         project.open()
-        rows = list(project.iterate())
+        rows = list(iterate(project))
         assert project.output_schema.names == ("ord.o_cust",)
         assert [row.values for row in rows] == [("ada",), ("bob",), ("cyd",)]
 
@@ -352,7 +352,7 @@ class TestUnion:
         b = WrapperScan("b", context, "ord")
         union = Union("u", context, [a, b])
         union.open()
-        assert len(list(union.iterate())) == 6
+        assert len(list(iterate(union))) == 6
 
     def test_union_requires_children(self, context):
         with pytest.raises(ExecutionError):
@@ -364,7 +364,7 @@ class TestMaterialize:
         scan = WrapperScan("s", context, "ord")
         mat = Materialize("m", context, scan, result_name="ord_copy")
         mat.open()
-        rows = list(mat.iterate())
+        rows = list(iterate(mat))
         mat.close()
         stored = context.local_store.get("ord_copy")
         assert stored.cardinality == len(rows) == 3

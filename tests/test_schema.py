@@ -23,20 +23,13 @@ class TestAttribute:
         with pytest.raises(SchemaError):
             Attribute("", "int")
 
-    def test_base_name_and_qualifier(self):
-        attr = Attribute("orders.o_id", "int")
-        assert attr.base_name == "o_id"
-        assert attr.qualifier == "orders"
-        assert Attribute("o_id", "int").qualifier is None
+    def test_base_name(self):
+        assert Attribute("orders.o_id", "int").base_name == "o_id"
+        assert Attribute("o_id", "int").base_name == "o_id"
 
     def test_qualified_replaces_existing_qualifier(self):
         attr = Attribute("orders.o_id", "int").qualified("o2")
         assert attr.name == "o2.o_id"
-
-    def test_renamed_preserves_type(self):
-        attr = Attribute("a", "float").renamed("b")
-        assert attr.name == "b"
-        assert attr.type_name == "float"
 
 
 class TestSchema:
@@ -85,11 +78,6 @@ class TestSchema:
     def test_qualified(self):
         schema = Schema.of("a:int", "b:str").qualified("rel")
         assert schema.names == ("rel.a", "rel.b")
-
-    def test_rename_by_base_and_qualified(self):
-        schema = Schema.of("t.a:int", "t.b:str")
-        renamed = schema.rename({"t.a": "t.x", "b": "y"})
-        assert renamed.names == ("t.x", "y")
 
     def test_tuple_size_includes_overhead(self):
         schema = Schema.of("a:int", "b:int")

@@ -97,16 +97,6 @@ class TestServerClock:
         future = clock.session_clock("future", start_ms=500.0)
         assert future.now == 500.0
 
-    def test_aggregate_stats_sum_sessions(self):
-        clock = ServerClock()
-        a = clock.session_clock("a")
-        b = clock.session_clock("b")
-        a.consume_cpu(5.0)
-        b.advance_to(b.now + 7.0)
-        total = clock.aggregate_stats()
-        assert total.cpu_ms == 5.0
-        assert total.wait_ms == 7.0
-
 
 class TestMemoryBroker:
     def test_lease_within_capacity_is_granted_verbatim(self):
@@ -195,11 +185,10 @@ class TestSchedulerOverlap:
         for i in range(3):
             server.submit(scan_spec("l", f"s{i}"), f"s{i}")
         stats = server.run()
-        assert stats.completed_sessions == 3
+        assert [s.status for s in stats.sessions] == ["completed"] * 3
         # All three stream the same slow source concurrently: the makespan is
         # one stream's worth of time, not three.
-        assert stats.makespan_ms < stats.serial_equivalent_ms / 2
-        assert stats.overlap_speedup > 2.0
+        assert stats.makespan_ms < sum(s.elapsed_ms for s in stats.sessions) / 2
 
     def test_interleaving_is_deterministic(self):
         def run_once():
@@ -229,7 +218,7 @@ class TestSchedulerOverlap:
         stats = server.run()
         assert bad.status == SessionStatus.FAILED and bad.error
         assert good.status == SessionStatus.COMPLETED
-        assert stats.completed_sessions == 1
+        assert sum(s.status == "completed" for s in stats.sessions) == 1
 
 
 class TestSharedSourceCache:
@@ -374,7 +363,8 @@ class TestBrokerRevocationMidBuild:
         reference = QueryServer(fresh_catalog(rows=self.ROWS)).submit(
             join_spec("ref"), "ref"
         )
-        reference.run_to_completion()
+        while reference.step():
+            pass
         assert multiset(a.result) == multiset(reference.result)
         assert multiset(b.result) == multiset(reference.result)
 
@@ -524,7 +514,7 @@ class TestReviewRegressions:
         assert session.outcome.status.value == "needs_reoptimization"
         assert session.status == SessionStatus.FAILED
         assert "needs_reoptimization" in (session.error or "")
-        assert server.stats().completed_sessions == 0
+        assert [s.status for s in server.stats().sessions] == ["failed"]
 
 
 class TestSpeculativeParity:

@@ -24,7 +24,6 @@ def test_consume_cpu_and_io_accumulate():
     assert clock.now == 5.0
     assert clock.stats.cpu_ms == 2.0
     assert clock.stats.io_ms == 3.0
-    assert clock.stats.total_ms == 5.0
 
 
 def test_negative_durations_rejected():
@@ -40,7 +39,7 @@ def test_reset():
     clock.consume_cpu(5.0)
     clock.reset()
     assert clock.now == 0.0
-    assert clock.stats.total_ms == 0.0
+    assert (clock.stats.wait_ms, clock.stats.cpu_ms, clock.stats.io_ms) == (0.0, 0.0, 0.0)
 
 
 def test_start_offset():

@@ -10,7 +10,7 @@ from repro.errors import SourceUnavailableError
 from repro.network.profiles import NetworkProfile, bursty, dead, lan, wide_area
 from repro.network.source import DataSource, make_mirror
 
-from helpers import examples, make_relation
+from helpers import arrival_schedule, examples, make_relation
 
 
 @pytest.fixture
@@ -159,7 +159,7 @@ class TestTimetable:
     @given(profile=profiles, sizes=st.lists(st.integers(min_value=1, max_value=4000), max_size=300))
     @settings(max_examples=examples(100), deadline=None)
     def test_arrival_schedule_equals_the_reference_loop_for_mixed_sizes(self, profile, sizes):
-        assert profile.arrival_schedule(sizes, 12.5) == reference_arrival_schedule(
+        assert arrival_schedule(profile, sizes, 12.5) == reference_arrival_schedule(
             profile, sizes, 12.5
         )
 

@@ -44,7 +44,7 @@ from repro.storage.memory import MemoryPool
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import examples, make_relation, multiset
+from helpers import examples, iterate, make_relation, multiset
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
 
@@ -165,7 +165,7 @@ class TestPartialExtentCausality:
             "reader", speculative_context(catalog, cache, "reader"), "src"
         )
         reader.open()
-        got = [row.values for row in reader.iterate()]
+        got = [row.values for row in iterate(reader)]
         reader.close()
         expected = [row.values for row in rows(60)]
         assert got == expected
@@ -221,7 +221,7 @@ class TestStreamSharing:
         reader_context = speculative_context(catalog, cache, "reader")
         reader = WrapperScan("reader", reader_context, "src")
         reader.open()
-        got = [row.values for row in reader.iterate()]
+        got = [row.values for row in iterate(reader)]
         reader.close()
         assert got == [row.values for row in rows(50)]
         # The reader adopted the detached extent, fetched only the tail, and

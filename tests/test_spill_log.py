@@ -26,11 +26,13 @@ from repro.storage.tuples import Row, counting_row_constructions
 
 from helpers import (
     drive_join,
+    insert_row,
     multiset,
     per_tuple_reference,
     recording_calls,
     reference_join,
     spill_marks,
+    spill_row,
 )
 
 METHODS = [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]
@@ -66,7 +68,7 @@ def spill_late(table, rows, marked):
         spills.setdefault(bucket_of(row.values[0], BUCKETS), []).append(i)
     table.spill_segment(batch.columns, list(batch.arrivals), spills, marked)
     for row in rows[half:]:
-        table.spill_log.write(row, marked, table.bucket_for_key(row.values[0]))
+        spill_row(table.spill_log, row, marked, table.buckets[bucket_of(row.values[0], BUCKETS)])
 
 
 def prepared_dpj(catalog, method):
@@ -77,7 +79,7 @@ def prepared_dpj(catalog, method):
     keys = [1, 1, 2, 3, 3, 4]
     for table, label in ((left, "L"), (right, "R")):
         for row in side_rows(table, keys, label + "u", 0):
-            assert table.insert(row)
+            assert insert_row(table, row)
     victim = bucket_of(1, BUCKETS)
     left.flush_bucket(victim)  # resident when flushed: unmarked, on disk
     if method is OverflowMethod.SYMMETRIC_FLUSH:
@@ -134,11 +136,11 @@ class TestSpillJoinAgainstTheRowOracle:
             inner, outer = join._inner_table, join._outer_table
             keys = [1, 1, 2, 3, 3, 4]
             for row in side_rows(inner, keys, "I", 0):
-                assert inner.insert(row)
+                assert insert_row(inner, row)
             for index in range(BUCKETS):
                 inner.flush_bucket(index)
             for row in side_rows(inner, keys, "J", 10):  # the build goes on: straight to disk
-                assert not inner.insert(row)
+                assert not insert_row(inner, row)
             spill_late(outer, side_rows(outer, keys * 2, "O", 20), False)
             return context, join
 
@@ -282,10 +284,10 @@ class TestSpillStateLifetime:
                 ["k"], MemoryBudget(None), disk, bucket_count=2, schema=schema
             )
             for key in range(8):
-                table.insert(Row(schema, (key, key)))
+                insert_row(table, Row(schema, (key, key)))
             table.flush_all()
-            plain = disk.create_file("plain")
-            plain.write(Row(Schema.of("s:str"), ("x",)))
+            plain = disk.create_file("plain", schema=Schema.of("s:str"))
+            spill_row(plain, Row(plain.schema, ("x",)))
             assert disk.stats.tuples_written == 9
             alive = [weakref.ref(disk), weakref.ref(table.spill_log), weakref.ref(plain)]
             del disk, table, plain
@@ -303,7 +305,7 @@ class TestSpillStateLifetime:
             budget = MemoryBudget(None)
             table = BucketedHashTable(["k"], budget, SimulatedDisk(), bucket_count=2, schema=schema)
             for key in range(8):  # row by row: no donor column, so the table owns the dictionary
-                table.insert(Row(schema, (key, f"value-{key}")))
+                insert_row(table, Row(schema, (key, f"value-{key}")))
             table.flush_bucket(0)
             assert table._owned_slots and not table._adopted_slots
             assert table.dictionary_bytes == 8 * (len("value-0") + 8)

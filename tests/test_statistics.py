@@ -4,7 +4,6 @@ import pytest
 
 from repro.catalog.statistics import (
     DEFAULT_JOIN_SELECTIVITY,
-    DEFAULT_SELECTION_SELECTIVITY,
     SourceStatistics,
     StatisticsRegistry,
 )
@@ -16,12 +15,6 @@ class TestSourceStatistics:
         assert SourceStatistics().cardinality_or(42) == 42
         assert SourceStatistics(cardinality=7).cardinality_or(42) == 7
         assert not SourceStatistics().has_cardinality
-
-    def test_distinct_or_accepts_base_and_qualified(self):
-        stats = SourceStatistics(distinct_values={"a": 10, "t.b": 20})
-        assert stats.distinct_or("t.a", 5) == 10
-        assert stats.distinct_or("t.b", 5) == 20
-        assert stats.distinct_or("t.c", 5) == 5
 
 
 class TestStatisticsRegistry:
@@ -35,7 +28,6 @@ class TestStatisticsRegistry:
         registry.set_source("s", SourceStatistics(cardinality=5))
         assert registry.cardinality("s") == 5
         assert registry.knows_cardinality("s")
-        assert registry.sources_with_statistics() == ["s"]
 
     def test_update_cardinality_creates_entry(self):
         registry = StatisticsRegistry()
@@ -56,14 +48,6 @@ class TestStatisticsRegistry:
             registry.set_join_selectivity("a.x", "b.y", 0.0)
         with pytest.raises(CatalogError):
             registry.set_join_selectivity("a.x", "b.y", 1.5)
-
-    def test_selection_selectivity(self):
-        registry = StatisticsRegistry()
-        assert registry.selection_selectivity("a.x") == DEFAULT_SELECTION_SELECTIVITY
-        registry.set_selection_selectivity("a.x", 0.5)
-        assert registry.selection_selectivity("a.x") == 0.5
-        with pytest.raises(CatalogError):
-            registry.set_selection_selectivity("a.x", 2.0)
 
     def test_invalid_default_cardinality(self):
         with pytest.raises(CatalogError):

@@ -45,7 +45,8 @@ class TestRegistration:
             mirror, SourceDescription("ord2", "ord")
         )
         two_table_system.declare_mirrors("ord", "ord2")
-        assert two_table_system.catalog.overlap.are_mirrors("ord", "ord2")
+        overlap = two_table_system.catalog.overlap
+        assert overlap.overlap("ord", "ord2") == overlap.overlap("ord2", "ord") == 1.0
         two_table_system.set_overlap("ord", "ord2", 0.9)
         assert two_table_system.catalog.overlap.overlap("ord", "ord2") == 0.9
 

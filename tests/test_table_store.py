@@ -36,12 +36,10 @@ def test_rematerialize_replaces(store):
     assert len(store) == 1
 
 
-def test_drop_and_clear(store):
+def test_clear(store):
     store.materialize(make_relation("a", ["x:int"], [(1,)]))
     store.materialize(make_relation("b", ["x:int"], [(1,)]))
-    store.drop("a")
-    store.drop("not-there")  # no error
-    assert store.names() == ["b"]
+    assert store.names() == ["a", "b"]
     store.clear()
     assert len(store) == 0
 

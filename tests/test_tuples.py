@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row, rows_from_dicts
+from repro.storage.tuples import KeyBinder, Row
 
 
 @pytest.fixture
@@ -72,13 +72,3 @@ class TestRow:
         row = Row(schema, (1, "a"))
         assert list(row) == [1, "a"]
         assert len(row) == 2
-
-
-class TestRowsFromDicts:
-    def test_accepts_base_and_qualified_keys(self, schema):
-        rows = rows_from_dicts(schema, [{"t.id": 1, "name": "ada"}])
-        assert rows[0].values == (1, "ada")
-
-    def test_missing_attribute_rejected(self, schema):
-        with pytest.raises(SchemaError):
-            rows_from_dicts(schema, [{"id": 1}])

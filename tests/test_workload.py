@@ -4,10 +4,7 @@ import pytest
 
 from repro.datagen.workload import (
     TPCDJoinGraph,
-    figure3a_query,
-    figure3b_query,
     figure5_queries,
-    two_and_three_way_joins,
 )
 
 
@@ -48,15 +45,6 @@ class TestJoinGraph:
 
 
 class TestWorkloadQueries:
-    def test_figure3a_query(self):
-        query = figure3a_query()
-        assert set(query.relations) == {"lineitem", "orders", "supplier"}
-        assert query.join_connected()
-
-    def test_figure3b_query(self):
-        query = figure3b_query()
-        assert set(query.relations) == {"partsupp", "part"}
-        assert len(query.join_predicates) == 1
 
     def test_figure5_has_seven_four_table_queries(self):
         queries = figure5_queries()
@@ -66,9 +54,3 @@ class TestWorkloadQueries:
             assert "lineitem" not in query.relations
             assert query.join_connected()
         assert [q.name for q in queries] == [f"Q{i}" for i in range(1, 8)]
-
-    def test_two_and_three_way_joins_all_connected(self):
-        queries = two_and_three_way_joins()
-        assert queries
-        assert all(q.join_connected() for q in queries)
-        assert all(len(q.relations) in (2, 3) for q in queries)
