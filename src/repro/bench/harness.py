@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.datagen.tpcd import TPCDDatabase, TPCDGenerator
-from repro.engine.builder import build_operator
 from repro.engine.context import EngineConfig, ExecutionContext
-from repro.engine.iterators import DEFAULT_BATCH_SIZE
-from repro.engine.operators.materialize import Materialize
+from repro.engine.executor import QueryExecutor
 from repro.engine.stats import TupleTimeline
+from repro.errors import ExecutionError
 from repro.network.profiles import NetworkProfile, lan
 from repro.network.source import DataSource
+from repro.plan.fragments import Fragment, QueryPlan
 from repro.plan.physical import OperatorSpec
 from repro.storage.relation import Relation
 
@@ -82,43 +82,33 @@ def run_operator_tree(
     catalog: DataSourceCatalog,
     result_name: str = "bench_result",
     engine_config: EngineConfig | None = None,
-    capture_points: int | None = None,
 ) -> RunResult:
     """Execute one physical operator tree to completion against ``catalog``.
 
     This bypasses the optimizer so that benchmarks can compare hand-chosen
     plans (exactly what the paper does for the join experiments, which used
-    hand-coded query plans for greater control).  The tree is pulled in
-    columnar batches of up to :data:`DEFAULT_BATCH_SIZE` rows, ramping up
-    from one row so time-to-first-tuple stays exact.
+    hand-coded query plans for greater control).  The tree runs as a
+    one-fragment plan through :meth:`QueryExecutor.execute
+    <repro.engine.executor.QueryExecutor.execute>`; a run that does not
+    complete raises :class:`~repro.errors.ExecutionError`.
     """
     context = ExecutionContext(catalog, config=engine_config, query_name=result_name)
-    root = build_operator(spec, context)
-    root = Materialize(f"{result_name}-mat", context, root, result_name=result_name)
+    plan = QueryPlan(result_name, [Fragment(result_name, spec, result_name)])
+    outcome = QueryExecutor(context).execute(plan)
+    if not outcome.completed:
+        raise ExecutionError(outcome.error)
+    relation = outcome.answer
+    # The stored result keeps every row's virtual arrival stamp, so the
+    # tuples-vs-time series has tuple-level resolution (the figures' curves
+    # — e.g. the overflow stall shapes — survive batch-at-a-time driving).
     timeline = TupleTimeline()
-    root.open()
-    produced = 0
-    current = 1
     last_time = 0.0
-    while True:
-        batch = root.next_batch(current)
-        if not batch:
-            break
-        # Batches carry their virtual arrival stamps, so the tuples-vs-time
-        # series keeps tuple-level resolution (the figures' curves — e.g.
-        # the overflow stall shapes — survive batch-at-a-time driving).
-        # Reading the arrival column directly avoids materializing rows for
-        # columnar batches.
-        for arrival in batch.arrivals:
-            produced += 1
-            if arrival > last_time:
-                last_time = arrival
-            timeline.record(last_time, produced)
-        current = min(current * 4, DEFAULT_BATCH_SIZE)
-    root.close()
-    relation = context.local_store.get(result_name)
+    for produced, arrival in enumerate(relation.arrivals(), 1):
+        if arrival > last_time:
+            last_time = arrival
+        timeline.record(last_time, produced)
     return RunResult(
-        cardinality=produced,
+        cardinality=relation.cardinality,
         completion_time_ms=context.clock.now,
         time_to_first_tuple_ms=timeline.time_to_first,
         timeline=timeline,

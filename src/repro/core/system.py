@@ -59,11 +59,7 @@ class Tukwila:
         self.engine_config = engine_config or EngineConfig()
         self.reoptimization_mode = reoptimization_mode
         # One cache shared by every query this system executes (when enabled).
-        self.source_cache = (
-            SourceCache(max_age_ms=self.engine_config.source_cache_max_age_ms)
-            if self.engine_config.enable_source_caching
-            else None
-        )
+        self.source_cache = SourceCache() if self.engine_config.enable_source_caching else None
 
     # -- registration ----------------------------------------------------------------------
 

@@ -25,6 +25,9 @@ from repro.storage.table_store import LocalStore
 #: Default CPU cost charged per tuple processed by an operator, in virtual ms.
 DEFAULT_CPU_COST_MS = 0.002
 
+#: Cost of writing one tuple at a materialization point, in virtual ms.
+MATERIALIZATION_COST_MS = 0.004
+
 
 @dataclass
 class EngineConfig:
@@ -36,11 +39,6 @@ class EngineConfig:
         CPU cost charged by each operator per tuple it processes.
     default_timeout_ms:
         Source timeout used by wrappers when the plan does not set one.
-    materialization_cost_ms_per_tuple:
-        Cost of writing one tuple at a materialization point.
-    collector_dedup:
-        Whether collectors deduplicate tuples arriving from overlapping
-        sources (on the collector's key attributes).
     disk_page_read_ms / disk_page_write_ms:
         Virtual cost of one page of spill I/O.  Benchmarks that study memory
         overflow raise these to model a spinning disk.
@@ -48,8 +46,6 @@ class EngineConfig:
         When true, fully-read source extents are cached (the paper's
         "caching of source data" extension) and later scans of the same
         source are served locally.
-    source_cache_max_age_ms:
-        Expiry for cached source data (``None`` = never expires).
     exchange_lanes:
         Partition parallelism.  With N > 1 the builder wraps every
         partitionable operator (hash joins, keyed collectors) in an
@@ -77,12 +73,9 @@ class EngineConfig:
 
     per_tuple_cpu_ms: float = DEFAULT_CPU_COST_MS
     default_timeout_ms: float | None = 60_000.0
-    materialization_cost_ms_per_tuple: float = 0.004
-    collector_dedup: bool = True
     disk_page_read_ms: float = 0.12
     disk_page_write_ms: float = 0.15
     enable_source_caching: bool = False
-    source_cache_max_age_ms: float | None = None
     speculative_sources: bool = False
     prefetch_budget_bytes: int = 0
     exchange_lanes: int = 1
@@ -121,7 +114,7 @@ class ExecutionContext:
         if source_cache is not None:
             self.source_cache: SourceCache | None = source_cache
         elif self.config.enable_source_caching:
-            self.source_cache = SourceCache(max_age_ms=self.config.source_cache_max_age_ms)
+            self.source_cache = SourceCache()
         else:
             self.source_cache = None
         self.events = EventQueue()

@@ -10,11 +10,12 @@ interleaved planning-and-execution driver in :mod:`repro.core`.
 Execution is *resumable*: :meth:`QueryExecutor.steps` is a generator that
 yields a :class:`StepEvent` at every batch/fragment boundary and whenever the
 plan is about to block on a source (with the arrival time it is waiting
-for).  The multi-query server drives many executors cooperatively through
-this generator, overlapping one session's network stalls with another's CPU
-on the shared virtual timeline; :meth:`QueryExecutor.execute` simply drains
-the generator, so single-query behaviour — accounting included — is
-byte-for-byte the pre-server loop.
+for).  Its fragment loop is the one loop that drives a plan's root: the
+multi-query server steps many executors cooperatively through it,
+overlapping one session's network stalls with another's CPU on the shared
+virtual timeline, and a hand-built operator tree — a server session's or the
+figure harness's — runs as a one-fragment plan.
+:meth:`QueryExecutor.execute` simply drains the generator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator
 from repro.engine.builder import build_operator
 from repro.engine.context import ExecutionContext
 from repro.engine.event_handler import EventHandler
-from repro.engine.iterators import DEFAULT_BATCH_SIZE
+from repro.engine.iterators import DEFAULT_BATCH_SIZE, wait_hint
 from repro.engine.operators.materialize import Materialize
 from repro.engine.stats import FragmentStats, QueryRuntimeStats, TupleTimeline
 from repro.errors import ExecutionError, SourceTimeoutError, SourceUnavailableError
@@ -35,23 +36,6 @@ from repro.plan.fragments import Fragment, FragmentStatus, QueryPlan
 from repro.plan.physical import OperatorType
 from repro.plan.rules import Action, ActionType, Event, EventType
 from repro.storage.relation import Relation
-
-
-def wait_hint(root, clock) -> float | None:
-    """Arrival time ``root``'s next pull will block for; ``None`` if ready.
-
-    Shared by the executor's fragment steps and the server session's
-    operator-tree drive so both yield identical wait events to the
-    scheduler.  Side-effect free (pure ``peek_arrival``); an infinite
-    arrival (dead source) is not a schedulable event — the pull itself
-    surfaces the timeout.
-    """
-    arrival = root.peek_arrival()
-    if arrival is None:
-        return None
-    if arrival > clock.now and arrival != float("inf"):
-        return arrival
-    return None
 
 
 class ExecutionStatus(str, Enum):

@@ -239,3 +239,20 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.operator_id!r}, state={self.state!r})"
+
+
+def wait_hint(root: Operator, clock) -> float | None:
+    """Arrival time ``root``'s next pull will block for; ``None`` if ready.
+
+    The one "is this pull going to block?" probe, shared by the executor's
+    fragment steps and the exchange's lane steps so both yield identical
+    wait events to their schedulers.  Side-effect free (pure
+    ``peek_arrival``); an infinite arrival (dead source) is not a schedulable
+    event — the pull itself surfaces the timeout.
+    """
+    arrival = root.peek_arrival()
+    if arrival is None:
+        return None
+    if arrival > clock.now and arrival != float("inf"):
+        return arrival
+    return None

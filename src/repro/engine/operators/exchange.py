@@ -55,7 +55,7 @@ from collections import deque
 from typing import Callable, Iterator, Sequence
 
 from repro.engine.context import ExecutionContext
-from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
+from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator, wait_hint
 from repro.errors import ExecutionError
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch
@@ -68,20 +68,6 @@ from repro.storage.tuples import KeyBinder
 #: an operator that materializes or transforms the row, but not free; it is
 #: charged on the *producer's* clock, where the routing work happens.
 ROUTE_CPU_FACTOR = 0.25
-
-
-def _wait_hint(root: Operator, clock) -> float | None:
-    """Arrival time ``root``'s next pull would block for; ``None`` if ready.
-
-    Local twin of :func:`repro.engine.executor.wait_hint` (importing the
-    executor here would be circular: executor -> builder -> exchange).
-    """
-    arrival = root.peek_arrival()
-    if arrival is None:
-        return None
-    if arrival > clock.now and arrival != float("inf"):
-        return arrival
-    return None
 
 
 def _leave_timeline(clock) -> None:
@@ -372,7 +358,8 @@ class Exchange(Operator):
     def _lane_steps(self, lane: _Lane) -> Iterator[float]:
         """Session-style step generator: one yield per wait or output batch.
 
-        Mirrors the server session's operator-tree drive: start with a small
+        Mirrors the executor's fragment loop (:meth:`QueryExecutor.steps
+        <repro.engine.executor.QueryExecutor.steps>`): start with a small
         batch (time-to-first-tuple), grow geometrically, and surface a wait
         event (yielding the arrival time) before any pull that would block —
         that is what the earliest-event-first merge loop schedules on.
@@ -381,7 +368,7 @@ class Exchange(Operator):
         clock = lane.context.clock
         size = 1
         while True:
-            wait_until = _wait_hint(root, clock)
+            wait_until = wait_hint(root, clock)
             if wait_until is not None:
                 yield wait_until
             batch = root.next_batch(size)

@@ -112,26 +112,20 @@ class HybridHashJoin(JoinOperator):
                     self._raise_out_of_memory()
                     if table.flush_largest_bucket() is None:
                         # Nothing resident to flush: the refused row gets one
-                        # plain per-row attempt (a spill when its bucket is
-                        # flushed, else one more insert) and the build moves
-                        # on.
+                        # plain per-row insert; if the budget still refuses
+                        # (the dictionaries hold it), its empty bucket is
+                        # flushed and the row spills, so no build row is lost.
                         key = keys[position]
                         index = bucket_of(key, table.bucket_count)
-                        if table.buckets[index].flushed:
+                        bucket = table.buckets[index]
+                        arrival = batch.arrivals[position]
+                        if not bucket.flushed and not table.insert_position(
+                            index, key, batch.columns, position, arrival
+                        ):
+                            table.flush_bucket(index)
+                        if bucket.flushed:
                             table.spill_position(
-                                index,
-                                batch.columns,
-                                position,
-                                batch.arrivals[position],
-                                marked=False,
-                            )
-                        else:
-                            table.insert_position(
-                                index,
-                                key,
-                                batch.columns,
-                                position,
-                                batch.arrivals[position],
+                                index, batch.columns, position, arrival, marked=False
                             )
                         position += 1
         self._charge_disk_time()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.engine.context import ExecutionContext
+from repro.engine.context import MATERIALIZATION_COST_MS, ExecutionContext
 from repro.engine.iterators import Operator
 from repro.storage.batch import Batch
 from repro.storage.relation import Relation
@@ -67,7 +67,7 @@ class Materialize(Operator):
             # per-row materialization IO hides inside the waits between
             # arrivals.
             clock.consume_io_overlapped(
-                len(batch) * self.context.config.materialization_cost_ms_per_tuple,
+                len(batch) * MATERIALIZATION_COST_MS,
                 max(0.0, clock.stats.wait_ms - wait_before),
             )
         return batch

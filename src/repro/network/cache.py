@@ -32,7 +32,7 @@ just the tail.
 
 The cache is consistency-agnostic by design (autonomous sources give no
 invalidation signal); entries carry the virtual time at which they were
-filled and can be expired by age or dropped explicitly.
+filled and are dropped explicitly (or evicted, oldest first).
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -354,17 +354,13 @@ class SourceCache:
 
     Parameters
     ----------
-    max_age_ms:
-        Entries older than this (in virtual time) are treated as stale and
-        refetched; ``None`` disables expiry.
     max_entries:
         Upper bound on cached sources; the oldest entry is evicted first.
     """
 
-    def __init__(self, max_age_ms: float | None = None, max_entries: int = 64) -> None:
+    def __init__(self, max_entries: int = 64) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_age_ms = max_age_ms
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: dict[str, CacheEntry] = {}
@@ -376,7 +372,7 @@ class SourceCache:
     def lookup(
         self, source_name: str, now_ms: float, session: str | None = None
     ) -> CacheEntry | None:
-        """Return a fresh entry for ``source_name`` or record a miss.
+        """Return the entry for ``source_name`` or record a miss.
 
         When the lookup names a ``session`` (server mode, where all clocks
         share one timeline), an entry filled at a virtual time beyond
@@ -395,10 +391,6 @@ class SourceCache:
             self.stats.misses += 1
             self.stats.not_yet_visible += 1
             return None
-        if self.max_age_ms is not None and now_ms - entry.filled_at_ms > self.max_age_ms:
-            self.stats.misses += 1
-            self.invalidate(source_name)
-            return None
         self.stats.hits += 1
         counters = self.source_counters(source_name)
         counters.hits += 1
@@ -412,7 +404,7 @@ class SourceCache:
     ) -> CacheEntry | None:
         """Visibility check with :meth:`lookup` semantics but *no* effects.
 
-        No counters move and stale entries are not invalidated, so operators
+        No counters move, so operators
         (and the prefetcher's decision hook, which must stay effect-free for
         the ``step-effect`` analyzer rule) may probe on every call.
         """
@@ -420,8 +412,6 @@ class SourceCache:
         if entry is None:
             return None
         if session is not None and entry.filled_at_ms > now_ms:
-            return None
-        if self.max_age_ms is not None and now_ms - entry.filled_at_ms > self.max_age_ms:
             return None
         return entry
 

@@ -61,6 +61,14 @@ class Fragment:
     def __post_init__(self) -> None:
         if not self.result_name:
             raise PlanError(f"fragment {self.fragment_id!r} needs a result name")
+        if self.root.operator_type == OperatorType.MATERIALIZE:
+            # The root stores the result itself, under its own name.
+            own = self.root.params.get("result_name")
+            if own != self.result_name:
+                raise PlanError(
+                    f"fragment {self.fragment_id!r} materializes {own!r}, "
+                    f"not its result {self.result_name!r}"
+                )
 
     @property
     def is_final(self) -> bool:

@@ -25,8 +25,8 @@ from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.stats import ServerStats, SourceLayerSummary
 from repro.network.cache import SourceCache
-from repro.plan.fragments import QueryPlan
-from repro.plan.physical import OperatorSpec
+from repro.plan.fragments import Fragment, QueryPlan
+from repro.plan.physical import OperatorSpec, OperatorType
 from repro.server.broker import MemoryBroker
 from repro.server.clock import ServerClock
 from repro.server.session import QuerySession
@@ -47,7 +47,7 @@ class QueryServer:
         disables cross-query memory pressure.
     source_cache:
         The cross-session source cache; created automatically (completion-
-        based admission, no expiry) when omitted.
+        based admission) when omitted.
     """
 
     def __init__(
@@ -105,7 +105,7 @@ class QueryServer:
 
     def submit(
         self,
-        root_spec: OperatorSpec,
+        tree: OperatorSpec,
         name: str | None = None,
         *,
         result_name: str | None = None,
@@ -114,25 +114,23 @@ class QueryServer:
     ) -> QuerySession:
         """Admit a session over a hand-built operator tree.
 
-        ``arrival_ms`` staggers admission on the shared timeline (a user who
-        shows up later); it is clamped to the server's causal frontier, so a
-        session can never start in the past.  A malformed tree raises
+        The tree runs as a one-fragment plan whose fragment id is the session
+        id; its result is ``result_name`` (default ``"<session>_result"``), or
+        the root's own name when the root is a materialize — an explicit
+        ``result_name`` that disagrees with it raises
+        :class:`~repro.errors.PlanError`.  ``arrival_ms`` staggers admission
+        on the shared timeline (a user who shows up later); it is clamped to
+        the server's causal frontier, so a session can never start in the
+        past.  A malformed tree raises
         :class:`~repro.errors.PlanValidationError` before any session exists.
         """
-        plan_check.check_tree(root_spec, self.catalog)
+        plan_check.check_tree(tree, self.catalog)
         session_id = self._next_session_id(name)
-        context = self._session_context(session_id, arrival_ms, engine_config)
-        session = QuerySession(
-            session_id,
-            context,
-            admission_index=self._counter,
-            root_spec=root_spec,
-            result_name=result_name,
-        )
-        self.sessions[session_id] = session
-        if self.prefetcher is not None:
-            self.prefetcher.observe_spec(root_spec)
-        return session
+        if tree.operator_type == OperatorType.MATERIALIZE:
+            result_name = result_name or tree.params.get("result_name")
+        fragment = Fragment(session_id, tree, result_name or f"{session_id}_result")
+        plan = QueryPlan(session_id, [fragment])
+        return self._admit(session_id, plan, arrival_ms, engine_config)
 
     def submit_plan(
         self,
@@ -158,13 +156,18 @@ class QueryServer:
         # broker floor — a sub-floor allotment could never be granted.
         plan_check.check_plan(plan, self.catalog)
         session_id = self._next_session_id(name)
+        return self._admit(session_id, plan, arrival_ms, engine_config)
+
+    def _admit(
+        self,
+        session_id: str,
+        plan: QueryPlan,
+        arrival_ms: float | None,
+        engine_config: EngineConfig | None,
+    ) -> QuerySession:
+        """Register a session running ``plan`` (both admission paths end here)."""
         context = self._session_context(session_id, arrival_ms, engine_config)
-        session = QuerySession(
-            session_id,
-            context,
-            admission_index=self._counter,
-            plan=plan,
-        )
+        session = QuerySession(session_id, context, self._counter, plan)
         self.sessions[session_id] = session
         if self.prefetcher is not None:
             self.prefetcher.observe_plan(plan)

@@ -2,27 +2,23 @@
 
 A :class:`QuerySession` owns one :class:`~repro.engine.context.ExecutionContext`
 (session clock on the shared timeline, broker-backed memory pool, the
-server's shared source cache) and a *step generator* — either the executor's
-resumable :meth:`~repro.engine.executor.QueryExecutor.steps` over a full
-:class:`~repro.plan.fragments.QueryPlan`, or a batch loop over a hand-built
-operator tree (the benchmark path).  The generator yields a
-:class:`~repro.engine.executor.StepEvent` at every batch/fragment boundary
-and before blocking on a source, which is where the cooperative scheduler
-takes over and may run another session instead.
+server's shared source cache) and one
+:class:`~repro.plan.fragments.QueryPlan` — a hand-built operator tree is
+admitted as a one-fragment plan — stepped through the executor's fragment
+loop, :meth:`~repro.engine.executor.QueryExecutor.steps`.  The generator
+yields a :class:`~repro.engine.executor.StepEvent` at every batch/fragment
+boundary and before blocking on a source, which is where the cooperative
+scheduler takes over and may run another session instead.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from repro.engine.builder import build_operator
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import ExecutionOutcome, QueryExecutor, StepEvent, wait_hint
-from repro.engine.iterators import DEFAULT_BATCH_SIZE
-from repro.engine.operators.materialize import Materialize
+from repro.engine.executor import ExecutionOutcome, QueryExecutor, StepEvent
 from repro.engine.stats import SessionSummary, TupleTimeline
 from repro.plan.fragments import QueryPlan
-from repro.plan.physical import OperatorSpec, OperatorType
 from repro.storage.relation import Relation
 
 
@@ -48,13 +44,8 @@ class QuerySession:
         session_id: str,
         context: ExecutionContext,
         admission_index: int,
-        *,
-        plan: QueryPlan | None = None,
-        root_spec: OperatorSpec | None = None,
-        result_name: str | None = None,
+        plan: QueryPlan,
     ) -> None:
-        if (plan is None) == (root_spec is None):
-            raise ValueError("a session takes exactly one of plan= or root_spec=")
         self.session_id = session_id
         self.context = context
         self.admission_index = admission_index
@@ -71,15 +62,8 @@ class QuerySession:
         self.timeline = TupleTimeline()
         self.outcome: ExecutionOutcome | None = None
         self.error: str | None = None
-        self.executor: QueryExecutor | None = None
-        if plan is not None:
-            self.executor = QueryExecutor(context)
-            self._plan = plan
-            self._gen = self.executor.steps(plan)
-        else:
-            self._plan = None
-            self._result_name = result_name or f"{session_id}_result"
-            self._gen = self._tree_steps(root_spec)
+        self.executor = QueryExecutor(context)
+        self._gen = self.executor.steps(plan)
 
     # -- scheduler interface ------------------------------------------------------------
 
@@ -120,29 +104,21 @@ class QuerySession:
     # -- completion ---------------------------------------------------------------------
 
     def _complete(self) -> None:
-        if self.executor is not None:
-            self.outcome = self.executor.outcome
-            if self.outcome is not None:
-                if self.outcome.answer is not None:
-                    self.result = self.outcome.answer
-                    self.result_cardinality = self.outcome.answer.cardinality
-                self.timeline = self.outcome.stats.output_timeline
-                if self.outcome.completed:
-                    self._finish(SessionStatus.COMPLETED)
-                else:
-                    # Replan/reschedule requests surface as failures at the
-                    # session level: the server has no replanning driver, so
-                    # a plan that stopped for one never produced its answer
-                    # and must not count as a completed session.  The full
-                    # ExecutionOutcome stays on ``self.outcome`` for callers
-                    # that want to replan and resubmit.
-                    self.error = (
-                        self.outcome.error
-                        or f"execution ended with {self.outcome.status.value}"
-                    )
-                    self._finish(SessionStatus.FAILED)
-                return
-        self._finish(SessionStatus.COMPLETED)
+        self.outcome = outcome = self.executor.outcome
+        if outcome.answer is not None:
+            self.result = outcome.answer
+            self.result_cardinality = outcome.answer.cardinality
+        self.timeline = outcome.stats.output_timeline
+        if outcome.completed:
+            self._finish(SessionStatus.COMPLETED)
+            return
+        # Replan/reschedule requests surface as failures at the session
+        # level: the server has no replanning driver, so a plan that stopped
+        # for one never produced its answer and must not count as a
+        # completed session.  The full ExecutionOutcome stays on
+        # ``self.outcome`` for callers that want to replan and resubmit.
+        self.error = outcome.error or f"execution ended with {outcome.status.value}"
+        self._finish(SessionStatus.FAILED)
 
     def _finish(self, status: SessionStatus) -> None:
         self.status = status
@@ -158,38 +134,6 @@ class QuerySession:
         server = getattr(clock, "server", None)
         if server is not None:
             server.finish(self.session_id)
-
-    # -- the operator-tree drive (benchmark/test path) ----------------------------------
-
-    def _tree_steps(self, spec: OperatorSpec):
-        """Drive one operator tree exactly like the bench harness, but resumable."""
-        context = self.context
-        root = build_operator(spec, context)
-        if spec.operator_type != OperatorType.MATERIALIZE:
-            root = Materialize(
-                f"{self.session_id}-mat", context, root, result_name=self._result_name
-            )
-        root.open()
-        produced = 0
-        timeline = self.timeline
-        try:
-            size = 1
-            while True:
-                wait_until = wait_hint(root, context.clock)
-                if wait_until is not None:
-                    yield StepEvent("wait", context.clock.now, wait_until_ms=wait_until)
-                batch = root.next_batch(size)
-                if not batch:
-                    break
-                produced += len(batch)
-                timeline.record(context.clock.now, produced)
-                size = min(size * 4, DEFAULT_BATCH_SIZE)
-                yield StepEvent("batch", context.clock.now)
-        finally:
-            root.close()
-        self.result = context.local_store.get(self._result_name)
-        self.result_cardinality = produced
-        context.stats.completion_time_ms = context.clock.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, StorageError
@@ -114,6 +115,10 @@ class Relation:
 
     def __getitem__(self, index: int) -> Row:
         return self.rows[index]
+
+    def arrivals(self) -> Iterator[float]:
+        """Every row's arrival stamp, in row order, without boxing a row."""
+        return chain((row.arrival for row in self._rows), *(b.arrivals for b in self._pending))
 
     @property
     def rows(self) -> list[Row]:

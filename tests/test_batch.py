@@ -195,11 +195,12 @@ def test_batch_cursor_slices_and_rows():
 def test_relation_column_block_serves_pending_without_boxing():
     relation = Relation("t", SCHEMA)
     relation.extend_batch(
-        Batch.from_columns(SCHEMA, [[1, 2], ["a", "b"], [10, 20]], [0.0, 0.0])
+        Batch.from_columns(SCHEMA, [[1, 2], ["a", "b"], [10, 20]], [0.5, 1.5])
     )
     relation.extend_batch(
-        Batch.from_columns(SCHEMA, [[3, 4], ["c", "d"], [30, 40]], [0.0, 0.0])
+        Batch.from_columns(SCHEMA, [[3, 4], ["c", "d"], [30, 40]], [1.0, 2.5])
     )
+    assert list(relation.arrivals()) == [0.5, 1.5, 1.0, 2.5]
     columns, count = relation.column_block(1, 2)  # spans both pending batches
     assert count == 2
     assert columns == [[2, 3], ["b", "c"], [20, 30]]
@@ -213,6 +214,9 @@ def test_relation_column_block_serves_pending_without_boxing():
     assert len(relation.rows) == 4
     columns, count = relation.column_block(0, 2)
     assert count == 2 and columns == [[1, 2], ["a", "b"], [10, 20]]
+    # Stamps read in row order across boxed rows and later pending batches.
+    relation.extend_batch(Batch.from_columns(SCHEMA, [[5], ["e"], [50]], [0.25]))
+    assert list(relation.arrivals()) == [0.5, 1.5, 1.0, 2.5, 0.25]
 
 
 def test_relation_column_block_keeps_codes_and_degrades_mixed_dictionaries():

@@ -1,5 +1,7 @@
 """Tests for the shared benchmark harness and reporting helpers."""
 
+import hashlib
+
 import pytest
 
 from repro.bench.harness import build_deployment, run_operator_tree
@@ -27,21 +29,51 @@ class TestDeployment:
         assert deployment.sources["partsupp"].profile.name == "wide-area"
 
 
+#: ``(implementation, memory_limit_bytes) -> (cardinality, completion ms,
+#: first-tuple ms, timeline digest, spilled tuples)`` for ``partsupp ⋈ part``
+#: over the wide-area profile: the double pipelined join with ample memory,
+#: and a hybrid hash join whose build overflows (Fig. 4's shape).  Exact
+#: virtual times: the figure curves must not move when the harness does.
+FIGURE_CURVES = {
+    (JoinImplementation.DOUBLE_PIPELINED, None): (
+        240, 288.4014661186467, 155.06391035447095, "60b209eeb08c5539", 0
+    ),
+    (JoinImplementation.HYBRID_HASH, 2500): (
+        240, 289.76146611864675, 247.83391946651255, "76c596d5b52901f4", 260
+    ),
+}
+
+
+def timeline_digest(timeline: TupleTimeline) -> str:
+    points = list(zip(timeline.times_ms, timeline.counts))
+    return hashlib.sha256(repr(points).encode()).hexdigest()[:16]
+
+
 class TestRunOperatorTree:
     def test_runs_join_and_reports_timeline(self, deployment):
-        spec = join(
-            wrapper_scan("partsupp"),
-            wrapper_scan("part"),
-            ["partsupp.ps_partkey"],
-            ["part.p_partkey"],
-            implementation=JoinImplementation.DOUBLE_PIPELINED,
-        )
-        result = run_operator_tree(spec, deployment.catalog, result_name="t")
-        assert result.cardinality == deployment.database["partsupp"].cardinality
-        assert result.time_to_first_tuple_ms is not None
-        assert result.completion_time_ms >= result.time_to_first_tuple_ms
-        assert result.timeline.total == result.cardinality
-        assert result.relation.cardinality == result.cardinality
+        deployment.set_all_profiles(wide_area())
+        for (implementation, memory), curve in FIGURE_CURVES.items():
+            spec = join(
+                wrapper_scan("partsupp"),
+                wrapper_scan("part"),
+                ["partsupp.ps_partkey"],
+                ["part.p_partkey"],
+                implementation=implementation,
+                memory_limit_bytes=memory,
+            )
+            result = run_operator_tree(spec, deployment.catalog, result_name="t")
+            assert result.cardinality == deployment.database["partsupp"].cardinality
+            assert result.time_to_first_tuple_ms is not None
+            assert result.completion_time_ms >= result.time_to_first_tuple_ms
+            assert result.timeline.total == result.cardinality
+            assert result.relation.cardinality == result.cardinality
+            assert (
+                result.cardinality,
+                result.completion_time_ms,
+                result.time_to_first_tuple_ms,
+                timeline_digest(result.timeline),
+                result.context.disk.stats.tuples_written,
+            ) == curve, implementation
 
 
 class TestReporting:

@@ -35,14 +35,6 @@ class TestSourceCache:
         assert cache.stats.fills == 1
         assert "src" in cache
 
-    def test_expiry_by_age(self):
-        cache = SourceCache(max_age_ms=100.0)
-        cache.fill("src", SCHEMA, rows(), now_ms=0.0)
-        assert cache.lookup("src", now_ms=50.0) is not None
-        assert cache.lookup("src", now_ms=500.0) is None
-        assert "src" not in cache
-        assert cache.stats.invalidations == 1
-
     def test_eviction_keeps_newest(self):
         cache = SourceCache(max_entries=2)
         cache.fill("a", SCHEMA, rows(), now_ms=1.0)

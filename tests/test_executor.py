@@ -3,11 +3,14 @@
 import gc
 import weakref
 
+import pytest
+
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.executor import ExecutionStatus, QueryExecutor
+from repro.errors import PlanError
 from repro.network.profiles import dead, lan
 from repro.plan.fragments import Fragment, FragmentStatus, QueryPlan
-from repro.plan.physical import OverflowMethod, join, table_scan, wrapper_scan
+from repro.plan.physical import OverflowMethod, join, materialize, table_scan, wrapper_scan
 from repro.plan.rules import (
     Compare,
     EventType,
@@ -81,6 +84,19 @@ class TestBasicExecution:
         assert outcome.completed_fragments == ["f1"]
         assert outcome.observed_cardinalities == {"res1": 3}
         assert plan.fragments[0].status == FragmentStatus.COMPLETED
+
+    def test_materialize_root_result_is_the_answer(self, joinable_catalog, context):
+        """A materialize root stores the result under its own name, so a
+        fragment naming another result is refused before it can report the
+        cardinality of a relation that never exists."""
+        with pytest.raises(PlanError, match="materializes 'mine'"):
+            Fragment("f1", materialize(wrapper_scan("ord"), "mine"), "answer")
+        fragment = Fragment("f1", materialize(wrapper_scan("ord"), "answer"), "answer")
+        outcome = QueryExecutor(context).execute(QueryPlan("q", [fragment]))
+        assert outcome.status == ExecutionStatus.COMPLETED
+        cardinality = joinable_catalog.source("ord").cardinality
+        assert outcome.answer is not None and outcome.answer.cardinality == cardinality
+        assert outcome.observed_cardinalities == {"answer": cardinality}
 
     def test_output_timeline_recorded_for_final_fragment(self, context):
         plan = QueryPlan(query_name="q", fragments=[join_fragment()])

@@ -79,6 +79,27 @@ class TestHybridHashJoin:
         assert context.disk.stats.tuples_written > 0
         assert context.stats.operator("hh").overflow_events > 0
 
+    def test_no_build_row_lost_when_dictionaries_fill_the_budget(self):
+        """With every resident bucket flushed, the string dictionaries alone
+        can hold the budget: a refused row whose bucket is still empty must
+        spill (its bucket flushed), not be dropped."""
+        orders = make_relation("ord", ["o_id:int", "o_cust:str"], [(i, f"c{i}") for i in range(30)])
+        items = make_relation(
+            "item", ["i_order:int", "i_sku:str"], [(i, f"sku-{i:04d}") for i in range(30)]
+        )
+        catalog = DataSourceCatalog()
+        catalog.register_source(DataSource("ord", orders, lan()))
+        catalog.register_source(DataSource("item", items, lan()))
+        context = ExecutionContext(catalog)
+        left, right = scans(context)
+        join = HybridHashJoin(
+            "hh", context, left, right, ["ord.o_id"], ["item.i_order"],
+            memory_limit_bytes=400, bucket_count=64,
+        )
+        join.open()
+        rows = list(iterate(join))
+        assert multiset(rows) == multiset(expected_join(catalog))
+
     def test_first_output_waits_for_inner(self, tpcd_catalog):
         """The hybrid hash join cannot emit anything before the build side finishes."""
         context = ExecutionContext(tpcd_catalog)

@@ -18,13 +18,16 @@ Covers the invariants the query-server subsystem promises:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig
+from repro.errors import PlanError
 from repro.network.cache import CACHE_SERVE_CPU_MS, SourceCache
 from repro.network.profiles import NetworkProfile
 from repro.network.source import DataSource
 from repro.plan.fragments import Fragment, QueryPlan
-from repro.plan.physical import join, wrapper_scan
+from repro.plan.physical import join, materialize, wrapper_scan
 from repro.server import MemoryBroker, QueryServer, ServerClock, SessionStatus
 from repro.storage.memory import MemoryPool
 
@@ -450,6 +453,21 @@ class TestPlanSessions:
         assert multiset(first.result) == multiset(second.result)
         # Both scans of the second plan were served from the shared cache.
         assert second.summary.wait_ms == 0.0
+
+
+class TestTreeSessions:
+    def test_materialize_root_keeps_its_result(self):
+        """A submitted tree is a one-fragment plan named after a materialize
+        root's own result; an explicit name that disagrees is refused."""
+        server = QueryServer(fresh_catalog(rows=20))
+        session = server.submit(materialize(scan_spec("l", "a"), "mine"), "a")
+        server.run()
+        assert session.status == SessionStatus.COMPLETED
+        assert session.result is not None and session.result.name == "mine"
+        assert session.result_cardinality == 20
+        with pytest.raises(PlanError):
+            server.submit(materialize(scan_spec("l", "b"), "mine"), "b", result_name="other")
+        assert "b" not in server.sessions
 
 
 class TestReviewRegressions:

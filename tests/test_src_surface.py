@@ -11,6 +11,8 @@ reason of kind ``paper`` (an entry point the paper describes) or
 ``invariant`` (a probe through which the tests assert an engine invariant).
 Anything else fails, named; so does a ``KEPT`` entry whose definition is
 gone or no longer needs it.  Test-only behaviour belongs in ``tests/``.
+A second scan fails on a ``.next_batch(`` call outside :data:`PULLERS`: a
+second loop driving an operator tree.
 
 The scan matches bare names, so it under-reports: one use of a name anywhere
 in ``src`` covers every definition of that name.  ``list.insert`` once hid
@@ -139,3 +141,30 @@ def test_no_kept_entry_is_stale(scan):
 
 def test_kept_reasons_are_paper_or_invariant():
     assert {kind for kind, _ in KEPT.values()} <= {"paper", "invariant"}
+
+
+#: Where ``src/`` may pull an operator: inside operators (the exchange's
+#: lane steps among them), in the ``Operator`` base class, and in the
+#: executor's fragment loop — the one loop that drives a plan's root, which
+#: server sessions and the figure harness reach with a one-fragment plan.
+PULLERS = ("engine/operators/", "engine/iterators.py", "engine/executor.py")
+
+
+def test_one_drive_loop():
+    package = SRC / "repro"
+    drivers = set()
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        if where.startswith(PULLERS):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "next_batch"
+            ):
+                drivers.add(where)
+    assert not drivers, (
+        "a second drive loop pulls batches outside the executor; hand it a "
+        "one-fragment QueryPlan instead: " + ", ".join(sorted(drivers))
+    )
