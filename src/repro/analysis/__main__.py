@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.analysis [paths...]``.
 
 Lints the given files/directories (default: the ``repro`` package itself)
-with every registered rule and prints findings as ``path:line rule-id
+with the ``lease-lifecycle`` rule and prints findings as ``path:line rule-id
 message``, one per line, sorted.  ``--format json`` emits a
 machine-readable report; ``--format github`` emits workflow-annotation
 lines so CI findings annotate the PR diff.  ``--output FILE`` writes the
@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.linter import LintReport, run_lint
-from repro.analysis.rules import ALL_RULES, rule_by_id
 
 
 def _default_target() -> Path:
@@ -49,40 +48,17 @@ def report_document(report: LintReport) -> dict:
     }
 
 
-def _parse_rules(spec: str) -> tuple:
-    return tuple(
-        rule_by_id(rule_id.strip()) for rule_id in spec.split(",") if rule_id.strip()
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Flow-aware lint pass enforcing the engine's invariants "
-        "(clock taint, lease lifecycle, scheduler effects, encoding, "
-        "exception discipline).",
+        description="Lint pass enforcing the engine's lease lifecycle: every "
+        "grant reaches a release on every path, exceptions included.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         type=Path,
         help="files or directories to lint (default: the installed repro package)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print every registered rule id and its invariant, then exit",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULE-ID[,RULE-ID...]",
-        help="run only the named rules (comma separated)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="RULE-ID[,RULE-ID...]",
-        help="run every rule except the named ones (the relaxed-ruleset knob; "
-        "composes with --select)",
     )
     parser.add_argument(
         "--format",
@@ -104,32 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     options = parser.parse_args(argv)
 
-    if options.list_rules:
-        for rule in ALL_RULES:
-            print(f"{rule.rule_id}: {rule.summary}")
-        return 0
-
-    rules = ALL_RULES
-    if options.select:
-        try:
-            rules = _parse_rules(options.select)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if not rules:
-            print("error: --select named no rules", file=sys.stderr)
-            return 2
-    if options.ignore:
-        try:
-            ignored = {rule.rule_id for rule in _parse_rules(options.ignore)}
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        rules = tuple(rule for rule in rules if rule.rule_id not in ignored)
-        if not rules:
-            print("error: --ignore removed every rule", file=sys.stderr)
-            return 2
-
     paths = options.paths or [_default_target()]
     missing = [path for path in paths if not path.exists()]
     if missing:
@@ -137,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
         return 2
 
-    report = run_lint(paths, rules=rules)
+    report = run_lint(paths)
     document = report_document(report)
     if options.output is not None:
         options.output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

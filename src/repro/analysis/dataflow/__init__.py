@@ -1,50 +1,3 @@
-"""Shared dataflow core for the flow-aware lint rules.
-
-- :mod:`repro.analysis.dataflow.cfg` — per-function control-flow graphs
-  with exception, ``finally``, and ``with`` edges;
-- :mod:`repro.analysis.dataflow.callgraph` — project-wide function index
-  and name-resolved call graph over the import structure;
-- :mod:`repro.analysis.dataflow.effects` — direct side-effect extraction
-  and bottom-up transitive summaries;
-- :mod:`repro.analysis.dataflow.taint` — forward taint propagation with
-  interprocedural summaries;
-- :mod:`repro.analysis.dataflow.project` — the lazily-built, cached
-  whole-project view rules consume.
-"""
-
-from repro.analysis.dataflow.callgraph import (
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-    collect_call_sites,
-    collect_module_facts,
-    module_name_for,
-)
-from repro.analysis.dataflow.cfg import CFG, Node, build_cfg
-from repro.analysis.dataflow.effects import (
-    Effect,
-    classify_effect_call,
-    direct_effects,
-    propagate_summaries,
-)
-from repro.analysis.dataflow.project import AnalysisProject
-from repro.analysis.dataflow.taint import TaintAnalysis, TaintResult
-
-__all__ = [
-    "AnalysisProject",
-    "CFG",
-    "CallGraph",
-    "CallSite",
-    "Effect",
-    "FunctionInfo",
-    "Node",
-    "TaintAnalysis",
-    "TaintResult",
-    "build_cfg",
-    "classify_effect_call",
-    "collect_call_sites",
-    "collect_module_facts",
-    "direct_effects",
-    "module_name_for",
-    "propagate_summaries",
-]
+"""Flow-analysis support for the lint rules: :mod:`repro.analysis.dataflow.cfg`
+builds per-function control-flow graphs with exception, ``finally`` and
+``with`` edges."""

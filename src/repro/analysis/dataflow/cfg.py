@@ -1,9 +1,9 @@
 """Statement-level control-flow graphs for one function body.
 
-The flow-aware rules (``lease-lifecycle`` in particular) need to reason
-about *paths*: does every path out of a function — including the path
-taken when a call raises mid-way — pass through a matching release?  The
-CFG built here is deliberately small and conservative:
+The ``lease-lifecycle`` rule needs to reason about *paths*: does every
+path out of a function — including the path taken when a call raises
+mid-way — pass through a matching release?  The CFG built here is
+deliberately small and conservative:
 
 - one node per simple statement (compound statements contribute a *header*
   node plus nodes for their bodies);

@@ -7,12 +7,7 @@ line (or the line directly above it) allows the rule:
 
 .. code-block:: python
 
-    budget.reserve(nbytes)  # repro: allow[memory-pairing] released by the pool owner
-
-A module can also declare a *role* that changes how rules classify it —
-``# repro: module-role[hot-path]`` marks a file as hot-path code even though
-its path is not one of the known hot-path modules (used by the rule fixtures,
-and available to future modules that join an invariant's scope).
+    handle = pool.grant(name, nbytes)  # repro: allow[lease-lifecycle] released by the owner
 """
 
 from __future__ import annotations
@@ -25,9 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 #: ``# repro: allow[rule-id, ...]`` — suppress findings on this or the next line.
 PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\-\* ]+)\]")
-
-#: ``# repro: module-role[role, ...]`` — declare the module's invariant scope.
-ROLE_RE = re.compile(r"#\s*repro:\s*module-role\[([A-Za-z0-9_,\- ]+)\]")
 
 
 @dataclass(frozen=True, order=True)
@@ -44,41 +36,26 @@ class Finding:
 
 
 class ModuleSource:
-    """One parsed module plus its pragma and role annotations."""
+    """One parsed module plus its pragma annotations."""
 
     def __init__(self, path: Path | str, text: str | None = None) -> None:
         self.path = Path(path)
-        #: POSIX form used for suffix classification (hot-path, clock authority).
+        #: POSIX form used for suffix classification.
         self.posix = self.path.as_posix()
         if text is None:
             text = self.path.read_text(encoding="utf-8")
-        self.text = text
-        self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=str(self.path))
         self._allow: dict[int, set[str]] = {}
-        self.roles: set[str] = set()
-        for lineno, line in enumerate(self.lines, start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             match = PRAGMA_RE.search(line)
             if match:
                 self._allow[lineno] = {
                     part.strip() for part in match.group(1).split(",") if part.strip()
                 }
-            match = ROLE_RE.search(line)
-            if match:
-                self.roles.update(
-                    part.strip() for part in match.group(1).split(",") if part.strip()
-                )
-
-    def has_role(self, role: str) -> bool:
-        return role in self.roles
 
     def matches(self, *suffixes: str) -> bool:
         """True when the module path ends with any of ``suffixes``."""
         return any(self.posix.endswith(suffix) for suffix in suffixes)
-
-    def in_directory(self, *fragments: str) -> bool:
-        """True when any path component equals one of ``fragments``."""
-        return any(fragment in self.path.parts for fragment in fragments)
 
     def allowed(self, rule_id: str, line: int) -> bool:
         """Whether a pragma on ``line`` or the line above allows ``rule_id``."""
@@ -93,38 +70,17 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set :attr:`rule_id` (the name used in findings and pragmas)
-    and :attr:`summary` (the invariant the rule guards, shown by
-    ``--list-rules``), and implement :meth:`check` to yield
-    ``(line, message)`` pairs for one module.
+    and implement :meth:`check` to yield ``(line, message)`` pairs for one
+    module.
     """
 
     rule_id: str = ""
-    summary: str = ""
 
     def check(self, module: ModuleSource) -> Iterator[tuple[int, str]]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Rule {self.rule_id}>"
-
-
-class ProjectRule(Rule):
-    """Base class for flow-aware rules that need the whole project.
-
-    Instead of :meth:`check` (which project rules leave empty), subclasses
-    implement :meth:`check_project` against an
-    :class:`~repro.analysis.dataflow.project.AnalysisProject` — the shared
-    call graph / effect summary / taint view over *every* module in the
-    run — and yield ``(module, line, message)`` triples.  Findings still
-    flow through the same pragma machinery: an ``# repro: allow[rule-id]``
-    on (or above) the reported line suppresses the finding.
-    """
-
-    def check(self, module: ModuleSource) -> Iterator[tuple[int, str]]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[tuple[ModuleSource, int, str]]:
-        raise NotImplementedError
 
 
 @dataclass
@@ -179,10 +135,7 @@ def run_lint(
 
         rules = ALL_RULES
     rules = list(rules)
-    local_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     report = LintReport()
-    modules: list[ModuleSource] = []
     for path in iter_python_files(paths):
         try:
             module = ModuleSource(path)
@@ -190,22 +143,8 @@ def run_lint(
             report.parse_errors.append((str(path), str(exc)))
             continue
         report.files_checked += 1
-        modules.append(module)
-        findings, suppressed = lint_module(module, local_rules)
+        findings, suppressed = lint_module(module, rules)
         report.findings.extend(findings)
         report.suppressed += suppressed
-    if project_rules and modules:
-        # Imported lazily so syntactic-only runs never load the dataflow core.
-        from repro.analysis.dataflow.project import AnalysisProject
-
-        project = AnalysisProject(modules)
-        for rule in project_rules:
-            for module, line, message in rule.check_project(project):
-                if module.allowed(rule.rule_id, line):
-                    report.suppressed += 1
-                    continue
-                report.findings.append(
-                    Finding(str(module.path), line, rule.rule_id, message)
-                )
     report.findings.sort()
     return report

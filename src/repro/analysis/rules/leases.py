@@ -56,7 +56,15 @@ from repro.analysis.dataflow.cfg import (
     may_raise,
 )
 from repro.analysis.linter import ModuleSource, Rule
-from repro.analysis.rules.memory import MEMORY_AUTHORITY_SUFFIXES, _receiver_tail
+
+#: Modules that implement the accounting protocol itself.  Their classes
+#: delegate between the acquire/release primitives they define (for example
+#: ``MemoryBudget.reserve`` calling ``self.try_reserve``), which check 3
+#: would misread as client code.
+MEMORY_AUTHORITY_SUFFIXES = (
+    "repro/storage/memory.py",
+    "repro/server/broker.py",
+)
 
 ACQUIRE_METHODS = frozenset({"reserve", "try_reserve", "force_reserve"})
 RELEASE_METHODS = frozenset({"release", "close", "revoke", "release_lease", "revoke_to"})
@@ -66,6 +74,18 @@ LEASE_METHODS = frozenset({"lease"})
 #: Calls that return a lease to its pool/broker (check 2's protected set).
 LEASE_RETURN_METHODS = frozenset({"revoke", "release_lease"})
 _LEASE_RETURN_RECEIVERS = ("pool", "broker")
+
+
+def _receiver_tail(func: ast.expr) -> str | None:
+    """Trailing identifier of a method call's receiver (``self.budget`` -> ``budget``)."""
+    if not isinstance(func, ast.Attribute):
+        return None
+    value = func.value
+    if isinstance(value, ast.Name):
+        return value.id
+    if isinstance(value, ast.Attribute):
+        return value.attr
+    return None
 
 
 def _is_pool_receiver(tail: str | None) -> bool:
@@ -346,17 +366,14 @@ def _skippable_sibling_return(cfg: CFG) -> tuple[int, str] | None:
 
 
 class LeaseLifecycleRule(Rule):
+    """Every budget reservation / pool grant reaches a matching release on all
+    CFG paths out of the acquiring scope, including exception edges; lease
+    returns in cleanup code are ``finally``-protected."""
+
     rule_id = "lease-lifecycle"
-    summary = (
-        "every budget reservation / pool grant must reach a matching release "
-        "on all CFG paths out of the acquiring scope, including exception "
-        "edges; lease returns in cleanup code must be finally-protected"
-    )
 
     def check(self, module: ModuleSource) -> Iterator[tuple[int, str]]:
-        authority = module.matches(*MEMORY_AUTHORITY_SUFFIXES) or module.has_role(
-            "memory-authority"
-        )
+        authority = module.matches(*MEMORY_AUTHORITY_SUFFIXES)
         for fn in ast.walk(module.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

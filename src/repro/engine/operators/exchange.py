@@ -85,7 +85,7 @@ class ExchangeSource(Operator):
     to this lane is queued before its first pull.  An empty queue is therefore
     this lane's end of stream for that input — or the producer's recorded
     failure — and ``peek_arrival`` is a pure read of the queue head, the
-    effect-free peek contract the scheduler analysis enforces.
+    effect-free peek contract ``tests/invariants.py`` checks.
     """
 
     def __init__(

@@ -32,8 +32,6 @@ cuts, refusals, spill I/O and the virtual clock equal that interleave exactly
 pipeline as its oracle).
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right

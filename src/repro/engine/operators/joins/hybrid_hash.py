@@ -23,8 +23,6 @@ first output tuple, this operator exhibits exactly the delayed
 time-to-first-tuple the paper contrasts with the double pipelined join.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from typing import Iterator

@@ -1,7 +1,5 @@
 """Leaf operators: wrapper scans (remote sources) and table scans (local store)."""
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from repro.engine.context import ExecutionContext

@@ -35,8 +35,6 @@ invalidation signal); entries carry the virtual time at which they were
 filled and are dropped explicitly (or evicted, oldest first).
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 import math
@@ -404,9 +402,8 @@ class SourceCache:
     ) -> CacheEntry | None:
         """Visibility check with :meth:`lookup` semantics but *no* effects.
 
-        No counters move, so operators
-        (and the prefetcher's decision hook, which must stay effect-free for
-        the ``step-effect`` analyzer rule) may probe on every call.
+        No counters move, so operators (and the prefetcher's decision hook,
+        which must stay effect-free) may probe on every call.
         """
         entry = self._entries.get(source_name)
         if entry is None:
@@ -620,7 +617,6 @@ class CachingScanFeed:
         values = self._entry.rows[self._cursor].values
         self._cursor += 1
         self._clock.consume_cpu(self._per_tuple_cpu_ms)
-        # repro: allow[hot-path-row] the per-tuple serve boxes its one tuple (a declared boundary)
         return Row.make(self._entry.schema, values, self._clock.now)
 
     def fetch_columns(

@@ -12,8 +12,6 @@ or mirror another source's contents — everything the paper's collector and
 rescheduling experiments need.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 import random
@@ -364,7 +362,6 @@ class SourceConnection:
         arrival = self._arrivals[self._cursor]
         self._cursor += 1
         source.stats.tuples_sent += 1
-        # repro: allow[hot-path-row] the per-tuple fetch boxes its one tuple (a declared boundary)
         return Row.make(source.exported_schema, values, arrival), arrival
 
     def fetch_span(

@@ -7,8 +7,6 @@ interface used by scan operators: ``open`` / ``next_arrival`` / ``fetch`` /
 ``close``, plus timeout detection relative to the query's virtual clock.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from bisect import bisect_right
@@ -230,7 +228,7 @@ class Wrapper:
             return []
         start, stop, stamped = block
         schema = self.schema
-        make = Row.make  # repro: allow[hot-path-row] fetch_batch returns rows by contract
+        make = Row.make
         stored = self.source.relation.rows[start:stop]
         return [make(schema, row.values, stamp) for row, stamp in zip(stored, stamped)]
 

@@ -128,7 +128,7 @@ class PlanAwarePrefetcher:
         for fragment in plan.fragments:
             self.observe_spec(fragment.root)
 
-    # -- the decision hook (must stay effect-free; see the step-effect rule) ------------
+    # -- the decision hook (must stay effect-free) -------------------------------------
 
     def prefetch_decision(self, now_ms: float) -> str | None:
         """The hottest source worth warming at ``now_ms``, or ``None``.
@@ -139,9 +139,8 @@ class PlanAwarePrefetcher:
         connection slot right now, and the speculative lease has headroom.
 
         This hook is deliberately side-effect free — no counters move, no
-        clock advances, nothing is opened — so the scheduler (and the
-        ``step-effect`` analyzer rule, which walks its call graph) may probe
-        it on every quantum.
+        clock advances, nothing is opened — so the scheduler may probe it on
+        every quantum (``tests/test_speculative.py`` holds it to that).
         """
         if self._wrapper is not None:
             return None

@@ -27,8 +27,6 @@ the probe batch and the build-side store when it hands the row out, in
 caller-sized pieces — its docstring states the output stamp rule.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
@@ -140,7 +138,7 @@ class Batch:
     def rows(self) -> list[Row]:
         """Row objects, boxed afresh on every call (nothing is cached)."""
         schema = self.schema
-        make = Row.make  # repro: allow[hot-path-row] declared tuple-path boundary
+        make = Row.make
         if self.columns:
             return [
                 make(schema, values, arrival)
@@ -149,11 +147,10 @@ class Batch:
         return [make(schema, (), arrival) for arrival in self.arrivals]
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows())  # repro: allow[hot-path-row] row iteration for tests and callers
+        return iter(self.rows())
 
     def __getitem__(self, index: int) -> Row:
         values = tuple(column[index] for column in self.columns)
-        # repro: allow[hot-path-row] single-row accessor is a declared boundary
         return Row.make(self.schema, values, self.arrivals[index])
 
     # -- vectorized derivation --------------------------------------------------

@@ -46,8 +46,6 @@ gather per column without ever materializing
 :class:`~repro.storage.tuples.Row` objects.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from bisect import bisect_right

@@ -33,8 +33,6 @@ page-count model divides the same byte totals by :data:`PAGE_SIZE_BYTES`, so
 compressed spill directly reduces the virtual I/O time the clock observes.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace

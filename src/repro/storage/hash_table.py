@@ -40,8 +40,6 @@ for the two steps that take one row per overflow: the double pipelined join's
 refused-row retry and the hybrid build's nothing-to-flush step.
 """
 
-# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
-
 from __future__ import annotations
 
 from bisect import bisect_left

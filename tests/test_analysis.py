@@ -1,15 +1,13 @@
-"""The engine invariant analyzer: rules, pragmas, fixtures, and the real tree.
+"""The lease-lifecycle analyzer: its rule, pragmas, fixtures, and the real tree.
 
 Three layers of coverage:
 
 * the shipped source tree lints clean (this is the tier-1 gate the CI
   ``analysis`` job also enforces);
-* every registered rule fires on exactly its seeded violation in
-  ``tests/analysis_fixtures/`` and is silenced by the ``# repro:
-  allow[rule-id]`` pragma on the suppressed twin — including the three
-  flow-aware rules whose fixtures seed *interprocedural* violations
-  (taint through a helper, a leak only on the exception edge, an effect
-  two calls below a probe);
+* the rule fires on exactly its seeded violation in
+  ``tests/analysis_fixtures/`` — a leak only on the exception edge, a lane
+  teardown one raise can cut short — and is silenced by the ``# repro:
+  allow[rule-id]`` pragma on the suppressed twin;
 * the ``python -m repro.analysis`` CLI reports findings, formats, and
   exit codes.
 """
@@ -23,23 +21,17 @@ import pytest
 
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.linter import ModuleSource, lint_module, run_lint
-from repro.analysis.rules import ALL_RULES, rule_by_id
+from repro.analysis.rules import ALL_RULES
+from repro.analysis.rules.leases import LeaseLifecycleRule
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 SOURCE_TREE = Path(__file__).parents[1] / "src" / "repro"
 
 #: rule id -> its seeded-violation fixture.  Every registered rule must have
 #: one; the completeness test below enforces that.
-FIXTURE_FOR_RULE = {
-    "clock-taint": "clock_taint_violation.py",
-    "lease-lifecycle": "lease_lifecycle_violation.py",
-    "step-effect": "step_effect_violation.py",
-    "budget-mutation": "budget_mutation_violation.py",
-    "hot-path-row": "hot_path_row_violation.py",
-    "conftest-import": "conftest_import_violation.py",
-    "bare-except": "bare_except_violation.py",
-    "swallowed-except": "swallowed_except_violation.py",
-}
+FIXTURE_FOR_RULE = {"lease-lifecycle": "lease_lifecycle_violation.py"}
+LEASE_FIXTURE = FIXTURES / FIXTURE_FOR_RULE["lease-lifecycle"]
+LEASES = LeaseLifecycleRule()
 
 
 def violation_line(fixture: Path) -> int:
@@ -58,10 +50,11 @@ class TestRealTree:
         assert report.files_checked > 50  # the whole package was actually walked
 
     def test_boundary_pragmas_are_exercised(self):
-        # The hot-path modules box rows only at pragma-declared boundaries;
-        # if this drops to zero the pragmas (or the rules) went dead.
+        # The one pragma: the broker lease in MemoryPool.grant, on a path
+        # that cannot occur.  If it goes unseen, the pragma (or the rule)
+        # went dead.
         report = run_lint([SOURCE_TREE])
-        assert report.suppressed >= 7
+        assert report.suppressed == 1
 
 
 class TestRuleFixtures:
@@ -71,7 +64,7 @@ class TestRuleFixtures:
     @pytest.mark.parametrize("rule_id", sorted(FIXTURE_FOR_RULE))
     def test_rule_fires_exactly_on_seeded_violation(self, rule_id):
         fixture = FIXTURES / FIXTURE_FOR_RULE[rule_id]
-        report = run_lint([fixture], rules=(rule_by_id(rule_id),))
+        report = run_lint([fixture])
         assert len(report.findings) == 1, [f.render() for f in report.findings]
         finding = report.findings[0]
         assert finding.rule_id == rule_id
@@ -80,74 +73,26 @@ class TestRuleFixtures:
 
     @pytest.mark.parametrize("rule_id", sorted(FIXTURE_FOR_RULE))
     def test_no_cross_talk_between_rules(self, rule_id):
-        # Running *all* rules over a fixture reports only that fixture's rule:
-        # each fixture seeds exactly one kind of violation.
+        # The default rule set over a fixture reports only that fixture's
+        # rule: each fixture seeds exactly one kind of violation.
         fixture = FIXTURES / FIXTURE_FOR_RULE[rule_id]
         report = run_lint([fixture])
         assert {f.rule_id for f in report.findings} == {rule_id}
 
     def test_finding_render_format(self):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["bare-except"]
-        report = run_lint([fixture])
-        line = violation_line(fixture)
-        assert report.findings[0].render().startswith(f"{fixture}:{line} bare-except ")
+        report = run_lint([LEASE_FIXTURE])
+        line = violation_line(LEASE_FIXTURE)
+        assert report.findings[0].render().startswith(f"{LEASE_FIXTURE}:{line} lease-lifecycle ")
 
 
 class TestInterprocedural:
-    """The fixtures seed flow-aware cases; assert the *reasoning* surfaced."""
-
-    def test_clock_taint_reports_sink_with_source_provenance(self):
-        # The source (time.time() in a helper) and the sink (attribute store
-        # in a caller) are in different functions; the finding lands on the
-        # sink and names where the value came from.
-        fixture = FIXTURES / FIXTURE_FOR_RULE["clock-taint"]
-        report = run_lint([fixture], rules=(rule_by_id("clock-taint"),))
-        (finding,) = report.findings
-        assert "attribute store to .started_at_ms" in finding.message
-        assert "time.time at" in finding.message  # provenance, not just "tainted"
+    """The fixture seeds a flow-aware case; assert the *reasoning* surfaced."""
 
     def test_lease_leak_is_the_exception_path(self):
         # The normal path releases; only the except edge out of load() leaks.
-        fixture = FIXTURES / FIXTURE_FOR_RULE["lease-lifecycle"]
-        report = run_lint([fixture], rules=(rule_by_id("lease-lifecycle"),))
-        (finding,) = report.findings
+        (finding,) = run_lint([LEASE_FIXTURE]).findings
         assert "except-path" in finding.message
         assert "exception at line 14" in finding.message
-
-    def test_step_effect_reports_call_chain(self):
-        # The clock mutation sits two calls below peek_arrival; the finding
-        # reconstructs the chain from the probe to the effect.
-        fixture = FIXTURES / FIXTURE_FOR_RULE["step-effect"]
-        report = run_lint([fixture], rules=(rule_by_id("step-effect"),))
-        (finding,) = report.findings
-        assert "peek_arrival -> _peek_helper -> _advance_and_read" in finding.message
-        assert "consume_cpu" in finding.message
-
-
-class TestPrefetchDecisionProbe:
-    """``prefetch_decision`` is a step-effect probe root like ``peek_arrival``."""
-
-    FIXTURE = FIXTURES / "prefetch_decision_violation.py"
-
-    def test_decision_hook_effect_is_reported_with_chain(self):
-        # The source open sits two calls below prefetch_decision; the
-        # bottom-up summaries reach it and the pragma'd twin is silenced.
-        report = run_lint([self.FIXTURE], rules=(rule_by_id("step-effect"),))
-        (finding,) = report.findings
-        assert finding.line == violation_line(self.FIXTURE)
-        assert "prefetch_decision -> _best_candidate -> _warm_and_score" in finding.message
-        assert report.suppressed == 1
-
-    def test_fixture_seeds_only_step_effect(self):
-        report = run_lint([self.FIXTURE])
-        assert {f.rule_id for f in report.findings} == {"step-effect"}
-
-    def test_shipped_prefetcher_decision_is_effect_free(self):
-        # The real hook (and everything it reaches: cache peeks, free-slot
-        # counts, catalog lookups) must stay clean under the rule.
-        prefetch = SOURCE_TREE / "server" / "prefetch.py"
-        report = run_lint([SOURCE_TREE], rules=(rule_by_id("step-effect"),))
-        assert not [f for f in report.findings if f.path == str(prefetch)]
 
 
 class TestLeaseLifecycleInline:
@@ -164,7 +109,7 @@ class TestLeaseLifecycleInline:
             "        finally:\n"
             "            handle.close()\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert not findings
 
     def test_escaped_handle_is_not_a_leak(self):
@@ -180,7 +125,7 @@ class TestLeaseLifecycleInline:
             "    def close(self):\n"
             "        self.handle.close()\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert not findings
 
     def test_normal_path_leak_is_reported(self):
@@ -195,7 +140,7 @@ class TestLeaseLifecycleInline:
             "    def teardown(self, pool):\n"
             "        pool.revoke('op')\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert len(findings) == 1 and findings[0].line == 3
 
     def test_class_without_any_release_is_reported(self):
@@ -205,7 +150,7 @@ class TestLeaseLifecycleInline:
             "    def build(self, pool):\n"
             "        self.handle = pool.grant('op', 64)\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert len(findings) == 1
         assert "never revokes" in findings[0].message
 
@@ -219,7 +164,7 @@ class TestLaneLeaseTeardown:
         # Two sequential revokes, no finally: lane0's revoke raising leaks
         # lane1's grant.  The pragma'd twin is silenced; the finally-protected
         # shape and the append-escaping grant loop in the same file are clean.
-        report = run_lint([self.FIXTURE], rules=(rule_by_id("lease-lifecycle"),))
+        report = run_lint([self.FIXTURE])
         (finding,) = report.findings
         assert finding.line == violation_line(self.FIXTURE)
         assert "per-lane teardown" in finding.message
@@ -239,7 +184,7 @@ class TestLaneLeaseTeardown:
             "        for name in lane_names:\n"
             "            pool.revoke(name)\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert len(findings) == 1 and findings[0].line == 4
 
     def test_per_lane_grant_loop_with_append_escape_is_clean(self):
@@ -259,7 +204,7 @@ class TestLaneLeaseTeardown:
             "        finally:\n"
             "            pool.revoke('join.lane1')\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert not findings
 
 
@@ -274,7 +219,7 @@ class TestPragmas:
             "    def g(self, pool):\n"
             "        pool.revoke('op')\n",
         )
-        findings, suppressed = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, suppressed = lint_module(module, [LEASES])
         assert not findings and suppressed == 1
 
     def test_wildcard_pragma(self):
@@ -286,7 +231,7 @@ class TestPragmas:
             "    def g(self, pool):\n"
             "        pool.revoke('op')\n",
         )
-        findings, suppressed = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, suppressed = lint_module(module, [LEASES])
         assert not findings and suppressed == 1
 
     def test_pragma_for_other_rule_does_not_suppress(self):
@@ -294,29 +239,12 @@ class TestPragmas:
             "inline.py",
             "class C:\n"
             "    def f(self, pool):\n"
-            "        handle = pool.grant('op', 64)  # repro: allow[bare-except]\n"
+            "        handle = pool.grant('op', 64)  # repro: allow[other-rule]\n"
             "    def g(self, pool):\n"
             "        pool.revoke('op')\n",
         )
-        findings, _ = lint_module(module, [rule_by_id("lease-lifecycle")])
+        findings, _ = lint_module(module, [LEASES])
         assert len(findings) == 1
-
-    def test_module_role_widens_rule_scope(self):
-        body = "def f(Row, s, v):\n    return Row(s, v)\n"
-        neutral = ModuleSource("somewhere.py", body)
-        findings, _ = lint_module(neutral, [rule_by_id("hot-path-row")])
-        assert not findings  # not a hot-path module, rule does not apply
-        hot = ModuleSource("somewhere.py", "# repro: module-role[hot-path]\n" + body)
-        findings, _ = lint_module(hot, [rule_by_id("hot-path-row")])
-        assert len(findings) == 1
-
-    def test_hot_path_modules_opt_in_via_role(self):
-        # The storage hot paths carry the module-role marker; none of the
-        # old path-based suffix list remains.
-        for name in ("columns.py", "batch.py", "hash_table.py", "disk.py"):
-            text = (SOURCE_TREE / "storage" / name).read_text(encoding="utf-8")
-            assert "# repro: module-role[hot-path]" in text, name
-
 
 class TestCli:
     def test_clean_tree_exits_zero(self, capsys):
@@ -324,67 +252,35 @@ class TestCli:
         assert capsys.readouterr().out == ""
 
     def test_findings_exit_one_and_print(self, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["bare-except"]
-        assert analysis_main([str(fixture)]) == 1
+        assert analysis_main([str(LEASE_FIXTURE)]) == 1
         out = capsys.readouterr().out
-        assert f"{fixture}:" in out and "bare-except" in out
-
-    def test_select_restricts_rules(self, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["bare-except"]
-        assert analysis_main([str(fixture), "--select", "clock-taint", "--quiet"]) == 0
-        assert analysis_main([str(fixture), "--select", "bare-except", "--quiet"]) == 1
-        capsys.readouterr()
-
-    def test_ignore_relaxes_rules(self, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["clock-taint"]
-        assert analysis_main([str(fixture), "--quiet"]) == 1
-        assert analysis_main([str(fixture), "--ignore", "clock-taint", "--quiet"]) == 0
-        capsys.readouterr()
-
-    def test_ignore_composes_with_select(self, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["clock-taint"]
-        code = analysis_main(
-            [str(fixture), "--select", "clock-taint", "--ignore", "clock-taint"]
-        )
-        assert code == 2
-        assert "removed every rule" in capsys.readouterr().err
+        assert f"{LEASE_FIXTURE}:" in out and "lease-lifecycle" in out
 
     def test_json_format(self, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["clock-taint"]
+        fixture = LEASE_FIXTURE
         assert analysis_main([str(fixture), "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["summary"]["findings"] == 1
         assert document["summary"]["clean"] is False
         (entry,) = document["findings"]
-        assert entry["rule"] == "clock-taint"
+        assert entry["rule"] == "lease-lifecycle"
         assert entry["line"] == violation_line(fixture)
 
     def test_github_format(self, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["step-effect"]
+        fixture = LEASE_FIXTURE
         assert analysis_main([str(fixture), "--format", "github", "--quiet"]) == 1
         out = capsys.readouterr().out
         line = violation_line(fixture)
-        assert out.startswith(f"::error file={fixture},line={line},title=step-effect::")
+        assert out.startswith(f"::error file={fixture},line={line},title=lease-lifecycle::")
 
     def test_output_writes_json_report(self, tmp_path, capsys):
-        fixture = FIXTURES / FIXTURE_FOR_RULE["lease-lifecycle"]
         target = tmp_path / "report.json"
-        assert analysis_main([str(fixture), "--output", str(target), "--quiet"]) == 1
+        assert analysis_main([str(LEASE_FIXTURE), "--output", str(target), "--quiet"]) == 1
         capsys.readouterr()
         document = json.loads(target.read_text(encoding="utf-8"))
         assert document["summary"]["findings"] == 1
         assert document["findings"][0]["rule"] == "lease-lifecycle"
 
-    def test_unknown_rule_is_usage_error(self, capsys):
-        assert analysis_main([str(FIXTURES), "--select", "no-such-rule"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
     def test_missing_path_is_usage_error(self, capsys):
         assert analysis_main(["definitely/not/here.py"]) == 2
         assert "no such path" in capsys.readouterr().err
-
-    def test_list_rules(self, capsys):
-        assert analysis_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert f"{rule.rule_id}:" in out

@@ -1,34 +1,16 @@
-"""The analyzer's dataflow core: CFG shape, call graph, effects, taint, cache.
+"""The analyzer's control-flow graphs (:mod:`repro.analysis.dataflow.cfg`).
 
-These are unit tests for :mod:`repro.analysis.dataflow` — the machinery
-underneath the flow-aware rules.  The rule-level behaviour (what fires
-where) lives in ``test_analysis.py``; here we pin the *graphs*: which
-edges a ``try/finally`` contributes, how a name call resolves through
-imports, that effect summaries are transitive, and that the per-module
-effect cache invalidates on content change.
+The rule-level behaviour (what fires where) lives in ``test_analysis.py``;
+here we pin the *graphs*: which edges a raise, a ``try/finally``, a ``with``
+block and a loop contribute.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
 
-from repro.analysis.dataflow import (
-    AnalysisProject,
-    TaintAnalysis,
-    build_cfg,
-    classify_effect_call,
-    collect_call_sites,
-    collect_module_facts,
-    direct_effects,
-    module_name_for,
-    propagate_summaries,
-)
-from repro.analysis.dataflow.callgraph import CallGraph
-from repro.analysis.dataflow.cfg import EXCEPT, FINALLY, STMT
-from repro.analysis.dataflow.project import CACHE_ENV
-from repro.analysis.linter import ModuleSource
+from repro.analysis.dataflow.cfg import EXCEPT, FINALLY, build_cfg
 
 
 def fn_from(source: str, name: str | None = None):
@@ -50,13 +32,6 @@ def node_at_line(cfg, line: int):
     ]
     assert matches, f"no statement node at line {line}"
     return matches[0]
-
-
-def project_from(files: dict[str, str]) -> AnalysisProject:
-    modules = [
-        ModuleSource(path, textwrap.dedent(text)) for path, text in files.items()
-    ]
-    return AnalysisProject(modules)
 
 
 class TestCfg:
@@ -190,280 +165,3 @@ class TestCfg:
         # The nested body contributes no nodes of its own — exactly one
         # statement node for the def plus one for the return.
         assert len(cfg.statement_nodes()) == 2
-
-
-class TestCallGraph:
-    def test_module_name_for_src_layout(self):
-        assert module_name_for("src/repro/engine/executor.py") == "repro.engine.executor"
-        assert module_name_for("src/repro/engine/__init__.py") == "repro.engine"
-        assert (
-            module_name_for("tests/analysis_fixtures/x.py") == "tests.analysis_fixtures.x"
-        )
-
-    def test_name_call_resolves_through_from_import(self):
-        project = project_from(
-            {
-                "src/repro/util.py": """
-                    def helper():
-                        return 1
-                """,
-                "src/repro/user.py": """
-                    from repro.util import helper
-
-                    def caller():
-                        return helper()
-                """,
-            }
-        )
-        graph = project.graph
-        edges = graph.callees("repro.user.caller")
-        assert [callee for callee, _site in edges] == ["repro.util.helper"]
-
-    def test_self_attr_resolves_to_own_class_method(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    class A:
-                        def run(self):
-                            return self.step()
-                        def step(self):
-                            return 1
-
-                    class B:
-                        def step(self):
-                            return 2
-                """,
-            }
-        )
-        edges = project.graph.callees("repro.a.A.run")
-        assert [callee for callee, _site in edges] == ["repro.a.A.step"]
-
-    def test_self_attr_falls_back_to_all_methods_of_that_name(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    class Base:
-                        def run(self):
-                            return self.step()
-
-                    class ImplOne:
-                        def step(self):
-                            return 1
-
-                    class ImplTwo:
-                        def step(self):
-                            return 2
-                """,
-            }
-        )
-        edges = project.graph.callees("repro.a.Base.run")
-        assert {callee for callee, _site in edges} == {
-            "repro.a.ImplOne.step",
-            "repro.a.ImplTwo.step",
-        }
-
-    def test_constructor_call_targets_init(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    class Thing:
-                        def __init__(self):
-                            self.x = 1
-
-                    def make():
-                        return Thing()
-                """,
-            }
-        )
-        edges = project.graph.callees("repro.a.make")
-        assert [callee for callee, _site in edges] == ["repro.a.Thing.__init__"]
-
-    def test_nested_function_resolution(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    def outer():
-                        def inner():
-                            return 1
-                        return inner()
-                """,
-            }
-        )
-        edges = project.graph.callees("repro.a.outer")
-        assert [callee for callee, _site in edges] == ["repro.a.outer.inner"]
-
-    def test_generator_detection_ignores_nested_defs(self):
-        facts = collect_module_facts(
-            ast.parse(
-                textwrap.dedent(
-                    """
-                    def gen():
-                        yield 1
-
-                    def not_gen():
-                        def inner():
-                            yield 2
-                        return inner
-                    """
-                )
-            ),
-            "src/repro/g.py",
-        )
-        assert facts.functions["repro.g.gen"].is_generator
-        assert not facts.functions["repro.g.not_gen"].is_generator
-        assert facts.functions["repro.g.not_gen.inner"].is_generator
-
-    def test_call_sites_exclude_nested_defs(self):
-        fn = fn_from(
-            """
-            def outer(s):
-                s.load()
-                def inner(t):
-                    t.fetch()
-            """,
-            name="outer",
-        )
-        names = {site.name for site in collect_call_sites(fn)}
-        assert names == {"load"}
-
-
-class TestEffects:
-    def test_classify_receiver_sensitivity(self):
-        assert classify_effect_call("consume_cpu", "anything") == ("clock", "consume_cpu")
-        assert classify_effect_call("charge", "clock") == ("clock", "charge")
-        assert classify_effect_call("charge", "account") is None
-        assert classify_effect_call("reserve", "budget") == ("budget", "reserve")
-        assert classify_effect_call("reserve", "table") is None
-        assert classify_effect_call("fill", "cache") == ("cache", "fill")
-        assert classify_effect_call("open", "source") == ("source", "open")
-        assert classify_effect_call("open", "window") is None
-
-    def test_direct_effects_exclude_nested_defs(self):
-        fn = fn_from(
-            """
-            def f(clock):
-                def g(clock):
-                    clock.consume_io(1)
-                clock.consume_cpu(2)
-            """,
-            name="f",
-        )
-        details = {e.detail for e in direct_effects(fn, "x.py")}
-        assert details == {"consume_cpu"}
-
-    def test_summaries_are_transitive(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    def top(clock):
-                        return middle(clock)
-
-                    def middle(clock):
-                        return bottom(clock)
-
-                    def bottom(clock):
-                        clock.consume_cpu(1)
-
-                    def pure():
-                        return 1
-                """,
-            }
-        )
-        summaries = propagate_summaries(project.graph, project.direct_effects)
-        assert {e.detail for e in summaries["repro.a.top"]} == {"consume_cpu"}
-        assert summaries["repro.a.pure"] == frozenset()
-
-
-class TestTaint:
-    @staticmethod
-    def _classify(call, info):
-        func = call.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if func.value.id == "time" and func.attr == "time":
-                return "time.time"
-        return None
-
-    def test_zero_parameter_function_body_is_analyzed(self):
-        # Regression: the worklist must visit nodes at least once even when
-        # the entry environment is empty (no parameters, no facts).
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    def observe():
-                        return time.time()
-                """,
-            }
-        )
-        result = TaintAnalysis(project.graph, self._classify).run()
-        assert ("src/repro/a.py", 3) in result.occurrences
-
-    def test_taint_flows_through_helper_into_attribute_store(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    def observe():
-                        return time.time()
-
-                    class Op:
-                        def open(self):
-                            started = observe()
-                            self.started_at = started
-                """,
-            }
-        )
-        result = TaintAnalysis(project.graph, self._classify).run()
-        sink_lines = {line for _p, line, _d in result.sinks}
-        assert sink_lines == {8}
-        ((_, _, desc),) = result.sinks.keys()
-        assert desc == "attribute store to .started_at"
-
-    def test_untainted_assignment_is_not_a_sink_hit(self):
-        project = project_from(
-            {
-                "src/repro/a.py": """
-                    class Op:
-                        def open(self, n):
-                            self.count = n + 1
-                """,
-            }
-        )
-        result = TaintAnalysis(project.graph, self._classify).run()
-        assert not result.sinks and not result.occurrences
-
-
-class TestEffectCache:
-    def test_cache_stores_and_invalidates_on_content_change(self, tmp_path, monkeypatch):
-        cache_file = tmp_path / "effects.json"
-        monkeypatch.setenv(CACHE_ENV, str(cache_file))
-
-        text_v1 = "def f(clock):\n    clock.consume_cpu(1)\n"
-        project = project_from({"src/repro/a.py": text_v1})
-        direct = project.direct_effects
-        assert {e.detail for e in direct["repro.a.f"]} == {"consume_cpu"}
-        stored = json.loads(cache_file.read_text(encoding="utf-8"))
-        assert "src/repro/a.py" in stored["modules"]
-
-        # Unchanged text: served from cache (same facts come back).
-        again = project_from({"src/repro/a.py": text_v1}).direct_effects
-        assert {e.detail for e in again["repro.a.f"]} == {"consume_cpu"}
-
-        # Changed text: the stale entry must not leak through.
-        text_v2 = "def f(clock):\n    clock.consume_io(2)\n"
-        fresh = project_from({"src/repro/a.py": text_v2}).direct_effects
-        assert {e.detail for e in fresh["repro.a.f"]} == {"consume_io"}
-
-    def test_corrupt_cache_is_tolerated(self, tmp_path, monkeypatch):
-        cache_file = tmp_path / "effects.json"
-        cache_file.write_text("{not json", encoding="utf-8")
-        monkeypatch.setenv(CACHE_ENV, str(cache_file))
-        project = project_from(
-            {"src/repro/a.py": "def f(clock):\n    clock.consume_cpu(1)\n"}
-        )
-        assert {e.detail for e in project.direct_effects["repro.a.f"]} == {"consume_cpu"}
-
-    def test_empty_env_disables_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, "")
-        project = project_from(
-            {"src/repro/a.py": "def f(clock):\n    clock.consume_cpu(1)\n"}
-        )
-        assert {e.detail for e in project.direct_effects["repro.a.f"]} == {"consume_cpu"}

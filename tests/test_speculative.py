@@ -20,6 +20,8 @@ Covers the PR-10 invariants:
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,7 @@ from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
 from helpers import examples, iterate, make_relation, multiset
+from invariants import pure_call
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
 
@@ -69,6 +72,24 @@ def source_catalog(
         DataSource("src", relation, SLOW, max_concurrent=max_concurrent)
     )
     return catalog
+
+
+def decide(server: QueryServer, now_ms: float) -> str | None:
+    """The prefetcher's decision at ``now_ms``, held to the probe contract:
+    asked twice, it answers the same and moves no source, cache, broker or
+    prefetch counter."""
+    catalog, cache = server.catalog, server.source_cache
+
+    def observe():
+        return (
+            [astuple(catalog.source(name).stats) for name in catalog.source_names],
+            astuple(cache.stats),
+            server.broker.used_bytes,
+            server.broker.granted_bytes,
+            astuple(server.prefetcher.summary()),
+        )
+
+    return pure_call(lambda: server.prefetcher.prefetch_decision(now_ms), observe)
 
 
 def speculative_context(
@@ -320,16 +341,39 @@ class TestSpeculativeLeases:
 
 
 class TestPlanAwarePrefetch:
+    def test_decision_is_effect_free(self, monkeypatch):
+        """The decision is a probe: it opens nothing, and ``decide`` fails on a
+        decision that opens the source it picks."""
+        catalog = source_catalog(max_concurrent=2)
+        config = EngineConfig(speculative_sources=True, prefetch_budget_bytes=1 << 20)
+        server = QueryServer(catalog, engine_config=config)
+        for _ in range(2):
+            server.prefetcher.observe_spec(wrapper_scan("src"))
+        assert decide(server, 0.0) == "src"
+        assert catalog.source("src").stats.connections_opened == 0
+
+        shipped = PlanAwarePrefetcher.prefetch_decision
+
+        def opening(self, now_ms):
+            choice = shipped(self, now_ms)
+            if choice is not None:
+                catalog.source(choice).open(at_ms=now_ms)
+            return choice
+
+        monkeypatch.setattr(PlanAwarePrefetcher, "prefetch_decision", opening)
+        with pytest.raises(AssertionError, match="changed"):
+            decide(server, 1.0)
+
     def test_decision_needs_min_appearances(self):
         catalog = source_catalog()
         config = EngineConfig(speculative_sources=True, prefetch_budget_bytes=1 << 20)
         server = QueryServer(catalog, engine_config=config)
         prefetcher = server.prefetcher
-        assert prefetcher.prefetch_decision(0.0) is None
+        assert decide(server, 0.0) is None
         prefetcher.observe_spec(wrapper_scan("src"))
-        assert prefetcher.prefetch_decision(0.0) is None
+        assert decide(server, 0.0) is None
         prefetcher.observe_spec(wrapper_scan("src"))
-        assert prefetcher.prefetch_decision(0.0) == "src"
+        assert decide(server, 0.0) == "src"
 
     def test_decision_respects_spare_slots_and_cache_state(self):
         catalog = source_catalog(max_concurrent=1)
@@ -340,12 +384,12 @@ class TestPlanAwarePrefetch:
             prefetcher.observe_spec(wrapper_scan("src"))
         source = catalog.source("src")
         connection = source.open(at_ms=0.0)  # the only slot, busy
-        assert prefetcher.prefetch_decision(1.0) is None
+        assert decide(server, 1.0) is None
         connection.close(at_ms=1.0)
-        assert prefetcher.prefetch_decision(2.0) == "src"
+        assert decide(server, 2.0) == "src"
         # A cached extent removes the source from consideration.
         server.source_cache.fill("src", SCHEMA, rows(3), now_ms=2.0)
-        assert prefetcher.prefetch_decision(3.0) is None
+        assert decide(server, 3.0) is None
 
     def test_warmed_source_serves_later_sessions(self):
         catalog = source_catalog(max_concurrent=2)

@@ -36,6 +36,21 @@ class TestWrapperStreaming:
         assert clock.now >= lan().initial_latency_ms
         assert row.arrival == clock.now
 
+    @pytest.mark.parametrize("path", ["fetch", "fetch_columns"])
+    def test_stats_carry_the_virtual_stamps(self, relation, path):
+        """Both fetch paths stamp the stats with the virtual arrivals they
+        return, never with a wall clock."""
+        clock = SimClock()
+        wrapper = make_wrapper(relation, profile=wide_area(), clock=clock)
+        wrapper.open()
+        if path == "fetch":
+            stamps = [row.arrival for row in iter(wrapper.fetch, None)]
+        else:
+            _, stamps = wrapper.fetch_columns(5)
+        assert len(stamps) == 5
+        assert wrapper.stats.time_of_first_tuple == stamps[0]
+        assert wrapper.stats.time_of_last_tuple == stamps[-1]
+
     def test_fetch_all_then_none(self, relation):
         wrapper = make_wrapper(relation)
         wrapper.open()
