@@ -128,6 +128,9 @@ class ExecutionContext:
         #: event — rule firing order is preserved under batching.
         self.watched_event_keys: set[tuple[EventType, str]] = set()
         self.batch_interrupt = False
+        #: Operator id -> the tuple count at which it next reports ``threshold``
+        #: (see :meth:`Operator._charged`), derived by the executor from its rules.
+        self.thresholds: dict[str, int] = {}
 
     def derive_worker(self, label: str) -> "ExecutionContext":
         """A worker context for one exchange execution site (lane or producer).
@@ -163,8 +166,8 @@ class ExecutionContext:
         )
         # Shared observability: worker operators report into this query's
         # stats and event queue (their ids are lane-qualified, so there are
-        # no collisions).  Watched-event keys stay local — rules fire on the
-        # coordinating context, not inside lanes.
+        # no collisions).  Watched-event keys and threshold triggers stay
+        # local — rules fire on the coordinating context, not inside lanes.
         worker.stats = self.stats
         worker.events = self.events
         return worker
@@ -227,10 +230,6 @@ class ExecutionContext:
     def watch_events(self, keys) -> None:
         """Declare event keys that must interrupt in-flight batches (see above)."""
         self.watched_event_keys.update(keys)
-
-    def event_watched(self, event_type: EventType, subject: str) -> bool:
-        """True when a registered rule triggers on ``(event_type, subject)``."""
-        return (event_type, subject) in self.watched_event_keys
 
     # -- RuntimeContext protocol (observed by rule conditions) ----------------------------
 

@@ -66,6 +66,23 @@ class EventHandler:
             if any(self._is_active(rule) for rule in rules)
         }
 
+    def thresholds(self) -> dict[str, int]:
+        """Operator id -> the least ``trigger_count`` of the active
+        ``threshold`` rules on it, counted from its output so far."""
+        triggers: dict[str, int] = {}
+        for (event_type, subject), rules in self._rules_by_key.items():
+            if event_type is not EventType.THRESHOLD:
+                continue
+            produced = self._context.operator_card(subject)
+            counts = [
+                rule.condition.trigger_count(produced)
+                for rule in rules
+                if self._is_active(rule)
+            ]
+            if counts:
+                triggers[subject] = min(counts)
+        return triggers
+
     # -- owner management --------------------------------------------------------------
 
     def deactivate_owner(self, owner: str) -> None:

@@ -290,6 +290,9 @@ class QueryExecutor:
             # Fired (one-shot) rules and deactivated owners no longer watch
             # their trigger keys; refresh so batches stop being cut for them.
             self.context.watched_event_keys = handler.watched_keys
+        # An operator that raised a threshold event has reported every row
+        # since; from here it reports at the counts its active rules can fire at.
+        self.context.thresholds = handler.thresholds()
         # A context outlives its executors (one per re-plan): counts accumulate.
         stats.events_processed += handler.events_processed - processed
         stats.rules_fired += fired
@@ -321,6 +324,7 @@ class QueryExecutor:
         # Batches must be interrupted whenever an event that can fire a rule
         # is emitted, so rules run at the tuple that raised the event.
         self.context.watch_events(self.event_handler.watched_keys)
+        self.context.thresholds = self.event_handler.thresholds()
         completed: list[str] = []
         failed_sources: list[str] = []
         stats = self.context.stats

@@ -4,9 +4,11 @@ Tukwila executes operator trees top-down with the iterator (open / next /
 close) protocol, here batch at a time: every operator implements one pull,
 :meth:`Operator._next_batch`, which serves :meth:`Operator.next_batch`,
 its arrival-bounded form :meth:`Operator.next_batch_bounded`, and the
-one-row step :meth:`Operator.next_one` with its boxed form
-:meth:`Operator.next` — single exact steps, tests and examples, not a
-second drive.  Operators additionally expose
+one-row step :meth:`Operator.next_one` — a single exact step, not a second
+drive.  The base class is also the one place an operator's ``threshold``
+event is raised: a pull ends its batch at the tuple count where a rule on
+that event can fire and reports the count there, so no operator keeps a
+per-row path for events.  Operators additionally expose
 :meth:`peek_arrival` — an estimate of the earliest virtual time at which
 their next tuple could be delivered — which is what lets data-driven
 operators (the double pipelined join, the dynamic collector) decide which
@@ -23,7 +25,6 @@ from repro.errors import ExecutionError
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 #: Default number of rows per batch in the vectorized (batch-at-a-time) path.
 DEFAULT_BATCH_SIZE = 256
@@ -36,7 +37,7 @@ class Operator:
     optionally :meth:`_do_open`, :meth:`_do_close` and :meth:`peek_arrival`.
     The base class maintains state, statistics, and event emission, and
     adapts the pull to the public :meth:`next_batch`,
-    :meth:`next_batch_bounded`, :meth:`next_one` and :meth:`next`.
+    :meth:`next_batch_bounded` and :meth:`next_one`.
     """
 
     #: Multiplier on the per-tuple CPU charge for this operator's output.
@@ -89,47 +90,27 @@ class Operator:
         batch comes back in the form the operator made it, so strings a
         source coded stay codes across the step.
         """
-        if self.state == "pending":
-            raise ExecutionError(f"operator {self.operator_id!r} used before open()")
-        if self.state in ("closed", "deactivated"):
-            return Batch.empty(self.output_schema)
-        batch = self._next_batch(1)
-        if batch:
-            self.context.clock.consume_cpu(
-                self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
-            )
-            self._stats.record_output(self.context.clock.now)
-        return batch
-
-    def next(self) -> Row | None:
-        """The one-row adapter: :meth:`next_one`'s row boxed, or ``None`` at
-        end of stream (the collector's watched-THRESHOLD path, tests and
-        examples read operators row by row with it)."""
-        batch = self.next_one()
-        return batch[0] if batch else None
+        return self._charged(1, None, overlapped=False)
 
     def next_batch(self, max_rows: int = DEFAULT_BATCH_SIZE) -> Batch:
         """Produce up to ``max_rows`` output rows as a :class:`Batch`.
 
         The batch contract:
 
-        * A non-empty batch may hold fewer than ``max_rows`` rows (operators
-          cut batches short when a watched event fires, so the executor can
-          run rules at exactly the tuple that raised the event).
+        * A non-empty batch may hold fewer than ``max_rows`` rows: a batch
+          ends at the tuple count where a rule on this operator's
+          ``threshold`` event can fire, and operators cut batches short when
+          a watched event fires below them, so the executor runs rules at
+          exactly the tuple that raised the event.
         * An empty (falsy) batch is only returned at end of stream —
           operators keep pulling until they have at least one row or their
           input is done.
-        * The batch is columns; a per-row producer (watched and publishing
-          scans, the collector's watched-THRESHOLD path) builds it with
-          :meth:`Batch.from_rows`, so consumers never branch on how it was
-          made.
+        * The batch is columns; a per-row producer (follower and publishing
+          scans) builds it with :meth:`Batch.from_rows`, so consumers never
+          branch on how it was made.
 
         Per-tuple CPU and statistics are charged once per batch.
         """
-        if self.state == "pending":
-            raise ExecutionError(f"operator {self.operator_id!r} used before open()")
-        if self.state in ("closed", "deactivated"):
-            return Batch.empty(self.output_schema)
         if max_rows <= 0:
             raise ExecutionError(f"batch size must be positive, got {max_rows}")
         return self._charged(max_rows, None)
@@ -144,15 +125,31 @@ class Operator:
         — that is not end of stream; callers then take a single exact
         :meth:`next_one` step (the tie-break case).
         """
+        return self._charged(max_rows, arrival_bound)
+
+    def _charged(
+        self, max_rows: int, arrival_bound: float | None, overlapped: bool = True
+    ) -> Batch:
+        """One pull of the hook, its per-tuple CPU and output statistics charged.
+
+        The one ``threshold`` emitter: when a rule watches this operator's
+        count, the batch ends at the count in ``context.thresholds`` and the
+        event is raised there, once, before the batch's CPU is charged.
+        """
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")
         if self.state in ("closed", "deactivated"):
             return Batch.empty(self.output_schema)
-        return self._charged(max_rows, arrival_bound)
-
-    def _charged(self, max_rows: int, arrival_bound: float | None) -> Batch:
-        """One pull of the hook, its per-tuple CPU and output statistics charged."""
-        clock = self.context.clock
+        context = self.context
+        trigger = None
+        if context.thresholds:
+            trigger = context.thresholds.get(self.operator_id)
+            if trigger is not None:
+                # While a watched event waits for the executor, one row a
+                # pull: a consumer can then stop at the row the rules see.
+                room = 1 if context.batch_interrupt else trigger - self._stats.tuples_produced
+                max_rows = max(1, min(max_rows, room))
+        clock = context.clock
         wait_before = clock.stats.wait_ms
         if arrival_bound is None:
             # Unbounded pulls pass ``max_rows`` alone, so a hook that never
@@ -161,16 +158,28 @@ class Operator:
         else:
             batch = self._next_batch(max_rows, arrival_bound)
         if batch:
-            # Charge the batch's per-tuple CPU as overlapped with the waiting
-            # that accrued while the batch streamed in — the accounting a
-            # row-at-a-time interleave of the same charges between arrival
-            # waits produces.
-            clock.consume_cpu_overlapped(
-                len(batch) * self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR,
-                max(0.0, clock.stats.wait_ms - wait_before),
-            )
+            if trigger is not None:
+                self._report_threshold(len(batch), trigger)
+            cpu = len(batch) * context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
+            if overlapped:
+                # Charge the batch's per-tuple CPU as overlapped with the
+                # waiting that accrued while the batch streamed in — the
+                # accounting a row-at-a-time interleave of the same charges
+                # between arrival waits produces.
+                clock.consume_cpu_overlapped(cpu, max(0.0, clock.stats.wait_ms - wait_before))
+            else:
+                clock.consume_cpu(cpu)
             self._stats.record_output_batch(len(batch), clock.now)
         return batch
+
+    def _report_threshold(self, rows: int, trigger: int) -> None:
+        """Raise ``threshold(operator, count)`` if ``rows`` more reach ``trigger``."""
+        produced = self._stats.tuples_produced + rows
+        if produced >= trigger:
+            self.context.emit_event(EventType.THRESHOLD, self.operator_id, value=produced)
+            # Rules are evaluated only when the executor drains the queue;
+            # until it derives the next trigger, report every row.
+            self.context.thresholds[self.operator_id] = produced + 1
 
     def close(self) -> None:
         """Close this operator and its children; emits the ``closed`` event."""

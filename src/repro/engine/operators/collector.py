@@ -19,7 +19,7 @@ from repro.storage.batch import Batch
 from repro.storage.columns import as_values
 from repro.storage.disk import OverflowFile
 from repro.storage.schema import Schema, union_schema
-from repro.storage.tuples import Key, KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder
 
 #: Per-key tuple/set-slot overhead charged for one remembered dedup key.
 DEDUP_KEY_OVERHEAD_BYTES = 16
@@ -64,6 +64,10 @@ class DynamicCollector(Operator):
     re-reading the file with real I/O charges — duplicate suppression stays
     exact, and the cost of insufficient memory shows up in virtual time
     instead of a silently growing key set.
+
+    Policies that race children (Section 4.1) trigger on the children's own
+    ``threshold`` events, raised by the :class:`Operator` base; the collector
+    reads watched children in the same bounded columnar runs and raises none.
     """
 
     def __init__(
@@ -327,16 +331,13 @@ class DynamicCollector(Operator):
         rows a per-arrival pick would take back to back.  Dedup keys are
         then extracted from the run's column slices in bulk and fresh rows
         kept with one index-take — no :class:`~repro.storage.tuples.Row` is
-        boxed per tuple to call ``row.key``.  When a rule watches any child's
-        THRESHOLD events the per-row path runs instead, so per-tuple events
-        (and the rule actions they trigger) land at the exact tuple.
+        boxed per tuple to call ``row.key``.  A child's run ends at a count
+        where a rule on its ``threshold`` event can fire, and a watched event
+        ends this batch at the first row delivered at or after it — wherever
+        the batch began, so rule actions land at the row every-row reporting
+        would give them.
         """
         context = self.context
-        if any(
-            context.event_watched(EventType.THRESHOLD, child.operator_id)
-            for child in self.children
-        ):
-            return self._watched_batch(max_rows, arrival_bound)
         schema = self.output_schema
         parts: list[Batch] = []
         count = 0
@@ -348,6 +349,7 @@ class DynamicCollector(Operator):
             bound = self._second_best_arrival(child_id)
             if arrival_bound is not None and arrival_bound < bound:
                 bound = arrival_bound
+            pending = context.batch_interrupt
             try:
                 run = child.next_batch_bounded(max_rows - count, bound)
                 if not run:
@@ -362,12 +364,15 @@ class DynamicCollector(Operator):
                 self._handle_child_failure(child_id)
                 continue
             self.tuples_per_child[child_id] += len(run)
+            last_kept = True
             if self.dedup_keys is not None:
-                run = self._dedup_batch(run)
+                run, last_kept = self._dedup_batch(run)
             if run:
                 parts.append(run.with_schema(schema))
                 count += len(run)
-            if context.batch_interrupt and count:
+            # A run pulled while the event waits holds only rows after it; the
+            # run that raised it raised it at its last row.
+            if context.batch_interrupt and (run if pending else last_kept):
                 break
         return Batch.concat(schema, parts)
 
@@ -382,8 +387,9 @@ class DynamicCollector(Operator):
                 best = arrival
         return best
 
-    def _dedup_batch(self, run: Batch) -> Batch:
-        """Drop already-seen keys from ``run`` with one index-take.
+    def _dedup_batch(self, run: Batch) -> tuple[Batch, bool]:
+        """Drop already-seen keys from ``run`` with one index-take; also
+        whether the run's last row was kept.
 
         Keys come from the run's column slices (dict-encoded columns decode
         to their dictionaries' canonical strings, so key hashing hits the
@@ -410,55 +416,10 @@ class DynamicCollector(Operator):
         if added:
             self._reserve_dedup_keys(added)
         if len(fresh) == len(keys):
-            return run
+            return run, True
         if not fresh:
-            return Batch.empty(run.schema)
-        return run.take(fresh)
-
-    def _watched_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
-        """Per-row child selection with tuple-accurate THRESHOLD events.
-
-        For plans whose rules watch child thresholds: each row is one exact
-        :meth:`~repro.engine.iterators.Operator.next` step of the child
-        picked, and the batch is cut short as soon as a watched event fires,
-        so rule actions (activate/deactivate) take effect at the exact
-        tuple.  The picked rows are transposed into the output batch once.
-        """
-        schema = self.output_schema
-        context = self.context
-        out: list[Row] = []
-        while len(out) < max_rows:
-            child_id = self._pick_child(arrival_bound)
-            if child_id is None:
-                break
-            child = self._child_by_id[child_id]
-            try:
-                row = child.next()
-            except (SourceTimeoutError, SourceUnavailableError):
-                self._handle_child_failure(child_id)
-                continue
-            if row is None:
-                self._active.remove(child_id)
-                self._finished.add(child_id)
-                continue
-            count = self.tuples_per_child[child_id] + 1
-            self.tuples_per_child[child_id] = count
-            if context.event_watched(EventType.THRESHOLD, child_id):
-                context.emit_event(EventType.THRESHOLD, child_id, value=count)
-            if self.dedup_keys is not None:
-                key = self._dedup_binder.key(row)
-                if key in self._seen_keys or (
-                    self._spilled_key_count and self._spilled_hits([key])
-                ):
-                    if context.batch_interrupt and out:
-                        break
-                    continue
-                self._seen_keys.add(key)
-                self._reserve_dedup_keys(1)
-            out.append(row)
-            if context.batch_interrupt:
-                break
-        return Batch.from_rows(schema, out)
+            return Batch.empty(run.schema), False
+        return run.take(fresh), fresh[-1] == len(keys) - 1
 
     def _do_close(self) -> None:
         try:

@@ -255,6 +255,6 @@ class DependentJoin(Operator):
                 left_batch = self.left.next_batch_bounded(max_rows, arrival_bound)
             if not left_batch:
                 # Unbounded: left exhausted — end of stream.  Bounded:
-                # possibly just the bound; the caller falls back to next().
+                # possibly just the bound; the caller falls back to next_one().
                 return Batch.empty(schema)
             self._pending_out = self._probe_left_batch(left_batch)

@@ -130,7 +130,7 @@ class NestedLoopsJoin(JoinOperator):
                 outer = self.left.next_batch_bounded(max_rows, arrival_bound)
             if not outer:
                 # Unbounded: the outer is exhausted — end of stream.  Bounded:
-                # possibly just the bound; the caller falls back to next().
+                # possibly just the bound; the caller falls back to next_one().
                 return Batch.empty(schema)
             # The simulated algorithm still compares every (outer, inner)
             # pair; charge the whole block's comparison CPU in one call,

@@ -42,7 +42,6 @@ class WrapperScan(Operator):
         super().__init__(operator_id, context, estimated_cardinality=estimated_cardinality)
         self.source_name = source_name
         self.wrapper = context.create_wrapper(source_name, timeout_ms=timeout_ms)
-        self._threshold_counter = 0
         self._cache_feed = None
         self._deferred_error: Exception | None = None
         self.served_from_cache = False
@@ -201,18 +200,15 @@ class WrapperScan(Operator):
     def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:
         """Vectorized fetch loop, optionally stopping at an arrival bound.
 
-        Per-row THRESHOLD events are only emitted when a rule actually watches
-        this operator (one Event object per source tuple would otherwise be
-        the biggest per-row cost of a scan); the threshold counter itself is
-        always maintained.  A source failure that strikes mid-batch is
-        deferred so the rows fetched before it are not lost: the partial
-        batch is delivered and the error re-raised on the next call, which is
-        when the row after the last delivered one would have hit it.
+        A source failure that strikes mid-batch is deferred so the rows
+        fetched before it are not lost: the partial batch is delivered and
+        the error re-raised on the next call, which is when the row after
+        the last delivered one would have hit it.
 
-        The unwatched block path — live, cache-collecting or cache-served
-        alike — builds the batch's column lists straight from the fetched
-        blocks (no per-row :class:`Row` objects); the watched, follower and
-        publishing paths stay row-based, since they need per-row events or
+        The block path — live, cache-collecting or cache-served alike,
+        watched by a rule or not — builds the batch's column lists straight
+        from the fetched blocks (no per-row :class:`Row` objects); only the
+        follower and publishing paths stay row-based, since they consume or
         publish row objects anyway.
         """
         if self._deferred_error is not None:
@@ -221,24 +217,23 @@ class WrapperScan(Operator):
         context = self.context
         if context.is_deactivated(self.operator_id):
             return Batch.empty(self.output_schema)
-        batch: list[Row] = []
         cache_feed = self._cache_feed
-        watched = context.event_watched(EventType.THRESHOLD, self.operator_id)
+        if self._follower is None and self._extent is None and (
+            cache_feed is None or cache_feed.columnar
+        ):
+            return self._fetch_columnar(max_rows, arrival_bound)
+        batch: list[Row] = []
         if cache_feed is not None:
             fetch = cache_feed.fetch
             next_arrival = cache_feed.next_arrival
         else:
             fetch = self._pull_batched_row
             next_arrival = self._stream_next_arrival
-        use_block = self._follower is None and not watched
-        if use_block and self._extent is None and (cache_feed is None or cache_feed.columnar):
-            return self._fetch_columnar(max_rows, arrival_bound)
-        use_block = use_block and cache_feed is None
+        use_block = self._follower is None and cache_feed is None
         while len(batch) < max_rows:
             if use_block:
                 rows = self.wrapper.fetch_batch(max_rows - len(batch), arrival_bound)
                 if rows:
-                    self._threshold_counter += len(rows)
                     if self._extent is not None:
                         self._extent.publish(rows, context.clock.now, context.session_id)
                     batch.extend(rows)
@@ -267,14 +262,7 @@ class WrapperScan(Operator):
             if row is None:
                 self._fill_cache_if_complete()
                 break
-            self._threshold_counter += 1
             batch.append(row)
-            if watched:
-                context.emit_event(
-                    EventType.THRESHOLD, self.operator_id, value=self._threshold_counter
-                )
-                if context.batch_interrupt:
-                    break
         return Batch.from_rows(self.output_schema, batch)
 
     def _fetch_columnar(self, max_rows: int, arrival_bound: float | None) -> Batch:
@@ -291,7 +279,6 @@ class WrapperScan(Operator):
             block = feed.fetch_columns(max_rows - len(arrivals), arrival_bound)
             if block is not None:
                 block_columns, block_arrivals = block
-                self._threshold_counter += len(block_arrivals)
                 if columns is None:
                     columns, arrivals = block_columns, block_arrivals
                 else:
@@ -317,7 +304,6 @@ class WrapperScan(Operator):
             if row is None:
                 self._fill_cache_if_complete()
                 break
-            self._threshold_counter += 1
             if columns is None:
                 # The string accumulators share the wrapper's dictionaries,
                 # so a batch that starts on the per-tuple fallback stays

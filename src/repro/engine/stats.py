@@ -60,12 +60,6 @@ class OperatorRuntimeStats:
     cache_hits: int = 0
     state: str = "pending"
 
-    def record_output(self, at_time: float) -> None:
-        self.tuples_produced += 1
-        if self.time_of_first_output is None:
-            self.time_of_first_output = at_time
-        self.time_of_last_output = at_time
-
     def record_output_batch(self, count: int, at_time: float) -> None:
         """Record ``count`` outputs produced by ``at_time`` (one counter update)."""
         if count <= 0:

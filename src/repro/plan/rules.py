@@ -20,6 +20,7 @@ actions execute before the next event is processed (the event handler in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Protocol, Sequence
@@ -86,6 +87,12 @@ class Condition:
 
     def evaluate(self, context: RuntimeContext, event: Event) -> bool:
         raise NotImplementedError
+
+    def trigger_count(self, produced: int) -> int:
+        """The first count above ``produced`` at which this condition can hold
+        on a ``threshold`` event carrying it; ``produced + 1`` (every row)
+        when it cannot tell."""
+        return produced + 1
 
     def __and__(self, other: "Condition") -> "Condition":
         return And(self, other)
@@ -165,6 +172,7 @@ def constant(value: Any) -> Quantity:
         return value
 
     read.description = repr(value)  # type: ignore[attr-defined]
+    read.value = value  # type: ignore[attr-defined]
     return read
 
 
@@ -264,6 +272,24 @@ class Compare(Condition):
         if self.scale != 1.0:
             right_value = right_value * self.scale
         return _COMPARATORS[self.op](left_value, right_value)
+
+    def trigger_count(self, produced: int) -> int:
+        """``event.value >= c`` (or ``> c``), times ``scale``, first holds at
+        one count: the least integer at or (strictly) above the bound."""
+        bound = getattr(self.right, "value", None)
+        if (
+            self.left is not _event_value
+            or self.op not in (">=", ">")
+            or not isinstance(bound, (int, float))
+        ):
+            return produced + 1
+        if self.scale != 1.0:
+            bound = bound * self.scale
+        try:
+            first = math.ceil(bound) if self.op == ">=" else math.floor(bound) + 1
+        except (OverflowError, ValueError):  # an infinite or NaN bound
+            return produced + 1
+        return max(produced + 1, first)
 
     def __str__(self) -> str:
         left_desc = getattr(self.left, "description", "<quantity>")

@@ -26,6 +26,7 @@ from repro.engine.operators.joins.double_pipelined import (
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile
+from repro.plan.rules import EventType
 from repro.storage.batch import Batch
 from repro.storage.columns import DictColumn, extend_column, extend_moving, gather
 from repro.storage.hash_table import bucket_of
@@ -171,9 +172,24 @@ def read_rows(file, ledger=None, charge=True) -> list[tuple[Row, bool]]:
     ]
 
 
+def next_row(operator) -> Row | None:
+    """One exact step of ``operator`` (:meth:`Operator.next_one`), its row
+    boxed; ``None`` at end of stream."""
+    batch = operator.next_one()
+    assert len(batch) <= 1
+    return batch[0] if batch else None
+
+
+def watch_threshold(context, operator_id: str) -> None:
+    """Have ``operator_id`` raise ``threshold`` at every row and cut its
+    batches there, as a rule with an opaque condition on that event does."""
+    context.watch_events({(EventType.THRESHOLD, operator_id)})
+    context.thresholds[operator_id] = context.operator_card(operator_id) + 1
+
+
 def iterate(operator):
-    """``operator``'s full output, row by row through its one-row step ``next()``."""
-    while (row := operator.next()) is not None:
+    """``operator``'s full output, row by row through :func:`next_row`."""
+    while (row := next_row(operator)) is not None:
         yield row
 
 
@@ -241,7 +257,7 @@ class RowPipelineDPJ(DoublePipelinedJoin):
             if run is None or run.cursor >= len(run):
                 run = self._pull_run(side)
             if run is None:
-                row = self._child(side).next()
+                row = next_row(self._child(side))
                 if row is None:
                     self._exhausted[side] = True
                     if side == RIGHT and self._drain_right_first:
@@ -522,7 +538,7 @@ def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **con
 
     ``drive`` is ``"columnar"`` (the batch drive), ``"rows"`` (the batch
     protocol over the join's per-tuple pipeline, :func:`per_tuple_reference`)
-    or ``"tuple"`` (one row at a time through the ``next()`` adapter).  Rows
+    or ``"tuple"`` (one row at a time through :func:`next_row`).  Rows
     come back in production order.  The batch drives clear
     ``batch_interrupt`` after every batch, as the executor does once it has
     drained the event queue; ``between_batches(index, join)`` runs after each

@@ -12,7 +12,7 @@ from repro.storage.tuples import Row
 from repro.core.system import Tukwila
 from repro.network.source import DataSource
 
-from helpers import iterate
+from helpers import iterate, next_row
 
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
@@ -103,7 +103,7 @@ class TestWrapperScanCaching:
     def test_partial_read_does_not_fill_cache(self, cached_context):
         scan = WrapperScan("scan1", cached_context, "ord")
         scan.open()
-        scan.next()
+        next_row(scan)
         scan.close()
         assert "ord" not in cached_context.source_cache
 

@@ -11,7 +11,15 @@ from repro.network.profiles import dead, lan, slow_start, wide_area
 from repro.network.source import DataSource, make_mirror
 from repro.plan.rules import EventType
 
-from helpers import contacted_children, drain, iterate, make_relation, read_rows
+from helpers import (
+    contacted_children,
+    drain,
+    iterate,
+    make_relation,
+    next_row,
+    read_rows,
+    watch_threshold,
+)
 
 
 @pytest.fixture
@@ -138,9 +146,9 @@ class TestPolicyBehaviour:
             context, ["bib-main", "bib-mirror"], dedup_keys=None
         )
         collector.open()
-        collector.next()
+        next_row(collector)
         collector.deactivate_child("scan_bib-mirror")
-        rows = [collector.next() for _ in range(100)]
+        rows = [next_row(collector) for _ in range(100)]
         rows = [r for r in rows if r is not None]
         # Only the primary's remaining tuples are returned after deactivation.
         assert collector.tuples_per_child["scan_bib-mirror"] <= 1
@@ -154,15 +162,15 @@ class TestPolicyBehaviour:
             dedup_keys=None,
         )
         collector.open()
-        collector.next()
+        next_row(collector)
         collector.activate_child("scan_bib-mirror")
         list(iterate(collector))
         assert collector.tuples_per_child["scan_bib-mirror"] == 20
 
     def test_threshold_events_emitted_per_child(self, bib_catalog):
         context = ExecutionContext(bib_catalog)
-        # Per-row THRESHOLD events are raised when a rule watches them.
-        context.watch_events({(EventType.THRESHOLD, "scan_bib-main")})
+        # A rule that must see every count: the child reports each row, once.
+        watch_threshold(context, "scan_bib-main")
         collector = make_collector(context, ["bib-main"], dedup_keys=None)
         collector.open()
         list(iterate(collector))
@@ -171,11 +179,7 @@ class TestPolicyBehaviour:
             e.value for e in events
             if e.event_type == EventType.THRESHOLD and e.subject == "scan_bib-main"
         ]
-        # Both the wrapper scan and the collector report progress for the
-        # child, so counts may repeat, but they must be non-decreasing and
-        # reach the child's full cardinality.
-        assert values == sorted(values)
-        assert values[-1] == 20
+        assert values == list(range(1, 21))
 
     def test_prefers_faster_source_first(self, bib_catalog):
         bib_catalog.source("bib-mirror").set_profile(slow_start(delay_ms=5_000.0))
@@ -233,7 +237,7 @@ class TestDedupAccounting:
         assert collector.budget.used_bytes == 0
 
     def test_columnar_dedup_filters_with_index_take(self, bib_catalog):
-        """The unwatched batch path dedups from column slices, boxing no rows."""
+        """The batch path dedups from column slices, boxing no rows."""
         from repro.storage.tuples import counting_row_constructions
 
         context = ExecutionContext(bib_catalog)

@@ -7,6 +7,8 @@ from repro.engine.operators.scan import WrapperScan
 from repro.errors import ExecutionError
 from repro.plan.rules import EventType
 
+from helpers import next_row
+
 
 class TestWrapperManagement:
     def test_each_call_creates_a_fresh_wrapper(self, context):
@@ -48,7 +50,7 @@ class TestRuntimeContextProtocol:
     def test_operator_card_counts_output(self, context):
         scan = WrapperScan("scan1", context, "ord")
         scan.open()
-        scan.next()
+        next_row(scan)
         assert context.operator_card("scan1") == 1
 
     def test_operator_est_card(self, context):
@@ -65,7 +67,7 @@ class TestRuntimeContextProtocol:
         scan = WrapperScan("scan1", context, "ord")
         scan.open()
         assert context.operator_time_since_last_tuple("scan1") == context.clock.now
-        scan.next()
+        next_row(scan)
         assert context.operator_time_since_last_tuple("scan1") == 0.0
         context.clock.consume_cpu(5.0)
         assert context.operator_time_since_last_tuple("scan1") == pytest.approx(5.0)

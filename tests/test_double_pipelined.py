@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
-from repro.engine.context import EngineConfig, ExecutionContext
+from repro.engine.context import ExecutionContext
 from repro.engine.operators.joins.double_pipelined import (
     LEFT,
     DoublePipelinedJoin,
@@ -30,9 +30,11 @@ from helpers import (
     iterate,
     make_relation,
     multiset,
+    next_row,
     reference_join,
     spill_marks,
     tpcd_dpj,
+    watch_threshold,
 )
 
 
@@ -103,7 +105,7 @@ class TestAdaptiveBehaviour:
             "dpj", context, left, right, ["partsupp.ps_partkey"], ["part.p_partkey"]
         )
         join.open()
-        assert join.next() is not None
+        assert next_row(join) is not None
         assert not left.wrapper.exhausted or not right.wrapper.exhausted
 
     def test_time_to_first_tuple_beats_hybrid_hash_when_inner_is_slow(self, tpcd_catalog):
@@ -118,7 +120,7 @@ class TestAdaptiveBehaviour:
             ["part.p_partkey"],
         )
         dpj.open()
-        dpj.next()
+        next_row(dpj)
         dpj_first = dpj_context.clock.now
 
         hh_context = ExecutionContext(tpcd_catalog)
@@ -131,7 +133,7 @@ class TestAdaptiveBehaviour:
             ["part.p_partkey"],
         )
         hybrid.open()
-        hybrid.next()
+        next_row(hybrid)
         hybrid_first = hh_context.clock.now
         tpcd_catalog.source("part").set_profile(lan())
         assert dpj_first < hybrid_first
@@ -280,8 +282,9 @@ class TestRunAtATime:
         "left_flush": ("fb63b30fb6463b91", 5, (177, 9143, 177, 2), 14.495999999999842, "b58ca640798a95ac"),
         "symmetric_flush": ("797707d4af7eeed7", 6, (225, 12547, 225, 2), 14.667999999999843, "60ad1c8bdf1491a4"),
     }
-    #: Row-backed runs: scan mode -> the batch drive's fingerprint.
-    ROW_BACKED = {
+    #: Runs from a cache-collecting or a THRESHOLD-watched scan: scan mode ->
+    #: the batch drive's fingerprint.
+    SCAN_MODES = {
         "caching": ("797707d4af7eeed7", 6, (225, 12547, 225, 2), 14.667999999999843),
         "watched": ("14a7fa76dfee1812", 6, (230, 12904, 230, 2), 14.591999999999864),
     }
@@ -297,13 +300,13 @@ class TestRunAtATime:
     }
 
     @staticmethod
-    def row_backed_trees(tiny_tpcd):
-        """Cache-collecting and THRESHOLD-watched scans hand the join
-        batches built from rows; ``(tree, config)`` per scan mode."""
+    def scan_mode_trees(tiny_tpcd):
+        """A cache-collecting scan and one a rule watches row by row, each
+        cutting columnar batches; ``(tree, config)`` per scan mode."""
         build = tpcd_dpj(len(tiny_tpcd["partsupp"]) * 20, OverflowMethod.SYMMETRIC_FLUSH)
 
         def watched(context):
-            context.watch_events({(EventType.THRESHOLD, "scan_p")})
+            watch_threshold(context, "scan_p")
             return build(context)
 
         return {"caching": (build, {"enable_source_caching": True}), "watched": (watched, {})}
@@ -360,24 +363,12 @@ class TestRunAtATime:
         assert fingerprint(row_rows, row_ctx, row_join) == golden
         assert multiset(col_rows) == multiset(tuple_rows)
 
-    def test_row_backed_runs_take_the_bulk_path(self, tpcd_catalog, tiny_tpcd, monkeypatch):
-        """Each run built from rows is transposed once and the join never
-        boxes a row of its own."""
-
-        def rows_built_by_the_scans(tree, config):
-            """Row constructions of the two scans drained on their own."""
-            context = ExecutionContext(tpcd_catalog, config=EngineConfig(**config))
-            join = tree(context)
-            with counting_row_constructions() as counter:
-                for scan in join.children:
-                    scan.open()
-                    while scan.next_batch(128):
-                        context.batch_interrupt = False
-                    scan.close()
-                return counter.count
-
-        for mode, (tree, config) in self.row_backed_trees(tiny_tpcd).items():
-            inputs = rows_built_by_the_scans(tree, config)
+    def test_collecting_and_watched_runs_take_the_bulk_path(
+        self, tpcd_catalog, tiny_tpcd, monkeypatch
+    ):
+        """A collecting or watched scan's runs reach the join as columns, and
+        neither the scans nor the join box a row."""
+        for mode, (tree, config) in self.scan_mode_trees(tiny_tpcd).items():
             per_tuple = count_calls(monkeypatch, BucketedHashTable, "insert_position")
             segments = count_calls(monkeypatch, DoublePipelinedJoin, "_consume_segment")
             with counting_row_constructions() as counter:
@@ -385,25 +376,24 @@ class TestRunAtATime:
                 built = counter.count
             assert segments
             assert len(per_tuple) <= join.overflow_count
-            assert fingerprint(rows, context, join) == self.ROW_BACKED[mode]
-            # The scans' own rows plus the output boxed by this test's drain:
-            # the join built none.
-            assert built == inputs + len(rows)
+            assert fingerprint(rows, context, join) == self.SCAN_MODES[mode]
+            # Only this test's drain boxed the output.
+            assert built == len(rows)
             reference, row_ctx, row_join = drive_join(tree, tpcd_catalog, "rows", **config)
             assert [row.values for row in rows] == [row.values for row in reference]
-            assert fingerprint(reference, row_ctx, row_join)[1:] == self.ROW_BACKED[mode][1:]
+            assert fingerprint(reference, row_ctx, row_join)[1:] == self.SCAN_MODES[mode][1:]
 
     def test_the_reference_reproduces_the_row_batch_drive(self, tpcd_catalog, tiny_tpcd, monkeypatch):
         """``"rows"`` is the per-tuple pipeline, not the batch drive renamed:
         on the watched tree, where the row-batch drive's stamps differ from
         the batch drive's, it reproduces the row-batch golden, one
         :meth:`_process` per consumed row and the row cleanup."""
-        tree, config = self.row_backed_trees(tiny_tpcd)["watched"]
+        tree, config = self.scan_mode_trees(tiny_tpcd)["watched"]
         processed = count_calls(monkeypatch, RowPipelineDPJ, "_process")
         cleanups = count_calls(monkeypatch, RowPipelineDPJ, "_cleanup_pairs")
         rows, context, join = drive_join(tree, tpcd_catalog, "rows", **config)
         assert fingerprint(rows, context, join) == (
-            (self.WATCHED_ROWS_DIGEST,) + self.ROW_BACKED["watched"][1:]
+            (self.WATCHED_ROWS_DIGEST,) + self.SCAN_MODES["watched"][1:]
         )
         assert len(processed) == len(tiny_tpcd["partsupp"]) + len(tiny_tpcd["part"])
         assert cleanups == ["_cleanup_pairs"]
@@ -469,7 +459,7 @@ class TestRunAtATime:
         assert len(rows) == 58 * 58
 
     def test_tuple_drive_serves_a_high_fan_out_key_in_order(self):
-        # One key matching 2,500 rows: ``next()`` hands them over one at a
+        # One key matching 2,500 rows: ``next_row`` hands them over one at a
         # time from the front of the output accumulators, in emission order.
         fan_out = 2500
         left_rows = [(7, f"l{i}") for i in range(fan_out)]

@@ -37,21 +37,21 @@ from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import iterate, make_relation, multiset, recording_calls
+from helpers import iterate, make_relation, multiset, next_row, recording_calls
 
 SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
 
 
 def run_tuple_tree(spec, catalog, engine_config=None, result_name="bench_result") -> RunResult:
     """:func:`run_operator_tree` read one row at a time, through the
-    one-row adapter :meth:`~repro.engine.iterators.Operator.next`."""
+    one-row step :func:`helpers.next_row`."""
     context = ExecutionContext(catalog, config=engine_config, query_name=result_name)
     root = build_operator(spec, context)
     root = Materialize(f"{result_name}-mat", context, root, result_name=result_name)
     timeline = TupleTimeline()
     root.open()
     produced = 0
-    while root.next() is not None:
+    while next_row(root) is not None:
         produced += 1
         timeline.record(context.clock.now, produced)
     root.close()
@@ -65,7 +65,7 @@ def run_tuple_tree(spec, catalog, engine_config=None, result_name="bench_result"
     )
 
 
-#: How a run is read: in batches (the drive), or a row at a time through ``next()``.
+#: How a run is read: in batches (the drive), or a row at a time through ``next_row``.
 DRIVE_MODES = {
     "columnar": run_operator_tree,
     "tuple": run_tuple_tree,
@@ -620,7 +620,7 @@ class TestExchangeStreamSemantics:
         pending = WrapperScan("s1", context, "ord")
         union = Union("u", context, [drained, pending])
         union.open()
-        while drained.next() is not None:
+        while next_row(drained) is not None:
             pass  # exhaust child 0 directly
         assert drained.peek_arrival() is None
         assert union.peek_arrival() is not None

@@ -14,7 +14,15 @@ from repro.storage.batch import Batch
 from repro.storage.memory import MB
 from repro.storage.schema import Schema
 
-from helpers import ScriptedRuns, digest, iterate, make_relation, multiset, reference_join
+from helpers import (
+    ScriptedRuns,
+    digest,
+    iterate,
+    make_relation,
+    multiset,
+    next_row,
+    reference_join,
+)
 
 
 def expected_join(catalog):
@@ -109,7 +117,7 @@ class TestHybridHashJoin:
             "hh", context, outer, inner, ["partsupp.ps_partkey"], ["part.p_partkey"]
         )
         join.open()
-        first = join.next()
+        first = next_row(join)
         assert first is not None
         # The inner relation must be fully consumed before the first output.
         assert inner.wrapper.exhausted
@@ -276,7 +284,7 @@ class TestDependentJoinProbeCache:
         # A prior scan reads "ord" to completion, depositing it in the cache.
         scan = WrapperScan("warm", context, "ord")
         scan.open()
-        while scan.next() is not None:
+        while next_row(scan) is not None:
             pass
         scan.close()
         assert "ord" in context.source_cache

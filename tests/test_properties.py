@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import ExecutionContext
+from repro.engine.executor import QueryExecutor
 from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.network.profiles import NetworkProfile, lan
 from repro.network.source import DataSource
-from repro.plan.physical import OverflowMethod
+from repro.plan.fragments import Fragment, QueryPlan
+from repro.plan.physical import OverflowMethod, collector, wrapper_scan
+from repro.plan.rules import Always, Compare, EventType, Rule, constant, deactivate, event_value
 from repro.storage.batch import Batch
 from repro.storage.columns import DictColumn, Dictionary, build_column, gather_into, picker
 from repro.storage.disk import SimulatedDisk
@@ -34,6 +37,8 @@ from helpers import (
     gather_then_extend,
     insert_row,
     iterate,
+    make_relation,
+    next_row,
     resident_matches,
 )
 
@@ -784,7 +789,7 @@ def snapshot(batch):
 methods = st.sampled_from([OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH])
 
 #: One pull on the join: a plain batch, a bounded batch (rows arriving within
-#: ``now + window``), or one row through ``next()`` — which serves pending
+#: ``now + window``), or one row through ``next_row`` — which serves pending
 #: columnar output through ``take_batch(..., 1)``.
 pulls = st.one_of(
     st.tuples(st.just("batch"), st.sampled_from([1, 3, 7, 64]), st.none()),
@@ -879,7 +884,7 @@ class TestRunAtATimeProperties:
             if step == revoke_at:
                 join.budget.revoke_to(400)
             if kind == "tuple":
-                row = join.next()
+                row = next_row(join)
                 if row is None:
                     break
                 produced.append(row)
@@ -1116,7 +1121,7 @@ class TestWriteThroughProperties:
             outputs = []
             for kind, size, window in cycle([*schedule, ("batch", 64, None)]):
                 if kind == "tuple":
-                    row = join.next()
+                    row = next_row(join)
                     if row is None:
                         break
                     outputs.append(("row", row.values, row.arrival))
@@ -1140,6 +1145,133 @@ class TestWriteThroughProperties:
             observed.append((outputs, join.overflow_count, context.clock.now))
             join.close()
         assert observed[0] == observed[1]
+
+
+# ---------------------------------------------------------------------------
+# Threshold triggers: a rule's predicted count against every-row reporting
+# ---------------------------------------------------------------------------
+
+race_profiles = st.builds(
+    NetworkProfile,
+    initial_latency_ms=st.floats(min_value=0.0, max_value=30.0),
+    bandwidth_kbps=st.sampled_from([8.0, 40.0, 400.0, 1250.0]),
+    burst_size=st.integers(min_value=0, max_value=6),
+    burst_gap_ms=st.floats(min_value=0.0, max_value=15.0),
+    jitter_ms=st.sampled_from([0.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=3),
+)
+
+RACE_BOOKS = 30
+
+
+class RecordingExecutor(QueryExecutor):
+    """An executor that notes ``(subject, count)`` of the event behind every
+    rule action it runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired = []
+
+    def _apply_action(self, action, event):
+        self.fired.append((event.subject, event.value))
+        super()._apply_action(action, event)
+
+
+def race_catalog(main_profile, mirror_profile, mirror_order):
+    """Two racing copies of one bibliography — the mirror a reordered,
+    possibly partial copy — and a LAN backup."""
+    books = [(i, f"book{i}") for i in range(RACE_BOOKS)]
+    schema = ["isbn:int", "title:str"]
+    catalog = DataSourceCatalog()
+    catalog.register_source(DataSource("main", make_relation("bib", schema, books), main_profile))
+    mirrored = [books[i] for i in mirror_order]
+    catalog.register_source(
+        DataSource("mirror", make_relation("bib", schema, mirrored), mirror_profile)
+    )
+    catalog.register_source(DataSource("backup", make_relation("bib", schema, books), lan()))
+    return catalog
+
+
+def run_race(catalog, condition, batch_size):
+    """The race of Section 4.1 under ``condition``: whichever racer's
+    ``threshold`` event satisfies it first deactivates the other."""
+    children = [
+        wrapper_scan(name, operator_id=f"scan_{name}") for name in ("main", "mirror", "backup")
+    ]
+    spec = collector(children, operator_id="coll")
+    spec.params["dedup_keys"] = ["bib.isbn"]
+    spec.params["initially_active"] = ["scan_main", "scan_mirror"]
+    fragment = Fragment(fragment_id="f1", root=spec, result_name="answer")
+    fragment.rules = [
+        Rule(
+            name=f"win-{winner}",
+            owner="coll",
+            event_type=EventType.THRESHOLD,
+            subject=winner,
+            condition=condition,
+            actions=[deactivate(loser)],
+        )
+        for winner, loser in (("scan_main", "scan_mirror"), ("scan_mirror", "scan_main"))
+    ]
+    plan = QueryPlan(query_name="race", fragments=[fragment], answer_name="answer")
+    context = ExecutionContext(catalog, query_name="race")
+    executor = RecordingExecutor(context, batch_size=batch_size)
+    outcome = executor.execute(plan)
+    assert outcome.completed
+    return (
+        executor.fired,
+        outcome.stats.rules_fired,
+        context.operator("coll").tuples_per_child,
+        outcome.answer.multiset(),
+    )
+
+
+class TestThresholdTriggerProperties:
+    @given(
+        bound=st.integers(min_value=0, max_value=RACE_BOOKS + 5),
+        op=st.sampled_from([">=", ">"]),
+        scale=st.sampled_from([1.0, 0.5, 0.75, 1.5, 2.0]),
+        main_profile=race_profiles,
+        mirror_profile=race_profiles,
+        mirror_order=st.permutations(range(RACE_BOOKS)).flatmap(
+            lambda order: st.integers(min_value=1, max_value=RACE_BOOKS).map(
+                lambda kept: order[:kept]
+            )
+        ),
+        batch_size=st.sampled_from([2, 16, 256]),
+    )
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # A racer's trigger row is a duplicate, delivered after rows that were
+    # kept: the batch must run on to the next kept row, as under every-row
+    # reporting, and the mirror's trigger falls in that span too.
+    @example(
+        bound=1, op=">", scale=1.0,
+        main_profile=NetworkProfile(initial_latency_ms=0.0, bandwidth_kbps=400.0),
+        mirror_profile=NetworkProfile(initial_latency_ms=0.0, bandwidth_kbps=400.0),
+        mirror_order=[1, 0], batch_size=2,
+    )
+    # The other racer's run after the winner's event is one row at a time,
+    # or it carries rows past the first kept one into the loser's count.
+    @example(
+        bound=22, op=">", scale=1.0,
+        main_profile=NetworkProfile(initial_latency_ms=13.0, bandwidth_kbps=8.0, jitter_ms=3.0),
+        mirror_profile=NetworkProfile(initial_latency_ms=0.0, bandwidth_kbps=8.0),
+        mirror_order=[*range(17), 21, 18, 19, 23, 22, 17], batch_size=2,
+    )
+    def test_predicted_trigger_fires_where_every_row_reporting_does(
+        self, bound, op, scale, main_profile, mirror_profile, mirror_order, batch_size
+    ):
+        """A comparison of the event's count with a constant states the count
+        it first holds at, and the racers' batches end there; the same rule
+        made opaque (``& Always()``) has every row reported instead.  Both
+        fire on the same event, at the same count, and leave the same
+        answer and the same rows taken from each racer."""
+        condition = Compare(event_value(), op, constant(bound), scale=scale)
+        runs = [
+            run_race(race_catalog(main_profile, mirror_profile, mirror_order), cond, batch_size)
+            for cond in (condition, condition & Always())
+        ]
+        assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from repro.engine.stats import (
 class TestOperatorRuntimeStats:
     def test_record_output_tracks_first_and_last(self):
         stats = OperatorRuntimeStats("op1")
-        stats.record_output(10.0)
-        stats.record_output(25.0)
-        assert stats.tuples_produced == 2
+        stats.record_output_batch(1, 10.0)
+        stats.record_output_batch(3, 25.0)
+        stats.record_output_batch(0, 30.0)
+        assert stats.tuples_produced == 4
         assert stats.time_of_first_output == 10.0
         assert stats.time_of_last_output == 25.0
 

@@ -17,14 +17,14 @@ from repro.storage.tuples import counting_row_constructions
 from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
 
-from helpers import digest, drain, iterate, make_relation
+from helpers import digest, drain, iterate, make_relation, next_row, watch_threshold
 
 
 class TestOperatorBase:
     def test_next_before_open_raises(self, context):
         scan = WrapperScan("s", context, "ord")
         with pytest.raises(ExecutionError):
-            scan.next()
+            next_row(scan)
 
     def test_open_emits_opened_event(self, context):
         scan = WrapperScan("s", context, "ord")
@@ -46,7 +46,7 @@ class TestOperatorBase:
         scan = WrapperScan("s", context, "ord")
         scan.open()
         scan.deactivate()
-        assert scan.next() is None
+        assert next_row(scan) is None
         assert scan.peek_arrival() is None
 
 
@@ -73,8 +73,8 @@ class TestWrapperScan:
         assert scan.peek_arrival() is None
 
     def test_threshold_events_emitted(self, context):
-        # Per-row THRESHOLD events are raised when a rule watches them.
-        context.watch_events({(EventType.THRESHOLD, "s")})
+        # A rule that must see every count: the scan reports each row.
+        watch_threshold(context, "s")
         scan = WrapperScan("s", context, "ord")
         scan.open()
         list(iterate(scan))
@@ -88,7 +88,7 @@ class TestWrapperScan:
         scan = WrapperScan("s", context, "ord", timeout_ms=50.0)
         scan.open()
         with pytest.raises(SourceTimeoutError):
-            scan.next()
+            next_row(scan)
         events = drain(context.events)
         assert any(e.event_type == EventType.TIMEOUT and e.subject == "ord" for e in events)
         assert any(e.event_type == EventType.TIMEOUT and e.subject == "s" for e in events)
@@ -108,7 +108,7 @@ class TestTableScan:
             scan.open()
 
     def test_tie_steps_box_only_the_rows_delivered(self, context):
-        """``next()`` over a fragment result held as columnar batches (a
+        """``next_row`` over a fragment result held as columnar batches (a
         double pipelined join's tie step) reads the row in place: nothing
         else is boxed and the relation keeps serving column slices."""
         schema = Schema.of("x:int", "y:str")
@@ -126,7 +126,7 @@ class TestTableScan:
         scan.open()
         context.clock.consume_cpu(2.0)
         with counting_row_constructions() as counter:
-            first = [scan.next() for _ in range(4)]
+            first = [next_row(scan) for _ in range(4)]
             assert counter.count == 4
         assert [row.values for row in first] == [(i, f"v{i}") for i in range(4)]
         assert all(row.schema is schema and row.arrival >= 2.0 for row in first)
@@ -136,7 +136,7 @@ class TestTableScan:
             assert counter.count == 0
         assert block.columns == [[4, 5, 6], ["v4", "v5", "v6"]]
         assert [row.values[0] for row in iterate(scan)] == [7, 8, 9]
-        assert scan.next() is None
+        assert next_row(scan) is None
 
 
 # -- the row-free source layer -----------------------------------------------------------------
@@ -173,7 +173,7 @@ def drain_batches(scan, sizes=(1, 4, 64), bound_step=None):
             batch = scan.next_batch_bounded(size, scan.context.clock.now + bound_step)
             if not batch:
                 batches.append(([], []))
-                row = scan.next()
+                row = next_row(scan)
                 if row is None:
                     break
                 batches.append(([row.values], [row.arrival]))

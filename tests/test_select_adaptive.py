@@ -18,10 +18,9 @@ from repro.engine.operators.scan import WrapperScan
 from repro.engine.operators.select import REORDER_INTERVAL_BATCHES, Select
 from repro.network.profiles import lan
 from repro.network.source import DataSource
-from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
 
-from helpers import make_relation, multiset
+from helpers import make_relation, multiset, watch_threshold
 
 ROWS = 4000
 
@@ -48,8 +47,8 @@ def catalog():
 def run_select(catalog, adaptive: bool, batch_size: int = 64, watched: bool = False):
     context = ExecutionContext(catalog)
     if watched:
-        # A scan watched by a rule builds its batches row by row.
-        context.watch_events({(EventType.THRESHOLD, "scan_item")})
+        # A scan watched by an opaque rule cuts its batches at every row.
+        watch_threshold(context, "scan_item")
     select = Select(
         "sel",
         context,
@@ -90,7 +89,7 @@ class TestAdaptivePredicateOrdering:
         schema_index = select.child.output_schema.index_of("item.grade")
         assert select._compiled[0][0] == schema_index
 
-    def test_row_backed_drive_adapts_too(self, catalog):
+    def test_watched_scan_drive_adapts_too(self, catalog):
         static, static_rows = run_select(catalog, adaptive=False, watched=True)
         adaptive, adaptive_rows = run_select(catalog, adaptive=True, watched=True)
         assert multiset(adaptive_rows) == multiset(static_rows)

@@ -46,7 +46,7 @@ from repro.storage.memory import MemoryPool
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import examples, iterate, make_relation, multiset
+from helpers import examples, iterate, make_relation, multiset, next_row
 from invariants import pure_call
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
@@ -179,7 +179,7 @@ class TestPartialExtentCausality:
         )
         publisher.open()
         for _ in range(cut):
-            assert publisher.next() is not None
+            assert next_row(publisher) is not None
         publisher.close()  # early close republishes the partial extent
 
         reader = WrapperScan(
@@ -233,7 +233,7 @@ class TestStreamSharing:
         )
         publisher.open()
         for _ in range(20):
-            publisher.next()
+            next_row(publisher)
         publisher.close()
         extent = cache.stream("src")
         assert extent is not None and not extent.is_live

@@ -12,7 +12,8 @@ reason of kind ``paper`` (an entry point the paper describes) or
 Anything else fails, named; so does a ``KEPT`` entry whose definition is
 gone or no longer needs it.  Test-only behaviour belongs in ``tests/``.
 A second scan fails on a ``.next_batch(`` call outside :data:`PULLERS`: a
-second loop driving an operator tree.
+second loop driving an operator tree.  A third fails on ``EventType.THRESHOLD``
+named outside :data:`THRESHOLD_SITES`: a second path raising that event.
 
 The scan matches bare names, so it under-reports: one use of a name anywhere
 in ``src`` covers every definition of that name.  ``list.insert`` once hid
@@ -167,4 +168,37 @@ def test_one_drive_loop():
     assert not drivers, (
         "a second drive loop pulls batches outside the executor; hand it a "
         "one-fragment QueryPlan instead: " + ", ".join(sorted(drivers))
+    )
+
+
+#: Where ``src/`` may name ``EventType.THRESHOLD``: the rule language that
+#: defines it, the policies whose rules trigger on it, the ``Operator`` base
+#: class — the one place the event is raised — and the event handler, where
+#: the executor derives each watched operator's next trigger count.
+THRESHOLD_SITES = (
+    "plan/rules.py",
+    "core/policies.py",
+    "engine/iterators.py",
+    "engine/event_handler.py",
+)
+
+
+def test_one_threshold_emitter():
+    package = SRC / "repro"
+    naming = set()
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        if where in THRESHOLD_SITES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "THRESHOLD"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "EventType"
+            ):
+                naming.add(where)
+    assert not naming, (
+        "a second threshold path: the Operator base raises the event at the "
+        "counts the executor derives from the rules; " + ", ".join(sorted(naming))
     )
