@@ -55,10 +55,3 @@ class OverlapCatalog:
             (c for c in candidates if c != primary),
             key=lambda c: (-self.overlap(primary, c), c),
         )
-
-    def entries(self) -> list[OverlapEntry]:
-        """All recorded entries (for serialization and tests)."""
-        return [
-            OverlapEntry(container, contained, probability)
-            for (container, contained), probability in sorted(self._entries.items())
-        ]

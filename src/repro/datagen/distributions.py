@@ -18,10 +18,6 @@ class ValueGenerator:
     def __init__(self, seed: int = 42) -> None:
         self._rng = random.Random(seed)
 
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
-
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]."""
         return self._rng.randint(low, high)

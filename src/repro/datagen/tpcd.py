@@ -131,10 +131,6 @@ class TPCDDatabase:
     def names(self) -> list[str]:
         return sorted(self.tables)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(rel.size_bytes for rel in self.tables.values())
-
     def cardinalities(self) -> dict[str, int]:
         return {name: rel.cardinality for name, rel in self.tables.items()}
 

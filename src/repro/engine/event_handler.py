@@ -46,12 +46,6 @@ class EventHandler:
         for rule in rules:
             self.register(rule)
 
-    def rule(self, name: str) -> Rule:
-        try:
-            return self._rules_by_name[name]
-        except KeyError:
-            raise RuleError(f"no rule named {name!r}") from None
-
     @property
     def watched_keys(self) -> set[tuple[EventType, str]]:
         """Event keys that at least one *active* rule still triggers on.

@@ -27,7 +27,13 @@ from repro.storage.batch import Batch
 from repro.storage.schema import Schema
 
 #: Default number of rows per batch in the vectorized (batch-at-a-time) path.
-DEFAULT_BATCH_SIZE = 256
+#: Time to first tuple does not depend on it (the executor ramps 1 -> 4 ->
+#: 16 -> ... up to it), so above the ramp it trades per-batch overhead
+#: (Python calls, scan blocks, generation-0 collections) against batch
+#: memory.  Against 256 rows, 1024 cuts ``fig3a_hybrid``'s scan batches
+#: 125 -> 38 and its generation-0 collections 5 -> 2 per op, and its real
+#: cost to 0.82x, with every row, victim and spilled byte the same.
+DEFAULT_BATCH_SIZE = 1024
 
 
 class Operator:

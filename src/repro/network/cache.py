@@ -471,10 +471,6 @@ class SourceCache:
         self.source_counters(source_name).partial_hits += 1
         return StreamFollowerFeed(extent, clock, causal=session is not None)
 
-    def stream(self, source_name: str) -> PartialExtent | None:
-        """The in-progress extent for ``source_name`` (effect-free)."""
-        return self._streams.get(source_name)
-
     def streaming(self, source_name: str) -> bool:
         return source_name in self._streams
 

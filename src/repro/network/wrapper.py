@@ -97,11 +97,6 @@ class Wrapper:
         if self._connection is not None:
             self._connection.close(at_ms=self.clock.now)
 
-    def reset(self) -> None:
-        """Drop the connection so the wrapper can be reopened (rescheduling)."""
-        self.close()
-        self._connection = None
-
     # -- streaming ---------------------------------------------------------------
 
     def _require_connection(self) -> SourceConnection:

@@ -101,29 +101,16 @@ class CostModel:
         """System-R style join size over plain tuple counts (the enumerator's inner loop)."""
         return max(1, int(left * right * selectivity))
 
-    def join_cost(
-        self,
-        left: CardinalityEstimate,
-        right: CardinalityEstimate,
-        output: CardinalityEstimate,
-        memory_limit_bytes: int | None,
-        tuple_size_bytes: int | None = None,
-        pipelined: bool = True,
-    ) -> float:
-        """Cost of performing one join given the inputs' estimated sizes.
-
-        ``pipelined`` distinguishes the double pipelined join (both inputs
-        resident) from a hybrid hash join (only the smaller input resident).
-        """
-        return self.join_cost_of_sizes(
-            left.value, right.value, output.value, memory_limit_bytes, tuple_size_bytes, pipelined
-        )
-
     def join_cost_of_sizes(
         self, left: int, right: int, output: int, memory_limit_bytes: int | None,
         tuple_size_bytes: int | None = None, pipelined: bool = True,
     ) -> float:
-        """:meth:`join_cost` over plain tuple counts (the enumerator's inner loop)."""
+        """Cost of performing one join given the inputs' estimated tuple counts
+        (the enumerator's inner loop).
+
+        ``pipelined`` distinguishes the double pipelined join (both inputs
+        resident) from a hybrid hash join (only the smaller input resident).
+        """
         params = self.params
         tuple_size = tuple_size_bytes or params.default_tuple_size_bytes
         build_tuples = left + right if pipelined else min(left, right)

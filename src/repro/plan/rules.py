@@ -417,10 +417,6 @@ class Rule:
     def event_key(self) -> tuple[EventType, str]:
         return (self.event_type, self.subject)
 
-    def matches(self, event: Event) -> bool:
-        """Whether ``event`` triggers this rule (ignores condition and state)."""
-        return event.event_type == self.event_type and event.subject == self.subject
-
     def __str__(self) -> str:
         actions = "; ".join(str(a) for a in self.actions)
         return (

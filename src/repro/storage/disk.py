@@ -517,17 +517,6 @@ class SimulatedDisk:
         self._files[name] = handle
         return handle
 
-    def file(self, name: str) -> OverflowFile:
-        """Look up a previously created file."""
-        try:
-            return self._files[name]
-        except KeyError:
-            raise StorageError(f"no overflow file named {name!r}") from None
-
-    @property
-    def files(self) -> dict[str, OverflowFile]:
-        return dict(self._files)
-
     def io_time_ms(self, since: DiskStats | None = None) -> float:
         """Virtual milliseconds of I/O performed since ``since`` (or ever)."""
         base_r = since.pages_read if since else 0

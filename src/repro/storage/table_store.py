@@ -82,7 +82,4 @@ class LocalStore:
         self._relations.clear()
         self._info.clear()
 
-    @property
-    def total_bytes(self) -> int:
-        """Total estimated size of everything materialized."""
-        return sum(rel.size_bytes for rel in self._relations.values())
+

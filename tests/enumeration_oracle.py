@@ -264,10 +264,10 @@ class JoinEnumerator:
             cost = (
                 left_entry.cost
                 + right_entry.cost
-                + self.cost_model.join_cost(
-                    left_entry.cardinality,
-                    right_entry.cardinality,
-                    cardinality,
+                + self.cost_model.join_cost_of_sizes(
+                    left_entry.cardinality.value,
+                    right_entry.cardinality.value,
+                    cardinality.value,
                     memory_limit_bytes,
                 )
             )

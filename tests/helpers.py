@@ -568,7 +568,7 @@ def drive_join(build, catalog, drive, batch_size=64, between_batches=None, **con
 
 def spill_marks(context) -> tuple[int, int]:
     """``(marked, unmarked)`` spilled-row counts over every overflow file."""
-    chunks = [chunk for file in context.disk.files.values() for chunk in file.peek()]
+    chunks = [chunk for file in context.disk._files.values() for chunk in file.peek()]
     marks = [marked for chunk in chunks for marked in chunk.marked]
     return sum(marks), len(marks) - sum(marks)
 
@@ -592,14 +592,16 @@ def recording_calls(owner, name):
         setattr(owner, name, original)
 
 
-def spill_fingerprints() -> dict:
+def spill_fingerprints(batch_size: int = 64) -> dict:
     """What the §4.2.3 overflow workload decides and charges, plan by plan.
 
     ``part ⋈ partsupp`` (1 MB TPC-D, seed 7) at a third of the encoded join
     state through the double pipelined join under both overflow strategies and
     a constrained hybrid hash join, plus the left-flush plan re-keyed on
-    strings: flush victims in order, spill bytes and pages, overflow events,
-    the final virtual clock and the result cardinality.  Bucket identity is
+    strings, each drained ``batch_size`` rows a pull: flush victims in order,
+    spill bytes and pages, overflow events, the final virtual clock, the
+    result cardinality, its multiset digest and the first row's arrival
+    stamp (time to first tuple).  Bucket identity is
     the builtin ``hash``, so the string-keyed numbers repeat only under a
     fixed ``PYTHONHASHSEED`` — callers run this in a child interpreter.
     """
@@ -639,7 +641,9 @@ def spill_fingerprints() -> dict:
 
         config = dict(disk_page_read_ms=1.0, disk_page_write_ms=1.2)
         with recording_calls(BucketedHashTable, "flush_bucket") as flushes:
-            rows, context, _ = drive_join(build, catalog, "columnar", **config)
+            rows, context, _ = drive_join(
+                build, catalog, "columnar", batch_size=batch_size, **config
+            )
         stats = context.disk.stats
         return {
             # "l8 r8 ...": the table's side (left / right / inner) and the bucket.
@@ -651,6 +655,8 @@ def spill_fingerprints() -> dict:
             "overflow_events": context.stats.operator("join").overflow_events,
             "clock": context.clock.now,
             "rows": len(rows),
+            "multiset": digest(sorted(multiset(rows).items())),
+            "first_arrival": rows[0].arrival,
         }
 
     left_flush, symmetric = OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH

@@ -287,9 +287,9 @@ JOINABLE_GOLDENS = goldens(BATCH_SIZES, {
     "dependent_dup_keys": ("6a7b9789694f5430", (913.2884999999726, 913.37649999999, 913.5624999999966, 916.1644999999959, 926.8044999999961)),
     "dependent_no_memo": ("6a7b9789694f5430", (1518.0604999999894, 1518.1525000000095, 1518.3365000000047, 1520.958500000007, 1531.8145000000072)),
     "double_pipelined": ("b3e4f16eb5bc614a", (20.180000000000145, 20.17600000000025, 20.178000000000235, 20.158000000000243, 20.002000000000244)),
-    "hybrid_hash": ("b3e4f16eb5bc614a", (21.139999999999578, 21.13600000000025, 21.128000000000156, 21.01400000000021, 20.60200000000021)),
+    "hybrid_hash": ("b3e4f16eb5bc614a", (21.139999999999528, 21.1360000000002, 21.128000000000107, 21.01400000000016, 20.60200000000016)),
     "materialize": ("c98f97b9372aa865", (11.564499999999954, 11.564499999999953, 11.564499999999953, 11.56449999999994, 11.564499999999915)),
-    "nested_loops": ("b3e4f16eb5bc614a", (30.139999999999386, 30.136000000000237, 30.128000000000192, 30.01400000000021, 29.60200000000021)),
+    "nested_loops": ("b3e4f16eb5bc614a", (30.139999999999336, 30.136000000000188, 30.128000000000142, 30.01400000000016, 29.60200000000016)),
     "nested_loops_dup_keys": ("6a7b9789694f5430", (22.302499999999732, 22.29849999999997, 22.290499999999874, 22.176499999999923, 21.76449999999992)),
     "project": ("b9848c50c9b0ebbb", (11.564499999999954, 11.564499999999953, 11.564499999999953, 11.56449999999994, 11.564499999999915)),
     "select": ("693d43fb9ee021ab", (20.00200000000016, 20.002000000000162, 20.002000000000166, 20.00200000000021, 20.00200000000016)),

@@ -88,19 +88,15 @@ class TestJoinEstimates:
         assert not unreliable.reliable
 
     def test_join_cost_spill_penalty(self, model):
-        left = CardinalityEstimate(10_000, True)
-        right = CardinalityEstimate(10_000, True)
-        output = CardinalityEstimate(10_000, True)
-        roomy = model.join_cost(left, right, output, memory_limit_bytes=None)
-        tight = model.join_cost(left, right, output, memory_limit_bytes=64 * 1024)
+        left = right = output = 10_000
+        roomy = model.join_cost_of_sizes(left, right, output, memory_limit_bytes=None)
+        tight = model.join_cost_of_sizes(left, right, output, memory_limit_bytes=64 * 1024)
         assert tight > roomy
 
     def test_pipelined_join_builds_both_sides(self, model):
-        left = CardinalityEstimate(1000, True)
-        right = CardinalityEstimate(10, True)
-        output = CardinalityEstimate(100, True)
-        dpj = model.join_cost(left, right, output, None, pipelined=True)
-        hybrid = model.join_cost(left, right, output, None, pipelined=False)
+        left, right, output = 1000, 10, 100
+        dpj = model.join_cost_of_sizes(left, right, output, None, pipelined=True)
+        hybrid = model.join_cost_of_sizes(left, right, output, None, pipelined=False)
         assert dpj > hybrid  # hybrid only builds the small side
 
     def test_materialization_and_rescan_costs(self, model):

@@ -68,12 +68,6 @@ class TestSimulatedDisk:
         names = {disk.create_file("x").name for _ in range(5)}
         assert len(names) == 5
 
-    def test_file_lookup(self, disk):
-        handle = disk.create_file("abc")
-        assert disk.file(handle.name) is handle
-        with pytest.raises(StorageError):
-            disk.file("missing")
-
     def test_tuple_and_byte_accounting(self, disk, row):
         handle = disk.create_file(schema=SCHEMA)
         spill_row(handle, row)

@@ -151,10 +151,3 @@ class TestEventHandler:
         with pytest.raises(RuleError):
             handler.register(Rule("r1", "own", EventType.OPENED, "f", actions=[replan()]))
 
-    def test_rule_lookup(self):
-        handler, _ = make_handler()
-        rule = Rule("r1", "own", EventType.CLOSED, "f", actions=[replan()])
-        handler.register(rule)
-        assert handler.rule("r1") is rule
-        with pytest.raises(RuleError):
-            handler.rule("missing")

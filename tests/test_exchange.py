@@ -196,20 +196,30 @@ class TestLaneGoldens:
     """Fig-3a (0.25 MB, seed 42) as recorded on the parent of PR 19, the last
     commit with the process backend: collapsing the exchange to one runtime,
     starting producers at their first lane open and stamping producer
-    failures moved no join number."""
+    failures moved no join number.
+
+    Re-recorded when the batch grain went 256 -> 1024 rows (cardinality,
+    row values, every operator's row and overflow counts and time to first
+    tuple unchanged).  Laned plans: the producer routes 1024-row pulls, so a
+    lane sees its first rows when the 1024th has arrived (lineitem's scan
+    first outputs at 69.0 ms, was 21.0) and less lane work overlaps the
+    source's waits — completion 104.225 -> 108.577 ms at 2 lanes (hybrid
+    107.809) and 106.238 -> 106.954 at 4 (hybrid 106.702).  One-lane hybrid:
+    the build pulls orders in one batch, which moves the last bit of the
+    stamps its output rows take from the build side."""
 
     #: (plan, lanes, drive) -> (cardinality, completion ms, time to first
     #: tuple ms, timeline digest, operator-stats digest); the tuple drive's
     #: goldens left with that drive.
     PARENT = {
         ("dpj", 1, "columnar"): (1527, 101.80750000000016, 10.128999999999989, "6739f2364674a8ae", "23644173eb653106"),
-        ("dpj", 2, "columnar"): (1527, 104.22500000000116, 5.0895, "347112e878fc5a17", "b84ede9d3d7f866f"),
-        ("dpj", 4, "columnar"): (1527, 106.23800000000115, 5.0895, "daae52cc5996f093", "5c17bce69cf5e2d3"),
-        ("hybrid", 1, "columnar"): (1527, 100.43950000000075, 37.82449999999959, "2c885e01b3b42b81", "83f8dfb3dffcc975"),
-        ("hybrid", 2, "columnar"): (1527, 104.22500000000116, 5.0895, "347112e878fc5a17", "58cd089c5c14ae93"),
-        ("hybrid", 4, "columnar"): (1527, 106.23800000000115, 5.0895, "510bf0258b66391b", "af9c79eb60ee4e41"),
-        ("dpj-64k", 2, "columnar"): (1527, 104.22500000000116, 5.0895, "347112e878fc5a17", "b84ede9d3d7f866f"),
-        ("dpj-64k", 4, "columnar"): (1527, 106.23800000000115, 5.0895, "daae52cc5996f093", "5c17bce69cf5e2d3"),
+        ("dpj", 2, "columnar"): (1527, 108.57700000000234, 5.0895, "177a3b523d57576d", "7a8aced70b47e857"),
+        ("dpj", 4, "columnar"): (1527, 106.95400000000232, 5.0895, "3bbab6eec906dfbb", "88e65cb4bd03d892"),
+        ("hybrid", 1, "columnar"): (1527, 100.43950000000075, 37.82449999999968, "0c7cc389760cc609", "5a429674692cae73"),
+        ("hybrid", 2, "columnar"): (1527, 107.80900000000234, 5.0895, "177a3b523d57576d", "c1e58207d112c704"),
+        ("hybrid", 4, "columnar"): (1527, 106.70200000000233, 5.0895, "3bbab6eec906dfbb", "25ae5f45bf0f33c6"),
+        ("dpj-64k", 2, "columnar"): (1527, 108.57700000000234, 5.0895, "177a3b523d57576d", "7a8aced70b47e857"),
+        ("dpj-64k", 4, "columnar"): (1527, 106.95400000000232, 5.0895, "3bbab6eec906dfbb", "88e65cb4bd03d892"),
     }
     PLANS = {
         "dpj": (JoinImplementation.DOUBLE_PIPELINED, None),

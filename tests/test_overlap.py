@@ -42,9 +42,3 @@ def test_rank_ties_broken_by_name(catalog):
     catalog.set_overlap("a", "b", 0.5)
     assert catalog.rank_by_coverage("a", ["x", "b"]) == ["b", "x"]
 
-
-def test_entries_sorted(catalog):
-    catalog.set_overlap("b", "a", 0.3)
-    catalog.set_overlap("a", "b", 0.2)
-    entries = catalog.entries()
-    assert [(e.container, e.contained) for e in entries] == [("a", "b"), ("b", "a")]

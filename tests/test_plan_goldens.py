@@ -116,7 +116,12 @@ def fingerprint(tables, query, strategy, mode):
 #: inner join, used to run the inner join's per-tuple pipeline (an input row
 #: at a time, each row's CPU charged on its own) and now takes one row
 #: through its batch path (arrival-bounded input runs, CPU overlapped with
-#: the waits) — plans, rules and node counts are unchanged.
+#: the waits) — plans, rules and node counts are unchanged.  Q5's
+#: ``materialize_replan`` and ``partial`` totals were restated when the
+#: batch grain went 256 -> 1024 rows: a larger batch pools more of the
+#: waits its root's per-row CPU and materialization IO overlap with
+#: (``partial``), and the CPU charges sum in another order (the last bit of
+#: ``materialize_replan``); plans, rules, node counts and first tuples stay.
 GOLDENS: dict[tuple[str, str, str], tuple] = {
     ('Q1', 'pipeline', 'saved_state'): (('185d6f64c2092e9d',), ('ab076e22edf5d1b0',), (10,), 45.20999999999928, 5.161999999999999),
     ('Q2', 'pipeline', 'saved_state'): (('57ad2c7273bece76',), ('9db3f6293872abf9',), (12,), 44.85699999999936, 8.922250000000005),  # was 44.85699999999945, 7.087999999999991
@@ -136,42 +141,42 @@ GOLDENS: dict[tuple[str, str, str], tuple] = {
     ('Q2', 'materialize_replan', 'saved_state'): (('590e628dd07170e9', '3006a6054010a034', 'b2ca422d6b9d6501'), ('c0ff2e596a00af60', '94bce6af2a16037d', '5da0bb16e9b00cbb'), (12, 15, 16), 60.00824999999916, 31.833249999999914),
     ('Q3', 'materialize_replan', 'saved_state'): (('75b76ceedc942665', '26caec8d41c00ca0', 'd6d7d6442ad23eae'), ('701268625ea557e5', '6786f2010c9054e0', '2f5ee53cd5028aa1'), (12, 15, 16), 34.025250000000355, 29.553250000000357),
     ('Q4', 'materialize_replan', 'saved_state'): (('43c2a51f291de7cf', '576f5ef7bd533609', '640389a903d8e9ee'), ('3ac8797e66c4dc3c', 'd72875077872b862', 'c7fe43ea9835a779'), (12, 15, 16), 20.96100000000008, 20.913000000000082),
-    ('Q5', 'materialize_replan', 'saved_state'): (('73a9aa156059f68f', 'cdfa9a77f5620110', 'e565f779029c1e18'), ('9ae0a07ff4e8ad93', 'a4ccbe1085727777', 'b3f234b072c778a3'), (10, 13, 14), 83.54225000000001, 40.66224999999997),
+    ('Q5', 'materialize_replan', 'saved_state'): (('73a9aa156059f68f', 'cdfa9a77f5620110', 'e565f779029c1e18'), ('9ae0a07ff4e8ad93', 'a4ccbe1085727777', 'b3f234b072c778a3'), (10, 13, 14), 83.54225, 40.66224999999997),  # was 83.54225000000001
     ('Q6', 'materialize_replan', 'saved_state'): (('3bfda7d6a75b0122', '312297abfaaf0f15', '921b0f23b4bdba7b'), ('971d4a79e006904a', 'd3f1f33d6e037e1a', '1acae263ea9412e1'), (10, 13, 14), 42.981249999999946, 38.509249999999945),
     ('Q7', 'materialize_replan', 'saved_state'): (('672911fcb03f2a6b', '0a1a2ec9aebe095c', '3149f4c7abca027e'), ('6a98d7b2249c1676', '67e8bb244a4e7f26', '5e455553b616835a'), (10, 13, 14), 36.07999999999987, 34.16799999999987),
     ('Q1', 'materialize_replan', 'saved_state_no_pointers'): (('1b1f7f1842b950b6', '4f8af49229bf21da', 'ad8c1336469beee2'), ('ba730f46b9e2c739', 'fe84bd51bd4b75c7', '10149c0185f3eef3'), (10, 23, 34), 59.14499999999919, 30.96999999999995),
     ('Q2', 'materialize_replan', 'saved_state_no_pointers'): (('590e628dd07170e9', '3006a6054010a034', 'b2ca422d6b9d6501'), ('c0ff2e596a00af60', '94bce6af2a16037d', '5da0bb16e9b00cbb'), (12, 27, 40), 60.00824999999916, 31.833249999999914),
     ('Q3', 'materialize_replan', 'saved_state_no_pointers'): (('75b76ceedc942665', '26caec8d41c00ca0', 'd6d7d6442ad23eae'), ('701268625ea557e5', '6786f2010c9054e0', '2f5ee53cd5028aa1'), (12, 27, 40), 34.025250000000355, 29.553250000000357),
     ('Q4', 'materialize_replan', 'saved_state_no_pointers'): (('43c2a51f291de7cf', '576f5ef7bd533609', '640389a903d8e9ee'), ('3ac8797e66c4dc3c', 'd72875077872b862', 'c7fe43ea9835a779'), (12, 27, 40), 20.96100000000008, 20.913000000000082),
-    ('Q5', 'materialize_replan', 'saved_state_no_pointers'): (('73a9aa156059f68f', 'cdfa9a77f5620110', 'e565f779029c1e18'), ('9ae0a07ff4e8ad93', 'a4ccbe1085727777', 'b3f234b072c778a3'), (10, 23, 34), 83.54225000000001, 40.66224999999997),
+    ('Q5', 'materialize_replan', 'saved_state_no_pointers'): (('73a9aa156059f68f', 'cdfa9a77f5620110', 'e565f779029c1e18'), ('9ae0a07ff4e8ad93', 'a4ccbe1085727777', 'b3f234b072c778a3'), (10, 23, 34), 83.54225, 40.66224999999997),  # was 83.54225000000001
     ('Q6', 'materialize_replan', 'saved_state_no_pointers'): (('3bfda7d6a75b0122', '312297abfaaf0f15', '921b0f23b4bdba7b'), ('971d4a79e006904a', 'd3f1f33d6e037e1a', '1acae263ea9412e1'), (10, 23, 34), 42.981249999999946, 38.509249999999945),
     ('Q7', 'materialize_replan', 'saved_state_no_pointers'): (('672911fcb03f2a6b', '0a1a2ec9aebe095c', '3149f4c7abca027e'), ('6a98d7b2249c1676', '67e8bb244a4e7f26', '5e455553b616835a'), (10, 23, 34), 36.07999999999987, 34.16799999999987),
     ('Q1', 'materialize_replan', 'scratch'): (('1b1f7f1842b950b6', '4f8af49229bf21da', 'ad8c1336469beee2'), ('ba730f46b9e2c739', 'fe84bd51bd4b75c7', '10149c0185f3eef3'), (10, 6, 6), 59.14499999999919, 30.96999999999995),
     ('Q2', 'materialize_replan', 'scratch'): (('590e628dd07170e9', '3006a6054010a034', 'b2ca422d6b9d6501'), ('c0ff2e596a00af60', '94bce6af2a16037d', '5da0bb16e9b00cbb'), (12, 6, 6), 60.00824999999916, 31.833249999999914),
     ('Q3', 'materialize_replan', 'scratch'): (('75b76ceedc942665', '26caec8d41c00ca0', 'd6d7d6442ad23eae'), ('701268625ea557e5', '6786f2010c9054e0', '2f5ee53cd5028aa1'), (12, 6, 6), 34.025250000000355, 29.553250000000357),
     ('Q4', 'materialize_replan', 'scratch'): (('43c2a51f291de7cf', '576f5ef7bd533609', '640389a903d8e9ee'), ('3ac8797e66c4dc3c', 'd72875077872b862', 'c7fe43ea9835a779'), (12, 6, 6), 20.96100000000008, 20.913000000000082),
-    ('Q5', 'materialize_replan', 'scratch'): (('73a9aa156059f68f', 'cdfa9a77f5620110', 'e565f779029c1e18'), ('9ae0a07ff4e8ad93', 'a4ccbe1085727777', 'b3f234b072c778a3'), (10, 6, 6), 83.54225000000001, 40.66224999999997),
+    ('Q5', 'materialize_replan', 'scratch'): (('73a9aa156059f68f', 'cdfa9a77f5620110', 'e565f779029c1e18'), ('9ae0a07ff4e8ad93', 'a4ccbe1085727777', 'b3f234b072c778a3'), (10, 6, 6), 83.54225, 40.66224999999997),  # was 83.54225000000001
     ('Q6', 'materialize_replan', 'scratch'): (('3bfda7d6a75b0122', '312297abfaaf0f15', '921b0f23b4bdba7b'), ('971d4a79e006904a', 'd3f1f33d6e037e1a', '1acae263ea9412e1'), (10, 6, 6), 42.981249999999946, 38.509249999999945),
     ('Q7', 'materialize_replan', 'scratch'): (('672911fcb03f2a6b', '0a1a2ec9aebe095c', '3149f4c7abca027e'), ('6a98d7b2249c1676', '67e8bb244a4e7f26', '5e455553b616835a'), (10, 6, 6), 36.07999999999987, 34.16799999999987),
     ('Q1', 'partial', 'saved_state'): (('32b13910293913dc', '4f8af49229bf21da'), ('7741efb74a34a4f7', '84659dfacca3d8dd'), (10, 13), 59.14499999999919, 5.152),
     ('Q2', 'partial', 'saved_state'): (('46772d6527c6cd5a', '3006a6054010a034'), ('e9406d97652c8221', 'a2e3a3956fa96da1'), (12, 15), 60.00824999999916, 8.658250000000002),
     ('Q3', 'partial', 'saved_state'): (('64193cddf93c0f41', '26caec8d41c00ca0'), ('be11c309a4ff42d2', 'a207b3d0cca0674b'), (12, 15), 34.025250000000355, 6.8770000000000095),
     ('Q4', 'partial', 'saved_state'): (('72da0ae55ddcad4a', '576f5ef7bd533609'), ('ade88634afb04cc5', '3aa08404a5c1a065'), (12, 15), 20.96100000000008, 6.8770000000000095),
-    ('Q5', 'partial', 'saved_state'): (('2aea7539f48a20ad', 'cdfa9a77f5620110'), ('dcf898637b6da945', 'b7e6a21587fd4c65'), (10, 13), 85.76624999999952, 8.658250000000002),
+    ('Q5', 'partial', 'saved_state'): (('2aea7539f48a20ad', 'cdfa9a77f5620110'), ('dcf898637b6da945', 'b7e6a21587fd4c65'), (10, 13), 85.54225, 8.658250000000002),  # was 85.76624999999952
     ('Q6', 'partial', 'saved_state'): (('de20f7d3c7be18ec', '312297abfaaf0f15'), ('0eb3d28250dc34d7', 'debe6eea12e71d7d'), (10, 13), 42.981249999999946, 5.151999999999999),
     ('Q7', 'partial', 'saved_state'): (('3d0c93a47f8aa36a', '0a1a2ec9aebe095c'), ('932e1a6ad0f4845f', '32568ba81465ecd5'), (10, 13), 36.07999999999987, 5.151999999999999),
     ('Q1', 'partial', 'saved_state_no_pointers'): (('32b13910293913dc', '4f8af49229bf21da'), ('7741efb74a34a4f7', '84659dfacca3d8dd'), (10, 23), 59.14499999999919, 5.152),
     ('Q2', 'partial', 'saved_state_no_pointers'): (('46772d6527c6cd5a', '3006a6054010a034'), ('e9406d97652c8221', 'a2e3a3956fa96da1'), (12, 27), 60.00824999999916, 8.658250000000002),
     ('Q3', 'partial', 'saved_state_no_pointers'): (('64193cddf93c0f41', '26caec8d41c00ca0'), ('be11c309a4ff42d2', 'a207b3d0cca0674b'), (12, 27), 34.025250000000355, 6.8770000000000095),
     ('Q4', 'partial', 'saved_state_no_pointers'): (('72da0ae55ddcad4a', '576f5ef7bd533609'), ('ade88634afb04cc5', '3aa08404a5c1a065'), (12, 27), 20.96100000000008, 6.8770000000000095),
-    ('Q5', 'partial', 'saved_state_no_pointers'): (('2aea7539f48a20ad', 'cdfa9a77f5620110'), ('dcf898637b6da945', 'b7e6a21587fd4c65'), (10, 23), 85.76624999999952, 8.658250000000002),
+    ('Q5', 'partial', 'saved_state_no_pointers'): (('2aea7539f48a20ad', 'cdfa9a77f5620110'), ('dcf898637b6da945', 'b7e6a21587fd4c65'), (10, 23), 85.54225, 8.658250000000002),  # was 85.76624999999952
     ('Q6', 'partial', 'saved_state_no_pointers'): (('de20f7d3c7be18ec', '312297abfaaf0f15'), ('0eb3d28250dc34d7', 'debe6eea12e71d7d'), (10, 23), 42.981249999999946, 5.151999999999999),
     ('Q7', 'partial', 'saved_state_no_pointers'): (('3d0c93a47f8aa36a', '0a1a2ec9aebe095c'), ('932e1a6ad0f4845f', '32568ba81465ecd5'), (10, 23), 36.07999999999987, 5.151999999999999),
     ('Q1', 'partial', 'scratch'): (('32b13910293913dc', '4f8af49229bf21da'), ('7741efb74a34a4f7', '84659dfacca3d8dd'), (10, 6), 59.14499999999919, 5.152),
     ('Q2', 'partial', 'scratch'): (('46772d6527c6cd5a', '3006a6054010a034'), ('e9406d97652c8221', 'a2e3a3956fa96da1'), (12, 6), 60.00824999999916, 8.658250000000002),
     ('Q3', 'partial', 'scratch'): (('64193cddf93c0f41', '26caec8d41c00ca0'), ('be11c309a4ff42d2', 'a207b3d0cca0674b'), (12, 6), 34.025250000000355, 6.8770000000000095),
     ('Q4', 'partial', 'scratch'): (('72da0ae55ddcad4a', '576f5ef7bd533609'), ('ade88634afb04cc5', '3aa08404a5c1a065'), (12, 6), 20.96100000000008, 6.8770000000000095),
-    ('Q5', 'partial', 'scratch'): (('2aea7539f48a20ad', 'cdfa9a77f5620110'), ('dcf898637b6da945', 'b7e6a21587fd4c65'), (10, 6), 85.76624999999952, 8.658250000000002),
+    ('Q5', 'partial', 'scratch'): (('2aea7539f48a20ad', 'cdfa9a77f5620110'), ('dcf898637b6da945', 'b7e6a21587fd4c65'), (10, 6), 85.54225, 8.658250000000002),  # was 85.76624999999952
     ('Q6', 'partial', 'scratch'): (('de20f7d3c7be18ec', '312297abfaaf0f15'), ('0eb3d28250dc34d7', 'debe6eea12e71d7d'), (10, 6), 42.981249999999946, 5.151999999999999),
     ('Q7', 'partial', 'scratch'): (('3d0c93a47f8aa36a', '0a1a2ec9aebe095c'), ('932e1a6ad0f4845f', '32568ba81465ecd5'), (10, 6), 36.07999999999987, 5.151999999999999),
 }

@@ -19,7 +19,14 @@ from repro.plan.fragments import Fragment, QueryPlan
 from repro.plan.physical import OverflowMethod, collector, wrapper_scan
 from repro.plan.rules import Always, Compare, EventType, Rule, constant, deactivate, event_value
 from repro.storage.batch import Batch
-from repro.storage.columns import DictColumn, Dictionary, build_column, gather_into, picker
+from repro.storage.columns import (
+    DictColumn,
+    Dictionary,
+    build_column,
+    gather_into,
+    make_dictionaries,
+    picker,
+)
 from repro.storage.disk import SimulatedDisk
 from repro.storage.hash_table import BucketedHashTable
 from repro.storage.memory import MemoryBudget
@@ -179,18 +186,43 @@ arena_ops = st.tuples(
 )
 
 
+ARENA_GROUPS = ("g0", "g1", "group-two")
+#: ``t.v``'s values: every string of at most three letters from ``abc``.
+ARENA_WORD_LETTERS, ARENA_WORD_MAX = "abc", 3
+
+
 def arena_rows(random, fresh=None) -> list[tuple]:
     """Rows keyed from a small domain (duplicates within and across batches),
     or — while a table is kept unique — by the never-used keys ``fresh`` counts."""
     return [
         (
             random.randrange(12) if fresh is None else next(fresh),
-            random.choice(["g0", "g1", "group-two"]),
-            "".join(random.choices("abc", k=random.randrange(4))),
+            random.choice(ARENA_GROUPS),
+            "".join(random.choices(ARENA_WORD_LETTERS, k=random.randrange(ARENA_WORD_MAX + 1))),
             random.choice([0.5, 1.5, -2.0]),
         )
         for _ in range(random.choice([1, 2, 3, 4] + [random.randint(1, 24)] * 3))
     ]
+
+
+def frozen_arena_dictionaries() -> list:
+    """A coding scan's dictionaries: the whole string domain of
+    :func:`arena_rows` encoded, then frozen, so a table adopts them
+    (:func:`~repro.storage.columns.adoptable_dictionary` adopts only a frozen
+    dictionary) and charges each entry at the first insert that uses it."""
+    from itertools import product
+
+    words = [
+        "".join(letters)
+        for length in range(ARENA_WORD_MAX + 1)
+        for letters in product(ARENA_WORD_LETTERS, repeat=length)
+    ]
+    dictionaries = make_dictionaries(ARENA_SCHEMA)
+    for slot, domain in zip(STRING_SLOTS, (ARENA_GROUPS, words)):
+        for value in domain:
+            dictionaries[slot].encode(value)
+        dictionaries[slot].freeze()
+    return dictionaries
 
 
 class ArenaModel:
@@ -344,6 +376,14 @@ class TestColumnArenaProperties:
         fresh_until=st.one_of(st.just(0), st.integers(0, 30), st.just(99)),
     )
     @settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # Coded sources whose dictionaries the table did not adopt: it inserted
+    # five rows where the model, which assumed adoption, inserted three.
+    @example(
+        ops=[("probe", 0, 0, 0, False)] * 2
+        + [("position", 0, 0, 0, False), ("batch", 1, 0, 0, False)]
+        + [("batch", 0, 0, 0, False)] * 8,
+        coded_sources=True, limit=260, ask_from=0, quiet_until=0, fresh_until=0,
+    )
     def test_random_interleavings_equal_the_naive_model(
         self, ops, coded_sources, limit, ask_from, quiet_until, fresh_until
     ):
@@ -361,8 +401,6 @@ class TestColumnArenaProperties:
         from itertools import count
         from random import Random
 
-        from repro.storage.columns import make_dictionaries
-
         budget = MemoryBudget(limit)
         table = BucketedHashTable(
             ["t.k"], budget, SimulatedDisk(), bucket_count=ARENA_BUCKETS, schema=ARENA_SCHEMA
@@ -374,8 +412,8 @@ class TestColumnArenaProperties:
                     break
 
         budget.on_revoke = on_revoke
-        # One scan's batches share their dictionaries (the table adopts them).
-        dictionaries = make_dictionaries(ARENA_SCHEMA) if coded_sources else None
+        # One scan's batches share its frozen dictionaries (the table adopts them).
+        dictionaries = frozen_arena_dictionaries() if coded_sources else None
         model = ArenaModel(ARENA_SCHEMA.encoded_row_size, not coded_sources, limit)
         asked = False  # has the table been asked a bucket question since its last release?
         fresh = count()
@@ -803,7 +841,7 @@ class TestRunAtATimeProperties:
         sides=timed_sides(),
         memory=st.sampled_from([None, 400, 900, 2500]),
         method=methods,
-        batch_size=st.sampled_from([1, 7, 64, 256]),
+        batch_size=st.sampled_from([1, 7, 64, 256, 1024]),
     )
     @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_columnar_drive_equals_the_row_batch_drive(self, sides, memory, method, batch_size):
@@ -1238,7 +1276,7 @@ class TestThresholdTriggerProperties:
                 lambda kept: order[:kept]
             )
         ),
-        batch_size=st.sampled_from([2, 16, 256]),
+        batch_size=st.sampled_from([2, 16, 256, 1024]),
     )
     @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     # A racer's trigger row is a duplicate, delivered after rows that were

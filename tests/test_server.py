@@ -22,6 +22,7 @@ import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig
+from repro.engine.iterators import DEFAULT_BATCH_SIZE
 from repro.errors import PlanError
 from repro.network.cache import CACHE_SERVE_CPU_MS, SourceCache
 from repro.network.profiles import NetworkProfile
@@ -29,6 +30,7 @@ from repro.network.source import DataSource
 from repro.plan.fragments import Fragment, QueryPlan
 from repro.plan.physical import join, materialize, wrapper_scan
 from repro.server import MemoryBroker, QueryServer, ServerClock, SessionStatus
+from repro.server.session import SESSION_SLICE_ROWS
 from repro.storage.memory import MemoryPool
 
 from helpers import digest, make_relation, multiset, reference_join
@@ -326,6 +328,18 @@ def server_resident_bytes(server: QueryServer) -> int:
             if inner is not None:
                 total += inner.resident_bytes
     return total
+
+
+class TestSessionSlice:
+    def test_a_session_steps_at_its_slice_not_the_engine_grain(self):
+        server = QueryServer(fresh_catalog(rows=1500))
+        session = server.submit(scan_spec("l", "s"), "s")
+        server.run()
+        counts = session.timeline.counts
+        steps = [after - before for before, after in zip([0, *counts], counts)]
+        assert SESSION_SLICE_ROWS == session.executor.batch_size == 256 < DEFAULT_BATCH_SIZE
+        assert steps[:6] == [1, 4, 16, 64, 256, 256]
+        assert max(steps) == SESSION_SLICE_ROWS and sum(steps) == 1500
 
 
 class TestBrokerRevocationMidBuild:

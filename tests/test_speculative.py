@@ -235,7 +235,7 @@ class TestStreamSharing:
         for _ in range(20):
             next_row(publisher)
         publisher.close()
-        extent = cache.stream("src")
+        extent = cache._streams.get("src")
         assert extent is not None and not extent.is_live
         assert extent.row_count == 20
 
@@ -261,7 +261,7 @@ class TestStreamSharing:
         server.submit(wrapper_scan("src"), "second", arrival_ms=100.0)
         stats = server.run()
         assert stats.partial_extent_hits == 0
-        assert server.source_cache.stream("src") is None
+        assert server.source_cache._streams.get("src") is None
         assert catalog.source("src").stats.connections_queued == 1
 
 

@@ -1,10 +1,15 @@
 """What ``src/`` may hold: definitions the engine uses, or that a tree outside
 the tests names, or that :data:`KEPT` keeps on purpose.
 
-The scan parses ``src/repro/**/*.py``.  A non-dunder ``def`` or ``class``
+The scan parses ``src/repro/**/*.py``.  A non-dunder function or class
 counts as used when its name appears anywhere in ``src`` as an ``ast.Name``,
-as an ``ast.Attribute`` attribute, or as an equal string constant; names
-listed in an ``__all__`` do not count.  A definition unused in ``src`` passes
+as an ``ast.Attribute`` attribute, or as an equal string constant.  A method
+counts as used only through an attribute access whose receiver may be its
+class (``self``, an annotated name or a class named directly narrow the
+receiver to a class and its relatives; anything else may be any class), or
+through a string that can name an attribute (``getattr`` and kin in
+``src``); a local variable or an XML tag of the same name is not a use.
+Names listed in an ``__all__`` do not count.  A definition unused in ``src`` passes
 only when the same scan finds its name in ``perflab/``, ``examples/`` or
 ``benchmarks/``, or when :data:`KEPT` lists it under ``"module:name"`` with a
 reason of kind ``paper`` (an entry point the paper describes) or
@@ -15,10 +20,11 @@ A second scan fails on a ``.next_batch(`` call outside :data:`PULLERS`: a
 second loop driving an operator tree.  A third fails on ``EventType.THRESHOLD``
 named outside :data:`THRESHOLD_SITES`: a second path raising that event.
 
-The scan matches bare names, so it under-reports: one use of a name anywhere
-in ``src`` covers every definition of that name.  ``list.insert`` once hid
-``BucketedHashTable.insert``, and ``SourceCache.peek`` hides
-``OverflowFile.peek`` today.
+The scan still under-reports where it cannot tell a receiver's class: one
+``x.peek()`` on an unknown ``x`` covers every method named ``peek``
+(``SourceCache.peek`` hides ``OverflowFile.peek`` today).  Bare-name
+matching once hid ``Rule.matches`` behind ``module.matches(...)`` and
+``EventHandler.rule`` behind locals named ``rule``.
 """
 
 from __future__ import annotations
@@ -87,47 +93,197 @@ def _listed_in_all(tree: ast.AST) -> set[int]:
     return listed
 
 
-def names_used(paths) -> set[str]:
-    """Every name ``paths`` mention as a name, an attribute or a string."""
-    names: set[str] = set()
-    for path in paths:
+def annotated_class(annotation) -> str | None:
+    """The class an annotation names (``X``, ``mod.X``, ``"X"``, ``X | None``)."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = {annotated_class(annotation.left), annotated_class(annotation.right)} - {"None"}
+        return sides.pop() if len(sides) == 1 else None
+    if isinstance(annotation, ast.Constant) and annotation.value is None:
+        return "None"
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr
+    return None
+
+
+class Uses:
+    """What a tree mentions: bare names, ``receiver.attribute`` accesses and
+    string constants.  An access's receiver is the class it is known to be —
+    ``self`` / ``cls`` / ``super()`` in a method, a name annotated with a
+    class, a class named directly — else ``None``.  ``attribute_strings``
+    are the strings that can name an attribute: every string outside ``src``
+    (a tool may patch a method by name), in ``src`` only the attribute
+    argument of ``getattr`` / ``hasattr`` / ``setattr``."""
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self.attributes: set[tuple[str, str | None]] = set()
+        self.strings: set[str] = set()
+        self.attribute_strings: set[str] = set()
+
+    def scan(self, path: Path, in_src: bool) -> None:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        listed = _listed_in_all(tree)
-        for node in ast.walk(tree):
-            if id(node) in listed:
-                continue
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
+        self._listed = _listed_in_all(tree)
+        self._in_src = in_src
+        self._visit(tree, None, {})
+
+    def _visit(self, node, owner: str | None, known: dict) -> None:
+        if id(node) in self._listed:
+            return
+        if isinstance(node, ast.ClassDef):
+            for child in node.bases + node.keywords + node.decorator_list:
+                self._visit(child, owner, known)
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self._visit_function(child, node.name, {}, method=True)
+                else:
+                    self._visit(child, node.name, {})
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            self._visit_function(node, owner, known, method=False)
+            return
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            known[node.target.id] = annotated_class(node.annotation)
+        if isinstance(node, ast.Name):
+            self.names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            self.attributes.add((node.attr, self._receiver(node.value, owner, known)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            self.strings.add(node.value)
+            if not self._in_src:
+                self.attribute_strings.add(node.value)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr", "setattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            self.attribute_strings.add(node.args[1].value)
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, owner, known)
+
+    def _visit_function(self, node, owner: str | None, known: dict, method: bool) -> None:
+        arguments = node.args
+        for child in arguments.defaults + [d for d in arguments.kw_defaults if d is not None]:
+            self._visit(child, owner, known)
+        inner = dict(known)
+        every = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        for argument in every:
+            if argument.annotation is not None:
+                self._visit(argument.annotation, owner, known)
+            inner[argument.arg] = (
+                annotated_class(argument.annotation) if argument.annotation is not None else None
+            )
+        if not isinstance(node, ast.Lambda):
+            for child in node.decorator_list + ([node.returns] if node.returns else []):
+                self._visit(child, owner, known)
+        static = method and any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        if method and every and not static:
+            inner[every[0].arg] = owner  # self / cls
+        for child in node.body if isinstance(node.body, list) else [node.body]:
+            self._visit(child, owner, inner)
+
+    @staticmethod
+    def _receiver(value, owner: str | None, known: dict) -> str | None:
+        if isinstance(value, ast.Name):
+            if value.id in known:
+                return known[value.id]
+            return value.id if value.id[:1].isupper() else None  # ``Class.attribute``
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+            return owner if value.func.id == "super" else None
+        return None
 
 
-def definitions() -> dict[str, str]:
-    """``"module:name" -> name`` for every non-dunder def and class in ``src``."""
-    found = {}
+def definitions() -> tuple[dict[str, tuple[str, str | None]], dict[str, set[str]]]:
+    """``"module:name" -> (name, class)`` for every non-dunder def and class in
+    ``src`` (``class`` is ``None`` unless it is a method of that class), and
+    each ``src`` class's base-class names."""
+    found: dict[str, tuple[str, str | None]] = {}
+    bases: dict[str, set[str]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(map(annotated_class, node.bases))
+                for child in node.body:
+                    methods[id(child)] = node.name
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    found[f"{module}:{name}"] = name
-    return found
+                    found.setdefault(f"{module}:{name}", (name, methods.get(id(node))))
+    return found, bases
+
+
+def related_classes(bases: dict[str, set[str]]) -> dict[str, set[str]]:
+    """Each class with every ancestor and descendant among the ``src`` classes:
+    an access through one may dispatch to a method any of them defines."""
+
+    def ancestors(name: str) -> set[str]:
+        found, todo = set(), [name]
+        while todo:
+            for base in bases.get(todo.pop(), ()):
+                if base and base not in found:
+                    found.add(base)
+                    todo.append(base)
+        return found
+
+    above = {name: ancestors(name) for name in bases}
+    return {
+        name: {name} | above[name] | {other for other in bases if name in above[other]}
+        for name in bases
+    }
+
+
+def is_used(name: str, owner: str | None, uses: Uses, related: dict[str, set[str]]) -> bool:
+    """A function or class is used when its name is mentioned.  A method is
+    used only through a string that can name an attribute, or an attribute
+    access (a local variable of the same name does not call it) whose
+    receiver may be its class: an access on a known ``src`` class counts only
+    for that class's relatives, and a ``Protocol`` (structural) or unknown
+    receiver for every method of the name."""
+    if owner is None:
+        return name in uses.names or name in uses.strings or any(
+            attribute == name for attribute, _ in uses.attributes
+        )
+    if name in uses.attribute_strings:
+        return True
+    for attribute, receiver in uses.attributes:
+        if attribute != name:
+            continue
+        family = related.get(receiver)
+        if family is None or "Protocol" in family or owner in family:
+            return True
+    return False
 
 
 @pytest.fixture(scope="module")
 def scan():
-    used = names_used((SRC / "repro").rglob("*.py"))
-    outside = names_used(path for tree in OUTSIDE for path in (ROOT / tree).rglob("*.py"))
-    return definitions(), used | outside
+    uses = Uses()
+    for path in (SRC / "repro").rglob("*.py"):
+        uses.scan(path, in_src=True)
+    for path in (path for tree in OUTSIDE for path in (ROOT / tree).rglob("*.py")):
+        uses.scan(path, in_src=False)
+    defined, bases = definitions()
+    related = related_classes(bases)
+    return {
+        key: is_used(name, owner, uses, related) for key, (name, owner) in defined.items()
+    }
 
 
 def test_every_src_definition_is_used_or_kept(scan):
-    defined, used = scan
-    unexplained = sorted(key for key, name in defined.items() if name not in used and key not in KEPT)
+    unexplained = sorted(key for key, used in scan.items() if not used and key not in KEPT)
     assert not unexplained, (
         "defined in src/ but used only by the tests: move to tests/, delete, or KEPT: "
         + ", ".join(unexplained)
@@ -135,8 +291,7 @@ def test_every_src_definition_is_used_or_kept(scan):
 
 
 def test_no_kept_entry_is_stale(scan):
-    defined, used = scan
-    stale = sorted(key for key in KEPT if key not in defined or defined[key] in used)
+    stale = sorted(key for key in KEPT if scan.get(key, True))
     assert not stale, "KEPT entries whose definition is gone or used: " + ", ".join(stale)
 
 

@@ -44,12 +44,6 @@ def test_clear(store):
     assert len(store) == 0
 
 
-def test_total_bytes(store):
-    rel = make_relation("a", ["x:int"], [(1,), (2,)])
-    store.materialize(rel)
-    assert store.total_bytes == rel.size_bytes
-
-
 def test_iteration(store):
     store.materialize(make_relation("a", ["x:int"], [(1,)]))
     assert list(store) == ["a"]

@@ -82,9 +82,6 @@ class TestGeneration:
         order_keys = set(db["orders"].column("o_orderkey"))
         assert set(db["lineitem"].column("l_orderkey")) <= order_keys
 
-    def test_total_bytes_positive(self, tiny_tpcd):
-        assert tiny_tpcd.total_bytes > 0
-
     def test_fk_skew_changes_distribution(self):
         uniform = TPCDGenerator(scale_mb=0.3, seed=5, fk_skew=0.0).generate(["orders"])
         skewed = TPCDGenerator(scale_mb=0.3, seed=5, fk_skew=1.5).generate(["orders"])

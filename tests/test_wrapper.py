@@ -85,7 +85,7 @@ class TestWrapperStreaming:
         wrapper = make_wrapper(relation)
         wrapper.open()
         wrapper.fetch()
-        wrapper.reset()
+        wrapper.close()
         assert not wrapper.is_open
         wrapper.open()
         assert wrapper.fetch() is not None
