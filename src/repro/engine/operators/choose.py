@@ -40,16 +40,6 @@ class ChooseNode(Operator):
             self._schema = union_schema([child.output_schema for child in self.children])
         return self._schema
 
-    def select(self, child_id: str) -> None:
-        """Pick which alternative to run (idempotent before the first tuple)."""
-        for child in self.children:
-            if child.operator_id == child_id:
-                self._selected = child
-                return
-        raise ExecutionError(
-            f"choose node {self.operator_id!r} has no alternative {child_id!r}"
-        )
-
     def open(self) -> None:  # noqa: D102 - defers opening to the selected child only
         if self.state == "open":
             return

@@ -190,6 +190,9 @@ class _ProducerDriver:
     def start(self, at_ms: float) -> None:
         """Open the input at ``at_ms`` and route its whole stream (first call only).
 
+        Pulls ramp 1 -> 4 -> 16 -> ... -> ``DEFAULT_BATCH_SIZE`` rows, as
+        :meth:`QueryExecutor.steps` does, so a lane's first rows are routed
+        when the source's first rows arrive, not after a full batch of them.
         A pull failure ends the stream and is recorded, not raised: it
         re-raises from every lane's :class:`ExchangeSource`, where the lane
         subtree (a collector with a fallback mirror, say) can handle it.
@@ -201,9 +204,10 @@ class _ProducerDriver:
         clock = root.context.clock
         clock.advance_to(at_ms)
         root.open()
+        size = 1
         while True:
             try:
-                batch = root.next_batch(DEFAULT_BATCH_SIZE)
+                batch = root.next_batch(size)
             except Exception as exc:
                 self.error = exc
                 self.failed_at_ms = clock.now
@@ -212,6 +216,7 @@ class _ProducerDriver:
                 return
             clock.consume_cpu(len(batch) * self.route_cpu_ms)
             self._route(batch, clock.now)
+            size = min(size * 4, DEFAULT_BATCH_SIZE)
 
     def _route(self, batch: Batch, available_ms: float) -> None:
         """Hand each lane its share of ``batch``, available at ``available_ms``."""

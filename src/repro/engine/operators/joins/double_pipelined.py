@@ -575,7 +575,10 @@ class DoublePipelinedJoin(JoinOperator):
     # -- overflow resolution output (the final phase) ---------------------------------------------------------
 
     def _spilled_buckets(self) -> Iterator[int]:
-        """Buckets with rows on disk on either side, ascending."""
+        """Buckets with rows on disk on either side, ascending (none before
+        either table's first flush: only a flushed bucket takes spilled rows)."""
+        if not any(table.flushed_count for table in self._tables):
+            return
         left, right = (table.buckets for table in self._tables)
         for index in range(self.bucket_count):
             if left[index].spilled_count or right[index].spilled_count:

@@ -74,4 +74,4 @@ class Materialize(Operator):
 
     def _do_close(self) -> None:
         if self._relation is not None:
-            self.context.local_store.materialize(self._relation, at_time=self.context.clock.now)
+            self.context.local_store.materialize(self._relation)

@@ -25,7 +25,7 @@ from repro.storage.hash_table import BucketedHashTable, Bucket, DEFAULT_BUCKET_C
 from repro.storage.memory import MB, MemoryBudget, MemoryPool, MemoryStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, Schema, TYPE_SIZES
-from repro.storage.table_store import LocalStore, MaterializationInfo
+from repro.storage.table_store import LocalStore
 from repro.storage.tuples import Row, counting_row_constructions
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "DiskStats",
     "LocalStore",
     "MB",
-    "MaterializationInfo",
     "MemoryBudget",
     "MemoryPool",
     "MemoryStats",

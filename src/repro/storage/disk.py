@@ -36,7 +36,7 @@ compressed spill directly reduces the virtual I/O time the clock observes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice
 from operator import ne
 from typing import Any, Iterator, Sequence
 
@@ -133,9 +133,9 @@ class SpillChunk:
     ``columns`` holds the attribute columns (possibly dict-encoded),
     ``arrivals`` the parallel arrival stamps (possibly run-length encoded),
     ``marked`` the marked-bit column (one bool per row) and ``tags`` the
-    group tags as ``[tag, count]`` runs; ``groups`` maps each tag to its row
-    positions once :meth:`OverflowFile.read_log` has merged the file into
-    this chunk.  ``byte_size`` is the encoded footprint the chunk was charged
+    group tags as runs in one flat ``[tag, count, tag, count, ...]`` list;
+    ``groups`` maps each tag to its row positions once
+    :meth:`OverflowFile.read_log` has merged the file into this chunk.  ``byte_size`` is the encoded footprint the chunk was charged
     on write; reads charge the same.
     """
 
@@ -181,11 +181,11 @@ class OverflowFile(SpillLedger):
         self._count = 0
         self.closed = False
         # Encoded-spill bookkeeping: fallback file-owned dictionaries for
-        # tail chunks whose writers carry no dictionary of their own, and the
-        # ``(group tag, value)`` entries already charged (a group stores each
+        # tail chunks whose writers carry no dictionary of their own, and per
+        # group tag the string values already charged (a group stores each
         # distinct string once, whichever dictionary or drive mode wrote it).
         self._dictionaries: list | None = None
-        self._charged_values: set[tuple[int | None, str]] = set()
+        self._charged_values: dict[int | None, set[str]] = {}
 
     # -- sizing ------------------------------------------------------------------
 
@@ -203,18 +203,29 @@ class OverflowFile(SpillLedger):
         """
         fixed = MARK_BIT_BYTES
         entries: dict[int | None, int] = {}
-        seen = self._charged_values
+        charged = self._charged_values
         for attribute, column in zip(self.schema, columns):
             if type(column) is not DictColumn:
                 fixed += attribute.column_size
                 continue
             fixed += DICT_CODE_BYTES
-            tags = chain.from_iterable(repeat(ledger.index, count) for ledger, count in groups)
-            # ``a - b`` walks the small set; ``a -= b`` would walk all of ``seen``.
-            fresh = set(zip(tags, map(column.dictionary.values.__getitem__, column.codes))) - seen
-            seen |= fresh
-            for tag, value in fresh:
-                entries[tag] = entries.get(tag, 0) + len(value) + DICT_SLOT_BYTES
+            decode = column.dictionary.values.__getitem__
+            codes = column.codes
+            start = 0
+            for ledger, count in groups:
+                tag = ledger.index
+                seen = charged.get(tag)
+                if seen is None:
+                    seen = charged[tag] = set()
+                part = codes if count == len(codes) else codes[start : start + count]
+                start += count
+                # ``a - b`` walks the small set; ``a -= b`` would walk all of ``seen``.
+                fresh = set(map(decode, part)) - seen
+                if fresh:
+                    seen |= fresh
+                    entries[tag] = (
+                        entries.get(tag, 0) + sum(map(len, fresh)) + DICT_SLOT_BYTES * len(fresh)
+                    )
         stamps = as_values(arrivals)
         # steps[i]: how many of the first i stamps differ from their successor.
         steps = list(accumulate(map(ne, stamps, islice(stamps, 1, None)), initial=0))
@@ -280,7 +291,9 @@ class OverflowFile(SpillLedger):
             nbytes += ARRIVAL_STAMP_BYTES
         ledger.last_arrival = arrival
         attributes = self.schema.attributes
-        seen = self._charged_values
+        seen = self._charged_values.get(tag)
+        if seen is None:
+            seen = self._charged_values[tag] = set()
         for position, value in enumerate(values):
             column = columns[position]
             if type(column) is DictColumn:
@@ -295,8 +308,8 @@ class OverflowFile(SpillLedger):
                     self._tail = None
                     continue
                 nbytes += DICT_CODE_BYTES
-                if (tag, value) not in seen:
-                    seen.add((tag, value))
+                if value not in seen:
+                    seen.add(value)
                     nbytes += len(value) + DICT_SLOT_BYTES
                 column.codes.append(code)
             else:
@@ -305,10 +318,10 @@ class OverflowFile(SpillLedger):
         chunk.arrivals.append(arrival)
         chunk.marked.append(marked)
         tags = chunk.tags
-        if tags and tags[-1][0] == tag:
-            tags[-1][1] += 1
+        if tags and tags[-2] == tag:
+            tags[-1] += 1
         else:
-            tags.append([tag, 1])
+            tags += (tag, 1)
         chunk.byte_size += nbytes
         self._count += 1
         ledger.spilled_count += 1
@@ -359,7 +372,7 @@ class OverflowFile(SpillLedger):
         self._tail = None
         nbytes = self._charge_block(columns, arrivals, groups)
         arrivals = compress_arrivals(arrivals)
-        tags = [[ledger.index, size] for ledger, size in groups]
+        tags = [item for ledger, size in groups for item in (ledger.index, size)]
         self._chunks.append(SpillChunk(columns, arrivals, marks, nbytes, tags))
         self._count += count
         self._stats.record_write(nbytes, count)
@@ -440,7 +453,8 @@ class OverflowFile(SpillLedger):
             del chunks[1:]
             groups: dict = {}
             start = 0
-            for tag, count in log.tags:
+            runs = iter(log.tags)
+            for tag, count in zip(runs, runs):
                 groups.setdefault(tag, []).extend(range(start, start + count))
                 start += count
             log.groups = groups

@@ -13,7 +13,8 @@ loop.  Either way the payload moves with one ``extend`` / one C-level gather
 per column — no :class:`~repro.storage.tuples.Row`, no bytecode per cell.
 Buckets serve the paper's overflow resolution only: a :class:`Bucket` is
 ``flushed`` plus the :class:`~repro.storage.disk.SpillLedger` of what it has
-on disk, bucket identity is the hash *of the key as a tuple* (``(k,)`` for a
+on disk, built at the table's first flush (a table that never overflows holds
+none), bucket identity is the hash *of the key as a tuple* (``(k,)`` for a
 bare ``k`` — what it was when keys were tuples, so no victim, overflow point
 or spilled byte depends on the key form), and per-bucket resident keys and row
 counts exist only from a table's *first bucket question* on (a flush, a victim
@@ -225,7 +226,7 @@ class BucketedHashTable:
         self.name = name
         self.schema = schema
         self.row_bytes = schema.encoded_row_size if schema is not None else 0
-        self.buckets = [Bucket(i) for i in range(bucket_count)]
+        self._buckets: list[Bucket] | None = None
         self.total_inserted = 0
         self.flushed_count = 0
         self._binder = KeyBinder(self.key_names)
@@ -278,6 +279,16 @@ class BucketedHashTable:
         self._dictionaries = dictionaries
         self._adopted_slots = adopted
         self._owned_slots = owned
+
+    @property
+    def buckets(self) -> list[Bucket]:
+        """Every bucket's :class:`Bucket`, built at the first use — a flush or
+        a spill.  A table that never overflows builds none: its bucket
+        questions before a flush are answered from :attr:`flushed_count`."""
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = [Bucket(i) for i in range(self.bucket_count)]
+        return buckets
 
     @property
     def dictionary_bytes(self) -> int:
@@ -750,6 +761,8 @@ class BucketedHashTable:
 
     @property
     def flushed_buckets(self) -> list[int]:
+        if not self.flushed_count:
+            return []
         return [b.index for b in self.buckets if b.flushed]
 
     def overflow_store(self) -> tuple[list, list[float], list[bool], dict[int, list[int]], Any]:

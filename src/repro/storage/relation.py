@@ -4,22 +4,20 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from repro.errors import SchemaError, StorageError
+from repro.errors import SchemaError
 from repro.storage.batch import Batch, transpose_rows
 from repro.storage.columns import empty_like, gather_into, picker
 from repro.storage.schema import Schema
-from repro.storage.tuples import Key, KeyBinder, Row
+from repro.storage.tuples import Row
 
 
 class Relation:
     """A named bag of rows sharing one schema.
 
     Relations are the substrate behind simulated data sources, the local
-    store, and materialization points between plan fragments.  They support
-    the small relational algebra needed by tests and by the reference
-    (non-adaptive) evaluator used to cross-check operator results.
+    store, and materialization points between plan fragments.
 
     Batches appended via :meth:`extend_batch` are kept in their
     struct-of-arrays form and only converted into :class:`Row` objects when
@@ -185,61 +183,13 @@ class Relation:
             return out
         return [row.values[idx] for row in self.rows]
 
-    # -- reference relational algebra (used by tests and the catalog) -----------
-
-    def select(self, predicate: Callable[[Row], bool], name: str | None = None) -> "Relation":
-        """Rows satisfying ``predicate``."""
-        out = Relation(name or self.name, self.schema)
-        out.extend(row for row in self.rows if predicate(row))
-        return out
+    # -- projection and result comparison -------------------------------------------
 
     def project(self, names: Sequence[str], name: str | None = None) -> "Relation":
         """Projection onto ``names`` (a bag projection: duplicates retained)."""
         schema = self.schema.project(names)
         out = Relation(name or self.name, schema)
         out.extend(row.project(names, schema) for row in self.rows)
-        return out
-
-    def join(
-        self,
-        other: "Relation",
-        left_keys: Sequence[str],
-        right_keys: Sequence[str],
-        name: str | None = None,
-    ) -> "Relation":
-        """Reference hash equi-join used to validate the engine's join operators."""
-        if len(left_keys) != len(right_keys):
-            raise StorageError("join key lists must have equal length")
-        schema = self.schema.join(other.schema)
-        out = Relation(name or f"{self.name}_join_{other.name}", schema)
-        index: dict[Key, list[Row]] = {}
-        left_key, right_key = KeyBinder(left_keys).key, KeyBinder(right_keys).key
-        for row in other:
-            index.setdefault(right_key(row), []).append(row)
-        for row in self:
-            for match in index.get(left_key(row), ()):
-                out.append(row.concat(match, schema))
-        return out
-
-    def union(self, other: "Relation", name: str | None = None) -> "Relation":
-        """Bag union with ``other`` (schemas must be type-compatible)."""
-        if not self.schema.compatible_with(other.schema):
-            raise SchemaError(
-                f"cannot union {self.name!r} and {other.name!r}: incompatible schemas"
-            )
-        out = Relation(name or f"{self.name}_union_{other.name}", self.schema)
-        out.extend(self.rows)
-        out.extend(Row(self.schema, r.values, r.arrival) for r in other)
-        return out
-
-    def distinct(self, name: str | None = None) -> "Relation":
-        """Set-semantics copy (first occurrence of each value vector kept)."""
-        seen: set[tuple[Any, ...]] = set()
-        out = Relation(name or self.name, self.schema)
-        for row in self.rows:
-            if row.values not in seen:
-                seen.add(row.values)
-                out.append(row)
         return out
 
     def multiset(self) -> dict[tuple[Any, ...], int]:

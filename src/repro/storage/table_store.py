@@ -7,41 +7,21 @@ can be re-invoked with the *actual* cardinality of the intermediate result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import StorageError
 from repro.storage.relation import Relation
 
 
-@dataclass(frozen=True)
-class MaterializationInfo:
-    """Metadata recorded when a relation is materialized."""
-
-    name: str
-    cardinality: int
-    size_bytes: int
-    materialized_at: float
-
-
 class LocalStore:
-    """A dictionary of materialized relations with materialization metadata."""
+    """A dictionary of materialized relations, by name."""
 
     def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
-        self._info: dict[str, MaterializationInfo] = {}
 
-    def materialize(self, relation: Relation, at_time: float = 0.0) -> MaterializationInfo:
+    def materialize(self, relation: Relation) -> None:
         """Store ``relation`` under its name, replacing any previous version."""
-        info = MaterializationInfo(
-            name=relation.name,
-            cardinality=relation.cardinality,
-            size_bytes=relation.size_bytes,
-            materialized_at=at_time,
-        )
         self._relations[relation.name] = relation
-        self._info[relation.name] = info
-        return info
 
     def get(self, name: str) -> Relation:
         """Fetch a materialized relation by name."""
@@ -59,13 +39,6 @@ class LocalStore:
         """
         return self.get(name).column_block(start, max_rows)
 
-    def info(self, name: str) -> MaterializationInfo:
-        """Materialization metadata for ``name``."""
-        try:
-            return self._info[name]
-        except KeyError:
-            raise StorageError(f"no materialized relation named {name!r}") from None
-
     def __contains__(self, name: str) -> bool:
         return name in self._relations
 
@@ -80,6 +53,5 @@ class LocalStore:
 
     def clear(self) -> None:
         self._relations.clear()
-        self._info.clear()
 
 

@@ -137,20 +137,6 @@ class Row:
         values = tuple(self[name] for name in names)
         return Row(out_schema, values, self.arrival)
 
-    def concat(self, other: "Row", schema: Schema | None = None) -> "Row":
-        """Concatenate with ``other`` (join output); arrival is the later stamp."""
-        out_schema = schema if schema is not None else self.schema.join(other.schema)
-        if len(out_schema) != len(self.values) + len(other.values):
-            raise SchemaError(
-                f"concatenated arity {len(self.values) + len(other.values)} does "
-                f"not match schema arity {len(out_schema)} ({out_schema.names})"
-            )
-        return Row.make(
-            out_schema,
-            self.values + other.values,
-            self.arrival if self.arrival >= other.arrival else other.arrival,
-        )
-
     @property
     def size_bytes(self) -> int:
         """Estimated footprint used for memory accounting."""

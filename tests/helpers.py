@@ -25,6 +25,7 @@ from repro.engine.operators.joins.double_pipelined import (
 )
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
+from repro.errors import SchemaError, StorageError
 from repro.network.profiles import NetworkProfile
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch
@@ -32,7 +33,7 @@ from repro.storage.columns import DictColumn, extend_column, extend_moving, gath
 from repro.storage.hash_table import bucket_of
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder, Row
 
 #: The Hypothesis profile ``tests/conftest.py`` loads: ``tier1`` (the gate,
 #: derandomized) unless ``HYPOTHESIS_PROFILE=fuzz`` selects the seeded fuzz run.
@@ -55,9 +56,79 @@ def make_relation(name: str, columns: list[str], values: list[tuple]) -> Relatio
     return Relation.from_values(name, schema, values)
 
 
+# -- the reference relational algebra the engine's operators are checked against
+
+
+def concat_rows(left: Row, right: Row, schema: Schema | None = None) -> Row:
+    """``left`` and ``right`` as one join output row; arrival is the later stamp."""
+    out_schema = schema if schema is not None else left.schema.join(right.schema)
+    if len(out_schema) != len(left.values) + len(right.values):
+        raise SchemaError(
+            f"concatenated arity {len(left.values) + len(right.values)} does "
+            f"not match schema arity {len(out_schema)} ({out_schema.names})"
+        )
+    return Row.make(
+        out_schema,
+        left.values + right.values,
+        left.arrival if left.arrival >= right.arrival else right.arrival,
+    )
+
+
+def join_relations(
+    left: Relation,
+    right: Relation,
+    left_keys: list[str],
+    right_keys: list[str],
+    name: str | None = None,
+) -> Relation:
+    """Reference hash equi-join of two relations (``left`` rows, then their matches)."""
+    if len(left_keys) != len(right_keys):
+        raise StorageError("join key lists must have equal length")
+    schema = left.schema.join(right.schema)
+    out = Relation(name or f"{left.name}_join_{right.name}", schema)
+    index: dict[Key, list[Row]] = {}
+    left_key, right_key = KeyBinder(left_keys).key, KeyBinder(right_keys).key
+    for row in right:
+        index.setdefault(right_key(row), []).append(row)
+    for row in left:
+        for match in index.get(left_key(row), ()):
+            out.append(concat_rows(row, match, schema))
+    return out
+
+
 def reference_join(left: Relation, right: Relation, left_key: str, right_key: str) -> Relation:
     """Order-insensitive reference equi-join used to validate engine operators."""
-    return left.qualified().join(right.qualified(), [left_key], [right_key])
+    return join_relations(left.qualified(), right.qualified(), [left_key], [right_key])
+
+
+def select_rows(relation: Relation, predicate, name: str | None = None) -> Relation:
+    """The rows of ``relation`` satisfying ``predicate``."""
+    out = Relation(name or relation.name, relation.schema)
+    out.extend(row for row in relation.rows if predicate(row))
+    return out
+
+
+def union_relations(first: Relation, second: Relation, name: str | None = None) -> Relation:
+    """Bag union (the schemas must be type-compatible)."""
+    if not first.schema.compatible_with(second.schema):
+        raise SchemaError(
+            f"cannot union {first.name!r} and {second.name!r}: incompatible schemas"
+        )
+    out = Relation(name or f"{first.name}_union_{second.name}", first.schema)
+    out.extend(first.rows)
+    out.extend(Row(first.schema, r.values, r.arrival) for r in second)
+    return out
+
+
+def distinct_rows(relation: Relation, name: str | None = None) -> Relation:
+    """Set-semantics copy (the first occurrence of each value vector kept)."""
+    seen: set = set()
+    out = Relation(name or relation.name, relation.schema)
+    for row in relation.rows:
+        if row.values not in seen:
+            seen.add(row.values)
+            out.append(row)
+    return out
 
 
 def attribute_multiset(relation) -> dict:
@@ -321,7 +392,7 @@ class RowPipelineDPJ(DoublePipelinedJoin):
             for left_row, left_marked in left_entries:
                 for right_row, right_marked in right_by_key.get(left_key(left_row), ()):
                     if left_marked or right_marked:  # both unmarked: already emitted
-                        yield left_row.concat(right_row, schema)
+                        yield concat_rows(left_row, right_row, schema)
 
 
 class BoxedRowsCursor:
@@ -382,7 +453,7 @@ class RowPipelineHybrid(HybridHashJoin):
             self._charge_disk_time()
             for outer_row, _ in read_rows(outer.spill_log, outer.buckets[bucket_index]):
                 for inner_row in inner_by_key.get(left_key(outer_row), ()):
-                    yield outer_row.concat(inner_row, schema)
+                    yield concat_rows(outer_row, inner_row, schema)
             self._charge_disk_time()
 
 

@@ -18,7 +18,7 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import examples
+from helpers import concat_rows, examples
 
 SCHEMA = Schema.of("t.k:int", "t.name:str", "t.qty:int")
 
@@ -157,8 +157,8 @@ def test_gather_join_matches_row_concat():
     out_schema = SCHEMA.join(right_schema)
     joined = MatchCursor(out_schema, left, [0, 0], right, [0, 1]).take(2)
     expected = [
-        left[0].concat(right_rows[0], out_schema),
-        left[0].concat(right_rows[1], out_schema),
+        concat_rows(left[0], right_rows[0], out_schema),
+        concat_rows(left[0], right_rows[1], out_schema),
     ]
     assert [row.values for row in joined] == [row.values for row in expected]
     assert joined.arrivals == [row.arrival for row in expected]

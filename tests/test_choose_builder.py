@@ -27,19 +27,6 @@ from helpers import iterate, make_relation
 
 
 class TestChooseNode:
-    def test_runs_only_selected_child(self, context):
-        a = WrapperScan("a", context, "ord")
-        b = WrapperScan("b", context, "item")
-        # Children of a choose node must be union-compatible; use two scans of
-        # the same source instead.
-        b = WrapperScan("b", context, "ord")
-        node = ChooseNode("choose1", context, [a, b])
-        node.open()
-        node.select("b")
-        rows = list(iterate(node))
-        assert len(rows) == 3
-        assert (a.tuples_produced, b.tuples_produced) == (0, 3)
-
     def test_default_selection_prefers_non_deactivated(self, context):
         a = WrapperScan("a", context, "ord")
         b = WrapperScan("b", context, "ord")
@@ -48,12 +35,6 @@ class TestChooseNode:
         node.open()
         list(iterate(node))
         assert (a.tuples_produced, b.tuples_produced) == (0, 3)
-
-    def test_unknown_selection_rejected(self, context):
-        a = WrapperScan("a", context, "ord")
-        node = ChooseNode("choose1", context, [a])
-        with pytest.raises(ExecutionError):
-            node.select("ghost")
 
     def test_requires_children(self, context):
         with pytest.raises(ExecutionError):

@@ -200,26 +200,30 @@ class TestLaneGoldens:
 
     Re-recorded when the batch grain went 256 -> 1024 rows (cardinality,
     row values, every operator's row and overflow counts and time to first
-    tuple unchanged).  Laned plans: the producer routes 1024-row pulls, so a
-    lane sees its first rows when the 1024th has arrived (lineitem's scan
-    first outputs at 69.0 ms, was 21.0) and less lane work overlaps the
-    source's waits — completion 104.225 -> 108.577 ms at 2 lanes (hybrid
-    107.809) and 106.238 -> 106.954 at 4 (hybrid 106.702).  One-lane hybrid:
-    the build pulls orders in one batch, which moves the last bit of the
-    stamps its output rows take from the build side."""
+    tuple unchanged; one-lane hybrid: the build pulls orders in one batch,
+    which moves the last bit of the stamps its output rows take from the
+    build side), and again when the exchange producers began ramping their
+    pulls 1 -> 4 -> ... -> 1024 rows as the executor does: a lane now sees
+    its first rows when the source's first rows arrive (lineitem's scan
+    first outputs at 5.064 ms; 69.0 ms with 1024-row pulls) and lane work
+    overlaps the source's waits — completion 108.577 -> 103.094 ms at 2
+    lanes (hybrid 107.809 -> 103.026) and 106.954 -> 106.532 at 4 (hybrid
+    106.702 -> 106.532).  The same re-recording left cardinality, row
+    values, time to first tuple and every operator's row and overflow
+    counts unchanged."""
 
     #: (plan, lanes, drive) -> (cardinality, completion ms, time to first
     #: tuple ms, timeline digest, operator-stats digest); the tuple drive's
     #: goldens left with that drive.
     PARENT = {
         ("dpj", 1, "columnar"): (1527, 101.80750000000016, 10.128999999999989, "6739f2364674a8ae", "23644173eb653106"),
-        ("dpj", 2, "columnar"): (1527, 108.57700000000234, 5.0895, "177a3b523d57576d", "7a8aced70b47e857"),
-        ("dpj", 4, "columnar"): (1527, 106.95400000000232, 5.0895, "3bbab6eec906dfbb", "88e65cb4bd03d892"),
+        ("dpj", 2, "columnar"): (1527, 103.09350000000076, 5.0895, "d68e7c022f64af3f", "b3b443dc1dadf09c"),
+        ("dpj", 4, "columnar"): (1527, 106.53150000000075, 5.0895, "30c790b2a22da420", "6039a852f1f4da6c"),
         ("hybrid", 1, "columnar"): (1527, 100.43950000000075, 37.82449999999968, "0c7cc389760cc609", "5a429674692cae73"),
-        ("hybrid", 2, "columnar"): (1527, 107.80900000000234, 5.0895, "177a3b523d57576d", "c1e58207d112c704"),
-        ("hybrid", 4, "columnar"): (1527, 106.70200000000233, 5.0895, "3bbab6eec906dfbb", "25ae5f45bf0f33c6"),
-        ("dpj-64k", 2, "columnar"): (1527, 108.57700000000234, 5.0895, "177a3b523d57576d", "7a8aced70b47e857"),
-        ("dpj-64k", 4, "columnar"): (1527, 106.95400000000232, 5.0895, "3bbab6eec906dfbb", "88e65cb4bd03d892"),
+        ("hybrid", 2, "columnar"): (1527, 103.02550000000076, 5.0895, "d68e7c022f64af3f", "7c816790fc5e1d6c"),
+        ("hybrid", 4, "columnar"): (1527, 106.53150000000075, 5.0895, "30c790b2a22da420", "62cca7e6fb12ce83"),
+        ("dpj-64k", 2, "columnar"): (1527, 103.09350000000076, 5.0895, "d68e7c022f64af3f", "b3b443dc1dadf09c"),
+        ("dpj-64k", 4, "columnar"): (1527, 106.53150000000075, 5.0895, "30c790b2a22da420", "6039a852f1f4da6c"),
     }
     PLANS = {
         "dpj": (JoinImplementation.DOUBLE_PIPELINED, None),
@@ -401,7 +405,7 @@ class TestLaneFailure:
     def test_idle_standby_mirror_does_not_hold_the_server_frontier(self):
         server = QueryServer(self.bib_catalog(), engine_config=EngineConfig(exchange_lanes=2))
         session = server.submit(self.bib_spec(), "q")
-        for _ in range(4):
+        for _ in range(6):  # the lanes' clocks pass 100 ms at the fifth step
             session.step()
         # Mid-stream: the mirror's producer clock still reads its build time,
         # and the frontier follows the lanes that are actually running.

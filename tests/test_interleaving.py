@@ -10,7 +10,7 @@ from repro.query.conjunctive import ConjunctiveQuery, JoinPredicate
 from repro.query.reformulation import Reformulator
 from repro.storage.memory import MB
 
-from helpers import make_relation
+from helpers import join_relations, make_relation
 
 
 def star_catalog(sizes, profiles=None):
@@ -41,7 +41,7 @@ def reference_cardinality(catalog, names):
     result = catalog.source(names[0]).relation.qualified()
     for prev, name in zip(names, names[1:]):
         right = catalog.source(name).relation.qualified()
-        result = result.join(right, [f"{prev}.k"], [f"{name}.k"])
+        result = join_relations(result, right, [f"{prev}.k"], [f"{name}.k"])
     return result.cardinality
 
 

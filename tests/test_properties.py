@@ -35,6 +35,8 @@ from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
 from helpers import (
+    distinct_rows,
+    union_relations,
     GatherThenExtendDPJ,
     ScriptedProfile,
     ScriptedRuns,
@@ -1324,15 +1326,15 @@ class TestRelationProperties:
         schema = Schema.of("k:int", "p:str")
         a = Relation("a", schema, (Row(schema, p) for p in pairs))
         b = Relation("b", schema, (Row(schema, p) for p in pairs))
-        assert a.union(b).cardinality == 2 * len(pairs)
+        assert union_relations(a, b).cardinality == 2 * len(pairs)
 
     @given(pairs=pair_lists)
     @settings(max_examples=examples(60), deadline=None)
     def test_distinct_idempotent(self, pairs):
         schema = Schema.of("k:int", "p:str")
         rel = Relation("a", schema, (Row(schema, p) for p in pairs))
-        once = rel.distinct()
-        twice = once.distinct()
+        once = distinct_rows(rel)
+        twice = distinct_rows(once)
         assert once.multiset() == twice.multiset()
         assert once.cardinality == len(set(pairs))
 

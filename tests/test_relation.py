@@ -6,7 +6,7 @@ from repro.errors import SchemaError
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import make_relation
+from helpers import distinct_rows, join_relations, make_relation, select_rows, union_relations
 
 
 class TestConstruction:
@@ -28,7 +28,7 @@ class TestConstruction:
 
 class TestAlgebra:
     def test_select(self, people_relation):
-        adults = people_relation.select(lambda row: row["score"] >= 8.0)
+        adults = select_rows(people_relation, lambda row: row["score"] >= 8.0)
         assert {row["name"] for row in adults} == {"ada", "cyd"}
 
     def test_project_keeps_duplicates(self):
@@ -38,30 +38,30 @@ class TestAlgebra:
 
     def test_join_matches_expected_pairs(self, orders_and_items):
         orders, items = orders_and_items
-        joined = orders.qualified().join(items.qualified(), ["o_id"], ["i_order"])
+        joined = join_relations(orders.qualified(), items.qualified(), ["o_id"], ["i_order"])
         assert joined.cardinality == 3
         assert all(row["o_id"] == row["i_order"] for row in joined)
 
     def test_join_key_length_mismatch(self, orders_and_items):
         orders, items = orders_and_items
         with pytest.raises(Exception):
-            orders.join(items, ["o_id"], ["i_order", "i_sku"])
+            join_relations(orders, items, ["o_id"], ["i_order", "i_sku"])
 
     def test_union_compatible(self):
         a = make_relation("a", ["x:int"], [(1,), (2,)])
         b = make_relation("b", ["y:int"], [(2,), (3,)])
-        union = a.union(b)
+        union = union_relations(a, b)
         assert union.cardinality == 4
 
     def test_union_incompatible_rejected(self):
         a = make_relation("a", ["x:int"], [(1,)])
         b = make_relation("b", ["y:str"], [("s",)])
         with pytest.raises(SchemaError):
-            a.union(b)
+            union_relations(a, b)
 
     def test_distinct(self):
         rel = make_relation("r", ["a:int"], [(1,), (1,), (2,)])
-        assert rel.distinct().cardinality == 2
+        assert distinct_rows(rel).cardinality == 2
 
     def test_multiset(self):
         rel = make_relation("r", ["a:int"], [(1,), (1,), (2,)])

@@ -368,4 +368,3 @@ class TestMaterialize:
         mat.close()
         stored = context.local_store.get("ord_copy")
         assert stored.cardinality == len(rows) == 3
-        assert context.local_store.info("ord_copy").materialized_at == context.clock.now

@@ -1,5 +1,6 @@
 """The spill log end to end: the shared spill-join against the row oracles,
-write proportionality, and spill-state lifetime."""
+write proportionality, the per-group charge model against its oracle,
+spill-state lifetime, and overflow state only where a table overflows."""
 
 import gc
 import json
@@ -11,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
@@ -18,14 +21,22 @@ from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.plan.physical import OverflowMethod
 from repro.storage.batch import Batch
-from repro.storage.disk import OverflowFile, SimulatedDisk
-from repro.storage.hash_table import BucketedHashTable, bucket_of, stable_bucket_of
+from repro.storage.columns import DICT_CODE_BYTES, DICT_SLOT_BYTES, DictColumn, Dictionary
+from repro.storage.disk import MARK_BIT_BYTES, OverflowFile, SimulatedDisk, SpillLedger
+from repro.storage.hash_table import (
+    DEFAULT_BUCKET_COUNT,
+    Bucket,
+    BucketedHashTable,
+    bucket_of,
+    stable_bucket_of,
+)
 from repro.storage.memory import MemoryBudget
-from repro.storage.schema import Schema
+from repro.storage.schema import ARRIVAL_STAMP_BYTES, Schema
 from repro.storage.tuples import Row, counting_row_constructions
 
 from helpers import (
     drive_join,
+    examples,
     insert_row,
     multiset,
     per_tuple_reference,
@@ -346,3 +357,171 @@ class TestSpillStateLifetime:
             assert not any(ref() for ref in alive)
         finally:
             gc.enable()
+
+
+#: Few short values, so one value recurs across groups and across both string columns.
+WORDS = ["a", "bb", "ccc", "dddd", "eeeee"]
+LEDGER_SCHEMA = Schema.of("k:int", "s:str", "t:str")
+#: ``None`` is the file's own ledger (an untagged writer).
+TAGS = [0, 1, 2, 3, None]
+
+spill_rows = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.sampled_from(WORDS),
+        st.sampled_from(WORDS),
+        st.sampled_from([0.0, 1.0, 2.5]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def spill_calls(draw):
+    """One write: its kind, rows, groups (consecutive, one ledger each at
+    most once), how its string columns are held, and its mark."""
+    kind = draw(st.sampled_from(["position", "gather", "columns"]))
+    rows = draw(spill_rows)
+    if kind == "position":
+        rows = rows[:1]
+        groups = [(draw(st.sampled_from(TAGS)), 1)]
+    else:
+        tags = draw(st.permutations(TAGS))
+        cuts = draw(st.sets(st.integers(1, len(rows) - 1), max_size=4)) if len(rows) > 1 else ()
+        bounds = [0, *sorted(cuts), len(rows)]
+        groups = [(tags[i], bounds[i + 1] - bounds[i]) for i in range(len(bounds) - 1)]
+    held = ["frozen", "owned"] + (["plain"] if kind != "columns" else [])
+    return kind, rows, groups, draw(st.sampled_from(held)), draw(st.booleans())
+
+
+def string_column(values, held, frozen):
+    """``values`` as a frozen-dictionary column, a column over a dictionary of
+    its own (a table-owned one), or a plain list."""
+    if held == "frozen":
+        return DictColumn(frozen, [frozen.codes[value] for value in values])
+    if held == "owned":
+        column = DictColumn(Dictionary())
+        column.extend(values)
+        return column
+    return list(values)
+
+
+class TestChargesAgainstTheGroupOracle:
+    """Every ledger is charged what a file of its own would hold: the fixed
+    bytes per row, one stamp per arrival run, and each dictionary entry once
+    per group tag, restated here as a per-row oracle over ``(tag, value)``."""
+
+    @given(calls=st.lists(spill_calls(), min_size=1, max_size=8))
+    @settings(max_examples=examples(80), deadline=None)
+    def test_ledgers_disk_and_log_groups_match_the_oracle(self, calls):
+        frozen = Dictionary()
+        for word in WORDS:
+            frozen.encode(word)
+        frozen.freeze()
+        disk = SimulatedDisk()
+        file = disk.create_file("spill", schema=LEDGER_SCHEMA)
+        ledgers = {None: file}
+        for tag in TAGS[:-1]:
+            ledgers[tag] = SpillLedger()
+            ledgers[tag].index = tag
+        fixed = MARK_BIT_BYTES + LEDGER_SCHEMA.attributes[0].column_size + 2 * DICT_CODE_BYTES
+        charged: set = set()
+        last: dict = {}
+        expected_bytes = dict.fromkeys(TAGS, 0)
+        expected_count = dict.fromkeys(TAGS, 0)
+        expected_groups: dict = {}
+        expected_words: dict = {}
+        written = 0
+        for kind, rows, groups, held, marked in calls:
+            tags = [tag for tag, count in groups for _ in range(count)]
+            for tag, (_, s, t, arrival) in zip(tags, rows):
+                nbytes = fixed
+                if last.get(tag) != arrival:
+                    nbytes += ARRIVAL_STAMP_BYTES
+                last[tag] = arrival
+                for value in (s, t):
+                    if (tag, value) not in charged:
+                        charged.add((tag, value))
+                        nbytes += len(value) + DICT_SLOT_BYTES
+                expected_bytes[tag] += nbytes
+                expected_count[tag] += 1
+                expected_groups.setdefault(tag, []).append(written)
+                expected_words.setdefault(tag, []).append(s)
+                written += 1
+            keys, firsts, seconds, arrivals = (list(part) for part in zip(*rows))
+            named = [(ledgers[tag], count) for tag, count in groups]
+            if kind == "gather":
+                # Decoy rows in the source that the gather must leave out.
+                keys, firsts, seconds = keys + [99] * 3, firsts + WORDS[:3], seconds + WORDS[:3]
+            columns = [
+                keys, string_column(firsts, held, frozen), string_column(seconds, held, frozen)
+            ]
+            if kind == "position":
+                file.write_position(columns, 0, arrivals[0], marked, named[0][0])
+            elif kind == "gather":
+                file.write_gather(columns, arrivals + [9.0] * 3, range(len(rows)), marked, named)
+            else:
+                file.write_columns(columns, arrivals, marked, named)
+        for tag, ledger in ledgers.items():
+            assert (ledger.spilled_count, ledger.spilled_bytes) == (
+                expected_count[tag],
+                expected_bytes[tag],
+            ), tag
+        assert disk.stats.tuples_written == written
+        assert disk.stats.bytes_written == sum(expected_bytes.values())
+        log = file.read_log()
+        assert log.groups == expected_groups
+        assert {tag: [log.columns[1][i] for i in at] for tag, at in log.groups.items()} == (
+            expected_words
+        )
+
+
+def live_buckets() -> int:
+    return sum(type(found) is Bucket for found in gc.get_objects())
+
+
+class TestOverflowStateOnlyWhereATableOverflows:
+    @pytest.mark.parametrize("join_cls", [HybridHashJoin, DoublePipelinedJoin])
+    def test_a_join_that_never_overflows_builds_no_bucket(self, joinable_catalog, join_cls):
+        gc.collect()
+        before = live_buckets()
+        context = ExecutionContext(joinable_catalog)
+        join = join_cls(
+            "join", context, WrapperScan("l", context, "ord"), WrapperScan("r", context, "item"),
+            ["ord.o_id"], ["item.i_order"],
+        )
+        join.open()
+        rows = 0
+        while batch := join.next_batch(1024):
+            rows += len(batch)
+        tables = join._tables if join_cls is DoublePipelinedJoin else [join._inner_table]
+        assert rows == 3
+        assert all(table.flushed_buckets == [] for table in tables)
+        assert live_buckets() == before
+        join.close()
+
+    def test_a_flushing_table_keeps_every_bucket_and_the_parents_victims(self):
+        schema = Schema.of("k:int", "v:str")
+        rows = [(i * 7 % 193, f"v{i % 11}") for i in range(600)]
+        keys, values = (list(part) for part in zip(*rows))
+        batch = Batch.from_columns(schema, [keys, values], [float(i // 50) for i in range(600)])
+        disk = SimulatedDisk()
+        table = BucketedHashTable(
+            ["k"], MemoryBudget(150 * schema.encoded_row_size), disk, schema=schema
+        )
+        victims, position = [], 0
+        while position < len(batch):
+            position = table.insert_batch(batch, start=position)
+            if position < len(batch):
+                victims.append(table.flush_largest_bucket())
+        # Recorded on the parent commit, where every table built its buckets up front.
+        assert victims == [
+            8, 11, 20, 28, 0, 2, 29, 46, 5, 14, 49, 32, 26, 23, 37, 40, 52, 34, 17, 31, 58,
+            60, 43, 55, 61, 63, 24, 50, 3, 7, 33, 54, 1, 4, 6, 12, 16, 10, 13, 15, 38,
+        ]
+        assert disk.stats.bytes_written == 14617
+        assert len(table.buckets) == DEFAULT_BUCKET_COUNT
+        assert [bucket.index for bucket in table.buckets] == list(range(DEFAULT_BUCKET_COUNT))
+        assert table.flushed_buckets == sorted(victims)
+        assert sum(bucket.spilled_bytes for bucket in table.buckets) == 14617

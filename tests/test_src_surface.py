@@ -5,10 +5,14 @@ The scan parses ``src/repro/**/*.py``.  A non-dunder function or class
 counts as used when its name appears anywhere in ``src`` as an ``ast.Name``,
 as an ``ast.Attribute`` attribute, or as an equal string constant.  A method
 counts as used only through an attribute access whose receiver may be its
-class (``self``, an annotated name or a class named directly narrow the
-receiver to a class and its relatives; anything else may be any class), or
-through a string that can name an attribute (``getattr`` and kin in
-``src``); a local variable or an XML tag of the same name is not a use.
+class (``self``, an annotated name, a class named directly, or an attribute
+every ``src`` definition gives one class narrow the receiver to a class and
+its relatives; a string literal or a builtin constructor call types it as a
+builtin, which no ``src`` method is; anything else may be any class), or
+through a string that can name an attribute (``getattr`` and kin, and
+outside ``src`` a string following a name in a tuple, as perflab's tracer
+names the methods it wraps); a local variable, an XML tag or a table header
+of the same name is not a use.
 Names listed in an ``__all__`` do not count.  A definition unused in ``src`` passes
 only when the same scan finds its name in ``perflab/``, ``examples/`` or
 ``benchmarks/``, or when :data:`KEPT` lists it under ``"module:name"`` with a
@@ -22,9 +26,12 @@ named outside :data:`THRESHOLD_SITES`: a second path raising that event.
 
 The scan still under-reports where it cannot tell a receiver's class: one
 ``x.peek()`` on an unknown ``x`` covers every method named ``peek``
-(``SourceCache.peek`` hides ``OverflowFile.peek`` today).  Bare-name
+(``SourceCache.peek`` hides ``OverflowFile.peek`` today), and a loop
+variable's ``row.project(...)`` covers ``Relation.project``.  Bare-name
 matching once hid ``Rule.matches`` behind ``module.matches(...)`` and
-``EventHandler.rule`` behind locals named ``rule``.
+``EventHandler.rule`` behind locals named ``rule``; untyped literal and
+attribute receivers hid ``Relation.join`` behind ``", ".join(...)`` and
+``self.schema.join(...)``.
 """
 
 from __future__ import annotations
@@ -116,16 +123,24 @@ class Uses:
     """What a tree mentions: bare names, ``receiver.attribute`` accesses and
     string constants.  An access's receiver is the class it is known to be —
     ``self`` / ``cls`` / ``super()`` in a method, a name annotated with a
-    class, a class named directly — else ``None``.  ``attribute_strings``
-    are the strings that can name an attribute: every string outside ``src``
-    (a tool may patch a method by name), in ``src`` only the attribute
-    argument of ``getattr`` / ``hasattr`` / ``setattr``."""
+    class, a class named directly, a builtin for a string literal or a
+    builtin constructor call (``str``, ``frozenset``, ...) — or
+    ``".name"`` for an attribute access ``x.name``, which :meth:`resolve`
+    types through :attr:`attribute_classes`; else ``None``.
+    ``attribute_classes`` maps an attribute name to the classes its ``src``
+    definitions give it: a property's return annotation, an annotated
+    field, or an assignment of a typed name or a constructor call (``None``
+    for anything else).  ``attribute_strings`` are the strings that can name
+    an attribute: the attribute argument of ``getattr`` / ``hasattr`` /
+    ``setattr``, and outside ``src`` a string following a name in a tuple
+    (``(Class, "method", ...)``: how a tool names the methods it patches)."""
 
     def __init__(self) -> None:
         self.names: set[str] = set()
         self.attributes: set[tuple[str, str | None]] = set()
         self.strings: set[str] = set()
         self.attribute_strings: set[str] = set()
+        self.attribute_classes: dict[str, set[str | None]] = {}
 
     def scan(self, path: Path, in_src: bool) -> None:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -141,8 +156,18 @@ class Uses:
                 self._visit(child, owner, known)
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(
+                        isinstance(d, ast.Name) and d.id == "property" for d in child.decorator_list
+                    ):
+                        self._typed(child.name, child.returns)
                     self._visit_function(child, node.name, {}, method=True)
                 else:
+                    if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                        self._typed(child.target.id, child.annotation)
+                    elif isinstance(child, ast.Assign):
+                        for target in child.targets:
+                            if isinstance(target, ast.Name):
+                                self._given(target.id, None)  # a class attribute, untyped
                     self._visit(child, node.name, {})
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -150,14 +175,23 @@ class Uses:
             return
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             known[node.target.id] = annotated_class(node.annotation)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Attribute):
+            self._typed(node.target.attr, node.annotation)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                self._assigned(target, node.value, known)
         if isinstance(node, ast.Name):
             self.names.add(node.id)
         elif isinstance(node, ast.Attribute):
             self.attributes.add((node.attr, self._receiver(node.value, owner, known)))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             self.strings.add(node.value)
-            if not self._in_src:
-                self.attribute_strings.add(node.value)
+        elif isinstance(node, ast.Tuple) and not self._in_src:
+            for owner_node, item in zip(node.elts, node.elts[1:]):
+                if isinstance(owner_node, (ast.Name, ast.Attribute)) and (
+                    isinstance(item, ast.Constant) and isinstance(item.value, str)
+                ):
+                    self.attribute_strings.add(item.value)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -168,6 +202,36 @@ class Uses:
             self.attribute_strings.add(node.args[1].value)
         for child in ast.iter_child_nodes(node):
             self._visit(child, owner, known)
+
+    def _typed(self, attribute: str, annotation) -> None:
+        self._given(attribute, annotated_class(annotation) if annotation is not None else None)
+
+    def _given(self, attribute: str, given: str | None) -> None:
+        if self._in_src:
+            self.attribute_classes.setdefault(attribute, set()).add(given)
+
+    def _assigned(self, target, value, known: dict) -> None:
+        """Record the class ``value`` gives each attribute ``target`` stores."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pairs = isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(target.elts)
+            for at, part in enumerate(target.elts):
+                self._assigned(part, value.elts[at] if pairs else None, known)
+        elif isinstance(target, ast.Attribute):
+            if isinstance(value, ast.Name):
+                given = known.get(value.id)
+            elif isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                given = value.func.id if value.func.id[:1].isupper() else None
+            else:
+                given = None
+            self._given(target.attr, given)
+
+    def resolve(self, receiver: str | None) -> str | None:
+        """The class of a receiver: ``".name"`` when every definition of
+        attribute ``name`` gives it one class, else what was recorded."""
+        if receiver is None or receiver[0] != ".":
+            return receiver
+        found = self.attribute_classes.get(receiver[1:], {None})
+        return next(iter(found)) if len(found) == 1 else None
 
     def _visit_function(self, node, owner: str | None, known: dict, method: bool) -> None:
         arguments = node.args
@@ -194,12 +258,20 @@ class Uses:
 
     @staticmethod
     def _receiver(value, owner: str | None, known: dict) -> str | None:
+        if isinstance(value, ast.JoinedStr):
+            return "str"
+        if isinstance(value, ast.Constant) and isinstance(value.value, (str, bytes)):
+            return type(value.value).__name__  # ``", ".join(...)`` is ``str.join``
         if isinstance(value, ast.Name):
             if value.id in known:
                 return known[value.id]
             return value.id if value.id[:1].isupper() else None  # ``Class.attribute``
         if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+            if value.func.id in BUILTIN_RECEIVERS:
+                return value.func.id  # ``frozenset().union(...)``
             return owner if value.func.id == "super" else None
+        if isinstance(value, ast.Attribute):
+            return "." + value.attr
         return None
 
 
@@ -246,6 +318,11 @@ def related_classes(bases: dict[str, set[str]]) -> dict[str, set[str]]:
     }
 
 
+#: Receivers a literal or a builtin constructor call types: an access on one
+#: calls a builtin's method, never a ``src`` one.
+BUILTIN_RECEIVERS = ("str", "bytes", "list", "tuple", "dict", "set", "frozenset")
+
+
 def is_used(name: str, owner: str | None, uses: Uses, related: dict[str, set[str]]) -> bool:
     """A function or class is used when its name is mentioned.  A method is
     used only through a string that can name an attribute, or an attribute
@@ -261,6 +338,9 @@ def is_used(name: str, owner: str | None, uses: Uses, related: dict[str, set[str
         return True
     for attribute, receiver in uses.attributes:
         if attribute != name:
+            continue
+        receiver = uses.resolve(receiver)
+        if receiver in BUILTIN_RECEIVERS:
             continue
         family = related.get(receiver)
         if family is None or "Protocol" in family or owner in family:

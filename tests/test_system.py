@@ -10,7 +10,7 @@ from repro.network.source import DataSource, make_mirror
 from repro.catalog.source_desc import SourceDescription
 from repro.optimizer.optimizer import PlanningStrategy, ReoptimizationMode
 
-from helpers import attribute_multiset, reference_join
+from helpers import attribute_multiset, join_relations, reference_join
 
 
 @pytest.fixture
@@ -97,10 +97,16 @@ class TestQueryExecution:
         )
         result = tpcd_system.execute(sql, strategy=strategy, name=f"q_{strategy.value}")
         assert result.succeeded
-        expected = (
-            tiny_tpcd["nation"].qualified()
-            .join(tiny_tpcd["region"].qualified(), ["n_regionkey"], ["r_regionkey"])
-            .join(tiny_tpcd["supplier"].qualified(), ["n_nationkey"], ["s_nationkey"])
+        expected = join_relations(
+            join_relations(
+                tiny_tpcd["nation"].qualified(),
+                tiny_tpcd["region"].qualified(),
+                ["n_regionkey"],
+                ["r_regionkey"],
+            ),
+            tiny_tpcd["supplier"].qualified(),
+            ["n_nationkey"],
+            ["s_nationkey"],
         )
         assert result.cardinality == expected.cardinality
 
@@ -156,10 +162,16 @@ class TestQueryExecution:
         )
         result = system.execute(sql, strategy=PlanningStrategy.MATERIALIZE_REPLAN, name="modes")
         assert result.succeeded
-        expected = (
-            tiny_tpcd["nation"].qualified()
-            .join(tiny_tpcd["supplier"].qualified(), ["n_nationkey"], ["s_nationkey"])
-            .join(tiny_tpcd["customer"].qualified(), ["n_nationkey"], ["c_nationkey"])
+        expected = join_relations(
+            join_relations(
+                tiny_tpcd["nation"].qualified(),
+                tiny_tpcd["supplier"].qualified(),
+                ["n_nationkey"],
+                ["s_nationkey"],
+            ),
+            tiny_tpcd["customer"].qualified(),
+            ["n_nationkey"],
+            ["c_nationkey"],
         )
         assert result.cardinality == expected.cardinality
 

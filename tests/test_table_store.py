@@ -15,9 +15,7 @@ def store():
 
 def test_materialize_and_get(store):
     rel = make_relation("r1", ["a:int"], [(1,), (2,)])
-    info = store.materialize(rel, at_time=42.0)
-    assert info.cardinality == 2
-    assert info.materialized_at == 42.0
+    store.materialize(rel)
     assert store.get("r1") is rel
     assert "r1" in store
 
@@ -25,14 +23,12 @@ def test_materialize_and_get(store):
 def test_get_missing_raises(store):
     with pytest.raises(StorageError):
         store.get("missing")
-    with pytest.raises(StorageError):
-        store.info("missing")
 
 
 def test_rematerialize_replaces(store):
     store.materialize(make_relation("r", ["a:int"], [(1,)]))
     store.materialize(make_relation("r", ["a:int"], [(1,), (2,)]))
-    assert store.info("r").cardinality == 2
+    assert store.get("r").cardinality == 2
     assert len(store) == 1
 
 

@@ -6,6 +6,8 @@ from repro.errors import SchemaError
 from repro.storage.schema import Schema
 from repro.storage.tuples import KeyBinder, Row
 
+from helpers import concat_rows
+
 
 @pytest.fixture
 def schema():
@@ -59,7 +61,7 @@ class TestRow:
         other_schema = Schema.of("u.x:int")
         left = Row(schema, (1, "a"), arrival=3.0)
         right = Row(other_schema, (9,), arrival=8.0)
-        joined = left.concat(right)
+        joined = concat_rows(left, right)
         assert joined.values == (1, "a", 9)
         assert joined.arrival == 8.0
         assert joined.schema.names == ("t.id", "t.name", "u.x")
