@@ -22,16 +22,14 @@ keep duplicate work off the network:
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import ExecutionError
 from repro.network.cache import CACHE_SERVE_CPU_MS
 from repro.storage.batch import Batch, MatchCursor
-from repro.storage.columns import build_columns, make_dictionaries
+from repro.storage.columns import RunLengthArrivals
 from repro.storage.schema import Schema
-from repro.storage.tuples import Key, KeyBinder, Row
+from repro.storage.tuples import Key, KeyBinder
 
 
 class DependentJoin(Operator):
@@ -59,19 +57,15 @@ class DependentJoin(Operator):
         self._source = context.catalog.source(source_name)
         self._right_schema = self._source.exported_schema
         self._schema: Schema | None = None
-        self._index: dict[Key, list[Row]] | None = None
+        #: ``key -> positions`` over the source's export, and the export as
+        #: the match cursor's right side (stamped 0: an output row carries
+        #: its left row's stamp).
+        self._index: dict[Key, list[int]] | None = None
+        self._right: Batch | None = None
         self._pending_out: MatchCursor | None = None
         self._left_binder = KeyBinder(left_keys)
         self._right_binder = KeyBinder(right_keys)
-        self._memo: dict[Key, list[Row]] | None = {} if probe_cache else None
-        #: Per-key transposed match columns ``(columns, arrivals)``, so the
-        #: columnar probe path assembles output with per-column extends and a
-        #: duplicate bind key never pays the row->column transpose twice.
-        #: The column lists alias the same value objects the memo's rows
-        #: hold (Python containers store references), so the overhead is the
-        #: per-value pointer, not a second copy of the payload.
-        self._match_columns: dict[Key, tuple[list, list[float]]] = {}
-        self._cache_dictionaries = None
+        self._memo: dict[Key, list[int]] | None = {} if probe_cache else None
         self._cached_extent = False
         #: Speculative source layer: keep checking for the extent to appear
         #: mid-run (another session's stream completing upgrades the
@@ -99,20 +93,22 @@ class DependentJoin(Operator):
                 self.source_name, self.context.clock.now, session=self.context.session_id
             )
             if entry is not None and len(entry.schema) == len(self._right_schema):
-                self._adopt_entry(entry)
+                # The entry views the export the probes read: serve locally.
+                self._cached_extent = True
 
-    def _adopt_entry(self, entry) -> None:
-        """Build the probe index from a cached full extent; serve locally."""
-        index: dict[Key, list[Row]] = {}
-        binder = self._right_binder
-        make = Row.make
-        for row in entry.rows:
-            # Re-stamp to arrival 0 so join outputs carry the left
-            # row's arrival, exactly as with source-side lookups.
-            local = make(entry.schema, row.values, 0.0)
-            index.setdefault(binder.key(local), []).append(local)
-        self._index = index
-        self._cached_extent = True
+    def _build_index(self) -> None:
+        """Index the source's export by the bound key, ``key -> positions``."""
+        source, schema = self._source, self._right_schema
+        count = source.cardinality
+        right = Batch(schema, source.column_span(0, count), RunLengthArrivals.constant(0.0, count))
+        index: dict[Key, list[int]] = {}
+        for position, key in enumerate(right.key_tuples(self._right_binder.indices_in(schema))):
+            found = index.get(key)
+            if found is None:
+                index[key] = [position]
+            else:
+                found.append(position)
+        self._index, self._right = index, right
 
     def _try_adopt_cached_extent(self) -> None:
         """Mid-run upgrade: adopt the extent if it became visible since open.
@@ -129,19 +125,12 @@ class DependentJoin(Operator):
         if entry is None or len(entry.schema) != len(self._right_schema):
             return
         # One real lookup so hit accounting matches the open-time path.
-        entry = cache.lookup(self.source_name, now, session=self.context.session_id)
-        if entry is not None:
-            self._adopt_entry(entry)
+        if cache.lookup(self.source_name, now, session=self.context.session_id) is not None:
+            self._cached_extent = True
 
-    def _build_index(self) -> None:
-        """Index the source contents by the bound key (kept at the source side)."""
-        index: dict[Key, list[Row]] = {}
-        for row in self._source.relation.qualified():
-            index.setdefault(self._right_binder.key(row), []).append(row)
-        self._index = index
-
-    def _probe_source(self, key: Key) -> list[Row]:
-        """One parameterized fetch; memoized so duplicate keys pay latency once."""
+    def _probe_source(self, key: Key) -> list[int]:
+        """One parameterized fetch: the export positions matching ``key``;
+        memoized so duplicate keys pay latency once."""
         if self._speculative and not self._cached_extent:
             self._try_adopt_cached_extent()
         if self._index is None:
@@ -155,13 +144,14 @@ class DependentJoin(Operator):
                 self.context.clock.consume_cpu(CACHE_SERVE_CPU_MS * (1 + len(hit)))
                 return hit
         self.probes += 1
-        matches = self._index.get(key, []) if self._index else []
+        matches = self._index.get(key, [])
         if self._cached_extent:
             # Full extent cached locally: a probe is an in-memory lookup.
             self.context.clock.consume_cpu(CACHE_SERVE_CPU_MS * (1 + len(matches)))
         else:
             profile = self._source.profile
-            transfer = sum(profile.transfer_ms(row.size_bytes) for row in matches)
+            size = self._right_schema.tuple_size
+            transfer = sum(profile.transfer_ms(size) for _ in matches)
             self.context.clock.consume_cpu(0.0)  # explicit: probe CPU is negligible
             self.context.clock.advance_to(
                 self.context.clock.now + profile.initial_latency_ms + transfer
@@ -170,74 +160,30 @@ class DependentJoin(Operator):
             memo[key] = matches
         return matches
 
-    def _probe_source_columns(self, key: Key) -> tuple[list, list[float]]:
-        """One probe's matches as transposed ``(columns, arrivals)``.
-
-        Wraps :meth:`_probe_source` (which owns all clock accounting and the
-        probe memo) and — only while the probe memo is enabled — caches the
-        transposed column view per bind key, so repeated keys feed the
-        columnar output assembly without re-transposing the same match rows.
-        With ``probe_cache=False`` nothing is retained, honouring the
-        no-caching opt-out.
-        """
-        matches = self._probe_source(key)
-        if self._memo is None:
-            width = len(self._right_schema)
-            return (
-                [[row.values[j] for row in matches] for j in range(width)],
-                [row.arrival for row in matches],
-            )
-        cached = self._match_columns.get(key)
-        if cached is None:
-            # Cached entries live for the whole probe phase, so they store
-            # encoded columns (dict codes for strings) — the same footprint
-            # discipline the hash tables apply.
-            if self._cache_dictionaries is None:
-                self._cache_dictionaries = make_dictionaries(self._right_schema)
-            cached = (
-                build_columns(
-                    self._right_schema,
-                    [[row.values[j] for row in matches] for j in range(len(self._right_schema))],
-                    self._cache_dictionaries,
-                ),
-                [row.arrival for row in matches],
-            )
-            self._match_columns[key] = cached
-        return cached
-
     def _probe_left_batch(self, left_batch: Batch) -> MatchCursor | None:
         """All matches for one left batch; ``None`` when nothing matched.
 
         Keys come from the batch's key columns; the probes themselves stay
-        per-key (each is a parameterized source fetch, memo-deduplicated), the
-        matches are collected from cached per-key match columns, and a
-        :class:`MatchCursor` hands the output out beside the left rows.
+        per-key (each is a parameterized source fetch, memo-deduplicated) and
+        return export positions, and a :class:`MatchCursor` gathers the output
+        from the left batch and the export as it hands it out.
         """
         keys = left_batch.key_tuples(self._left_binder.indices_in(left_batch.schema))
-        width = len(self._right_schema)
         take: list[int] = []
-        match_columns: list[list[Any]] = [[] for _ in range(width)]
-        match_arrivals: list[float] = []
+        at: list[int] = []
         aligned = True
         for position, key in enumerate(keys):
-            columns, arrivals = self._probe_source_columns(key)
-            found = len(arrivals)
-            if not found:
-                aligned = False
-                continue
-            if found == 1:
+            found = self._probe_source(key)
+            if len(found) == 1:
                 take.append(position)
             else:
                 aligned = False
-                take.extend([position] * found)
-            for acc, column in zip(match_columns, columns):
-                acc.extend(column)
-            match_arrivals.extend(arrivals)
+                take.extend([position] * len(found))
+            at.extend(found)
         if not take:
             return None
-        matches = Batch(self._right_schema, match_columns, match_arrivals)
         return MatchCursor(
-            self.output_schema, left_batch, take, matches, range(len(match_arrivals)), aligned
+            self.output_schema, left_batch, take, self._right, at, aligned, bound=0.0
         )
 
     def _next_batch(self, max_rows: int, arrival_bound: float | None = None) -> Batch:

@@ -8,12 +8,7 @@ from repro.errors import SourceTimeoutError, SourceUnavailableError
 from repro.network.cache import NEED_TAIL, STARVED
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch
-from repro.storage.columns import (
-    RunLengthArrivals,
-    append_value,
-    empty_columns,
-    extend_column,
-)
+from repro.storage.columns import RunLengthArrivals, extend_column
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
@@ -112,20 +107,19 @@ class WrapperScan(Operator):
         if self._extent is not None:
             if self.wrapper.exhausted and not self._extent.complete:
                 cache.complete_stream(
-                    self._extent, self.context.clock.now, self.context.session_id
+                    self._extent,
+                    self.wrapper.source,
+                    self.context.clock.now,
+                    self.context.session_id,
                 )
             return
         if self.wrapper.exhausted and self.source_name not in cache:
             # Streamed from row zero to the end: deposit "all of the source"
             # as a view of its export — nothing was collected en route.
-            source = self.wrapper.source
             cache.fill(
-                self.source_name,
-                self.output_schema,
-                source.relation.rows,
+                self.wrapper.source,
                 now_ms=self.context.clock.now,
                 session=self.context.session_id,
-                source=source,
             )
 
     def _begin_tail(self) -> None:
@@ -157,16 +151,14 @@ class WrapperScan(Operator):
             self._tail_only = True
 
     def _pull_row(self, starve_ok: bool = False):
-        """One tuple from whichever stream serves this scan.
+        """One tuple, boxed, from the followed or the live stream.
 
-        Dispatches across the cache feed, a follower feed (handling tail
-        takeover transparently), and the live wrapper (publishing fetched
-        rows when this scan is the extent's publisher).  With ``starve_ok``
-        a live-but-starved follower returns :data:`STARVED` instead of
-        defecting, so batch loops can deliver what they already have.
+        Dispatches across a follower feed (handling tail takeover
+        transparently) and the live wrapper (publishing the fetched row when
+        this scan is the extent's publisher).  With ``starve_ok`` a
+        live-but-starved follower returns :data:`STARVED` instead of
+        defecting, so the batch loop can deliver what it already has.
         """
-        if self._cache_feed is not None:
-            return self._cache_feed.fetch()
         if self._follower is not None:
             row = self._follower.fetch()
             if row is STARVED and starve_ok:
@@ -174,15 +166,13 @@ class WrapperScan(Operator):
             if row is not NEED_TAIL and row is not STARVED:
                 return row
             self._begin_tail()
-        row = self.wrapper.fetch()
-        if row is not None and self._extent is not None:
-            self._extent.publish(
-                (row,), self.context.clock.now, self.context.session_id
-            )
+        span = self.wrapper.fetch()
+        if span is None:
+            return None
+        row = Batch(self.output_schema, *span)[0]
+        if self._extent is not None:
+            self._extent.publish((row,), self.context.clock.now, self.context.session_id)
         return row
-
-    def _pull_batched_row(self):
-        return self._pull_row(starve_ok=True)
 
     def _stream_next_arrival(self) -> float | None:
         """Next-tuple arrival for the live or followed stream (effect-free)."""
@@ -205,11 +195,10 @@ class WrapperScan(Operator):
         the error re-raised on the next call, which is when the row after
         the last delivered one would have hit it.
 
-        The block path — live, cache-collecting or cache-served alike,
-        watched by a rule or not — builds the batch's column lists straight
-        from the fetched blocks (no per-row :class:`Row` objects); only the
-        follower and publishing paths stay row-based, since they consume or
-        publish row objects anyway.
+        The live wrapper and the cache feed deliver column spans of the
+        source's export (:meth:`_fetch_columnar`, no :class:`Row` objects);
+        only the speculative follower and publisher paths stay row-based,
+        since they consume or publish row objects anyway.
         """
         if self._deferred_error is not None:
             error, self._deferred_error = self._deferred_error, None
@@ -217,19 +206,10 @@ class WrapperScan(Operator):
         context = self.context
         if context.is_deactivated(self.operator_id):
             return Batch.empty(self.output_schema)
-        cache_feed = self._cache_feed
-        if self._follower is None and self._extent is None and (
-            cache_feed is None or cache_feed.columnar
-        ):
+        if self._follower is None and self._extent is None:
             return self._fetch_columnar(max_rows, arrival_bound)
         batch: list[Row] = []
-        if cache_feed is not None:
-            fetch = cache_feed.fetch
-            next_arrival = cache_feed.next_arrival
-        else:
-            fetch = self._pull_batched_row
-            next_arrival = self._stream_next_arrival
-        use_block = self._follower is None and cache_feed is None
+        use_block = self._follower is None
         while len(batch) < max_rows:
             if use_block:
                 rows = self.wrapper.fetch_batch(max_rows - len(batch), arrival_bound)
@@ -242,11 +222,11 @@ class WrapperScan(Operator):
                 # would fail/time out — fall through to the per-tuple path,
                 # which surfaces each of those with exact semantics.
             if arrival_bound is not None:
-                arrival = next_arrival()
+                arrival = self._stream_next_arrival()
                 if arrival is None or arrival >= arrival_bound:
                     break
             try:
-                row = fetch()
+                row = self._pull_row(starve_ok=True)
                 if row is STARVED:
                     # Live extent, nothing published yet: deliver the partial
                     # batch; with nothing buffered, defect to a private tail.
@@ -266,57 +246,42 @@ class WrapperScan(Operator):
         return Batch.from_rows(self.output_schema, batch)
 
     def _fetch_columnar(self, max_rows: int, arrival_bound: float | None) -> Batch:
-        """Columnar block fetch: identical block/fallback structure, no boxing.
-
-        The feed is the live wrapper or, served from the cache, the cache
-        feed — the same ``fetch_columns``/``next_arrival``/``fetch`` shape.
-        """
-        context = self.context
+        """Column spans from the live wrapper or, served from the cache, the
+        cache feed (the same ``fetch_columns``/``next_arrival``/``fetch``
+        shape): blocks while they flow, and one per-tuple step where a block
+        comes back empty — end of stream, the bound, or a tuple that would
+        fail or time out, each surfaced with exact semantics."""
         feed = self._cache_feed if self._cache_feed is not None else self.wrapper
         columns: list[list] | None = None
         arrivals: list[float] = []
         while len(arrivals) < max_rows:
-            block = feed.fetch_columns(max_rows - len(arrivals), arrival_bound)
-            if block is not None:
-                block_columns, block_arrivals = block
-                if columns is None:
-                    columns, arrivals = block_columns, block_arrivals
-                else:
-                    for position, column in enumerate(block_columns):
-                        extend_column(columns, position, column)
-                    arrivals.extend(block_arrivals)
-                continue
-            # Empty block: end of stream, bound reached, or a tuple that
-            # would fail/time out — take one per-tuple step, which surfaces
-            # each of those with exact semantics.
-            if arrival_bound is not None:
-                arrival = feed.next_arrival()
-                if arrival is None or arrival >= arrival_bound:
+            span = feed.fetch_columns(max_rows - len(arrivals), arrival_bound)
+            if span is None:
+                if arrival_bound is not None:
+                    arrival = feed.next_arrival()
+                    if arrival is None or arrival >= arrival_bound:
+                        break
+                try:
+                    span = feed.fetch()
+                except SourceUnavailableError as exc:
+                    self._emit_failure(exc)
+                    if arrivals:
+                        self._deferred_error = exc
+                        break
+                    raise
+                if span is None:
+                    self._fill_cache_if_complete()
                     break
-            try:
-                row = feed.fetch()
-            except SourceUnavailableError as exc:
-                self._emit_failure(exc)
-                if arrivals:
-                    self._deferred_error = exc
-                    break
-                raise
-            if row is None:
-                self._fill_cache_if_complete()
-                break
+            span_columns, span_arrivals = span
             if columns is None:
-                # The string accumulators share the wrapper's dictionaries,
-                # so a batch that starts on the per-tuple fallback stays
-                # code-compatible with block fetches (and keeps downstream
-                # concats encoding-stable).
-                columns = empty_columns(self.output_schema, self.wrapper.column_dictionaries())
-            for position, value in enumerate(row.values):
-                append_value(columns, position, value)
-            arrivals.append(row.arrival)
-        schema = self.output_schema
+                columns, arrivals = span_columns, span_arrivals
+            else:
+                for position, column in enumerate(span_columns):
+                    extend_column(columns, position, column)
+                arrivals.extend(span_arrivals)
         if columns is None:
-            return Batch.empty(schema)
-        return Batch.from_columns(schema, columns, arrivals)
+            return Batch.empty(self.output_schema)
+        return Batch.from_columns(self.output_schema, columns, arrivals)
 
     def _do_close(self) -> None:
         self._fill_cache_if_complete()

@@ -52,24 +52,28 @@ CACHE_SERVE_CPU_MS = 0.001
 
 @dataclass
 class CacheEntry:
-    """One source's complete exported stream.
+    """One source's complete exported stream: "all of source X".
 
-    ``rows`` carry the values; every server binds them to ``schema`` and
-    re-stamps, so nothing reads a cached row's own schema or arrival.  A scan
-    that drained ``source`` deposits "all of source X": the entry aliases the
-    source's stored rows and serves columns from its static export.
+    A view of ``source``'s export, read by position, whether a scan drained
+    the source or a speculative extent completed (its rows are the export in
+    order); nothing is copied at fill time.
     """
 
-    source_name: str
-    schema: Schema
-    rows: list[Row]
+    source: DataSource
     filled_at_ms: float
     filled_by: str | None = None
-    source: DataSource | None = None
+
+    @property
+    def source_name(self) -> str:
+        return self.source.name
+
+    @property
+    def schema(self) -> Schema:
+        return self.source.exported_schema
 
     @property
     def cardinality(self) -> int:
-        return len(self.rows)
+        return self.source.cardinality
 
 
 @dataclass
@@ -501,14 +505,18 @@ class SourceCache:
             del self._streams[extent.source_name]
 
     def complete_stream(
-        self, extent: PartialExtent, now_ms: float, session: str | None
+        self, extent: PartialExtent, source: DataSource, now_ms: float, session: str | None
     ) -> CacheEntry:
-        """Publisher drained the source: promote the extent to a full entry."""
+        """Publisher drained ``source``: promote the extent to a full entry.
+
+        The extent's rows are the source's export in order, so the entry is
+        a view of the export, like any other.
+        """
         extent.complete = True
         extent.detach()
         if self._streams.get(extent.source_name) is extent:
             del self._streams[extent.source_name]
-        return self.fill(extent.source_name, extent.schema, extent.rows, now_ms, session)
+        return self.fill(source, now_ms, session)
 
     def drop_stream(self, extent: PartialExtent) -> None:
         """Forget a partial extent (prefetch revocation / invalidation).
@@ -526,23 +534,11 @@ class SourceCache:
     # -- filling -------------------------------------------------------------------
 
     def fill(
-        self,
-        source_name: str,
-        schema: Schema,
-        rows: list[Row],
-        now_ms: float,
-        session: str | None = None,
-        source: DataSource | None = None,
+        self, source: DataSource, now_ms: float, session: str | None = None
     ) -> CacheEntry:
-        """Store a complete source extent (replacing any prior entry).
-
-        With ``source`` the entry is a view of that source's static export and
-        ``rows`` its stored rows, aliased; otherwise the list is copied.
-        """
-        entry = CacheEntry(
-            source_name, schema, list(rows) if source is None else rows, now_ms, session, source
-        )
-        self._entries[source_name] = entry
+        """Store ``source``'s complete extent (replacing any prior entry)."""
+        entry = CacheEntry(source, now_ms, session)
+        self._entries[source.name] = entry
         self.stats.fills += 1
         self._evict_if_needed()
         return entry
@@ -561,13 +557,6 @@ class SourceCache:
         stream = self._streams.get(source_name)
         if stream is not None:
             self.drop_stream(stream)
-
-    def clear(self) -> None:
-        """Drop everything."""
-        for name in list(self._entries):
-            self.invalidate(name)
-        for name in list(self._streams):
-            self.invalidate(name)
 
 
 class CachingScanFeed:
@@ -593,11 +582,6 @@ class CachingScanFeed:
         return self._entry.schema
 
     @property
-    def columnar(self) -> bool:
-        """Whether :meth:`fetch_columns` can serve (the entry views a source)."""
-        return self._entry.source is not None
-
-    @property
     def exhausted(self) -> bool:
         return self._cursor >= self._entry.cardinality
 
@@ -607,13 +591,14 @@ class CachingScanFeed:
             return None
         return self._clock.now
 
-    def fetch(self) -> Row | None:
+    def fetch(self) -> tuple[list, list[float]] | None:
+        """One tuple as a one-row span ``(columns, [stamp])``, ``None`` at the end."""
         if self.exhausted:
             return None
-        values = self._entry.rows[self._cursor].values
+        position = self._cursor
         self._cursor += 1
         self._clock.consume_cpu(self._per_tuple_cpu_ms)
-        return Row.make(self._entry.schema, values, self._clock.now)
+        return self._entry.source.column_span(position, position + 1), [self._clock.now]
 
     def fetch_columns(
         self, max_rows: int, arrival_bound: float | None = None

@@ -1,15 +1,15 @@
 """Simulated autonomous data sources.
 
 A :class:`DataSource` holds a base relation and a
-:class:`~repro.network.profiles.NetworkProfile`.  What it exports is static,
-so it is built once per source and shared by every connection: the qualified
-schema, the encoded columns, and the stream's clock steps under the
-current profile.  Opening a connection does only what the open can change —
-it lays those steps out from its start time into an arrival timetable, with no
-per-tuple Python work and no tuple boxed; the wrapper then streams *spans* of
-the export.  Sources can be unavailable (never respond), fail mid-transfer,
-or mirror another source's contents — everything the paper's collector and
-rescheduling experiments need.
+:class:`~repro.network.profiles.NetworkProfile`.  It exports the relation as
+it is stored — encoded column chunks, read by position — under one qualified
+schema, and memoises the stream's clock steps under the current profile; all
+of it is shared by every connection.  Opening a connection does only what the
+open can change — it lays those steps out from its start time into an arrival
+timetable, with no per-tuple Python work and no tuple boxed; the wrapper then
+streams *spans* of the export.  Sources can be unavailable (never respond),
+fail mid-transfer, or mirror another source's contents — everything the
+paper's collector and rescheduling experiments need.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import le
+from typing import Sequence
 
 from repro.errors import SourceUnavailableError
 from repro.network.profiles import NetworkProfile
-from repro.storage.columns import DictColumn, build_columns, make_dictionaries
+from repro.storage.batch import Batch
+from repro.storage.columns import DictColumn
 from repro.storage.relation import Relation
-from repro.storage.tuples import Row
 
 
 @dataclass
@@ -81,89 +82,47 @@ class DataSource:
         #: instance for connection, wrapper, cache entry and scan alike, so
         #: per-schema-instance caches (``KeyBinder``) keep hitting.
         self.exported_schema = relation.schema.qualified(relation.name)
-        self._export: tuple[int, dict] = (-1, {})
-
-    def _export_parts(self) -> dict:
-        """Memo of the static export, dropped whole when the cardinality changed."""
-        cardinality = self.relation.cardinality
-        if self._export[0] != cardinality:
-            self._export = (cardinality, {})
-        return self._export[1]
+        #: The stream's clock steps, memoised per profile value and cardinality.
+        self._stream: tuple = (None, -1, (), ())
 
     def encoded_column_cache(self) -> tuple[list, list]:
-        """The relation translated once into encoded columns.
+        """The export's ``(columns, dictionaries)``: the relation as it is stored.
 
-        Source data is static, so the wrapper's translation step (the XML
-        parsing/Unicode conversion of the original system — here the
-        dictionary-encoded column build) is done once per source and
-        shared by every wrapper: connections deliver rows sequentially, so a
-        block is a pair of C-level column slices over this cache.  Returns
-        ``(columns, dictionaries)``; rebuilt, with the rest of the export,
-        if the relation's cardinality changed since the last build.
+        The relation holds its rows as encoded column chunks (string columns
+        over frozen dictionaries), so this translates nothing; a dictionary
+        is ``None`` where the column has none.
         """
-        parts = self._export_parts()
-        if "columns" not in parts:
-            schema = self.exported_schema
-            dictionaries = make_dictionaries(schema)
-            rows = self.relation.rows
-            if rows:
-                columns = build_columns(
-                    schema, list(zip(*(row.values for row in rows))), dictionaries
-                )
-            else:
-                columns = [[] for _ in range(len(schema))]
-            # Freeze: the cache outlives any one query and is shared by every
-            # consumer downstream.  A consumer mixing in values from another
-            # source (a union/collector concat, a join output accumulator)
-            # must degrade its own column, never grow this dictionary.
-            for dictionary in dictionaries:
-                if dictionary is not None:
-                    dictionary.freeze()
-            parts["columns"] = columns, dictionaries
-            # Pre-split ``(codes or values, dictionary)`` pairs: a block slices
-            # the list itself, with no ``DictColumn`` dispatch per column.
-            parts["split"] = [
-                (column.codes, column.dictionary) if type(column) is DictColumn else (column, None)
-                for column in columns
-            ]
-        return parts["columns"]
+        columns, _ = self.relation.column_block(0, self.relation.cardinality)
+        return columns, [
+            column.dictionary if type(column) is DictColumn else None for column in columns
+        ]
 
     def column_span(self, start: int, stop: int) -> list:
         """Columns for export rows ``[start, stop)`` — no row is boxed.
 
-        C-level slices over the one-time translation cache, sharing the
-        source dictionaries so downstream consumers move codes.
+        Slices of the relation's stored chunk: dict columns share its frozen
+        dictionaries, so downstream consumers move codes.
         """
-        parts = self._export_parts()
-        if "split" not in parts:
-            self.encoded_column_cache()
-        return [
-            values[start:stop] if dictionary is None else DictColumn(dictionary, values[start:stop])
-            for values, dictionary in parts["split"]
-        ]
+        return self.relation.column_block(start, stop - start)[0]
 
     def timetable(self, start_ms: float, start_row: int = 0) -> list[float]:
         """Arrival stamps (a fresh list) for rows ``[start_row, N)`` streamed from ``start_ms``.
 
-        The steps are memoised under the (frozen) profile's *value*: a swapped
-        profile rebuilds them for the next open and no other.  Every tuple has
-        the schema's one size, so a tail's steps are a prefix of the stream's.
+        The steps are memoised under the (frozen) profile's *value* and the
+        cardinality: a swapped profile or a grown relation rebuilds them for
+        the next open and no other.  Every tuple has the schema's one size,
+        so a tail's steps are a prefix of the stream's.
         """
-        parts = self._export_parts()
         profile, count = self.profile, self.relation.cardinality
-        stream = parts.get("stream")
-        if stream is None or stream[0] != profile:
+        stream = self._stream
+        if stream[0] != profile or stream[1] != count:
             sizes = [self.exported_schema.tuple_size] * count
-            stream = parts["stream"] = (profile, *profile.stream_steps(sizes))
-        return profile.lay_out(stream[1], stream[2], max(0, count - start_row), start_ms)
+            stream = self._stream = (profile, count, *profile.stream_steps(sizes))
+        return profile.lay_out(stream[2], stream[3], max(0, count - start_row), start_ms)
 
     @property
     def cardinality(self) -> int:
         return self.relation.cardinality
-
-    @property
-    def size_bytes(self) -> int:
-        return self.relation.size_bytes
 
     def set_profile(self, profile: NetworkProfile) -> None:
         """Swap the network profile (benchmarks vary link conditions this way)."""
@@ -257,7 +216,7 @@ class SourceConnection:
     the next undelivered tuple so that data-driven operators (the double
     pipelined join, the collector) can choose which input to service first;
     :meth:`fetch_span` delivers a block as export positions plus stamps, and
-    :meth:`fetch` boxes the one tuple it delivers.
+    :meth:`fetch` one tuple as its export position and stamp.
     """
 
     def __init__(
@@ -337,8 +296,8 @@ class SourceConnection:
             return None
         return self._arrivals[self._cursor]
 
-    def fetch(self) -> tuple[Row, float]:
-        """Deliver the next tuple as ``(row, arrival_ms)``.
+    def fetch(self) -> tuple[int, float]:
+        """Deliver the next tuple as ``(export_position, arrival_ms)``.
 
         Raises
         ------
@@ -357,12 +316,10 @@ class SourceConnection:
             )
         if self.exhausted:
             raise SourceUnavailableError(f"source {self.source.name!r} is exhausted")
-        source = self.source
-        values = source.relation.rows[self.base_row + self._cursor].values
-        arrival = self._arrivals[self._cursor]
+        position = self._cursor
         self._cursor += 1
-        source.stats.tuples_sent += 1
-        return Row.make(source.exported_schema, values, arrival), arrival
+        self.source.stats.tuples_sent += 1
+        return self.base_row + position, self._arrivals[position]
 
     def fetch_span(
         self, max_rows: int, arrival_bound: float | None = None, arrival_limit: float | None = None
@@ -440,10 +397,13 @@ def make_mirror(
     if not 0.0 < coverage <= 1.0:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
     base = source.relation
+    count = base.cardinality
     if coverage >= 1.0:
-        rows = list(base.rows)
+        keep: Sequence[int] = range(count)
     else:
         rng = random.Random(seed)
-        rows = [row for row in base.rows if rng.random() < coverage]
-    mirrored = Relation(base.name, base.schema, rows)
+        keep = [position for position in range(count) if rng.random() < coverage]
+    columns, _ = base.column_block(0, count)
+    mirrored = Relation(base.name, base.schema)
+    mirrored.extend_batch(Batch(base.schema, columns, list(base.arrivals())).take(keep))
     return DataSource(name, mirrored, profile)

@@ -3,8 +3,10 @@
 In Tukwila, wrappers hide source-specific protocols and feed tuples to the
 execution engine, optionally buffering.  Here a :class:`Wrapper` adapts a
 :class:`~repro.network.source.DataSource` connection into the streaming
-interface used by scan operators: ``open`` / ``next_arrival`` / ``fetch`` /
-``close``, plus timeout detection relative to the query's virtual clock.
+interface used by scan operators: ``open`` / ``next_arrival`` /
+``fetch_columns`` (a block) / ``fetch`` (one tuple, exact failure and timeout
+semantics) / ``close``, plus timeout detection relative to the query's
+virtual clock.  Both fetches deliver column spans of the source's export.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import accumulate, repeat
 from repro.errors import SourceTimeoutError, SourceUnavailableError
 from repro.network.simclock import SimClock
 from repro.network.source import DataSource, SourceConnection
+from repro.storage.batch import Batch
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
@@ -63,7 +66,6 @@ class Wrapper:
         self.per_tuple_cpu_ms = per_tuple_cpu_ms
         self.stats = WrapperStats()
         self._connection: SourceConnection | None = None
-        self._dictionaries = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -125,10 +127,11 @@ class Wrapper:
             return None
         return self._connection.next_arrival()
 
-    def fetch(self) -> Row | None:
+    def fetch(self) -> tuple[list, list[float]] | None:
         """Fetch the next tuple, advancing the virtual clock to its arrival.
 
-        Returns ``None`` at end of stream.
+        Returns a one-row span ``(columns, [stamp])`` — the shape of
+        :meth:`fetch_columns` — or ``None`` at end of stream.
 
         Raises
         ------
@@ -150,7 +153,7 @@ class Wrapper:
                 f"source {self.name!r} did not respond within {self.timeout_ms} ms"
             )
         try:
-            row, arrival = connection.fetch()
+            position, arrival = connection.fetch()
         except SourceUnavailableError:
             self.stats.errors += 1
             raise
@@ -160,7 +163,7 @@ class Wrapper:
         if self.stats.time_of_first_tuple is None:
             self.stats.time_of_first_tuple = self.clock.now
         self.stats.time_of_last_tuple = self.clock.now
-        return row.with_arrival(self.clock.now)
+        return self.source.column_span(position, position + 1), [self.clock.now]
 
     def _fetch_stamped(
         self, max_rows: int, arrival_bound: float | None
@@ -217,27 +220,13 @@ class Wrapper:
         return start, stop, stamped
 
     def fetch_batch(self, max_rows: int, arrival_bound: float | None = None) -> list[Row]:
-        """Bulk fetch as stamped rows (possibly none) — a declared tuple boundary."""
+        """Bulk fetch as stamped rows (possibly none): the block of
+        :meth:`fetch_columns`, boxed for the speculative publisher."""
         block = self._fetch_stamped(max_rows, arrival_bound)
         if block is None:
             return []
         start, stop, stamped = block
-        schema = self.schema
-        make = Row.make
-        stored = self.source.relation.rows[start:stop]
-        return [make(schema, row.values, stamp) for row, stamp in zip(stored, stamped)]
-
-    def column_dictionaries(self):
-        """The source's persistent per-column dictionaries.
-
-        Shared with scan operators so columns built on the per-tuple
-        fallback path stay code-compatible with block fetches, and shared
-        across wrappers of one source (the dictionaries belong to the
-        source's one-time translation cache).
-        """
-        if self._dictionaries is None:
-            self._dictionaries = self.source.encoded_column_cache()[1]
-        return self._dictionaries
+        return Batch(self.schema, self.source.column_span(start, stop), stamped).rows()
 
     def fetch_columns(
         self, max_rows: int, arrival_bound: float | None = None

@@ -78,9 +78,6 @@ class Fragment:
     def mark_final(self, final: bool = True) -> None:
         self._is_final = final
 
-    def operator_ids(self) -> list[str]:
-        return self.root.operator_ids()
-
     def sources(self) -> list[str]:
         """Data sources this fragment reads."""
         return self.root.leaf_sources()

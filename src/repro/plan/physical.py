@@ -144,9 +144,6 @@ class OperatorSpec:
                 out.append(node.params["source"])
         return out
 
-    def operator_ids(self) -> list[str]:
-        return [node.operator_id for node in self.walk()]
-
     def describe(self, indent: int = 0) -> str:
         """Readable multi-line plan rendering (used in examples and logs)."""
         label = self.operator_type.value

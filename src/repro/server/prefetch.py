@@ -300,7 +300,9 @@ class PlanAwarePrefetcher:
 
     def _finish_stream(self) -> None:
         """Source drained: promote the extent to a completed cache entry."""
-        self.cache.complete_stream(self._extent, self._clock.now, PREFETCH_SESSION)
+        self.cache.complete_stream(
+            self._extent, self._wrapper.source, self._clock.now, PREFETCH_SESSION
+        )
         self._wrapper.close()
         self._active.state = "complete"
         self._wrapper = self._extent = self._active = None

@@ -9,12 +9,12 @@ in columns lets operators work on whole batches with C-speed primitives —
 moves — instead of creating one boxed :class:`~repro.storage.tuples.Row`
 object per tuple.
 
-Batches have one storage form: columns.  Paths that are inherently
-tuple-driven (the dynamic collector's watched per-arrival child picking, scans
-watched by a rule or publishing a speculative extent) build rows and hand them
-to :meth:`Batch.from_rows`, which transposes them once; a one-row tie step
-hands over its child's batch as it is.  Every consumer reads columns.  Rows are
-boxed on demand (``rows()``, iteration, ``[i]``) and never cached.
+Batches have one storage form: columns.  The one path that is inherently
+tuple-driven (a scan following or publishing a speculative extent) builds rows
+and hands them to :meth:`Batch.from_rows`, which transposes them once; a
+one-row tie step hands over its child's batch as it is.  Every consumer reads
+columns.  Rows are boxed on demand (``rows()``, iteration, ``[i]``) and never
+cached.
 
 Batches are immutable by contract: once a column list is handed to
 ``from_columns`` (or obtained from ``.columns``) it must not be mutated —
@@ -130,10 +130,6 @@ class Batch:
         return bool(self.arrivals)
 
     # -- rows, boxed on demand (the one-row adapter and tests) -------------------
-
-    def column(self, index: int) -> list[Any]:
-        """One column's values, in row order."""
-        return self.columns[index]
 
     def rows(self) -> list[Row]:
         """Row objects, boxed afresh on every call (nothing is cached)."""

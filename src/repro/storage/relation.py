@@ -7,46 +7,43 @@ from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
-from repro.storage.batch import Batch, transpose_rows
-from repro.storage.columns import empty_like, gather_into, picker
+from repro.storage.batch import Batch
+from repro.storage.columns import (
+    RunLengthArrivals,
+    build_columns,
+    empty_like,
+    gather_into,
+    make_dictionaries,
+    picker,
+)
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
 
 class Relation:
-    """A named bag of rows sharing one schema.
+    """A named bag of rows sharing one schema, held as column chunks.
 
     Relations are the substrate behind simulated data sources, the local
-    store, and materialization points between plan fragments.
-
-    Batches appended via :meth:`extend_batch` are kept in their
-    struct-of-arrays form and only converted into :class:`Row` objects when
-    something actually reads rows — callers that just need the cardinality
-    (benchmark drivers, materialization metadata) never pay for boxing.
-    Pending batches always sit logically *after* ``_rows``; every row-level
-    accessor and mutator materializes them first to preserve order.
+    store, and materialization points between plan fragments.  A relation is
+    its schema plus a list of non-empty :class:`Batch` chunks in row order:
+    the batches :meth:`extend_batch` appends (a materialized result), or one
+    chunk per :meth:`from_values` / :meth:`extend` call, its string columns
+    encoded over dictionaries of its own and frozen — the relation outlives
+    any query, so a consumer mixing in foreign values degrades its own
+    column and never grows these.  Readers take positions
+    (:meth:`column_block`, :meth:`arrivals`); no :class:`Row` is held, and
+    :attr:`rows`, iteration and indexing box rows afresh on every call.
     """
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Row] = ()) -> None:
         self.name = name
         self.schema = schema
-        self._rows: list[Row] = []
-        self._pending: list[Batch] = []
-        #: Cumulative row counts of ``_pending`` (``_pending_ends[i]`` rows
-        #: sit in batches ``0..i``): the length without boxing.
-        self._pending_ends: list[int] = []
+        self._chunks: list[Batch] = []
+        #: Cumulative row counts of ``_chunks`` (``_ends[i]`` rows sit in
+        #: chunks ``0..i``).
+        self._ends: list[int] = []
         if rows:
             self.extend(rows)
-
-    def _materialize_pending(self) -> None:
-        """Convert any buffered batches into rows (order-preserving)."""
-        if self._pending:
-            # Each batch is dropped as soon as it is boxed, so the peak holds
-            # one representation of the result plus one batch, not both.
-            pending, self._pending = self._pending[::-1], []
-            self._pending_ends = []
-            while pending:
-                self._rows.extend(pending.pop().rows())
 
     # -- construction ----------------------------------------------------------
 
@@ -54,149 +51,115 @@ class Relation:
     def from_values(
         cls, name: str, schema: Schema, values: Sequence[Sequence[Any]]
     ) -> "Relation":
-        """Build a relation from positional value vectors."""
-        return cls(name, schema, (Row(schema, tuple(v)) for v in values))
-
-    def qualified(self) -> "Relation":
-        """Copy with every attribute qualified by the relation name."""
-        schema = self.schema.qualified(self.name)
-        make = Row.make
-        relation = Relation(self.name, schema)
-        # Qualification renames attributes 1:1, so the rows transfer as-is.
-        self._materialize_pending()
-        relation._rows = [make(schema, r.values, r.arrival) for r in self._rows]
+        """Build a relation from positional value vectors (one chunk, stamped 0)."""
+        relation = cls(name, schema)
+        values = values if isinstance(values, list) else list(values)
+        relation._encode(values, RunLengthArrivals.constant(0.0, len(values)))
         return relation
+
+    def _encode(self, vectors: list[Sequence[Any]], arrivals) -> None:
+        """Append ``vectors`` as one chunk, encoded over frozen dictionaries."""
+        arity = len(self.schema)
+        for vector in vectors:
+            if len(vector) != arity:
+                raise SchemaError(
+                    f"row arity {len(vector)} does not match relation "
+                    f"{self.name!r} arity {arity}"
+                )
+        if not vectors:
+            return
+        dictionaries = make_dictionaries(self.schema)
+        columns = build_columns(self.schema, list(zip(*vectors)), dictionaries)
+        for dictionary in dictionaries:
+            if dictionary is not None:
+                dictionary.freeze()
+        self.extend_batch(Batch(self.schema, columns, arrivals))
 
     # -- mutation ---------------------------------------------------------------
 
-    def append(self, row: Row) -> None:
-        """Append one row; its schema must match this relation's schema arity/types."""
-        if len(row.values) != len(self.schema):
-            raise SchemaError(
-                f"row arity {len(row.values)} does not match relation "
-                f"{self.name!r} arity {len(self.schema)}"
-            )
-        self._materialize_pending()
-        self._rows.append(row)
-
     def extend(self, rows: Iterable[Row]) -> None:
-        """Append many rows (validated in bulk)."""
+        """Append rows (values and stamps) as one encoded chunk."""
         rows = rows if isinstance(rows, list) else list(rows)
-        arity = len(self.schema)
-        for row in rows:
-            if len(row.values) != arity:
-                raise SchemaError(
-                    f"row arity {len(row.values)} does not match relation "
-                    f"{self.name!r} arity {arity}"
-                )
-        self._materialize_pending()
-        self._rows.extend(rows)
+        self._encode([row.values for row in rows], [row.arrival for row in rows])
 
     def extend_batch(self, batch: Batch) -> None:
-        """Append a whole batch, buffered as columns without boxing."""
+        """Append a whole batch as a chunk, as it is (empty batches add none)."""
         if len(batch.schema) != len(self.schema):
             raise SchemaError(
                 f"batch arity {len(batch.schema)} does not match relation "
                 f"{self.name!r} arity {len(self.schema)}"
             )
-        self._pending.append(batch)
-        ends = self._pending_ends
-        ends.append((ends[-1] if ends else 0) + len(batch))
+        if batch:
+            self._chunks.append(batch)
+            self._ends.append(len(self) + len(batch))
 
     # -- access -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows) + (self._pending_ends[-1] if self._pending_ends else 0)
+        return self._ends[-1] if self._ends else 0
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
+        return chain.from_iterable(chunk.rows() for chunk in self._chunks)
 
     def __getitem__(self, index: int) -> Row:
-        return self.rows[index]
+        """Row ``index`` (negative counts from the end), boxed."""
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("relation index out of range")
+        at = bisect_right(self._ends, index)
+        return self._chunks[at][index - (self._ends[at - 1] if at else 0)]
 
     def arrivals(self) -> Iterator[float]:
         """Every row's arrival stamp, in row order, without boxing a row."""
-        return chain((row.arrival for row in self._rows), *(b.arrivals for b in self._pending))
+        return chain.from_iterable(chunk.arrivals for chunk in self._chunks)
 
     @property
     def rows(self) -> list[Row]:
-        """The row list (not a copy; treat as read-only)."""
-        self._materialize_pending()
-        return self._rows
+        """Every row, boxed afresh (for tests and reference evaluators)."""
+        return list(self)
 
     @property
     def cardinality(self) -> int:
         """Number of rows."""
         return len(self)
 
-    @property
-    def size_bytes(self) -> int:
-        """Estimated total size, used to express scale factors in bytes."""
-        return self.schema.tuple_size * len(self)
-
     def column_block(self, start: int, max_rows: int) -> tuple[list[list[Any]], int]:
         """Columnar block read: ``(columns, count)`` for rows ``[start, start+max_rows)``.
 
-        When the relation still holds only buffered columnar batches (a
-        fragment result that nothing has read row-wise yet), the block is
-        sliced straight from their columns — no :class:`Row` objects are
-        created, and strings stay codes: the accumulators take the storage
-        classes of the first batch the block reaches, and a column whose
-        batches disagree on the dictionary degrades to values.  Otherwise the
-        row list is transposed, which materializes pending batches first.
+        No :class:`Row` is created, and strings stay codes.  A block inside
+        one chunk is one slice per column (a dict column's slice shares its
+        dictionary); a block across chunks accumulates in the storage
+        classes of the first chunk it reaches, and a column whose chunks
+        disagree on the dictionary degrades to values.
         """
-        if self._pending and not self._rows:
-            columns: list | None = None
-            count = 0
-            end = start + max_rows
-            pending, ends = self._pending, self._pending_ends
-            # From the first batch holding row ``start``, found by bisection.
-            for index in range(bisect_right(ends, start), len(pending)):
-                batch_start = ends[index - 1] if index else 0
-                if batch_start >= end:
-                    break
-                lo = max(start, batch_start) - batch_start
-                hi = min(end, ends[index]) - batch_start
-                if hi <= lo:
-                    continue  # an empty batch inside the block
-                sources = pending[index].columns
-                if columns is None:
-                    columns = [empty_like(column) for column in sources]
-                gather_into(columns, 0, sources, picker(range(lo, hi)))
-                count += hi - lo
-            if columns is None:
-                columns = [[] for _ in range(len(self.schema))]
-            return columns, count
-        block = self.rows[start : start + max_rows]
-        if not block:
+        chunks, ends = self._chunks, self._ends
+        first = bisect_right(ends, start)
+        stop = min(start + max_rows, len(self))
+        if stop <= start or first == len(chunks):
             return [[] for _ in range(len(self.schema))], 0
-        return transpose_rows(block), len(block)
+        if stop <= ends[first]:
+            offset = ends[first - 1] if first else 0
+            lo, hi = start - offset, stop - offset
+            return [column[lo:hi] for column in chunks[first].columns], stop - start
+        columns = [empty_like(column) for column in chunks[first].columns]
+        for index in range(first, len(chunks)):
+            chunk_start = ends[index - 1] if index else 0
+            if chunk_start >= stop:
+                break
+            lo = max(start, chunk_start) - chunk_start
+            hi = min(stop, ends[index]) - chunk_start
+            gather_into(columns, 0, chunks[index].columns, picker(range(lo, hi)))
+        return columns, stop - start
 
-    def column(self, name: str) -> list[Any]:
-        """All values of attribute ``name``, in row order."""
-        idx = self.schema.index_of(name)
-        if not self._rows and self._pending:
-            # Fast path: serve straight from the buffered column lists.
-            out: list[Any] = []
-            for batch in self._pending:
-                out.extend(batch.column(idx))
-            return out
-        return [row.values[idx] for row in self.rows]
-
-    # -- projection and result comparison -------------------------------------------
-
-    def project(self, names: Sequence[str], name: str | None = None) -> "Relation":
-        """Projection onto ``names`` (a bag projection: duplicates retained)."""
-        schema = self.schema.project(names)
-        out = Relation(name or self.name, schema)
-        out.extend(row.project(names, schema) for row in self.rows)
-        return out
+    # -- result comparison --------------------------------------------------------
 
     def multiset(self) -> dict[tuple[Any, ...], int]:
         """Value-vector multiset, for order-insensitive result comparison."""
         counts: dict[tuple[Any, ...], int] = {}
-        for row in self.rows:
-            counts[row.values] = counts.get(row.values, 0) + 1
+        for chunk in self._chunks:
+            for values in zip(*chunk.columns) if chunk.columns else [()] * len(chunk):
+                counts[values] = counts.get(values, 0) + 1
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -50,8 +50,3 @@ class LocalStore:
 
     def names(self) -> list[str]:
         return sorted(self._relations)
-
-    def clear(self) -> None:
-        self._relations.clear()
-
-

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 from repro.errors import SchemaError
@@ -131,28 +130,17 @@ class Row:
         """Copy of this row with a different arrival stamp."""
         return Row.make(self.schema, self.values, arrival)
 
-    def project(self, names: Sequence[str], schema: Schema | None = None) -> "Row":
-        """Project onto ``names``; ``schema`` may be supplied to avoid rebuilds."""
-        out_schema = schema if schema is not None else self.schema.project(names)
-        values = tuple(self[name] for name in names)
-        return Row(out_schema, values, self.arrival)
-
-    @property
-    def size_bytes(self) -> int:
-        """Estimated footprint used for memory accounting."""
-        return self.schema.tuple_size
-
 
 class KeyBinder:
-    """Extracts a fixed key (a list of attribute names) from rows by position.
+    """Resolves a fixed key (a list of attribute names) to value positions.
 
-    The names are resolved to value indices once per observed schema instance
-    (rows of one stream share theirs) and re-bound if the schema changes —
-    per-row name resolution is the iterator model's classic hot-path overhead.
-    Used by the join operators and the bucketed hash table.
+    The names are resolved to indices once per observed schema instance
+    (batches of one stream share theirs) and re-bound if the schema changes,
+    so key columns are extracted by position, never by name per row.  Used by
+    the join operators and the bucketed hash table.
     """
 
-    __slots__ = ("names", "single", "_schema", "_indices", "_pick")
+    __slots__ = ("names", "single", "_schema", "_indices")
 
     def __init__(self, names: Sequence[str]) -> None:
         self.names = tuple(names)
@@ -160,21 +148,10 @@ class KeyBinder:
         self.single = len(self.names) == 1
         self._schema: Schema | None = None
         self._indices: tuple[int, ...] = ()
-        self._pick = None
 
     def indices_in(self, schema: Schema) -> tuple[int, ...]:
-        """Value indices of the key attributes in ``schema`` (cached per schema).
-
-        Exposed for the columnar batch paths, which extract whole key columns
-        by position instead of calling :meth:`key` per row.
-        """
+        """Value indices of the key attributes in ``schema`` (cached per schema)."""
         if schema is not self._schema:
             self._indices = tuple(schema.index_of(name) for name in self.names)
-            self._pick = itemgetter(*self._indices)
             self._schema = schema
         return self._indices
-
-    def key(self, row: Row) -> Key:
-        if row.schema is not self._schema:
-            self.indices_in(row.schema)
-        return self._pick(row.values)

@@ -14,6 +14,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.iterators import Operator
@@ -87,18 +88,22 @@ def join_relations(
     schema = left.schema.join(right.schema)
     out = Relation(name or f"{left.name}_join_{right.name}", schema)
     index: dict[Key, list[Row]] = {}
-    left_key, right_key = KeyBinder(left_keys).key, KeyBinder(right_keys).key
+    left_binder, right_binder = KeyBinder(left_keys), KeyBinder(right_keys)
     for row in right:
-        index.setdefault(right_key(row), []).append(row)
-    for row in left:
-        for match in index.get(left_key(row), ()):
-            out.append(concat_rows(row, match, schema))
+        index.setdefault(row_key(right_binder, row), []).append(row)
+    out.extend(
+        concat_rows(row, match, schema)
+        for row in left
+        for match in index.get(row_key(left_binder, row), ())
+    )
     return out
 
 
 def reference_join(left: Relation, right: Relation, left_key: str, right_key: str) -> Relation:
     """Order-insensitive reference equi-join used to validate engine operators."""
-    return join_relations(left.qualified(), right.qualified(), [left_key], [right_key])
+    return join_relations(
+        qualified_relation(left), qualified_relation(right), [left_key], [right_key]
+    )
 
 
 def select_rows(relation: Relation, predicate, name: str | None = None) -> Relation:
@@ -123,12 +128,48 @@ def union_relations(first: Relation, second: Relation, name: str | None = None) 
 def distinct_rows(relation: Relation, name: str | None = None) -> Relation:
     """Set-semantics copy (the first occurrence of each value vector kept)."""
     seen: set = set()
-    out = Relation(name or relation.name, relation.schema)
+    kept = []
     for row in relation.rows:
         if row.values not in seen:
             seen.add(row.values)
-            out.append(row)
-    return out
+            kept.append(row)
+    return Relation(name or relation.name, relation.schema, kept)
+
+
+def row_key(binder: KeyBinder, row: Row) -> Key:
+    """``row``'s key under ``binder``: the value itself for one key attribute."""
+    indices = binder.indices_in(row.schema)
+    if binder.single:
+        return row.values[indices[0]]
+    return tuple(row.values[i] for i in indices)
+
+
+def project_row(row: Row, names, schema: Schema | None = None) -> Row:
+    """``row`` projected onto ``names`` (``schema`` may be supplied to avoid rebuilds)."""
+    out_schema = schema if schema is not None else row.schema.project(names)
+    return Row(out_schema, tuple(row[name] for name in names), row.arrival)
+
+
+def project_relation(relation: Relation, names, name: str | None = None) -> Relation:
+    """Bag projection onto ``names`` (duplicates retained)."""
+    schema = relation.schema.project(names)
+    return Relation(
+        name or relation.name, schema, [project_row(row, names, schema) for row in relation]
+    )
+
+
+def qualified_relation(relation: Relation) -> Relation:
+    """Copy with every attribute qualified by the relation name (stamps kept)."""
+    schema = relation.schema.qualified(relation.name)
+    return Relation(
+        relation.name, schema, [Row.make(schema, row.values, row.arrival) for row in relation]
+    )
+
+
+def column_values(relation: Relation, name: str) -> list:
+    """All values of attribute ``name``, in row order (strings decoded)."""
+    columns, _ = relation.column_block(0, len(relation))
+    return list(columns[relation.schema.index_of(name)])
 
 
 def attribute_multiset(relation) -> dict:
@@ -222,7 +263,7 @@ def insert_row(table, row, marked=False, key=None) -> bool:
     when its bucket is flushed, else a one-row ``insert_batch``.  True when the
     row is resident; false when it was spilled or the budget refused it."""
     if key is None:
-        key = KeyBinder(table.key_names).key(row)
+        key = row_key(KeyBinder(table.key_names), row)
     bucket = table.buckets[bucket_of(key, table.bucket_count)]
     if bucket.flushed:
         spill_row(table.spill_log, row, marked, bucket)
@@ -376,7 +417,8 @@ class RowPipelineDPJ(DoublePipelinedJoin):
 
     def _cleanup_pairs(self):
         """Row-at-a-time overflow resolution, every spilled tuple boxed."""
-        left_key, right_key = self._left_binder.key, self._right_binder.key
+        left_key = partial(row_key, self._left_binder)
+        right_key = partial(row_key, self._right_binder)
         schema = self.output_schema
         for index in self._spilled_buckets():
             entries = [read_rows(table.spill_log, table.buckets[index]) for table in self._tables]
@@ -425,7 +467,7 @@ class RowPipelineHybrid(HybridHashJoin):
         return BoxedRowsCursor(self.output_schema, matches) if matches else None
 
     def _probe_one(self, outer_row):
-        key = self._left_binder.key(outer_row)
+        key = row_key(self._left_binder, outer_row)
         index = bucket_of(key, self.bucket_count)
         if self._inner_table.buckets[index].flushed:
             outer = self._outer_table
@@ -441,7 +483,8 @@ class RowPipelineHybrid(HybridHashJoin):
 
     def _overflow_pairs(self):
         """Joins spilled pairs bucket by bucket, boxing each tuple."""
-        left_key, right_key = self._left_binder.key, self._right_binder.key
+        left_key = partial(row_key, self._left_binder)
+        right_key = partial(row_key, self._right_binder)
         schema, inner, outer = self.output_schema, self._inner_table, self._outer_table
         for bucket_index in inner.flushed_buckets:
             if not outer.buckets[bucket_index].spilled_count:

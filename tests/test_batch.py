@@ -16,9 +16,10 @@ from repro.storage.columns import (
 )
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
+from repro.network.source import DataSource
+from repro.storage.tuples import Row, counting_row_constructions
 
-from helpers import concat_rows, examples
+from helpers import column_values, concat_rows, examples
 
 SCHEMA = Schema.of("t.k:int", "t.name:str", "t.qty:int")
 
@@ -200,21 +201,29 @@ def test_relation_column_block_serves_pending_without_boxing():
     relation.extend_batch(
         Batch.from_columns(SCHEMA, [[3, 4], ["c", "d"], [30, 40]], [1.0, 2.5])
     )
-    assert list(relation.arrivals()) == [0.5, 1.5, 1.0, 2.5]
-    columns, count = relation.column_block(1, 2)  # spans both pending batches
-    assert count == 2
-    assert columns == [[2, 3], ["b", "c"], [20, 30]]
-    columns, count = relation.column_block(3, 5)
-    assert count == 1 and columns == [[4], ["d"], [40]]
-    columns, count = relation.column_block(9, 5)
-    assert count == 0
-    # The blocks were served straight from the buffered column lists.
-    assert relation._rows == [] and len(relation) == 4
-    # After something reads rows, blocks come from the transposed row list.
-    assert len(relation.rows) == 4
+    with counting_row_constructions() as counter:
+        assert list(relation.arrivals()) == [0.5, 1.5, 1.0, 2.5]
+        columns, count = relation.column_block(1, 2)  # spans both chunks
+        assert count == 2
+        assert columns == [[2, 3], ["b", "c"], [20, 30]]
+        columns, count = relation.column_block(3, 5)
+        assert count == 1 and columns == [[4], ["d"], [40]]
+        columns, count = relation.column_block(9, 5)
+        assert count == 0 and len(relation) == 4
+        assert relation.multiset() == {
+            (1, "a", 10): 1, (2, "b", 20): 1, (3, "c", 30): 1, (4, "d", 40): 1
+        }
+        boxed = counter.count
+    # The blocks were served straight from the chunks' column lists.
+    assert boxed == 0
+    # Rows are boxed on demand, afresh on every read, and change nothing.
+    with counting_row_constructions() as counter:
+        assert [row.values for row in relation.rows][1:3] == [(2, "b", 20), (3, "c", 30)]
+        assert relation[-1].values == (4, "d", 40) and relation[2].arrival == 1.0
+        boxed = counter.count
+    assert boxed == 6
     columns, count = relation.column_block(0, 2)
     assert count == 2 and columns == [[1, 2], ["a", "b"], [10, 20]]
-    # Stamps read in row order across boxed rows and later pending batches.
     relation.extend_batch(Batch.from_columns(SCHEMA, [[5], ["e"], [50]], [0.25]))
     assert list(relation.arrivals()) == [0.5, 1.5, 1.0, 2.5, 0.25]
 
@@ -243,7 +252,7 @@ def test_relation_column_block_keeps_codes_and_degrades_mixed_dictionaries():
     columns, _ = relation.column_block(3, 2)
     assert type(columns[1]) is DictColumn and columns[1].dictionary is not shared[1]
     assert len(shared[1]) == 3  # nothing grew the shared dictionary
-    assert relation._rows == []
+    assert len(relation) == 5  # the empty batch added no rows
 
 
 #: ``Batch``'s own ``columns`` slot, which ``_CountingBatch`` wraps.
@@ -269,31 +278,70 @@ class _CountingBatch(Batch):
         _COLUMNS_SLOT.__set__(self, columns)
 
 
-@given(sizes=st.lists(st.integers(0, 5), max_size=12), max_rows=st.integers(1, 7))
-@settings(max_examples=examples(60), deadline=None)
-def test_relation_column_block_reads_only_the_batches_it_spans(sizes, max_rows):
-    relation = Relation("t", SCHEMA)
-    rows, total = [], 0
-    for size in sizes:
-        values = [(total + i, f"n{total + i}", 10 * (total + i)) for i in range(size)]
-        total += size
-        rows += values
-        columns = transpose_rows([Row(SCHEMA, v) for v in values]) or [[], [], []]
-        relation.extend_batch(_CountingBatch.from_columns(SCHEMA, columns, [0.0] * size))
-    for start in range(total + 2):
-        _CountingBatch.reads = 0
-        columns, count = relation.column_block(start, max_rows)
-        block = rows[start : start + max_rows]
-        assert count == len(block)
-        assert columns == (transpose_rows([Row(SCHEMA, v) for v in block]) or [[], [], []])
-        # Only the batches from the one holding row ``start`` on are touched:
-        # each sized once and, if it holds block rows, read once — plus the
-        # first batch past the block, sized to stop there.
-        ends = [sum(sizes[: at + 1]) for at in range(len(sizes))]
-        first = next((at for at, end in enumerate(ends) if end > start), len(sizes))
-        assert _CountingBatch.reads <= 2 * (len(sizes) - first)
-        assert _CountingBatch.reads <= 2 * (count + 1 + sizes[first:].count(0))
-    assert relation._rows == []
+MIXED = Schema.of("t.k:int", "t.name:str", "t.w:float")
+
+#: One row of :data:`MIXED`: a ``None`` or an int among the names degrades
+#: a dict column to values.
+mixed_rows = st.tuples(
+    st.tuples(
+        st.integers(-5, 5),
+        st.one_of(
+            st.sampled_from(["a", "b", "c", "d"]), st.text("xyz", max_size=2), st.none(), st.just(7)
+        ),
+        st.floats(-1.0, 1.0),
+    ),
+    st.floats(0.0, 100.0),
+)
+#: How a chunk of rows enters the relation: ``extend`` (encoded over the
+#: relation's frozen dictionaries), or ``extend_batch`` over dictionaries
+#: shared by every such chunk, of the batch's own, or none (plain lists).
+chunk_forms = st.sampled_from(["rows", "shared", "own", "plain"])
+
+
+@given(
+    chunks=st.lists(st.tuples(st.lists(mixed_rows, max_size=5), chunk_forms), max_size=8),
+    max_rows=st.integers(1, 7),
+)
+@settings(max_examples=examples(80), deadline=None)
+def test_relation_column_block_reads_only_the_batches_it_spans(chunks, max_rows):
+    """Random rows split into random chunks, entered through ``extend`` and
+    ``extend_batch`` in every column form: ``len``, the boxed rows, the
+    stamps, every block and a source's spans over the relation equal the row
+    model, and a block touches only the chunks it spans."""
+    relation = Relation("t", MIXED)
+    shared = make_dictionaries(MIXED)
+    model, sizes = [], []
+    for pairs, form in chunks:
+        model += pairs
+        if form == "rows":
+            relation.extend([Row(MIXED, values, arrival) for values, arrival in pairs])
+            continue
+        sizes.append(len(pairs))
+        columns = [list(column) for column in zip(*(values for values, _ in pairs))] or [[], [], []]
+        if form != "plain":
+            columns = build_columns(MIXED, columns, shared if form == "shared" else None)
+        arrivals = [arrival for _, arrival in pairs]
+        relation.extend_batch(_CountingBatch.from_columns(MIXED, columns, arrivals))
+    values = [values for values, _ in model]
+    assert len(relation) == relation.cardinality == len(model)
+    assert [(row.values, row.arrival) for row in relation.rows] == model
+    source = DataSource("src", relation)
+    with counting_row_constructions() as counter:
+        assert list(relation.arrivals()) == [arrival for _, arrival in model]
+        for start in range(len(model) + 2):
+            _CountingBatch.reads = 0
+            columns, count = relation.column_block(start, max_rows)
+            block = values[start : start + max_rows]
+            assert count == len(block)
+            assert columns == ([list(column) for column in zip(*block)] or [[], [], []])
+            # Only the chunks from the one holding row ``start`` on are read,
+            # each at most twice (the first is sized for the accumulators).
+            assert _CountingBatch.reads <= 2 * len(sizes)
+            assert _CountingBatch.reads <= 2 * (count + 1)
+            stop = start + count
+            assert source.column_span(start, stop) == columns
+        boxed = counter.count
+    assert boxed == 0
 
 
 def test_relation_extend_batch_lazy_materialization():
@@ -301,8 +349,8 @@ def test_relation_extend_batch_lazy_materialization():
     relation.extend_batch(Batch.from_columns(SCHEMA, [[1, 2], ["a", "b"], [1, 2]], [0.0, 0.0]))
     assert len(relation) == 2
     assert relation.cardinality == 2
-    # Column access served straight from the buffered batch.
-    assert relation.column("t.k") == [1, 2]
+    # Column access served straight from the chunk.
+    assert column_values(relation, "t.k") == [1, 2]
     relation.extend_batch(Batch.from_rows(SCHEMA, SAMPLE[:1]))
     assert len(relation) == 3
     assert [row.values for row in relation] == [(1, "a", 1), (2, "b", 2), (1, "a", 10)]

@@ -7,26 +7,24 @@ from repro.engine.operators.scan import WrapperScan
 from repro.network.cache import CachingScanFeed, SourceCache
 from repro.network.profiles import wide_area
 from repro.network.simclock import SimClock
-from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 from repro.core.system import Tukwila
 from repro.network.source import DataSource
 
-from helpers import iterate, next_row
+from helpers import iterate, make_relation, next_row
 
 
-SCHEMA = Schema.of("s.k:int", "s.v:str")
-
-
-def rows(count: int = 5) -> list[Row]:
-    return [Row(SCHEMA, (i, f"v{i}")) for i in range(count)]
+def source(name: str, count: int = 5) -> DataSource:
+    """A source named ``name`` exporting ``count`` rows ``(i, "v<i>")``."""
+    return DataSource(
+        name, make_relation("s", ["k:int", "v:str"], [(i, f"v{i}") for i in range(count)])
+    )
 
 
 class TestSourceCache:
     def test_miss_then_fill_then_hit(self):
         cache = SourceCache()
         assert cache.lookup("src", now_ms=0.0) is None
-        cache.fill("src", SCHEMA, rows(), now_ms=10.0)
+        cache.fill(source("src"), now_ms=10.0)
         entry = cache.lookup("src", now_ms=20.0)
         assert entry is not None
         assert entry.cardinality == 5
@@ -37,25 +35,23 @@ class TestSourceCache:
 
     def test_eviction_keeps_newest(self):
         cache = SourceCache(max_entries=2)
-        cache.fill("a", SCHEMA, rows(), now_ms=1.0)
-        cache.fill("b", SCHEMA, rows(), now_ms=2.0)
-        cache.fill("c", SCHEMA, rows(), now_ms=3.0)
+        cache.fill(source("a"), now_ms=1.0)
+        cache.fill(source("b"), now_ms=2.0)
+        cache.fill(source("c"), now_ms=3.0)
         assert [name in cache for name in "abc"] == [False, True, True]
 
     def test_invalidate_and_clear(self):
         cache = SourceCache()
-        cache.fill("a", SCHEMA, rows(), now_ms=0.0)
+        cache.fill(source("a"), now_ms=0.0)
         cache.invalidate("missing")  # no error
         cache.invalidate("a")
         assert "a" not in cache
-        cache.fill("b", SCHEMA, rows(), now_ms=0.0)
-        cache.clear()
-        assert "b" not in cache
+        assert cache.stats.invalidations == 1
 
     def test_hit_rate(self):
         cache = SourceCache()
         cache.lookup("a", 0.0)
-        cache.fill("a", SCHEMA, rows(), now_ms=0.0)
+        cache.fill(source("a"), now_ms=0.0)
         cache.lookup("a", 1.0)
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
@@ -67,14 +63,16 @@ class TestSourceCache:
 class TestCachingScanFeed:
     def test_streams_cached_rows_at_local_speed(self):
         cache = SourceCache()
-        entry = cache.fill("src", SCHEMA, rows(4), now_ms=0.0)
+        entry = cache.fill(source("src", 4), now_ms=0.0)
         clock = SimClock()
         feed = CachingScanFeed(entry, clock)
         fetched = []
         while not feed.exhausted:
             assert feed.next_arrival() == clock.now
-            fetched.append(feed.fetch())
-        assert len(fetched) == 4
+            columns, stamps = feed.fetch()  # a one-row span, stamped on serving
+            assert stamps == [clock.now]
+            fetched.append(tuple(column[0] for column in columns))
+        assert fetched == [(i, f"v{i}") for i in range(4)]
         assert feed.fetch() is None
         assert clock.now < 1.0  # no network latency was charged
 

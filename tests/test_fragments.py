@@ -27,7 +27,7 @@ class TestFragment:
     def test_sources_and_operator_ids(self):
         fragment = make_fragment("f1", "r1")
         assert set(fragment.sources()) == {"a", "b"}
-        assert "f1_join" in fragment.operator_ids()
+        assert "f1_join" in [node.operator_id for node in fragment.root.walk()]
 
     def test_describe(self):
         fragment = make_fragment("f1", "r1")

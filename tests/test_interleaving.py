@@ -10,7 +10,7 @@ from repro.query.conjunctive import ConjunctiveQuery, JoinPredicate
 from repro.query.reformulation import Reformulator
 from repro.storage.memory import MB
 
-from helpers import join_relations, make_relation
+from helpers import join_relations, make_relation, qualified_relation
 
 
 def star_catalog(sizes, profiles=None):
@@ -38,9 +38,9 @@ def make_driver(catalog, **kwargs):
 
 
 def reference_cardinality(catalog, names):
-    result = catalog.source(names[0]).relation.qualified()
+    result = qualified_relation(catalog.source(names[0]).relation)
     for prev, name in zip(names, names[1:]):
-        right = catalog.source(name).relation.qualified()
+        right = qualified_relation(catalog.source(name).relation)
         result = join_relations(result, right, [f"{prev}.k"], [f"{name}.k"])
     return result.cardinality
 

@@ -244,8 +244,6 @@ class TestDependentJoinProbeCache:
         # memoizes under one key form: the bind value.
         assert set(batch_join._memo) == {0, 1, 2}
         assert set(batch_join._index) == {0, 1, 5}
-        if batch_size > 1:
-            assert set(batch_join._match_columns) == {0, 1, 2}
 
     @pytest.mark.parametrize("batch_size", [None, 1, 64])
     def test_two_column_bind_keys_memoize_as_tuples(self, batch_size):

@@ -43,7 +43,7 @@ class TestOperatorSpec:
             ["b.x"],
             operator_id="j1",
         )
-        ids = tree.operator_ids()
+        ids = [node.operator_id for node in tree.walk()]
         assert ids[0] == "j1"
         assert set(ids) == {"j1", "sa", "sb"}
         assert tree.find("sb").params["source"] == "b"

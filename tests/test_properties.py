@@ -36,6 +36,7 @@ from repro.storage.tuples import Row
 
 from helpers import (
     distinct_rows,
+    project_relation,
     union_relations,
     GatherThenExtendDPJ,
     ScriptedProfile,
@@ -1343,4 +1344,4 @@ class TestRelationProperties:
     def test_projection_preserves_cardinality(self, pairs):
         schema = Schema.of("k:int", "p:str")
         rel = Relation("a", schema, (Row(schema, p) for p in pairs))
-        assert rel.project(["k"]).cardinality == rel.cardinality
+        assert project_relation(rel, ["k"]).cardinality == rel.cardinality

@@ -244,8 +244,8 @@ class TestSharedSourceCache:
 
     def test_future_fills_are_invisible_until_reached(self):
         cache = SourceCache()
-        schema_rows = make_relation("x", ["id:int"], [(1,), (2,)])
-        cache.fill("x", schema_rows.schema, schema_rows.rows, now_ms=100.0, session="ahead")
+        source = DataSource("x", make_relation("x", ["id:int"], [(1,), (2,)]))
+        cache.fill(source, now_ms=100.0, session="ahead")
         # A session whose clock is still at 40 must not see a fill from 100.
         assert cache.lookup("x", 40.0, session="behind") is None
         assert cache.stats.not_yet_visible == 1

@@ -388,7 +388,7 @@ class TestPlanAwarePrefetch:
         connection.close(at_ms=1.0)
         assert decide(server, 2.0) == "src"
         # A cached extent removes the source from consideration.
-        server.source_cache.fill("src", SCHEMA, rows(3), now_ms=2.0)
+        server.source_cache.fill(source, now_ms=2.0)
         assert decide(server, 3.0) is None
 
     def test_warmed_source_serves_later_sessions(self):

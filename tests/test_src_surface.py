@@ -12,7 +12,9 @@ builtin, which no ``src`` method is; anything else may be any class), or
 through a string that can name an attribute (``getattr`` and kin, and
 outside ``src`` a string following a name in a tuple, as perflab's tracer
 names the methods it wraps); a local variable, an XML tag or a table header
-of the same name is not a use.
+of the same name is not a use, and neither is an access on an untyped
+receiver inside the method's own body (``Relation.column`` reading
+``batch.column(i)`` does not use itself).
 Names listed in an ``__all__`` do not count.  A definition unused in ``src`` passes
 only when the same scan finds its name in ``perflab/``, ``examples/`` or
 ``benchmarks/``, or when :data:`KEPT` lists it under ``"module:name"`` with a
@@ -22,16 +24,19 @@ Anything else fails, named; so does a ``KEPT`` entry whose definition is
 gone or no longer needs it.  Test-only behaviour belongs in ``tests/``.
 A second scan fails on a ``.next_batch(`` call outside :data:`PULLERS`: a
 second loop driving an operator tree.  A third fails on ``EventType.THRESHOLD``
-named outside :data:`THRESHOLD_SITES`: a second path raising that event.
+named outside :data:`THRESHOLD_SITES`: a second path raising that event.  A
+fourth fails on :class:`Row` imported outside :data:`ROW_SITES`: a new site
+boxing tuples.
 
 The scan still under-reports where it cannot tell a receiver's class: one
-``x.peek()`` on an unknown ``x`` covers every method named ``peek``
-(``SourceCache.peek`` hides ``OverflowFile.peek`` today), and a loop
-variable's ``row.project(...)`` covers ``Relation.project``.  Bare-name
-matching once hid ``Rule.matches`` behind ``module.matches(...)`` and
-``EventHandler.rule`` behind locals named ``rule``; untyped literal and
+``x.peek()`` on an unknown ``x`` elsewhere covers every method named
+``peek`` (``SourceCache.peek`` hides ``OverflowFile.peek`` today).
+Bare-name matching once hid ``Rule.matches`` behind ``module.matches(...)``
+and ``EventHandler.rule`` behind locals named ``rule``; untyped literal and
 attribute receivers hid ``Relation.join`` behind ``", ".join(...)`` and
-``self.schema.join(...)``.
+``self.schema.join(...)``; and a method's own body hid it
+(``Relation.project`` behind its loop variable's ``row.project(...)``,
+``Relation.column`` behind ``batch.column(idx)``).
 """
 
 from __future__ import annotations
@@ -127,6 +132,8 @@ class Uses:
     builtin constructor call (``str``, ``frozenset``, ...) — or
     ``".name"`` for an attribute access ``x.name``, which :meth:`resolve`
     types through :attr:`attribute_classes`; else ``None``.
+    Each access also records the method whose body holds it (``(class,
+    name)``, or ``None`` outside any method).
     ``attribute_classes`` maps an attribute name to the classes its ``src``
     definitions give it: a property's return annotation, an annotated
     field, or an assignment of a typed name or a constructor call (``None``
@@ -137,7 +144,7 @@ class Uses:
 
     def __init__(self) -> None:
         self.names: set[str] = set()
-        self.attributes: set[tuple[str, str | None]] = set()
+        self.attributes: set[tuple[str, str | None, tuple[str | None, str] | None]] = set()
         self.strings: set[str] = set()
         self.attribute_strings: set[str] = set()
         self.attribute_classes: dict[str, set[str | None]] = {}
@@ -146,6 +153,7 @@ class Uses:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         self._listed = _listed_in_all(tree)
         self._in_src = in_src
+        self._within: tuple[str | None, str] | None = None
         self._visit(tree, None, {})
 
     def _visit(self, node, owner: str | None, known: dict) -> None:
@@ -183,7 +191,8 @@ class Uses:
         if isinstance(node, ast.Name):
             self.names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            self.attributes.add((node.attr, self._receiver(node.value, owner, known)))
+            receiver = self._receiver(node.value, owner, known)
+            self.attributes.add((node.attr, receiver, self._within))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             self.strings.add(node.value)
         elif isinstance(node, ast.Tuple) and not self._in_src:
@@ -253,8 +262,12 @@ class Uses:
         )
         if method and every and not static:
             inner[every[0].arg] = owner  # self / cls
+        within = self._within
+        if method:
+            self._within = (owner, node.name)
         for child in node.body if isinstance(node.body, list) else [node.body]:
             self._visit(child, owner, inner)
+        self._within = within
 
     @staticmethod
     def _receiver(value, owner: str | None, known: dict) -> str | None:
@@ -329,18 +342,18 @@ def is_used(name: str, owner: str | None, uses: Uses, related: dict[str, set[str
     access (a local variable of the same name does not call it) whose
     receiver may be its class: an access on a known ``src`` class counts only
     for that class's relatives, and a ``Protocol`` (structural) or unknown
-    receiver for every method of the name."""
+    receiver for every method of the name but the one whose body it is in."""
     if owner is None:
         return name in uses.names or name in uses.strings or any(
-            attribute == name for attribute, _ in uses.attributes
+            attribute == name for attribute, _, _ in uses.attributes
         )
     if name in uses.attribute_strings:
         return True
-    for attribute, receiver in uses.attributes:
+    for attribute, receiver, within in uses.attributes:
         if attribute != name:
             continue
         receiver = uses.resolve(receiver)
-        if receiver in BUILTIN_RECEIVERS:
+        if receiver in BUILTIN_RECEIVERS or (receiver is None and within == (owner, name)):
             continue
         family = related.get(receiver)
         if family is None or "Protocol" in family or owner in family:
@@ -436,4 +449,40 @@ def test_one_threshold_emitter():
     assert not naming, (
         "a second threshold path: the Operator base raises the event at the "
         "counts the executor derives from the rules; " + ", ".join(sorted(naming))
+    )
+
+
+#: Where ``src/`` may import :class:`~repro.storage.tuples.Row`: the storage
+#: modules that define it, batch it and box it on demand, the two packages
+#: that re-export it, and the speculative follower and publisher loop, which
+#: stays row-based (the cache's partial extents, the wrapper's
+#: ``fetch_batch``, the scan's row loop).  A stored relation is read by
+#: position everywhere else.
+ROW_SITES = (
+    "storage/tuples.py",
+    "storage/batch.py",
+    "storage/relation.py",
+    "__init__.py",
+    "storage/__init__.py",
+    "network/cache.py",
+    "network/wrapper.py",
+    "engine/operators/scan.py",
+)
+
+
+def test_no_new_row_boxing_site():
+    package = SRC / "repro"
+    importing = set()
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        if where in ROW_SITES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "Row" for a in node.names):
+                importing.add(where)
+            elif isinstance(node, ast.Attribute) and node.attr == "Row":
+                importing.add(where)
+    assert not importing, (
+        "Row reached a new module; read stored relations by position (column "
+        "spans, match positions) instead: " + ", ".join(sorted(importing))
     )

@@ -2,15 +2,21 @@
 
 import pytest
 
+from repro.bench.harness import build_deployment, run_operator_tree
 from repro.core.system import Tukwila
+from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.executor import ExecutionStatus
+from repro.engine.operators.joins.dependent import DependentJoin
+from repro.engine.operators.scan import WrapperScan
 from repro.errors import QueryError
 from repro.network.profiles import dead, lan, wide_area
 from repro.network.source import DataSource, make_mirror
 from repro.catalog.source_desc import SourceDescription
 from repro.optimizer.optimizer import PlanningStrategy, ReoptimizationMode
+from repro.plan.physical import JoinImplementation, join, wrapper_scan
+from repro.storage.tuples import counting_row_constructions
 
-from helpers import attribute_multiset, join_relations, reference_join
+from helpers import attribute_multiset, join_relations, qualified_relation, reference_join
 
 
 @pytest.fixture
@@ -99,12 +105,12 @@ class TestQueryExecution:
         assert result.succeeded
         expected = join_relations(
             join_relations(
-                tiny_tpcd["nation"].qualified(),
-                tiny_tpcd["region"].qualified(),
+                qualified_relation(tiny_tpcd["nation"]),
+                qualified_relation(tiny_tpcd["region"]),
                 ["n_regionkey"],
                 ["r_regionkey"],
             ),
-            tiny_tpcd["supplier"].qualified(),
+            qualified_relation(tiny_tpcd["supplier"]),
             ["n_nationkey"],
             ["s_nationkey"],
         )
@@ -164,12 +170,12 @@ class TestQueryExecution:
         assert result.succeeded
         expected = join_relations(
             join_relations(
-                tiny_tpcd["nation"].qualified(),
-                tiny_tpcd["supplier"].qualified(),
+                qualified_relation(tiny_tpcd["nation"]),
+                qualified_relation(tiny_tpcd["supplier"]),
                 ["n_nationkey"],
                 ["s_nationkey"],
             ),
-            tiny_tpcd["customer"].qualified(),
+            qualified_relation(tiny_tpcd["customer"]),
             ["n_nationkey"],
             ["c_nationkey"],
         )
@@ -202,3 +208,53 @@ class TestMirrorsAndFailures:
         result = system.execute(JOIN_SQL, name="dead_q")
         assert result.status in (ExecutionStatus.FAILED, ExecutionStatus.RESCHEDULE_REQUESTED)
         assert not result.succeeded
+
+
+def drained(operator) -> int:
+    """Rows ``operator`` produces, pulled in batches (no row boxed here)."""
+    operator.open()
+    produced = 0
+    while batch := operator.next_batch(256):
+        produced += len(batch)
+    operator.close()
+    return produced
+
+
+class TestStoredRelationsAreReadByPosition:
+    def test_set_up_and_figure_ops_box_no_row(self):
+        """Generation stores columns, a source exports them as they are, and
+        the Fig. 3a plans and a dependent join over a cached source read them
+        by position: from data generation to the last output, no Row."""
+        tables = ["lineitem", "orders", "supplier"]
+        with counting_row_constructions() as counter:
+            deployment = build_deployment(0.3, tables, seed=42)
+            for table in tables:
+                deployment.sources[table].encoded_column_cache()
+            lineitem = deployment.database["lineitem"].cardinality
+            for implementation in (
+                JoinImplementation.DOUBLE_PIPELINED,
+                JoinImplementation.HYBRID_HASH,
+            ):
+                spec = join(
+                    join(
+                        wrapper_scan("lineitem"), wrapper_scan("supplier"),
+                        ["lineitem.l_suppkey"], ["supplier.s_suppkey"],
+                        implementation=implementation,
+                    ),
+                    wrapper_scan("orders"), ["lineitem.l_orderkey"], ["orders.o_orderkey"],
+                    implementation=implementation,
+                )
+                name = f"fig3a_{implementation.value}"
+                assert run_operator_tree(spec, deployment.catalog, name).cardinality == lineitem
+            context = ExecutionContext(
+                deployment.catalog, config=EngineConfig(enable_source_caching=True)
+            )
+            assert drained(WrapperScan("fill", context, "orders")) > 0
+            probe = DependentJoin(
+                "dj", context, WrapperScan("scan_l", context, "lineitem"), "orders",
+                ["lineitem.l_orderkey"], ["orders.o_orderkey"],
+            )
+            assert drained(probe) == lineitem
+            assert probe._cached_extent
+            boxed = counter.count
+        assert boxed == 0

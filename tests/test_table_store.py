@@ -32,14 +32,6 @@ def test_rematerialize_replaces(store):
     assert len(store) == 1
 
 
-def test_clear(store):
-    store.materialize(make_relation("a", ["x:int"], [(1,)]))
-    store.materialize(make_relation("b", ["x:int"], [(1,)]))
-    assert store.names() == ["a", "b"]
-    store.clear()
-    assert len(store) == 0
-
-
 def test_iteration(store):
     store.materialize(make_relation("a", ["x:int"], [(1,)]))
     assert list(store) == ["a"]

@@ -10,6 +10,8 @@ from repro.datagen.tpcd import (
     scale_factor_for_megabytes,
 )
 
+from helpers import column_values
+
 
 class TestScaling:
     def test_scale_factor_for_megabytes(self):
@@ -57,13 +59,13 @@ class TestGeneration:
         assert cards["orders"] == pytest.approx(10 * cards["customer"], rel=0.3)
 
     def test_foreign_keys_reference_parents(self, tiny_tpcd):
-        nation_keys = set(tiny_tpcd["nation"].column("n_nationkey"))
-        assert set(tiny_tpcd["supplier"].column("s_nationkey")) <= nation_keys
-        assert set(tiny_tpcd["customer"].column("c_nationkey")) <= nation_keys
-        part_keys = set(tiny_tpcd["part"].column("p_partkey"))
-        assert set(tiny_tpcd["partsupp"].column("ps_partkey")) <= part_keys
-        customer_keys = set(tiny_tpcd["customer"].column("c_custkey"))
-        assert set(tiny_tpcd["orders"].column("o_custkey")) <= customer_keys
+        nation_keys = set(column_values(tiny_tpcd["nation"], "n_nationkey"))
+        assert set(column_values(tiny_tpcd["supplier"], "s_nationkey")) <= nation_keys
+        assert set(column_values(tiny_tpcd["customer"], "c_nationkey")) <= nation_keys
+        part_keys = set(column_values(tiny_tpcd["part"], "p_partkey"))
+        assert set(column_values(tiny_tpcd["partsupp"], "ps_partkey")) <= part_keys
+        customer_keys = set(column_values(tiny_tpcd["customer"], "c_custkey"))
+        assert set(column_values(tiny_tpcd["orders"], "o_custkey")) <= customer_keys
 
     def test_primary_keys_unique(self, tiny_tpcd):
         for table, key in [
@@ -75,22 +77,22 @@ class TestGeneration:
             ("orders", "o_orderkey"),
         ]:
             rel = tiny_tpcd[table]
-            assert len(set(rel.column(key))) == rel.cardinality
+            assert len(set(column_values(rel, key))) == rel.cardinality
 
     def test_lineitem_references_orders(self):
         db = TPCDGenerator(scale_mb=0.1, seed=3).generate(["orders", "lineitem"])
-        order_keys = set(db["orders"].column("o_orderkey"))
-        assert set(db["lineitem"].column("l_orderkey")) <= order_keys
+        order_keys = set(column_values(db["orders"], "o_orderkey"))
+        assert set(column_values(db["lineitem"], "l_orderkey")) <= order_keys
 
     def test_fk_skew_changes_distribution(self):
         uniform = TPCDGenerator(scale_mb=0.3, seed=5, fk_skew=0.0).generate(["orders"])
         skewed = TPCDGenerator(scale_mb=0.3, seed=5, fk_skew=1.5).generate(["orders"])
         uniform_top = max(
-            uniform["orders"].column("o_custkey").count(k)
-            for k in set(uniform["orders"].column("o_custkey"))
+            column_values(uniform["orders"], "o_custkey").count(k)
+            for k in set(column_values(uniform["orders"], "o_custkey"))
         )
         skewed_top = max(
-            skewed["orders"].column("o_custkey").count(k)
-            for k in set(skewed["orders"].column("o_custkey"))
+            column_values(skewed["orders"], "o_custkey").count(k)
+            for k in set(column_values(skewed["orders"], "o_custkey"))
         )
         assert skewed_top > uniform_top

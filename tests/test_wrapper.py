@@ -31,10 +31,10 @@ class TestWrapperStreaming:
         clock = SimClock()
         wrapper = make_wrapper(relation, clock=clock)
         wrapper.open()
-        row = wrapper.fetch()
-        assert row is not None
+        columns, stamps = wrapper.fetch()  # a one-row span, as fetch_columns delivers
+        assert columns == [[0]]
         assert clock.now >= lan().initial_latency_ms
-        assert row.arrival == clock.now
+        assert stamps == [clock.now]
 
     @pytest.mark.parametrize("path", ["fetch", "fetch_columns"])
     def test_stats_carry_the_virtual_stamps(self, relation, path):
@@ -44,7 +44,7 @@ class TestWrapperStreaming:
         wrapper = make_wrapper(relation, profile=wide_area(), clock=clock)
         wrapper.open()
         if path == "fetch":
-            stamps = [row.arrival for row in iter(wrapper.fetch, None)]
+            stamps = [stamp for _, (stamp,) in iter(wrapper.fetch, None)]
         else:
             _, stamps = wrapper.fetch_columns(5)
         assert len(stamps) == 5
