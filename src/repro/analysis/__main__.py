@@ -1,11 +1,11 @@
-"""Command-line entry point: ``python -m repro.analysis [paths...]``.
+"""Command-line entry point: ``python -m repro.analysis paths...``.
 
-Lints the given files/directories (default: the ``repro`` package itself)
-with the ``lease-lifecycle`` rule and prints findings as ``path:line rule-id
-message``, one per line, sorted.  ``--format json`` emits a
-machine-readable report; ``--format github`` emits workflow-annotation
-lines so CI findings annotate the PR diff.  ``--output FILE`` writes the
-JSON report to a file regardless of the display format (the CI artifact).
+Lints the given files/directories with the ``lease-lifecycle`` rule and
+prints findings as ``path:line rule-id message``, one per line, sorted.
+``--format json`` emits a machine-readable report; ``--format github``
+emits workflow-annotation lines so CI findings annotate the PR diff.
+``--output FILE`` writes the JSON report to a file regardless of the
+display format (the CI artifact).
 Exit status: 0 when clean, 1 when any finding (or unparsable file) was
 reported, 2 on usage errors.
 """
@@ -18,10 +18,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.linter import LintReport, run_lint
-
-
-def _default_target() -> Path:
-    return Path(__file__).resolve().parents[1]  # the repro package directory
 
 
 def report_document(report: LintReport) -> dict:
@@ -56,9 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "paths",
-        nargs="*",
+        nargs="+",
         type=Path,
-        help="files or directories to lint (default: the installed repro package)",
+        help="files or directories to lint",
     )
     parser.add_argument(
         "--format",
@@ -80,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     options = parser.parse_args(argv)
 
-    paths = options.paths or [_default_target()]
+    paths = options.paths
     missing = [path for path in paths if not path.exists()]
     if missing:
         for path in missing:

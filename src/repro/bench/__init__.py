@@ -1,4 +1,7 @@
-"""Shared harness used by the ``benchmarks/`` directory."""
+"""The figure harness: simulated deployments, one-tree runs and reporting.
+
+The paper's experiments themselves live in :mod:`repro.bench.figures`.
+"""
 
 from repro.bench.harness import (
     Deployment,

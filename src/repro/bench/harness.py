@@ -1,10 +1,10 @@
-"""Shared benchmark harness: experiment setups, series capture, reporting.
+"""The figure harness: experiment set-ups and tuples-vs-time capture.
 
-Every benchmark in ``benchmarks/`` reproduces one table or figure from the
-paper.  This module centralizes the pieces they share: building a simulated
-"TPC-D in DB2 behind wrappers" deployment at a given scale, running a join
-with a chosen physical plan and network profile, capturing tuples-vs-time
-series, and printing the rows/series the paper reports.
+Each experiment in :mod:`repro.bench.figures` reproduces one table or
+figure from the paper.  This module holds the pieces they, the examples
+and the tests share: building a simulated "TPC-D in DB2 behind wrappers"
+deployment at a given scale, and running a join with a chosen physical plan
+and network profile while capturing its tuples-vs-time series.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def run_operator_tree(
 ) -> RunResult:
     """Execute one physical operator tree to completion against ``catalog``.
 
-    This bypasses the optimizer so that benchmarks can compare hand-chosen
+    This bypasses the optimizer so that the figures can compare hand-chosen
     plans (exactly what the paper does for the join experiments, which used
     hand-coded query plans for greater control).  The tree runs as a
     one-fragment plan through :meth:`QueryExecutor.execute

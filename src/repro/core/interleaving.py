@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.executor import ExecutionOutcome, ExecutionStatus, QueryExecutor
-from repro.engine.stats import QueryRuntimeStats, TupleTimeline
+from repro.engine.stats import QueryRuntimeStats
 from repro.errors import ExecutionError
 from repro.optimizer.optimizer import Optimizer, PlanningStrategy, ReoptimizationMode
 from repro.plan.fragments import QueryPlan
@@ -42,10 +42,6 @@ class QueryResult:
     @property
     def cardinality(self) -> int:
         return self.answer.cardinality if self.answer is not None else 0
-
-    @property
-    def output_timeline(self) -> TupleTimeline:
-        return self.stats.output_timeline
 
     @property
     def succeeded(self) -> bool:

@@ -124,9 +124,6 @@ class TPCDDatabase:
     def __getitem__(self, name: str) -> Relation:
         return self.tables[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables
-
     @property
     def names(self) -> list[str]:
         return sorted(self.tables)

@@ -38,11 +38,6 @@ class Materialize(Operator):
     def output_schema(self) -> Schema:
         return self.child.output_schema
 
-    @property
-    def relation(self) -> Relation | None:
-        """The relation being built (available during and after execution)."""
-        return self._relation
-
     def peek_arrival(self) -> float | None:
         if self.state in ("closed", "deactivated"):
             return None

@@ -148,10 +148,5 @@ class SimClock:
         self.stats.io_ms += io_ms
         return self._now
 
-    def reset(self, start_ms: float = 0.0) -> None:
-        """Rewind the clock (used between benchmark repetitions)."""
-        self._now = float(start_ms)
-        self.stats = ClockStats()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.2f}ms)"

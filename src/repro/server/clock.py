@@ -41,10 +41,6 @@ class SessionClock(SimClock):
         self.session_id = session_id
         self.admitted_at_ms = start_ms
 
-    def reset(self, start_ms: float | None = None) -> None:
-        """Rewind to the admission time (benchmark repetitions)."""
-        super().reset(self.admitted_at_ms if start_ms is None else start_ms)
-
 
 class ServerClock:
     """Registry of session clocks forming one virtual timeline."""

@@ -26,10 +26,11 @@ from repro.storage.relation import Relation
 #: scheduler can run another.  It is not the engine's batch grain
 #: (``DEFAULT_BATCH_SIZE``): a grain of 1024 amortises per-batch overhead in
 #: a single query, but as a slice it lets an early session hold the
-#: timeline four times as long.  Measured on ``bench_prefetch_pipeline``:
-#: with speculation, the late sessions' mean time to first tuple is 67.4
-#: virtual ms at 256 rows a slice and 210.6 at 1024, against 336.8 without
-#: speculation (5.00x, and 1.60x under the bench's 2.0x bar).
+#: timeline four times as long.  Measured on the prefetch pipeline
+#: (``tests/test_speculative.py::TestPrefetchPipeline``): with speculation,
+#: the late sessions' mean time to first tuple is 67.4 virtual ms at 256
+#: rows a slice and 210.6 at 1024, against 336.8 without speculation
+#: (5.00x, and 1.60x under the test's 2.0x bar).
 SESSION_SLICE_ROWS = 256
 
 

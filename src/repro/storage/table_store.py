@@ -47,6 +47,3 @@ class LocalStore:
 
     def __len__(self) -> int:
         return len(self._relations)
-
-    def names(self) -> list[str]:
-        return sorted(self._relations)

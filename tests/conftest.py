@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 Fixtures build tiny deployments (a few dozen to a few hundred tuples) so the
-whole suite runs in seconds while still exercising every code path the
-benchmarks use at larger scale.
+suite runs in seconds while still exercising every code path the figures
+(``test_figures.py``) run at larger scale.
 
 Plain helper *functions* live in :mod:`helpers` (``tests/helpers.py``) so test
 modules can import them without relying on the ambiguous top-level module name

@@ -2,10 +2,10 @@
 
 These used to live in ``tests/conftest.py`` and were imported with
 ``from conftest import ...``, which relies on the top-level module name
-``conftest`` resolving to *this directory's* conftest.  When pytest collects
-from the repo root it may import ``benchmarks/conftest.py`` under that name
-first, poisoning ``sys.modules`` and breaking every such import.  Keeping the
-helpers in a uniquely named module makes the imports unambiguous.
+``conftest`` resolving to *this directory's* conftest: a second tree's
+``conftest`` imported first under that name poisons ``sys.modules`` and
+breaks every such import.  Keeping the helpers in a uniquely named module
+makes the imports unambiguous.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
+from repro.bench.harness import build_deployment
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.iterators import Operator
 from repro.engine.operators.joins.double_pipelined import (
@@ -27,8 +28,10 @@ from repro.engine.operators.joins.double_pipelined import (
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.errors import SchemaError, StorageError
-from repro.network.profiles import NetworkProfile
+from repro.network.profiles import NetworkProfile, wide_area
+from repro.plan.physical import join, wrapper_scan
 from repro.plan.rules import EventType
+from repro.server import QueryServer
 from repro.storage.batch import Batch
 from repro.storage.columns import DictColumn, extend_column, extend_moving, gather
 from repro.storage.hash_table import bucket_of
@@ -311,6 +314,94 @@ def drain(queue) -> list:
     while queue:
         events.append(queue.pop())
     return events
+
+
+def server_resident_bytes(server) -> int:
+    """Server-wide resident bytes recomputed from live hash tables (not
+    budgets), every exchange lane of every session included."""
+    operators = []
+    for session in server.sessions.values():
+        operators.extend(session.context.operators.values())
+    for operator in list(operators):
+        operators.extend(getattr(operator, "lane_operators", ()))
+    total = 0
+    for operator in operators:
+        for table in getattr(operator, "_tables", None) or ():
+            total += table.resident_bytes
+        inner = getattr(operator, "_inner_table", None)
+        if inner is not None:
+            total += inner.resident_bytes
+    return total
+
+
+#: The eight-session server mix: every session joins ``partsupp`` over a
+#: wide-area link, and each source serves two streams at once.
+MIX_SESSIONS = 8
+MIX_TABLES = ["part", "partsupp", "supplier"]
+MIX_MAX_CONCURRENT = 2
+
+
+def mix_deployment():
+    """A fresh deployment of the mix's sources (connection slots unshared)."""
+    deployment = build_deployment(1.0, MIX_TABLES, profile=wide_area(), seed=42)
+    for source in deployment.sources.values():
+        source.max_concurrent = MIX_MAX_CONCURRENT
+    return deployment
+
+
+def mix_session_spec(index: int, memory_bytes: int):
+    """Session ``index``'s plan: a DPJ sharing ``partsupp`` with everyone."""
+    prefix = f"s{index}"
+    if index % 2 == 0:
+        left, left_key, right_key = "part", "part.p_partkey", "partsupp.ps_partkey"
+    else:
+        left, left_key, right_key = "supplier", "supplier.s_suppkey", "partsupp.ps_suppkey"
+    return join(
+        wrapper_scan(left, operator_id=f"{prefix}_scan_{left}"),
+        wrapper_scan("partsupp", operator_id=f"{prefix}_scan_partsupp"),
+        [left_key],
+        [right_key],
+        operator_id=f"{prefix}_join",
+        memory_limit_bytes=memory_bytes,
+    )
+
+
+def mix_memory_request(deployment) -> int:
+    """One session's memory request: its whole join state fits single-tenant."""
+    total = 0
+    for name in MIX_TABLES:
+        source = deployment.sources[name]
+        total += source.cardinality * source.exported_schema.encoded_row_size
+    return max(32 * 1024, int(total * 0.9))
+
+
+def run_mix(memory_bytes: int, capacity_sessions: float, arrivals, engine_config=None):
+    """The mix on one server whose broker holds ``capacity_sessions`` join
+    requests, session ``i`` arriving at ``arrivals[i]``.  Returns the server's
+    stats, the sessions and, per revocation, ``(record, broker used bytes,
+    resident bytes of the live hash tables, the prefetcher's resident
+    bytes)``."""
+    server = QueryServer(
+        mix_deployment().catalog,
+        engine_config=engine_config,
+        memory_capacity_bytes=int(memory_bytes * capacity_sessions),
+    )
+    server.broker.floor_bytes = max(16 * 1024, memory_bytes // 8)
+    revocations = []
+
+    def check(broker, record):
+        prefetched = server.prefetcher.resident_bytes if server.prefetcher is not None else 0
+        revocations.append(
+            (record, broker.used_bytes, server_resident_bytes(server), prefetched)
+        )
+
+    server.broker.on_revocation = check
+    sessions = [
+        server.submit(mix_session_spec(index, memory_bytes), f"s{index}", arrival_ms=arrival)
+        for index, arrival in enumerate(arrivals)
+    ]
+    stats = server.run()
+    return stats, sessions, revocations
 
 
 def contacted_children(collector) -> list[str]:

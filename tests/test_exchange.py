@@ -4,7 +4,8 @@ The exchange promises result transparency — identical result multisets at any
 lane count, read in batches or row by row — plus the server-wide memory
 invariant (``broker.used == sum(resident_bytes)`` at every revocation, with
 per-lane budgets as individual leases) and a fully deterministic merge
-(earliest event first, lane index as the tie-break).
+(earliest event first, lane index as the tie-break).  Where CPU bounds a
+plan, four lanes finish it in at most half the virtual time of one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import iterate, make_relation, multiset, next_row, recording_calls
+from helpers import (
+    iterate,
+    make_relation,
+    multiset,
+    next_row,
+    recording_calls,
+    server_resident_bytes,
+)
 
 SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
 
@@ -77,26 +85,26 @@ def deployment():
     return build_deployment(0.25, ["lineitem", "supplier", "orders"], seed=42)
 
 
-def fig3a_plan(implementation=JoinImplementation.DOUBLE_PIPELINED, memory=None):
+def fig3a_plan(implementation=JoinImplementation.DOUBLE_PIPELINED, memory=None, prefix=""):
     # Explicit scan ids: the auto-numbered ones depend on how many specs the
     # process built before, and the goldens below digest operator ids.
     inner = join(
-        wrapper_scan("lineitem", operator_id="scan_lineitem"),
-        wrapper_scan("supplier", operator_id="scan_supplier"),
+        wrapper_scan("lineitem", operator_id=f"{prefix}scan_lineitem"),
+        wrapper_scan("supplier", operator_id=f"{prefix}scan_supplier"),
         ["lineitem.l_suppkey"],
         ["supplier.s_suppkey"],
         implementation=implementation,
         memory_limit_bytes=memory,
-        operator_id="inner",
+        operator_id=f"{prefix}inner",
     )
     return join(
         inner,
-        wrapper_scan("orders", operator_id="scan_orders"),
+        wrapper_scan("orders", operator_id=f"{prefix}scan_orders"),
         ["lineitem.l_orderkey"],
         ["orders.o_orderkey"],
         implementation=implementation,
         memory_limit_bytes=memory,
-        operator_id="outer",
+        operator_id=f"{prefix}outer",
     )
 
 
@@ -266,24 +274,6 @@ def contended_join(prefix: str, memory: int):
     )
 
 
-def resident_bytes(server) -> int:
-    """Recompute resident bytes from live hash tables, lane operators included."""
-    total = 0
-    operators = []
-    for session in server.sessions.values():
-        operators.extend(session.context.operators.values())
-    for operator in list(operators):
-        if isinstance(operator, Exchange):
-            operators.extend(operator.lane_operators)
-    for operator in operators:
-        for table in getattr(operator, "_tables", None) or ():
-            total += table.resident_bytes
-        inner = getattr(operator, "_inner_table", None)
-        if inner is not None:
-            total += inner.resident_bytes
-    return total
-
-
 class TestBrokerInvariantAcrossLanes:
     def run_contended(self, lanes: int):
         server = QueryServer(
@@ -295,7 +285,7 @@ class TestBrokerInvariantAcrossLanes:
         checks = []
 
         def check(broker, record):
-            checks.append((broker.used_bytes, resident_bytes(server)))
+            checks.append((broker.used_bytes, server_resident_bytes(server)))
 
         server.broker.on_revocation = check
         a = server.submit(contended_join("a", memory=80 * 1024), "a")
@@ -312,7 +302,7 @@ class TestBrokerInvariantAcrossLanes:
             assert broker_used == resident
         # Quiescence: every lane's lease was returned at teardown.
         assert server.broker.used_bytes == 0
-        assert resident_bytes(server) == 0
+        assert server_resident_bytes(server) == 0
 
     def test_lane_results_match_serial_under_pressure(self):
         _, a1, b1, _ = self.run_contended(1)
@@ -320,6 +310,71 @@ class TestBrokerInvariantAcrossLanes:
         assert checks  # the parallel run also revoked (per-lane victim leases)
         assert multiset(a2.result) == multiset(a1.result)
         assert multiset(b2.result) == multiset(b1.result)
+
+
+class TestPartitionedSpeedup:
+    """Figure 3a's plan at 1, 2 and 4 lanes where CPU, not arrival, bounds
+    it: a 1 Gbps LAN with a 1 ms set-up and 0.02 ms of CPU per tuple (on the
+    default 10 Mbps link no CPU parallelism can beat data arrival)."""
+
+    LANES = [1, 2, 4]
+
+    #: 4 lanes at least this much below 1 lane in virtual time.
+    SPEEDUP_BAR = 2.0
+
+    @staticmethod
+    def config(lanes: int) -> EngineConfig:
+        return EngineConfig(exchange_lanes=lanes, per_tuple_cpu_ms=0.02)
+
+    @pytest.fixture(scope="class")
+    def cpu_bound(self):
+        profile = lan(bandwidth_kbps=125000.0, initial_latency_ms=1.0)
+        return build_deployment(0.5, ["lineitem", "orders", "supplier"], profile=profile, seed=42)
+
+    @pytest.fixture(scope="class")
+    def sweep(self, cpu_bound):
+        return {
+            lanes: run_operator_tree(
+                fig3a_plan(), cpu_bound.catalog, engine_config=self.config(lanes)
+            )
+            for lanes in self.LANES
+        }
+
+    def test_lane_count_never_changes_the_result(self, sweep):
+        reference = multiset(sweep[1].relation)
+        assert reference
+        for lanes in self.LANES[1:]:
+            assert multiset(sweep[lanes].relation) == reference, lanes
+
+    def test_contended_four_lane_sessions_hold_the_budget_invariant(self, cpu_bound):
+        """Two sessions whose combined join memory exceeds the broker: every
+        lane's budget is a lease of its own, and residency recomputed across
+        all lanes matches the broker at every revocation."""
+        memory = 80 * 1024
+        server = QueryServer(
+            cpu_bound.catalog,
+            engine_config=self.config(4),
+            memory_capacity_bytes=int(memory * 1.5),
+        )
+        server.broker.floor_bytes = 8 * 1024
+        checks = []
+        server.broker.on_revocation = lambda broker, record: checks.append(
+            (broker.used_bytes, server_resident_bytes(server))
+        )
+        sessions = [
+            server.submit(fig3a_plan(memory=memory, prefix="qa_"), "qa"),
+            server.submit(fig3a_plan(memory=memory, prefix="qb_"), "qb", arrival_ms=200.0),
+        ]
+        server.run()
+        for session in sessions:
+            assert session.status == SessionStatus.COMPLETED, (session.session_id, session.error)
+        assert checks, "the contended run was meant to force revocations"
+        for used, resident in checks:
+            assert used == resident
+
+    def test_four_lanes_at_least_twice_as_fast(self, sweep):
+        gain = sweep[1].completion_time_ms / sweep[4].completion_time_ms
+        assert gain >= self.SPEEDUP_BAR, (sweep[1].completion_time_ms, sweep[4].completion_time_ms)
 
 
 class TestLaneFailure:

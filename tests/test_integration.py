@@ -1,8 +1,10 @@
-"""Integration tests: miniature versions of the paper's experiments.
+"""Integration tests: miniatures of what the paper's figures do not cover.
 
-These run the same code paths as the benchmarks in ``benchmarks/`` but at a
-tiny scale, so the experiment *shapes* (who wins, what adapts) are asserted on
-every test run.
+``tests/test_figures.py`` asserts the figures' shapes at their own scales;
+these check, at a tiny scale, the cases no figure runs: the DPJ's symmetry
+between a slow outer and a slow inner, a hybrid hash join behind a source
+that stalls before its first tuple, and collector failover end to end
+through the SQL front door.
 """
 
 import pytest
@@ -13,10 +15,7 @@ from repro.catalog.source_desc import SourceDescription
 from repro.engine.context import EngineConfig
 from repro.network.profiles import lan, slow_start, wide_area
 from repro.network.source import DataSource, make_mirror
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig, PlanningStrategy
-from repro.plan.physical import JoinImplementation, OverflowMethod, join, wrapper_scan
-from repro.query.reformulation import Reformulator
-from repro.storage.memory import MB
+from repro.plan.physical import JoinImplementation, join, wrapper_scan
 
 from helpers import make_relation
 
@@ -26,32 +25,18 @@ def deployment():
     return build_deployment(0.6, ["part", "partsupp", "supplier", "orders"], seed=11)
 
 
-def partsupp_part_spec(implementation, overflow=OverflowMethod.LEFT_FLUSH, memory=None):
+def partsupp_part_spec(implementation):
     return join(
         wrapper_scan("partsupp"),
         wrapper_scan("part"),
         ["partsupp.ps_partkey"],
         ["part.p_partkey"],
         implementation=implementation,
-        overflow_method=overflow,
-        memory_limit_bytes=memory,
     )
 
 
 class TestFigure3Shape:
-    """Double pipelined join vs hybrid hash (Figures 3a / 3b shapes)."""
-
-    def test_dpj_beats_hybrid_on_time_to_first_tuple(self, deployment):
-        dpj = run_operator_tree(
-            partsupp_part_spec(JoinImplementation.DOUBLE_PIPELINED), deployment.catalog
-        )
-        hybrid = run_operator_tree(
-            partsupp_part_spec(JoinImplementation.HYBRID_HASH), deployment.catalog
-        )
-        assert dpj.cardinality == hybrid.cardinality
-        assert dpj.time_to_first_tuple_ms < hybrid.time_to_first_tuple_ms
-        # Completion times are comparable; DPJ must not be dramatically slower.
-        assert dpj.completion_time_ms <= hybrid.completion_time_ms * 1.25
+    """Double pipelined join vs hybrid hash, beyond Figure 3b's conditions."""
 
     def test_dpj_insensitive_to_which_input_is_slow(self, deployment):
         results = {}
@@ -78,139 +63,6 @@ class TestFigure3Shape:
         # The hybrid join cannot produce anything until the slow inner is loaded.
         assert hybrid.time_to_first_tuple_ms >= 1_000.0
         assert dpj.time_to_first_tuple_ms < hybrid.time_to_first_tuple_ms
-
-
-class TestFigure4Shape:
-    """Memory-overflow strategies (Figure 4 shape)."""
-
-    @pytest.fixture(scope="class")
-    def overflow_runs(self, deployment):
-        deployment.set_all_profiles(lan())
-        ample = run_operator_tree(
-            partsupp_part_spec(JoinImplementation.DOUBLE_PIPELINED), deployment.catalog
-        )
-        # Size the budget well below what the build needs.
-        partsupp = deployment.database["partsupp"]
-        part = deployment.database["part"]
-        needed = (partsupp.cardinality + part.cardinality) * partsupp.schema.tuple_size
-        tight = needed // 3
-        left = run_operator_tree(
-            partsupp_part_spec(
-                JoinImplementation.DOUBLE_PIPELINED, OverflowMethod.LEFT_FLUSH, tight
-            ),
-            deployment.catalog,
-        )
-        symmetric = run_operator_tree(
-            partsupp_part_spec(
-                JoinImplementation.DOUBLE_PIPELINED, OverflowMethod.SYMMETRIC_FLUSH, tight
-            ),
-            deployment.catalog,
-        )
-        return ample, left, symmetric
-
-    def test_all_strategies_produce_same_result(self, overflow_runs):
-        ample, left, symmetric = overflow_runs
-        assert ample.cardinality == left.cardinality == symmetric.cardinality
-
-    def test_overflow_slows_completion(self, overflow_runs):
-        ample, left, symmetric = overflow_runs
-        assert left.completion_time_ms > ample.completion_time_ms
-        assert symmetric.completion_time_ms > ample.completion_time_ms
-
-    def test_overall_times_of_strategies_are_close(self, overflow_runs):
-        _, left, symmetric = overflow_runs
-        ratio = left.completion_time_ms / symmetric.completion_time_ms
-        assert 0.5 <= ratio <= 2.0
-
-    def test_left_flush_stalls_then_streams(self, overflow_runs):
-        """Left Flush has a longer maximum gap between consecutive outputs."""
-        _, left, symmetric = overflow_runs
-
-        def max_gap(timeline):
-            times = timeline.times_ms
-            return max((b - a for a, b in zip(times, times[1:])), default=0.0)
-
-        assert max_gap(left.timeline) >= max_gap(symmetric.timeline)
-
-    def test_spills_happen_under_pressure(self, overflow_runs):
-        _, left, symmetric = overflow_runs
-        assert left.context.disk.stats.tuples_written > 0
-        assert symmetric.context.disk.stats.tuples_written > 0
-
-
-class TestFigure5Shape:
-    """Interleaved planning and execution (Figure 5 shape) on one tiny query."""
-
-    @pytest.fixture(scope="class")
-    def strategy_times(self):
-        deployment = build_deployment(1.0, ["supplier", "nation", "customer", "orders"], seed=3)
-        times = {}
-        for strategy in [
-            PlanningStrategy.MATERIALIZE,
-            PlanningStrategy.MATERIALIZE_REPLAN,
-            PlanningStrategy.PIPELINE,
-        ]:
-            optimizer = Optimizer(
-                deployment.catalog, OptimizerConfig(memory_pool_bytes=1 * MB)
-            )
-            from repro.core.interleaving import InterleavedExecutionDriver
-            from repro.datagen.workload import TPCDJoinGraph
-
-            driver = InterleavedExecutionDriver(deployment.catalog, optimizer)
-            graph = TPCDJoinGraph()
-            query = graph.query_for(
-                frozenset({"supplier", "nation", "customer", "orders"}),
-                name=f"fig5_{strategy.value}",
-            )
-            reformulated = Reformulator(deployment.catalog).reformulate(query)
-            result = driver.run(reformulated, strategy=strategy)
-            assert result.succeeded
-            times[strategy] = result
-        return times
-
-    def test_all_strategies_same_cardinality(self, strategy_times):
-        cards = {result.cardinality for result in strategy_times.values()}
-        assert len(cards) == 1
-
-    def test_replanning_happens_only_in_replan_strategy(self, strategy_times):
-        assert strategy_times[PlanningStrategy.MATERIALIZE_REPLAN].reoptimizations >= 1
-        assert strategy_times[PlanningStrategy.MATERIALIZE].reoptimizations == 0
-        assert strategy_times[PlanningStrategy.PIPELINE].reoptimizations == 0
-
-
-class TestSection65Shape:
-    """Saving optimizer state (Section 6.5 shape)."""
-
-    def test_saved_state_cheaper_than_scratch_cheaper_than_no_pointers(self):
-        deployment = build_deployment(0.5, ["supplier", "nation", "customer", "orders", "region"], seed=5)
-        from repro.datagen.workload import TPCDJoinGraph
-        from repro.optimizer.enumeration import JoinEnumerator
-        from repro.optimizer.cost_model import CostModel
-
-        graph = TPCDJoinGraph()
-        query = graph.query_for(
-            frozenset({"supplier", "nation", "customer", "orders", "region"}), name="s65"
-        )
-        enumerator = JoinEnumerator(CostModel(deployment.catalog))
-        sources = {r: r for r in query.relations}
-        covered = frozenset({"nation", "region"})
-
-        def reopt_work(mode):
-            state = enumerator.enumerate(query, sources)
-            before = state.nodes_visited
-            if mode == "scratch":
-                fresh = enumerator.replan_from_scratch(state, covered, "nr", 25, sources)
-                return fresh.nodes_visited
-            enumerator.reoptimize_with_saved_state(
-                state, covered, "nr", 25, use_usage_pointers=(mode == "pointers")
-            )
-            return state.nodes_visited - before
-
-        with_pointers = reopt_work("pointers")
-        scratch = reopt_work("scratch")
-        without_pointers = reopt_work("no_pointers")
-        assert with_pointers < scratch
-        assert without_pointers > scratch
 
 
 class TestCollectorScenario:

@@ -13,13 +13,16 @@ Covers the invariants the query-server subsystem promises:
 * connection concurrency — bounded sources queue extra streams on the
   shared timeline;
 * pinned outcomes — per session, the contended run reproduces what the
-  engine's retired row-batch drive recorded (results and virtual times).
+  engine's retired row-batch drive recorded (results and virtual times);
+* throughput — eight overlapping sessions finish at least 1.5x sooner
+  than the same eight run back to back.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import run_operator_tree
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig
 from repro.engine.iterators import DEFAULT_BATCH_SIZE
@@ -33,7 +36,18 @@ from repro.server import MemoryBroker, QueryServer, ServerClock, SessionStatus
 from repro.server.session import SESSION_SLICE_ROWS
 from repro.storage.memory import MemoryPool
 
-from helpers import digest, make_relation, multiset, reference_join
+from helpers import (
+    MIX_SESSIONS,
+    digest,
+    make_relation,
+    mix_deployment,
+    mix_memory_request,
+    mix_session_spec,
+    multiset,
+    reference_join,
+    run_mix,
+    server_resident_bytes,
+)
 
 #: Slow link so network waits dominate and overlap is visible.
 SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
@@ -317,19 +331,6 @@ class TestConnectionConcurrency:
         assert source.stats.connections_queued == 0
 
 
-def server_resident_bytes(server: QueryServer) -> int:
-    """Server-wide resident bytes recomputed from operator state (not budgets)."""
-    total = 0
-    for session in server.sessions.values():
-        for operator in session.context.operators.values():
-            for table in getattr(operator, "_tables", None) or ():
-                total += table.resident_bytes
-            inner = getattr(operator, "_inner_table", None)
-            if inner is not None:
-                total += inner.resident_bytes
-    return total
-
-
 class TestSessionSlice:
     def test_a_session_steps_at_its_slice_not_the_engine_grain(self):
         server = QueryServer(fresh_catalog(rows=1500))
@@ -604,3 +605,69 @@ class TestSpeculativeParity:
         slack = 80 * CACHE_SERVE_CPU_MS
         for lhs, rhs in zip(spec_stats.sessions, base_stats.sessions):
             assert lhs.completed_at_ms <= rhs.completed_at_ms + slack
+
+
+class TestServerThroughput:
+    """The workload the server exists for: eight sessions over overlapping
+    slow sources (every one joins ``partsupp``, each source serves two
+    streams at once), the first three arriving together and the rest
+    trickling in after the first sources were read to completion, on a
+    broker that holds 2.5 sessions' join memory.  The baseline runs the same
+    eight back to back, each in a fresh single-tenant context."""
+
+    CAPACITY_SESSIONS = 2.5
+
+    #: Concurrent makespan at least this much below the serial total.
+    SPEEDUP_BAR = 1.5
+
+    @pytest.fixture(scope="class")
+    def mix(self):
+        deployment = mix_deployment()
+        memory = mix_memory_request(deployment)
+        serial = []
+        for index in range(MIX_SESSIONS):
+            for source in deployment.sources.values():
+                source.reset_concurrency()
+            serial.append(
+                run_operator_tree(
+                    mix_session_spec(index, memory),
+                    deployment.catalog,
+                    result_name=f"serial_{index}",
+                    engine_config=EngineConfig(),
+                )
+            )
+        stagger = min(result.completion_time_ms for result in serial) * 0.4
+        arrivals = [0.0 if index < 3 else (index - 2) * stagger for index in range(MIX_SESSIONS)]
+        return (serial, *run_mix(memory, self.CAPACITY_SESSIONS, arrivals))
+
+    def test_contention_changes_when_never_what(self, mix):
+        serial, _, sessions, _ = mix
+        for session, alone in zip(sessions, serial):
+            assert session.status == SessionStatus.COMPLETED, (session.session_id, session.error)
+            assert multiset(session.result) == multiset(alone.relation), session.session_id
+
+    def test_revocations_force_overflow_and_the_budget_invariant_holds(self, mix):
+        _, stats, sessions, revocations = mix
+        assert stats.revocations >= 1
+        for record, used, resident, _ in revocations:
+            assert used == resident, (record.victim, record.taken_bytes)
+        overflows = sum(
+            operator.overflow_count
+            for session in sessions
+            for operator in session.context.operators.values()
+            if hasattr(operator, "overflow_count")
+        )
+        assert overflows >= 1
+
+    def test_sessions_share_the_cache_and_queue_for_streams(self, mix):
+        _, stats, _, _ = mix
+        assert stats.cross_session_cache_hits >= 1
+        assert stats.source_queued_ms > 0
+
+    def test_overlap_beats_serial_back_to_back(self, mix):
+        serial, stats, _, _ = mix
+        serial_total = sum(result.completion_time_ms for result in serial)
+        assert serial_total / stats.makespan_ms >= self.SPEEDUP_BAR, (
+            serial_total,
+            stats.makespan_ms,
+        )

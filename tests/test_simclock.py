@@ -34,14 +34,6 @@ def test_negative_durations_rejected():
         clock.consume_io(-0.5)
 
 
-def test_reset():
-    clock = SimClock(start_ms=100.0)
-    clock.consume_cpu(5.0)
-    clock.reset()
-    assert clock.now == 0.0
-    assert (clock.stats.wait_ms, clock.stats.cpu_ms, clock.stats.io_ms) == (0.0, 0.0, 0.0)
-
-
 def test_start_offset():
     clock = SimClock(start_ms=50.0)
     assert clock.now == 50.0

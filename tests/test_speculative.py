@@ -15,7 +15,10 @@ Covers the PR-10 invariants:
   ``broker.used == sum(resident_bytes)`` exact through drops;
 * **plan-aware prefetch** — observed plans drive warming decisions (hotness
   threshold, spare slots only), and warmed sources serve later sessions at
-  local speed.
+  local speed;
+* **the pipeline** — in the eight-session mix, sessions arriving mid-stream
+  reach their first tuple at least 2x sooner than under completion-based
+  admission, with the same results and little prefetch wasted.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import run_operator_tree
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.operators.scan import WrapperScan
@@ -46,7 +50,18 @@ from repro.storage.memory import MemoryPool
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
-from helpers import examples, iterate, make_relation, multiset, next_row
+from helpers import (
+    MIX_SESSIONS,
+    examples,
+    iterate,
+    make_relation,
+    mix_deployment,
+    mix_memory_request,
+    mix_session_spec,
+    multiset,
+    next_row,
+    run_mix,
+)
 from invariants import pure_call
 
 SCHEMA = Schema.of("s.k:int", "s.v:str")
@@ -439,3 +454,79 @@ class TestPlanAwarePrefetch:
         assert isinstance(prefetcher, PlanAwarePrefetcher)
         prefetcher.advance(horizon_ms=10_000.0)
         assert prefetcher.summary().sources_warmed == 0
+
+
+class TestPrefetchPipeline:
+    """The workload the layer exists for: the eight-session mix with the
+    first two sessions starting the streams and the other six arriving
+    mid-stream (after publishing started, before any extent completed), on
+    a broker that holds 3.5 sessions' join memory: room for the head
+    sessions and the speculative lease, low enough that the late arrivals
+    revoke.  Completion-based admission (the default) is the baseline."""
+
+    CAPACITY_SESSIONS = 3.5
+
+    #: Late-session time to first tuple at least this much better.
+    TTFT_BAR = 2.0
+
+    #: At most this fraction of the prefetched bytes may go unused.
+    WASTE_CAP_FRACTION = 0.25
+
+    @pytest.fixture(scope="class")
+    def modes(self):
+        deployment = mix_deployment()
+        memory = mix_memory_request(deployment)
+        alone = run_operator_tree(
+            mix_session_spec(0, memory),
+            deployment.catalog,
+            result_name="calibrate",
+            engine_config=EngineConfig(),
+        )
+        stagger = alone.completion_time_ms * 0.3
+        arrivals = [0.0 if index < 2 else (index - 1) * stagger for index in range(MIX_SESSIONS)]
+        speculative = EngineConfig(speculative_sources=True, prefetch_budget_bytes=memory)
+        return {
+            "baseline": run_mix(memory, self.CAPACITY_SESSIONS, arrivals, EngineConfig()),
+            "speculative": run_mix(memory, self.CAPACITY_SESSIONS, arrivals, speculative),
+        }
+
+    @staticmethod
+    def late_ttft(sessions) -> float:
+        """Mean time from admission to first tuple over the sessions that
+        arrived mid-stream."""
+        values = [
+            session.timeline.time_to_first - session.summary.submitted_at_ms
+            for session in sessions
+            if session.summary.submitted_at_ms > 0.0 and session.timeline.time_to_first is not None
+        ]
+        return sum(values) / len(values)
+
+    def test_speculation_changes_when_never_what(self, modes):
+        (_, baseline, _), (_, speculative, _) = modes["baseline"], modes["speculative"]
+        for lhs, rhs in zip(speculative, baseline):
+            assert lhs.status == rhs.status == SessionStatus.COMPLETED, lhs.session_id
+            assert multiset(lhs.result) == multiset(rhs.result), lhs.session_id
+
+    def test_prefetch_warms_a_source_and_late_sessions_follow(self, modes):
+        stats, _, _ = modes["speculative"]
+        prefetch = stats.prefetch
+        assert prefetch is not None and prefetch.sources_warmed >= 1
+        assert stats.partial_extent_hits >= 1
+        assert prefetch.bytes_fetched > 0
+        assert prefetch.bytes_wasted <= prefetch.bytes_fetched * self.WASTE_CAP_FRACTION
+
+    def test_revocations_hold_the_invariant_and_take_the_speculative_lease_first(self, modes):
+        """Residency (live hash tables plus the prefetcher's cache) equals the
+        broker's usage after every revocation in both modes, and no query
+        lease is revoked while the speculative lease still holds bytes."""
+        _, _, speculative = modes["speculative"]
+        assert speculative, "the mix was meant to force revocations"
+        for mode, (_, _, revocations) in modes.items():
+            for record, used, resident, prefetched in revocations:
+                assert used == resident + prefetched, (mode, record.victim)
+                assert record.speculative or prefetched == 0, (mode, record.victim)
+
+    def test_late_sessions_reach_their_first_tuple_twice_as_fast(self, modes):
+        (_, baseline, _), (_, speculative, _) = modes["baseline"], modes["speculative"]
+        before, after = self.late_ttft(baseline), self.late_ttft(speculative)
+        assert before / after >= self.TTFT_BAR, (before, after)

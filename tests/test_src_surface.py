@@ -7,8 +7,9 @@ as an ``ast.Attribute`` attribute, or as an equal string constant.  A method
 counts as used only through an attribute access whose receiver may be its
 class (``self``, an annotated name, a class named directly, or an attribute
 every ``src`` definition gives one class narrow the receiver to a class and
-its relatives; a string literal or a builtin constructor call types it as a
-builtin, which no ``src`` method is; anything else may be any class), or
+its relatives; a string literal, a builtin constructor call or an
+annotation subscripting a builtin (``dict[str, X]``) types it as a builtin,
+which no ``src`` method is; anything else may be any class), or
 through a string that can name an attribute (``getattr`` and kin, and
 outside ``src`` a string following a name in a tuple, as perflab's tracer
 names the methods it wraps); a local variable, an XML tag or a table header
@@ -16,8 +17,8 @@ of the same name is not a use, and neither is an access on an untyped
 receiver inside the method's own body (``Relation.column`` reading
 ``batch.column(i)`` does not use itself).
 Names listed in an ``__all__`` do not count.  A definition unused in ``src`` passes
-only when the same scan finds its name in ``perflab/``, ``examples/`` or
-``benchmarks/``, or when :data:`KEPT` lists it under ``"module:name"`` with a
+only when the same scan finds its name in ``perflab/`` or ``examples/``,
+or when :data:`KEPT` lists it under ``"module:name"`` with a
 reason of kind ``paper`` (an entry point the paper describes) or
 ``invariant`` (a probe through which the tests assert an engine invariant).
 Anything else fails, named; so does a ``KEPT`` entry whose definition is
@@ -48,7 +49,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-OUTSIDE = ("perflab", "examples", "benchmarks")
+OUTSIDE = ("perflab", "examples")
 
 #: ``"module:name" -> (kind, reason)`` for definitions nothing outside the
 #: tests uses but that stay in ``src/``.
@@ -70,6 +71,10 @@ KEPT = {
         "paper",
         "§3.1: a whole fragmented plan with its rules, admitted to the server",
     ),
+    "repro.engine.operators.exchange:lane_operators": (
+        "invariant",
+        "broker usage equals the resident bytes of every exchange lane's hash tables",
+    ),
     "repro.server.broker:pools": ("invariant", "broker usage equals the sum of its pools' leases"),
     "repro.server.broker:granted_bytes": ("invariant", "outstanding leases, against capacity"),
     "repro.server.clock:session_clocks": (
@@ -85,7 +90,6 @@ KEPT = {
         "budget usage equals resident bytes; the key index names each live slot once",
     ),
     "repro.storage.memory:granted_bytes": ("invariant", "a closed operator returns its grant"),
-    "repro.storage.relation:multiset": ("invariant", "order-insensitive result equality"),
     "repro.storage.tuples:counting_row_constructions": ("invariant", "hot paths box no Row"),
 }
 
@@ -106,7 +110,8 @@ def _listed_in_all(tree: ast.AST) -> set[int]:
 
 
 def annotated_class(annotation) -> str | None:
-    """The class an annotation names (``X``, ``mod.X``, ``"X"``, ``X | None``)."""
+    """The class an annotation names (``X``, ``mod.X``, ``"X"``, ``X | None``,
+    and ``dict`` for ``dict[str, X]``: a subscript names its container)."""
     if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
         try:
             annotation = ast.parse(annotation.value, mode="eval").body
@@ -121,6 +126,8 @@ def annotated_class(annotation) -> str | None:
         return annotation.id
     if isinstance(annotation, ast.Attribute):
         return annotation.attr
+    if isinstance(annotation, ast.Subscript):
+        return annotated_class(annotation.value)
     return None
 
 
@@ -388,6 +395,27 @@ def test_no_kept_entry_is_stale(scan):
     assert not stale, "KEPT entries whose definition is gone or used: " + ", ".join(stale)
 
 
+def test_a_subscripted_attribute_is_its_container(tmp_path):
+    """``self._relations: dict[str, int]`` types ``self._relations.clear()``
+    as ``dict.clear``, which uses no ``src`` method named ``clear``."""
+    module = tmp_path / "store.py"
+    module.write_text(
+        "class Store:\n"
+        "    def __init__(self) -> None:\n"
+        "        self._relations: dict[str, int] = {}\n"
+        "    def empty(self) -> None:\n"
+        "        self._relations.clear()\n"
+        "class Cache:\n"
+        "    def clear(self) -> None:\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    uses = Uses()
+    uses.scan(module, in_src=True)
+    assert uses.resolve("._relations") == "dict"
+    assert not is_used("clear", "Cache", uses, related_classes({"Store": set(), "Cache": set()}))
+
+
 def test_kept_reasons_are_paper_or_invariant():
     assert {kind for kind, _ in KEPT.values()} <= {"paper", "invariant"}
 
@@ -420,12 +448,14 @@ def test_one_drive_loop():
 
 
 #: Where ``src/`` may name ``EventType.THRESHOLD``: the rule language that
-#: defines it, the policies whose rules trigger on it, the ``Operator`` base
-#: class — the one place the event is raised — and the event handler, where
-#: the executor derives each watched operator's next trigger count.
+#: defines it, the policies and the rule ablation's inert probes, whose rules
+#: trigger on it, the ``Operator`` base class — the one place the event is
+#: raised — and the event handler, where the executor derives each watched
+#: operator's next trigger count.
 THRESHOLD_SITES = (
     "plan/rules.py",
     "core/policies.py",
+    "bench/figures.py",
     "engine/iterators.py",
     "engine/event_handler.py",
 )
