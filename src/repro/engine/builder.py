@@ -42,6 +42,9 @@ def build_operator(spec: OperatorSpec, context: ExecutionContext) -> Operator:
     bindings, encoding consistency — and a violation raises
     :class:`~repro.errors.PlanValidationError` before any operator exists.
 
+    A build that raises part-way returns the grants of the operators it
+    made: no tree holds them, so no close would.
+
     Raises
     ------
     PlanError
@@ -49,7 +52,14 @@ def build_operator(spec: OperatorSpec, context: ExecutionContext) -> Operator:
         missing required parameters.
     """
     plan_check.check_tree(spec, context.catalog, context.local_store)
-    return _build(spec, context)
+    pool = context.memory_pool
+    held = pool.budget_names
+    try:
+        return _build(spec, context)
+    except BaseException:
+        for name in pool.budget_names - held:
+            pool.revoke(name)
+        raise
 
 
 def _build(spec: OperatorSpec, context: ExecutionContext) -> Operator:

@@ -229,10 +229,10 @@ class QueryExecutor:
         timeline = TupleTimeline()
         fragment.status = FragmentStatus.RUNNING
         self.context.emit_event(EventType.OPENED, fragment.fragment_id)
-        root.open()
-        self._drain_events()
         produced = 0
         try:
+            root.open()
+            self._drain_events()
             # Ramp the batch size up from one row so the first output tuple
             # is timestamped exactly, then grow to the configured size for
             # bulk throughput.
@@ -326,8 +326,18 @@ class QueryExecutor:
         self.context.watch_events(self.event_handler.watched_keys)
         self.context.thresholds = self.event_handler.thresholds()
         completed: list[str] = []
-        failed_sources: list[str] = []
         stats = self.context.stats
+
+        def finish(status: ExecutionStatus, remaining: list[str], **fields) -> None:
+            self.outcome = ExecutionOutcome(
+                status=status,
+                stats=stats,
+                completed_fragments=completed,
+                remaining_fragments=remaining,
+                observed_cardinalities=stats.observed_cardinalities(),
+                **fields,
+            )
+
         ordered = plan.execution_order()
         for index, fragment in enumerate(ordered):
             if self._should_skip(fragment):
@@ -338,74 +348,50 @@ class QueryExecutor:
                 yield from self._fragment_steps(fragment, is_final)
             except (SourceTimeoutError, SourceUnavailableError) as exc:
                 fragment.status = FragmentStatus.FAILED
-                failed_sources.extend(
-                    source for source in fragment.sources() if source not in failed_sources
-                )
+                failed_sources = list(dict.fromkeys(fragment.sources()))
                 self._drain_events()
                 remaining = [f.fragment_id for f in ordered[index:] if not self._should_skip(f)]
                 if self._reschedule_requested:
                     stats.reschedules += 1
-                    self.outcome = ExecutionOutcome(
-                        status=ExecutionStatus.RESCHEDULE_REQUESTED,
-                        stats=stats,
-                        completed_fragments=completed,
-                        remaining_fragments=remaining,
-                        observed_cardinalities=stats.observed_cardinalities(),
+                    finish(
+                        ExecutionStatus.RESCHEDULE_REQUESTED,
+                        remaining,
                         failed_sources=failed_sources,
                     )
-                    return
-                if self._reoptimize_requested:
+                elif self._reoptimize_requested:
                     stats.reoptimizations += 1
-                    self.outcome = ExecutionOutcome(
-                        status=ExecutionStatus.NEEDS_REOPTIMIZATION,
-                        stats=stats,
-                        completed_fragments=completed,
-                        remaining_fragments=remaining,
-                        observed_cardinalities=stats.observed_cardinalities(),
+                    finish(
+                        ExecutionStatus.NEEDS_REOPTIMIZATION,
+                        remaining,
                         failed_sources=failed_sources,
                         replan_reason=str(exc),
                     )
-                    return
-                self.outcome = ExecutionOutcome(
-                    status=ExecutionStatus.FAILED,
-                    stats=stats,
-                    completed_fragments=completed,
-                    remaining_fragments=remaining,
-                    observed_cardinalities=stats.observed_cardinalities(),
-                    failed_sources=failed_sources,
-                    error=str(exc),
-                )
+                else:
+                    finish(
+                        ExecutionStatus.FAILED,
+                        remaining,
+                        failed_sources=failed_sources,
+                        error=str(exc),
+                    )
                 return
             except ExecutionError as exc:
                 fragment.status = FragmentStatus.FAILED
-                self.outcome = ExecutionOutcome(
-                    status=ExecutionStatus.FAILED,
-                    stats=stats,
-                    completed_fragments=completed,
-                    remaining_fragments=[f.fragment_id for f in ordered[index:]],
-                    observed_cardinalities=stats.observed_cardinalities(),
+                finish(
+                    ExecutionStatus.FAILED,
+                    [f.fragment_id for f in ordered[index:]],
                     error=str(exc),
                 )
                 return
             completed.append(fragment.fragment_id)
+            later = [f.fragment_id for f in ordered[index + 1 :]]
             if self._error_message:
-                self.outcome = ExecutionOutcome(
-                    status=ExecutionStatus.FAILED,
-                    stats=stats,
-                    completed_fragments=completed,
-                    remaining_fragments=[f.fragment_id for f in ordered[index + 1 :]],
-                    observed_cardinalities=stats.observed_cardinalities(),
-                    error=self._error_message,
-                )
+                finish(ExecutionStatus.FAILED, later, error=self._error_message)
                 return
-            if self._reoptimize_requested and index + 1 < len(ordered):
+            if self._reoptimize_requested and later:
                 stats.reoptimizations += 1
-                self.outcome = ExecutionOutcome(
-                    status=ExecutionStatus.NEEDS_REOPTIMIZATION,
-                    stats=stats,
-                    completed_fragments=completed,
-                    remaining_fragments=[f.fragment_id for f in ordered[index + 1 :]],
-                    observed_cardinalities=stats.observed_cardinalities(),
+                finish(
+                    ExecutionStatus.NEEDS_REOPTIMIZATION,
+                    later,
                     replan_reason=self._replan_reason,
                 )
                 return
@@ -416,12 +402,4 @@ class QueryExecutor:
         answer = None
         if plan.answer_name and plan.answer_name in self.context.local_store:
             answer = self.context.local_store.get(plan.answer_name)
-        self.outcome = ExecutionOutcome(
-            status=ExecutionStatus.COMPLETED,
-            stats=stats,
-            answer=answer,
-            completed_fragments=completed,
-            remaining_fragments=[],
-            observed_cardinalities=stats.observed_cardinalities(),
-            failed_sources=failed_sources,
-        )
+        finish(ExecutionStatus.COMPLETED, [], answer=answer)

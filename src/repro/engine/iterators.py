@@ -188,12 +188,21 @@ class Operator:
             self.context.thresholds[self.operator_id] = produced + 1
 
     def close(self) -> None:
-        """Close this operator and its children; emits the ``closed`` event."""
+        """Close this operator and its children; emits the ``closed`` event.
+
+        Whatever :meth:`_do_close` does, the pool grant named by this
+        operator's id goes back and every child is closed: a tree's leases
+        return on every path, and the first error is raised after.
+        """
         if self.state == "closed":
             return
-        self._do_close()
-        for child in self.children:
-            child.close()
+        try:
+            self._do_close()
+        finally:
+            try:
+                self.context.memory_pool.revoke(self.operator_id)
+            finally:
+                close_all(self.children)
         self.state = "closed"
         self._stats.state = "closed"
         self.context.emit_event(
@@ -254,6 +263,19 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.operator_id!r}, state={self.state!r})"
+
+
+def close_all(operators) -> None:
+    """Close every operator in ``operators``, then raise the first error."""
+    error: Exception | None = None
+    for operator in operators:
+        try:
+            operator.close()
+        except Exception as exc:  # keep closing the others
+            if error is None:
+                error = exc
+    if error is not None:
+        raise error
 
 
 def wait_hint(root: Operator, clock) -> float | None:

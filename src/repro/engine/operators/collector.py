@@ -107,7 +107,7 @@ class DynamicCollector(Operator):
         self.tuples_per_child: dict[str, int] = {c.operator_id: 0 for c in children}
         self._dedup_binder = KeyBinder(self.dedup_keys) if self.dedup_keys else None
         #: Budget charged for the dedup key set (see the class docstring).
-        self.budget = context.memory_pool.grant(f"{operator_id}-dedup", dedup_budget_bytes)
+        self.budget = context.memory_pool.grant(operator_id, dedup_budget_bytes)
         self.budget.on_revoke = self._on_dedup_revoked
         self._key_bytes: int | None = None
         self._spilled_keys_file: OverflowFile | None = None
@@ -422,12 +422,7 @@ class DynamicCollector(Operator):
         return run.take(fresh), fresh[-1] == len(keys) - 1
 
     def _do_close(self) -> None:
-        try:
-            if self.budget.used_bytes:
-                self.budget.release(self.budget.used_bytes)
-        finally:
-            # Even if the release raises, the dedup lease must go back so
-            # broker.used == sum(resident_bytes) holds.
-            self._seen_keys = set()
-            self._spilled_digest = set()
-            self.context.memory_pool.revoke(f"{self.operator_id}-dedup")
+        self._seen_keys = set()
+        self._spilled_digest = set()
+        if self.budget.used_bytes:
+            self.budget.release(self.budget.used_bytes)

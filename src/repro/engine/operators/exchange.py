@@ -55,7 +55,7 @@ from collections import deque
 from typing import Callable, Iterator, Sequence
 
 from repro.engine.context import ExecutionContext
-from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator, wait_hint
+from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator, close_all, wait_hint
 from repro.errors import ExecutionError
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch
@@ -460,18 +460,8 @@ class Exchange(Operator):
 
     def _do_close(self) -> None:
         lanes = self._lanes or []
-        error: Exception | None = None
         try:
-            for lane in lanes:
-                if lane.root is None:
-                    continue
-                try:
-                    lane.root.close()
-                except Exception as exc:  # keep closing the other lanes
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
+            close_all([lane.root for lane in lanes if lane.root is not None])
         finally:
             # Release every worker clock from the timeline — a stuck lane
             # clock would pin the server frontier forever.

@@ -199,13 +199,8 @@ class DoublePipelinedJoin(JoinOperator):
         self._slots = (range(width), range(width, len(self.output_schema)))
 
     def _do_close(self) -> None:
-        try:
-            for table in self._tables:
-                table.release_all()
-        finally:
-            # Even if releasing a table raises mid-flush, the pool lease
-            # must go back so broker.used == sum(resident_bytes) holds.
-            self.context.memory_pool.revoke(self.operator_id)
+        for table in self._tables:
+            table.release_all()
 
     # -- child selection (the data-driven behaviour) ---------------------------------------------
 

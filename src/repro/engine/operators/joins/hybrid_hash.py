@@ -244,10 +244,5 @@ class HybridHashJoin(JoinOperator):
         return Batch.concat(schema, parts)
 
     def _do_close(self) -> None:
-        try:
-            if self._inner_table is not None:
-                self._inner_table.release_all()
-        finally:
-            # Even if releasing the table raises mid-flush, the pool lease
-            # must go back so broker.used == sum(resident_bytes) holds.
-            self.context.memory_pool.revoke(self.operator_id)
+        if self._inner_table is not None:
+            self._inner_table.release_all()

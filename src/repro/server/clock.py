@@ -31,15 +31,14 @@ class SessionClock(SimClock):
 
     Behaviourally a plain :class:`SimClock` (all charge semantics are
     inherited unchanged — drive-mode parity inside a session is untouched);
-    the subclass only pins the session's identity and its admission time on
-    the shared timeline.
+    the subclass only pins the session's identity and its server, so the
+    session can leave the shared timeline when it finishes.
     """
 
     def __init__(self, server: "ServerClock", session_id: str, start_ms: float) -> None:
         super().__init__(start_ms)
         self.server = server
         self.session_id = session_id
-        self.admitted_at_ms = start_ms
 
 
 class ServerClock:

@@ -222,6 +222,11 @@ class MemoryPool:
         return self._used
 
     @property
+    def budget_names(self) -> set[str]:
+        """Names of the grants the pool still holds."""
+        return set(self._budgets)
+
+    @property
     def remaining_bytes(self) -> int | None:
         if self.total_bytes is None:
             return None
@@ -271,10 +276,6 @@ class MemoryPool:
         budget = MemoryBudget(nbytes, name=operator_name, on_overflow=on_overflow, pool=self)
         if nbytes is not None:
             if self.broker is not None:
-                # The pool-exceeded raise below releases the lease first; the
-                # unpaired raise path would need the broker to turn None right
-                # after a broker lease, which cannot happen.
-                # repro: allow[lease-lifecycle] infeasible branch-correlated path
                 granted = self.broker.lease(budget, nbytes, speculative=speculative)
                 budget.limit_bytes = granted
                 nbytes = granted

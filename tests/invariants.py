@@ -28,23 +28,8 @@ from dataclasses import astuple
 from repro.engine.events import EventQueue
 from repro.engine.executor import ExecutionOutcome, QueryExecutor
 from repro.engine.operators.scan import WrapperScan
-from repro.errors import MemoryBudgetError
 from repro.plan.fragments import QueryPlan
 from repro.storage.memory import MemoryPool
-
-
-class RecordingPool(MemoryPool):
-    """A memory pool that remembers the name of every grant it made."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.grant_names: list[str] = []
-
-    def grant(self, operator_name, *args, **kwargs):
-        budget = super().grant(operator_name, *args, **kwargs)
-        if operator_name not in self.grant_names:
-            self.grant_names.append(operator_name)
-        return budget
 
 
 class EventLog(EventQueue):
@@ -124,29 +109,17 @@ def check_probe_purity(context, probed: set[type]) -> None:
         probed.add(peek_class(operator))
 
 
-def live_grants(pool: RecordingPool) -> dict:
-    """``name -> budget`` for every grant the pool still holds."""
-    live = {}
-    for name in pool.grant_names:
-        try:
-            live[name] = pool.budget(name)
-        except MemoryBudgetError:
-            continue
-    return live
-
-
-def check_accounting(pool: RecordingPool) -> None:
+def check_accounting(pool: MemoryPool) -> None:
     """``pool.used_bytes`` equals the sum of ``used_bytes`` over live grants."""
-    live = live_grants(pool)
-    held = {name: budget.used_bytes for name, budget in live.items()}
+    held = {name: pool.budget(name).used_bytes for name in pool.budget_names}
     assert pool.used_bytes == sum(held.values()), (
         f"pool {pool.name!r} counts {pool.used_bytes} bytes used; its live grants hold {held}"
     )
 
 
-def check_quiescent(pool: RecordingPool) -> None:
+def check_quiescent(pool: MemoryPool) -> None:
     """After close: no grant remains and the pool holds and grants no byte."""
-    remaining = sorted(live_grants(pool))
+    remaining = sorted(pool.budget_names)
     assert not remaining, f"grants left after close: {remaining}"
     assert (pool.used_bytes, pool.granted_bytes) == (0, 0), (
         f"pool {pool.name!r} not quiescent: used {pool.used_bytes}, "
@@ -155,10 +128,7 @@ def check_quiescent(pool: RecordingPool) -> None:
 
 
 def run_checked(executor: QueryExecutor, plan: QueryPlan, probed: set[type]) -> ExecutionOutcome:
-    """Drain ``executor.steps(plan)``, checking the invariants at every step.
-
-    The executor's context must carry a :class:`RecordingPool`.
-    """
+    """Drain ``executor.steps(plan)``, checking the invariants at every step."""
     context = executor.context
     pool = context.memory_pool
     for _ in executor.steps(plan):

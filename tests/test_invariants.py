@@ -8,6 +8,11 @@ the result, its arrival stamps, the events and the completion time.  Together
 the cases probe every class in ``src/repro`` that defines ``peek_arrival``,
 the scan's live and cache-served feeds, and a deduplicating collector whose
 standby child never starts.
+
+The fault cases run the same plans with one operator's close raising after
+its real ``_do_close``, one operator at a time, and a build and a server
+session that fail after a join took its grant: the error must surface and
+the tree must still give back every grant, byte and connection.
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ from pathlib import Path
 import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
+from repro.engine.builder import build_operator
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.executor import ExecutionStatus, QueryExecutor
 from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
 from repro.engine.operators.scan import WrapperScan
+from repro.errors import CatalogError
 from repro.network.cache import SourceCache
 from repro.network.profiles import lan, wide_area
 from repro.network.source import DataSource
@@ -39,9 +46,13 @@ from repro.plan.physical import (
     wrapper_scan,
 )
 from repro.query.conjunctive import SelectionPredicate
+from repro.server.broker import MemoryBroker
+from repro.server.scheduler import QueryServer
+from repro.server.session import SessionStatus
+from repro.storage.memory import MemoryPool
 
 from helpers import make_relation
-from invariants import EventLog, RecordingPool, run_checked
+from invariants import EventLog, check_quiescent, reachable_operators, run_checked
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -145,7 +156,7 @@ def fresh_run(case: str) -> tuple[QueryExecutor, QueryPlan]:
         assert QueryExecutor(warmup).execute(plan).completed
     context = ExecutionContext(
         sources,
-        memory_pool=RecordingPool(),
+        memory_pool=MemoryPool(broker=MemoryBroker()),
         config=EngineConfig(enable_source_caching=warm),
         source_cache=cache,
         query_name=case,
@@ -237,3 +248,75 @@ def test_every_peek_arrival_is_probed():
     assert len(expected) >= 11
     missed = sorted(cls.__qualname__ for cls in expected - probed)
     assert not missed, f"no case probes these peek_arrival definitions: {missed}"
+
+
+class InjectedFault(Exception):
+    """What a seeded close raises."""
+
+
+def raise_after_close_of(target: str, monkeypatch) -> None:
+    """Make ``target``'s ``_do_close`` raise after it has run in full."""
+    register = ExecutionContext.register_operator
+
+    def register_faulty(context, operator) -> None:
+        register(context, operator)
+        if operator.operator_id == target:
+            do_close = operator._do_close
+
+            def faulty_close() -> None:
+                do_close()
+                raise InjectedFault(target)
+
+            operator._do_close = faulty_close
+
+    monkeypatch.setattr(ExecutionContext, "register_operator", register_faulty)
+
+
+def check_returned(context, pool: MemoryPool) -> None:
+    """Every grant, pool byte, broker lease and wrapper connection is back."""
+    check_quiescent(pool)
+    assert pool.broker.granted_bytes == 0, f"{pool.broker.granted_bytes} bytes still leased"
+    # A scan whose source is unknown fails in its constructor, wrapperless.
+    operators = reachable_operators(context)
+    wrappers = [(op.operator_id, getattr(op, "wrapper", None)) for op in operators]
+    open_scans = [name for name, wrapper in wrappers if wrapper is not None and wrapper.is_open]
+    assert not open_scans, f"connections left open: {open_scans}"
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_a_raising_close_still_returns_the_whole_tree(case):
+    executor, plan = fresh_run(case)
+    executor.execute(plan)
+    targets = sorted({op.operator_id for op in reachable_operators(executor.context)})
+    for target in targets:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            raise_after_close_of(target, monkeypatch)
+            executor, plan = fresh_run(case)
+            with pytest.raises(InjectedFault, match=target):
+                executor.execute(plan)
+        check_returned(executor.context, executor.context.memory_pool)
+
+
+def join_then_unknown_source():
+    """A union whose first input, a hybrid join, takes its grant before the
+    second input's scan of an unregistered source fails to build."""
+    joined = hash_join("b", JoinImplementation.HYBRID_HASH, memory=4000)
+    return union_([joined, wrapper_scan("nowhere", operator_id="b_nowhere")], operator_id="b_u")
+
+
+def test_a_failing_build_returns_the_grants_it_took():
+    context = ExecutionContext(catalog(), memory_pool=MemoryPool(broker=MemoryBroker()))
+    with pytest.raises(CatalogError, match="nowhere"):
+        build_operator(join_then_unknown_source(), context)
+    assert context.operator("b_join").budget.limit_bytes == 4000
+    check_returned(context, context.memory_pool)
+
+
+def test_a_failed_server_session_returns_its_grants():
+    server = QueryServer(catalog(), memory_capacity_bytes=100_000)
+    session = server.submit(join_then_unknown_source())
+    server.run()
+    assert session.status == SessionStatus.FAILED
+    assert "nowhere" in session.error
+    assert server.broker.stats.leases_granted == 1
+    check_returned(session.context, session.context.memory_pool)

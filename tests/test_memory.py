@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import MemoryBudgetError
+from repro.server.broker import MemoryBroker
 from repro.storage.memory import MB, MemoryBudget, MemoryPool
 
 
@@ -73,6 +74,17 @@ class TestMemoryPool:
         pool = MemoryPool(MB)
         with pytest.raises(MemoryBudgetError):
             pool.grant("join1", 2 * MB)
+
+    def test_grant_over_pool_returns_its_broker_lease(self):
+        """The broker leases before the pool checks its total; a refused
+        grant must give that lease back."""
+        broker = MemoryBroker()
+        pool = MemoryPool(MB, broker=broker)
+        pool.grant("join1", MB // 2)
+        with pytest.raises(MemoryBudgetError, match="join2"):
+            pool.grant("join2", MB)
+        assert broker.granted_bytes == pool.granted_bytes == MB // 2
+        assert pool.budget_names == {"join1"}
 
     def test_unbounded_pool(self):
         pool = MemoryPool(None)

@@ -12,10 +12,7 @@ attribute no input produces is refused before any operator exists.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -470,47 +467,3 @@ class TestCheckTreeProperty:
         finally:
             operator.close()
 
-
-def test_engine_does_not_load_the_source_analyzer():
-    """Building and draining a tree loads the plan check but not the linter."""
-    script = """
-import sys
-sys.path.insert(0, "src")
-import repro.engine, repro.server
-from repro.catalog.catalog import DataSourceCatalog
-from repro.engine.builder import build_operator
-from repro.engine.context import ExecutionContext
-from repro.network.profiles import lan
-from repro.network.source import DataSource
-from repro.plan.physical import join, wrapper_scan
-from repro.storage.relation import Relation
-from repro.storage.schema import Schema
-
-catalog = DataSourceCatalog()
-for name, column, values in (("ord", "o_id", [1, 2]), ("item", "i_order", [1, 1, 3])):
-    schema = Schema.of(f"{column}:int")
-    relation = Relation.from_values(name, schema, [(value,) for value in values])
-    catalog.register_source(DataSource(name, relation, lan()))
-spec = join(wrapper_scan("ord"), wrapper_scan("item"), ["ord.o_id"], ["item.i_order"])
-operator = build_operator(spec, ExecutionContext(catalog))
-operator.open()
-produced = 0
-while batch := operator.next_batch(64):
-    produced += len(batch)
-operator.close()
-assert produced == 2, produced
-assert "repro.analysis.plan_check" in sys.modules
-# The linter, its CLI, its rule and the CFG: every analysis module but the check.
-loaded = sorted(name for name in sys.modules if name.startswith("repro.analysis.")
-                and name != "repro.analysis.plan_check")
-print(loaded)
-"""
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=Path(__file__).resolve().parents[1],
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"

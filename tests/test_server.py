@@ -92,7 +92,6 @@ class TestServerClock:
         # time — is 50.
         b = clock.session_clock("b")
         assert b.now == 50.0
-        assert b.admitted_at_ms == 50.0
 
     def test_frontier_and_completion_track_min_and_max(self):
         clock = ServerClock()
