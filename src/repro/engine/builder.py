@@ -43,7 +43,8 @@ def build_operator(spec: OperatorSpec, context: ExecutionContext) -> Operator:
     :class:`~repro.errors.PlanValidationError` before any operator exists.
 
     A build that raises part-way returns the grants of the operators it
-    made: no tree holds them, so no close would.
+    made and drops them from the context's registry: no tree holds them, so
+    no close would.
 
     Raises
     ------
@@ -54,11 +55,13 @@ def build_operator(spec: OperatorSpec, context: ExecutionContext) -> Operator:
     plan_check.check_tree(spec, context.catalog, context.local_store)
     pool = context.memory_pool
     held = pool.budget_names
+    registered = context.operators
     try:
         return _build(spec, context)
     except BaseException:
         for name in pool.budget_names - held:
             pool.revoke(name)
+        context.restore_operators(registered)
         raise
 
 
@@ -70,7 +73,9 @@ def _build(spec: OperatorSpec, context: ExecutionContext) -> Operator:
     # consumer's clock.
     if operator_type == OperatorType.EXCHANGE:
         lanes = spec.params.get("lanes", context.config.exchange_lanes)
-        return _build_partitioned(spec.children[0], context, _checked_lane_count(spec, lanes))
+        return _build_partitioned(
+            spec.children[0], context, _checked_lane_count(spec, lanes), spec.operator_id
+        )
     implicit_lanes = context.config.exchange_lanes
     if implicit_lanes > 1 and _is_partitionable(spec):
         return _build_partitioned(spec, context, implicit_lanes)
@@ -214,8 +219,13 @@ def _is_partitionable(spec: OperatorSpec) -> bool:
     return False
 
 
-def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int) -> Operator:
+def _build_partitioned(
+    spec: OperatorSpec, context: ExecutionContext, lanes: int, exchange_id: str | None = None
+) -> Operator:
     """Wrap ``spec`` in an :class:`Exchange` running ``lanes`` copies of it.
+
+    The exchange registers under ``exchange_id`` — an explicit exchange
+    node's own id — or, inserted implicitly, under ``spec``'s.
 
     Each input subtree is built on its own worker clock (derived from the
     consumer's context) so producer scan/network time overlaps lane CPU; the
@@ -230,6 +240,7 @@ def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int
         _build(child, context.derive_worker(f"{spec.operator_id}.in{index}"))
         for index, child in enumerate(spec.children)
     ]
+    exchange_id = exchange_id or spec.operator_id
     estimated = spec.estimated_cardinality
     lane_estimated = max(1, estimated // lanes) if estimated else None
 
@@ -248,7 +259,7 @@ def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int
             return _build_join(per_lane, lane_context, sources)
 
         return Exchange(
-            spec.operator_id,
+            exchange_id,
             context,
             producers,
             partition_keys=[left_keys, right_keys],
@@ -293,7 +304,7 @@ def _build_partitioned(spec: OperatorSpec, context: ExecutionContext, lanes: int
         )
 
     return Exchange(
-        spec.operator_id,
+        exchange_id,
         context,
         producers,
         partition_keys=[dedup_keys for _ in producers],

@@ -207,6 +207,11 @@ class ExecutionContext:
     def operators(self) -> dict[str, object]:
         return dict(self._operators)
 
+    def restore_operators(self, registered: dict[str, object]) -> None:
+        """Put the registry back to ``registered`` (a copy :attr:`operators`
+        gave): a failed build's operators belong to no tree."""
+        self._operators = dict(registered)
+
     # -- activation --------------------------------------------------------------------
 
     def deactivate(self, target: str) -> None:

@@ -42,7 +42,7 @@ from repro.engine.iterators import Operator
 from repro.engine.operators.joins.base import JoinOperator
 from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
-from repro.storage.batch import Batch, later_stamps
+from repro.storage.batch import Batch, MatchCursor, later_stamps
 from repro.storage.columns import as_run, as_values, gather, gather_into, picker
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
@@ -88,7 +88,8 @@ class _OutputColumns:
     straight onto their ends (:func:`gather_into`: the storage classes
     gathering fresh and then extending would give).  :meth:`take_batch`
     keeps only the rows it does not hand out — after a segment, at most one
-    key's fan-out — and a batch handed out is never touched again.
+    key's fan-out — copying whichever side is smaller, and a batch handed
+    out is never touched again.
     """
 
     __slots__ = ("columns", "arrivals")
@@ -122,10 +123,21 @@ class _OutputColumns:
                 del columns[j][length:]
 
     def take_batch(self, schema, max_rows: int) -> Batch:
-        """Up to ``max_rows`` pending rows as a columnar batch."""
+        """Up to ``max_rows`` pending rows as a columnar batch.
+
+        When fewer rows stay than go, the kept tail moves to fresh
+        accumulators and the old ones, cut back, are handed out; otherwise
+        (a small ramp pull) the head is copied out and the tail kept."""
         columns, arrivals = self.columns, self.arrivals
         if len(arrivals) <= max_rows:
             self.columns, self.arrivals = [], []
+            return Batch.from_columns(schema, columns, arrivals)
+        if len(arrivals) - max_rows < max_rows:
+            self.columns = [column[max_rows:] for column in columns]
+            self.arrivals = arrivals[max_rows:]
+            for column in columns:
+                del column[max_rows:]
+            del arrivals[max_rows:]
             return Batch.from_columns(schema, columns, arrivals)
         batch = Batch.from_columns(
             schema, [column[:max_rows] for column in columns], arrivals[:max_rows]
@@ -162,7 +174,10 @@ class DoublePipelinedJoin(JoinOperator):
         self._tables: list[BucketedHashTable] = []
         self._exhausted = [False, False]
         self._drain_right_first = False
-        self._cleanup_batches: Iterator[Batch] | None = None
+        #: Per side, an upper bound on the stamps its table has taken in (the stamp rule's bound).
+        self._latest = [float("-inf"), float("-inf")]
+        self._cleanup_cursors: Iterator[MatchCursor] | None = None
+        self._cleanup_pending: MatchCursor | None = None
         # Per-side run buffers (rows already pulled from a child in bulk),
         # dropped as soon as their cursor reaches the end.
         self._runs: list[_Run | None] = [None, None]
@@ -249,7 +264,7 @@ class DoublePipelinedJoin(JoinOperator):
         if self.state in ("closed", "deactivated"):
             return None
         now = self.context.clock.now
-        if self._cleanup_batches is not None:
+        if self._cleanup_cursors is not None:
             return now
         out = self._out
         if out is not None and out.arrivals:
@@ -406,6 +421,8 @@ class DoublePipelinedJoin(JoinOperator):
             # Footnote 3 of the paper: with the opposite input exhausted
             # there is nothing left for these tuples to meet.
             stop = table.insert_batch(run.batch, False, keys, cursor, end, live)
+            if stop > cursor:
+                self._latest[side] = max(self._latest[side], *run.arrivals[cursor:stop])
         if spills:
             # Settle anything already pending in one charge (as the first
             # per-tuple spill would), then this segment's own pages singly.
@@ -428,7 +445,7 @@ class DoublePipelinedJoin(JoinOperator):
                 )
         run.cursor = stop
         if stop < end:
-            self._insert_refused(table, run, stop)
+            self._insert_refused(side, run, stop)
             run.cursor = stop + 1
 
     def _emit_matches(
@@ -443,21 +460,26 @@ class DoublePipelinedJoin(JoinOperator):
         (``match_columns`` is ``None``) and the run's values go straight onto the
         accumulators too; otherwise they are gathered fresh and, with the
         fresh ``match_columns``, become the accumulators.  Each output tuple
-        is stamped with the later of its two inputs.
+        is stamped with the later of its two inputs: its own stamp, taken
+        without comparing, when the opposite table has taken in nothing later
+        than the earliest of them (the :class:`MatchCursor` stamp rule).
         """
         self._emitted_output = True
         take = as_run(take)
         pick = picker(take)
         out = self._out
-        stamps = later_stamps(pick(run.arrivals), match_arrivals)
+        stamps = pick(run.arrivals)
+        if self._latest[1 - side] > min(stamps):
+            stamps = later_stamps(stamps, match_arrivals)
         if match_columns is None:
             gather_into(out.columns, self._slots[side].start, run.batch.columns, pick)
             out.arrivals.extend(stamps)
             return
         own = [gather(column, take, pick) for column in run.batch.columns]
+        stamps = stamps if type(stamps) is list else list(stamps)
         out.extend(own + match_columns if side == LEFT else match_columns + own, stamps)
 
-    def _insert_refused(self, table: BucketedHashTable, run: _Run, position: int) -> None:
+    def _insert_refused(self, side: int, run: _Run, position: int) -> None:
         """Resolve the overflow a bulk insert stopped at, then retry the row.
 
         The refused row has already probed; if the strategy spills its own
@@ -465,6 +487,7 @@ class DoublePipelinedJoin(JoinOperator):
         flushed alongside it — its already-emitted pairs must not be
         produced again.
         """
+        table = self._tables[side]
         key = run.keys[position]
         index = bucket_of(key, self.bucket_count)
         columns = run.batch.columns
@@ -476,6 +499,7 @@ class DoublePipelinedJoin(JoinOperator):
                 self._charge_disk_time()
                 return
             if table.insert_position(index, key, columns, position, arrival):
+                self._latest[side] = max(self._latest[side], arrival)
                 return
 
     def _charge_spill_pages(self) -> None:
@@ -579,15 +603,15 @@ class DoublePipelinedJoin(JoinOperator):
             if left[index].spilled_count or right[index].spilled_count:
                 yield index
 
-    def _cleanup_batches_iter(self) -> Iterator[Batch]:
-        """Join the spilled buckets positionally, one output batch per bucket.
+    def _cleanup_cursors_iter(self) -> Iterator[MatchCursor]:
+        """Join the spilled buckets positionally, one output cursor per bucket.
 
         Skips unmarked-with-unmarked pairs (already produced live).  Spilled
         tuples are never boxed or decoded: both sides' overflow rows (spilled,
         then resident remnants — unmarked, free to read) are laid out once as
         positional stores and each bucket goes through :meth:`_join_spilled`,
-        its read-back charged when it is reached, left then right, and its
-        cursor taken whole.
+        its read-back charged when it is reached, left then right; its cursor
+        is handed out a batch's room at a time.
         """
         sides = None
         for index in self._spilled_buckets():
@@ -598,7 +622,7 @@ class DoublePipelinedJoin(JoinOperator):
                 sides = [table.overflow_store() for table in self._tables]
             cursor = self._join_spilled(*sides, index, False)
             if cursor is not None:
-                yield cursor.take(len(cursor))
+                yield cursor
 
     # -- iterator -------------------------------------------------------------------------------------------------
 
@@ -625,17 +649,23 @@ class DoublePipelinedJoin(JoinOperator):
         # eagerly would shred the output into per-row parts and pay a concat
         # per column per row.
         while len(out) < max_rows:
+            pending = self._cleanup_pending
+            if pending is not None:
+                part = pending.take(max_rows - len(out))
+                if not pending:
+                    self._cleanup_pending = None
+                out.extend(part.columns, part.arrivals)
+                continue
             if arrival_bound is not None and clock.now >= arrival_bound:
                 break
-            if self._cleanup_batches is not None:
-                batch = next(self._cleanup_batches, None)
-                if batch is None:
+            if self._cleanup_cursors is not None:
+                self._cleanup_pending = next(self._cleanup_cursors, None)
+                if self._cleanup_pending is None:
                     break
-                out.extend(batch.columns, batch.arrivals)
                 continue
             side = self._choose_side()
             if side is None:
-                self._cleanup_batches = self._cleanup_batches_iter()
+                self._cleanup_cursors = self._cleanup_cursors_iter()
                 continue
             run = self._runs[side]
             if run is None or run.cursor >= len(run):

@@ -1,5 +1,7 @@
 """Unit tests for the double pipelined join and its overflow strategies."""
 
+import operator
+
 import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
@@ -470,12 +472,15 @@ class TestRunAtATime:
         rows, _, _ = drive_join(scripted_join(), catalog, "tuple")
         assert [row.values for row in rows] == [(7, f"l{i}", 7, "r0") for i in range(fan_out)]
 
-    @pytest.mark.parametrize("max_rows", [1, 7, 64])
+    @pytest.mark.parametrize("max_rows", [1, 7, 16, 64])
     def test_output_accumulator_drops_rows_it_has_handed_out(self, monkeypatch, max_rows):
         # Many-to-many fan-out under small batches, the Fig. 5 Q5/Q6 shape:
         # every right row meets nine left rows, so batches end mid-key and
         # rows stay pending across every hand-over.  Rows handed out leave the
-        # accumulators: they never hold more than a batch plus one key's fan-out.
+        # accumulators: they never hold more than a batch plus one key's
+        # fan-out, and after a split they hold only the rows kept.  An
+        # overshoot smaller than the batch (16 and 64 rows) hands the
+        # accumulators themselves out, cut back; a larger one copies the head.
         fan_out, keys = 9, 30
         left_rows = [(key, f"l{i}") for key in range(keys) for i in range(fan_out)]
         right_rows = [(key, f"r{key}.{i}") for i in range(3) for key in range(keys)]
@@ -484,11 +489,20 @@ class TestRunAtATime:
             right_rows, [50.0 + 0.5 * i for i in range(len(right_rows))],
         )
         held = []
+        in_place = []
         take_batch = _OutputColumns.take_batch
 
         def recorded(self, schema, max_rows):
-            held.append(max(len(self.arrivals), *map(len, self.columns)))
-            return take_batch(self, schema, max_rows)
+            pending, accumulators = len(self.arrivals), self.columns
+            held.append(max(pending, *map(len, accumulators)))
+            batch = take_batch(self, schema, max_rows)
+            if pending > max_rows:
+                kept = pending - max_rows
+                assert {len(self.arrivals), *map(len, self.columns)} == {kept}
+                handed_whole = all(map(operator.is_, batch.columns, accumulators))
+                assert handed_whole == (kept < max_rows)
+                in_place.append(handed_whole)
+            return batch
 
         monkeypatch.setattr(_OutputColumns, "take_batch", recorded)
         rows, _, _ = drive_join(scripted_join(), catalog, "columnar", batch_size=max_rows)
@@ -498,6 +512,7 @@ class TestRunAtATime:
         )
         assert len(held) >= len(rows) // max_rows
         assert max(held) <= max_rows + fan_out
+        assert in_place and all(in_place) == (max_rows > fan_out)
 
 
 class TestCodesEndToEnd:

@@ -27,6 +27,7 @@ from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.builder import build_operator
 from repro.engine.context import EngineConfig, ExecutionContext
 from repro.engine.executor import ExecutionStatus, QueryExecutor
+from repro.engine.operators.exchange import Exchange
 from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
 from repro.engine.operators.scan import WrapperScan
 from repro.errors import CatalogError
@@ -276,10 +277,10 @@ def check_returned(context, pool: MemoryPool) -> None:
     """Every grant, pool byte, broker lease and wrapper connection is back."""
     check_quiescent(pool)
     assert pool.broker.granted_bytes == 0, f"{pool.broker.granted_bytes} bytes still leased"
-    # A scan whose source is unknown fails in its constructor, wrapperless.
     operators = reachable_operators(context)
-    wrappers = [(op.operator_id, getattr(op, "wrapper", None)) for op in operators]
-    open_scans = [name for name, wrapper in wrappers if wrapper is not None and wrapper.is_open]
+    open_scans = [
+        op.operator_id for op in operators if isinstance(op, WrapperScan) and op.wrapper.is_open
+    ]
     assert not open_scans, f"connections left open: {open_scans}"
 
 
@@ -308,8 +309,27 @@ def test_a_failing_build_returns_the_grants_it_took():
     context = ExecutionContext(catalog(), memory_pool=MemoryPool(broker=MemoryBroker()))
     with pytest.raises(CatalogError, match="nowhere"):
         build_operator(join_then_unknown_source(), context)
-    assert context.operator("b_join").budget.limit_bytes == 4000
+    assert context.memory_pool.broker.stats.leases_granted == 1
+    assert not context.operators, f"left registered: {sorted(context.operators)}"
     check_returned(context, context.memory_pool)
+
+
+def test_a_failing_build_keeps_what_was_registered_before_it():
+    context = ExecutionContext(catalog(), memory_pool=MemoryPool(broker=MemoryBroker()))
+    built = build_operator(scan("ord", "first"), context)
+    with pytest.raises(CatalogError, match="nowhere"):
+        build_operator(join_then_unknown_source(), context)
+    assert context.operators == {built.operator_id: built}
+
+
+def test_an_explicit_exchange_registers_under_its_own_id():
+    executor, plan = fresh_run("exchange")
+    executor.execute(plan)
+    context = executor.context
+    exchange_op = context.operator("x_xchg")
+    assert isinstance(exchange_op, Exchange)
+    assert not context.has_operator("x_join")
+    assert {op.operator_id for op in exchange_op.lane_operators} == {"x_join.lane0", "x_join.lane1"}
 
 
 def test_a_failed_server_session_returns_its_grants():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import cycle
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryExecutor
+from repro.engine.operators.joins import double_pipelined
 from repro.engine.operators.joins.double_pipelined import DoublePipelinedJoin
 from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
 from repro.engine.operators.scan import WrapperScan
@@ -761,10 +764,10 @@ gaps = st.sampled_from([0.0, 0.0, 0.01, 0.3, 2.0, 7.0])
 
 
 @st.composite
-def timed_sides(draw):
+def timed_sides(draw, count=2):
     key_domain = draw(st.integers(min_value=1, max_value=12))
     sides = []
-    for _ in range(2):
+    for _ in range(count):
         size = draw(st.integers(min_value=0, max_value=70))
         side_keys = draw(
             st.lists(st.integers(0, key_domain - 1), min_size=size, max_size=size)
@@ -829,6 +832,89 @@ def snapshot(batch):
 
 methods = st.sampled_from([OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH])
 
+
+def nested_catalog(sides) -> DataSourceCatalog:
+    """``a`` / ``b`` / ``c`` (``k``, a payload naming the row) on the drawn timetables."""
+    catalog = DataSourceCatalog()
+    for name, (side_keys, times) in zip("abc", sides):
+        rows = [(key, f"{name}{i}") for i, key in enumerate(side_keys)]
+        relation = make_relation(name, ["k:int", f"{name}s:str"], rows)
+        profile = ScriptedProfile(name=name, timetable=tuple(times))
+        catalog.register_source(DataSource(name, relation, profile))
+    return catalog
+
+
+def run_nested_dpj(sides, child_left, memory, batch_size):
+    """Drain ``(a ⋈ b) ⋈ c`` (the child on the parent's left or right) with
+    both joins double pipelined; returns the rows, each leaf row's stamp as
+    a join took it in (by payload), and, over both joins, ``(emissions,
+    emissions that compared stamps)``."""
+    counts = [0, 0]
+    leaf_stamps = {}
+    emit, compare = DoublePipelinedJoin._emit_matches, double_pipelined.later_stamps
+    buffer_run = DoublePipelinedJoin._buffer_run
+
+    def recorded_run(self, side, batch):
+        if len(batch.schema) == 2:  # a leaf scan's run
+            leaf_stamps.update(zip(batch.columns[1], batch.arrivals))
+        return buffer_run(self, side, batch)
+
+    def counted_emit(self, *args):
+        counts[0] += 1
+        return emit(self, *args)
+
+    def counted_compare(*args):
+        counts[1] += 1
+        return compare(*args)
+
+    def build(context):
+        scans = {name: WrapperScan(f"scan_{name}", context, name) for name in "abc"}
+        child = DoublePipelinedJoin(
+            "child", context, scans["a"], scans["b"], ["a.k"], ["b.k"],
+            memory_limit_bytes=memory, bucket_count=4,
+        )
+        outer = (child, scans["c"]) if child_left else (scans["c"], child)
+        keys = (["a.k"], ["c.k"]) if child_left else (["c.k"], ["a.k"])
+        return DoublePipelinedJoin(
+            "parent", context, *outer, *keys, memory_limit_bytes=memory, bucket_count=4
+        )
+
+    with patch.object(DoublePipelinedJoin, "_emit_matches", counted_emit), patch.object(
+        double_pipelined, "later_stamps", counted_compare
+    ), patch.object(DoublePipelinedJoin, "_buffer_run", recorded_run):
+        rows, _, _ = drive_join(build, nested_catalog(sides), "columnar", batch_size=batch_size)
+    return rows, leaf_stamps, tuple(counts)
+
+
+def nested_reference(sides, child_left, stamp) -> Counter:
+    """Every matching leaf triple, stamped with the latest of its three
+    leaves' stamps (``stamp``: payload -> stamp)."""
+    a_keys, b_keys, c_keys = (side_keys for side_keys, _ in sides)
+    expected = Counter()
+    for i, key in enumerate(a_keys):
+        for j in (j for j, other in enumerate(b_keys) if other == key):
+            for m in (m for m, other in enumerate(c_keys) if other == key):
+                inner = (key, f"a{i}", key, f"b{j}")
+                values = inner + (key, f"c{m}") if child_left else (key, f"c{m}") + inner
+                expected[values, max(stamp[f"a{i}"], stamp[f"b{j}"], stamp[f"c{m}"])] += 1
+    return expected
+
+
+def stamped_multiset(rows) -> Counter:
+    return Counter((row.values, row.arrival) for row in rows)
+
+
+#: ``a`` arrives early, ``b`` late and ``c`` in between: the child's output
+#: is stamped with ``b``'s late times while ``c`` already sits in the
+#: parent's table, so the parent's probes meet table rows both later and
+#: earlier than themselves.
+NESTED_INVERSION = [
+    ([0, 1, 2, 3] * 3, [1.0 + 0.5 * i for i in range(12)]),
+    ([3, 2, 1, 0] * 3, [20.0 + 7.0 * i for i in range(12)]),
+    ([0, 1, 2, 3] * 4, [10.0 + 4.0 * i for i in range(16)]),
+]
+
+
 #: One pull on the join: a plain batch, a bounded batch (rows arriving within
 #: ``now + window``), or one row through ``next_row`` — which serves pending
 #: columnar output through ``take_batch(..., 1)``.
@@ -881,16 +967,28 @@ class TestRunAtATimeProperties:
         schedule=[],
         revoke_at=1,
     )
+    # Each right row meets 40 left rows: a 64-row pull overshoots by 16, so
+    # the pending rows are handed out in place and the 16 move.
+    @example(
+        sides=[([0] * 40, [1.0 + i for i in range(40)]), ([0] * 3, [50.0, 51.0, 52.0])],
+        unique_right=False,
+        memory=None,
+        method=OverflowMethod.LEFT_FLUSH,
+        schedule=[],
+        revoke_at=None,
+    )
     @settings(max_examples=examples(80), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_a_batch_handed_out_is_never_touched_again(
         self, sides, unique_right, memory, method, schedule, revoke_at
     ):
         """The output accumulators *adopt* the columns an emission built, so a
-        hand-over gives the consumer the accumulators themselves.  Whatever the
-        pulls (foreign-key or many-to-many, flushes with cleanup, bounded and
+        hand-over gives the consumer the accumulators themselves — in place,
+        cut back, when fewer rows stay than go.  Whatever the pulls
+        (foreign-key or many-to-many, flushes with cleanup, bounded and
         tuple pulls, a revocation mid-run): no later emission mutates a batch
         already handed out, and no accumulator is a column somebody else owns
-        — a run batch's, an arena's, a source's cached export."""
+        — a run batch's, an arena's, a source's cached export, a batch
+        handed out."""
         if unique_right:  # the foreign-key case: every left row matches at most once
             right_keys, right_times = sides[1]
             first = [i for i, key in enumerate(right_keys) if key not in right_keys[:i]]
@@ -951,6 +1049,31 @@ class TestRunAtATimeProperties:
             produced += batch
         assert [list(held) for held in containers(exports)] == exported
         assert join_multiset(produced) == reference_pairs(left, right)
+
+    @given(
+        sides=timed_sides(count=3),
+        child_left=st.booleans(),
+        memory=st.sampled_from([None, 900]),
+        batch_size=st.sampled_from([1, 7, 64, 1024]),
+    )
+    @example(sides=NESTED_INVERSION, child_left=True, memory=None, batch_size=64)
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_nested_dpj_stamps_are_the_latest_input_stamp(
+        self, sides, child_left, memory, batch_size
+    ):
+        """A DPJ stamps each output row with the later of its two inputs
+        (:func:`later_stamps`), so a tree of them stamps a row with the latest
+        of its leaf rows — whether the opposite table's stamp bound let a
+        segment take its own stamps uncompared or not."""
+        rows, stamps, _ = run_nested_dpj(sides, child_left, memory, batch_size)
+        assert stamped_multiset(rows) == nested_reference(sides, child_left, stamps)
+
+    def test_nested_dpj_takes_both_stamp_paths(self):
+        """The pinned profile puts a parent's table row later than a probe
+        that matches it (compared) and earlier than others (taken uncompared)."""
+        rows, stamps, (emits, compared) = run_nested_dpj(NESTED_INVERSION, True, None, 64)
+        assert stamped_multiset(rows) == nested_reference(NESTED_INVERSION, True, stamps)
+        assert 0 < compared < emits
 
 
 # Write-through output and arena ingest against their gather-then-extend

@@ -114,7 +114,7 @@ class TestSpillJoinAgainstTheRowOracle:
         oracle_context, oracle, _ = prepared_dpj(joinable_catalog, method)
         per_tuple_reference(oracle)
         with counting_row_constructions() as counter:
-            batches = list(join._cleanup_batches_iter())
+            batches = [cursor.take(len(cursor)) for cursor in join._cleanup_cursors_iter()]
             assert counter.count == 0
         rows = [row for batch in batches for row in batch]
         assert stamped(rows) == stamped(oracle._cleanup_pairs())
