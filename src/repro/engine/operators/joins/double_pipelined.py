@@ -35,6 +35,7 @@ pipeline as its oracle).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import or_
 from typing import Iterator
 
 from repro.engine.context import ExecutionContext
@@ -44,7 +45,7 @@ from repro.errors import MemoryOverflowError
 from repro.plan.physical import OverflowMethod
 from repro.storage.batch import Batch, MatchCursor, later_stamps
 from repro.storage.columns import as_run, as_values, gather, gather_into, picker
-from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
+from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, route_rows
 from repro.storage.memory import MemoryBudget
 from repro.storage.tuples import Key
 
@@ -63,16 +64,18 @@ RUN_SLACK_MS = 5.0
 
 class _Run:
     """One consumed input run: a batch, its bulk-extracted join keys (one per
-    row — the key column's own values when there is one key column), and its
-    arrival stamps as a plain list (run-length stamps decode once)."""
+    row — the key column's own values when there is one key column), its
+    arrival stamps as a plain list (run-length stamps decode once) and, once
+    either table has flushed, its bucket column (each row routed once)."""
 
-    __slots__ = ("batch", "keys", "arrivals", "cursor")
+    __slots__ = ("batch", "keys", "arrivals", "cursor", "buckets")
 
     def __init__(self, batch: Batch, keys: list[Key]) -> None:
         self.batch = batch
         self.keys = keys
         self.arrivals: list[float] = as_values(batch.arrivals)
         self.cursor = 0
+        self.buckets: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -209,6 +212,10 @@ class DoublePipelinedJoin(JoinOperator):
             )
         ]
         self._out = _OutputColumns()
+        #: Per bucket, whether either table has flushed it, and the two tables'
+        #: ``flushed_count`` it was combined at (a flush of a new bucket moves one).
+        self._either_flushed = [False] * self.bucket_count
+        self._combined_at = (0, 0)
         width = len(self.left.output_schema)
         #: Each side's output column slots.
         self._slots = (range(width), range(width, len(self.output_schema)))
@@ -377,8 +384,9 @@ class DoublePipelinedJoin(JoinOperator):
           probed past it are dropped, rows past it stay in the run, and the
           refused row takes the per-tuple resolve-and-retry step;
         * rows whose bucket is flushed in *either* table never probe live:
-          they are split off first (``split_flushed``) and go to their own
-          side's spill log marked, in one write — one gather per column, however many
+          they are split off first (:func:`route_rows`, over the run's bucket
+          column and the two tables' flags) and go to their own side's spill
+          log marked, in one write — one gather per column, however many
           buckets they scatter over — their pages charged one at a time.
         """
         other = 1 - side
@@ -395,7 +403,8 @@ class DoublePipelinedJoin(JoinOperator):
             end = self._segment_end(side, run)
         live = spills = None
         if tables[LEFT].flushed_count or tables[RIGHT].flushed_count:
-            live, spills = table.split_flushed(keys, range(cursor, end), tables[other], bounded)
+            flushed = self._flushed_in_either()
+            live, spills = route_rows(self._buckets(run), flushed, range(cursor, end), bounded)
             if bounded and spills:
                 # Spill writes are the only thing inside a segment that moves
                 # the clock, and a bounded pull's caller re-checks the clock
@@ -415,19 +424,19 @@ class DoublePipelinedJoin(JoinOperator):
         if result is not None and len(result[0]) >= room:
             end = result[0][-1] + 1
             if live is not None:
-                del live[bisect_left(live, end) :]
+                live = live[: bisect_left(live, end)]
         stop = end
         if not self._exhausted[other]:
             # Footnote 3 of the paper: with the opposite input exhausted
             # there is nothing left for these tuples to meet.
-            stop = table.insert_batch(run.batch, False, keys, cursor, end, live)
+            stop = table.insert_batch(run.batch, False, keys, cursor, end, live, run.buckets)
             if stop > cursor:
                 self._latest[side] = max(self._latest[side], *run.arrivals[cursor:stop])
         if spills:
             # Settle anything already pending in one charge (as the first
             # per-tuple spill would), then this segment's own pages singly.
             self._charge_disk_time()
-            table.spill_segment(run.batch.columns, run.arrivals, spills, True, stop)
+            table.spill_segment(run.batch.columns, run.arrivals, spills, run.buckets, True, stop)
             self._charge_spill_pages()
         if result is not None:
             take, match_columns, match_arrivals, _ = result
@@ -489,18 +498,35 @@ class DoublePipelinedJoin(JoinOperator):
         """
         table = self._tables[side]
         key = run.keys[position]
-        index = bucket_of(key, self.bucket_count)
         columns = run.batch.columns
         arrival = run.arrivals[position]
         while True:
             self._resolve_overflow()
-            if table.buckets[index].flushed:
+            index = self._buckets(run)[position]
+            if table.flushed[index]:
                 table.spill_position(index, columns, position, arrival, marked=False)
                 self._charge_disk_time()
                 return
             if table.insert_position(index, key, columns, position, arrival):
                 self._latest[side] = max(self._latest[side], arrival)
                 return
+
+    def _flushed_in_either(self) -> list[bool]:
+        """Per bucket, whether either table has flushed it: the two flag lists
+        combined again only when a table has flushed a bucket since."""
+        left, right = self._tables
+        counts = (left.flushed_count, right.flushed_count)
+        if counts != self._combined_at:
+            self._either_flushed = list(map(or_, left.flushed, right.flushed))
+            self._combined_at = counts
+        return self._either_flushed
+
+    def _buckets(self, run: _Run) -> list[int]:
+        """``run``'s bucket column, routed at its first need after a flush
+        (both tables have the same bucket count and key arity: either routes)."""
+        if run.buckets is None:
+            run.buckets = self._tables[LEFT].bucket_column(run.keys)
+        return run.buckets
 
     def _charge_spill_pages(self) -> None:
         """Charge a bulk spill's write pages to the clock one page at a time.
@@ -563,17 +589,15 @@ class DoublePipelinedJoin(JoinOperator):
             return self._symmetric_flush()
         return self._left_flush()
 
-    def _bucket_spilled(self, index: int) -> bool:
-        return self._tables[LEFT].buckets[index].flushed or self._tables[RIGHT].buckets[index].flushed
-
     def _symmetric_flush(self) -> bool:
         """Flush the bucket with the most combined resident bytes from both tables."""
         left_table, right_table = self._tables
-        sizes = zip(left_table.bucket_sizes(), right_table.bucket_sizes())
+        left_bytes, right_bytes = left_table.row_bytes, right_table.row_bytes
         combined = [
-            0 if self._bucket_spilled(index)
-            else left * left_table.row_bytes + right * right_table.row_bytes
-            for index, (left, right) in enumerate(sizes)
+            0 if flushed else left * left_bytes + right * right_bytes
+            for left, right, flushed in zip(
+                left_table.bucket_sizes(), right_table.bucket_sizes(), self._flushed_in_either()
+            )
         ]
         best_bytes = max(combined)
         if best_bytes <= 0:

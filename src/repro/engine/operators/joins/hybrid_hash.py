@@ -31,7 +31,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
 from repro.engine.operators.joins.base import JoinOperator
 from repro.storage.batch import Batch, MatchCursor
-from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
+from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, route_rows
 from repro.storage.memory import MemoryBudget
 
 
@@ -89,7 +89,9 @@ class HybridHashJoin(JoinOperator):
         ``insert_batch`` moves whole batches (one key pass, one ``extend`` per
         column) while memory lasts and stops at exactly the row that does not
         fit; the refused suffix is retried after flushing the largest bucket,
-        so every overflow event lands on the row that caused it.
+        so every overflow event lands on the row that caused it.  A batch that
+        meets a flushed table is routed once: every retry re-splits its suffix
+        from the same bucket column against the flags as the flush left them.
         """
         assert self._inner_table is not None
         table = self._inner_table
@@ -99,29 +101,32 @@ class HybridHashJoin(JoinOperator):
             if not batch:
                 break
             keys = batch.key_tuples(self._right_binder.indices_in(batch.schema))
+            buckets = table.bucket_column(keys) if table.flushed_count else None
             position = 0
             n = len(batch)
             while position < n:
-                position = table.insert_batch(batch, keys=keys, start=position)
+                position = table.insert_batch(batch, keys=keys, start=position, buckets=buckets)
                 if position < n:
                     # Memory pressure: flush the largest bucket and retry the
                     # refused suffix (rows whose bucket got flushed spill on
                     # the retry).
                     self._raise_out_of_memory()
-                    if table.flush_largest_bucket() is None:
+                    victim = table.flush_largest_bucket()
+                    if buckets is None:
+                        buckets = table.bucket_column(keys)
+                    if victim is None:
                         # Nothing resident to flush: the refused row gets one
                         # plain per-row insert; if the budget still refuses
                         # (the dictionaries hold it), its empty bucket is
                         # flushed and the row spills, so no build row is lost.
                         key = keys[position]
-                        index = bucket_of(key, table.bucket_count)
-                        bucket = table.buckets[index]
+                        index = buckets[position]
                         arrival = batch.arrivals[position]
-                        if not bucket.flushed and not table.insert_position(
+                        if not table.flushed[index] and not table.insert_position(
                             index, key, batch.columns, position, arrival
                         ):
                             table.flush_bucket(index)
-                        if bucket.flushed:
+                        if table.flushed[index]:
                             table.spill_position(
                                 index, batch.columns, position, arrival, marked=False
                             )
@@ -183,11 +188,14 @@ class HybridHashJoin(JoinOperator):
         assert self._inner_table is not None
         table = self._inner_table
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
-        positions: list[int] | None = None
+        positions = None
         if table.flushed_count:
-            positions, spills = table.split_flushed(keys, range(len(keys)))
+            buckets = table.bucket_column(keys)
+            positions, spills = route_rows(buckets, table.flushed, range(len(keys)))
             if spills:
-                self._outer_table.spill_segment(outer.columns, outer.arrivals, spills, False)
+                self._outer_table.spill_segment(
+                    outer.columns, outer.arrivals, spills, buckets, False
+                )
                 self._charge_disk_time()
         found = table.probe_positions(keys, positions)
         if found is None:

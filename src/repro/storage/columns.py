@@ -626,9 +626,9 @@ class ColumnarPartition:
     position`` and both key passes run at C level: an insert checks only what
     it can falsify (its keys distinct, and disjoint from the index) and makes
     one ``update``; a probe is ``map(index.get, keys)``.  The first duplicate
-    key or the owning table's first bucket question ends it for good
-    (:meth:`generalize`): the values become ascending ``[position]`` lists for
-    the plain per-row loops.  Only this class and the owning table read them.
+    key ends it for good (:meth:`generalize`): the values become ascending
+    ``[position]`` lists for the plain per-row loops.  Only this class and the
+    owning table read them (a table's flushes and compactions read either).
 
     String columns dictionary-encode (over the supplied ``dictionaries``
     when given, so spill chunks gathered from one hash table stay
@@ -738,7 +738,7 @@ class ColumnarPartition:
 
     def generalize(self) -> None:
         """Leave the unique regime (one way): every index value becomes the
-        ``[position]`` list the general loops and the flush code work on."""
+        ``[position]`` list the general loops work on."""
         if self.unique:
             self.unique = False
             for key, position in list(self.positions.items()):

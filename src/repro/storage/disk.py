@@ -35,8 +35,9 @@ compressed spill directly reduces the virtual I/O time the clock observes.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import ne
 from typing import Any, Iterator, Sequence
 
@@ -52,7 +53,7 @@ from repro.storage.columns import (
     as_values,
     compress_arrivals,
     empty_columns,
-    extend_moving,
+    gather_into,
     gather as gather_column,
     make_dictionaries,
     picker,
@@ -185,7 +186,7 @@ class OverflowFile(SpillLedger):
         # group tag the string values already charged (a group stores each
         # distinct string once, whichever dictionary or drive mode wrote it).
         self._dictionaries: list | None = None
-        self._charged_values: dict[int | None, set[str]] = {}
+        self._charged_values: defaultdict[int | None, set[str]] = defaultdict(set)
 
     # -- sizing ------------------------------------------------------------------
 
@@ -199,33 +200,23 @@ class OverflowFile(SpillLedger):
         ledger at most once.  A group pays what a file of its own would for
         its slice: the fixed bytes per row, one stamp per arrival run (from
         the ledger's last stamp on), and each dictionary entry it references
-        for the first time.
+        for the first time.  The coded columns are decoded once, row-major,
+        so a group's referenced strings are one slice and one set, differenced
+        once against what its tag was charged (``seen`` is per tag, not per
+        column, so the bytes are those of a column-by-column charge).
         """
         fixed = MARK_BIT_BYTES
-        entries: dict[int | None, int] = {}
-        charged = self._charged_values
+        coded = []
         for attribute, column in zip(self.schema, columns):
-            if type(column) is not DictColumn:
+            if type(column) is DictColumn:
+                fixed += DICT_CODE_BYTES
+                coded.append(map(column.dictionary.values.__getitem__, column.codes))
+            else:
                 fixed += attribute.column_size
-                continue
-            fixed += DICT_CODE_BYTES
-            decode = column.dictionary.values.__getitem__
-            codes = column.codes
-            start = 0
-            for ledger, count in groups:
-                tag = ledger.index
-                seen = charged.get(tag)
-                if seen is None:
-                    seen = charged[tag] = set()
-                part = codes if count == len(codes) else codes[start : start + count]
-                start += count
-                # ``a - b`` walks the small set; ``a -= b`` would walk all of ``seen``.
-                fresh = set(map(decode, part)) - seen
-                if fresh:
-                    seen |= fresh
-                    entries[tag] = (
-                        entries.get(tag, 0) + sum(map(len, fresh)) + DICT_SLOT_BYTES * len(fresh)
-                    )
+        width = len(coded)
+        # values[i * width : (i + 1) * width]: row i's coded strings.
+        values = list(chain.from_iterable(zip(*coded))) if width > 1 else list(*coded)
+        charged = self._charged_values
         stamps = as_values(arrivals)
         # steps[i]: how many of the first i stamps differ from their successor.
         steps = list(accumulate(map(ne, stamps, islice(stamps, 1, None)), initial=0))
@@ -236,7 +227,14 @@ class OverflowFile(SpillLedger):
             if stamps[start] == ledger.last_arrival:
                 runs -= 1
             ledger.last_arrival = stamps[stop - 1]
-            nbytes = fixed * count + ARRIVAL_STAMP_BYTES * runs + entries.get(ledger.index, 0)
+            nbytes = fixed * count + ARRIVAL_STAMP_BYTES * runs
+            if width:
+                seen = charged[ledger.index]
+                # ``a - b`` walks the small set; ``a -= b`` would walk all of ``seen``.
+                fresh = set(values[start * width : stop * width]) - seen
+                if fresh:
+                    seen |= fresh
+                    nbytes += sum(map(len, fresh)) + DICT_SLOT_BYTES * len(fresh)
             ledger.spilled_count += count
             ledger.spilled_bytes += nbytes
             total += nbytes
@@ -291,9 +289,7 @@ class OverflowFile(SpillLedger):
             nbytes += ARRIVAL_STAMP_BYTES
         ledger.last_arrival = arrival
         attributes = self.schema.attributes
-        seen = self._charged_values.get(tag)
-        if seen is None:
-            seen = self._charged_values[tag] = set()
+        seen = self._charged_values[tag]
         for position, value in enumerate(values):
             column = columns[position]
             if type(column) is DictColumn:
@@ -444,8 +440,7 @@ class OverflowFile(SpillLedger):
             if type(arrivals) is not list:
                 arrivals = log.arrivals = list(arrivals)
             for chunk in chunks[1:]:
-                for position, column in enumerate(chunk.columns):
-                    extend_moving(columns, position, column)
+                gather_into(columns, 0, chunk.columns)
                 arrivals.extend(chunk.arrivals)
                 log.marked.extend(chunk.marked)
                 log.tags.extend(chunk.tags)

@@ -7,19 +7,24 @@ whose key index is the table's one index, keyed by
 :data:`~repro.storage.tuples.Key`: the key column's bare values, tuples only
 for a composite key.  While every key is held once (a primary-key build) it
 maps ``key -> position`` and an insert or a probe is a few C-level passes over
-the key column; from the first duplicate key or the first bucket question it
-maps ``key -> [positions]`` and a row costs one dict operation in a plain
-loop.  Either way the payload moves with one ``extend`` / one C-level gather
-per column — no :class:`~repro.storage.tuples.Row`, no bytecode per cell.
-Buckets serve the paper's overflow resolution only: a :class:`Bucket` is
-``flushed`` plus the :class:`~repro.storage.disk.SpillLedger` of what it has
-on disk, built at the table's first flush (a table that never overflows holds
-none), bucket identity is the hash *of the key as a tuple* (``(k,)`` for a
-bare ``k`` — what it was when keys were tuples, so no victim, overflow point
+the key column — under memory pressure too, since a flush pops int positions
+as readily as lists; from the first duplicate key it maps ``key ->
+[positions]`` and a row costs one dict operation in a plain loop.  Either way
+the payload moves with one ``extend`` / one C-level gather per column — no
+:class:`~repro.storage.tuples.Row`, no bytecode per cell.
+Buckets serve the paper's overflow resolution only: the table's one flag
+list :attr:`BucketedHashTable.flushed` says which are flushed, a
+:class:`Bucket` is the :class:`~repro.storage.disk.SpillLedger` of what one
+has on disk, built at the table's first flush (a table that never overflows
+holds none), bucket identity is the hash *of the key as a tuple* (``(k,)`` for
+a bare ``k`` — what it was when keys were tuples, so no victim, overflow point
 or spilled byte depends on the key form), and per-bucket resident keys and row
 counts exist only from a table's *first bucket question* on (a flush, a victim
 choice, a bucket's rows or sizes): derived then in one pass over the distinct
-keys, kept by every later insert.  The table's own history picks the regimes,
+keys, kept by every later insert.  An input that meets a flushed table is
+routed once: :meth:`BucketedHashTable.bucket_column` gives each of its rows
+its bucket, and every split (:func:`route_rows`), retry and bookkeeping step
+after it reads that column.  The table's own history picks the regimes,
 never a knob.  Spilled rows live in *one* append-only spill log per table (an
 :class:`~repro.storage.disk.OverflowFile` tagging each row with its bucket): a
 flush pops its buckets' keys out of the index, gathers their rows (ascending
@@ -45,8 +50,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, islice
-from operator import or_
+from itertools import chain, compress, islice, repeat
+from operator import mod, not_
 from typing import Any, Sequence
 from zlib import crc32
 
@@ -59,7 +64,7 @@ from repro.storage.columns import (
     adoptable_dictionary,
     as_values,
     empty_like,
-    extend_moving,
+    gather_into,
     make_dictionaries,
     picker,
 )
@@ -142,15 +147,38 @@ def stable_bucket_of(key: Key, bucket_count: int) -> int:
     return crc32(_stable_key_bytes(key)) % bucket_count
 
 
-class Bucket(SpillLedger):
-    """One hash bucket, as far as overflow resolution needs one: ``flushed`` and
-    the ledger of its spilled rows (its resident size is asked of the table)."""
+def route_rows(
+    buckets: Sequence[int],
+    flushed: Sequence[bool],
+    rows: Sequence[int],
+    first_only: bool = False,
+) -> tuple[Sequence[int], Sequence[int]]:
+    """``rows`` (ascending) split by their bucket column ``buckets`` into the
+    rows of resident buckets and the rows of the buckets ``flushed`` names,
+    which must spill — two C-level passes, grouped by bucket only when
+    written (:meth:`BucketedHashTable.spill_segment`).
 
-    __slots__ = ("index", "flushed")
+    ``first_only`` ends the split after the first spilling row.  The live
+    rows come back as ``rows`` itself (or a slice of it) when none spills.
+    """
+    flags = list(map(flushed.__getitem__, picker(rows)(buckets)))
+    if True not in flags:
+        return rows, ()
+    if first_only:
+        first = flags.index(True)
+        return rows[:first], rows[first : first + 1]
+    return list(compress(rows, map(not_, flags))), list(compress(rows, flags))
+
+
+class Bucket(SpillLedger):
+    """One hash bucket, as far as overflow resolution needs one: the ledger of
+    its spilled rows (whether it is flushed and its resident size are asked
+    of the table)."""
+
+    __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.flushed = False
 
 
 class _DictionaryCharge:
@@ -227,6 +255,8 @@ class BucketedHashTable:
         self.schema = schema
         self.row_bytes = schema.encoded_row_size if schema is not None else 0
         self._buckets: list[Bucket] | None = None
+        #: Per bucket, whether it is flushed: the one record, written by :meth:`_flush`.
+        self.flushed = [False] * bucket_count
         self.total_inserted = 0
         self.flushed_count = 0
         self._binder = KeyBinder(self.key_names)
@@ -322,31 +352,41 @@ class BucketedHashTable:
             if self._dictionaries is None:
                 self._fix_dictionaries(None)
             store = self.arena = ColumnarPartition(self.schema, self._dictionaries)
-            store.unique = self._tracked is None  # bucket work is on position lists
         return store
+
+    def bucket_column(self, keys: Sequence[Key]) -> list[int]:
+        """Every key's bucket, in order: :func:`bucket_of` as C-level passes
+        (``zip`` makes the 1-tuple a one-column key is hashed as, reusing one
+        tuple throughout)."""
+        hashes = map(hash, zip(keys) if self._binder.single else keys)
+        return list(map(mod, hashes, repeat(self.bucket_count)))
 
     def _derive_buckets(self) -> tuple[list[list], list[int]]:
         """Every bucket's resident keys and row count, from one pass over the
-        (general-regime) key index: one bucket hash per *distinct* key."""
+        key index: one bucket hash per *distinct* key."""
         count = self.bucket_count
-        single = self._binder.single
         held = [[] for _ in range(count)]
         sizes = [0] * count
         if self.arena is not None:
-            for key, found in self.arena.positions.items():
-                index = hash((key,) if single else key) % count
-                held[index].append(key)
-                sizes[index] += len(found)
+            index = self.arena.positions
+            keys = list(index)
+            routed = self.bucket_column(keys)
+            for key, bucket in zip(keys, routed):
+                held[bucket].append(key)
+            if self.arena.unique:
+                for bucket, rows in Counter(routed).items():
+                    sizes[bucket] = rows
+            else:
+                for bucket, found in zip(routed, index.values()):
+                    sizes[bucket] += len(found)
         return held, sizes
 
     def _track(self) -> tuple[list[list], list[int]]:
-        """The per-bucket bookkeeping: derived at the first bucket question —
-        which also ends the arena's unique regime, buckets being flushed as
-        position lists — and kept by every insert from then on
-        (:meth:`_index_row`, :meth:`_move_rows`)."""
+        """The per-bucket bookkeeping: derived at the first bucket question and
+        kept by every insert from then on (:meth:`_index_row`,
+        :meth:`_move_rows`).  The arena keeps its regime: flushes read int
+        positions as readily as position lists."""
         if self._tracked is None:
-            if self.arena is not None:
-                self.arena.generalize()
             self._tracked = self._derive_buckets()
         return self._tracked
 
@@ -394,6 +434,7 @@ class BucketedHashTable:
         start: int = 0,
         stop: int | None = None,
         positions: Sequence[int] | None = None,
+        buckets: Sequence[int] | None = None,
     ) -> int:
         """Bulk-insert ``batch`` rows ``[start, stop)``; returns the stop position.
 
@@ -407,7 +448,10 @@ class BucketedHashTable:
         ``positions`` (ascending, inside ``[start, stop)``) names the rows to
         insert when the caller has already routed the others elsewhere — the
         double pipelined join spills the rows of flushed buckets itself; none
-        of the named rows may hash to a flushed bucket.
+        of the named rows may hash to a flushed bucket.  ``buckets`` is the
+        batch's :meth:`bucket_column` when the caller holds it (a retry after
+        a refusal routes nothing again); a table that needs it and is given
+        none routes the batch itself.
 
         When the rows fit the budget they move in one key pass plus one
         ``extend`` per column (the bulk fast path); otherwise the longest
@@ -434,12 +478,14 @@ class BucketedHashTable:
         arrivals = batch.arrivals
         if self._dictionaries is None:
             self._fix_dictionaries(columns)
-        spills = None
+        if buckets is None and (self.flushed_count or self._tracked is not None):
+            buckets = self.bucket_column(keys)
+        spills = ()
         if positions is None and self.flushed_count:
-            rows, spills = self.split_flushed(keys, rows)
+            rows, spills = route_rows(buckets, self.flushed, rows)
             exact = True
         if rows and self._reserve_rows(columns, rows, exact):
-            self._move_rows(columns, arrivals, keys, rows)
+            self._move_rows(columns, arrivals, keys, rows, buckets)
         elif rows:
             # A prefix passing the exact check holds no refused row (usage
             # only grows), so it moves in bulk; the row loop decides the rest.
@@ -447,7 +493,7 @@ class BucketedHashTable:
             fit = min(len(rows) - 1, room // self.row_bytes) if room is not None else 0
             while fit >= MIN_BULK_PREFIX:
                 if self._reserve_rows(columns, rows[:fit], True):
-                    self._move_rows(columns, arrivals, keys, rows[:fit])
+                    self._move_rows(columns, arrivals, keys, rows[:fit], buckets)
                     rows = rows[fit:]
                     break
                 fit //= 2
@@ -458,45 +504,12 @@ class BucketedHashTable:
                     break
                 self.total_inserted += 1
                 store.append_position(columns, i, arrivals[i])
-                self._index_row(bucket_of(keys[i], self.bucket_count), keys[i])
+                self._index_row(None if buckets is None else buckets[i], keys[i])
                 if self._adopted_slots:
                     self._charge_adopted(columns, i)
         if spills:
-            self.total_inserted += self.spill_segment(columns, arrivals, spills, marked, n)
+            self.total_inserted += self.spill_segment(columns, arrivals, spills, buckets, marked, n)
         return n
-
-    def split_flushed(
-        self,
-        keys: Sequence[Key],
-        rows: Sequence[int],
-        twin: "BucketedHashTable | None" = None,
-        first_only: bool = False,
-    ) -> tuple[list[int], dict[int, list[int]]]:
-        """``rows`` split into those of resident buckets and, per flushed
-        bucket, the rows that must spill.  A bucket flushed in ``twin`` (the
-        double pipelined join's other table, same bucket count) counts as
-        flushed too; ``first_only`` ends the split after the first spilling row.
-        """
-        count = self.bucket_count
-        single = self._binder.single
-        flushed = [bucket.flushed for bucket in self.buckets]
-        if twin is not None:
-            flushed = list(map(or_, flushed, [bucket.flushed for bucket in twin.buckets]))
-        live: list[int] = []
-        spills: dict[int, list[int]] = {}
-        for i in rows:
-            index = hash((keys[i],) if single else keys[i]) % count
-            if flushed[index]:
-                found = spills.get(index)
-                if found is None:
-                    spills[index] = [i]
-                else:
-                    found.append(i)
-                if first_only:
-                    break
-            else:
-                live.append(i)
-        return live, spills
 
     def _reserve_rows(self, columns: Sequence, rows: Sequence[int], exact: bool) -> bool:
         """Reserve ``rows`` in one step if the budget takes them all.
@@ -546,26 +559,28 @@ class BucketedHashTable:
         arrivals: Sequence[float],
         keys: Sequence[Key],
         rows: Sequence[int],
+        buckets: Sequence[int] | None,
     ) -> None:
         """Move already-reserved ``rows`` into the arena and its key index
         (:meth:`ColumnarPartition.extend_gather`).  A tracked table then does
-        its per-bucket bookkeeping: each key new to the index (its last ones
-        — a dict keeps insertion order) joins its bucket's list, and one pass
-        over the rows' keys counts them per bucket.
+        its per-bucket bookkeeping from the rows' ``buckets``, hashing
+        nothing: each key new to the index (its last ones — a dict keeps
+        insertion order) joins the bucket of the row it was first entered at,
+        and one count per bucket adds the rows.
         """
         store = self._arena()
         index = store.positions
-        known = len(index)
+        known, base = len(index), len(store)
         store.extend_gather(columns, arrivals, keys, rows)
         self.total_inserted += len(rows)
         if self._tracked is not None:
             held, sizes = self._tracked
-            count = self.bucket_count
-            single = self._binder.single
-            for key in islice(reversed(index), len(index) - known):
-                held[hash((key,) if single else key) % count].append(key)
-            for i in rows:
-                sizes[hash((keys[i],) if single else keys[i]) % count] += 1
+            routed = picker(rows)(buckets)  # row rows[k] went to arena slot base + k
+            unique = store.unique
+            for key, found in islice(reversed(index.items()), len(index) - known):
+                held[routed[(found if unique else found[0]) - base]].append(key)
+            for bucket, count in Counter(routed).items():
+                sizes[bucket] += count
 
     # -- probing -------------------------------------------------------------------
 
@@ -626,21 +641,27 @@ class BucketedHashTable:
         self,
         source_columns: Sequence[Sequence[Any]],
         source_arrivals: Sequence[float],
-        spills: dict[int, list[int]],
+        rows: Sequence[int],
+        buckets: Sequence[int],
         marked: bool,
         stop: int | None = None,
     ) -> int:
-        """Write the arriving rows ``spills`` names per bucket (ascending
-        positions, those from ``stop`` on left out) to the spill log in one
-        write — one gather per column; returns how many were written."""
-        indices: list[int] = []
-        groups = []
-        for index, found in spills.items():
-            if stop is not None and found[-1] >= stop:
-                found = found[: bisect_left(found, stop)]
-            if found:
-                indices += found
-                groups.append((self.buckets[index], len(found)))
+        """Write the arriving ``rows`` (ascending, those from ``stop`` on left
+        out) to the spill log in one write — grouped by their ``buckets``, in
+        order of first appearance, with one gather per column; returns how
+        many were written."""
+        if stop is not None and rows and rows[-1] >= stop:
+            rows = rows[: bisect_left(rows, stop)]
+        spills: dict[int, list[int]] = {}
+        for i, index in zip(rows, picker(rows)(buckets)):
+            found = spills.get(index)
+            if found is None:
+                spills[index] = [i]
+            else:
+                found.append(i)
+        ledgers = self.buckets
+        indices = list(chain.from_iterable(spills.values()))
+        groups = [(ledgers[index], len(found)) for index, found in spills.items()]
         self.spill_log.write_gather(source_columns, source_arrivals, indices, marked, groups)
         return len(indices)
 
@@ -654,7 +675,7 @@ class BucketedHashTable:
         pops the bucket's keys out of the index on the way (a flush)."""
         index_of = self.arena.positions
         found = map(index_of.pop if detach else index_of.__getitem__, self._track()[0][index])
-        rows = sorted(chain.from_iterable(found))
+        rows = sorted(found if self.arena.unique else chain.from_iterable(found))
         if rows and rows[-1] - rows[0] + 1 == len(rows):
             return range(rows[0], rows[-1] + 1)
         return rows
@@ -682,6 +703,7 @@ class BucketedHashTable:
         or double-release its bytes.
         """
         held, sizes = self._track()
+        flushed = self.flushed
         parts = []
         groups = []
         for bucket in victims:
@@ -691,8 +713,8 @@ class BucketedHashTable:
                 groups.append((bucket, sizes[index]))
                 held[index] = []
                 sizes[index] = 0
-            if not bucket.flushed:
-                bucket.flushed = True
+            if not flushed[index]:
+                flushed[index] = True
                 self.flushed_count += 1
         if not parts:
             return 0
@@ -721,11 +743,19 @@ class BucketedHashTable:
             self._dead += len(rows)
         if self._dead * 2 <= len(store.arrivals):
             return
-        live = sorted(chain.from_iterable(store.positions.values()))
+        index = store.positions
+        if store.unique:
+            live = sorted(index.values())
+        else:
+            live = sorted(chain.from_iterable(index.values()))
         store.columns, store.arrivals = store.gather_rows(live)
         renumber = dict(zip(live, range(len(live)))).__getitem__
-        for found in store.positions.values():
-            found[:] = map(renumber, found)
+        if store.unique:
+            renumbered = list(map(renumber, index.values()))
+            index.update(zip(list(index), renumbered))
+        else:
+            for found in index.values():
+                found[:] = map(renumber, found)
         self._dead = 0
 
     def flush_largest_bucket(self, mark_rows: bool = False) -> int | None:
@@ -761,9 +791,7 @@ class BucketedHashTable:
 
     @property
     def flushed_buckets(self) -> list[int]:
-        if not self.flushed_count:
-            return []
-        return [b.index for b in self.buckets if b.flushed]
+        return list(compress(range(self.bucket_count), self.flushed))
 
     def overflow_store(self) -> tuple[list, list[float], list[bool], dict[int, list[int]], Any]:
         """Every row overflow resolution joins, as one positional store.
@@ -783,8 +811,7 @@ class BucketedHashTable:
         columns = [empty_like(column) for column in parts[0].columns]
         arrivals: list[float] = []
         for part in parts:
-            for j, column in enumerate(part.columns):
-                extend_moving(columns, j, column)
+            gather_into(columns, 0, part.columns)
             arrivals.extend(part.arrivals)
         spilled = len(log) if log is not None else 0
         marked = (log.marked if spilled else []) + [False] * (len(arrivals) - spilled)

@@ -267,9 +267,9 @@ def insert_row(table, row, marked=False, key=None) -> bool:
     row is resident; false when it was spilled or the budget refused it."""
     if key is None:
         key = row_key(KeyBinder(table.key_names), row)
-    bucket = table.buckets[bucket_of(key, table.bucket_count)]
-    if bucket.flushed:
-        spill_row(table.spill_log, row, marked, bucket)
+    index = bucket_of(key, table.bucket_count)
+    if table.flushed[index]:
+        spill_row(table.spill_log, row, marked, table.buckets[index])
         return False
     return table.insert_batch(Batch.from_rows(row.schema, [row]), marked, [key]) == 1
 
@@ -480,7 +480,7 @@ class RowPipelineDPJ(DoublePipelinedJoin):
         """Probe, emit, and insert one arriving tuple."""
         other, tables = 1 - side, self._tables
         index = bucket_of(key, self.bucket_count)
-        if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
+        if tables[LEFT].flushed[index] or tables[RIGHT].flushed[index]:
             # Arrived after its bucket spilled: never probes live (marked).
             self._spill_arriving(side, index, row, marked=True)
             return
@@ -493,7 +493,7 @@ class RowPipelineDPJ(DoublePipelinedJoin):
             return  # footnote 3: nothing left for it to meet
         table = tables[side]
         while True:
-            if table.buckets[index].flushed:
+            if table.flushed[index]:
                 # The strategy spilled its own bucket: it has probed (unmarked).
                 self._spill_arriving(side, index, row, marked=False)
                 return
@@ -560,7 +560,7 @@ class RowPipelineHybrid(HybridHashJoin):
     def _probe_one(self, outer_row):
         key = row_key(self._left_binder, outer_row)
         index = bucket_of(key, self.bucket_count)
-        if self._inner_table.buckets[index].flushed:
+        if self._inner_table.flushed[index]:
             outer = self._outer_table
             spill_row(outer.spill_log, outer_row, False, outer.buckets[index])
             self._charge_disk_time()

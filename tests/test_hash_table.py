@@ -1,5 +1,8 @@
 """Unit tests for repro.storage.hash_table."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.errors import StorageError
@@ -344,7 +347,7 @@ class TestColumnArena:
         # The arena keeps appending where the truncation left it.
         fresh = keys_of_bucket(3, 1)[0]
         insert_row(table, make_row(fresh, "late"))
-        assert table.match_positions(fresh)[1] == [4]
+        assert list(table.match_positions(fresh)[1]) == [4]
 
     def test_flush_in_the_middle_tombstones(self):
         layout = [0, 1, 0, 2, 0, 1, 0]
@@ -364,8 +367,8 @@ class TestColumnArena:
         assert len(table.arena) == 8 and table._dead == 3  # 3 dead <= 5 live
         table.flush_bucket(1)  # 6 dead > 2 live: compaction
         assert len(table.arena) == 2 and table._dead == 0
-        assert table.match_positions(self.keys[2])[1] == [0]
-        assert table.match_positions(self.keys[5])[1] == [1]
+        assert list(table.match_positions(self.keys[2])[1]) == [0]
+        assert list(table.match_positions(self.keys[5])[1]) == [1]
         self.expect_rows(table, layout, alive=[2])
         assert chunk_rows(table, 1) == [
             [(self.keys[i], f"v{i}", float(i), False) for i in (1, 4, 7)]
@@ -421,18 +424,30 @@ class TestColumnArena:
         table.check_accounting()
 
 
+#: Every function that hashes a key to route it to its bucket, by name: the
+#: table's ``bucket_column``, the per-key ``bucket_of``, and the places a
+#: design could route again (a per-segment split, the tracked bookkeeping, the
+#: derivation).  A hash made in one of them is a routing, any other an index
+#: operation.
+ROUTING_SITES = {"bucket_column", "bucket_of", "split_flushed", "_move_rows", "_derive_buckets"}
+
+
 class CountedKey:
     """A join-key value that counts how often it is hashed: once per dict
     operation, and once per bucket hash — which hashes the 1-tuple around it,
-    so it lands in the bucket of ``v``."""
+    so it lands in the bucket of ``v``.  ``routed`` counts, per value, the
+    hashes made by a routing function (:data:`ROUTING_SITES`)."""
 
     calls = 0
+    routed: Counter = Counter()
 
     def __init__(self, value: int) -> None:
         self.value = value
 
     def __hash__(self) -> int:
         CountedKey.calls += 1
+        if sys._getframe(1).f_code.co_name in ROUTING_SITES:
+            CountedKey.routed[self.value] += 1
         return hash(self.value)
 
     def __eq__(self, other) -> bool:
@@ -441,9 +456,11 @@ class CountedKey:
 
 class TestKeyIndexProportionality:
     """A table that is never asked a bucket question hashes a key once per
-    index operation and nowhere else; leaving the unique regime and the first
-    bucket question each cost one pass over the distinct keys, not the rows,
-    at most once per arena."""
+    index operation and nowhere else; the first bucket question routes the
+    distinct keys once, every input that meets a tracked table is routed once
+    (its bucket column), and leaving the unique regime — at the first
+    duplicate, never at a bucket question — is one pass over the distinct
+    keys, at most once per arena."""
 
     def hashes(self, work) -> int:
         before = CountedKey.calls
@@ -504,39 +521,137 @@ class TestKeyIndexProportionality:
         assert self.hashes(table.bucket_sizes) == 0  # asked once, kept from then on
         table.check_accounting()
 
-    def test_a_bucket_question_ends_the_unique_regime_once_per_arena(self):
+    def test_a_bucket_question_keeps_the_regime_the_first_duplicate_ends_it_once_per_arena(self):
         n, buckets = 120, 4
         table = make_table(buckets=buckets)
         keys = [CountedKey(k) for k in range(n)]
         batch = make_batch(list(range(n)))
         table.insert_batch(batch, keys=keys)
         assert table.arena.unique
-        # The question converts the index (a store per key), derives the
-        # buckets (a bucket hash per key) and answers: two passes over the
-        # distinct keys, none over anything else.
-        assert self.hashes(table.bucket_sizes) == 2 * n
-        assert not table.arena.unique and table._tracked is not None
+        # The question routes each distinct key once and answers; the index
+        # keeps its int positions, so the probe stays one C-level lookup each.
+        assert self.hashes(table.bucket_sizes) == n
+        assert table.arena.unique and table._tracked is not None
         assert self.hashes(table.bucket_sizes) == 0
         assert self.hashes(lambda: table.gather_matches(keys)) == n
-        # Tracked inserts: a lookup and a store per new key, its bucket once
-        # for the key list and once per row for the count.
+        # A tracked insert routes each row once (the batch's bucket column) on
+        # top of the unique check; its bookkeeping hashes nothing.
         more = [CountedKey(k) for k in range(n, n + 10)]
         assert self.hashes(
             lambda: table.insert_batch(make_batch(list(range(n, n + 10))), keys=more)
-        ) == 40
+        ) == 30
+        assert table.arena.unique
+        table.check_accounting()
+        # The first duplicate ends the regime, once: the routing (10), the
+        # failed check (10 + the lookup that found it), the conversion (130),
+        # then a lookup per row and a store per new key.
+        again = [CountedKey(k) for k in [5] + list(range(300, 309))]
+        dup = make_batch([5] + list(range(300, 309)))
+        assert self.hashes(lambda: table.insert_batch(dup, keys=again)) == 10 + 11 + 130 + 19
+        assert not table.arena.unique
+        assert self.hashes(lambda: table.insert_batch(dup, keys=again)) == 20  # the plain loop
+        assert list(table.match_positions(again[0])[1]) == [5, 130, 140]
         table.check_accounting()
         # release_all starts a fresh arena, unique and unasked again.
         table.release_all()
         assert table.arena is None and table._tracked is None
         assert self.hashes(lambda: table.insert_batch(batch, keys=keys)) == 2 * n
         assert table.arena.unique and table._tracked is None
-        # A table asked before its first row starts its arena on position lists.
+        # A table asked before its first row starts its arena unique too, and
+        # routes its first batch once.
         asked = make_table(buckets=buckets)
         assert asked.bucket_sizes() == [0] * buckets
-        asked.insert_batch(batch, keys=keys)
-        assert not asked.arena.unique
+        assert self.hashes(lambda: asked.insert_batch(batch, keys=keys)) == 3 * n
+        assert asked.arena.unique
         asked.check_accounting()
 
+    def test_a_pressured_hybrid_build_routes_each_key_once(self):
+        """A build batch that meets a flushed table gets one bucket column:
+        however many refusals it meets, each retry re-splits its suffix from
+        that column, so each of its keys is routed exactly once.  (The first
+        batch's keys resident at the first flush are routed once more, when
+        the table derives its buckets.)"""
+        from repro.catalog.catalog import DataSourceCatalog
+        from repro.engine.context import ExecutionContext
+        from repro.engine.operators.joins.hybrid_hash import HybridHashJoin
+
+        from helpers import ScriptedRuns, recording_calls
+
+        inner, outer = Schema.of("r.k:int", "r.v:str"), Schema.of("l.k:int", "l.v:str")
+        first = [CountedKey(k) for k in range(40)]
+        second = [CountedKey(k) for k in range(40, 240)]
+
+        def build_batch(keys, stamp):
+            return Batch.from_columns(inner, [keys, ["x"] * len(keys)], [stamp] * len(keys))
+
+        context = ExecutionContext(DataSourceCatalog())
+        join = HybridHashJoin(
+            "hh", context, ScriptedRuns("l", context, outer, []),
+            ScriptedRuns("r", context, inner, [build_batch(first, 1.0), build_batch(second, 2.0)]),
+            ["l.k"], ["r.k"], memory_limit_bytes=30 * inner.encoded_row_size + DICT_X_BYTES,
+            bucket_count=8,
+        )
+        join.open()
+        CountedKey.routed.clear()
+        with recording_calls(BucketedHashTable, "insert_batch") as inserts:
+            assert not join.next_batch(64)
+        refusals = [
+            result for args, kwargs, result in inserts
+            if kwargs["keys"] is not None and kwargs["keys"][0] is second[0] and result < 200
+        ]
+        assert len(refusals) >= 3  # the second batch is refused, flushed for and retried
+        assert [CountedKey.routed[k.value] for k in second] == [1] * len(second)
+        assert set(CountedKey.routed[k.value] for k in first) <= {1, 2}
+        # Each retry read the flags its flush left: no resident row in a
+        # flushed bucket, every build row resident or spilled once.
+        table = join._inner_table
+        sizes = table.bucket_sizes()
+        assert table.flushed_buckets and not any(sizes[b] for b in table.flushed_buckets)
+        assert table.resident_rows + sum(b.spilled_count for b in table.buckets) == 240
+        table.check_accounting()
+        join.close()
+
+    def test_a_flushed_unique_table_reads_back_what_the_general_regime_does(self):
+        """The unique regime under pressure: flushed (its tail truncated, its
+        middle tombstoned, then compacted), fed after its flushes and read
+        through ``overflow_store``, it writes the same chunks and reads back
+        the same rows as the same inserts forced into the general regime."""
+        layout = [0, 1, 2, 3] * 10
+
+        def run(general):
+            table = make_table(buckets=4)
+            pools = {b: iter(keys_of_bucket(b, 20)) for b in range(4)}
+            keys = [next(pools[b]) for b in layout]
+            table.insert_batch(Batch.from_columns(
+                SCHEMA, [keys, [f"v{i}" for i in range(40)]], [float(i) for i in range(40)]
+            ))
+            if general:
+                table.arena.generalize()
+            assert table.flush_bucket(3) == 10  # the tail: truncated
+            assert table.flush_bucket(1) == 10  # dead slots
+            assert table.flush_bucket(0) == 10  # dead outnumber live: compacted
+            assert len(table.arena) == table.resident_rows == 10
+            late = [next(pools[b]) for b in (2, 0, 2, 3, 2, 1)]
+            table.insert_batch(Batch.from_columns(
+                SCHEMA, [late, [f"w{i}" for i in range(6)]], [50.0 + i for i in range(6)]
+            ))
+            table.check_accounting()
+            chunks = [
+                ([list(column) for column in chunk.columns], list(chunk.arrivals),
+                 chunk.marked, chunk.tags)
+                for chunk in table.spill_log.peek()
+            ]
+            columns, arrivals, marked, rows, store_keys = table.overflow_store()
+            probed = probe_rows(table, keys + late)
+            stored = ([list(column) for column in columns], arrivals, marked, rows, store_keys)
+            return table, chunks, stored, probed, table.bucket_sizes()
+
+        unique, *read = run(False)
+        general, *expected = run(True)
+        assert unique.arena.unique and not general.arena.unique
+        assert all(type(position) is int for position in unique.arena.positions.values())
+        assert read == expected
+        assert unique.disk.stats == general.disk.stats
 
 class TestSharedProbeLoop:
     """``ColumnarPartition.probe_positions`` — the one probe loop of the hybrid,

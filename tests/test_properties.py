@@ -240,8 +240,8 @@ class ArenaModel:
         self.owns_dictionaries = owns_dictionaries
         self.limit = limit
         self.rows: dict[int, list[tuple]] = {}  # key -> [(sequence, values, arrival)]
-        #: Every resident key held once and no bucket question heard since the
-        #: last release: the arena's unique regime (one way out, two exits).
+        #: Every key held once since the last release: the arena's unique
+        #: regime (one way out, the first duplicate; bucket questions keep it).
         self.unique = True
         self.sequence = 0
         self.flushed: set[int] = set()
@@ -400,10 +400,11 @@ class TestColumnArenaProperties:
         the tracked one and the switch all run, and the table must be tracking
         exactly when it has been asked.  Before step ``fresh_until`` every
         inserted key is new, so a table stays in the unique-key regime for life
-        (both thresholds past the last step), or until its first duplicate
-        (inside a batch, across batches, through ``insert_position``), or until
-        its first bucket question, whichever the draw brings first — and the
-        arena must be in the model's regime after every step."""
+        (``fresh_until`` past the last step) or until its first duplicate
+        (inside a batch, across batches, through ``insert_position``) —
+        flushed, compacted and asked about its buckets along the way, which
+        keep the regime — and the arena must be in the model's regime after
+        every step."""
         from itertools import count
         from random import Random
 
@@ -495,12 +496,9 @@ class TestColumnArenaProperties:
                 asked = False
             assert budget.used_bytes == table.resident_bytes == model.used
             assert table.resident_rows == model.resident_rows
-            model.unique = model.unique and not asked
             assert self.unique_regime(table) == model.unique
             table.check_accounting()
-            assert [bucket.flushed for bucket in table.buckets] == [
-                index in model.flushed for index in range(ARENA_BUCKETS)
-            ]
+            assert table.flushed == [index in model.flushed for index in range(ARENA_BUCKETS)]
             # Inserts, probes, row counts and the check itself are not questions
             # (and checking a table never moves it out of its regime).
             assert (table._tracked is not None) == asked
@@ -515,7 +513,7 @@ class TestColumnArenaProperties:
     @staticmethod
     def unique_regime(table) -> bool:
         """The regime the arena is in — or, before its first row, will start in."""
-        return table.arena.unique if table.arena is not None else table._tracked is None
+        return table.arena.unique if table.arena is not None else True
 
     @staticmethod
     def check_buckets(table, model):
@@ -540,6 +538,66 @@ spill_ops = st.tuples(
     ),
     st.integers(0, 2**16), percent, st.booleans(),
 )
+
+
+#: Join-key values of every kind a bucket hashes: ints (negative and past 64
+#: bits), floats (integral ones hash as their int twin) and strings.
+key_values = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def routing_cases(draw):
+    """Keys of one arity (bare values for one column, tuples beyond), two
+    tables' flag lists, the rows to split (a range or an ascending list) and
+    ``first_only``."""
+    arity = draw(st.integers(1, 3))
+    count = draw(st.sampled_from([1, 3, 8, 64]))
+    values = draw(st.lists(st.tuples(*[key_values] * arity), min_size=1, max_size=40))
+    keys = [value[0] for value in values] if arity == 1 else values
+    flags = st.lists(st.booleans(), min_size=count, max_size=count)
+    n = len(keys)
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n))
+    if draw(st.booleans()):
+        rows = range(start, stop)
+    else:
+        rows = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return arity, count, keys, draw(flags), draw(flags), rows, draw(st.booleans())
+
+
+class TestRoutingProperties:
+    @given(case=routing_cases())
+    @settings(max_examples=examples(200), deadline=None)
+    def test_bucket_column_and_split_equal_a_per_row_reference(self, case):
+        """The bucket column is :func:`bucket_of` row by row (the key hashed
+        as a tuple), and :func:`route_rows` over it and the two tables' flags
+        is the row-at-a-time split: a row spills when its bucket is flushed in
+        either table, and ``first_only`` ends the split at the first such row."""
+        from operator import or_
+
+        from repro.storage.hash_table import bucket_of, route_rows
+
+        arity, count, keys, left, right, rows, first_only = case
+        table = BucketedHashTable(
+            [f"t.k{j}" for j in range(arity)], MemoryBudget(None), SimulatedDisk(), count
+        )
+        column = table.bucket_column(keys)
+        assert column == [bucket_of(key, count) for key in keys]
+        flushed = list(map(or_, left, right))
+        live, spilled = [], []
+        for i in rows:
+            if left[bucket_of(keys[i], count)] or right[bucket_of(keys[i], count)]:
+                spilled.append(i)
+                if first_only:
+                    break
+            else:
+                live.append(i)
+        got_live, got_spilled = route_rows(column, flushed, rows, first_only)
+        assert (list(got_live), list(got_spilled)) == (live, spilled)
 
 
 class BucketFilesModel:
@@ -642,10 +700,9 @@ class TestSpillLogProperties:
                             keep(bucket, values, arrival)
                 elif kind == "segment":
                     stop = None if flag else at
-                    spills: dict = {}
-                    for i, bucket in enumerate(buckets):
-                        spills.setdefault(bucket, []).append(i)
-                    written = table.spill_segment(batch.columns, arrivals, spills, flag, stop)
+                    written = table.spill_segment(
+                        batch.columns, arrivals, range(len(rows)), buckets, flag, stop
+                    )
                     taken = range(len(rows) if stop is None else stop)
                     assert written == len(taken)
                     for i in taken:

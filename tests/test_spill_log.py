@@ -74,10 +74,8 @@ def spill_late(table, rows, marked):
     batch = Batch.from_rows(table.schema, rows)
     batch = Batch.from_columns(table.schema, batch.columns, batch.arrivals)
     half = len(rows) // 2
-    spills: dict = {}
-    for i, row in enumerate(rows[:half]):
-        spills.setdefault(bucket_of(row.values[0], BUCKETS), []).append(i)
-    table.spill_segment(batch.columns, list(batch.arrivals), spills, marked)
+    buckets = [bucket_of(row.values[0], BUCKETS) for row in rows]
+    table.spill_segment(batch.columns, list(batch.arrivals), range(half), buckets, marked)
     for row in rows[half:]:
         spill_row(table.spill_log, row, marked, table.buckets[bucket_of(row.values[0], BUCKETS)])
 
@@ -251,9 +249,7 @@ class TestSpillWritesAreProportional:
         assert multiset(rows) == multiset(reference)
         spilling = [result for _, _, result in segments if result]
         flushed = [result for _, _, result in flushes if result]
-        groups = sum(
-            len([found for found in args[3].values() if found]) for args, _, _ in segments
-        )
+        groups = sum(len({args[4][i] for i in args[3]}) for args, _, _ in segments)
         assert len(writes) == len(spilling) + len(flushed)
         assert context.disk.stats.chunks_written == len(writes)
         assert len(spilling) * 2 < groups  # the segments really do scatter over buckets
